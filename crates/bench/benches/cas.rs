@@ -3,13 +3,10 @@
 //! The session engine splits every analysis into a **build** phase (conversion +
 //! compositional aggregation, or monolithic chain generation) and a **query**
 //! phase (uniformisation against the cached model); this bench measures the two
-//! phases separately for both methods, plus the legacy one-shot entry point that
+//! phases separately for both methods, plus a one-shot build-and-query that
 //! pays for both on every call.
 
-// This bench deliberately measures the deprecated one-shot wrapper against
-// the session engine; see `dft_core::analysis` for the migration.
-#![allow(deprecated)]
-use dft_core::analysis::{unreliability, AnalysisOptions, Method};
+use dft_core::analysis::{AnalysisOptions, Method};
 use dft_core::casestudies::cas;
 use dft_core::engine::Analyzer;
 use dftmc_bench::timing::{print_header, report};
@@ -35,8 +32,9 @@ fn main() {
     report("cas/compositional/query-curve-25pts", 20, || {
         analyzer.unreliability_curve(&sweep).expect("query")
     });
-    report("cas/compositional/one-shot-legacy", 20, || {
-        unreliability(&dft, 1.0, &compositional).expect("analysis")
+    report("cas/compositional/one-shot", 20, || {
+        let analyzer = Analyzer::new(&dft, compositional.clone()).expect("build");
+        analyzer.unreliability(1.0).expect("query")
     });
 
     report("cas/monolithic/build", 20, || {

@@ -3,10 +3,7 @@
 //! than an order of magnitude in state count.  Build and query phases are
 //! measured separately; the curve query shows the session amortising its build.
 
-// This bench deliberately measures the deprecated one-shot wrapper against
-// the session engine; see `dft_core::analysis` for the migration.
-#![allow(deprecated)]
-use dft_core::analysis::{aggregated_model, unreliability, AnalysisOptions, Method};
+use dft_core::analysis::{aggregated_model, AnalysisOptions, Method};
 use dft_core::casestudies::cps;
 use dft_core::engine::Analyzer;
 use dftmc_bench::single_and_module;
@@ -33,8 +30,9 @@ fn main() {
     report("cps/compositional/query-curve-25pts", 10, || {
         analyzer.unreliability_curve(&sweep).expect("query")
     });
-    report("cps/compositional/one-shot-legacy", 10, || {
-        unreliability(&dft, 1.0, &compositional).expect("analysis")
+    report("cps/compositional/one-shot", 10, || {
+        let analyzer = Analyzer::new(&dft, compositional.clone()).expect("build");
+        analyzer.unreliability(1.0).expect("query")
     });
 
     report("cps/monolithic/build", 10, || {

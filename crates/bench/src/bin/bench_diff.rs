@@ -18,7 +18,7 @@
 
 #![forbid(unsafe_code)]
 
-use dftmc_bench::json::{self, Json};
+use dft::json::{self, Json};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

@@ -13,10 +13,10 @@
 
 #![forbid(unsafe_code)]
 
+use dft::json::{self, Json};
 use dft_core::request::{AnalysisRequest, SweepSpec};
 use dft_core::service::{AnalysisService, RequestOutcome, ServiceOptions};
 use dft_core::{AnalysisOptions, Measure, Method};
-use dftmc_bench::json::{self, Json};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 

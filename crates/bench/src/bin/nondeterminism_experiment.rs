@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use dftmc_bench::json::{self, Json};
+use dft::json::{self, Json};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");

@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use dftmc_bench::json::{self, Json};
+use dft::json::{self, Json};
 use dftmc_bench::timing::format_duration;
 
 fn main() {

@@ -1,12 +1,12 @@
 //! Experiment E11: async-service throughput — N submitting threads feeding the
-//! persistent worker pool through `submit` versus the same portfolio as
+//! persistent worker pool through `submit_request` versus the same portfolio as
 //! blocking sequential batches.
 //!
 //! Each submitter enqueues an M-deep personal queue of rate-scaled CAS jobs
 //! (structures interleaved across submitters, so duplicates hit the queue's
 //! leader/follower parking) and then awaits its handles; the baseline keeps
 //! the same client threads but serializes their identical chunks as blocking
-//! `run_batch` calls — clients taking turns, which is what a blocking API
+//! batches — clients taking turns, which is what a blocking API
 //! forces on a multi-client world.  Both modes take the best of five
 //! cold-cache repetitions.  The experiment reports both walls, the queued
 //! run's p50/p99 submit→report latency, the cache accounting (aggregation
@@ -18,7 +18,7 @@
 
 #![forbid(unsafe_code)]
 
-use dftmc_bench::json::{self, Json};
+use dft::json::{self, Json};
 use dftmc_bench::timing::format_duration;
 
 fn main() {

@@ -159,19 +159,19 @@ fn json_tree_corpus() -> Vec<Vec<u8>> {
 }
 
 fn json_corpus() -> Vec<Vec<u8>> {
-    let doc = crate::json::Json::obj([
+    let doc = dft::json::Json::obj([
         ("name", "fuzz".into()),
         ("ok", true.into()),
-        ("none", crate::json::Json::Null),
+        ("none", dft::json::Json::Null),
         (
             "escaped",
-            crate::json::Json::Str("a\"b\\c\nd\u{1}é".to_owned()),
+            dft::json::Json::Str("a\"b\\c\nd\u{1}é".to_owned()),
         ),
         (
             "rows",
-            crate::json::Json::Arr(vec![
-                crate::json::Json::obj([("width", 2usize.into()), ("x", (-1.5e-3f64).into())]),
-                crate::json::Json::Bool(false),
+            dft::json::Json::Arr(vec![
+                dft::json::Json::obj([("width", 2usize.into()), ("x", (-1.5e-3f64).into())]),
+                dft::json::Json::Bool(false),
             ]),
         ),
     ]);
@@ -329,7 +329,7 @@ pub fn run_all(seed: u64, iters: usize) -> Vec<FuzzReport> {
             dft::galileo::parse(&String::from_utf8_lossy(bytes)).is_ok()
         }),
         run_target("json::parse", seed, iters, &json, |bytes| {
-            crate::json::parse(&String::from_utf8_lossy(bytes)).is_ok()
+            dft::json::parse(&String::from_utf8_lossy(bytes)).is_ok()
         }),
         run_target(
             "json_format::parse",

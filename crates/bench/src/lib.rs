@@ -31,8 +31,9 @@ use dft_core::casestudies::{
 use dft_core::engine::{Analyzer, ParametricAnalyzer};
 use dft_core::parametric::Valuation;
 use dft_core::query::{Measure, MeasureResult};
+use dft_core::request::{AnalysisRequest, SweepSpec};
 use dft_core::rng::SplitMix64;
-use dft_core::service::{AnalysisJob, AnalysisService, ServiceOptions, SweepJob};
+use dft_core::service::{AnalysisService, JobReport, RequestOutcome, ServiceOptions};
 use dft_core::Result;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -40,12 +41,6 @@ use std::time::{Duration, Instant};
 pub mod fuzz;
 pub mod serve_load;
 pub mod timing;
-
-/// The dependency-free JSON tree and parser.  The type moved to
-/// [`dftmc_serve`] — where it decodes untrusted request bodies and so lives
-/// under the panic-freedom lint set — but every `BENCH_*.json` emitter keeps
-/// using it through this re-export.
-pub use dftmc_serve::json;
 
 /// Paper-vs-measured record for a single scalar result.
 #[derive(Debug, Clone, Copy)]
@@ -504,6 +499,35 @@ fn bitwise_eq(a: &MeasureResult, b: &MeasureResult) -> bool {
         })
 }
 
+/// A request for `measures` over `dft` with default options and no sweep.
+fn job_request(dft: &Dft, measures: &[Measure]) -> AnalysisRequest {
+    AnalysisRequest {
+        measures: measures.to_vec(),
+        ..AnalysisRequest::new(dft.clone())
+    }
+}
+
+/// The report of a request without a sweep.
+fn job_report(outcome: RequestOutcome) -> JobReport {
+    match outcome {
+        RequestOutcome::Job(report) => report,
+        RequestOutcome::Sweep(_) => unreachable!("a request without a sweep is a job"),
+    }
+}
+
+/// Submits every request before waiting for any, so the whole batch is
+/// queued at once; the reports come back in submission order.
+fn run_jobs(service: &AnalysisService, requests: Vec<AnalysisRequest>) -> Vec<JobReport> {
+    let handles: Vec<_> = requests
+        .into_iter()
+        .map(|request| service.submit_request(request))
+        .collect();
+    handles
+        .into_iter()
+        .map(|handle| job_report(handle.wait()))
+        .collect()
+}
+
 /// Runs the portfolio throughput experiment: a batch of `distinct × copies`
 /// rate-scaled CAS variants ([`cas_scaled`]), answered by an [`AnalysisService`]
 /// once on a single worker and once on `workers` workers (0 = one per core),
@@ -523,15 +547,12 @@ pub fn run_portfolio_experiment(
         .map(|i| cas_scaled(1.0 + 0.05 * i as f64))
         .collect();
     let measures = vec![Measure::curve(DEFAULT_MISSION_TIMES)];
-    let jobs: Vec<AnalysisJob> = (0..distinct * copies)
-        .map(|i| {
-            AnalysisJob::new(
-                variants[i % distinct].clone(),
-                AnalysisOptions::default(),
-                measures.clone(),
-            )
-        })
-        .collect();
+    let jobs = distinct * copies;
+    let requests = || {
+        (0..jobs)
+            .map(|i| job_request(&variants[i % distinct], &measures))
+            .collect()
+    };
 
     // Sequential reference: one plain Analyzer per distinct tree, no service.
     let reference: Vec<Vec<MeasureResult>> = variants
@@ -545,7 +566,7 @@ pub fn run_portfolio_experiment(
         ..ServiceOptions::default()
     });
     let started = Instant::now();
-    let single_report = single.run_batch(&jobs);
+    let single_reports = run_jobs(&single, requests());
     let single_worker_wall = started.elapsed();
 
     let multi = AnalysisService::new(ServiceOptions {
@@ -554,11 +575,11 @@ pub fn run_portfolio_experiment(
         ..ServiceOptions::default()
     });
     let started = Instant::now();
-    let multi_report = multi.run_batch(&jobs);
+    let multi_reports = run_jobs(&multi, requests());
     let multi_worker_wall = started.elapsed();
 
-    let bit_identical = [&single_report, &multi_report].iter().all(|report| {
-        report.jobs.iter().enumerate().all(|(i, job)| {
+    let bit_identical = [&single_reports, &multi_reports].iter().all(|reports| {
+        reports.iter().enumerate().all(|(i, job)| {
             job.results.as_ref().is_ok_and(|results| {
                 let expected = &reference[i % distinct];
                 results.len() == expected.len()
@@ -567,24 +588,25 @@ pub fn run_portfolio_experiment(
         })
     });
 
+    let cache_hits = multi_reports.iter().filter(|r| r.cache_hit).count();
     Ok(PortfolioExperiment {
-        jobs: jobs.len(),
+        jobs,
         distinct_trees: distinct,
-        workers: multi_report.stats.workers,
+        workers: multi.pool_workers(),
         single_worker_wall,
         multi_worker_wall,
-        build_time: multi_report.stats.build_time,
-        query_time: multi_report.stats.query_time,
-        cache_hits: multi_report.stats.cache_hits,
-        cache_misses: multi_report.stats.cache_misses,
-        aggregation_runs: multi_report.stats.aggregation_runs,
+        build_time: multi_reports.iter().map(|r| r.build).sum(),
+        query_time: multi_reports.iter().map(|r| r.query).sum(),
+        cache_hits,
+        cache_misses: jobs - cache_hits,
+        aggregation_runs: multi_reports.iter().map(|r| r.aggregation_runs).sum(),
         bit_identical,
     })
 }
 
 /// Results of the async-throughput experiment: N submitting threads feeding a
-/// persistent-pool service through `submit` versus the same jobs as blocking
-/// sequential batches.
+/// persistent-pool service through `submit_request` versus the same jobs as
+/// blocking sequential batches.
 #[derive(Debug, Clone)]
 pub struct ThroughputExperiment {
     /// Total jobs (`submitters` × `jobs_per_submitter`).
@@ -599,7 +621,7 @@ pub struct ThroughputExperiment {
     pub workers: usize,
     /// Wall-clock of the sequential mode (best of five cold-cache
     /// repetitions): the same client threads, serialized — one blocking
-    /// `run_batch` per client, one client at a time.
+    /// batch per client, one client at a time.
     pub sequential_wall: Duration,
     /// Wall-clock of the queued mode (best of five cold-cache repetitions):
     /// all clients enqueue concurrently against one service, the pool drains
@@ -631,9 +653,10 @@ pub struct ThroughputExperiment {
 
 /// Runs the async-throughput experiment on the portfolio workload: the same
 /// `submitters × jobs_per_submitter` rate-scaled CAS jobs once as successive
-/// blocking [`AnalysisService::run_batch`] calls (one per submitter chunk) and
-/// once as `submitters` concurrent threads submitting through
-/// [`AnalysisService::submit`] and awaiting their [`JobHandle`]s — each mode
+/// blocking batches (one per submitter chunk, each submitted in full and then
+/// awaited) and once as `submitters` concurrent threads submitting through
+/// [`AnalysisService::submit_request`] and awaiting their
+/// [`RequestHandle`](dft_core::service::RequestHandle)s — each mode
 /// repeated five times on a fresh cold-cache service with the *best* wall
 /// kept (the standard noise-floor measurement), and per-job submit→report
 /// latencies recorded in the queued runs.  Both modes keep the same client
@@ -641,8 +664,6 @@ pub struct ThroughputExperiment {
 /// comparison isolates turn-taking versus continuous draining.  Bit-identity
 /// against a sequential [`Analyzer`] reference is checked on *every*
 /// repetition.
-///
-/// [`JobHandle`]: dft_core::service::JobHandle
 ///
 /// # Errors
 ///
@@ -654,8 +675,6 @@ pub fn run_throughput_experiment(
     jobs_per_submitter: usize,
     workers: usize,
 ) -> Result<ThroughputExperiment> {
-    use dft_core::service::{JobHandle, JobReport};
-
     /// Best-of-N repetitions per mode: both walls are tens of milliseconds,
     /// where single-shot measurements swing with the scheduler.
     const REPETITIONS: usize = 5;
@@ -668,15 +687,9 @@ pub fn run_throughput_experiment(
     // structures interleave *across* submitters — the regime the queue's
     // leader/follower parking exists for.
     let variant_of = |s: usize, j: usize| (s + j) % distinct;
-    let chunk = |s: usize| -> Vec<AnalysisJob> {
+    let chunk = |s: usize| -> Vec<AnalysisRequest> {
         (0..jobs_per_submitter)
-            .map(|j| {
-                AnalysisJob::new(
-                    variants[variant_of(s, j)].clone(),
-                    AnalysisOptions::default(),
-                    measures.clone(),
-                )
-            })
+            .map(|j| job_request(&variants[variant_of(s, j)], &measures))
             .collect()
     };
 
@@ -695,8 +708,8 @@ pub fn run_throughput_experiment(
     let mut bit_identical = true;
 
     // Sequential baseline: the same client threads exist, but blocking
-    // batches force them to take turns — a mutex serializes the `run_batch`
-    // calls, so each batch waits for its last job before the next client gets
+    // batches force them to take turns — a mutex serializes the batches, so
+    // each batch waits for its last job before the next client gets
     // the service.  Fresh cold-cache service per repetition.  (Keeping the
     // client threads alive in both modes isolates what the *API* changes:
     // turn-taking versus continuous draining, not thread-count effects.)
@@ -716,16 +729,15 @@ pub fn run_throughput_experiment(
                     let turn = &turn;
                     scope.spawn(move || {
                         let _my_turn = turn.lock().expect("turn lock");
-                        service.run_batch(&chunk(s))
+                        run_jobs(service, chunk(s))
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         sequential_wall = sequential_wall.min(started.elapsed());
-        bit_identical &= reports.iter().enumerate().all(|(s, report)| {
-            report
-                .jobs
+        bit_identical &= reports.iter().enumerate().all(|(s, batch)| {
+            batch
                 .iter()
                 .enumerate()
                 .all(|(j, job)| matches_reference(s, j, &job.results))
@@ -753,15 +765,15 @@ pub fn run_throughput_experiment(
                     let service = &queued;
                     let jobs = chunk(s);
                     scope.spawn(move || {
-                        let submitted: Vec<(usize, Instant, JobHandle)> = jobs
+                        let submitted: Vec<_> = jobs
                             .into_iter()
                             .enumerate()
-                            .map(|(j, job)| (j, Instant::now(), service.submit(job)))
+                            .map(|(j, job)| (j, Instant::now(), service.submit_request(job)))
                             .collect();
                         let mut reports = Vec::with_capacity(submitted.len());
                         let mut latencies = Vec::with_capacity(submitted.len());
                         for (j, submitted_at, handle) in submitted {
-                            let report = handle.wait();
+                            let report = job_report(handle.wait());
                             latencies.push(submitted_at.elapsed());
                             reports.push((s, j, report));
                         }
@@ -1213,15 +1225,10 @@ pub fn run_persistence_experiment(
         .map(|dft| Analyzer::new(dft, AnalysisOptions::default())?.query_all(&measures))
         .collect::<Result<_>>()?;
 
-    let jobs: Vec<AnalysisJob> = (0..distinct * copies)
-        .map(|i| {
-            AnalysisJob::new(
-                variants[i % distinct].clone(),
-                AnalysisOptions::default(),
-                measures.clone(),
-            )
-        })
+    let requests: Vec<AnalysisRequest> = (0..distinct * copies)
+        .map(|i| job_request(&variants[i % distinct], &measures))
         .collect();
+    let jobs = requests.len();
     // The sweep valuations come from the conversion-only parameter table (no
     // aggregation spent on bookkeeping).
     let (_, params) = dft_core::convert_parametric(&variants[0])?;
@@ -1238,12 +1245,10 @@ pub fn run_persistence_experiment(
             .map(|v| parametric.instantiate(v)?.query_all(&measures))
             .collect::<Result<_>>()?
     };
-    let sweep = SweepJob::new(
-        variants[0].clone(),
-        AnalysisOptions::default(),
-        measures.clone(),
-        valuations,
-    );
+    let sweep = AnalysisRequest {
+        sweep: Some(SweepSpec::Valuations(valuations)),
+        ..job_request(&variants[0], &measures)
+    };
 
     let service = AnalysisService::new(
         ServiceOptions {
@@ -1254,11 +1259,13 @@ pub fn run_persistence_experiment(
         .store(store_dir),
     );
     let started = Instant::now();
-    let batch_report = service.run_batch(&jobs);
-    let sweep_report = service.run_sweep(&sweep);
+    let batch_reports = run_jobs(&service, requests);
+    let RequestOutcome::Sweep(sweep_report) = service.run_request(sweep) else {
+        unreachable!("a request with a sweep is a sweep")
+    };
     let service_wall = started.elapsed();
 
-    let bit_identical = batch_report.jobs.iter().enumerate().all(|(i, job)| {
+    let bit_identical = batch_reports.iter().enumerate().all(|(i, job)| {
         job.results.as_ref().is_ok_and(|results| {
             let expected = &reference[i % distinct];
             results.len() == expected.len()
@@ -1275,8 +1282,11 @@ pub fn run_persistence_experiment(
                         && results.iter().zip(expected).all(|(r, e)| bitwise_eq(r, e))
                 })
             });
-    let aggregation_runs =
-        batch_report.stats.aggregation_runs + sweep_report.stats.aggregation_runs;
+    let aggregation_runs = batch_reports
+        .iter()
+        .map(|r| r.aggregation_runs)
+        .sum::<usize>()
+        + sweep_report.stats.aggregation_runs;
     let store = service
         .store_stats()
         .expect("the experiment opened the store up front");
@@ -1298,7 +1308,7 @@ pub fn run_persistence_experiment(
         );
 
     Ok(PersistenceExperiment {
-        jobs: jobs.len(),
+        jobs,
         distinct_trees: distinct,
         sweep_points,
         store_hits: store.hits,

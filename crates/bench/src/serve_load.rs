@@ -11,11 +11,11 @@
 //! `f64` survives the JSON round trip exactly because both sides use
 //! Rust's shortest-round-trip formatting.
 
+use dft::json::Json;
 use dft_core::analysis::AnalysisOptions;
 use dft_core::engine::Analyzer;
 use dft_core::Result;
 use dftmc_serve::client;
-use dftmc_serve::json::Json;
 use dftmc_serve::server::{Server, ServerOptions};
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;

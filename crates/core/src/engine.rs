@@ -18,8 +18,8 @@
 //!
 //! A mission-time sweep through [`Measure::UnreliabilityCurve`] additionally
 //! shares the uniformisation pass between all time points, so a 100-point curve
-//! costs one aggregation and roughly one analysis, where the legacy one-shot
-//! entry points (see [`crate::analysis`]) would have paid for 100 of each.
+//! costs one aggregation and roughly one analysis, where 100 separately built
+//! sessions would have paid for 100 of each.
 //!
 //! # Example
 //!

@@ -13,7 +13,7 @@
 //!    more, and minimise modulo weak bisimulation ([`aggregate`]);
 //! 3. the **analysis** of the resulting CTMC/CTMDP: unreliability (time-bounded
 //!    reachability of the top-level failure), CTMDP bounds when non-determinism
-//!    remains, and unavailability for repairable models ([`analysis`]);
+//!    remains, and unavailability for repairable models ([`engine`]);
 //! 4. the **DIFTree-style monolithic baseline** the paper compares against: one
 //!    CTMC generated over the whole tree at once ([`baseline`]);
 //! 5. the paper's two case studies, ready to analyse ([`casestudies`]).
@@ -62,19 +62,14 @@ pub mod simulate;
 pub mod store;
 
 pub use analysis::{AnalysisOptions, Method};
-// The one-shot wrappers stay re-exported for path compatibility; they are
-// deprecated in favour of `Analyzer` sessions and `AnalysisService::run_request`.
-#[allow(deprecated)]
-pub use analysis::{mean_time_to_failure, unavailability, unreliability};
 pub use convert::{convert_parametric, Community};
 pub use engine::{Analyzer, ParametricAnalyzer, RateSweep};
 pub use parametric::{ParamKind, ParamSlot, ParamTable, Valuation};
 pub use query::{Measure, MeasurePoint, MeasureResult};
 pub use request::{AnalysisRequest, MethodSpec, QuerySpec, RequestError, SweepSpec};
 pub use service::{
-    AnalysisJob, AnalysisService, BatchStats, CacheStats, HybridStats, JobHandle, JobReport,
-    QueueStats, RequestHandle, RequestOutcome, ServiceOptions, ServiceReport, SweepHandle,
-    SweepJob, SweepPointReport, SweepReport, SweepStats,
+    AnalysisService, CacheStats, HybridStats, JobReport, QueueStats, RequestHandle, RequestOutcome,
+    ServiceOptions, SweepPointReport, SweepReport, SweepStats,
 };
 pub use store::{ModelStore, StoreStats};
 

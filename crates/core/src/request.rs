@@ -1,19 +1,14 @@
 //! Surface-agnostic analysis requests: one description of *tree + method/ε +
 //! measures + optional sweep*, shared by every front end.
 //!
-//! Before this module each transport parsed its own job format: the HTTP
-//! router grew ad-hoc per-endpoint JSON plumbing, the CLI would have grown a
-//! second copy, and library callers assembled [`AnalysisJob`]/[`SweepJob`]
-//! structs by hand.  An [`AnalysisRequest`] is the common denominator: any
-//! surface — JSON body, command line, Rust code — produces one, and
-//! [`AnalysisService::run_request`] /
-//! [`submit_request`](crate::service::AnalysisService::submit_request) is the
+//! An [`AnalysisRequest`] is the one description of work every surface
+//! shares: any surface — JSON body, command line, Rust code — produces one,
+//! and [`AnalysisService::submit_request`] /
+//! [`run_request`](crate::service::AnalysisService::run_request) is the
 //! single entry point that executes it (as a plain job, or as a sweep when a
 //! [`SweepSpec`] is attached).
 //!
-//! [`AnalysisJob`]: crate::service::AnalysisJob
-//! [`SweepJob`]: crate::service::SweepJob
-//! [`AnalysisService::run_request`]: crate::service::AnalysisService::run_request
+//! [`AnalysisService::submit_request`]: crate::service::AnalysisService::submit_request
 //!
 //! Two textual grammars feed it:
 //!
@@ -160,20 +155,17 @@ impl std::str::FromStr for MethodSpec {
 
 /// A symbolic description of the valuations a sweep should evaluate.
 ///
-/// [`SweepJob`](crate::service::SweepJob) carries concrete [`Valuation`]s,
-/// which forces the *submitter* to know the parametric model's slot layout —
-/// and the slot layout only exists once the model is built.  A `SweepSpec`
-/// defers that: the symbolic forms are resolved against the shared model's
-/// [`ParamTable`] by the sweep's head task, *after* the model is built (or
+/// Concrete [`Valuation`]s force the *submitter* to know the parametric
+/// model's slot layout — and the slot layout only exists once the model is
+/// built.  The symbolic forms defer that: they are resolved against the
+/// shared model's [`ParamTable`] by the sweep's head task, *after* the model is built (or
 /// loaded from the store) on the worker pool.  A front end that receives
 /// "sweep P's failure rate over these values" off the wire can thus enqueue
 /// the sweep without ever touching the model on its own threads.
 #[derive(Debug, Clone)]
 pub enum SweepSpec {
-    /// Explicit, pre-built valuations — the classic
-    /// [`SweepJob`](crate::service::SweepJob) path;
-    /// [`submit_sweep`](crate::service::AnalysisService::submit_sweep)
-    /// delegates through this variant.
+    /// Explicit, pre-built valuations (typically from [`ParamTable`]
+    /// constructors).
     Valuations(Vec<Valuation>),
     /// One point per factor: the base valuation with every *failure* rate
     /// scaled by the factor (repair rates keep their base value); see

@@ -1,52 +1,66 @@
-//! Completion handles for submitted work, and the shared state a sweep's
-//! tasks coordinate through.
+//! The completion handle for submitted requests, and the shared state a
+//! sweep's tasks coordinate through.
 //!
-//! [`AnalysisService::submit`](super::AnalysisService::submit) and
-//! [`submit_sweep`](super::AnalysisService::submit_sweep) enqueue and return
-//! immediately; the caller keeps a handle whose [`wait`](JobHandle::wait)
-//! blocks on an [`mpsc`] channel until the pool delivers the report (or
-//! [`try_result`](JobHandle::try_result) polls without blocking).  Handles are
-//! independent of the service's lifetime: dropping the service drains the
-//! queue first, so every outstanding handle still receives its report.
+//! [`AnalysisService::submit_request`](super::AnalysisService::submit_request)
+//! enqueues and returns immediately; the caller keeps a [`RequestHandle`]
+//! whose [`wait`](RequestHandle::wait) blocks on an [`mpsc`] channel until the
+//! pool delivers the outcome (or [`try_result`](RequestHandle::try_result)
+//! polls without blocking).  Handles are independent of the service's
+//! lifetime: dropping the service drains the queue first, so every
+//! outstanding handle still receives its outcome.
 
-use super::{JobReport, ServiceCore, SweepPointReport, SweepReport, SweepSpec, SweepStats};
+use super::{RequestOutcome, ServiceCore, SweepPointReport, SweepReport, SweepStats};
 use crate::analysis::AnalysisOptions;
 use crate::engine::ParametricAnalyzer;
 use crate::parametric::Valuation;
 use crate::query::Measure;
+use crate::request::SweepSpec;
 use crate::{Error, Result};
 use dft::Dft;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// The channel-backed core both public handles share: a report arrives exactly
-/// once; `received` keeps it across `try_result` calls so a later `wait`
-/// still returns it.
+/// The completion handle of one submitted
+/// [`AnalysisRequest`](crate::request::AnalysisRequest).
+///
+/// Returned by
+/// [`AnalysisService::submit_request`](super::AnalysisService::submit_request);
+/// the request runs on the service's persistent worker pool while the
+/// submitting thread is free to keep submitting (or do anything else).  The
+/// outcome arrives exactly once; a `try_result` that observed it keeps it, so
+/// a later [`wait`](Self::wait) still returns it.
 #[derive(Debug)]
-struct Handle<T> {
-    rx: mpsc::Receiver<T>,
-    received: Option<T>,
+pub struct RequestHandle {
+    rx: mpsc::Receiver<RequestOutcome>,
+    received: Option<RequestOutcome>,
 }
 
-impl<T> Handle<T> {
-    fn new(rx: mpsc::Receiver<T>) -> Handle<T> {
-        Handle { rx, received: None }
+impl RequestHandle {
+    pub(super) fn new(rx: mpsc::Receiver<RequestOutcome>) -> RequestHandle {
+        RequestHandle { rx, received: None }
     }
 
-    /// A handle whose result is already available (no queued work behind it).
-    fn ready(value: T) -> Handle<T> {
+    /// A handle whose outcome is already available (no queued work behind
+    /// it): the empty sweep.
+    pub(super) fn ready(outcome: RequestOutcome) -> RequestHandle {
         let (tx, rx) = mpsc::channel();
         drop(tx);
-        Handle {
+        RequestHandle {
             rx,
-            received: Some(value),
+            received: Some(outcome),
         }
     }
 
-    fn wait(mut self) -> T {
+    /// Blocks until the request has run and returns its outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker executing the request panicked (the outcome channel
+    /// is closed without an outcome — the pool itself never drops work).
+    pub fn wait(mut self) -> RequestOutcome {
         match self.received.take() {
-            Some(value) => value,
+            Some(outcome) => outcome,
             None => self
                 .rx
                 .recv()
@@ -54,104 +68,26 @@ impl<T> Handle<T> {
         }
     }
 
-    fn try_result(&mut self) -> Option<&T> {
+    /// Returns the outcome if the request has already finished, without
+    /// blocking.  An outcome observed here is kept, so a later
+    /// [`wait`](Self::wait) (or repeated `try_result` calls) still return it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker executing the request panicked (same condition as
+    /// [`wait`](Self::wait)) — a dead request must not look like "not ready
+    /// yet" to a poller.
+    pub fn try_result(&mut self) -> Option<&RequestOutcome> {
         if self.received.is_none() {
             match self.rx.try_recv() {
-                Ok(value) => self.received = Some(value),
+                Ok(outcome) => self.received = Some(outcome),
                 Err(mpsc::TryRecvError::Empty) => {}
-                // The worker died without delivering (it panicked): surface
-                // the failure like wait() does, instead of letting a poller
-                // spin on "not ready yet" forever.
                 Err(mpsc::TryRecvError::Disconnected) => {
                     panic!("the worker pool delivers every report before shutting down")
                 }
             }
         }
         self.received.as_ref()
-    }
-}
-
-/// The completion handle of one submitted [`AnalysisJob`](super::AnalysisJob).
-///
-/// Returned by [`AnalysisService::submit`](super::AnalysisService::submit);
-/// the job runs on the service's persistent worker pool while the submitting
-/// thread is free to keep submitting (or do anything else).
-#[derive(Debug)]
-pub struct JobHandle {
-    inner: Handle<JobReport>,
-}
-
-impl JobHandle {
-    pub(super) fn new(rx: mpsc::Receiver<JobReport>) -> JobHandle {
-        JobHandle {
-            inner: Handle::new(rx),
-        }
-    }
-
-    /// Blocks until the job has run and returns its report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker executing the job panicked (the report channel is
-    /// closed without a report — the pool itself never drops a job).
-    pub fn wait(self) -> JobReport {
-        self.inner.wait()
-    }
-
-    /// Returns the report if the job has already finished, without blocking.
-    /// A report observed here is kept, so a later [`wait`](Self::wait) (or
-    /// repeated `try_result` calls) still return it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker executing the job panicked (same condition as
-    /// [`wait`](Self::wait)) — a dead job must not look like "not ready yet"
-    /// to a poller.
-    pub fn try_result(&mut self) -> Option<&JobReport> {
-        self.inner.try_result()
-    }
-}
-
-/// The completion handle of one submitted [`SweepJob`](super::SweepJob); see
-/// [`JobHandle`] for the waiting contract.
-#[derive(Debug)]
-pub struct SweepHandle {
-    inner: Handle<SweepReport>,
-}
-
-impl SweepHandle {
-    pub(super) fn new(rx: mpsc::Receiver<SweepReport>) -> SweepHandle {
-        SweepHandle {
-            inner: Handle::new(rx),
-        }
-    }
-
-    /// A handle for an empty sweep: the report is available immediately and no
-    /// work was enqueued.
-    pub(super) fn ready(report: SweepReport) -> SweepHandle {
-        SweepHandle {
-            inner: Handle::ready(report),
-        }
-    }
-
-    /// Blocks until every valuation has run and returns the assembled report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker executing part of the sweep panicked.
-    pub fn wait(self) -> SweepReport {
-        self.inner.wait()
-    }
-
-    /// Returns the report if the whole sweep has already finished, without
-    /// blocking; an observed report is kept for a later [`wait`](Self::wait).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker executing part of the sweep panicked (same
-    /// condition as [`wait`](Self::wait)).
-    pub fn try_result(&mut self) -> Option<&SweepReport> {
-        self.inner.try_result()
     }
 }
 
@@ -190,7 +126,7 @@ pub(super) struct SweepState {
     remaining: AtomicUsize,
     /// `Sender` is `Send` but not `Sync`; only the final point task ever uses
     /// it, so a mutex costs nothing.
-    tx: Mutex<mpsc::Sender<SweepReport>>,
+    tx: Mutex<mpsc::Sender<RequestOutcome>>,
 }
 
 impl SweepState {
@@ -200,7 +136,7 @@ impl SweepState {
         measures: Vec<Measure>,
         spec: SweepSpec,
         workers: usize,
-        tx: mpsc::Sender<SweepReport>,
+        tx: mpsc::Sender<RequestOutcome>,
     ) -> SweepState {
         let structural = dft.structural_fingerprint();
         let points = spec.len();
@@ -344,6 +280,6 @@ impl SweepState {
             .tx
             .lock()
             .expect("sweep sender")
-            .send(SweepReport { points, stats });
+            .send(RequestOutcome::Sweep(SweepReport { points, stats }));
     }
 }

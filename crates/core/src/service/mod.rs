@@ -9,27 +9,31 @@
 //! pay aggregation twice.  [`AnalysisService`] extends the same economics
 //! *across* trees:
 //!
-//! * **Asynchronous submission** — [`submit`](AnalysisService::submit) and
-//!   [`submit_sweep`](AnalysisService::submit_sweep) enqueue a job and return a
-//!   handle immediately; [`JobHandle::wait`]/[`SweepHandle::wait`] block on a
-//!   channel until the pool delivers the report, and `try_result` polls without
-//!   blocking.  Any number of client threads can submit concurrently against
-//!   one long-lived service while the pool drains continuously.
+//! * **One entry point** — every piece of work is an [`AnalysisRequest`]
+//!   (tree, options, measures and an optional rate sweep).
+//!   [`submit_request`](AnalysisService::submit_request) enqueues it and
+//!   returns a [`RequestHandle`] immediately; [`RequestHandle::wait`] blocks on
+//!   a channel until the pool delivers the [`RequestOutcome`], and
+//!   [`try_result`](RequestHandle::try_result) polls without blocking.
+//!   [`run_request`](AnalysisService::run_request) is submit-then-wait.  Any
+//!   number of client threads can submit concurrently against one long-lived
+//!   service while the pool drains continuously; a batch is simply many
+//!   submissions followed by many waits.
 //! * **A persistent worker pool** — [`ServiceOptions::workers`] threads are
 //!   spawned once (lazily, on the first submission) and coordinate through a
 //!   Mutex+Condvar queue with timeout-free waits; see [`queue`](self).
 //!   Dropping the service shuts the pool down deterministically: the queue
-//!   drains, every outstanding handle receives its report, and the threads are
-//!   joined.
-//! * **Batching** — [`run_batch`](AnalysisService::run_batch) and
-//!   [`run_sweep`](AnalysisService::run_sweep) are thin submit-then-wait
-//!   wrappers over the queue, preserving the blocking portfolio API (and its
-//!   result and accounting semantics) exactly.
+//!   drains, every outstanding handle receives its outcome, and the threads
+//!   are joined.
 //! * **Caching** — built sessions are shared through an LRU cache of
 //!   `Arc<Analyzer>` keyed by [`Dft::fingerprint`] (plus the analysis method and
-//!   epsilon).  A batch over N copies of one tree runs aggregation exactly
-//!   once; the other N−1 jobs are cache hits that go straight to the query
-//!   phase.
+//!   epsilon).  N requests over copies of one tree run aggregation exactly
+//!   once; the other N−1 are cache hits that go straight to the query phase.
+//! * **Sweeps** — a request carrying a
+//!   [`SweepSpec`](crate::request::SweepSpec) aggregates the tree's
+//!   *structure* once into a cached [`ParametricAnalyzer`] (shared by every
+//!   rate variant of the same structure) and instantiates one session per
+//!   valuation on the pool.
 //! * **Persistence** — with [`ServiceOptions::store`] pointing at a shared
 //!   directory, built models are also written to a cross-process
 //!   [`ModelStore`]: a cache miss consults the
@@ -44,8 +48,8 @@
 //!   instead of building a duplicate model.  The queue additionally *parks*
 //!   jobs whose model is being built by a leader and re-releases them when the
 //!   build completes, so pool workers never idle inside that lock
-//!   ([`BatchStats::build_waits`] stays 0 however the jobs interleave, short
-//!   of an eviction racing a rebuild under a too-small cache capacity).
+//!   ([`JobReport::build_wait`] stays `false` however the jobs interleave,
+//!   short of an eviction racing a rebuild under a too-small cache capacity).
 //! * **Determinism** — workers only share immutable `Arc<Analyzer>` sessions,
 //!   so every job's results are bit-identical to what a sequential
 //!   [`Analyzer`] run over the same tree would produce, whatever the worker
@@ -55,8 +59,8 @@
 //!
 //! ```
 //! use dft::{DftBuilder, Dormancy};
-//! use dft_core::service::{AnalysisJob, AnalysisService, ServiceOptions};
-//! use dft_core::{AnalysisOptions, Measure};
+//! use dft_core::service::{AnalysisService, RequestOutcome, ServiceOptions};
+//! use dft_core::{AnalysisRequest, Measure};
 //!
 //! fn variant(rate: f64) -> dft::Dft {
 //!     let mut b = DftBuilder::new();
@@ -66,40 +70,51 @@
 //!     b.build(top).unwrap()
 //! }
 //!
+//! fn request(rate: f64, measures: Vec<Measure>) -> AnalysisRequest {
+//!     AnalysisRequest {
+//!         measures,
+//!         ..AnalysisRequest::new(variant(rate))
+//!     }
+//! }
+//!
 //! let service = AnalysisService::new(ServiceOptions::default());
 //!
-//! // Asynchronous: submit returns immediately, wait() collects the report.
-//! let handle = service.submit(AnalysisJob::new(
-//!     variant(1.0),
-//!     AnalysisOptions::default(),
-//!     vec![Measure::Mttf],
-//! ));
-//! assert!((handle.wait().results.unwrap()[0].value() - 2.0).abs() < 1e-6);
+//! // Blocking: run_request submits and waits for the outcome.
+//! let RequestOutcome::Job(report) = service.run_request(request(1.0, vec![Measure::Mttf]))
+//! else {
+//!     unreachable!("a request without a sweep is a job")
+//! };
+//! assert!((report.results.unwrap()[0].value() - 2.0).abs() < 1e-6);
 //!
-//! // Batched: six jobs over two distinct structures — only two models are
-//! // ever built, and the first one is already cached from the job above.
-//! let jobs: Vec<AnalysisJob> = (0..6)
-//!     .map(|i| AnalysisJob::new(
-//!         variant(if i % 2 == 0 { 1.0 } else { 2.0 }),
-//!         AnalysisOptions::default(),
-//!         vec![Measure::curve([0.5, 1.0]), Measure::Mttf],
-//!     ))
+//! // Asynchronous: six submissions over two distinct structures return
+//! // immediately; only two models are ever built, and the first one is
+//! // already cached from the request above.
+//! let before = service.cache_stats();
+//! let handles: Vec<_> = (0..6)
+//!     .map(|i| {
+//!         let rate = if i % 2 == 0 { 1.0 } else { 2.0 };
+//!         service.submit_request(request(rate, vec![Measure::curve([0.5, 1.0]), Measure::Mttf]))
+//!     })
 //!     .collect();
-//! let report = service.run_batch(&jobs);
-//! assert_eq!(report.stats.cache_misses, 1);
-//! assert_eq!(report.stats.cache_hits, 5);
-//! assert_eq!(report.stats.aggregation_runs, 1);
-//! for job in &report.jobs {
-//!     let results = job.results.as_ref().unwrap();
-//!     assert_eq!(results.len(), 2);
+//! let mut aggregation_runs = 0;
+//! for handle in handles {
+//!     let RequestOutcome::Job(report) = handle.wait() else {
+//!         unreachable!("a request without a sweep is a job")
+//!     };
+//!     aggregation_runs += report.aggregation_runs;
+//!     assert_eq!(report.results.unwrap().len(), 2);
 //! }
+//! assert_eq!(aggregation_runs, 1);
+//! let after = service.cache_stats();
+//! assert_eq!(after.misses - before.misses, 1);
+//! assert_eq!(after.hits - before.hits, 5);
 //! ```
 
 mod handle;
 mod queue;
 mod worker;
 
-pub use handle::{JobHandle, SweepHandle};
+pub use handle::RequestHandle;
 pub use queue::QueueStats;
 
 use crate::analysis::{AnalysisOptions, Method};
@@ -118,35 +133,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// One unit of work for the service: analyze one DFT for a list of measures.
-///
-/// Jobs own all their data (`Measure` holds curve times in a `Vec<f64>`), so a
-/// job is `Send + 'static` and can be queued, cloned and shipped to worker
-/// threads freely.
-#[derive(Debug, Clone)]
-pub struct AnalysisJob {
-    /// The tree to analyze.
-    pub dft: Dft,
-    /// Analysis options; the method and epsilon take part in the cache key, so
-    /// jobs with different options never share a session.
-    pub options: AnalysisOptions,
-    /// The measures to evaluate, answered in one
-    /// [`query_all`](Analyzer::query_all) pass against the (possibly cached)
-    /// session.
-    pub measures: Vec<Measure>,
-}
-
-impl AnalysisJob {
-    /// Bundles a DFT, its options and the requested measures into a job.
-    pub fn new(dft: Dft, options: AnalysisOptions, measures: Vec<Measure>) -> AnalysisJob {
-        AnalysisJob {
-            dft,
-            options,
-            measures,
-        }
-    }
-}
 
 /// Tuning knobs of an [`AnalysisService`].
 #[derive(Debug, Clone)]
@@ -276,7 +262,7 @@ struct Cache {
     tick: u64,
 }
 
-/// Cumulative cache counters of a service, across all batches.
+/// Cumulative cache counters of a service, across all requests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Jobs that found their session already built (or being built).
@@ -325,41 +311,7 @@ pub struct HybridStats {
     pub core_elements: usize,
 }
 
-/// Per-batch accounting of a [`run_batch`](AnalysisService::run_batch) call.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchStats {
-    /// Number of jobs in the batch.
-    pub jobs: usize,
-    /// Jobs answered from an already-built (or concurrently building) session.
-    pub cache_hits: usize,
-    /// Jobs that built their session.
-    pub cache_misses: usize,
-    /// Compositional aggregation runs actually executed for this batch — equal
-    /// to the number of *distinct* compositional models built, however many
-    /// duplicate trees the batch contains.
-    pub aggregation_runs: usize,
-    /// Jobs that had to *block* on a concurrent builder of the same model.
-    /// The queue parks duplicates of an in-flight model until its leader
-    /// finishes, so queued work keeps this at 0: all jobs for one model wait
-    /// *parked* — their worker stays free for other models — instead of
-    /// idling on the same `OnceLock`.  The one exception is an eviction race
-    /// under a too-small [`ServiceOptions::cache_capacity`]: if a built
-    /// session is evicted *between* two duplicates being claimed as ordinary
-    /// cache hits, they can race the rebuild and one blocks.
-    pub build_waits: usize,
-    /// Size of the persistent worker pool the batch ran on (0 for an empty
-    /// batch, which never starts the pool).
-    pub workers: usize,
-    /// Build-phase time summed over all jobs (cache hits contribute only their
-    /// lookup — or the time spent blocking on a concurrent builder).
-    pub build_time: Duration,
-    /// Query-phase time summed over all jobs.
-    pub query_time: Duration,
-    /// End-to-end wall-clock time of the batch.
-    pub wall_time: Duration,
-}
-
-/// The outcome of one [`AnalysisJob`].
+/// The outcome of one [`AnalysisRequest`] without a sweep.
 #[derive(Debug, Clone)]
 pub struct JobReport {
     /// Structural fingerprint of the job's tree ([`Dft::fingerprint`]).
@@ -384,79 +336,7 @@ pub struct JobReport {
     pub query: Duration,
 }
 
-/// The outcome of a whole batch: per-job reports in submission order plus the
-/// batch-level accounting.
-#[derive(Debug, Clone)]
-pub struct ServiceReport {
-    /// One report per submitted job, in the same order as the batch slice.
-    pub jobs: Vec<JobReport>,
-    /// Cache and phase-timing accounting for the batch.
-    pub stats: BatchStats,
-}
-
-/// A rate-sweep job: one tree, one set of measures, many rate [`Valuation`]s.
-///
-/// The service aggregates the tree's *structure* once into a shared
-/// [`ParametricAnalyzer`] (cached by [`Dft::structural_fingerprint`], so every
-/// rate variant of the same structure reuses it — across sweep calls too) and
-/// instantiates one numeric session per distinct valuation (cached by
-/// `(structural fingerprint, valuation)`).
-#[derive(Debug, Clone)]
-pub struct SweepJob {
-    /// The tree whose structure is swept; its own rates define the *base*
-    /// valuation but do not otherwise constrain the sweep.
-    pub dft: Dft,
-    /// Analysis options; must use the compositional method (the monolithic
-    /// baseline has no parametric form).
-    pub options: AnalysisOptions,
-    /// The measures to evaluate per valuation, answered in one
-    /// [`query_all`](Analyzer::query_all) pass each.
-    pub measures: Vec<Measure>,
-    /// The rate assignments to instantiate, typically built via
-    /// [`ParamTable`](crate::parametric::ParamTable) constructors.
-    pub valuations: Vec<Valuation>,
-}
-
-impl SweepJob {
-    /// Bundles a tree, options, measures and valuations into a sweep job.
-    pub fn new(
-        dft: Dft,
-        options: AnalysisOptions,
-        measures: Vec<Measure>,
-        valuations: Vec<Valuation>,
-    ) -> SweepJob {
-        SweepJob {
-            dft,
-            options,
-            measures,
-            valuations,
-        }
-    }
-}
-
-pub use crate::request::SweepSpec;
-
-/// The pending side of a submitted [`AnalysisRequest`]: a [`JobHandle`] for
-/// plain requests, a [`SweepHandle`] when a sweep was attached.
-#[derive(Debug)]
-pub enum RequestHandle {
-    /// The request had no sweep and went down the [`AnalysisJob`] path.
-    Job(JobHandle),
-    /// The request carried a [`SweepSpec`] and went down the sweep path.
-    Sweep(SweepHandle),
-}
-
-impl RequestHandle {
-    /// Blocks until the pool delivers the report.
-    pub fn wait(self) -> RequestOutcome {
-        match self {
-            RequestHandle::Job(handle) => RequestOutcome::Job(handle.wait()),
-            RequestHandle::Sweep(handle) => RequestOutcome::Sweep(handle.wait()),
-        }
-    }
-}
-
-/// The outcome of an [`AnalysisRequest`], mirroring [`RequestHandle`].
+/// The outcome of an [`AnalysisRequest`], delivered by its [`RequestHandle`].
 #[derive(Debug, Clone)]
 pub enum RequestOutcome {
     /// Report of a plain (no-sweep) request.
@@ -465,7 +345,7 @@ pub enum RequestOutcome {
     Sweep(SweepReport),
 }
 
-/// The outcome of one valuation of a [`SweepJob`].
+/// The outcome of one valuation of a sweep request.
 #[derive(Debug, Clone)]
 pub struct SweepPointReport {
     /// Fingerprint of the valuation ([`Valuation::fingerprint`]).
@@ -482,7 +362,7 @@ pub struct SweepPointReport {
     pub query: Duration,
 }
 
-/// Batch-level accounting of a [`run_sweep`](AnalysisService::run_sweep) call.
+/// Sweep-level accounting of a sweep request.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SweepStats {
     /// Number of valuations in the sweep.
@@ -511,11 +391,11 @@ pub struct SweepStats {
     pub wall_time: Duration,
 }
 
-/// The outcome of a whole [`SweepJob`]: per-valuation reports in request order
-/// plus the sweep-level accounting.
+/// The outcome of a whole sweep request: per-valuation reports in request
+/// order plus the sweep-level accounting.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
-    /// One report per valuation, in the same order as the job's valuations.
+    /// One report per valuation, in the same order as the sweep's points.
     pub points: Vec<SweepPointReport>,
     /// Cache and phase-timing accounting for the sweep.
     pub stats: SweepStats,
@@ -562,14 +442,14 @@ struct Pool {
 /// See the [module documentation](self) for the full story and an example.  The
 /// service is `Send + Sync` (statically asserted below): one instance can be
 /// shared behind an `Arc` by any number of submitting threads, all feeding the
-/// same persistent worker pool through [`submit`](Self::submit) /
-/// [`submit_sweep`](Self::submit_sweep) (or their blocking wrappers
-/// [`run_batch`](Self::run_batch) / [`run_sweep`](Self::run_sweep)).
+/// same persistent worker pool through
+/// [`submit_request`](Self::submit_request) (or its blocking wrapper
+/// [`run_request`](Self::run_request)).
 ///
 /// Dropping the service shuts the pool down deterministically: no further
 /// submissions are possible (dropping requires exclusive ownership), the
-/// workers drain every queued task — so every outstanding [`JobHandle`] /
-/// [`SweepHandle`] still receives its report — and the threads are joined.
+/// workers drain every queued task — so every outstanding [`RequestHandle`]
+/// still receives its outcome — and the threads are joined.
 #[derive(Debug)]
 pub struct AnalysisService {
     core: Arc<ServiceCore>,
@@ -586,9 +466,8 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     const fn assert_send<T: Send>() {}
     assert_send_sync::<AnalysisService>();
-    assert_send_sync::<AnalysisJob>();
-    assert_send::<JobHandle>();
-    assert_send::<SweepHandle>()
+    assert_send_sync::<AnalysisRequest>();
+    assert_send::<RequestHandle>()
 };
 
 impl AnalysisService {
@@ -619,140 +498,13 @@ impl AnalysisService {
         &self.core.options
     }
 
-    /// Enqueues one job on the persistent worker pool and returns immediately.
-    ///
-    /// The returned [`JobHandle`] delivers the [`JobReport`] through
-    /// [`wait`](JobHandle::wait) (blocking) or
-    /// [`try_result`](JobHandle::try_result) (polling).  Any number of threads
-    /// may submit concurrently; jobs for the same model share one build through
-    /// the cache and the queue's leader/follower scheduling, exactly like a
-    /// [`run_batch`](Self::run_batch) over the same jobs.
-    pub fn submit(&self, job: AnalysisJob) -> JobHandle {
-        self.ensure_pool();
-        let key = CacheKey::new(&job.dft, &job.options);
-        let (tx, rx) = mpsc::channel();
-        self.core.queue.push(Task::Job {
-            job: Box::new(job),
-            key,
-            tx,
-        });
-        JobHandle::new(rx)
-    }
-
-    /// Enqueues a whole rate sweep and returns immediately; the counterpart of
-    /// [`run_sweep`](Self::run_sweep) for asynchronous clients.
-    ///
-    /// The sweep's head task obtains the shared parametric model once, then
-    /// its valuations fan out across the pool; the [`SweepHandle`] delivers
-    /// the assembled [`SweepReport`] when the last valuation finishes.  A
-    /// sweep without valuations is a true no-op: nothing is built or enqueued,
-    /// no thread is spawned, and the (empty) report is available immediately.
-    pub fn submit_sweep(&self, job: SweepJob) -> SweepHandle {
-        self.submit_sweep_spec(
-            job.dft,
-            job.options,
-            job.measures,
-            SweepSpec::Valuations(job.valuations),
-        )
-    }
-
-    /// Enqueues a rate sweep described *symbolically*: the [`SweepSpec`] is
-    /// resolved into concrete valuations by the sweep's head task on the
-    /// worker pool, after the shared parametric model is built (or fetched).
-    ///
-    /// This is how a caller that has never seen the model's
-    /// [`ParamTable`](crate::parametric::ParamTable) — a network front end,
-    /// typically — sweeps by failure
-    /// scale or by element name.  [`submit_sweep`](Self::submit_sweep) is the
-    /// special case with pre-built valuations.  A resolution error (unknown
-    /// element) is reported in every point's
-    /// [`results`](SweepPointReport::results); like per-point query errors it
-    /// never panics the pool.  An empty spec is a true no-op, exactly like an
-    /// empty [`SweepJob`].
-    pub fn submit_sweep_spec(
-        &self,
-        dft: Dft,
-        options: AnalysisOptions,
-        measures: Vec<Measure>,
-        spec: SweepSpec,
-    ) -> SweepHandle {
-        if spec.is_empty() {
-            // `SweepStats::default()` already says workers: 0 — the sweep
-            // used none, whether or not earlier submissions started the pool.
-            return SweepHandle::ready(SweepReport {
-                points: Vec::new(),
-                stats: SweepStats::default(),
-            });
-        }
-        let workers = self.ensure_pool();
-        let (tx, rx) = mpsc::channel();
-        let state = Arc::new(SweepState::new(dft, options, measures, spec, workers, tx));
-        self.core.queue.push(Task::SweepStart { state });
-        SweepHandle::new(rx)
-    }
-
-    /// Runs a batch of jobs on the worker pool and reports per-job results plus
-    /// cache and phase-timing accounting.
-    ///
-    /// This is the blocking wrapper over [`submit`](Self::submit): every job is
-    /// enqueued, the calling thread waits for all of them, and the reports keep
-    /// submission order.  Dispatch is *cache-aware*: the queue parks duplicates
-    /// of an in-flight model until its leader finishes, so no worker ever
-    /// blocks on a concurrent build (see [`BatchStats::build_waits`]) — yet the
-    /// released duplicates still run in parallel across the pool.  Job errors
-    /// (unsupported features, numerical failures) are reported per job in
-    /// [`JobReport::results`]; they never abort the batch.
-    ///
-    /// An empty batch is a true no-op: no thread is spawned, nothing is
-    /// enqueued.  Each job is cloned once into the queue (tasks must own
-    /// their data); callers that already own their jobs can
-    /// [`submit`](Self::submit) them clone-free.
-    pub fn run_batch(&self, jobs: &[AnalysisJob]) -> ServiceReport {
-        let started = Instant::now();
-        if jobs.is_empty() {
-            return ServiceReport {
-                jobs: Vec::new(),
-                stats: BatchStats {
-                    wall_time: started.elapsed(),
-                    ..BatchStats::default()
-                },
-            };
-        }
-
-        let handles: Vec<JobHandle> = jobs.iter().map(|job| self.submit(job.clone())).collect();
-        let workers = self.pool_workers();
-        let job_reports: Vec<JobReport> = handles.into_iter().map(JobHandle::wait).collect();
-
-        let mut stats = BatchStats {
-            jobs: job_reports.len(),
-            workers,
-            wall_time: started.elapsed(),
-            ..BatchStats::default()
-        };
-        for report in &job_reports {
-            if report.cache_hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.cache_misses += 1;
-            }
-            stats.aggregation_runs += report.aggregation_runs;
-            stats.build_waits += usize::from(report.build_wait);
-            stats.build_time += report.build;
-            stats.query_time += report.query;
-        }
-
-        ServiceReport {
-            jobs: job_reports,
-            stats,
-        }
-    }
-
     /// Returns the shared [`Analyzer`] session for one DFT, building it if no
     /// structurally identical tree with the same options is cached yet.
     ///
     /// This is the single-job face of the service: callers that want to hold a
-    /// session across many batches (or query it directly) get the same
-    /// exactly-once build and LRU accounting as [`run_batch`](Self::run_batch).
+    /// session across many requests (or query it directly) get the same
+    /// exactly-once build and LRU accounting as
+    /// [`submit_request`](Self::submit_request).
     /// The build runs on the *calling* thread — no queueing is involved.
     ///
     /// # Errors
@@ -767,45 +519,72 @@ impl AnalysisService {
         session
     }
 
-    /// Runs a rate sweep: the tree's structure is aggregated once into a
-    /// cached [`ParametricAnalyzer`] (shared by *every* rate variant of the
-    /// same structure, this call and future ones), then the valuations are
-    /// instantiated and queried on the worker pool.
-    ///
-    /// This is the blocking wrapper over [`submit_sweep`](Self::submit_sweep).
-    /// Instantiated sessions enter the regular LRU session cache keyed by
-    /// `(structural fingerprint, valuation)`, so repeated valuations — within
-    /// one sweep or across sweeps and batches — never pay instantiation twice.
-    /// Per-valuation errors are reported in place and never abort the sweep.
-    /// A sweep without valuations is a true no-op (nothing is built, spawned
-    /// or enqueued).
-    pub fn run_sweep(&self, job: &SweepJob) -> SweepReport {
-        self.submit_sweep(job.clone()).wait()
-    }
-
     /// Enqueues an [`AnalysisRequest`] — the surface-agnostic "tree +
     /// options + measures + optional sweep" description every front end
-    /// produces — and returns immediately.
+    /// produces — on the persistent worker pool and returns immediately.
     ///
-    /// This is *the* entry point behind the HTTP server and the `dftmc`
-    /// CLI: a request with a sweep goes down the
-    /// [`submit_sweep_spec`](Self::submit_sweep_spec) path, one without
-    /// down the [`submit`](Self::submit) path, so every surface gets
-    /// bit-identical results to the equivalent library calls.
-    pub fn submit_request(&self, request: AnalysisRequest) -> RequestHandle {
-        match request.sweep {
-            Some(spec) => RequestHandle::Sweep(self.submit_sweep_spec(
-                request.dft,
-                request.options,
-                request.measures,
-                spec,
-            )),
-            None => RequestHandle::Job(self.submit(AnalysisJob::new(
-                request.dft,
-                request.options,
-                request.measures,
-            ))),
+    /// This is *the* way to give the service work; the HTTP server, the
+    /// `dftmc` CLI and library callers all come through here, so every
+    /// surface gets bit-identical results.  The returned [`RequestHandle`]
+    /// delivers the [`RequestOutcome`] through [`wait`](RequestHandle::wait)
+    /// (blocking) or [`try_result`](RequestHandle::try_result) (polling).
+    ///
+    /// * **Without a sweep** the request becomes one job: build-or-fetch the
+    ///   session, answer the measures in one
+    ///   [`query_all`](Analyzer::query_all) pass, report a [`JobReport`].
+    ///   Any number of threads may submit concurrently; jobs for the same
+    ///   model share one build through the cache and the queue's
+    ///   leader/follower scheduling, so no worker ever blocks on a concurrent
+    ///   build (see [`JobReport::build_wait`]).  Errors (unsupported features,
+    ///   numerical failures) land in [`JobReport::results`].
+    /// * **With a [`SweepSpec`](crate::request::SweepSpec)** the sweep's head
+    ///   task obtains the shared [`ParametricAnalyzer`] once (cached by
+    ///   [`Dft::structural_fingerprint`], so every rate variant of the same
+    ///   structure reuses it), resolves the spec against its parameter table,
+    ///   then fans the valuations out across the pool; the handle delivers
+    ///   the assembled [`SweepReport`] when the last valuation finishes.
+    ///   Instantiated sessions enter the regular LRU session cache keyed by
+    ///   `(structural fingerprint, valuation)`, so repeated valuations never
+    ///   pay instantiation twice.  Resolution and per-valuation errors are
+    ///   reported per point and never abort the sweep.  A sweep without
+    ///   points is a true no-op: nothing is built or enqueued, no thread is
+    ///   spawned, and the (empty) report is available immediately.
+    pub fn submit_request(&self, mut request: AnalysisRequest) -> RequestHandle {
+        let (tx, rx) = mpsc::channel();
+        match request.sweep.take() {
+            None => {
+                self.ensure_pool();
+                let key = CacheKey::new(&request.dft, &request.options);
+                self.core.queue.push(Task::Job {
+                    request: Box::new(request),
+                    key,
+                    tx,
+                });
+            }
+            Some(spec) if spec.is_empty() => {
+                // `SweepStats::default()` already says workers: 0 — the sweep
+                // used none, whether or not earlier submissions started the
+                // pool.
+                return RequestHandle::ready(RequestOutcome::Sweep(SweepReport {
+                    points: Vec::new(),
+                    stats: SweepStats::default(),
+                }));
+            }
+            Some(spec) => {
+                let workers = self.ensure_pool();
+                let AnalysisRequest {
+                    dft,
+                    options,
+                    measures,
+                    ..
+                } = request;
+                let state = SweepState::new(dft, options, measures, spec, workers, tx);
+                self.core.queue.push(Task::SweepStart {
+                    state: Arc::new(state),
+                });
+            }
         }
+        RequestHandle::new(rx)
     }
 
     /// Runs an [`AnalysisRequest`] to completion: the blocking wrapper over
@@ -836,15 +615,6 @@ impl AnalysisService {
     /// behind in-flight builds, released, completed).
     pub fn queue_stats(&self) -> QueueStats {
         self.core.queue.stats()
-    }
-
-    /// Cumulative counters of the numeric relax kernel (value-iteration
-    /// passes, threaded passes, batched calls).  The counters are
-    /// process-global — they also count kernel work done outside this
-    /// service — and monotonically increasing, so accounting code should
-    /// report deltas between snapshots.
-    pub fn kernel_stats(&self) -> markov::kernel::KernelStats {
-        markov::kernel::stats()
     }
 
     /// Size of the persistent worker pool: 0 while no submission has started
@@ -934,12 +704,13 @@ fn resolved_workers(options: &ServiceOptions) -> usize {
 }
 
 impl ServiceCore {
-    /// Executes one batch job against the cache: build-or-fetch the session,
-    /// then answer the measures.  `key` was computed once at submission.
-    fn run_job(&self, key: CacheKey, job: &AnalysisJob) -> JobReport {
+    /// Executes one job against the cache: build-or-fetch the session, then
+    /// answer the measures.  `key` was computed once at submission.
+    fn run_job(&self, key: CacheKey, request: &AnalysisRequest) -> JobReport {
         let fingerprint = key.fingerprint;
         let build_start = Instant::now();
-        let (session, cache_hit, build_wait) = self.session_tracked(key, &job.dft, &job.options);
+        let (session, cache_hit, build_wait) =
+            self.session_tracked(key, &request.dft, &request.options);
         let build = build_start.elapsed();
         match session {
             Err(e) => JobReport {
@@ -958,7 +729,7 @@ impl ServiceCore {
                     analyzer.aggregation_runs()
                 };
                 let query_start = Instant::now();
-                let results = analyzer.query_all(&job.measures);
+                let results = analyzer.query_all(&request.measures);
                 JobReport {
                     fingerprint,
                     cache_hit,
@@ -1033,7 +804,7 @@ impl ServiceCore {
         }
     }
 
-    /// Get-or-build for the shared parametric model of a sweep job; the
+    /// Get-or-build for the shared parametric model of a sweep; the
     /// boolean is `true` for a cache hit.
     fn parametric(
         &self,
@@ -1284,6 +1055,7 @@ impl ServiceCore {
 mod tests {
     use super::*;
     use crate::parametric::ParamKind;
+    use crate::request::SweepSpec;
     use dft::{DftBuilder, Dormancy};
 
     fn spare_tree(prefix: &str, rate: f64) -> Dft {
@@ -1298,6 +1070,34 @@ mod tests {
         b.build(top).unwrap()
     }
 
+    fn request(dft: Dft, measures: Vec<Measure>) -> AnalysisRequest {
+        AnalysisRequest {
+            measures,
+            ..AnalysisRequest::new(dft)
+        }
+    }
+
+    fn sweep(dft: Dft, measures: Vec<Measure>, spec: SweepSpec) -> AnalysisRequest {
+        AnalysisRequest {
+            sweep: Some(spec),
+            ..request(dft, measures)
+        }
+    }
+
+    fn job(outcome: RequestOutcome) -> JobReport {
+        match outcome {
+            RequestOutcome::Job(report) => report,
+            RequestOutcome::Sweep(_) => panic!("expected a job outcome"),
+        }
+    }
+
+    fn swept(outcome: RequestOutcome) -> SweepReport {
+        match outcome {
+            RequestOutcome::Sweep(report) => report,
+            RequestOutcome::Job(_) => panic!("expected a sweep outcome"),
+        }
+    }
+
     #[test]
     fn duplicate_trees_build_once() {
         let service = AnalysisService::new(ServiceOptions {
@@ -1305,25 +1105,23 @@ mod tests {
             cache_capacity: 8,
             ..ServiceOptions::default()
         });
-        let jobs: Vec<AnalysisJob> = (0..5)
+        let handles: Vec<RequestHandle> = (0..5)
             .map(|i| {
-                AnalysisJob::new(
-                    // Different names, identical structure: same fingerprint.
+                // Different names, identical structure: same fingerprint.
+                service.submit_request(request(
                     spare_tree(&format!("svc{i}"), 1.0),
-                    AnalysisOptions::default(),
                     vec![Measure::Unreliability(1.0)],
-                )
+                ))
             })
             .collect();
-        let report = service.run_batch(&jobs);
-        assert_eq!(report.stats.jobs, 5);
-        assert_eq!(report.stats.cache_misses, 1);
-        assert_eq!(report.stats.cache_hits, 4);
-        assert_eq!(report.stats.aggregation_runs, 1);
-        assert_eq!(report.stats.workers, 2);
+        assert_eq!(service.pool_workers(), 2);
+        let reports: Vec<JobReport> = handles.into_iter().map(|h| job(h.wait())).collect();
+        assert_eq!(reports.len(), 5);
+        assert_eq!(reports.iter().filter(|r| !r.cache_hit).count(), 1);
+        assert_eq!(reports.iter().map(|r| r.aggregation_runs).sum::<usize>(), 1);
         let expected = 1.0 - 2.0 * (-1.0f64).exp();
-        for job in &report.jobs {
-            let results = job.results.as_ref().unwrap();
+        for report in &reports {
+            let results = report.results.as_ref().unwrap();
             assert_eq!(results.len(), 1);
             assert!((results[0].value() - expected).abs() < 1e-6);
         }
@@ -1340,11 +1138,10 @@ mod tests {
             cache_capacity: 8,
             ..ServiceOptions::default()
         });
-        let mut handles: Vec<JobHandle> = (0..4)
+        let mut handles: Vec<RequestHandle> = (0..4)
             .map(|i| {
-                service.submit(AnalysisJob::new(
+                service.submit_request(request(
                     spare_tree(&format!("subm{i}"), 1.0 + i as f64),
-                    AnalysisOptions::default(),
                     vec![Measure::Mttf],
                 ))
             })
@@ -1356,12 +1153,15 @@ mod tests {
         while last.try_result().is_none() {
             thread::yield_now();
         }
-        let mttf = last.try_result().unwrap().results.as_ref().unwrap()[0].value();
+        let mttf = match last.try_result() {
+            Some(RequestOutcome::Job(report)) => report.results.as_ref().unwrap()[0].value(),
+            other => panic!("expected a finished job, got {other:?}"),
+        };
         assert!(mttf.is_finite() && mttf > 0.0);
-        let report = last.wait();
+        let report = job(last.wait());
         assert_eq!(report.results.unwrap()[0].value(), mttf);
         for handle in handles {
-            assert!(handle.wait().results.is_ok());
+            assert!(job(handle.wait()).results.is_ok());
         }
         // A handle can observe its report a moment before the worker records
         // the completion; the counter settles immediately after.
@@ -1388,14 +1188,13 @@ mod tests {
             .unwrap()
             .params()
             .base_valuation();
-        let handle = service.submit_sweep(SweepJob::new(
+        let handle = service.submit_request(sweep(
             dft,
-            AnalysisOptions::default(),
             vec![Measure::Unreliability(1.0)],
-            vec![valuation.clone(), valuation],
+            SweepSpec::Valuations(vec![valuation.clone(), valuation]),
         ));
         drop(service);
-        let report = handle.wait();
+        let report = swept(handle.wait());
         assert_eq!(report.points.len(), 2);
         for point in &report.points {
             assert!(point.results.is_ok(), "drop must drain sweep points too");
@@ -1409,18 +1208,20 @@ mod tests {
             cache_capacity: 8,
             ..ServiceOptions::default()
         });
-        let handles: Vec<JobHandle> = (0..3)
+        let handles: Vec<RequestHandle> = (0..3)
             .map(|i| {
-                service.submit(AnalysisJob::new(
+                service.submit_request(request(
                     spare_tree("drain", 1.0 + 0.5 * i as f64),
-                    AnalysisOptions::default(),
                     vec![Measure::Unreliability(1.0)],
                 ))
             })
             .collect();
         drop(service);
         for handle in handles {
-            assert!(handle.wait().results.is_ok(), "drop must drain, not abort");
+            assert!(
+                job(handle.wait()).results.is_ok(),
+                "drop must drain, not abort"
+            );
         }
     }
 
@@ -1504,19 +1305,17 @@ mod tests {
             cache_capacity: 1,
             ..ServiceOptions::default()
         });
-        let options = AnalysisOptions::default();
         for width in [2, 3] {
             let dft = and_tree("svc_pe", width);
-            let valuation = ParametricAnalyzer::new(&dft, options.clone())
+            let valuation = ParametricAnalyzer::new(&dft, AnalysisOptions::default())
                 .unwrap()
                 .params()
                 .base_valuation();
-            let report = service.run_sweep(&SweepJob::new(
+            let report = swept(service.run_request(sweep(
                 dft,
-                options.clone(),
                 vec![Measure::Unreliability(1.0)],
-                vec![valuation],
-            ));
+                SweepSpec::Valuations(vec![valuation]),
+            )));
             assert!(report.points[0].results.is_ok());
         }
         let stats = service.cache_stats();
@@ -1533,7 +1332,7 @@ mod tests {
     #[test]
     fn scale_specs_match_explicit_scaled_valuations() {
         // A symbolic FailureScales spec, resolved on the pool, must be
-        // bit-identical to the classic path where the caller builds the
+        // bit-identical to the explicit path where the caller builds the
         // scaled valuations against the ParamTable itself.
         let service = AnalysisService::new(ServiceOptions {
             workers: 2,
@@ -1541,24 +1340,21 @@ mod tests {
             ..ServiceOptions::default()
         });
         let dft = spare_tree("svc_spec", 1.0);
-        let options = AnalysisOptions::default();
         let measures = vec![Measure::Unreliability(1.0), Measure::Mttf];
         let scales = vec![0.5, 1.0, 2.0];
 
-        let table = ParametricAnalyzer::new(&dft, options.clone())
+        let table = ParametricAnalyzer::new(&dft, AnalysisOptions::default())
             .unwrap()
             .params()
             .clone();
-        let explicit = service.run_sweep(&SweepJob::new(
+        let explicit = swept(service.run_request(sweep(
             dft.clone(),
-            options.clone(),
             measures.clone(),
-            scales.iter().map(|&s| table.scaled_valuation(s)).collect(),
-        ));
+            SweepSpec::Valuations(scales.iter().map(|&s| table.scaled_valuation(s)).collect()),
+        )));
 
-        let symbolic = service
-            .submit_sweep_spec(dft, options, measures, SweepSpec::FailureScales(scales))
-            .wait();
+        let symbolic =
+            swept(service.run_request(sweep(dft, measures, SweepSpec::FailureScales(scales))));
 
         assert_eq!(symbolic.points.len(), explicit.points.len());
         for (a, b) in symbolic.points.iter().zip(&explicit.points) {
@@ -1582,23 +1378,19 @@ mod tests {
             cache_capacity: 16,
             ..ServiceOptions::default()
         });
-        let options = AnalysisOptions::default();
         let measures = vec![Measure::Unreliability(1.0)];
 
         // Sweeping a real element's failure rate produces distinct,
         // monotonically worsening unreliabilities.
-        let report = service
-            .submit_sweep_spec(
-                spare_tree("svc_elem", 1.0),
-                options.clone(),
-                measures.clone(),
-                SweepSpec::Element {
-                    element: "svc_elem_P".to_owned(),
-                    kind: ParamKind::Failure,
-                    values: vec![0.5, 1.0, 2.0],
-                },
-            )
-            .wait();
+        let report = swept(service.run_request(sweep(
+            spare_tree("svc_elem", 1.0),
+            measures.clone(),
+            SweepSpec::Element {
+                element: "svc_elem_P".to_owned(),
+                kind: ParamKind::Failure,
+                values: vec![0.5, 1.0, 2.0],
+            },
+        )));
         let values: Vec<f64> = report
             .points
             .iter()
@@ -1608,18 +1400,15 @@ mod tests {
 
         // An unknown element is a per-point InvalidValuation error — the
         // sweep completes, nothing panics, and the handle still delivers.
-        let report = service
-            .submit_sweep_spec(
-                spare_tree("svc_elem", 1.0),
-                options,
-                measures,
-                SweepSpec::Element {
-                    element: "no_such_event".to_owned(),
-                    kind: ParamKind::Failure,
-                    values: vec![1.0, 2.0],
-                },
-            )
-            .wait();
+        let report = swept(service.run_request(sweep(
+            spare_tree("svc_elem", 1.0),
+            measures,
+            SweepSpec::Element {
+                element: "no_such_event".to_owned(),
+                kind: ParamKind::Failure,
+                values: vec![1.0, 2.0],
+            },
+        )));
         assert_eq!(report.points.len(), 2);
         for point in &report.points {
             assert!(matches!(point.results, Err(Error::InvalidValuation { .. })));
@@ -1629,66 +1418,55 @@ mod tests {
     #[test]
     fn job_errors_are_reported_in_place() {
         // A query error (unavailability on a non-repairable tree) must not
-        // abort the batch: the failing job reports its error, the rest run.
+        // abort other jobs: the failing job reports its error, the rest run.
         let service = AnalysisService::new(ServiceOptions {
             workers: 1,
             cache_capacity: 4,
             ..ServiceOptions::default()
         });
-        let jobs = vec![
-            AnalysisJob::new(
-                spare_tree("svc_err_a", 1.0),
-                AnalysisOptions::default(),
-                vec![Measure::Unavailability],
-            ),
-            AnalysisJob::new(
-                spare_tree("svc_err_b", 2.0),
-                AnalysisOptions::default(),
-                vec![Measure::Unreliability(1.0)],
-            ),
-        ];
-        let report = service.run_batch(&jobs);
-        assert!(report.jobs[0].results.is_err(), "not repairable");
-        assert!(report.jobs[1].results.is_ok());
-        assert_eq!(report.stats.jobs, 2);
+        let failing = service.submit_request(request(
+            spare_tree("svc_err_a", 1.0),
+            vec![Measure::Unavailability],
+        ));
+        let passing = service.submit_request(request(
+            spare_tree("svc_err_b", 2.0),
+            vec![Measure::Unreliability(1.0)],
+        ));
+        assert!(job(failing.wait()).results.is_err(), "not repairable");
+        assert!(job(passing.wait()).results.is_ok());
     }
 
     #[test]
-    fn empty_batch_is_a_clean_no_op() {
+    fn empty_sweep_is_a_clean_no_op() {
         let service = AnalysisService::new(ServiceOptions::default());
 
-        // Empty batch: no report rows, no cache traffic — and no worker
-        // thread is ever spawned (the pool starts on the first real job).
-        let report = service.run_batch(&[]);
-        assert_eq!(report.stats.jobs, 0);
-        assert_eq!(report.stats.cache_hits + report.stats.cache_misses, 0);
-        assert_eq!(report.stats.workers, 0);
-        assert!(report.jobs.is_empty());
-        assert_eq!(service.pool_workers(), 0, "empty batches must not spawn");
-
-        // Empty sweep: same contract — in particular the parametric model is
-        // *not* built just to answer zero valuations.
-        let sweep = service.run_sweep(&SweepJob::new(
+        // Empty sweep: no report rows, no cache traffic — in particular the
+        // parametric model is *not* built just to answer zero valuations —
+        // and no worker thread is ever spawned.
+        let mut handle = service.submit_request(sweep(
             spare_tree("svc_empty", 1.0),
-            AnalysisOptions::default(),
             vec![Measure::Unreliability(1.0)],
-            Vec::new(),
+            SweepSpec::Valuations(Vec::new()),
         ));
-        assert!(sweep.points.is_empty());
-        assert_eq!(sweep.stats.valuations, 0);
-        assert_eq!(sweep.stats.aggregation_runs, 0);
-        assert_eq!(sweep.stats.workers, 0);
-        assert_eq!(service.cache_stats().parametric_entries, 0);
+        assert!(
+            handle.try_result().is_some(),
+            "an empty sweep is ready at once"
+        );
+        let report = swept(handle.wait());
+        assert!(report.points.is_empty());
+        assert_eq!(report.stats.valuations, 0);
+        assert_eq!(report.stats.aggregation_runs, 0);
+        assert_eq!(report.stats.workers, 0);
+        assert_eq!(service.cache_stats(), CacheStats::default());
         assert_eq!(service.pool_workers(), 0, "empty sweeps must not spawn");
         assert_eq!(service.queue_stats().submitted, 0);
 
         // The first real submission starts the pool and still works.
-        let handle = service.submit(AnalysisJob::new(
+        let handle = service.submit_request(request(
             spare_tree("svc_empty", 1.0),
-            AnalysisOptions::default(),
             vec![Measure::Unreliability(1.0)],
         ));
         assert!(service.pool_workers() > 0);
-        assert!(handle.wait().results.is_ok());
+        assert!(job(handle.wait()).results.is_ok());
     }
 }

@@ -14,8 +14,8 @@
 //!
 //! Tasks for the same [`CacheKey`] must not race: the second worker would block
 //! inside the cache's `OnceLock` for the whole build
-//! ([`BatchStats::build_waits`](super::BatchStats::build_waits)).  The queue
-//! ports the grouped dispatch of the old `run_batch` to the streaming setting:
+//! ([`JobReport::build_wait`](super::JobReport::build_wait)).  The queue
+//! schedules duplicates as leader and followers:
 //!
 //! * the first claimant of a key whose session is not built yet becomes the
 //!   **leader** — the key enters the `building` set and the worker builds (and
@@ -27,7 +27,8 @@
 //! * tasks for a key whose session is already built skip the protocol entirely.
 
 use super::handle::SweepState;
-use super::{AnalysisJob, CacheKey, JobReport};
+use super::{CacheKey, RequestOutcome};
+use crate::request::AnalysisRequest;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
@@ -35,16 +36,16 @@ use std::sync::{Arc, Condvar, Mutex};
 /// One unit of queued work.
 #[derive(Debug)]
 pub(super) enum Task {
-    /// A batch job: build-or-fetch the session, answer the measures, send the
-    /// report to the submitting handle.
+    /// A request without a sweep: build-or-fetch the session, answer the
+    /// measures, send the report to the submitting handle.
     Job {
-        /// The job to run, boxed so queued tasks stay uniformly small
-        /// (`AnalysisJob` carries a whole `Dft`).
-        job: Box<AnalysisJob>,
-        /// The job's cache key, computed once at submission.
+        /// The request to run (its `sweep` is `None`), boxed so queued tasks
+        /// stay uniformly small (a request carries a whole `Dft`).
+        request: Box<AnalysisRequest>,
+        /// The request's cache key, computed once at submission.
         key: CacheKey,
-        /// Delivers the [`JobReport`] to the job's handle.
-        tx: Sender<JobReport>,
+        /// Delivers the [`RequestOutcome::Job`] to the request's handle.
+        tx: Sender<RequestOutcome>,
     },
     /// The head task of a sweep: build-or-fetch the parametric model, then
     /// expand one [`Task::SweepPoint`] per valuation.
@@ -77,7 +78,7 @@ pub(super) struct Claim {
 /// once and released exactly once, instead of blocking a worker on the build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Tasks ever enqueued (batch jobs, sweep heads and sweep points).
+    /// Tasks ever enqueued (jobs, sweep heads and sweep points).
     pub submitted: u64,
     /// Tasks that finished executing.
     pub completed: u64,
@@ -160,7 +161,7 @@ impl JobQueue {
                 let key = match &task {
                     Task::Job { key, .. } => *key,
                     // Sweep tasks coordinate through their own shared state
-                    // and never block on a batch build: claim directly.
+                    // and never block on a session build: claim directly.
                     _ => {
                         return Some(Claim {
                             task,
@@ -193,7 +194,7 @@ impl JobQueue {
             // Nothing claimable.  Parked tasks are owed a release notification
             // by their (still running) leader, so only an empty park means the
             // drain is complete.  Tasks still *executing* on other workers add
-            // no new batch work except through `complete` (which notifies) or
+            // no new job work except through `complete` (which notifies) or
             // sweep expansion (whose worker keeps draining itself).
             if state.shutdown && state.parked_count == 0 {
                 return None;
@@ -245,7 +246,7 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{AnalysisOptions, Method};
+    use crate::analysis::Method;
     use std::sync::mpsc;
     use std::thread;
 
@@ -261,7 +262,7 @@ mod tests {
 
     /// A job task whose cache key carries the given fingerprint; the paired
     /// receiver keeps the report channel alive for the test's duration.
-    fn job(fingerprint: u64) -> (Task, CacheKey, mpsc::Receiver<JobReport>) {
+    fn job(fingerprint: u64) -> (Task, CacheKey, mpsc::Receiver<RequestOutcome>) {
         let key = CacheKey {
             fingerprint,
             method: Method::Compositional,
@@ -270,11 +271,7 @@ mod tests {
         };
         let (tx, rx) = mpsc::channel();
         let task = Task::Job {
-            job: Box::new(AnalysisJob::new(
-                tiny_dft(),
-                AnalysisOptions::default(),
-                Vec::new(),
-            )),
+            request: Box::new(AnalysisRequest::new(tiny_dft())),
             key,
             tx,
         };

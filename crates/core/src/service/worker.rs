@@ -5,7 +5,7 @@
 //! report completion so parked followers are released, repeat.
 
 use super::queue::{JobQueue, Task};
-use super::{CacheKey, ServiceCore};
+use super::{CacheKey, RequestOutcome, ServiceCore};
 use std::sync::Arc;
 
 /// Reports a claim's completion on drop, so a task that *panics* still
@@ -48,11 +48,11 @@ pub(super) fn run(core: &ServiceCore) {
 /// Executes one claimed task.
 fn execute(core: &ServiceCore, task: Task) {
     match task {
-        Task::Job { job, key, tx } => {
+        Task::Job { request, key, tx } => {
             // The handle may have been dropped (fire-and-forget submission);
             // the job still ran and warmed the cache, so a closed channel is
             // not an error.
-            let _ = tx.send(core.run_job(key, &job));
+            let _ = tx.send(RequestOutcome::Job(core.run_job(key, &request)));
         }
         Task::SweepStart { state } => {
             state.build(core);

@@ -223,14 +223,23 @@ pub(crate) fn encode_model_stats(stats: ModelStats, w: &mut Writer) {
     w.len_prefix(stats.internals);
 }
 
+/// Reads a plain counter written with [`Writer::len_prefix`].  Unlike a real
+/// length prefix it sizes no allocation and counts nothing that follows in the
+/// payload, so it is not checked against the remaining bytes: a large model's
+/// state count legitimately exceeds the size of the statistics after it.
+fn decode_count(r: &mut Reader<'_>) -> DecodeResult<usize> {
+    let n = r.u64()?;
+    usize::try_from(n).map_err(|_| DecodeError::new(format!("count {n} exceeds the address space")))
+}
+
 pub(crate) fn decode_model_stats(r: &mut Reader<'_>) -> DecodeResult<ModelStats> {
     Ok(ModelStats {
-        states: r.len_prefix(0)?,
-        interactive_transitions: r.len_prefix(0)?,
-        markovian_transitions: r.len_prefix(0)?,
-        inputs: r.len_prefix(0)?,
-        outputs: r.len_prefix(0)?,
-        internals: r.len_prefix(0)?,
+        states: decode_count(r)?,
+        interactive_transitions: decode_count(r)?,
+        markovian_transitions: decode_count(r)?,
+        inputs: decode_count(r)?,
+        outputs: decode_count(r)?,
+        internals: decode_count(r)?,
     })
 }
 
@@ -246,13 +255,13 @@ pub(crate) fn encode_module_stats(stats: ModuleStats, w: &mut Writer) {
 
 pub(crate) fn decode_module_stats(r: &mut Reader<'_>) -> DecodeResult<ModuleStats> {
     Ok(ModuleStats {
-        total_elements: r.len_prefix(0)?,
-        static_modules: r.len_prefix(0)?,
-        dynamic_modules: r.len_prefix(0)?,
-        static_modules_retained: r.len_prefix(0)?,
-        crown_elements: r.len_prefix(0)?,
-        core_count: r.len_prefix(0)?,
-        core_elements: r.len_prefix(0)?,
+        total_elements: decode_count(r)?,
+        static_modules: decode_count(r)?,
+        dynamic_modules: decode_count(r)?,
+        static_modules_retained: decode_count(r)?,
+        crown_elements: decode_count(r)?,
+        core_count: decode_count(r)?,
+        core_elements: decode_count(r)?,
     })
 }
 
@@ -277,7 +286,7 @@ pub(crate) fn decode_aggregation_stats(r: &mut Reader<'_>) -> DecodeResult<Aggre
         let right = r.str()?;
         let before_aggregation = decode_model_stats(r)?;
         let after_aggregation = decode_model_stats(r)?;
-        let hidden = r.len_prefix(0)?;
+        let hidden = decode_count(r)?;
         steps.push(StepStats {
             composed: (left, right),
             before_aggregation,
@@ -707,5 +716,52 @@ mod tests {
         let mut foreign = framed;
         foreign[0] = b'X';
         assert!(unseal(&foreign, Kind::Parametric, None).is_err());
+    }
+
+    #[test]
+    fn large_counters_round_trip() {
+        // Counters larger than the bytes that follow them: a real length
+        // prefix would be rejected here, a counter must not be.
+        let big = ModelStats {
+            states: 229_888,
+            interactive_transitions: 1 << 31,
+            markovian_transitions: 3_000_000,
+            inputs: 7,
+            outputs: 1 << 20,
+            internals: 0,
+        };
+        let modules = ModuleStats {
+            total_elements: 1 << 30,
+            static_modules: 1,
+            dynamic_modules: 2,
+            static_modules_retained: 3,
+            crown_elements: 500_000,
+            core_count: 4,
+            core_elements: 600_000,
+        };
+        let stats = AggregationStats {
+            steps: vec![StepStats {
+                composed: ("A".to_owned(), "B".to_owned()),
+                before_aggregation: big,
+                after_aggregation: big,
+                hidden: 1 << 30,
+            }],
+            peak: big,
+            final_model: big,
+        };
+        let mut w = Writer::new();
+        encode_model_stats(big, &mut w);
+        encode_module_stats(modules, &mut w);
+        encode_aggregation_stats(&stats, &mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(decode_model_stats(&mut r).unwrap(), big);
+        assert_eq!(decode_module_stats(&mut r).unwrap(), modules);
+        let decoded = decode_aggregation_stats(&mut r).unwrap();
+        assert_eq!(decoded.steps.len(), 1);
+        assert_eq!(decoded.steps[0].hidden, 1 << 30);
+        assert_eq!(decoded.steps[0].before_aggregation, big);
+        assert_eq!((decoded.peak, decoded.final_model), (big, big));
+        assert!(r.is_done());
     }
 }

@@ -18,10 +18,10 @@
 
 #![forbid(unsafe_code)]
 
+use dft::json::Json;
 use dft_core::analysis::AnalysisOptions;
 use dft_core::engine::Analyzer;
 use dftmc_serve::client;
-use dftmc_serve::json::Json;
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::Path;

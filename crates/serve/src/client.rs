@@ -5,7 +5,7 @@
 //! loadgen — it is *not* a general HTTP client (no keep-alive, no chunked
 //! bodies, no redirects), exactly mirroring what the server emits.
 
-use crate::json::Json;
+use dft::json::Json;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -61,7 +61,7 @@ fn parse_response(raw: &[u8]) -> io::Result<(u16, Json)> {
         .nth(1)
         .and_then(|code| code.parse::<u16>().ok())
         .ok_or_else(malformed)?;
-    let body = crate::json::parse(payload).unwrap_or(Json::Null);
+    let body = dft::json::parse(payload).unwrap_or(Json::Null);
     Ok((status, body))
 }
 

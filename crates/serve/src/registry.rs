@@ -15,7 +15,7 @@
 //! entry (rendered as `500` by the router) instead of a propagated panic.
 
 use crate::metrics::{add_time, bump, JobCounters};
-use dft_core::service::{JobHandle, JobReport, SweepHandle, SweepReport};
+use dft_core::service::{RequestHandle, RequestOutcome};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -23,10 +23,8 @@ use std::sync::Mutex;
 /// One registry slot.
 #[derive(Debug)]
 enum Entry {
-    PendingJob(JobHandle),
-    PendingSweep(SweepHandle),
-    DoneJob(Box<JobReport>),
-    DoneSweep(Box<SweepReport>),
+    Pending(RequestHandle),
+    Done(Box<RequestOutcome>),
     /// The worker executing the job panicked; the report never arrived.
     Failed,
 }
@@ -39,10 +37,8 @@ pub enum Lookup {
     Unknown,
     /// Submitted, not finished yet.
     Pending,
-    /// A finished single job.
-    Job(Box<JobReport>),
-    /// A finished sweep.
-    Sweep(Box<SweepReport>),
+    /// A finished job or sweep.
+    Done(Box<RequestOutcome>),
     /// The job died with a worker panic.
     Failed,
 }
@@ -87,24 +83,16 @@ impl Registry {
         self.inner.lock().expect("registry lock").pending
     }
 
-    /// Registers a submitted job; `None` means the registry is full (429).
-    pub fn add_job(&self, handle: JobHandle) -> Option<u64> {
-        self.add(Entry::PendingJob(handle))
-    }
-
-    /// Registers a submitted sweep; `None` means the registry is full (429).
-    pub fn add_sweep(&self, handle: SweepHandle) -> Option<u64> {
-        self.add(Entry::PendingSweep(handle))
-    }
-
-    fn add(&self, entry: Entry) -> Option<u64> {
+    /// Registers a submitted request; `None` means the registry is full
+    /// (429).
+    pub fn add(&self, handle: RequestHandle) -> Option<u64> {
         let mut inner = self.inner.lock().expect("registry lock");
         if inner.pending >= self.max_pending {
             return None;
         }
         inner.next_id += 1;
         let id = inner.next_id;
-        inner.entries.insert(id, entry);
+        inner.entries.insert(id, Entry::Pending(handle));
         inner.pending += 1;
         drop(inner);
         bump(&self.counters.submitted);
@@ -118,50 +106,43 @@ impl Registry {
         self.harvest(&mut inner, id);
         match inner.entries.get(&id) {
             None => Lookup::Unknown,
-            Some(Entry::PendingJob(_) | Entry::PendingSweep(_)) => Lookup::Pending,
-            Some(Entry::DoneJob(report)) => Lookup::Job(report.clone()),
-            Some(Entry::DoneSweep(report)) => Lookup::Sweep(report.clone()),
+            Some(Entry::Pending(_)) => Lookup::Pending,
+            Some(Entry::Done(outcome)) => Lookup::Done(outcome.clone()),
             Some(Entry::Failed) => Lookup::Failed,
         }
     }
 
     /// Polls a pending entry without blocking and, if its report arrived,
-    /// replaces it with the done form, updates the counters and applies the
-    /// `max_done` retention cap.
+    /// replaces it with the done form.
     fn harvest(&self, inner: &mut Inner, id: u64) {
-        let done = match inner.entries.get_mut(&id) {
-            Some(Entry::PendingJob(handle)) => {
-                // try_result panics when the worker died; contain that to the
-                // entry (AssertUnwindSafe: on unwind the whole entry is
-                // replaced below, so no partially-updated handle survives).
-                match catch_unwind(AssertUnwindSafe(|| handle.try_result().cloned())) {
-                    Ok(None) => return,
-                    Ok(Some(report)) => {
-                        self.account_job(&report);
-                        Entry::DoneJob(Box::new(report))
-                    }
-                    Err(_) => {
-                        bump(&self.counters.failed);
-                        Entry::Failed
-                    }
-                }
-            }
-            Some(Entry::PendingSweep(handle)) => {
-                match catch_unwind(AssertUnwindSafe(|| handle.try_result().cloned())) {
-                    Ok(None) => return,
-                    Ok(Some(report)) => {
-                        self.account_sweep(&report);
-                        Entry::DoneSweep(Box::new(report))
-                    }
-                    Err(_) => {
-                        bump(&self.counters.failed);
-                        Entry::Failed
-                    }
-                }
-            }
-            _ => return,
+        let Some(Entry::Pending(handle)) = inner.entries.get_mut(&id) else {
+            return;
         };
-        inner.entries.insert(id, done);
+        // try_result panics when the worker died; contain that to the entry
+        // (AssertUnwindSafe: on unwind the whole entry is replaced below, so
+        // no partially-updated handle survives).
+        let outcome = match catch_unwind(AssertUnwindSafe(|| handle.try_result().cloned())) {
+            Ok(None) => return,
+            Ok(Some(outcome)) => Some(outcome),
+            Err(_) => None,
+        };
+        self.finish(inner, id, outcome);
+    }
+
+    /// Stores a finished entry (`None` when its worker panicked), updates the
+    /// counters and applies the `max_done` retention cap.
+    fn finish(&self, inner: &mut Inner, id: u64, outcome: Option<RequestOutcome>) {
+        let entry = match outcome {
+            Some(outcome) => {
+                self.account(&outcome);
+                Entry::Done(Box::new(outcome))
+            }
+            None => {
+                bump(&self.counters.failed);
+                Entry::Failed
+            }
+        };
+        inner.entries.insert(id, entry);
         inner.pending -= 1;
         inner.done_order.push_back(id);
         while inner.done_order.len() > self.max_done {
@@ -171,25 +152,20 @@ impl Registry {
         }
     }
 
-    fn account_job(&self, report: &JobReport) {
+    fn account(&self, outcome: &RequestOutcome) {
+        let (build, query, aggregation_runs) = match outcome {
+            RequestOutcome::Job(report) => (report.build, report.query, report.aggregation_runs),
+            RequestOutcome::Sweep(report) => (
+                report.stats.build_time,
+                report.stats.instantiate_time + report.stats.query_time,
+                report.stats.aggregation_runs,
+            ),
+        };
         bump(&self.counters.completed);
-        add_time(&self.counters.build_nanos, report.build);
-        add_time(&self.counters.query_nanos, report.query);
+        add_time(&self.counters.build_nanos, build);
+        add_time(&self.counters.query_nanos, query);
         self.counters.aggregation_runs.fetch_add(
-            u64::try_from(report.aggregation_runs).unwrap_or(u64::MAX),
-            std::sync::atomic::Ordering::Relaxed,
-        );
-    }
-
-    fn account_sweep(&self, report: &SweepReport) {
-        bump(&self.counters.completed);
-        add_time(&self.counters.build_nanos, report.stats.build_time);
-        add_time(
-            &self.counters.query_nanos,
-            report.stats.instantiate_time + report.stats.query_time,
-        );
-        self.counters.aggregation_runs.fetch_add(
-            u64::try_from(report.stats.aggregation_runs).unwrap_or(u64::MAX),
+            u64::try_from(aggregation_runs).unwrap_or(u64::MAX),
             std::sync::atomic::Ordering::Relaxed,
         );
     }
@@ -201,59 +177,29 @@ impl Registry {
     /// The handles are moved out of the lock first, so jobs finishing during
     /// the drain never contend with a held registry lock.
     pub fn drain(&self) -> usize {
-        let pending: Vec<(u64, Entry)> = {
+        let pending: Vec<(u64, RequestHandle)> = {
             let mut inner = self.inner.lock().expect("registry lock");
             let mut ids: Vec<u64> = inner
                 .entries
                 .iter()
-                .filter(|(_, e)| matches!(e, Entry::PendingJob(_) | Entry::PendingSweep(_)))
+                .filter(|(_, e)| matches!(e, Entry::Pending(_)))
                 .map(|(id, _)| *id)
                 .collect();
             // Ids are issued in submission order; draining in that order keeps
             // the done-eviction FIFO deterministic (the map iterates randomly).
             ids.sort_unstable();
             ids.into_iter()
-                .filter_map(|id| inner.entries.remove(&id).map(|e| (id, e)))
+                .filter_map(|id| match inner.entries.remove(&id) {
+                    Some(Entry::Pending(handle)) => Some((id, handle)),
+                    _ => None,
+                })
                 .collect()
         };
         let drained = pending.len();
-        for (id, entry) in pending {
-            let done = match entry {
-                Entry::PendingJob(handle) => {
-                    match catch_unwind(AssertUnwindSafe(|| handle.wait())) {
-                        Ok(report) => {
-                            self.account_job(&report);
-                            Entry::DoneJob(Box::new(report))
-                        }
-                        Err(_) => {
-                            bump(&self.counters.failed);
-                            Entry::Failed
-                        }
-                    }
-                }
-                Entry::PendingSweep(handle) => {
-                    match catch_unwind(AssertUnwindSafe(|| handle.wait())) {
-                        Ok(report) => {
-                            self.account_sweep(&report);
-                            Entry::DoneSweep(Box::new(report))
-                        }
-                        Err(_) => {
-                            bump(&self.counters.failed);
-                            Entry::Failed
-                        }
-                    }
-                }
-                done => done,
-            };
+        for (id, handle) in pending {
+            let outcome = catch_unwind(AssertUnwindSafe(|| handle.wait())).ok();
             let mut inner = self.inner.lock().expect("registry lock");
-            inner.entries.insert(id, done);
-            inner.pending -= 1;
-            inner.done_order.push_back(id);
-            while inner.done_order.len() > self.max_done {
-                if let Some(evicted) = inner.done_order.pop_front() {
-                    inner.entries.remove(&evicted);
-                }
-            }
+            self.finish(&mut inner, id, outcome);
         }
         drained
     }
@@ -263,8 +209,8 @@ impl Registry {
 mod tests {
     use super::*;
     use dft::{DftBuilder, Dormancy};
-    use dft_core::service::{AnalysisJob, AnalysisService, ServiceOptions};
-    use dft_core::{AnalysisOptions, Measure};
+    use dft_core::service::{AnalysisService, ServiceOptions};
+    use dft_core::{AnalysisRequest, Measure};
 
     fn tree(rate: f64) -> dft::Dft {
         let mut b = DftBuilder::new();
@@ -274,12 +220,11 @@ mod tests {
         b.build(top).unwrap()
     }
 
-    fn submit(service: &AnalysisService) -> JobHandle {
-        service.submit(AnalysisJob::new(
-            tree(1.0),
-            AnalysisOptions::default(),
-            vec![Measure::Mttf],
-        ))
+    fn submit(service: &AnalysisService) -> RequestHandle {
+        service.submit_request(AnalysisRequest {
+            measures: vec![Measure::Mttf],
+            ..AnalysisRequest::new(tree(1.0))
+        })
     }
 
     #[test]
@@ -289,18 +234,18 @@ mod tests {
             ..ServiceOptions::default()
         });
         let registry = Registry::new(2, 8);
-        assert_eq!(registry.add_job(submit(&service)), Some(1));
-        assert_eq!(registry.add_job(submit(&service)), Some(2));
+        assert_eq!(registry.add(submit(&service)), Some(1));
+        assert_eq!(registry.add(submit(&service)), Some(2));
         // Full: the third submission is refused until one completes.
-        assert!(registry.add_job(submit(&service)).is_none());
+        assert!(registry.add(submit(&service)).is_none());
         assert_eq!(registry.pending(), 2);
 
         registry.drain();
         assert_eq!(registry.pending(), 0);
-        assert!(matches!(registry.lookup(1), Lookup::Job(_)));
-        assert!(matches!(registry.lookup(2), Lookup::Job(_)));
+        assert!(matches!(registry.lookup(1), Lookup::Done(_)));
+        assert!(matches!(registry.lookup(2), Lookup::Done(_)));
         assert!(matches!(registry.lookup(99), Lookup::Unknown));
-        assert_eq!(registry.add_job(submit(&service)), Some(3));
+        assert_eq!(registry.add(submit(&service)), Some(3));
         registry.drain();
     }
 
@@ -312,12 +257,12 @@ mod tests {
         });
         let registry = Registry::new(8, 2);
         let ids: Vec<u64> = (0..3)
-            .map(|_| registry.add_job(submit(&service)).unwrap())
+            .map(|_| registry.add(submit(&service)).unwrap())
             .collect();
         registry.drain();
         assert!(matches!(registry.lookup(ids[0]), Lookup::Unknown));
-        assert!(matches!(registry.lookup(ids[1]), Lookup::Job(_)));
-        assert!(matches!(registry.lookup(ids[2]), Lookup::Job(_)));
+        assert!(matches!(registry.lookup(ids[1]), Lookup::Done(_)));
+        assert!(matches!(registry.lookup(ids[2]), Lookup::Done(_)));
     }
 
     #[test]
@@ -327,19 +272,22 @@ mod tests {
             ..ServiceOptions::default()
         });
         let registry = Registry::new(8, 8);
-        let id = registry.add_job(submit(&service)).unwrap();
+        let id = registry.add(submit(&service)).unwrap();
         // Poll until the harvest observes the report.
         loop {
             match registry.lookup(id) {
                 Lookup::Pending => std::thread::yield_now(),
-                Lookup::Job(report) => {
+                Lookup::Done(outcome) => {
+                    let RequestOutcome::Job(report) = *outcome else {
+                        panic!("a request without a sweep is a job");
+                    };
                     assert!(report.results.is_ok());
                     break;
                 }
                 other => panic!("unexpected lookup: {other:?}"),
             }
         }
-        assert!(matches!(registry.lookup(id), Lookup::Job(_)));
+        assert!(matches!(registry.lookup(id), Lookup::Done(_)));
         assert_eq!(registry.pending(), 0);
         assert_eq!(
             registry

@@ -60,10 +60,10 @@
 //! accepted job completes (and, with a store, persists) before exit.
 
 use crate::http::Request;
-use crate::json::{self, Json};
 use crate::metrics::{self, bump, json_count, HttpCounters};
 use crate::registry::{Lookup, Registry};
-use dft_core::service::{AnalysisService, RequestHandle, RequestOutcome};
+use dft::json::{self, Json};
+use dft_core::service::{AnalysisService, RequestOutcome};
 use dft_core::{AnalysisRequest, JobReport, MeasureResult, RequestError, SweepReport};
 use std::time::Instant;
 
@@ -219,11 +219,9 @@ impl Router {
             status: 429,
             message: "too many in-flight jobs; retry after fetching results".to_owned(),
         };
-        let id = match self.service.submit_request(parsed) {
-            RequestHandle::Sweep(handle) => self.registry.add_sweep(handle),
-            RequestHandle::Job(handle) => self.registry.add_job(handle),
-        };
-        id.ok_or_else(throttled)
+        self.registry
+            .add(self.service.submit_request(parsed))
+            .ok_or_else(throttled)
     }
 
     fn lookup(&self, raw_id: &str, want_result: bool) -> Reply {
@@ -240,9 +238,8 @@ impl Router {
             Lookup::Failed => reply(200, &status_doc("failed")),
             Lookup::Pending if want_result => reply(202, &status_doc("pending")),
             Lookup::Pending => reply(200, &status_doc("pending")),
-            Lookup::Job(report) if want_result => reply(200, &render_job(id, &report)),
-            Lookup::Sweep(report) if want_result => reply(200, &render_sweep(id, &report)),
-            Lookup::Job(_) | Lookup::Sweep(_) => reply(200, &status_doc("done")),
+            Lookup::Done(outcome) if want_result => reply(200, &render_outcome(id, &outcome)),
+            Lookup::Done(_) => reply(200, &status_doc("done")),
         }
     }
 
@@ -297,9 +294,8 @@ fn render_point(point: &dft_core::MeasurePoint) -> Json {
 }
 
 /// The report fields of a finished job, in the order `GET /result/{id}`
-/// renders them.  Public because the `dftmc` CLI builds its result document
-/// from the same fields — one renderer, so both surfaces stay bit-identical.
-pub fn job_fields(report: &JobReport) -> Vec<(String, Json)> {
+/// renders them.
+fn job_fields(report: &JobReport) -> Vec<(String, Json)> {
     let (results_key, results) = render_results(&report.results);
     vec![
         ("fingerprint".to_owned(), report.fingerprint.into()),
@@ -315,8 +311,8 @@ pub fn job_fields(report: &JobReport) -> Vec<(String, Json)> {
 }
 
 /// The report fields of a finished sweep, in the order `GET /result/{id}`
-/// renders them; see [`job_fields`].
-pub fn sweep_fields(report: &SweepReport) -> Vec<(String, Json)> {
+/// renders them.
+fn sweep_fields(report: &SweepReport) -> Vec<(String, Json)> {
     let stats = &report.stats;
     let points = report
         .points
@@ -357,8 +353,9 @@ pub fn sweep_fields(report: &SweepReport) -> Vec<(String, Json)> {
     ]
 }
 
-/// The report fields of either request outcome; dispatches to
-/// [`job_fields`]/[`sweep_fields`].
+/// The report fields of a request outcome, in the order `GET /result/{id}`
+/// renders them.  Public because the `dftmc` CLI builds its result document
+/// from the same fields — one renderer, so both surfaces stay bit-identical.
 pub fn outcome_fields(outcome: &RequestOutcome) -> Vec<(String, Json)> {
     match outcome {
         RequestOutcome::Job(report) => job_fields(report),
@@ -366,21 +363,12 @@ pub fn outcome_fields(outcome: &RequestOutcome) -> Vec<(String, Json)> {
     }
 }
 
-fn render_job(id: u64, report: &JobReport) -> Json {
+fn render_outcome(id: u64, outcome: &RequestOutcome) -> Json {
     let mut entries = vec![
         ("id".to_owned(), json_count(id)),
         ("status".to_owned(), "done".into()),
     ];
-    entries.extend(job_fields(report));
-    Json::Obj(entries)
-}
-
-fn render_sweep(id: u64, report: &SweepReport) -> Json {
-    let mut entries = vec![
-        ("id".to_owned(), json_count(id)),
-        ("status".to_owned(), "done".into()),
-    ];
-    entries.extend(sweep_fields(report));
+    entries.extend(outcome_fields(outcome));
     Json::Obj(entries)
 }
 

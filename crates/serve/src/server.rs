@@ -21,9 +21,9 @@
 //! [`Server::join`] returns.
 
 use crate::http::{self, HttpLimits};
-use crate::json::Json;
 use crate::metrics::bump;
 use crate::router::Router;
+use dft::json::Json;
 use dft_core::service::{AnalysisService, ServiceOptions};
 use std::collections::VecDeque;
 use std::io::{Read, Write};

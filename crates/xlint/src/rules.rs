@@ -33,7 +33,7 @@ pub type RuleId = &'static str;
 /// * **`panic`** — *panic-freedom in untrusted-input decode paths.*  The
 ///   decoders that accept bytes from outside the process — the model codec
 ///   (`ioimc::codec`), the Galileo parser (`dft::galileo`), the store frame
-///   (`dft_core::store`) and the bench JSON parser (`dftmc_bench::json`) —
+///   (`dft_core::store`) and the JSON parser (`dft::json`) —
 ///   must report corruption as typed errors, never unwind.  This rule flags
 ///   `.unwrap()` / `.expect()` (and `_err` variants) plus the panicking
 ///   macros (`panic!`, `unreachable!`, `todo!`, `unimplemented!`, `assert!`
@@ -806,7 +806,7 @@ mod tests {
         assert!(classify("crates/core/src/request.rs").decode);
         assert!(classify("crates/serve/src/http.rs").decode);
         assert!(classify("crates/serve/src/router.rs").decode);
-        assert!(!classify("crates/serve/src/json.rs").decode);
+        assert!(!classify("crates/serve/src/metrics.rs").decode);
         assert!(!classify("crates/serve/src/server.rs").decode);
         assert!(!classify("crates/ioimc/src/model.rs").decode);
         assert!(classify("crates/core/src/service/queue.rs").lock);

@@ -14,10 +14,25 @@
 use dftmc::dft_core::casestudies::{cas, cas_scaled};
 use dftmc::dft_core::engine::ParametricAnalyzer;
 use dftmc::dft_core::service::{
-    AnalysisJob, AnalysisService, JobHandle, JobReport, ServiceOptions, SweepJob,
+    AnalysisService, JobReport, RequestHandle, RequestOutcome, ServiceOptions,
 };
-use dftmc::dft_core::{AnalysisOptions, Measure};
+use dftmc::dft_core::{AnalysisOptions, AnalysisRequest, Measure, SweepSpec};
 use std::sync::Arc;
+
+/// A request for the unreliability at t = 1 of the CAS scaled by `scale`.
+fn request(scale: f64) -> AnalysisRequest {
+    AnalysisRequest {
+        measures: vec![Measure::Unreliability(1.0)],
+        ..AnalysisRequest::new(cas_scaled(scale))
+    }
+}
+
+fn job_report(outcome: RequestOutcome) -> JobReport {
+    match outcome {
+        RequestOutcome::Job(report) => report,
+        RequestOutcome::Sweep(_) => unreachable!("no sweep was requested"),
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const CLIENTS: usize = 3;
@@ -33,18 +48,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|c| {
                 let service = Arc::clone(&service);
                 scope.spawn(move || {
-                    let handles: Vec<JobHandle> = (0..JOBS_EACH)
+                    let handles: Vec<RequestHandle> = (0..JOBS_EACH)
                         .map(|j| {
-                            service.submit(AnalysisJob::new(
-                                // Offset per client: the same designs, hit in
-                                // a different order by everyone.
-                                cas_scaled(1.0 + 0.1 * ((c + j) % DESIGNS) as f64),
-                                AnalysisOptions::default(),
-                                vec![Measure::Unreliability(1.0)],
-                            ))
+                            // Offset per client: the same designs, hit in a
+                            // different order by everyone.
+                            service.submit_request(request(1.0 + 0.1 * ((c + j) % DESIGNS) as f64))
                         })
                         .collect();
-                    handles.into_iter().map(JobHandle::wait).collect::<Vec<_>>()
+                    handles
+                        .into_iter()
+                        .map(|handle| job_report(handle.wait()))
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -79,14 +93,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let valuations: Vec<_> = (0..8)
         .map(|i| parametric.params().scaled_valuation(1.0 + 0.05 * i as f64))
         .collect();
-    let sweep = service
-        .submit_sweep(SweepJob::new(
-            cas(),
-            AnalysisOptions::default(),
-            vec![Measure::Unreliability(1.0)],
-            valuations,
-        ))
-        .wait();
+    let sweep_request = AnalysisRequest {
+        measures: vec![Measure::Unreliability(1.0)],
+        sweep: Some(SweepSpec::Valuations(valuations)),
+        ..AnalysisRequest::new(cas())
+    };
+    let RequestOutcome::Sweep(sweep) = service.submit_request(sweep_request).wait() else {
+        unreachable!("a sweep was requested")
+    };
     println!(
         "sweep: {} valuations, {} aggregation run(s), parametric cache hit: {}",
         sweep.stats.valuations, sweep.stats.aggregation_runs, sweep.stats.parametric_cache_hit
@@ -100,15 +114,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Non-blocking collection: poll with try_result, then do other work.
-    let mut handle = service.submit(AnalysisJob::new(
-        cas_scaled(2.0),
-        AnalysisOptions::default(),
-        vec![Measure::Unreliability(1.0)],
-    ));
+    let mut handle = service.submit_request(request(2.0));
     let mut polls = 0usize;
     let report = loop {
         if handle.try_result().is_some() {
-            break handle.wait();
+            break job_report(handle.wait());
         }
         polls += 1;
         std::thread::yield_now();

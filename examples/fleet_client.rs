@@ -10,11 +10,11 @@
 //!
 //! Run with `cargo run --release --example fleet_client`.
 
+use dft::json::Json;
 use dftmc::dft_core::casestudies::cas;
 use dftmc::dft_core::engine::Analyzer;
 use dftmc::dft_core::AnalysisOptions;
 use dftmc_serve::client;
-use dftmc_serve::json::Json;
 use dftmc_serve::server::{Server, ServerOptions};
 use std::net::SocketAddr;
 use std::time::Duration;

@@ -12,9 +12,32 @@
 
 use dftmc::dft_core::casestudies::{cas, cas_scaled, DEFAULT_MISSION_TIMES};
 use dftmc::dft_core::engine::Analyzer;
-use dftmc::dft_core::service::{AnalysisJob, AnalysisService, ServiceOptions};
-use dftmc::dft_core::{AnalysisOptions, Measure};
+use dftmc::dft_core::service::{AnalysisService, JobReport, RequestOutcome, ServiceOptions};
+use dftmc::dft_core::{AnalysisOptions, AnalysisRequest, Measure};
 use std::time::Instant;
+
+/// Submits the four-design fleet, then collects every report in order.
+fn run_fleet(service: &AnalysisService) -> Vec<JobReport> {
+    let handles: Vec<_> = (0..4)
+        .map(|i| {
+            service.submit_request(AnalysisRequest {
+                measures: vec![Measure::curve(DEFAULT_MISSION_TIMES)],
+                ..AnalysisRequest::new(cas_scaled(1.0 + 0.1 * i as f64))
+            })
+        })
+        .collect();
+    handles
+        .into_iter()
+        .map(|handle| match handle.wait() {
+            RequestOutcome::Job(report) => report,
+            RequestOutcome::Sweep(_) => unreachable!("no sweep was requested"),
+        })
+        .collect()
+}
+
+fn aggregation_runs(reports: &[JobReport]) -> usize {
+    reports.iter().map(|r| r.aggregation_runs).sum()
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // In production this is a shared directory — a persistent volume, an NFS
@@ -22,26 +45,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let store_dir =
         std::env::temp_dir().join(format!("dftmc-example-store-{}", std::process::id()));
 
-    let jobs = || -> Vec<AnalysisJob> {
-        (0..4)
-            .map(|i| {
-                AnalysisJob::new(
-                    cas_scaled(1.0 + 0.1 * i as f64),
-                    AnalysisOptions::default(),
-                    vec![Measure::curve(DEFAULT_MISSION_TIMES)],
-                )
-            })
-            .collect()
-    };
-
     // ── Generation 1: cold store — aggregate, answer, write back. ─────────
     let first = AnalysisService::new(ServiceOptions::default().store(&store_dir));
     let started = Instant::now();
-    let cold = first.run_batch(&jobs());
+    let cold = run_fleet(&first);
     let cold_wall = started.elapsed();
     let stats = first.store_stats().expect("store configured");
     println!("generation 1 (cold store):");
-    println!("  aggregation runs : {}", cold.stats.aggregation_runs);
+    println!("  aggregation runs : {}", aggregation_runs(&cold));
     println!(
         "  models persisted : {} ({} bytes)",
         stats.writes, stats.write_bytes
@@ -52,17 +63,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── Generation 2: warm store — every model is a disk read. ────────────
     let second = AnalysisService::new(ServiceOptions::default().store(&store_dir));
     let started = Instant::now();
-    let warm = second.run_batch(&jobs());
+    let warm = run_fleet(&second);
     let warm_wall = started.elapsed();
     let stats = second.store_stats().expect("store configured");
     println!("\ngeneration 2 (warm store):");
-    println!("  aggregation runs : {}", warm.stats.aggregation_runs);
+    println!("  aggregation runs : {}", aggregation_runs(&warm));
     println!("  store hits       : {}", stats.hits);
     println!("  wall             : {warm_wall:?}");
-    assert_eq!(warm.stats.aggregation_runs, 0, "everything came off disk");
+    assert_eq!(aggregation_runs(&warm), 0, "everything came off disk");
 
     // Same fleet, same answers — down to the bits.
-    for (a, b) in cold.jobs.iter().zip(&warm.jobs) {
+    for (a, b) in cold.iter().zip(&warm) {
         let (a, b) = (a.results.as_ref().unwrap(), b.results.as_ref().unwrap());
         for (ra, rb) in a.iter().zip(b) {
             for (pa, pb) in ra.points().iter().zip(rb.points()) {

@@ -1,5 +1,5 @@
-//! Portfolio analysis: a 50-variant fleet of cardiac assist systems, analysed
-//! as one [`AnalysisService`] batch.
+//! Portfolio analysis: a 50-variant fleet of cardiac assist systems, submitted
+//! to one [`AnalysisService`] as a batch of requests.
 //!
 //! The fleet contains only 5 structurally distinct designs (rate-scaled CAS
 //! variants); each appears 10 times, as fleets do — same design, many
@@ -10,9 +10,9 @@
 //! Run with `cargo run --release --example portfolio`.
 
 use dftmc::dft_core::casestudies::{cas_scaled, DEFAULT_MISSION_TIMES};
-use dftmc::dft_core::service::{AnalysisJob, AnalysisService, ServiceOptions};
-use dftmc::dft_core::{AnalysisOptions, Measure};
-use std::time::Duration;
+use dftmc::dft_core::service::{AnalysisService, JobReport, RequestOutcome, ServiceOptions};
+use dftmc::dft_core::{AnalysisRequest, Measure};
+use std::time::{Duration, Instant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const DESIGNS: usize = 5;
@@ -20,36 +20,49 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The fleet: 10 submissions of each of 5 designs, interleaved as a real
     // submission stream would be.
-    let jobs: Vec<AnalysisJob> = (0..DESIGNS * COPIES)
+    let service = AnalysisService::new(ServiceOptions::default());
+    let started = Instant::now();
+    // Submit the whole fleet first (each call returns immediately), then
+    // collect the reports in submission order.
+    let handles: Vec<_> = (0..DESIGNS * COPIES)
         .map(|i| {
-            AnalysisJob::new(
-                cas_scaled(1.0 + 0.1 * (i % DESIGNS) as f64),
-                AnalysisOptions::default(),
-                vec![
+            service.submit_request(AnalysisRequest {
+                measures: vec![
                     Measure::curve(DEFAULT_MISSION_TIMES),
                     Measure::Unreliability(1.0),
                 ],
-            )
+                ..AnalysisRequest::new(cas_scaled(1.0 + 0.1 * (i % DESIGNS) as f64))
+            })
         })
         .collect();
+    let reports: Vec<JobReport> = handles
+        .into_iter()
+        .map(|handle| match handle.wait() {
+            RequestOutcome::Job(report) => report,
+            RequestOutcome::Sweep(_) => unreachable!("no sweep was requested"),
+        })
+        .collect();
+    let wall = started.elapsed();
 
-    let service = AnalysisService::new(ServiceOptions::default());
-    let report = service.run_batch(&jobs);
-
+    let misses = reports.iter().filter(|j| !j.cache_hit).count();
+    let aggregation_runs: usize = reports.iter().map(|j| j.aggregation_runs).sum();
     println!(
         "portfolio: {} jobs, {} distinct designs, {} worker(s)",
-        report.stats.jobs, DESIGNS, report.stats.workers
+        reports.len(),
+        DESIGNS,
+        service.pool_workers()
     );
     println!(
         "cache: {} misses (models built), {} hits (builds skipped), {} aggregation run(s)",
-        report.stats.cache_misses, report.stats.cache_hits, report.stats.aggregation_runs
+        misses,
+        reports.len() - misses,
+        aggregation_runs
     );
 
     // Cache hits make re-analysis ~free: compare the build phase paid by the
     // first submission of each design with what the duplicates paid.
     let phase = |hit: bool| -> (usize, Duration, Duration) {
-        report
-            .jobs
+        reports
             .iter()
             .filter(|j| j.cache_hit == hit)
             .fold((0, Duration::ZERO, Duration::ZERO), |(n, b, q), j| {
@@ -76,8 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // and the same unreliability, down to the last bit.
     println!("\ndesign  fingerprint       unreliability(t=1)  submissions");
     for design in 0..DESIGNS {
-        let submissions: Vec<_> = report
-            .jobs
+        let submissions: Vec<_> = reports
             .iter()
             .enumerate()
             .filter(|(i, _)| i % DESIGNS == design)
@@ -99,7 +111,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "\nbatch wall time {:.2?}: {} model builds amortized over {} jobs",
-        report.stats.wall_time, report.stats.cache_misses, report.stats.jobs
+        wall,
+        misses,
+        reports.len()
     );
     Ok(())
 }

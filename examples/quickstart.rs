@@ -5,9 +5,27 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use dftmc::dft::{DftBuilder, Dormancy};
-use dftmc::dft_core::service::{AnalysisJob, AnalysisService, ServiceOptions};
-use dftmc::dft_core::{AnalysisOptions, Measure, Method};
+use dftmc::dft::{Dft, DftBuilder, Dormancy};
+use dftmc::dft_core::service::{AnalysisService, JobReport, RequestOutcome, ServiceOptions};
+use dftmc::dft_core::{AnalysisOptions, AnalysisRequest, Measure, Method};
+
+/// Runs one request without a sweep on the service and returns its report.
+fn run_job(
+    service: &AnalysisService,
+    dft: Dft,
+    options: AnalysisOptions,
+    measures: Vec<Measure>,
+) -> JobReport {
+    let request = AnalysisRequest {
+        options,
+        measures,
+        ..AnalysisRequest::new(dft)
+    };
+    match service.run_request(request) {
+        RequestOutcome::Job(report) => report,
+        RequestOutcome::Sweep(_) => unreachable!("no sweep was requested"),
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A power supply backed by a cold-standby generator; both feed a controller
@@ -36,10 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One service fronts every analysis; sessions are cached by structure.
     let service = AnalysisService::new(ServiceOptions::default());
 
-    // One job answers the whole sweep, the point query and the MTTF in a single
-    // batch — all measures share one cached model and one uniformisation pass.
+    // One request answers the whole sweep, the point query and the MTTF in a
+    // single pass — all measures share one cached model and one
+    // uniformisation pass.
     let t = 1.0;
-    let report = service.run_batch(&[AnalysisJob::new(
+    let report = run_job(
+        &service,
         dft.clone(),
         AnalysisOptions::default(),
         vec![
@@ -47,9 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Measure::Unreliability(t),
             Measure::Mttf,
         ],
-    )]);
-    let job = &report.jobs[0];
-    let results = job.results.as_ref().map_err(Clone::clone)?;
+    );
+    let results = report.results.as_ref().map_err(Clone::clone)?;
 
     println!("\n mission time |  unreliability");
     println!(" -------------+---------------");
@@ -63,30 +82,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nmean time to failure: {:.4}", results[2].value());
 
     // Cross-check the point query against the monolithic baseline — a second
-    // job in the same service, under a different cache key.
-    let monolithic = service.run_batch(&[AnalysisJob::new(
+    // request to the same service, under a different cache key.
+    let monolithic = run_job(
+        &service,
         dft.clone(),
         AnalysisOptions {
             method: Method::Monolithic,
             ..AnalysisOptions::default()
         },
         vec![Measure::Unreliability(t)],
-    )]);
+    );
     println!(
         "\nat t = {t}: compositional {:.6} vs monolithic {:.6}",
         results[1].value(),
-        monolithic.jobs[0].results.as_ref().map_err(Clone::clone)?[0].value()
+        monolithic.results.as_ref().map_err(Clone::clone)?[0].value()
     );
 
     // Resubmitting the same structure is a cache hit: no aggregation runs.
-    let resubmitted = service.run_batch(&[AnalysisJob::new(
+    let resubmitted = run_job(
+        &service,
         dft,
         AnalysisOptions::default(),
         vec![Measure::Unreliability(2.0)],
-    )]);
+    );
     println!(
         "\nresubmission: cache hit = {}, aggregation runs = {}",
-        resubmitted.jobs[0].cache_hit, resubmitted.stats.aggregation_runs
+        resubmitted.cache_hit, resubmitted.aggregation_runs
     );
     let stats = service.cache_stats();
     println!(

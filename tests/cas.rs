@@ -5,23 +5,23 @@
 //! of states.  We check the probability against both analysis methods and keep an
 //! eye on the model sizes.
 
-// These tests deliberately pin the deprecated one-shot wrappers' behaviour
-// against the session engine; see `dft_core::analysis` for the migration.
-#![allow(deprecated)]
-use dftmc::dft_core::analysis::{aggregated_model, unreliability, AnalysisOptions, Method};
+use dftmc::dft_core::analysis::{aggregated_model, AnalysisOptions, Method};
 use dftmc::dft_core::baseline::monolithic_ctmc;
 use dftmc::dft_core::casestudies::{
     cas, cas_cpu_unit, cas_motor_unit, cas_pump_unit, CAS_PAPER_UNRELIABILITY,
 };
+use dftmc::dft_core::engine::Analyzer;
 
 #[test]
 fn cas_unreliability_matches_the_paper() {
     let dft = cas();
-    let result = unreliability(&dft, 1.0, &AnalysisOptions::default()).expect("analysis succeeds");
+    let result = Analyzer::new(&dft, AnalysisOptions::default())
+        .and_then(|a| a.unreliability(1.0))
+        .expect("analysis succeeds");
     assert!(
-        (result.probability() - CAS_PAPER_UNRELIABILITY).abs() < 5e-4,
+        (result.value() - CAS_PAPER_UNRELIABILITY).abs() < 5e-4,
         "compositional unreliability {} vs paper {CAS_PAPER_UNRELIABILITY}",
-        result.probability()
+        result.value()
     );
     // The FDEP trigger fails both CPUs at the same instant; the resulting ordering
     // non-determinism is confluent, so the bounds must coincide.
@@ -35,16 +35,16 @@ fn cas_unreliability_matches_the_paper() {
 #[test]
 fn cas_monolithic_baseline_agrees() {
     let dft = cas();
-    let mono = unreliability(
+    let mono = Analyzer::new(
         &dft,
-        1.0,
-        &AnalysisOptions {
+        AnalysisOptions {
             method: Method::Monolithic,
             ..AnalysisOptions::default()
         },
     )
+    .and_then(|a| a.unreliability(1.0))
     .expect("baseline succeeds");
-    assert!((mono.probability() - CAS_PAPER_UNRELIABILITY).abs() < 5e-4);
+    assert!((mono.value() - CAS_PAPER_UNRELIABILITY).abs() < 5e-4);
 }
 
 #[test]
@@ -53,9 +53,11 @@ fn cas_unreliability_is_monotone_in_time() {
     let options = AnalysisOptions::default();
     let mut previous = 0.0;
     for t in [0.25, 0.5, 1.0, 2.0] {
-        let r = unreliability(&dft, t, &options).expect("analysis succeeds");
-        assert!(r.probability() >= previous - 1e-12);
-        previous = r.probability();
+        let r = Analyzer::new(&dft, options.clone())
+            .and_then(|a| a.unreliability(t))
+            .expect("analysis succeeds");
+        assert!(r.value() >= previous - 1e-12);
+        previous = r.value();
     }
     assert!(previous < 1.0);
 }
@@ -92,17 +94,23 @@ fn cas_module_unreliabilities_compose_to_the_system_value() {
     // modular-analysis argument of the paper.
     let options = AnalysisOptions::default();
     let t = 1.0;
-    let u_cpu = unreliability(&cas_cpu_unit(), t, &options)
+    let u_cpu = Analyzer::new(&cas_cpu_unit(), options.clone())
+        .and_then(|a| a.unreliability(t))
         .unwrap()
-        .probability();
-    let u_motor = unreliability(&cas_motor_unit(), t, &options)
+        .value();
+    let u_motor = Analyzer::new(&cas_motor_unit(), options.clone())
+        .and_then(|a| a.unreliability(t))
         .unwrap()
-        .probability();
-    let u_pump = unreliability(&cas_pump_unit(), t, &options)
+        .value();
+    let u_pump = Analyzer::new(&cas_pump_unit(), options.clone())
+        .and_then(|a| a.unreliability(t))
         .unwrap()
-        .probability();
+        .value();
     let composed = 1.0 - (1.0 - u_cpu) * (1.0 - u_motor) * (1.0 - u_pump);
-    let system = unreliability(&cas(), t, &options).unwrap().probability();
+    let system = Analyzer::new(&cas(), options.clone())
+        .and_then(|a| a.unreliability(t))
+        .unwrap()
+        .value();
     assert!(
         (composed - system).abs() < 1e-6,
         "modular composition {composed} vs direct analysis {system}"

@@ -1,4 +1,5 @@
-//! Shared test support: a deterministic random fault-tree generator.
+//! Shared test support: a deterministic random fault-tree generator, and
+//! request helpers for the service suites.
 //!
 //! The container carries no external crates, so instead of proptest the
 //! integration tests draw their random cases from a seeded [`SplitMix64`]
@@ -13,6 +14,8 @@
 
 use dftmc::dft::{Dft, DftBuilder, Dormancy, ElementId};
 use dftmc::dft_core::rng::SplitMix64;
+use dftmc::dft_core::service::{AnalysisService, JobReport, RequestOutcome, SweepReport};
+use dftmc::dft_core::{AnalysisOptions, AnalysisRequest, Measure, SweepSpec};
 
 /// Minimal generator driver over a seeded SplitMix64 stream.
 pub struct Gen {
@@ -225,5 +228,78 @@ pub fn assert_same_tree(a: &Dft, b: &Dft) {
             }
             _ => panic!("{name} changed between gate and basic event"),
         }
+    }
+}
+
+/// A request for `measures` over `dft` under `options`, without a sweep.
+pub fn job_request(dft: Dft, options: AnalysisOptions, measures: Vec<Measure>) -> AnalysisRequest {
+    AnalysisRequest {
+        dft,
+        options,
+        measures,
+        sweep: None,
+    }
+}
+
+/// A sweep request: `measures` over `dft` for every point of `spec`.
+pub fn sweep_request(
+    dft: Dft,
+    options: AnalysisOptions,
+    measures: Vec<Measure>,
+    spec: SweepSpec,
+) -> AnalysisRequest {
+    AnalysisRequest {
+        sweep: Some(spec),
+        ..job_request(dft, options, measures)
+    }
+}
+
+/// The report of a request without a sweep.
+pub fn job_report(outcome: RequestOutcome) -> JobReport {
+    match outcome {
+        RequestOutcome::Job(report) => report,
+        RequestOutcome::Sweep(_) => panic!("expected a job outcome, got a sweep"),
+    }
+}
+
+/// The report of a sweep request.
+pub fn sweep_report(outcome: RequestOutcome) -> SweepReport {
+    match outcome {
+        RequestOutcome::Sweep(report) => report,
+        RequestOutcome::Job(_) => panic!("expected a sweep outcome, got a job"),
+    }
+}
+
+/// Submits every request before waiting for any, so the whole batch is
+/// queued at once; the reports come back in submission order.
+pub fn run_jobs(service: &AnalysisService, requests: Vec<AnalysisRequest>) -> Vec<JobReport> {
+    let handles: Vec<_> = requests
+        .into_iter()
+        .map(|request| service.submit_request(request))
+        .collect();
+    handles
+        .into_iter()
+        .map(|handle| job_report(handle.wait()))
+        .collect()
+}
+
+/// Batch-level totals summed over per-request job reports.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Totals {
+    pub jobs: usize,
+    pub cache_hits: usize,
+    pub cache_misses: usize,
+    pub aggregation_runs: usize,
+    pub build_waits: usize,
+}
+
+pub fn totals(reports: &[JobReport]) -> Totals {
+    let cache_hits = reports.iter().filter(|r| r.cache_hit).count();
+    Totals {
+        jobs: reports.len(),
+        cache_hits,
+        cache_misses: reports.len() - cache_hits,
+        aggregation_runs: reports.iter().map(|r| r.aggregation_runs).sum(),
+        build_waits: reports.iter().filter(|r| r.build_wait).count(),
     }
 }

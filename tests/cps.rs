@@ -5,37 +5,37 @@
 //! states / 24608 transitions for the monolithic DIFTree chain; and a tiny
 //! aggregated I/O-IMC for a single AND module (Figure 9).
 
-// These tests deliberately pin the deprecated one-shot wrappers' behaviour
-// against the session engine; see `dft_core::analysis` for the migration.
-#![allow(deprecated)]
 use dftmc::dft::{DftBuilder, Dormancy};
-use dftmc::dft_core::analysis::{aggregated_model, unreliability, AnalysisOptions, Method};
+use dftmc::dft_core::analysis::{aggregated_model, AnalysisOptions, Method};
 use dftmc::dft_core::baseline::monolithic_ctmc;
 use dftmc::dft_core::casestudies::{
     cascaded_pand, cps, CPS_PAPER_MONOLITHIC, CPS_PAPER_PEAK, CPS_PAPER_UNRELIABILITY,
 };
+use dftmc::dft_core::engine::Analyzer;
 
 #[test]
 fn cps_unreliability_matches_the_paper() {
     let dft = cps();
-    let comp = unreliability(&dft, 1.0, &AnalysisOptions::default()).expect("analysis succeeds");
+    let comp = Analyzer::new(&dft, AnalysisOptions::default())
+        .and_then(|a| a.unreliability(1.0))
+        .expect("analysis succeeds");
     assert!(
-        (comp.probability() - CPS_PAPER_UNRELIABILITY).abs() < 5e-5,
+        (comp.value() - CPS_PAPER_UNRELIABILITY).abs() < 5e-5,
         "compositional {} vs paper {CPS_PAPER_UNRELIABILITY}",
-        comp.probability()
+        comp.value()
     );
     assert!(!comp.is_nondeterministic());
 
-    let mono = unreliability(
+    let mono = Analyzer::new(
         &dft,
-        1.0,
-        &AnalysisOptions {
+        AnalysisOptions {
             method: Method::Monolithic,
             ..AnalysisOptions::default()
         },
     )
+    .and_then(|a| a.unreliability(1.0))
     .expect("baseline succeeds");
-    assert!((mono.probability() - comp.probability()).abs() < 1e-7);
+    assert!((mono.value() - comp.value()).abs() < 1e-7);
 }
 
 #[test]
@@ -47,7 +47,8 @@ fn cps_monolithic_chain_matches_the_papers_size_exactly() {
 
 #[test]
 fn cps_compositional_peak_is_two_orders_of_magnitude_smaller() {
-    let comp = unreliability(&cps(), 1.0, &AnalysisOptions::default()).expect("analysis succeeds");
+    let comp = Analyzer::new(&cps(), AnalysisOptions::default()).expect("analysis succeeds");
+    comp.unreliability(1.0).expect("analysis succeeds");
     let stats = comp.aggregation_stats().expect("compositional run");
     // The paper's peak is 156 states / 490 transitions; composition order details
     // shift the exact numbers, but the peak must stay in the same ballpark and far
@@ -100,21 +101,23 @@ fn smaller_cascaded_pand_instances_agree_across_methods() {
     for width in [1, 2, 3] {
         let dft = cascaded_pand(width, 1.0);
         let t = 1.0;
-        let comp = unreliability(&dft, t, &AnalysisOptions::default()).unwrap();
-        let mono = unreliability(
+        let comp = Analyzer::new(&dft, AnalysisOptions::default())
+            .and_then(|a| a.unreliability(t))
+            .unwrap();
+        let mono = Analyzer::new(
             &dft,
-            t,
-            &AnalysisOptions {
+            AnalysisOptions {
                 method: Method::Monolithic,
                 ..AnalysisOptions::default()
             },
         )
+        .and_then(|a| a.unreliability(t))
         .unwrap();
         assert!(
-            (comp.probability() - mono.probability()).abs() < 1e-7,
+            (comp.value() - mono.value()).abs() < 1e-7,
             "width {width}: compositional {} vs monolithic {}",
-            comp.probability(),
-            mono.probability()
+            comp.value(),
+            mono.value()
         );
     }
 }
@@ -122,11 +125,18 @@ fn smaller_cascaded_pand_instances_agree_across_methods() {
 #[test]
 fn cps_unreliability_grows_with_mission_time_and_with_failure_rate() {
     let options = AnalysisOptions::default();
-    let base = unreliability(&cps(), 1.0, &options).unwrap().probability();
-    let longer = unreliability(&cps(), 2.0, &options).unwrap().probability();
-    assert!(longer > base);
-    let faster = unreliability(&cascaded_pand(4, 2.0), 1.0, &options)
+    let base = Analyzer::new(&cps(), options.clone())
+        .and_then(|a| a.unreliability(1.0))
         .unwrap()
-        .probability();
+        .value();
+    let longer = Analyzer::new(&cps(), options.clone())
+        .and_then(|a| a.unreliability(2.0))
+        .unwrap()
+        .value();
+    assert!(longer > base);
+    let faster = Analyzer::new(&cascaded_pand(4, 2.0), options.clone())
+        .and_then(|a| a.unreliability(1.0))
+        .unwrap()
+        .value();
     assert!(faster > base);
 }

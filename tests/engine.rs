@@ -6,15 +6,9 @@
 //!    conversion + aggregation,
 //! 2. [`Measure::UnreliabilityCurve`] matches repeated single-time queries,
 //! 3. unreliability is monotone in the mission time (property test over random
-//!    static trees),
-//! 4. the legacy one-shot wrappers in `dft_core::analysis` return bit-identical
-//!    results to the engine path on the paper's two case studies.
+//!    static trees).
 
-// These tests deliberately pin the deprecated one-shot wrappers' behaviour
-// against the session engine; see `dft_core::analysis` for the migration.
-#![allow(deprecated)]
 use dftmc::dft::{DftBuilder, Dormancy};
-use dftmc::dft_core::analysis::{unavailability, unreliability};
 use dftmc::dft_core::casestudies::{cas, cps, DEFAULT_MISSION_TIMES};
 use dftmc::dft_core::engine::Analyzer;
 use dftmc::dft_core::query::Measure;
@@ -130,73 +124,6 @@ fn unreliability_curve_is_monotone_in_time() {
         );
         assert_eq!(analyzer.aggregation_runs(), 1);
     }
-}
-
-/// The legacy wrappers delegate to the engine, so their results must be
-/// bit-identical to querying an `Analyzer` directly — on both case studies and
-/// for both methods.
-#[test]
-fn legacy_wrappers_are_bit_identical_to_the_engine_on_the_case_studies() {
-    for (dft, label) in [(cas(), "cas"), (cps(), "cps")] {
-        for method in [Method::Compositional, Method::Monolithic] {
-            let options = AnalysisOptions {
-                method,
-                ..AnalysisOptions::default()
-            };
-            let analyzer = Analyzer::new(&dft, options.clone()).unwrap();
-            for &t in &DEFAULT_MISSION_TIMES {
-                let engine = analyzer.query(Measure::Unreliability(t)).unwrap();
-                let legacy = unreliability(&dft, t, &options).unwrap();
-                assert_eq!(
-                    legacy.probability().to_bits(),
-                    engine.value().to_bits(),
-                    "{label}/{method:?} at t={t}: legacy {} vs engine {}",
-                    legacy.probability(),
-                    engine.value()
-                );
-                assert_eq!(
-                    legacy.bounds(),
-                    engine.bounds(),
-                    "{label}/{method:?} at t={t}"
-                );
-                assert_eq!(
-                    legacy.is_nondeterministic(),
-                    engine.is_nondeterministic(),
-                    "{label}/{method:?} at t={t}"
-                );
-            }
-        }
-    }
-}
-
-/// Same bit-identity contract for the unavailability wrapper, on a repairable
-/// system (the case studies are non-repairable, where both paths must agree on
-/// the error instead).
-#[test]
-fn legacy_unavailability_matches_the_engine() {
-    let mut b = DftBuilder::new();
-    let a = b
-        .repairable_basic_event("eng_rA", 1.0, Dormancy::Hot, 10.0)
-        .unwrap();
-    let bb = b
-        .repairable_basic_event("eng_rB", 2.0, Dormancy::Hot, 10.0)
-        .unwrap();
-    let top = b.and_gate("eng_rTop", &[a, bb]).unwrap();
-    let dft = b.build(top).unwrap();
-
-    let options = AnalysisOptions::default();
-    let analyzer = Analyzer::new(&dft, options.clone()).unwrap();
-    let engine = analyzer.query(Measure::Unavailability).unwrap();
-    let legacy = unavailability(&dft, &options).unwrap();
-    assert_eq!(legacy.unavailability.to_bits(), engine.value().to_bits());
-    assert_eq!(legacy.final_model, analyzer.model_stats());
-
-    // Non-repairable trees: both paths reject the query.
-    assert!(unavailability(&cas(), &options).is_err());
-    assert!(Analyzer::new(&cas(), options)
-        .unwrap()
-        .query(Measure::Unavailability)
-        .is_err());
 }
 
 /// The engine handles edge-case sweeps: unsorted input (answered in request

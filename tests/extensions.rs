@@ -2,11 +2,9 @@
 //! exclusive events, plus the SEQ gate that the paper notes is expressible as a
 //! cold spare.
 
-// These tests deliberately pin the deprecated one-shot wrappers' behaviour
-// against the session engine; see `dft_core::analysis` for the migration.
-#![allow(deprecated)]
 use dftmc::dft::{DftBuilder, Dormancy};
-use dftmc::dft_core::analysis::{unreliability, AnalysisOptions};
+use dftmc::dft_core::analysis::AnalysisOptions;
+use dftmc::dft_core::engine::Analyzer;
 
 fn options() -> AnalysisOptions {
     AnalysisOptions::default()
@@ -23,7 +21,10 @@ fn inhibition_reduces_the_failure_probability() {
     let top = b.or_gate("system", &[inhibited]).unwrap();
     let dft = b.build(top).unwrap();
     let t = 1.0;
-    let with_inhibition = unreliability(&dft, t, &options()).unwrap().probability();
+    let with_inhibition = Analyzer::new(&dft, options())
+        .and_then(|a| a.unreliability(t))
+        .unwrap()
+        .value();
 
     // With equal rates, B fails before A with probability 1/2, so for long mission
     // times the inhibited failure probability tends to 1/2; at t=1 it is exactly
@@ -50,11 +51,13 @@ fn mutually_exclusive_failure_modes_never_both_occur() {
     let both = b.and_gate("both_modes", &[open_mode, closed_mode]).unwrap();
     let top = b.or_gate("observer", &[both]).unwrap();
     let dft = b.build(top).unwrap();
-    let r = unreliability(&dft, 10.0, &options()).unwrap();
+    let r = Analyzer::new(&dft, options())
+        .and_then(|a| a.unreliability(10.0))
+        .unwrap();
     assert!(
-        r.probability() < 1e-9,
+        r.value() < 1e-9,
         "mutually exclusive modes must never both occur, got {}",
-        r.probability()
+        r.value()
     );
 
     // The OR of the two modes behaves like a single component with the summed rate.
@@ -66,13 +69,11 @@ fn mutually_exclusive_failure_modes_never_both_occur() {
     let either = b.or_gate("either_mode", &[open_mode, closed_mode]).unwrap();
     let dft = b.build(either).unwrap();
     let t = 1.3;
-    let r = unreliability(&dft, t, &options()).unwrap();
+    let r = Analyzer::new(&dft, options())
+        .and_then(|a| a.unreliability(t))
+        .unwrap();
     let exact = 1.0 - (-t).exp();
-    assert!(
-        (r.probability() - exact).abs() < 1e-6,
-        "{} vs {exact}",
-        r.probability()
-    );
+    assert!((r.value() - exact).abs() < 1e-6, "{} vs {exact}", r.value());
 }
 
 #[test]
@@ -86,12 +87,14 @@ fn seq_gate_behaves_like_a_cold_spare_chain() {
     let top = b.seq_gate("system", &[a, bb]).unwrap();
     let dft = b.build(top).unwrap();
     let t = 1.0;
-    let r = unreliability(&dft, t, &options()).unwrap();
+    let r = Analyzer::new(&dft, options())
+        .and_then(|a| a.unreliability(t))
+        .unwrap();
     let erlang = 1.0 - (-t).exp() * (1.0 + t);
     assert!(
-        (r.probability() - erlang).abs() < 1e-6,
+        (r.value() - erlang).abs() < 1e-6,
         "{} vs {erlang}",
-        r.probability()
+        r.value()
     );
 }
 
@@ -105,13 +108,11 @@ fn inhibition_with_multiple_inhibitors() {
     let gate = b.inhibit_gate("B_gate", bb, &[a1, a2]).unwrap();
     let top = b.or_gate("system", &[gate]).unwrap();
     let dft = b.build(top).unwrap();
-    let r = unreliability(&dft, 50.0, &options()).unwrap();
+    let r = Analyzer::new(&dft, options())
+        .and_then(|a| a.unreliability(50.0))
+        .unwrap();
     // For a long horizon: P(B fails before both inhibitors) = 1/3.
-    assert!(
-        (r.probability() - 1.0 / 3.0).abs() < 1e-3,
-        "{}",
-        r.probability()
-    );
+    assert!((r.value() - 1.0 / 3.0).abs() < 1e-3, "{}", r.value());
 }
 
 #[test]
@@ -127,8 +128,10 @@ fn new_elements_do_not_disturb_existing_ones() {
     let plain = b.and_gate("plain", &[a, c]).unwrap();
     let top = b.or_gate("system", &[inhibit, plain]).unwrap();
     let dft = b.build(top).unwrap();
-    let r = unreliability(&dft, 1.0, &options()).unwrap();
-    assert!(r.probability() > 0.0 && r.probability() < 1.0);
+    let r = Analyzer::new(&dft, options())
+        .and_then(|a| a.unreliability(1.0))
+        .unwrap();
+    assert!(r.value() > 0.0 && r.value() < 1.0);
     let (lo, hi) = r.bounds();
     assert!((hi - lo).abs() < 1e-9);
 }

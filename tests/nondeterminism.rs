@@ -5,12 +5,9 @@
 //! non-deterministic.  The framework must (a) detect this, (b) report bounds, and
 //! (c) keep the bounds tight (equal) whenever the non-determinism is confluent.
 
-// These tests deliberately pin the deprecated one-shot wrappers' behaviour
-// against the session engine; see `dft_core::analysis` for the migration.
-#![allow(deprecated)]
-
 use dftmc::dft::{Dft, DftBuilder, Dormancy};
-use dftmc::dft_core::analysis::{unreliability, AnalysisOptions};
+use dftmc::dft_core::analysis::AnalysisOptions;
+use dftmc::dft_core::engine::Analyzer;
 
 /// Figure 6(a): a PAND gate whose two inputs share an FDEP trigger.
 fn figure_6a(trigger_rate: f64) -> Dft {
@@ -26,13 +23,15 @@ fn figure_6a(trigger_rate: f64) -> Dft {
 #[test]
 fn fdep_under_a_pand_is_detected_as_nondeterministic() {
     let dft = figure_6a(0.5);
-    let r = unreliability(&dft, 1.0, &AnalysisOptions::default()).expect("analysis succeeds");
+    let r = Analyzer::new(&dft, AnalysisOptions::default())
+        .and_then(|a| a.unreliability(1.0))
+        .expect("analysis succeeds");
     assert!(r.is_nondeterministic());
     let (lo, hi) = r.bounds();
     assert!(lo < hi, "expected a proper interval, got [{lo}, {hi}]");
     assert!(lo >= 0.0 && hi <= 1.0);
-    // The pessimistic value reported by `probability()` is the upper bound.
-    assert!((r.probability() - hi).abs() < 1e-12);
+    // The pessimistic value reported by `value()` is the upper bound.
+    assert!((r.value() - hi).abs() < 1e-12);
 }
 
 #[test]
@@ -42,9 +41,13 @@ fn interval_width_equals_probability_that_the_order_matters() {
     // failed (if A already failed in order, the PAND outcome is already decided).
     // A cheap sanity check: the width grows with the trigger rate.
     let options = AnalysisOptions::default();
-    let narrow = unreliability(&figure_6a(0.1), 1.0, &options).unwrap();
-    let wide = unreliability(&figure_6a(2.0), 1.0, &options).unwrap();
-    let width = |r: &dftmc::dft_core::analysis::UnreliabilityResult| {
+    let narrow = Analyzer::new(&figure_6a(0.1), options.clone())
+        .and_then(|a| a.unreliability(1.0))
+        .unwrap();
+    let wide = Analyzer::new(&figure_6a(2.0), options.clone())
+        .and_then(|a| a.unreliability(1.0))
+        .unwrap();
+    let width = |r: &dftmc::dft_core::MeasureResult| {
         let (lo, hi) = r.bounds();
         hi - lo
     };
@@ -63,7 +66,9 @@ fn confluent_nondeterminism_keeps_bounds_tight() {
     let _fdep = b.fdep_gate("nd_FDEP", t, &[a, bb]).unwrap();
     let top = b.and_gate("nd_system", &[a, bb]).unwrap();
     let dft = b.build(top).unwrap();
-    let r = unreliability(&dft, 1.0, &AnalysisOptions::default()).unwrap();
+    let r = Analyzer::new(&dft, AnalysisOptions::default())
+        .and_then(|a| a.unreliability(1.0))
+        .unwrap();
     let (lo, hi) = r.bounds();
     assert!(
         (hi - lo).abs() < 1e-9,
@@ -78,21 +83,23 @@ fn bounds_bracket_the_deterministic_resolution_of_the_baseline() {
     use dftmc::dft_core::analysis::Method;
     let dft = figure_6a(0.5);
     let options = AnalysisOptions::default();
-    let comp = unreliability(&dft, 1.0, &options).unwrap();
-    let mono = unreliability(
+    let comp = Analyzer::new(&dft, options.clone())
+        .and_then(|a| a.unreliability(1.0))
+        .unwrap();
+    let mono = Analyzer::new(
         &dft,
-        1.0,
-        &AnalysisOptions {
+        AnalysisOptions {
             method: Method::Monolithic,
             ..options
         },
     )
+    .and_then(|a| a.unreliability(1.0))
     .unwrap();
     let (lo, hi) = comp.bounds();
     assert!(
-        mono.probability() >= lo - 1e-9 && mono.probability() <= hi + 1e-9,
+        mono.value() >= lo - 1e-9 && mono.value() <= hi + 1e-9,
         "baseline {} outside [{lo}, {hi}]",
-        mono.probability()
+        mono.value()
     );
 }
 
@@ -110,7 +117,9 @@ fn spare_contention_after_a_common_trigger_is_nondeterministic() {
     let right = b.spare_gate("sc_right", &[bb, s]).unwrap();
     let top = b.pand_gate("sc_system", &[left, right]).unwrap();
     let dft = b.build(top).unwrap();
-    let r = unreliability(&dft, 1.0, &AnalysisOptions::default()).unwrap();
+    let r = Analyzer::new(&dft, AnalysisOptions::default())
+        .and_then(|a| a.unreliability(1.0))
+        .unwrap();
     assert!(r.is_nondeterministic());
     let (lo, hi) = r.bounds();
     assert!(hi > lo);

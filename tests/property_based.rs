@@ -10,11 +10,9 @@
 //! minimal generator); every run therefore replays the exact same cases, and a
 //! failing case is reproduced by its printed seed.
 
-// These tests deliberately pin the deprecated one-shot wrappers' behaviour
-// against the session engine; see `dft_core::analysis` for the migration.
-#![allow(deprecated)]
 use dftmc::dft::{DftBuilder, Dormancy, ElementId};
-use dftmc::dft_core::analysis::{unreliability, AnalysisOptions, Method};
+use dftmc::dft_core::analysis::{AnalysisOptions, Method};
+use dftmc::dft_core::engine::Analyzer;
 
 mod common;
 use common::{build_module, build_static_tree, random_recipe, Gen};
@@ -28,25 +26,27 @@ fn compositional_matches_monolithic_on_static_trees() {
         let recipe = random_recipe(&mut gen);
         let t = gen.f64_in(0.1, 2.0);
         let dft = build_static_tree(&recipe, &format!("pba{case}"));
-        let comp = unreliability(&dft, t, &AnalysisOptions::default()).unwrap();
-        let mono = unreliability(
+        let comp = Analyzer::new(&dft, AnalysisOptions::default())
+            .and_then(|a| a.unreliability(t))
+            .unwrap();
+        let mono = Analyzer::new(
             &dft,
-            t,
-            &AnalysisOptions {
+            AnalysisOptions {
                 method: Method::Monolithic,
                 ..AnalysisOptions::default()
             },
         )
+        .and_then(|a| a.unreliability(t))
         .unwrap();
         assert!(!comp.is_nondeterministic(), "case {case}");
         assert!(
-            (comp.probability() - mono.probability()).abs() < 1e-6,
+            (comp.value() - mono.value()).abs() < 1e-6,
             "case {case}: compositional {} vs monolithic {}",
-            comp.probability(),
-            mono.probability()
+            comp.value(),
+            mono.value()
         );
         assert!(
-            comp.probability() >= -1e-12 && comp.probability() <= 1.0 + 1e-12,
+            comp.value() >= -1e-12 && comp.value() <= 1.0 + 1e-12,
             "case {case}"
         );
     }
@@ -62,10 +62,14 @@ fn unreliability_is_monotone_in_time() {
         let delta = gen.f64_in(0.1, 1.0);
         let dft = build_static_tree(&recipe, &format!("pbm{case}"));
         let options = AnalysisOptions::default();
-        let early = unreliability(&dft, t1, &options).unwrap().probability();
-        let late = unreliability(&dft, t1 + delta, &options)
+        let early = Analyzer::new(&dft, options.clone())
+            .and_then(|a| a.unreliability(t1))
             .unwrap()
-            .probability();
+            .value();
+        let late = Analyzer::new(&dft, options.clone())
+            .and_then(|a| a.unreliability(t1 + delta))
+            .unwrap()
+            .value();
         assert!(
             late >= early - 1e-9,
             "case {case}: unreliability decreased: {early} -> {late}"
@@ -95,9 +99,10 @@ fn or_of_exponentials_is_exponential() {
         let dft = b.build(top).unwrap();
         let total: f64 = rates.iter().sum();
         let exact = 1.0 - (-total * t).exp();
-        let computed = unreliability(&dft, t, &AnalysisOptions::default())
+        let computed = Analyzer::new(&dft, AnalysisOptions::default())
+            .and_then(|a| a.unreliability(t))
             .unwrap()
-            .probability();
+            .value();
         assert!(
             (computed - exact).abs() < 1e-6,
             "case {case}: {computed} vs {exact}"
@@ -127,9 +132,10 @@ fn and_of_exponentials_is_a_product() {
         let top = b.and_gate(&format!("and{case}_top"), &events).unwrap();
         let dft = b.build(top).unwrap();
         let exact: f64 = rates.iter().map(|&r| 1.0 - (-r * t).exp()).product();
-        let computed = unreliability(&dft, t, &AnalysisOptions::default())
+        let computed = Analyzer::new(&dft, AnalysisOptions::default())
+            .and_then(|a| a.unreliability(t))
             .unwrap()
-            .probability();
+            .value();
         assert!(
             (computed - exact).abs() < 1e-6,
             "case {case}: {computed} vs {exact}"
@@ -167,9 +173,10 @@ fn cold_spare_chain_is_erlang() {
             sum += term;
         }
         let exact = 1.0 - (-rate * t).exp() * sum;
-        let computed = unreliability(&dft, t, &AnalysisOptions::default())
+        let computed = Analyzer::new(&dft, AnalysisOptions::default())
+            .and_then(|a| a.unreliability(t))
             .unwrap()
-            .probability();
+            .value();
         assert!(
             (computed - exact).abs() < 1e-6,
             "case {case}: {computed} vs {exact}"
@@ -192,21 +199,23 @@ fn compositional_matches_monolithic_on_pand_over_modules() {
         let top = b.pand_gate(&format!("pb{case}_pand_top"), &[l, r]).unwrap();
         let dft = b.build(top).unwrap();
 
-        let comp = unreliability(&dft, t, &AnalysisOptions::default()).unwrap();
-        let mono = unreliability(
+        let comp = Analyzer::new(&dft, AnalysisOptions::default())
+            .and_then(|a| a.unreliability(t))
+            .unwrap();
+        let mono = Analyzer::new(
             &dft,
-            t,
-            &AnalysisOptions {
+            AnalysisOptions {
                 method: Method::Monolithic,
                 ..AnalysisOptions::default()
             },
         )
+        .and_then(|a| a.unreliability(t))
         .unwrap();
         assert!(
-            (comp.probability() - mono.probability()).abs() < 1e-6,
+            (comp.value() - mono.value()).abs() < 1e-6,
             "case {case}: compositional {} vs monolithic {}",
-            comp.probability(),
-            mono.probability()
+            comp.value(),
+            mono.value()
         );
     }
 }

@@ -1,11 +1,9 @@
 //! Experiment E8 — the repair extension (Section 7.2, Figures 13–15):
 //! repairable basic events, repairable static gates and unavailability analysis.
 
-// These tests deliberately pin the deprecated one-shot wrappers' behaviour
-// against the session engine; see `dft_core::analysis` for the migration.
-#![allow(deprecated)]
 use dftmc::dft::{DftBuilder, Dormancy};
-use dftmc::dft_core::analysis::{unavailability, unreliability, AnalysisOptions};
+use dftmc::dft_core::analysis::AnalysisOptions;
+use dftmc::dft_core::engine::Analyzer;
 
 fn options() -> AnalysisOptions {
     AnalysisOptions::default()
@@ -31,20 +29,14 @@ fn figure_15_repairable_and_gate() {
         .unwrap();
     let top = b.and_gate("system", &[a, bb]).unwrap();
     let dft = b.build(top).unwrap();
-    let r = unavailability(&dft, &options()).unwrap();
+    let analyzer = Analyzer::new(&dft, options()).unwrap();
+    let r = analyzer.unavailability().unwrap().value();
     let exact = component_unavailability(1.0, 10.0) * component_unavailability(2.0, 10.0);
-    assert!(
-        (r.unavailability - exact).abs() < 1e-6,
-        "{} vs {exact}",
-        r.unavailability
-    );
+    assert!((r - exact).abs() < 1e-6, "{r} vs {exact}");
     // The aggregated model stays tiny (the paper's Figure 15(b) has 4 states; our
     // monitor adds little).
-    assert!(
-        r.final_model.states <= 10,
-        "final model has {} states",
-        r.final_model.states
-    );
+    let states = analyzer.model_stats().states;
+    assert!(states <= 10, "final model has {states} states");
 }
 
 #[test]
@@ -58,15 +50,14 @@ fn or_of_repairable_components() {
         .unwrap();
     let top = b.or_gate("system", &[a, bb]).unwrap();
     let dft = b.build(top).unwrap();
-    let r = unavailability(&dft, &options()).unwrap();
+    let r = Analyzer::new(&dft, options())
+        .and_then(|a| a.unavailability())
+        .unwrap()
+        .value();
     // OR is down unless both components are up: 1 - prod(availability).
     let exact = 1.0
         - (1.0 - component_unavailability(1.0, 4.0)) * (1.0 - component_unavailability(0.5, 2.0));
-    assert!(
-        (r.unavailability - exact).abs() < 1e-6,
-        "{} vs {exact}",
-        r.unavailability
-    );
+    assert!((r - exact).abs() < 1e-6, "{} vs {exact}", r);
 }
 
 #[test]
@@ -83,13 +74,12 @@ fn voting_gate_unavailability() {
         .collect();
     let top = b.voting_gate("voter", 2, &s).unwrap();
     let dft = b.build(top).unwrap();
-    let r = unavailability(&dft, &options()).unwrap();
+    let r = Analyzer::new(&dft, options())
+        .and_then(|a| a.unavailability())
+        .unwrap()
+        .value();
     let exact = 3.0 * q * q * (1.0 - q) + q * q * q;
-    assert!(
-        (r.unavailability - exact).abs() < 1e-6,
-        "{} vs {exact}",
-        r.unavailability
-    );
+    assert!((r - exact).abs() < 1e-6, "{} vs {exact}", r);
 }
 
 #[test]
@@ -103,12 +93,11 @@ fn mixed_repairable_and_unrepairable_components() {
     let bb = b.basic_event("B", 0.1, Dormancy::Hot).unwrap();
     let top = b.or_gate("system", &[a, bb]).unwrap();
     let dft = b.build(top).unwrap();
-    let r = unavailability(&dft, &options()).unwrap();
-    assert!(
-        r.unavailability > 0.99,
-        "unrepairable leaf should dominate: {}",
-        r.unavailability
-    );
+    let r = Analyzer::new(&dft, options())
+        .and_then(|a| a.unavailability())
+        .unwrap()
+        .value();
+    assert!(r > 0.99, "unrepairable leaf should dominate: {}", r);
 }
 
 #[test]
@@ -126,18 +115,20 @@ fn repairable_tree_unreliability_is_lower_than_unrepairable() {
         .unwrap();
     let top = b.and_gate("system", &[a, bb]).unwrap();
     let repairable = b.build(top).unwrap();
-    let with_repair = unreliability(&repairable, t, &options())
+    let with_repair = Analyzer::new(&repairable, options())
+        .and_then(|a| a.unreliability(t))
         .unwrap()
-        .probability();
+        .value();
 
     let mut b = DftBuilder::new();
     let a = b.basic_event("A", 1.0, Dormancy::Hot).unwrap();
     let bb = b.basic_event("B", 1.0, Dormancy::Hot).unwrap();
     let top = b.and_gate("system", &[a, bb]).unwrap();
     let unrepairable = b.build(top).unwrap();
-    let without_repair = unreliability(&unrepairable, t, &options())
+    let without_repair = Analyzer::new(&unrepairable, options())
+        .and_then(|a| a.unreliability(t))
         .unwrap()
-        .probability();
+        .value();
 
     assert!(with_repair < without_repair);
     assert!(with_repair > 0.0);
@@ -159,15 +150,14 @@ fn deeper_repairable_trees_analyse_correctly() {
     let and = b.and_gate("pair", &[a, c]).unwrap();
     let top = b.or_gate("system", &[and, d]).unwrap();
     let dft = b.build(top).unwrap();
-    let r = unavailability(&dft, &options()).unwrap();
+    let r = Analyzer::new(&dft, options())
+        .and_then(|a| a.unavailability())
+        .unwrap()
+        .value();
     let qa = component_unavailability(1.0, 10.0);
     let qd = component_unavailability(0.2, 5.0);
     let exact = 1.0 - (1.0 - qa * qa) * (1.0 - qd);
-    assert!(
-        (r.unavailability - exact).abs() < 1e-6,
-        "{} vs {exact}",
-        r.unavailability
-    );
+    assert!((r - exact).abs() < 1e-6, "{} vs {exact}", r);
 }
 
 #[test]
@@ -177,6 +167,8 @@ fn unavailability_errors_are_informative() {
     let a = b.basic_event("A", 1.0, Dormancy::Hot).unwrap();
     let top = b.or_gate("system", &[a]).unwrap();
     let dft = b.build(top).unwrap();
-    let err = unavailability(&dft, &options()).unwrap_err();
+    let err = Analyzer::new(&dft, options())
+        .and_then(|a| a.unavailability())
+        .unwrap_err();
     assert!(err.to_string().contains("repairable"));
 }

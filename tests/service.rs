@@ -13,13 +13,14 @@
 //! 5. empty curves are rejected with the typed [`Error::EmptyCurve`] instead of
 //!    panicking in the result accessors.
 
+mod common;
+
+use common::{job_report, job_request, run_jobs, sweep_report, sweep_request, totals, Totals};
 use dftmc::dft::{Dft, DftBuilder, Dormancy};
 use dftmc::dft_core::casestudies::{cas, cas_scaled, DEFAULT_MISSION_TIMES};
 use dftmc::dft_core::engine::Analyzer;
-use dftmc::dft_core::service::{
-    AnalysisJob, AnalysisService, JobHandle, JobReport, ServiceOptions, SweepHandle,
-};
-use dftmc::dft_core::{AnalysisOptions, Error, Measure, MeasureResult};
+use dftmc::dft_core::service::{AnalysisService, JobReport, RequestHandle, ServiceOptions};
+use dftmc::dft_core::{AnalysisOptions, AnalysisRequest, Error, Measure, MeasureResult, SweepSpec};
 use std::sync::Arc;
 
 /// The load-bearing auto-trait guarantees, checked at compile time: the worker
@@ -30,10 +31,9 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send_sync::<Analyzer>();
     assert_send_sync::<AnalysisService>();
-    assert_send_sync::<AnalysisJob>();
+    assert_send_sync::<AnalysisRequest>();
     assert_send_sync::<Measure>();
-    assert_send::<JobHandle>();
-    assert_send::<SweepHandle>()
+    assert_send::<RequestHandle>()
 };
 
 fn bits_of(result: &MeasureResult) -> Vec<(Option<u64>, u64, u64, u64)> {
@@ -105,9 +105,9 @@ fn duplicate_fingerprints_aggregate_once_per_distinct_tree() {
         ..ServiceOptions::default()
     });
     let rates = [1.0, 1.25, 1.5];
-    let jobs: Vec<AnalysisJob> = (0..9)
+    let jobs: Vec<AnalysisRequest> = (0..9)
         .map(|i| {
-            AnalysisJob::new(
+            job_request(
                 variant(&format!("svc{i}"), rates[i % rates.len()]),
                 AnalysisOptions::default(),
                 vec![Measure::Unreliability(1.0)],
@@ -115,21 +115,21 @@ fn duplicate_fingerprints_aggregate_once_per_distinct_tree() {
         })
         .collect();
 
-    let report = service.run_batch(&jobs);
-    assert_eq!(report.stats.jobs, 9);
+    let reports = run_jobs(&service, jobs);
+    let stats = totals(&reports);
+    assert_eq!(stats.jobs, 9);
     assert_eq!(
-        report.stats.aggregation_runs,
+        stats.aggregation_runs,
         rates.len(),
         "aggregation must run once per distinct tree, not per job"
     );
-    assert_eq!(report.stats.cache_misses, rates.len());
-    assert_eq!(report.stats.cache_hits, jobs.len() - rates.len());
+    assert_eq!(stats.cache_misses, rates.len());
+    assert_eq!(stats.cache_hits, 9 - rates.len());
 
     // Every copy of the same structure reports the same fingerprint and
     // bit-identical results, whatever its element names were.
     let base_fp = variant("fresh", 1.0).fingerprint();
-    let base_jobs: Vec<_> = report
-        .jobs
+    let base_jobs: Vec<_> = reports
         .iter()
         .filter(|j| j.fingerprint == base_fp)
         .collect();
@@ -147,9 +147,9 @@ fn service_results_match_sequential_analyzer_runs_bitwise() {
         Measure::Unreliability(1.0),
     ];
     let scales = [1.0, 2.0];
-    let jobs: Vec<AnalysisJob> = (0..6)
+    let jobs: Vec<AnalysisRequest> = (0..6)
         .map(|i| {
-            AnalysisJob::new(
+            job_request(
                 cas_scaled(scales[i % scales.len()]),
                 AnalysisOptions::default(),
                 measures.clone(),
@@ -173,8 +173,9 @@ fn service_results_match_sequential_analyzer_runs_bitwise() {
             cache_capacity: 8,
             ..ServiceOptions::default()
         });
-        let report = service.run_batch(&jobs);
-        for (job, expected) in report.jobs.iter().zip(&sequential) {
+        let reports = run_jobs(&service, jobs.clone());
+        assert_eq!(reports.len(), sequential.len());
+        for (job, expected) in reports.iter().zip(&sequential) {
             let results = job.results.as_ref().unwrap();
             assert_eq!(results.len(), expected.len());
             for (r, e) in results.iter().zip(expected) {
@@ -245,12 +246,12 @@ fn empty_curves_are_typed_errors_everywhere() {
 
     // Through the service the error lands in the job report, not in a panic.
     let service = AnalysisService::new(ServiceOptions::default());
-    let report = service.run_batch(&[AnalysisJob::new(
+    let report = job_report(service.run_request(job_request(
         cas(),
         AnalysisOptions::default(),
         vec![Measure::UnreliabilityCurve(Vec::new())],
-    )]);
-    assert!(matches!(report.jobs[0].results, Err(Error::EmptyCurve)));
+    )));
+    assert!(matches!(report.results, Err(Error::EmptyCurve)));
 }
 
 /// Cache-aware scheduling: jobs are grouped by fingerprint before dispatch, so
@@ -267,29 +268,33 @@ fn grouped_dispatch_eliminates_build_waits() {
     // 12 jobs over 3 distinct structures, duplicates adjacent in submission
     // order — the worst case for naive in-order dispatch, where several
     // workers would claim copies of the same tree simultaneously.
-    let jobs: Vec<AnalysisJob> = (0..12)
+    let jobs: Vec<AnalysisRequest> = (0..12)
         .map(|i| {
-            AnalysisJob::new(
+            job_request(
                 cas_scaled(1.0 + 0.1 * (i / 4) as f64),
                 AnalysisOptions::default(),
                 vec![Measure::Unreliability(1.0)],
             )
         })
         .collect();
-    let report = service.run_batch(&jobs);
-    assert_eq!(report.stats.jobs, 12);
-    assert_eq!(report.stats.cache_misses, 3);
-    assert_eq!(report.stats.cache_hits, 9);
-    assert_eq!(report.stats.aggregation_runs, 3);
+    let fingerprints: Vec<u64> = jobs.iter().map(|job| job.dft.fingerprint()).collect();
+    let reports = run_jobs(&service, jobs);
     assert_eq!(
-        report.stats.build_waits, 0,
+        totals(&reports),
+        Totals {
+            jobs: 12,
+            cache_hits: 9,
+            cache_misses: 3,
+            aggregation_runs: 3,
+            build_waits: 0,
+        },
         "grouped dispatch must not leave workers blocking on concurrent builds"
     );
-    assert!(report.jobs.iter().all(|j| !j.build_wait));
     // Reports stay in submission order: the i-th report carries the i-th
     // job's fingerprint.
-    for (job, report) in jobs.iter().zip(&report.jobs) {
-        assert_eq!(job.dft.fingerprint(), report.fingerprint);
+    assert_eq!(reports.len(), fingerprints.len());
+    for (fingerprint, report) in fingerprints.iter().zip(&reports) {
+        assert_eq!(*fingerprint, report.fingerprint);
     }
 }
 
@@ -327,9 +332,9 @@ fn concurrent_submitters_share_cached_models() {
                 scope.spawn(move || {
                     // Submit the whole personal queue first (this is the
                     // "return immediately" contract), then await it.
-                    let submitted: Vec<JobHandle> = (0..jobs_each)
+                    let submitted: Vec<RequestHandle> = (0..jobs_each)
                         .map(|j| {
-                            shared.submit(AnalysisJob::new(
+                            shared.submit_request(job_request(
                                 cas_scaled(scales[(s + j) % scales.len()]),
                                 AnalysisOptions::default(),
                                 vec![Measure::Unreliability(1.0)],
@@ -338,7 +343,7 @@ fn concurrent_submitters_share_cached_models() {
                         .collect();
                     submitted
                         .into_iter()
-                        .map(JobHandle::wait)
+                        .map(|handle| job_report(handle.wait()))
                         .collect::<Vec<JobReport>>()
                 })
             })
@@ -389,9 +394,9 @@ fn slow_leader_batch_completes_without_timed_out_waits() {
     // duplicated many times, plus cheap distinct trees to keep the other
     // workers busy while the leader builds.
     let copies = 8;
-    let mut jobs: Vec<AnalysisJob> = (0..copies)
+    let mut jobs: Vec<AnalysisRequest> = (0..copies)
         .map(|_| {
-            AnalysisJob::new(
+            job_request(
                 cas(),
                 AnalysisOptions::default(),
                 vec![Measure::Unreliability(1.0)],
@@ -399,24 +404,24 @@ fn slow_leader_batch_completes_without_timed_out_waits() {
         })
         .collect();
     for i in 0..4 {
-        jobs.push(AnalysisJob::new(
+        jobs.push(job_request(
             variant(&format!("cheap{i}"), 1.0 + i as f64),
             AnalysisOptions::default(),
             vec![Measure::Unreliability(1.0)],
         ));
     }
 
-    let report = service.run_batch(&jobs);
-    assert_eq!(report.stats.jobs, copies + 4);
-    assert_eq!(report.stats.aggregation_runs, 5, "CAS once, 4 cheap trees");
-    assert_eq!(report.stats.cache_misses, 5);
-    assert_eq!(report.stats.cache_hits, copies - 1);
+    let reports = run_jobs(&service, jobs);
+    let stats = totals(&reports);
+    assert_eq!(stats.jobs, copies + 4);
+    assert_eq!(stats.aggregation_runs, 5, "CAS once, 4 cheap trees");
+    assert_eq!(stats.cache_misses, 5);
+    assert_eq!(stats.cache_hits, copies - 1);
     assert_eq!(
-        report.stats.build_waits, 0,
+        stats.build_waits, 0,
         "followers of the slow leader must park, never block on its build"
     );
-    assert!(report.jobs.iter().all(|j| !j.build_wait));
-    for job in &report.jobs {
+    for job in &reports {
         assert!(job.results.is_ok());
     }
     let queue = service.queue_stats();
@@ -433,7 +438,6 @@ fn slow_leader_batch_completes_without_timed_out_waits() {
 #[test]
 fn service_sweeps_share_one_parametric_model() {
     use dftmc::dft_core::engine::ParametricAnalyzer;
-    use dftmc::dft_core::service::SweepJob;
 
     let options = AnalysisOptions {
         epsilon: 1e-13,
@@ -452,9 +456,14 @@ fn service_sweeps_share_one_parametric_model() {
         .map(|&s| parametric.params().scaled_valuation(s))
         .collect();
     let measures = vec![Measure::Unreliability(1.0), Measure::curve([0.5, 1.5])];
-    let job = SweepJob::new(cas(), options.clone(), measures.clone(), valuations);
+    let job = sweep_request(
+        cas(),
+        options.clone(),
+        measures.clone(),
+        SweepSpec::Valuations(valuations),
+    );
 
-    let report = service.run_sweep(&job);
+    let report = sweep_report(service.run_request(job));
     assert_eq!(report.stats.valuations, 4);
     assert_eq!(
         report.stats.aggregation_runs, 1,
@@ -487,12 +496,12 @@ fn service_sweeps_share_one_parametric_model() {
 
     // A second sweep over the same structure — even with *different* rates in
     // the submitted tree — reuses the cached parametric model outright.
-    let report2 = service.run_sweep(&SweepJob::new(
+    let report2 = sweep_report(service.run_request(sweep_request(
         cas_scaled(3.0),
         options,
         vec![Measure::Unreliability(1.0)],
-        vec![parametric.params().scaled_valuation(1.4)],
-    ));
+        SweepSpec::Valuations(vec![parametric.params().scaled_valuation(1.4)]),
+    )));
     assert!(report2.stats.parametric_cache_hit);
     assert_eq!(report2.stats.aggregation_runs, 0);
     assert_eq!(report2.stats.cache_hits, 1, "valuation session reused too");
@@ -507,7 +516,6 @@ fn service_sweeps_share_one_parametric_model() {
 /// compositional sweep of the same structure and epsilon still succeeds.
 #[test]
 fn monolithic_sweeps_do_not_poison_the_parametric_cache() {
-    use dftmc::dft_core::service::SweepJob;
     use dftmc::dft_core::{Method, Valuation};
 
     let service = AnalysisService::new(ServiceOptions {
@@ -521,15 +529,15 @@ fn monolithic_sweeps_do_not_poison_the_parametric_cache() {
     let dft = b.build(top).unwrap();
     let valuation = Valuation::new(vec![2.0]);
 
-    let monolithic = service.run_sweep(&SweepJob::new(
+    let monolithic = sweep_report(service.run_request(sweep_request(
         dft.clone(),
         AnalysisOptions {
             method: Method::Monolithic,
             ..AnalysisOptions::default()
         },
         vec![Measure::Unreliability(1.0)],
-        vec![valuation.clone()],
-    ));
+        SweepSpec::Valuations(vec![valuation.clone()]),
+    )));
     assert!(matches!(
         monolithic.points[0].results,
         Err(Error::Unsupported { .. })
@@ -537,12 +545,12 @@ fn monolithic_sweeps_do_not_poison_the_parametric_cache() {
     assert_eq!(monolithic.stats.aggregation_runs, 0);
 
     // Same structure, same epsilon, compositional method: must build fine.
-    let compositional = service.run_sweep(&SweepJob::new(
+    let compositional = sweep_report(service.run_request(sweep_request(
         dft,
         AnalysisOptions::default(),
         vec![Measure::Unreliability(1.0)],
-        vec![valuation],
-    ));
+        SweepSpec::Valuations(vec![valuation]),
+    )));
     let results = compositional.points[0].results.as_ref().unwrap();
     let exact = 1.0 - (-2.0f64).exp();
     assert!((results[0].value() - exact).abs() < 1e-6);

@@ -18,12 +18,15 @@
 //!    silently; [`Error::Store`] is reserved for `ModelStore`/`from_bytes`
 //!    calls.
 
+mod common;
+
+use common::{job_report, job_request, sweep_report, sweep_request};
 use dftmc::dft::{Dft, DftBuilder, Dormancy};
 use dftmc::dft_core::casestudies::{cas, cps, DEFAULT_MISSION_TIMES};
 use dftmc::dft_core::engine::{Analyzer, ParametricAnalyzer};
-use dftmc::dft_core::service::{AnalysisJob, AnalysisService, ServiceOptions, SweepJob};
+use dftmc::dft_core::service::{AnalysisService, ServiceOptions};
 use dftmc::dft_core::store::ModelStore;
-use dftmc::dft_core::{AnalysisOptions, Error, Measure, MeasureResult};
+use dftmc::dft_core::{AnalysisOptions, Error, Measure, MeasureResult, SweepSpec};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -138,7 +141,7 @@ fn warm_service_loads_instead_of_building() {
     let temp = TempStore::new("warm");
     let options = AnalysisOptions::default();
     let job = || {
-        AnalysisJob::new(
+        job_request(
             spare_tree("st_warm", 1.0),
             AnalysisOptions::default(),
             vec![Measure::curve([0.5, 1.0]), Measure::Mttf],
@@ -154,9 +157,9 @@ fn warm_service_loads_instead_of_building() {
         }
         .store(temp.path()),
     );
-    let cold_report = cold.run_batch(&[job()]);
-    let cold_results = cold_report.jobs[0].results.as_ref().unwrap().clone();
-    assert_eq!(cold_report.stats.aggregation_runs, 1);
+    let cold_report = job_report(cold.run_request(job()));
+    let cold_results = cold_report.results.as_ref().unwrap().clone();
+    assert_eq!(cold_report.aggregation_runs, 1);
     let stats = cold.store_stats().expect("store configured");
     assert_eq!(stats.writes, 1);
     assert_eq!(stats.hits, 0);
@@ -176,16 +179,16 @@ fn warm_service_loads_instead_of_building() {
         }
         .store(temp.path()),
     );
-    let warm_report = warm.run_batch(&[job()]);
+    let warm_report = job_report(warm.run_request(job()));
     assert_eq!(
-        warm_report.stats.aggregation_runs, 0,
+        warm_report.aggregation_runs, 0,
         "a warm store replaces the aggregation with a disk read"
     );
     let stats = warm.store_stats().unwrap();
     assert_eq!(stats.hits, 1);
     assert_eq!(stats.rejected, 0);
     assert_eq!(
-        bits_of(&warm_report.jobs[0].results.as_ref().unwrap()[0]),
+        bits_of(&warm_report.results.as_ref().unwrap()[0]),
         bits_of(&cold_results[0]),
         "loaded model answers bit-identically"
     );
@@ -210,11 +213,11 @@ fn warm_sweeps_skip_the_parametric_aggregation() {
             .map(|i| parametric.params().scaled_valuation(i as f64))
             .collect()
     };
-    let sweep = SweepJob::new(
+    let sweep = sweep_request(
         dft,
         AnalysisOptions::default(),
         vec![Measure::Unreliability(1.0)],
-        valuations,
+        SweepSpec::Valuations(valuations),
     );
 
     let service_options = || {
@@ -226,7 +229,7 @@ fn warm_sweeps_skip_the_parametric_aggregation() {
         .store(temp.path())
     };
     let cold = AnalysisService::new(service_options());
-    let cold_report = cold.run_sweep(&sweep);
+    let cold_report = sweep_report(cold.run_request(sweep.clone()));
     assert_eq!(cold_report.stats.aggregation_runs, 1);
     let cold_values: Vec<Vec<_>> = cold_report
         .points
@@ -236,7 +239,7 @@ fn warm_sweeps_skip_the_parametric_aggregation() {
     drop(cold);
 
     let warm = AnalysisService::new(service_options());
-    let warm_report = warm.run_sweep(&sweep);
+    let warm_report = sweep_report(warm.run_request(sweep));
     assert_eq!(
         warm_report.stats.aggregation_runs, 0,
         "the parametric model came off disk"
@@ -265,13 +268,13 @@ fn drop_drain_persists_built_models() {
         }
         .store(temp.path()),
     );
-    let handle = service.submit(AnalysisJob::new(
+    let handle = service.submit_request(job_request(
         spare_tree("st_drain", 1.0),
         AnalysisOptions::default(),
         vec![Measure::Unreliability(1.0)],
     ));
     drop(service); // drains the queue, then joins the pool
-    assert!(handle.wait().results.is_ok());
+    assert!(job_report(handle.wait()).results.is_ok());
     assert_eq!(temp.entries().len(), 1, "the drained job was written back");
 
     let warm = AnalysisService::new(
@@ -282,12 +285,12 @@ fn drop_drain_persists_built_models() {
         }
         .store(temp.path()),
     );
-    let report = warm.run_batch(&[AnalysisJob::new(
+    let report = job_report(warm.run_request(job_request(
         spare_tree("st_drain", 1.0),
         AnalysisOptions::default(),
         vec![Measure::Unreliability(1.0)],
-    )]);
-    assert_eq!(report.stats.aggregation_runs, 0);
+    )));
+    assert_eq!(report.aggregation_runs, 0);
 }
 
 /// Every corruption mode must fall back to a clean rebuild: no panic, the
@@ -316,7 +319,7 @@ fn corrupt_entries_are_rejected_and_rebuilt() {
     for (label, corrupt) in corruptions {
         let temp = TempStore::new("corrupt");
         let job = || {
-            AnalysisJob::new(
+            job_request(
                 spare_tree("st_corrupt", 1.0),
                 AnalysisOptions::default(),
                 vec![Measure::Unreliability(1.0)],
@@ -333,8 +336,8 @@ fn corrupt_entries_are_rejected_and_rebuilt() {
 
         let reference = {
             let cold = AnalysisService::new(service_options());
-            let report = cold.run_batch(&[job()]);
-            bits_of(&report.jobs[0].results.as_ref().unwrap()[0])
+            let report = job_report(cold.run_request(job()));
+            bits_of(&report.results.as_ref().unwrap()[0])
         };
         let entries = temp.entries();
         assert_eq!(entries.len(), 1);
@@ -342,15 +345,15 @@ fn corrupt_entries_are_rejected_and_rebuilt() {
         std::fs::write(&entries[0], corrupt(bytes)).unwrap();
 
         let recovering = AnalysisService::new(service_options());
-        let report = recovering.run_batch(&[job()]);
+        let report = job_report(recovering.run_request(job()));
         let stats = recovering.store_stats().unwrap();
         assert_eq!(stats.rejected, 1, "{label}: the bad entry must be refused");
         assert_eq!(
-            report.stats.aggregation_runs, 1,
+            report.aggregation_runs, 1,
             "{label}: refusal falls back to a rebuild"
         );
         assert_eq!(
-            bits_of(&report.jobs[0].results.as_ref().unwrap()[0]),
+            bits_of(&report.results.as_ref().unwrap()[0]),
             reference,
             "{label}: the rebuilt model answers identically"
         );
@@ -460,13 +463,13 @@ fn concurrent_services_never_read_half_written_entries() {
                         .store(dir),
                     );
                     for round in 0..3 {
-                        let report = service.run_batch(&[AnalysisJob::new(
+                        let report = job_report(service.run_request(job_request(
                             spare_tree("st_race", 1.0),
                             AnalysisOptions::default(),
                             vec![Measure::Unreliability(1.0)],
-                        )]);
+                        )));
                         assert_eq!(
-                            bits_of(&report.jobs[0].results.as_ref().unwrap()[0]),
+                            bits_of(&report.results.as_ref().unwrap()[0]),
                             expected,
                             "round {round}: shared-store result diverged"
                         );
@@ -514,12 +517,12 @@ fn store_errors_are_typed_and_scoped_to_the_explicit_api() {
         .store(&unusable),
     );
     assert!(service.store_stats().is_none());
-    let report = service.run_batch(&[AnalysisJob::new(
+    let report = job_report(service.run_request(job_request(
         spare_tree("st_typed", 1.0),
         AnalysisOptions::default(),
         vec![Measure::Unreliability(1.0)],
-    )]);
-    assert!(report.jobs[0].results.is_ok());
+    )));
+    assert!(report.results.is_ok());
 
     // from_bytes on garbage: typed, never a panic.
     match Analyzer::from_bytes(b"garbage") {
