@@ -18,7 +18,7 @@
 //! ```
 
 use dft_core::rng::SplitMix64;
-use dft_core::{AnalysisOptions, Analyzer, ParametricAnalyzer};
+use dft_core::{AnalysisOptions, Analyzer, Method, ParametricAnalyzer};
 use ioimc::action::Action;
 use ioimc::builder::IoImcBuilderOf;
 use ioimc::codec::{decode_model, encode_model, Reader, Writer};
@@ -121,14 +121,33 @@ toplevel "Top";
 "V3" lambda=1.0;
 "#;
 
-/// Sealed session frames, as the persistent store loads them from disk.
+/// Sealed session frames, as the persistent store loads them from disk: one
+/// per backend tag of each rate domain.  The seed tree splits into a dynamic
+/// core under a static crown, so the hybrid frames carry a crown BDD, leaves
+/// and a nested core body.
 fn session_corpus() -> Vec<Vec<u8>> {
     let dft = dft::galileo::parse(SESSION_SEED_TEXT).expect("the fuzz session corpus parses");
-    let analyzer =
-        Analyzer::new(&dft, AnalysisOptions::default()).expect("the fuzz sample DFT analyzes");
-    let parametric = ParametricAnalyzer::new(&dft, AnalysisOptions::default())
-        .expect("the fuzz sample DFT analyzes parametrically");
-    vec![analyzer.to_bytes(), parametric.to_bytes()]
+    let options = |method| AnalysisOptions {
+        method,
+        ..AnalysisOptions::default()
+    };
+    let numeric = |method| {
+        Analyzer::new(&dft, options(method))
+            .expect("the fuzz sample DFT analyzes")
+            .to_bytes()
+    };
+    let parametric = |method| {
+        ParametricAnalyzer::new(&dft, options(method))
+            .expect("the fuzz sample DFT analyzes parametrically")
+            .to_bytes()
+    };
+    vec![
+        numeric(Method::Compositional),
+        numeric(Method::Hybrid),
+        numeric(Method::Monolithic),
+        parametric(Method::Compositional),
+        parametric(Method::Hybrid),
+    ]
 }
 
 /// Serialized HTTP/1.1 requests as `dftmc-serve` reads them off a socket:
@@ -419,6 +438,7 @@ mod tests {
         match target {
             "galileo::parse" | "json::parse" | "json_format::parse" => 1,
             "http::parse_request" => 3,
+            "Analyzer::from_bytes" | "ParametricAnalyzer::from_bytes" => 5,
             _ => 2,
         }
     }

@@ -916,14 +916,15 @@ pub fn run_sweep_experiment(points: usize, mission_time: f64) -> Result<SweepExp
         .map(|&s| parametric.params().scaled_valuation(s))
         .collect();
     let sweep_wall_start = Instant::now();
-    let sweep = parametric.sweep_unreliability(mission_time, &valuations)?;
+    let measure = Measure::Unreliability(mission_time);
+    let sweep = parametric.sweep_query(&measure, &valuations)?;
     let sweep_wall = sweep_wall_start.elapsed();
     // Marginal cost of one additional point: subtract a one-point sweep's
     // wall from the full sweep's wall.  The one-point run happens second, so
     // any lazily built per-model state is warm for it but *charged* to the
     // full sweep — the resulting marginal is conservative, never flattered.
     let one_point_start = Instant::now();
-    parametric.sweep_unreliability(mission_time, &valuations[..1])?;
+    parametric.sweep_query(&measure, &valuations[..1])?;
     let one_point_wall = one_point_start.elapsed();
     let marginal_us_per_point = if points > 1 {
         (sweep_wall.saturating_sub(one_point_wall)).as_secs_f64() * 1e6 / (points - 1) as f64

@@ -292,11 +292,29 @@ impl<'a> Explorer<'a> {
             }
         }
 
-        // 2. Update PAND memory: a PAND dies when one of its inputs is failed while
-        //    an earlier input is still operational.  Failures within the same step
-        //    are resolved deterministically in left-to-right order, so only inputs
-        //    that remain operational after the whole step count as "earlier and not
-        //    yet failed".
+        // 2. Update spare allocations and PAND memory to one joint fixpoint: a
+        //    spare gate's failure is only visible once its allocation runs out,
+        //    and a PAND above it must see that failure as part of this step.
+        //    Both updates are monotone (allocations only advance, PANDs only
+        //    die), so the loop terminates.
+        loop {
+            let died = self.update_pands(state, &mut next);
+            let switched = self.update_spares(&mut next);
+            if !died && !switched {
+                break;
+            }
+        }
+
+        next
+    }
+
+    /// PAND memory: a PAND dies when one of its inputs is newly failed in this
+    /// step while an earlier input is still operational.  Failures within the
+    /// same step are resolved deterministically in left-to-right order, so only
+    /// inputs that remain operational after the whole step count as "earlier
+    /// and not yet failed".  Returns whether some PAND died.
+    fn update_pands(&self, state: &SysState, next: &mut SysState) -> bool {
+        let mut changed = false;
         for (pi, &pand) in self.pand_gates.iter().enumerate() {
             if next.pand_dead[pi] {
                 continue;
@@ -304,24 +322,26 @@ impl<'a> Explorer<'a> {
             let inputs = self.dft.element(pand).inputs();
             let statuses: Vec<bool> = inputs
                 .iter()
-                .map(|&c| self.element_failed(&next, c))
+                .map(|&c| self.element_failed(next, c))
                 .collect();
-            let previously: Vec<bool> = inputs
-                .iter()
-                .map(|&c| self.element_failed(state, c))
-                .collect();
-            for j in 0..inputs.len() {
-                let newly = statuses[j] && !previously[j];
+            for (j, &c) in inputs.iter().enumerate() {
+                let newly = statuses[j] && !self.element_failed(state, c);
                 if newly && statuses[..j].iter().any(|&failed| !failed) {
                     next.pand_dead[pi] = true;
+                    changed = true;
                 }
             }
         }
+        changed
+    }
 
-        // 3. Update spare allocations.  Gates whose current input has failed (or
-        //    been taken) advance to the next usable input; contention is resolved
-        //    deterministically in gate order.  Iterate to a fixpoint because a
-        //    gate's switch can make another gate's candidate unavailable.
+    /// Spare allocations: gates whose current input has failed (or been taken)
+    /// advance to the next usable input; contention is resolved
+    /// deterministically in gate order.  Iterates to a fixpoint because a
+    /// gate's switch can make another gate's candidate unavailable.  Returns
+    /// whether some allocation changed.
+    fn update_spares(&self, next: &mut SysState) -> bool {
+        let mut any = false;
         loop {
             let mut changed = false;
             for (gi, &gate) in self.spare_gates.iter().enumerate() {
@@ -330,18 +350,18 @@ impl<'a> Explorer<'a> {
                 };
                 let inputs = self.dft.element(gate).inputs();
                 let cur_element = inputs[cur as usize];
-                let cur_failed = self.element_failed(&next, cur_element);
-                let cur_taken_by_other = self.taken_by_other(&next, gi, cur_element);
+                let cur_failed = self.element_failed(next, cur_element);
+                let cur_taken_by_other = self.taken_by_other(next, gi, cur_element);
                 if !cur_failed && !cur_taken_by_other {
                     continue;
                 }
                 // Find the next usable input.
                 let mut chosen: Option<u8> = None;
                 for (j, &candidate) in inputs.iter().enumerate().skip(cur as usize + 1) {
-                    if self.element_failed(&next, candidate) {
+                    if self.element_failed(next, candidate) {
                         continue;
                     }
-                    if self.taken_by_other(&next, gi, candidate) {
+                    if self.taken_by_other(next, gi, candidate) {
                         continue;
                     }
                     chosen = Some(j as u8);
@@ -353,11 +373,10 @@ impl<'a> Explorer<'a> {
                 }
             }
             if !changed {
-                break;
+                return any;
             }
+            any = true;
         }
-
-        next
     }
 
     /// Whether `element` is currently relied upon by a spare-like gate other than
@@ -517,6 +536,47 @@ mod tests {
         let dft = b.build(top).unwrap();
         let p = monolithic_unreliability(&dft, 50.0, 1e-10).unwrap();
         assert!((p - 0.5).abs() < 1e-3, "{p}");
+    }
+
+    /// PAND(E, CSP(X, XS)) with unit rates: the spare gate fails at an
+    /// Erlang(2, 1) time S, and the PAND fails iff E fails before S, both by t.
+    fn pand_over_spare() -> Dft {
+        let mut b = DftBuilder::new();
+        let e = b.basic_event("bl10_E", 1.0, Dormancy::Hot).unwrap();
+        let x = b.basic_event("bl10_X", 1.0, Dormancy::Hot).unwrap();
+        let xs = b.basic_event("bl10_XS", 1.0, Dormancy::Cold).unwrap();
+        let csp = b.spare_gate("bl10_CSP", &[x, xs]).unwrap();
+        let top = b.pand_gate("bl10_Top", &[e, csp]).unwrap();
+        b.build(top).unwrap()
+    }
+
+    /// ∫₀¹ s·e⁻ˢ·(1 − e⁻ˢ) ds: the density of S times P(E ≤ S), over s ≤ 1.
+    fn pand_over_spare_exact() -> f64 {
+        let e = std::f64::consts::E;
+        1.0 - 2.0 / e - 0.25 + 3.0 / (4.0 * e * e)
+    }
+
+    #[test]
+    fn pand_sees_a_spare_gate_failing_in_the_same_step() {
+        let p = monolithic_unreliability(&pand_over_spare(), 1.0, 1e-12).unwrap();
+        let exact = pand_over_spare_exact();
+        assert!((p - exact).abs() < 1e-9, "{p} vs {exact}");
+    }
+
+    #[test]
+    fn simulated_pand_over_spare_matches_the_closed_form() {
+        let options = crate::simulate::SimulationOptions {
+            samples: 40_000,
+            seed: 13,
+        };
+        let estimate =
+            crate::simulate::simulate_unreliability(&pand_over_spare(), 1.0, &options).unwrap();
+        let exact = pand_over_spare_exact();
+        assert!(
+            (estimate.probability - exact).abs() < 4.0 * estimate.std_error,
+            "{} vs {exact}",
+            estimate.probability
+        );
     }
 
     #[test]

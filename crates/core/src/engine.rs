@@ -2,19 +2,34 @@
 //!
 //! The paper's pipeline — convert the DFT to an I/O-IMC community, then
 //! compose/hide/minimise it down to one small model — is by far the most expensive
-//! part of an analysis, yet it does not depend on the measure being asked.
-//! [`Analyzer::new`] therefore runs validation, conversion and compositional
-//! aggregation (or monolithic CTMC generation) *exactly once*, caches the closed
-//! final model together with its [`AggregationStats`]/[`ModelStats`], and then
-//! serves any number of typed [`Measure`] queries against
-//! the cache:
+//! part of an analysis, yet it does not depend on the measure being asked, nor
+//! on the rate domain.  One generic [`Session`] therefore runs validation,
+//! conversion and compositional aggregation (or monolithic CTMC generation)
+//! *exactly once*, caches the closed final model together with its
+//! [`AggregationStats`]/[`ModelStats`], and then serves the cached model:
+//!
+//! * an [`Analyzer`] (`Session<f64>`) answers any number of typed [`Measure`]
+//!   queries;
+//! * a [`ParametricAnalyzer`] (`Session<RateForm>`) keeps the rates as linear
+//!   forms over parameter slots and turns into an [`Analyzer`] for any rate
+//!   [`Valuation`] through [`instantiate`](ParametricAnalyzer::instantiate), or
+//!   answers a whole sweep of valuations at once through
+//!   [`sweep_query`](ParametricAnalyzer::sweep_query).
 //!
 //! ```text
-//! Analyzer::new:  DFT ──convert──▶ community (+ monitor) ──aggregate──▶ model
-//! query(…):       model ──uniformisation──▶ unreliability (point or curve)
-//!                 model ──steady state───▶ unavailability
-//!                 model ──first passage──▶ MTTF
+//! Session::new:  DFT ──convert──▶ community (+ monitor) ──aggregate──▶ model
+//! query(…):      model ──uniformisation──▶ unreliability (point or curve)
+//!                model ──steady state───▶ unavailability
+//!                model ──first passage──▶ MTTF
+//! instantiate:   symbolic model ──evaluate rate forms──▶ numeric model
 //! ```
+//!
+//! Only three things differ between the two rate domains: how the tree is
+//! converted, which store kind holds the session, and what is cached next to
+//! the closed model for the numerics (the can/must CTMDP pair for numeric
+//! rates, the batched-sweep template for symbolic ones).  Composition,
+//! hiding, minimisation, the hybrid crown and the store layout are written
+//! once.
 //!
 //! A mission-time sweep through [`Measure::UnreliabilityCurve`] additionally
 //! shares the uniformisation pass between all time points, so a 100-point curve
@@ -50,28 +65,29 @@
 use crate::aggregate::{aggregate, AggregationOptions, AggregationStats};
 use crate::analysis::{AnalysisOptions, Method};
 use crate::baseline;
-use crate::convert::{convert, convert_parametric, CommunityOf};
+use crate::convert::{convert_parametric, CommunityOf};
 use crate::parametric::{ParamKind, ParamTable, Valuation};
 use crate::query::{Measure, MeasurePoint, MeasureResult};
 use crate::semantics::monitor;
 use crate::store;
 use crate::{Error, Result};
-use dft::bdd::{Bdd, BddNode};
+use dft::bdd::Bdd;
 use dft::modules::{hybrid_plan, ModuleStats};
 use dft::{Dft, Element};
 use ioimc::bisim::minimize;
 use ioimc::closed::{
     can_fire_immediately, check_deterministic, drop_input_transitions, must_fire_immediately,
 };
-use ioimc::codec::{self, DecodeError, DecodeResult, Reader, Writer};
+use ioimc::codec::RateCodec;
 use ioimc::stats::ModelStats;
-use ioimc::{Action, IoImc, IoImcOf, ParametricIoImc, Rate};
+use ioimc::{Action, IoImc, IoImcOf, ParametricIoImc, Rate, RateForm};
 use markov::ctmdp::{Ctmdp, CtmdpState};
 use markov::kernel::RelaxKernel;
 use markov::steady::steady_state_probability;
 use markov::Ctmc;
 use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -81,25 +97,29 @@ const MONITOR_NAME: &str = "system monitor";
 const DOWN_PROP: &str = "down";
 
 /// The closed, minimised model a compositional session is served from, with
-/// its aggregation statistics and scheduler goal sets.
-struct ClosedModel<R> {
-    closed: IoImcOf<R>,
-    stats: AggregationStats,
-    top_failure: Action,
-    has_repair: bool,
-    /// Optimistic goal set: "can fire the top failure immediately".
-    can: Vec<bool>,
+/// its scheduler goal sets — everything the store persists for it.
+#[derive(Debug)]
+pub(crate) struct ClosedModel<R> {
+    pub(crate) closed: IoImcOf<R>,
+    pub(crate) top_failure: Action,
+    pub(crate) has_repair: bool,
+    /// `true` when the closed model has no immediate non-determinism *and*
+    /// the optimistic and pessimistic goal sets coincide, so unreliability is
+    /// a point value rather than an interval.
+    pub(crate) point_valued: bool,
+    /// Optimistic goal set: "can fire the top failure immediately".  Depends
+    /// only on the interactive structure, so it is shared by every valuation.
+    pub(crate) can: Vec<bool>,
     /// Pessimistic goal set: "must fire the top failure immediately".
-    must: Vec<bool>,
-    point_valued: bool,
+    pub(crate) must: Vec<bool>,
 }
 
-/// The shared tail of both compositional constructors ([`Analyzer::new`] and
-/// [`ParametricAnalyzer::new`]): compose the monitor into the community,
-/// aggregate with the top failure kept observable, close and minimise the
-/// result, and compute the goal sets — identically for numeric and symbolic
-/// rates, so the two pipelines cannot drift apart.
-fn aggregate_and_close<R: Rate>(community: CommunityOf<R>) -> Result<ClosedModel<R>> {
+/// Compose the monitor into the community, aggregate with the top failure
+/// kept observable, close and minimise the result, and compute the goal sets
+/// — identically for numeric and symbolic rates.
+fn aggregate_and_close<R: Rate>(
+    community: CommunityOf<R>,
+) -> Result<(ClosedModel<R>, AggregationStats)> {
     let top_failure = community.top_failure;
     let has_repair = community.top_repair.is_some();
 
@@ -125,79 +145,222 @@ fn aggregate_and_close<R: Rate>(community: CommunityOf<R>) -> Result<ClosedModel
     let deterministic = check_deterministic(&closed).is_ok();
     let point_valued = deterministic && can == must;
 
-    Ok(ClosedModel {
-        closed,
+    Ok((
+        ClosedModel {
+            closed,
+            top_failure,
+            has_repair,
+            point_valued,
+            can,
+            must,
+        },
         stats,
-        top_failure,
-        has_repair,
-        can,
-        must,
-        point_valued,
-    })
+    ))
 }
 
-/// A reusable analysis session for one DFT: the aggregation pipeline runs once in
-/// [`Analyzer::new`], every [`query`](Analyzer::query) after that only touches the
-/// cached final model.
+/// What differs between the numeric (`f64`) and the symbolic
+/// ([`RateForm`]) rate domain of a [`Session`]; everything else is written
+/// once over `R`.
+pub(crate) trait SessionRate: RateCodec {
+    /// What a compositional session caches next to its closed model for the
+    /// numerics.
+    type Numerics: fmt::Debug + Send + Sync;
+
+    /// `true` for symbolic rates: selects the store kind and the
+    /// parameter-table section of a stored payload.
+    const PARAMETRIC: bool;
+
+    /// Converts the tree into its I/O-IMC community, with the parameter table
+    /// its rates refer to (empty for numeric rates).
+    fn convert(dft: &Dft) -> Result<(CommunityOf<Self>, ParamTable)>;
+
+    /// The rate of a hybrid crown basic event with failure rate `rate` and
+    /// failure slot `slot`.
+    fn crown_rate(slot: u32, rate: f64) -> Self;
+
+    /// The numerics cache of a closed model.  Building, instantiating and
+    /// loading a session all go through here, so a restored session answers
+    /// bit-identically to the one that was stored.
+    fn numerics(model: &ClosedModel<Self>) -> Result<Self::Numerics>;
+
+    /// Whether every parameter slot the rate mentions exists in `params`.
+    fn fits(&self, params: &ParamTable) -> bool;
+}
+
+/// The numerics cache of a numeric session.
+#[derive(Debug)]
+pub(crate) struct CtmdpPair {
+    /// CTMDP with the optimistic ("can fire the failure") goal set; its
+    /// maximising analysis yields the upper bound.
+    upper: Ctmdp,
+    /// CTMDP with the pessimistic ("must fire the failure") goal set; its
+    /// minimising analysis yields the lower bound.
+    lower: Ctmdp,
+    /// Embedded CTMC with the monitor's "down" labels, extracted lazily for
+    /// the steady-state and first-passage measures (fails for CTMDPs).  A
+    /// [`OnceLock`] rather than a `OnceCell` so a shared `Arc<Analyzer>` can
+    /// be queried from many threads at once.
+    tangible: OnceLock<Result<(Ctmc, Vec<bool>)>>,
+}
+
+impl SessionRate for f64 {
+    type Numerics = CtmdpPair;
+
+    const PARAMETRIC: bool = false;
+
+    fn convert(dft: &Dft) -> Result<(CommunityOf<f64>, ParamTable)> {
+        Ok((crate::convert::convert(dft)?, ParamTable::default()))
+    }
+
+    fn crown_rate(_slot: u32, rate: f64) -> f64 {
+        rate
+    }
+
+    fn numerics(model: &ClosedModel<f64>) -> Result<CtmdpPair> {
+        let states = lower(&model.closed, |&rate| rate);
+        let initial = model.closed.initial().index();
+        Ok(CtmdpPair {
+            upper: Ctmdp::new(states.clone(), initial, model.can.clone())?,
+            lower: Ctmdp::new(states, initial, model.must.clone())?,
+            tangible: OnceLock::new(),
+        })
+    }
+
+    fn fits(&self, _params: &ParamTable) -> bool {
+        true
+    }
+}
+
+/// The structure lowering a parametric session caches for batched sweeps:
+/// the CTMDP state vector with dummy Markovian rates, the rate form of every
+/// Markovian edge in kernel edge order, and the initial state.
+#[derive(Debug)]
+pub(crate) struct SweepTemplate {
+    states: Vec<CtmdpState>,
+    forms: Vec<RateForm>,
+    initial: usize,
+}
+
+impl SweepTemplate {
+    fn of(closed: &ParametricIoImc) -> SweepTemplate {
+        let mut forms = Vec::new();
+        let states = lower(closed, |form| {
+            forms.push(form.clone());
+            // The rate is a template placeholder; the kernel takes real
+            // rates per lane.
+            1.0
+        });
+        SweepTemplate {
+            states,
+            forms,
+            initial: closed.initial().index(),
+        }
+    }
+}
+
+impl SessionRate for RateForm {
+    /// Lowered once on the first sweep: batched sweeps evaluate rate forms
+    /// straight into kernel lanes instead of instantiating one CTMDP pair per
+    /// valuation.
+    type Numerics = OnceLock<SweepTemplate>;
+
+    const PARAMETRIC: bool = true;
+
+    fn convert(dft: &Dft) -> Result<(CommunityOf<RateForm>, ParamTable)> {
+        convert_parametric(dft)
+    }
+
+    fn crown_rate(slot: u32, _rate: f64) -> RateForm {
+        RateForm::var(slot)
+    }
+
+    fn numerics(_model: &ClosedModel<RateForm>) -> Result<OnceLock<SweepTemplate>> {
+        Ok(OnceLock::new())
+    }
+
+    fn fits(&self, params: &ParamTable) -> bool {
+        self.max_slot()
+            .is_none_or(|slot| usize::try_from(slot).is_ok_and(|slot| slot < params.len()))
+    }
+}
+
+/// A reusable analysis session for one DFT over the rate domain `R`: the
+/// aggregation pipeline runs once in [`Session::new`], and everything after
+/// that only touches the cached final model.  Use it through its two
+/// instances, [`Analyzer`] and [`ParametricAnalyzer`].
 ///
-/// `Analyzer` is `Send + Sync` (statically asserted below): queries take `&self`
-/// and mutate nothing but an internal [`OnceLock`], so one session behind an
-/// `Arc` can serve any number of threads concurrently — this is what the
-/// [`AnalysisService`](crate::service::AnalysisService) worker pool and its model
-/// cache rely on.
+/// Sessions are `Send + Sync` (statically asserted below): queries take
+/// `&self` and mutate nothing but internal [`OnceLock`]s, so one session
+/// behind an `Arc` can serve any number of threads concurrently — this is
+/// what the [`AnalysisService`](crate::service::AnalysisService) worker pool
+/// and its model cache rely on.
 ///
 /// See the [module documentation](self) for an example.
 #[derive(Debug)]
-pub struct Analyzer {
-    options: AnalysisOptions,
-    repairable: bool,
-    aggregation: Option<AggregationStats>,
-    model_stats: ModelStats,
-    backend: Backend,
+// The rate-domain trait is an implementation detail: callers only ever name
+// the two aliases below.
+#[allow(private_bounds)]
+pub struct Session<R: SessionRate> {
+    pub(crate) options: AnalysisOptions,
+    pub(crate) repairable: bool,
+    /// Absent for the monolithic method and for instantiated sessions.
+    pub(crate) aggregation: Option<AggregationStats>,
+    pub(crate) model_stats: ModelStats,
+    /// What every slot of a [`Valuation`] means: for a parametric session
+    /// the table [`convert_parametric`] builds for the tree — one failure
+    /// (and, where repairable, repair) slot per basic event in element order
+    /// — whichever backend answers the queries.  Empty for numeric sessions.
+    pub(crate) params: ParamTable,
+    pub(crate) backend: Backend<R>,
     /// `true` only when *this* session executed the compositional pipeline:
-    /// set by the compositional constructor, cleared for monolithic builds,
-    /// parametric instantiations and sessions restored via
+    /// set by the compositional and hybrid constructors, cleared for
+    /// monolithic builds, parametric instantiations and sessions restored via
     /// [`from_bytes`](Self::from_bytes) (whose `aggregation` stats describe
     /// the run of the original builder, not of this process).
-    ran_aggregation: bool,
+    pub(crate) ran_aggregation: bool,
 }
+
+/// A numeric analysis session: answers typed [`Measure`] queries.
+pub type Analyzer = Session<f64>;
+
+/// A *parametric* analysis session: the symbolic-rate aggregation pipeline
+/// runs once, and [`instantiate`](ParametricAnalyzer::instantiate) then turns
+/// the cached model into a numeric [`Analyzer`] for any rate [`Valuation`] —
+/// by evaluating linear [`RateForm`]s, **without** re-running conversion,
+/// composition or bisimulation minimisation.
+///
+/// This is the engine behind rate-sensitivity sweeps: a K-point sweep costs
+/// one aggregation plus K cheap instantiations, where K independent
+/// [`Analyzer::new`] calls would pay K full aggregations.  The aggregation
+/// lumps states only when their cumulative rate *forms* coincide, which is
+/// sound for every positive valuation at once; each instantiated session
+/// therefore answers every [`Measure`] within numerical tolerance of (and
+/// typically bit-identical to) a direct build on the equivalently re-rated
+/// tree.
+pub type ParametricAnalyzer = Session<RateForm>;
 
 /// The service layer shares `Arc<Analyzer>` across worker threads; losing either
 /// auto-trait would silently serialize it again, so assert both at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Analyzer>()
+    assert_send_sync::<Analyzer>();
+    assert_send_sync::<ParametricAnalyzer>()
 };
 
-/// The cached artifacts the queries are answered from.
+/// The cached artifacts a session is served from.
 #[derive(Debug)]
-// One Backend lives per session, so the size gap between the two variants is
+// One Backend lives per session, so the size gap between the variants is
 // irrelevant — boxing the compositional payload would only add indirection.
 #[allow(clippy::large_enum_variant)]
-enum Backend {
+pub(crate) enum Backend<R: SessionRate> {
     /// The paper's compositional pipeline: the closed, minimised I/O-IMC with the
     /// top failure signal kept observable and a monitor process composed in.
     Compositional {
-        closed: IoImc,
-        top_failure: Action,
-        has_repair: bool,
-        /// `true` when the closed model has no immediate non-determinism *and*
-        /// the optimistic and pessimistic goal sets coincide, so unreliability is
-        /// a point value rather than an interval.
-        point_valued: bool,
-        /// CTMDP with the optimistic ("can fire the failure") goal set; its
-        /// maximising analysis yields the upper bound.
-        upper: Ctmdp,
-        /// CTMDP with the pessimistic ("must fire the failure") goal set; its
-        /// minimising analysis yields the lower bound.
-        lower: Ctmdp,
-        /// Embedded CTMC with the monitor's "down" labels, extracted lazily for
-        /// the steady-state and first-passage measures (fails for CTMDPs).  A
-        /// [`OnceLock`] rather than a `OnceCell` so a shared `Arc<Analyzer>` can
-        /// be queried from many threads at once.
-        tangible: OnceLock<Result<(Ctmc, Vec<bool>)>>,
+        model: ClosedModel<R>,
+        numerics: R::Numerics,
     },
-    /// The DIFTree-style baseline: one CTMC over the whole tree.
+    /// The DIFTree-style baseline: one CTMC over the whole tree.  Only ever
+    /// built for numeric sessions.
     Monolithic { ctmc: Ctmc, goal: Vec<bool> },
     /// The hybrid static/dynamic decomposition (see
     /// [`dft::modules::hybrid_plan`]): each maximal dynamic core is a nested
@@ -213,34 +376,52 @@ enum Backend {
         crown: Bdd,
         /// One entry per element of the original tree: what the crown variable
         /// with that index stands for.
-        leaves: Vec<HybridLeaf>,
-        /// The nested compositional sessions, one per dynamic core.
-        cores: Vec<Analyzer>,
+        leaves: Vec<Leaf<R>>,
+        /// The nested compositional sessions, one per dynamic core.  A
+        /// parametric core has its own parameter table; its slots map onto
+        /// the session's table by element name.
+        cores: Vec<Session<R>>,
         /// The modularization decision record of the plan that produced this
         /// decomposition.
         modules: ModuleStats,
     },
 }
 
+impl<R: SessionRate> Backend<R> {
+    /// The compositional backend over a closed model, with its numerics.
+    pub(crate) fn compositional(model: ClosedModel<R>) -> Result<Backend<R>> {
+        let numerics = R::numerics(&model)?;
+        Ok(Backend::Compositional { model, numerics })
+    }
+}
+
 /// What one crown-BDD variable (an original element id) stands for in a hybrid
 /// session.
 #[derive(Debug, Clone, PartialEq)]
-enum HybridLeaf {
+pub(crate) enum Leaf<R> {
     /// Not a crown leaf: an internal crown gate, or a core member that is not
     /// an exit.  Never referenced by the crown BDD.
     Unused,
-    /// A basic event of the crown; it fails exponentially with this rate.
-    Basic {
-        /// Active failure rate λ (crown events are never spare inputs, so
-        /// dormancy cannot apply).
-        rate: f64,
-    },
+    /// A basic event of the crown; it fails exponentially with this rate (a
+    /// crown event is never a spare input, so dormancy cannot apply).  In a
+    /// parametric session the rate is its failure slot's variable.
+    Basic { rate: R },
     /// The exit of one dynamic core: its failure probability at `t` is that
     /// core session's unreliability at `t`.
     Core {
-        /// Index into [`Backend::Hybrid::cores`].
+        /// Index into the hybrid backend's `cores`.
         index: usize,
     },
+}
+
+impl<R> Leaf<R> {
+    fn map_rate<S>(&self, f: impl Fn(&R) -> S) -> Leaf<S> {
+        match self {
+            Leaf::Unused => Leaf::Unused,
+            Leaf::Basic { rate } => Leaf::Basic { rate: f(rate) },
+            Leaf::Core { index } => Leaf::Core { index: *index },
+        }
+    }
 }
 
 fn add_model_stats(a: ModelStats, b: ModelStats) -> ModelStats {
@@ -252,15 +433,6 @@ fn add_model_stats(a: ModelStats, b: ModelStats) -> ModelStats {
         outputs: a.outputs + b.outputs,
         internals: a.internals + b.internals,
     }
-}
-
-/// Sums the per-core model sizes into the session-level [`ModelStats`]: the
-/// hybrid state space is exactly the union of the (independent) core state
-/// spaces — the crown adds no states at all.
-fn sum_model_stats<'a>(cores: impl Iterator<Item = &'a Analyzer>) -> ModelStats {
-    cores.fold(ModelStats::default(), |acc, core| {
-        add_model_stats(acc, core.model_stats())
-    })
 }
 
 /// Merges the per-core aggregation records of a hybrid session: steps are
@@ -278,61 +450,57 @@ fn merge_aggregation_stats<'a>(
     })
 }
 
-impl Analyzer {
+// See the note on `Session`.
+#[allow(private_bounds)]
+impl<R: SessionRate> Session<R> {
     /// Builds the analysis session: validates and converts the DFT and runs
-    /// compositional aggregation (or monolithic CTMC generation) exactly once.
+    /// compositional aggregation (per dynamic core for [`Method::Hybrid`]) or
+    /// monolithic CTMC generation exactly once.
     ///
     /// # Errors
     ///
     /// Propagates conversion, aggregation and numerical errors; returns
     /// [`Error::Unsupported`] for DFT features outside the selected method's
-    /// scope.
-    pub fn new(dft: &Dft, options: AnalysisOptions) -> Result<Analyzer> {
+    /// scope, and for [`Method::Monolithic`] on a [`ParametricAnalyzer`] (the
+    /// monolithic baseline has no parametric form).
+    pub fn new(dft: &Dft, options: AnalysisOptions) -> Result<Session<R>> {
         match options.method {
-            Method::Compositional => Analyzer::compositional(dft, options),
-            Method::Monolithic => Analyzer::monolithic(dft, options),
-            Method::Hybrid => Analyzer::hybrid(dft, options),
+            Method::Compositional => Session::compositional(dft, options),
+            Method::Monolithic if R::PARAMETRIC => Err(Error::Unsupported {
+                message: "the monolithic baseline has no parametric form".to_owned(),
+            }),
+            Method::Monolithic => Session::monolithic(dft, options),
+            Method::Hybrid => Session::hybrid(dft, options),
         }
     }
 
-    fn compositional(dft: &Dft, options: AnalysisOptions) -> Result<Analyzer> {
-        let model = aggregate_and_close(convert(dft)?)?;
-
-        let ctmdp_states = ctmdp_states_of(&model.closed);
-        let initial = model.closed.initial().index();
-        let upper = Ctmdp::new(ctmdp_states.clone(), initial, model.can)?;
-        let lower = Ctmdp::new(ctmdp_states, initial, model.must)?;
-
-        Ok(Analyzer {
+    fn compositional(dft: &Dft, options: AnalysisOptions) -> Result<Session<R>> {
+        let (community, params) = R::convert(dft)?;
+        let (model, stats) = aggregate_and_close(community)?;
+        Ok(Session {
             options,
             repairable: dft.is_repairable(),
-            aggregation: Some(model.stats),
+            aggregation: Some(stats),
             model_stats: ModelStats::of(&model.closed),
-            backend: Backend::Compositional {
-                closed: model.closed,
-                top_failure: model.top_failure,
-                has_repair: model.has_repair,
-                point_valued: model.point_valued,
-                upper,
-                lower,
-                tangible: OnceLock::new(),
-            },
+            params,
+            backend: Backend::compositional(model)?,
             ran_aggregation: true,
         })
     }
 
-    fn monolithic(dft: &Dft, options: AnalysisOptions) -> Result<Analyzer> {
+    fn monolithic(dft: &Dft, options: AnalysisOptions) -> Result<Session<R>> {
         let result = baseline::monolithic_ctmc(dft)?;
         let model_stats = ModelStats {
             states: result.ctmc.num_states(),
             markovian_transitions: result.ctmc.num_transitions(),
             ..ModelStats::default()
         };
-        Ok(Analyzer {
+        Ok(Session {
             options,
             repairable: dft.is_repairable(),
             aggregation: None,
             model_stats,
+            params: ParamTable::default(),
             backend: Backend::Monolithic {
                 ctmc: result.ctmc,
                 goal: result.goal,
@@ -347,9 +515,9 @@ impl Analyzer {
     /// assume monotone "failed by `t`" indicators) or some dynamic core turns
     /// out non-deterministic (per-core bounds do not compose through the
     /// crown).
-    fn hybrid(dft: &Dft, options: AnalysisOptions) -> Result<Analyzer> {
+    fn hybrid(dft: &Dft, options: AnalysisOptions) -> Result<Session<R>> {
         if dft.is_repairable() {
-            return Analyzer::compositional(dft, options);
+            return Session::compositional(dft, options);
         }
         let plan = hybrid_plan(dft);
         let core_options = AnalysisOptions {
@@ -358,33 +526,57 @@ impl Analyzer {
         };
         let mut cores = Vec::with_capacity(plan.cores.len());
         for core in &plan.cores {
-            let analyzer = Analyzer::compositional(&core.dft, core_options.clone())?;
-            if analyzer.is_nondeterministic() {
-                return Analyzer::compositional(dft, options);
+            let session = Session::compositional(&core.dft, core_options.clone())?;
+            if session.is_nondeterministic() {
+                return Session::compositional(dft, options);
             }
-            cores.push(analyzer);
+            cores.push(session);
         }
 
-        let mut leaves = vec![HybridLeaf::Unused; dft.num_elements()];
+        // One failure slot per basic event in element order: exactly the
+        // table `convert_parametric` builds for an unrepairable tree, so
+        // valuations and slot lookups agree across backends.  Core tables
+        // were built the same way from the cores' sub-trees, which keep the
+        // element names.
+        let mut params = ParamTable::default();
+        let mut slots = vec![0u32; dft.num_elements()];
+        for id in dft.elements() {
+            if let Element::BasicEvent(be) = dft.element(id) {
+                slots[id.index()] = params.push(dft.name(id), ParamKind::Failure, be.rate);
+            }
+        }
+        let mut leaves = vec![Leaf::Unused; dft.num_elements()];
         for &e in &plan.crown {
             if let Element::BasicEvent(be) = dft.element(e) {
-                leaves[e.index()] = HybridLeaf::Basic { rate: be.rate };
+                leaves[e.index()] = Leaf::Basic {
+                    rate: R::crown_rate(slots[e.index()], be.rate),
+                };
             }
         }
         for (index, core) in plan.cores.iter().enumerate() {
-            leaves[core.exit.index()] = HybridLeaf::Core { index };
+            leaves[core.exit.index()] = Leaf::Core { index };
         }
         let crown = Bdd::build(dft, dft.top(), |e| {
-            !matches!(leaves[e.index()], HybridLeaf::Unused)
+            !matches!(leaves[e.index()], Leaf::Unused)
         })?;
 
-        Ok(Analyzer {
+        Ok(Session {
             options,
             repairable: false,
             aggregation: Some(merge_aggregation_stats(
-                cores.iter().filter_map(Analyzer::aggregation_stats),
+                cores.iter().filter_map(Session::aggregation_stats),
             )),
-            model_stats: sum_model_stats(cores.iter()),
+            // The hybrid state space is exactly the union of the
+            // (independent) core state spaces — the crown adds no states.
+            model_stats: cores.iter().fold(ModelStats::default(), |acc, core| {
+                add_model_stats(acc, core.model_stats)
+            }),
+            // Numeric sessions have no parameter slots.
+            params: if R::PARAMETRIC {
+                params
+            } else {
+                ParamTable::default()
+            },
             backend: Backend::Hybrid {
                 crown,
                 leaves,
@@ -395,6 +587,123 @@ impl Analyzer {
         })
     }
 
+    /// The options the session was built with.
+    pub fn options(&self) -> &AnalysisOptions {
+        &self.options
+    }
+
+    /// The analysis method backing this session.
+    pub fn method(&self) -> Method {
+        self.options.method
+    }
+
+    /// Statistics of the compositional aggregation run: absent for the
+    /// monolithic method and for instantiated parametric sessions.  The
+    /// statistics are computed during [`Session::new`] and never change
+    /// afterwards, however many queries are answered.
+    pub fn aggregation_stats(&self) -> Option<&AggregationStats> {
+        self.aggregation.as_ref()
+    }
+
+    /// Size of the final analysed model (the closed aggregated I/O-IMC, the
+    /// union of the hybrid cores, or the monolithic CTMC).
+    pub fn model_stats(&self) -> ModelStats {
+        self.model_stats
+    }
+
+    /// How many times this session has run compositional aggregation: 1 for a
+    /// compositional build, one per dynamic core for a hybrid build, 0 for the
+    /// monolithic baseline, for parametric instantiations *and* for sessions
+    /// restored from bytes (a restored session carries the original run's
+    /// [`aggregation_stats`] but ran no pipeline of its own — that is the
+    /// entire point of persisting it) — and never more, regardless of how many
+    /// queries were answered or valuations instantiated.
+    ///
+    /// [`aggregation_stats`]: Self::aggregation_stats
+    pub fn aggregation_runs(&self) -> usize {
+        match &self.backend {
+            Backend::Hybrid { cores, .. } if self.ran_aggregation => cores.len(),
+            _ => usize::from(self.ran_aggregation),
+        }
+    }
+
+    /// Returns `true` if the final model contained immediate non-determinism, so
+    /// unreliability queries report scheduler bounds instead of point values.
+    pub fn is_nondeterministic(&self) -> bool {
+        match &self.backend {
+            Backend::Compositional { model, .. } => !model.point_valued,
+            // A hybrid backend is only ever built from deterministic cores.
+            Backend::Monolithic { .. } | Backend::Hybrid { .. } => false,
+        }
+    }
+
+    /// The closed, minimised final I/O-IMC (compositional method only; a hybrid
+    /// session has one closed model *per core* and no single final I/O-IMC).
+    pub fn final_model(&self) -> Option<&IoImcOf<R>> {
+        match &self.backend {
+            Backend::Compositional { model, .. } => Some(&model.closed),
+            Backend::Monolithic { .. } | Backend::Hybrid { .. } => None,
+        }
+    }
+
+    /// The observable top-failure action of the cached model (compositional
+    /// method only).
+    pub fn top_failure(&self) -> Option<Action> {
+        match &self.backend {
+            Backend::Compositional { model, .. } => Some(model.top_failure),
+            Backend::Monolithic { .. } | Backend::Hybrid { .. } => None,
+        }
+    }
+
+    /// The modularization record of the hybrid decomposition: how many static
+    /// modules were found, how many elements ended up in the BDD crown and how
+    /// many in dynamic cores.  `None` for the other methods *and* for hybrid
+    /// sessions that fell back to the compositional pipeline (repairable tree
+    /// or a non-deterministic core) — so `Some` here certifies that the
+    /// decomposition actually happened.
+    pub fn module_stats(&self) -> Option<ModuleStats> {
+        match &self.backend {
+            Backend::Hybrid { modules, .. } => Some(*modules),
+            Backend::Compositional { .. } | Backend::Monolithic { .. } => None,
+        }
+    }
+
+    /// Serializes the session into the versioned binary container of the
+    /// persistent model cache (see [`crate::store`] for the layout), framed
+    /// with magic, format version and a payload checksum.
+    ///
+    /// The inverse is [`from_bytes`](Self::from_bytes); a restored session
+    /// answers every query (and instantiates every valuation)
+    /// bit-identically to this one and reports
+    /// [`aggregation_runs`](Self::aggregation_runs)` == 0`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        store::seal(
+            store::Kind::of::<R>(),
+            // A free-standing serialization is not bound to a DFT
+            // fingerprint; the store writes its own frames with the real one.
+            0,
+            self.options.epsilon.to_bits(),
+            &store::encode_payload(self),
+        )
+    }
+
+    /// Restores a session serialized with [`to_bytes`](Self::to_bytes).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Store`] when the bytes are truncated, corrupted, from
+    /// a different format version or rate domain, or decode to a model that
+    /// fails validation.  Never panics on malformed input.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Session<R>> {
+        store::unseal(bytes, store::Kind::of::<R>(), None)
+            .and_then(store::decode_payload)
+            .map_err(|e| Error::Store {
+                message: e.to_string(),
+            })
+    }
+}
+
+impl Session<f64> {
     /// Answers one typed query against the cached model.
     ///
     /// Accepts the measure by value or by reference (`Measure` is owned data, so
@@ -457,40 +766,25 @@ impl Analyzer {
     pub fn query_all(&self, measures: &[Measure]) -> Result<Vec<MeasureResult>> {
         // Merge the mission times of all time-bounded measures, remembering for
         // each measure which slots of the merged grid it reads back.
-        let mut unique_times: Vec<f64> = Vec::new();
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
+        let mut grid = TimeGrid::default();
         let mut plans: Vec<Option<Vec<usize>>> = Vec::with_capacity(measures.len());
         for measure in measures {
-            let times: &[f64] = match measure {
-                Measure::Unreliability(t) => std::slice::from_ref(t),
+            plans.push(match measure {
+                Measure::Unreliability(t) => Some(grid.slots(std::slice::from_ref(t))?),
                 Measure::UnreliabilityCurve(times) => {
                     if times.is_empty() {
                         return Err(Error::EmptyCurve);
                     }
-                    times
+                    Some(grid.slots(times)?)
                 }
-                Measure::Unavailability | Measure::Mttf => {
-                    plans.push(None);
-                    continue;
-                }
-            };
-            let slots = times
-                .iter()
-                .map(|&t| {
-                    validate_mission_time(t)?;
-                    Ok(*slot_of.entry(t.to_bits()).or_insert_with(|| {
-                        unique_times.push(t);
-                        unique_times.len() - 1
-                    }))
-                })
-                .collect::<Result<Vec<usize>>>()?;
-            plans.push(Some(slots));
+                Measure::Unavailability | Measure::Mttf => None,
+            });
         }
 
-        let merged = if unique_times.is_empty() {
+        let merged = if grid.times.is_empty() {
             None
         } else {
-            Some(self.unreliability_points(&unique_times)?)
+            Some(self.unreliability_points(&grid.times)?)
         };
 
         measures
@@ -562,27 +856,26 @@ impl Analyzer {
                         .collect(),
                 ))
             }
-            Backend::Compositional {
-                point_valued,
-                upper,
-                lower,
-                ..
-            } => {
-                let uppers = upper.reachability_max_multi(times, epsilon)?;
+            Backend::Compositional { model, numerics } => {
+                let uppers = numerics.upper.reachability_max_multi(times, epsilon)?;
                 // When the model is deterministic and the optimistic/pessimistic
                 // goal sets coincide, the minimising pass would redo the same
                 // value iteration over the same CTMDP — skip it.
-                let lowers = if *point_valued {
+                let lowers = if model.point_valued {
                     uppers.clone()
                 } else {
-                    lower.reachability_min_multi(times, epsilon)?
+                    numerics.lower.reachability_min_multi(times, epsilon)?
                 };
                 Ok(MeasureResult::new(
                     times
                         .iter()
                         .zip(lowers.into_iter().zip(uppers))
                         .map(|(&t, (lo, hi))| {
-                            MeasurePoint::bounded(Some(t), point_valued.then_some(hi), (lo, hi))
+                            MeasurePoint::bounded(
+                                Some(t),
+                                model.point_valued.then_some(hi),
+                                (lo, hi),
+                            )
                         })
                         .collect(),
                 ))
@@ -594,9 +887,7 @@ impl Analyzer {
                 ..
             } => {
                 // One multi-time pass per dynamic core, then a combinatorial
-                // crown evaluation per time point.  Exact because the cores are
-                // pairwise independent and independent of every crown basic
-                // event, and all indicators are monotone ("failed by t").
+                // crown evaluation per time point.
                 let core_curves = cores
                     .iter()
                     .map(|core| {
@@ -608,23 +899,13 @@ impl Analyzer {
                             .collect::<Vec<f64>>())
                     })
                     .collect::<Result<Vec<Vec<f64>>>>()?;
-                let mut probabilities = vec![0.0f64; leaves.len()];
-                Ok(MeasureResult::new(
-                    times
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &t)| {
-                            for (p, leaf) in probabilities.iter_mut().zip(leaves) {
-                                *p = match leaf {
-                                    HybridLeaf::Unused => 0.0,
-                                    HybridLeaf::Basic { rate } => -(-rate * t).exp_m1(),
-                                    HybridLeaf::Core { index } => core_curves[*index][i],
-                                };
-                            }
-                            MeasurePoint::exact(Some(t), crown.probability(&probabilities))
-                        })
-                        .collect(),
-                ))
+                Ok(MeasureResult::new(crown_points(
+                    crown,
+                    leaves,
+                    |&rate| rate,
+                    &core_curves,
+                    times,
+                )))
             }
         }
     }
@@ -645,8 +926,8 @@ impl Analyzer {
             Backend::Hybrid { .. } => Err(Error::Unsupported {
                 message: "the hybrid decomposition only exists for unrepairable trees".to_owned(),
             }),
-            Backend::Compositional { has_repair, .. } => {
-                if !has_repair {
+            Backend::Compositional { model, .. } => {
+                if !model.has_repair {
                     return Err(Error::Unsupported {
                         message: "the top event never emits a repair signal".to_owned(),
                     });
@@ -686,695 +967,26 @@ impl Analyzer {
     /// The embedded CTMC of the closed model with its "down" labels, extracted on
     /// first use and cached for the session.
     fn tangible(&self) -> Result<(&Ctmc, &[bool])> {
-        let Backend::Compositional {
-            closed, tangible, ..
-        } = &self.backend
-        else {
+        let Backend::Compositional { model, numerics } = &self.backend else {
             unreachable!("tangible() is only called on the compositional backend");
         };
-        match tangible.get_or_init(|| extract_ctmc_with_label(closed, DOWN_PROP)) {
+        match numerics
+            .tangible
+            .get_or_init(|| extract_ctmc_with_label(&model.closed, DOWN_PROP))
+        {
             Ok((ctmc, labels)) => Ok((ctmc, labels)),
             Err(e) => Err(e.clone()),
         }
     }
-
-    /// The options the session was built with.
-    pub fn options(&self) -> &AnalysisOptions {
-        &self.options
-    }
-
-    /// The analysis method backing this session.
-    pub fn method(&self) -> Method {
-        self.options.method
-    }
-
-    /// Statistics of the compositional aggregation run (absent for the monolithic
-    /// method).  The statistics are computed during [`Analyzer::new`] and never
-    /// change afterwards, however many queries are answered.
-    pub fn aggregation_stats(&self) -> Option<&AggregationStats> {
-        self.aggregation.as_ref()
-    }
-
-    /// Size of the final analysed model (the closed aggregated I/O-IMC or the
-    /// monolithic CTMC).
-    pub fn model_stats(&self) -> ModelStats {
-        self.model_stats
-    }
-
-    /// How many times this session has run compositional aggregation: 1 for a
-    /// compositional build, one per dynamic core for a hybrid build, 0 for the
-    /// monolithic baseline, for parametric instantiations *and* for sessions
-    /// restored from bytes (a restored session carries the original run's
-    /// [`aggregation_stats`] but ran no pipeline of its own — that is the
-    /// entire point of persisting it) — and never more, regardless of how many
-    /// queries were answered.
-    ///
-    /// [`aggregation_stats`]: Self::aggregation_stats
-    pub fn aggregation_runs(&self) -> usize {
-        match &self.backend {
-            Backend::Hybrid { cores, .. } if self.ran_aggregation => cores.len(),
-            _ => usize::from(self.ran_aggregation),
-        }
-    }
-
-    /// Returns `true` if the final model contained immediate non-determinism, so
-    /// unreliability queries report scheduler bounds instead of point values.
-    pub fn is_nondeterministic(&self) -> bool {
-        match &self.backend {
-            Backend::Compositional { point_valued, .. } => !point_valued,
-            // A hybrid backend is only ever built from deterministic cores.
-            Backend::Monolithic { .. } | Backend::Hybrid { .. } => false,
-        }
-    }
-
-    /// The closed, minimised final I/O-IMC (compositional method only; a hybrid
-    /// session has one closed model *per core* and no single final I/O-IMC).
-    pub fn final_model(&self) -> Option<&IoImc> {
-        match &self.backend {
-            Backend::Compositional { closed, .. } => Some(closed),
-            Backend::Monolithic { .. } | Backend::Hybrid { .. } => None,
-        }
-    }
-
-    /// The observable top-failure action of the cached model (compositional
-    /// method only).
-    pub fn top_failure(&self) -> Option<Action> {
-        match &self.backend {
-            Backend::Compositional { top_failure, .. } => Some(*top_failure),
-            Backend::Monolithic { .. } | Backend::Hybrid { .. } => None,
-        }
-    }
-
-    /// The modularization record of the hybrid decomposition: how many static
-    /// modules were found, how many elements ended up in the BDD crown and how
-    /// many in dynamic cores.  `None` for the other methods *and* for hybrid
-    /// sessions that fell back to the compositional pipeline (repairable tree
-    /// or a non-deterministic core) — so `Some` here certifies that the
-    /// decomposition actually happened.
-    pub fn module_stats(&self) -> Option<ModuleStats> {
-        match &self.backend {
-            Backend::Hybrid { modules, .. } => Some(*modules),
-            Backend::Compositional { .. } | Backend::Monolithic { .. } => None,
-        }
-    }
-
-    /// Serializes the session into the versioned binary container of the
-    /// persistent model cache (see [`crate::store`]): the closed model, the
-    /// can/must CTMDP pair with their goal vectors, the statistics and the
-    /// options, framed with magic, format version and a payload checksum.
-    ///
-    /// The inverse is [`from_bytes`](Self::from_bytes); a restored session
-    /// answers every query bit-identically to this one and reports
-    /// [`aggregation_runs`](Self::aggregation_runs)` == 0`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        store::seal(
-            store::Kind::Session,
-            // A free-standing serialization is not bound to a DFT
-            // fingerprint; the store writes its own frames with the real one.
-            0,
-            self.options.epsilon.to_bits(),
-            &self.encode_payload(),
-        )
-    }
-
-    /// Restores a session serialized with [`to_bytes`](Self::to_bytes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Store`] when the bytes are truncated, corrupted, from
-    /// a different format version, or decode to a model that fails
-    /// validation.  Never panics on malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Analyzer> {
-        store::unseal(bytes, store::Kind::Session, None)
-            .and_then(Analyzer::decode_payload)
-            .map_err(|e| Error::Store {
-                message: e.to_string(),
-            })
-    }
-
-    /// The unframed payload body of [`to_bytes`](Self::to_bytes); the store
-    /// frames it with the entry's real fingerprint.
-    pub(crate) fn encode_payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_body(&mut w);
-        w.into_bytes()
-    }
-
-    /// Writes the session body onto a shared writer, without framing or
-    /// trailing checks: a hybrid payload embeds one body per core back to back
-    /// on the same writer, so bodies must compose.
-    fn encode_body(&self, w: &mut Writer) {
-        store::encode_options(&self.options, w);
-        w.bool(self.repairable);
-        match &self.aggregation {
-            None => w.bool(false),
-            Some(stats) => {
-                w.bool(true);
-                store::encode_aggregation_stats(stats, w);
-            }
-        }
-        store::encode_model_stats(self.model_stats, w);
-        match &self.backend {
-            Backend::Compositional {
-                closed,
-                top_failure,
-                has_repair,
-                point_valued,
-                upper,
-                lower,
-                tangible: _, // derived lazily and deterministically from `closed`
-            } => {
-                w.u8(0);
-                w.str(top_failure.name());
-                w.bool(*has_repair);
-                w.bool(*point_valued);
-                codec::encode_model(closed, w);
-                store::encode_ctmdp(upper, w);
-                store::encode_ctmdp(lower, w);
-            }
-            Backend::Monolithic { ctmc, goal } => {
-                w.u8(1);
-                w.len_prefix(ctmc.num_states());
-                w.len_prefix(ctmc.initial());
-                let transitions = ctmc.transitions();
-                w.len_prefix(transitions.len());
-                for (from, to, rate) in transitions {
-                    w.u32(from);
-                    w.u32(to);
-                    w.f64(rate);
-                }
-                store::encode_bools(goal, w);
-            }
-            Backend::Hybrid {
-                crown,
-                leaves,
-                cores,
-                modules,
-            } => {
-                w.u8(2);
-                store::encode_module_stats(*modules, w);
-                w.len_prefix(crown.node_count());
-                for node in crown.nodes() {
-                    w.u32(node.var);
-                    w.u32(node.lo);
-                    w.u32(node.hi);
-                }
-                w.u32(crown.root());
-                w.len_prefix(leaves.len());
-                for leaf in leaves {
-                    match leaf {
-                        HybridLeaf::Unused => w.u8(0),
-                        HybridLeaf::Basic { rate } => {
-                            w.u8(1);
-                            w.f64(*rate);
-                        }
-                        HybridLeaf::Core { index } => {
-                            w.u8(2);
-                            w.u32(u32::try_from(*index).expect("core count fits in u32"));
-                        }
-                    }
-                }
-                w.len_prefix(cores.len());
-                for core in cores {
-                    core.encode_body(w);
-                }
-            }
-        }
-    }
-
-    /// Decodes a payload produced by [`encode_payload`](Self::encode_payload),
-    /// re-validating every embedded model.
-    pub(crate) fn decode_payload(payload: &[u8]) -> DecodeResult<Analyzer> {
-        let mut r = Reader::new(payload);
-        let analyzer = Analyzer::decode_body(&mut r)?;
-        if !r.is_done() {
-            return Err(DecodeError::new("trailing bytes after the session payload"));
-        }
-        Ok(analyzer)
-    }
-
-    /// Reads one session body from a shared reader (the inverse of
-    /// [`encode_body`](Self::encode_body)); the caller checks for trailing
-    /// bytes once the outermost body is done.
-    fn decode_body(r: &mut Reader) -> DecodeResult<Analyzer> {
-        let options = store::decode_options(r)?;
-        let repairable = r.bool()?;
-        let aggregation = if r.bool()? {
-            Some(store::decode_aggregation_stats(r)?)
-        } else {
-            None
-        };
-        let model_stats = store::decode_model_stats(r)?;
-        let backend = match (r.u8()?, options.method) {
-            // Tag 0 under `Method::Hybrid` is a hybrid session that fell back
-            // to the compositional pipeline (repairable tree or
-            // non-deterministic core): same body, different label.
-            (0, Method::Compositional | Method::Hybrid) => {
-                let top_failure = Action::new(&r.str()?);
-                let has_repair = r.bool()?;
-                let point_valued = r.bool()?;
-                let closed = codec::decode_model::<f64>(r)?;
-                let upper = store::decode_ctmdp(r)?;
-                let lower = store::decode_ctmdp(r)?;
-                if upper.num_states() != closed.num_states()
-                    || lower.num_states() != closed.num_states()
-                {
-                    return Err(DecodeError::new(
-                        "CTMDP state counts disagree with the closed model",
-                    ));
-                }
-                Backend::Compositional {
-                    closed,
-                    top_failure,
-                    has_repair,
-                    point_valued,
-                    upper,
-                    lower,
-                    tangible: OnceLock::new(),
-                }
-            }
-            (1, Method::Monolithic) => {
-                let num_states = r.len_prefix(0)?;
-                let initial = r.len_prefix(0)?;
-                let n = r.len_prefix(16)?;
-                let mut transitions = Vec::with_capacity(n);
-                for _ in 0..n {
-                    transitions.push((r.u32()?, r.u32()?, r.f64()?));
-                }
-                let ctmc = Ctmc::from_transitions(num_states, initial, &transitions)
-                    .map_err(|e| DecodeError::new(format!("decoded CTMC is invalid: {e}")))?;
-                let goal = store::decode_bools(&mut *r)?;
-                if goal.len() != num_states {
-                    return Err(DecodeError::new("goal vector length mismatch"));
-                }
-                Backend::Monolithic { ctmc, goal }
-            }
-            (2, Method::Hybrid) => {
-                if repairable {
-                    return Err(DecodeError::new(
-                        "a hybrid decomposition cannot be repairable",
-                    ));
-                }
-                let modules = store::decode_module_stats(r)?;
-                let n = r.len_prefix(12)?;
-                let mut nodes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    nodes.push(BddNode {
-                        var: r.u32()?,
-                        lo: r.u32()?,
-                        hi: r.u32()?,
-                    });
-                }
-                let root = r.u32()?;
-                let crown = Bdd::from_parts(nodes, root)
-                    .map_err(|e| DecodeError::new(format!("decoded crown BDD is invalid: {e}")))?;
-                let n_leaves = r.len_prefix(1)?;
-                let mut leaves = Vec::with_capacity(n_leaves);
-                for _ in 0..n_leaves {
-                    leaves.push(match r.u8()? {
-                        0 => HybridLeaf::Unused,
-                        1 => {
-                            let rate = r.f64()?;
-                            if !rate.is_finite() || rate <= 0.0 {
-                                return Err(DecodeError::new(
-                                    "crown basic-event rate out of range",
-                                ));
-                            }
-                            HybridLeaf::Basic { rate }
-                        }
-                        2 => HybridLeaf::Core {
-                            index: r.u32()? as usize,
-                        },
-                        tag => {
-                            return Err(DecodeError::new(format!("unknown hybrid leaf tag {tag}")))
-                        }
-                    });
-                }
-                let n_cores = r.len_prefix(1)?;
-                let mut cores = Vec::with_capacity(n_cores);
-                for _ in 0..n_cores {
-                    let core = Analyzer::decode_body(r)?;
-                    if core.method() != Method::Compositional || core.is_nondeterministic() {
-                        return Err(DecodeError::new(
-                            "hybrid cores must be deterministic compositional sessions",
-                        ));
-                    }
-                    cores.push(core);
-                }
-                for leaf in &leaves {
-                    if let HybridLeaf::Core { index } = leaf {
-                        if *index >= cores.len() {
-                            return Err(DecodeError::new("hybrid leaf references a missing core"));
-                        }
-                    }
-                }
-                for var in crown.support() {
-                    if !matches!(
-                        leaves.get(var.index()),
-                        Some(HybridLeaf::Basic { .. } | HybridLeaf::Core { .. })
-                    ) {
-                        return Err(DecodeError::new("crown BDD references an unused leaf"));
-                    }
-                }
-                Backend::Hybrid {
-                    crown,
-                    leaves,
-                    cores,
-                    modules,
-                }
-            }
-            (tag, method) => {
-                return Err(DecodeError::new(format!(
-                    "backend tag {tag} disagrees with method {method:?}"
-                )))
-            }
-        };
-        Ok(Analyzer {
-            options,
-            repairable,
-            aggregation,
-            model_stats,
-            backend,
-            ran_aggregation: false,
-        })
-    }
 }
 
-/// A *parametric* analysis session: the symbolic-rate aggregation pipeline runs
-/// once in [`ParametricAnalyzer::new`], and [`instantiate`](Self::instantiate)
-/// then turns the cached parametric model into a numeric [`Analyzer`] for any
-/// rate [`Valuation`] — by evaluating linear [`RateForm`](ioimc::RateForm)s,
-/// **without** re-running conversion, composition or bisimulation minimisation.
-///
-/// This is the engine behind rate-sensitivity sweeps: a K-point sweep costs one
-/// aggregation plus K cheap instantiations, where K independent
-/// [`Analyzer::new`] calls would pay K full aggregations.  The aggregation lumps
-/// states only when their cumulative rate *forms* coincide, which is sound for
-/// every positive valuation at once; each instantiated session therefore
-/// answers every [`Measure`] within numerical tolerance of (and typically
-/// bit-identical to) a direct build on the equivalently re-rated tree.
-///
-/// # Example
-///
-/// ```
-/// use dft::{DftBuilder, Dormancy};
-/// use dft_core::engine::ParametricAnalyzer;
-/// use dft_core::AnalysisOptions;
-///
-/// # fn main() -> Result<(), dft_core::Error> {
-/// let mut b = DftBuilder::new();
-/// let x = b.basic_event("X", 1.0, Dormancy::Hot)?;
-/// let top = b.or_gate("Top", &[x])?;
-/// let dft = b.build(top)?;
-///
-/// // Aggregate the *structure* once …
-/// let parametric = ParametricAnalyzer::new(&dft, AnalysisOptions::default())?;
-/// // … then sweep the failure-rate scale without re-aggregating.
-/// let valuations: Vec<_> = (1..=5)
-///     .map(|i| parametric.params().scaled_valuation(i as f64))
-///     .collect();
-/// let sweep = parametric.sweep_unreliability(1.0, &valuations)?;
-/// assert_eq!(sweep.len(), 5);
-/// assert_eq!(parametric.aggregation_runs(), 1);
-/// // Each point matches the closed form 1 - exp(-scale·t).
-/// for (i, value) in sweep.values().enumerate() {
-///     let exact = 1.0 - (-((i + 1) as f64)).exp();
-///     assert!((value - exact).abs() < 1e-6);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct ParametricAnalyzer {
-    options: AnalysisOptions,
-    repairable: bool,
-    aggregation: AggregationStats,
-    /// `true` when this session executed the symbolic aggregation itself;
-    /// `false` for sessions restored via [`from_bytes`](Self::from_bytes).
-    ran_aggregation: bool,
-    model_stats: ModelStats,
-    /// What every slot of a [`Valuation`] means.  Always the table
-    /// [`convert_parametric`] builds for the tree — one failure (and, where
-    /// repairable, repair) slot per basic event in element order — whichever
-    /// backend answers the queries.
-    params: ParamTable,
-    backend: ParametricBackend,
-}
-
-/// The parametric counterpart of [`Backend`]: what [`ParametricAnalyzer`]
-/// caches between [`instantiate`](ParametricAnalyzer::instantiate) calls.
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
-enum ParametricBackend {
-    /// The symbolic closed model of the full tree.
-    Compositional {
-        /// The closed, minimised parametric model (rates are linear forms).
-        closed: ParametricIoImc,
-        top_failure: Action,
-        has_repair: bool,
-        /// Optimistic goal set ("can fire the top failure immediately") —
-        /// depends only on the interactive structure, so it is shared by every
-        /// valuation.
-        can: Vec<bool>,
-        /// Pessimistic goal set ("must fire the top failure immediately").
-        must: Vec<bool>,
-        point_valued: bool,
-        /// The shared CTMDP structure of the closed model, lowered once on
-        /// first sweep: batched sweeps evaluate rate forms straight into
-        /// kernel lanes instead of instantiating one `Ctmdp` pair per
-        /// valuation.
-        sweep_template: OnceLock<SweepTemplate>,
-    },
-    /// The parametric hybrid decomposition: one nested parametric session per
-    /// dynamic core, a shared crown BDD, and leaves that read failure rates
-    /// straight out of the session's global [`ParamTable`].
-    Hybrid {
-        crown: Bdd,
-        /// One entry per element of the original tree (same indexing as
-        /// [`Backend::Hybrid`]).
-        leaves: Vec<ParametricLeaf>,
-        cores: Vec<ParametricCore>,
-        modules: ModuleStats,
-    },
-}
-
-/// What one crown-BDD variable stands for in a *parametric* hybrid session.
-#[derive(Debug, Clone, PartialEq)]
-enum ParametricLeaf {
-    /// Never referenced by the crown BDD.
-    Unused,
-    /// A crown basic event; its failure rate is this slot of the session's
-    /// global [`ParamTable`].
-    Basic {
-        /// Slot index into the global table.
-        slot: u32,
-    },
-    /// The exit of one dynamic core.
-    Core {
-        /// Index into [`ParametricBackend::Hybrid::cores`].
-        index: usize,
-    },
-}
-
-/// One dynamic core of a parametric hybrid session: the nested parametric
-/// session over the core's sub-DFT plus the projection from the global
-/// parameter table onto the core's own table.
-#[derive(Debug)]
-struct ParametricCore {
-    analyzer: ParametricAnalyzer,
-    /// `slots[i]` is the global slot feeding slot `i` of `analyzer.params()`.
-    slots: Vec<u32>,
-}
-
-/// The lowering [`ParametricAnalyzer`] caches for batched sweeps: the CTMDP
-/// state vector with dummy Markovian rates (the structure), the rate form of
-/// every Markovian edge in kernel edge order (state order, row order within a
-/// state — exactly the walk of [`ctmdp_states_of`]), and the initial state.
-#[derive(Debug)]
-struct SweepTemplate {
-    states: Vec<CtmdpState>,
-    forms: Vec<ioimc::RateForm>,
-    initial: usize,
-}
-
-/// The cached structure lowering behind
-/// [`ParametricAnalyzer::sweep_query`]: runs once per session (per
-/// compositional backend) and is shared by every subsequent batched sweep.
-fn lower_sweep_template<'a>(
-    closed: &ParametricIoImc,
-    lock: &'a OnceLock<SweepTemplate>,
-) -> &'a SweepTemplate {
-    lock.get_or_init(|| {
-        let mut forms = Vec::new();
-        let states = closed
-            .states()
-            .map(|s| {
-                let immediate: Vec<u32> = closed
-                    .interactive_from(s)
-                    .iter()
-                    .filter(|t| t.label.is_immediate())
-                    .map(|t| t.to.index() as u32)
-                    .collect();
-                if !immediate.is_empty() {
-                    CtmdpState::Immediate(immediate)
-                } else {
-                    CtmdpState::Markovian(
-                        closed
-                            .markovian_from(s)
-                            .iter()
-                            .map(|t| {
-                                forms.push(t.rate.clone());
-                                // The rate is a template placeholder; the
-                                // kernel takes real rates per lane.
-                                (t.to.index() as u32, 1.0)
-                            })
-                            .collect(),
-                    )
-                }
-            })
-            .collect();
-        SweepTemplate {
-            states,
-            forms,
-            initial: closed.initial().index(),
-        }
-    })
-}
-
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ParametricAnalyzer>()
-};
-
-impl ParametricAnalyzer {
-    /// Builds the parametric session: validates and converts the DFT with
-    /// symbolic rates and runs compositional aggregation exactly once — per
-    /// dynamic core for [`Method::Hybrid`], over the whole tree otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Unsupported`] for [`Method::Monolithic`] options (the
-    /// monolithic baseline has no parametric form) and propagates conversion
-    /// and aggregation errors.
-    pub fn new(dft: &Dft, options: AnalysisOptions) -> Result<ParametricAnalyzer> {
-        match options.method {
-            Method::Compositional => ParametricAnalyzer::compositional(dft, options),
-            Method::Monolithic => Err(Error::Unsupported {
-                message: "the monolithic baseline has no parametric form".to_owned(),
-            }),
-            Method::Hybrid => ParametricAnalyzer::hybrid(dft, options),
-        }
-    }
-
-    fn compositional(dft: &Dft, options: AnalysisOptions) -> Result<ParametricAnalyzer> {
-        let (community, params) = convert_parametric(dft)?;
-        let model = aggregate_and_close(community)?;
-
-        Ok(ParametricAnalyzer {
-            options,
-            repairable: dft.is_repairable(),
-            aggregation: model.stats,
-            ran_aggregation: true,
-            model_stats: ModelStats::of(&model.closed),
-            params,
-            backend: ParametricBackend::Compositional {
-                closed: model.closed,
-                top_failure: model.top_failure,
-                has_repair: model.has_repair,
-                can: model.can,
-                must: model.must,
-                point_valued: model.point_valued,
-                sweep_template: OnceLock::new(),
-            },
-        })
-    }
-
-    /// The parametric hybrid build: one nested parametric session per dynamic
-    /// core, the crown on a BDD, with the same fallback rule as
-    /// [`Analyzer::hybrid`] (repairable tree or non-deterministic core ⇒ full
-    /// compositional pipeline under the [`Method::Hybrid`] label).
-    fn hybrid(dft: &Dft, options: AnalysisOptions) -> Result<ParametricAnalyzer> {
-        if dft.is_repairable() {
-            return ParametricAnalyzer::compositional(dft, options);
-        }
-        // The session-global parameter table: exactly what
-        // `convert_parametric` builds for an unrepairable tree — one failure
-        // slot per basic event in element order — so valuations, base
-        // valuations and slot lookups are identical across backends.
-        let mut params = ParamTable::default();
-        for id in dft.elements() {
-            if let Element::BasicEvent(be) = dft.element(id) {
-                params.push(dft.name(id), ParamKind::Failure, be.rate);
-            }
-        }
-
-        let plan = hybrid_plan(dft);
-        let core_options = AnalysisOptions {
-            method: Method::Compositional,
-            ..options
-        };
-        let mut cores = Vec::with_capacity(plan.cores.len());
-        for core in &plan.cores {
-            let analyzer = ParametricAnalyzer::compositional(&core.dft, core_options.clone())?;
-            if analyzer.is_nondeterministic() {
-                return ParametricAnalyzer::compositional(dft, options);
-            }
-            // Extraction preserves element names, so every core parameter maps
-            // onto a global slot.
-            let slots = analyzer
-                .params
-                .slots()
-                .iter()
-                .map(|slot| {
-                    params
-                        .slot_of(&slot.element, slot.kind)
-                        .expect("core basic events are basic events of the tree")
-                        as u32
-                })
-                .collect();
-            cores.push(ParametricCore { analyzer, slots });
-        }
-
-        let mut leaves = vec![ParametricLeaf::Unused; dft.num_elements()];
-        for &e in &plan.crown {
-            if dft.element(e).as_basic_event().is_some() {
-                let slot = params
-                    .slot_of(dft.name(e), ParamKind::Failure)
-                    .expect("every basic event has a failure slot");
-                leaves[e.index()] = ParametricLeaf::Basic { slot: slot as u32 };
-            }
-        }
-        for (index, core) in plan.cores.iter().enumerate() {
-            leaves[core.exit.index()] = ParametricLeaf::Core { index };
-        }
-        let crown = Bdd::build(dft, dft.top(), |e| {
-            !matches!(leaves[e.index()], ParametricLeaf::Unused)
-        })?;
-
-        Ok(ParametricAnalyzer {
-            options,
-            repairable: false,
-            aggregation: merge_aggregation_stats(cores.iter().map(|c| &c.analyzer.aggregation)),
-            ran_aggregation: true,
-            model_stats: cores.iter().fold(ModelStats::default(), |acc, c| {
-                add_model_stats(acc, c.analyzer.model_stats)
-            }),
-            params,
-            backend: ParametricBackend::Hybrid {
-                crown,
-                leaves,
-                cores,
-                modules: plan.stats,
-            },
-        })
-    }
-
+impl Session<RateForm> {
     /// Instantiates the cached parametric model for one rate assignment,
     /// returning a numeric [`Analyzer`] ready to answer queries.
     ///
     /// Only the linear rate forms are evaluated (in deterministic slot order);
     /// no conversion, composition or minimisation is repeated — the returned
-    /// session reports [`aggregation_runs`](Analyzer::aggregation_runs) `== 0`.
+    /// session reports [`aggregation_runs`](Session::aggregation_runs) `== 0`.
     ///
     /// # Errors
     ///
@@ -1382,85 +994,74 @@ impl ParametricAnalyzer {
     /// model's [`ParamTable`] and propagates CTMDP construction errors.
     pub fn instantiate(&self, valuation: &Valuation) -> Result<Analyzer> {
         valuation.check_against(&self.params)?;
-        let values = valuation.values();
-        match &self.backend {
-            ParametricBackend::Compositional {
-                closed,
-                top_failure,
-                has_repair,
-                can,
-                must,
-                point_valued,
-                ..
-            } => {
-                let closed = closed.map_rates(|form| form.eval(values));
+        self.instantiate_values(valuation.values())
+    }
+
+    /// [`instantiate`](Self::instantiate) for values already checked against
+    /// this session's table.
+    fn instantiate_values(&self, values: &[f64]) -> Result<Analyzer> {
+        let backend = match &self.backend {
+            Backend::Compositional { model, .. } => {
+                let closed = model.closed.map_rates(|form| form.eval(values));
                 debug_assert!(closed.validate().is_ok());
-
-                let ctmdp_states = ctmdp_states_of(&closed);
-                let initial = closed.initial().index();
-                let upper = Ctmdp::new(ctmdp_states.clone(), initial, can.clone())?;
-                let lower = Ctmdp::new(ctmdp_states, initial, must.clone())?;
-
-                Ok(Analyzer {
-                    options: self.options.clone(),
-                    repairable: self.repairable,
-                    // Instantiation runs no aggregation; the stats live on `self`.
-                    aggregation: None,
-                    model_stats: self.model_stats,
-                    backend: Backend::Compositional {
-                        closed,
-                        top_failure: *top_failure,
-                        has_repair: *has_repair,
-                        point_valued: *point_valued,
-                        upper,
-                        lower,
-                        tangible: OnceLock::new(),
-                    },
-                    ran_aggregation: false,
-                })
+                Backend::compositional(ClosedModel {
+                    closed,
+                    top_failure: model.top_failure,
+                    has_repair: model.has_repair,
+                    point_valued: model.point_valued,
+                    can: model.can.clone(),
+                    must: model.must.clone(),
+                })?
             }
-            ParametricBackend::Hybrid {
+            // Instantiate every core through its slot projection; the crown
+            // structure is shared (it does not depend on rates).
+            Backend::Hybrid {
                 crown,
                 leaves,
                 cores,
                 modules,
-            } => {
-                // Instantiate every core through its slot projection; the
-                // crown structure is shared (it does not depend on rates).
-                let numeric_cores = cores
+            } => Backend::Hybrid {
+                crown: crown.clone(),
+                leaves: leaves
+                    .iter()
+                    .map(|leaf| leaf.map_rate(|form| form.eval(values)))
+                    .collect(),
+                cores: cores
                     .iter()
                     .map(|core| {
-                        let projected = Valuation::new(
-                            core.slots.iter().map(|&s| values[s as usize]).collect(),
-                        );
-                        core.analyzer.instantiate(&projected)
+                        let projected: Vec<f64> =
+                            self.projection(core).iter().map(|&s| values[s]).collect();
+                        core.instantiate_values(&projected)
                     })
-                    .collect::<Result<Vec<Analyzer>>>()?;
-                let numeric_leaves = leaves
-                    .iter()
-                    .map(|leaf| match leaf {
-                        ParametricLeaf::Unused => HybridLeaf::Unused,
-                        ParametricLeaf::Basic { slot } => HybridLeaf::Basic {
-                            rate: values[*slot as usize],
-                        },
-                        ParametricLeaf::Core { index } => HybridLeaf::Core { index: *index },
-                    })
-                    .collect();
-                Ok(Analyzer {
-                    options: self.options.clone(),
-                    repairable: self.repairable,
-                    aggregation: None,
-                    model_stats: self.model_stats,
-                    backend: Backend::Hybrid {
-                        crown: crown.clone(),
-                        leaves: numeric_leaves,
-                        cores: numeric_cores,
-                        modules: *modules,
-                    },
-                    ran_aggregation: false,
-                })
-            }
-        }
+                    .collect::<Result<Vec<Analyzer>>>()?,
+                modules: *modules,
+            },
+            Backend::Monolithic { .. } => unreachable!("parametric sessions are never monolithic"),
+        };
+        Ok(Session {
+            options: self.options.clone(),
+            repairable: self.repairable,
+            // Instantiation runs no aggregation; the stats live on `self`.
+            aggregation: None,
+            model_stats: self.model_stats,
+            params: ParamTable::default(),
+            backend,
+            ran_aggregation: false,
+        })
+    }
+
+    /// For each slot of a hybrid core's own table, the slot of this session's
+    /// table controlling the same rate of the same (named) basic event.
+    fn projection(&self, core: &Self) -> Vec<usize> {
+        core.params
+            .slots()
+            .iter()
+            .map(|slot| {
+                self.params
+                    .slot_of(&slot.element, slot.kind)
+                    .expect("core basic events are basic events of the tree")
+            })
+            .collect()
     }
 
     /// Evaluates one measure across a whole sweep of valuations with zero
@@ -1477,6 +1078,37 @@ impl ParametricAnalyzer {
     /// [`Measure::Unavailability`] and [`Measure::Mttf`] fall back to the
     /// per-point loop.
     ///
+    /// # Example
+    ///
+    /// ```
+    /// use dft::{DftBuilder, Dormancy};
+    /// use dft_core::engine::ParametricAnalyzer;
+    /// use dft_core::{AnalysisOptions, Measure};
+    ///
+    /// # fn main() -> Result<(), dft_core::Error> {
+    /// let mut b = DftBuilder::new();
+    /// let x = b.basic_event("X", 1.0, Dormancy::Hot)?;
+    /// let top = b.or_gate("Top", &[x])?;
+    /// let dft = b.build(top)?;
+    ///
+    /// // Aggregate the *structure* once …
+    /// let parametric = ParametricAnalyzer::new(&dft, AnalysisOptions::default())?;
+    /// // … then sweep the failure-rate scale without re-aggregating.
+    /// let valuations: Vec<_> = (1..=5)
+    ///     .map(|i| parametric.params().scaled_valuation(i as f64))
+    ///     .collect();
+    /// let sweep = parametric.sweep_query(&Measure::Unreliability(1.0), &valuations)?;
+    /// assert_eq!(sweep.len(), 5);
+    /// assert_eq!(parametric.aggregation_runs(), 1);
+    /// // Each point matches the closed form 1 - exp(-scale·t).
+    /// for (i, value) in sweep.values().enumerate() {
+    ///     let exact = 1.0 - (-((i + 1) as f64)).exp();
+    ///     assert!((value - exact).abs() < 1e-6);
+    /// }
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
     /// # Errors
     ///
     /// Fails on the first invalid valuation or query error (see
@@ -1485,11 +1117,7 @@ impl ParametricAnalyzer {
     /// the per-point loop it replaces.
     pub fn sweep_query(&self, measure: &Measure, valuations: &[Valuation]) -> Result<RateSweep> {
         if valuations.is_empty() {
-            return Ok(RateSweep {
-                results: Vec::new(),
-                instantiate_time: Duration::ZERO,
-                query_time: Duration::ZERO,
-            });
+            return Ok(RateSweep::default());
         }
         let times: &[f64] = match measure {
             Measure::Unreliability(t) => std::slice::from_ref(t),
@@ -1503,204 +1131,150 @@ impl ParametricAnalyzer {
                 return self.sweep_per_point(measure, valuations)
             }
         };
-        self.sweep_batched(times, valuations)
+
+        // Merge duplicate time bounds in first-occurrence order — the exact
+        // plan `Analyzer::query_all` builds — so each lane reads the same
+        // merged grid a per-point query would.
+        let mut grid = TimeGrid::default();
+        let slots = grid.slots(times)?;
+        let started = Instant::now();
+        for valuation in valuations {
+            valuation.check_against(&self.params)?;
+        }
+        let lanes: Vec<&[f64]> = valuations.iter().map(Valuation::values).collect();
+        let checked = started.elapsed();
+        let swept = self.sweep_lanes(&grid.times, &lanes)?;
+        Ok(RateSweep {
+            results: swept
+                .points
+                .into_iter()
+                .map(|points| MeasureResult::new(slots.iter().map(|&slot| points[slot]).collect()))
+                .collect(),
+            instantiate_time: checked + swept.instantiate_time,
+            query_time: swept.query_time,
+        })
     }
 
     /// The pre-kernel sweep loop: instantiate + query per valuation.  Still
     /// the path for measures the batched kernel does not cover.
     fn sweep_per_point(&self, measure: &Measure, valuations: &[Valuation]) -> Result<RateSweep> {
-        let mut results = Vec::with_capacity(valuations.len());
-        let mut instantiate_time = Duration::ZERO;
-        let mut query_time = Duration::ZERO;
+        let mut sweep = RateSweep::default();
         for valuation in valuations {
             let started = Instant::now();
             let session = self.instantiate(valuation)?;
-            instantiate_time += started.elapsed();
+            sweep.instantiate_time += started.elapsed();
             let started = Instant::now();
-            results.push(session.query(measure)?);
-            query_time += started.elapsed();
+            sweep.results.push(session.query(measure)?);
+            sweep.query_time += started.elapsed();
         }
-        Ok(RateSweep {
-            results,
-            instantiate_time,
-            query_time,
-        })
+        Ok(sweep)
     }
 
-    /// The batched sweep: K valuations become K lanes of one [`RelaxKernel`]
-    /// built from the cached [`SweepTemplate`], and one value-iteration pass
-    /// per goal set answers every lane and every time bound at once.
-    fn sweep_batched(&self, times: &[f64], valuations: &[Valuation]) -> Result<RateSweep> {
-        // Merge duplicate time bounds in first-occurrence order — the exact
-        // plan `Analyzer::query_all` builds — so each lane reads the same
-        // merged grid a per-point query would.
-        let mut unique_times: Vec<f64> = Vec::new();
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
-        let slots = times
-            .iter()
-            .map(|&t| {
-                validate_mission_time(t)?;
-                Ok(*slot_of.entry(t.to_bits()).or_insert_with(|| {
-                    unique_times.push(t);
-                    unique_times.len() - 1
-                }))
-            })
-            .collect::<Result<Vec<usize>>>()?;
-
+    /// The batched sweep over checked lanes (one value vector per valuation)
+    /// and a merged, validated time grid: lane `k` of the result holds one
+    /// point per grid time.
+    ///
+    /// A compositional session builds K lanes of one [`RelaxKernel`] from its
+    /// cached [`SweepTemplate`], and one value-iteration pass per goal set
+    /// answers every lane and every time bound at once.  A hybrid session
+    /// runs one nested batched sweep per core — each bit-identical to
+    /// instantiating that core per valuation — and evaluates the crown per
+    /// lane.
+    fn sweep_lanes(&self, times: &[f64], lanes: &[&[f64]]) -> Result<LaneSweep> {
         match &self.backend {
-            ParametricBackend::Compositional {
-                closed,
-                can,
-                must,
-                point_valued,
-                sweep_template,
-                ..
-            } => {
+            Backend::Compositional { model, numerics } => {
                 let started = Instant::now();
-                let template = lower_sweep_template(closed, sweep_template);
-                let lanes = valuations.len();
-                let mut lane_rates = vec![0.0f64; template.forms.len() * lanes];
-                for (k, valuation) in valuations.iter().enumerate() {
-                    valuation.check_against(&self.params)?;
-                    let values = valuation.values();
+                let template = numerics.get_or_init(|| SweepTemplate::of(&model.closed));
+                let n = lanes.len();
+                let mut lane_rates = vec![0.0f64; template.forms.len() * n];
+                for (k, values) in lanes.iter().enumerate() {
                     // Same forms, same eval, same slot order as `map_rates`
                     // inside `instantiate` — lane k's rates carry identical
                     // bits.
                     for (e, form) in template.forms.iter().enumerate() {
-                        lane_rates[e * lanes + k] = form.eval(values);
+                        lane_rates[e * n + k] = form.eval(values);
                     }
                 }
-                let kernel = RelaxKernel::from_template(&template.states, &lane_rates, lanes)?;
+                let kernel = RelaxKernel::from_template(&template.states, &lane_rates, n)?;
                 let instantiate_time = started.elapsed();
 
                 let started = Instant::now();
                 let epsilon = self.options.epsilon;
                 let workers = kernel.auto_workers();
-                let uppers = kernel.reachability(
-                    template.initial,
-                    can,
-                    &unique_times,
-                    epsilon,
-                    true,
-                    workers,
-                )?;
-                let lowers = if *point_valued {
+                let reach = |goal: &[bool], maximise: bool| {
+                    kernel.reachability(template.initial, goal, times, epsilon, maximise, workers)
+                };
+                let uppers = reach(&model.can, true)?;
+                let lowers = if model.point_valued {
                     uppers.clone()
                 } else {
-                    kernel.reachability(
-                        template.initial,
-                        must,
-                        &unique_times,
-                        epsilon,
-                        false,
-                        workers,
-                    )?
+                    reach(&model.must, false)?
                 };
-                let results = (0..lanes)
+                let points = (0..n)
                     .map(|k| {
-                        let points: Vec<MeasurePoint> = unique_times
+                        times
                             .iter()
                             .enumerate()
                             .map(|(slot, &t)| {
-                                let hi = uppers[slot * lanes + k];
-                                let lo = lowers[slot * lanes + k];
-                                MeasurePoint::bounded(Some(t), point_valued.then_some(hi), (lo, hi))
+                                let hi = uppers[slot * n + k];
+                                let lo = lowers[slot * n + k];
+                                MeasurePoint::bounded(
+                                    Some(t),
+                                    model.point_valued.then_some(hi),
+                                    (lo, hi),
+                                )
                             })
-                            .collect();
-                        MeasureResult::new(slots.iter().map(|&slot| points[slot]).collect())
+                            .collect()
                     })
                     .collect();
-                let query_time = started.elapsed();
-                Ok(RateSweep {
-                    results,
+                Ok(LaneSweep {
+                    points,
                     instantiate_time,
-                    query_time,
+                    query_time: started.elapsed(),
                 })
             }
-            ParametricBackend::Hybrid {
+            Backend::Hybrid {
                 crown,
                 leaves,
                 cores,
                 ..
             } => {
-                let started = Instant::now();
-                for valuation in valuations {
-                    valuation.check_against(&self.params)?;
-                }
-                let mut instantiate_time = started.elapsed();
+                let mut instantiate_time = Duration::ZERO;
                 let mut query_time = Duration::ZERO;
-
-                // One nested batched sweep per core over the merged grid.
-                // Each core sweep is bit-identical to instantiating that core
-                // per valuation, so the whole hybrid sweep matches the
-                // per-point hybrid path bit for bit.
-                let measure = Measure::UnreliabilityCurve(unique_times.clone());
-                // core_curves[core][lane][time slot]
-                let mut core_curves: Vec<Vec<Vec<f64>>> = Vec::with_capacity(cores.len());
+                // curves[lane][core][time slot]
+                let mut curves: Vec<Vec<Vec<f64>>> = vec![Vec::new(); lanes.len()];
                 for core in cores {
-                    let projected: Vec<Valuation> = valuations
+                    let projection = self.projection(core);
+                    let projected: Vec<Vec<f64>> = lanes
                         .iter()
-                        .map(|v| {
-                            let values = v.values();
-                            Valuation::new(core.slots.iter().map(|&s| values[s as usize]).collect())
-                        })
+                        .map(|values| projection.iter().map(|&s| values[s]).collect())
                         .collect();
-                    let sweep = core.analyzer.sweep_query(&measure, &projected)?;
-                    instantiate_time += sweep.instantiate_time();
-                    query_time += sweep.query_time();
-                    core_curves.push(
-                        sweep
-                            .results()
-                            .iter()
-                            .map(|result| result.points().iter().map(MeasurePoint::value).collect())
-                            .collect(),
-                    );
+                    let core_lanes: Vec<&[f64]> = projected.iter().map(Vec::as_slice).collect();
+                    let swept = core.sweep_lanes(times, &core_lanes)?;
+                    instantiate_time += swept.instantiate_time;
+                    query_time += swept.query_time;
+                    for (curve, points) in curves.iter_mut().zip(swept.points) {
+                        curve.push(points.iter().map(MeasurePoint::value).collect());
+                    }
                 }
 
                 let started = Instant::now();
-                let mut probabilities = vec![0.0f64; leaves.len()];
-                let mut results = Vec::with_capacity(valuations.len());
-                for (k, valuation) in valuations.iter().enumerate() {
-                    let values = valuation.values();
-                    let mut points = Vec::with_capacity(unique_times.len());
-                    for (slot, &t) in unique_times.iter().enumerate() {
-                        for (p, leaf) in probabilities.iter_mut().zip(leaves) {
-                            *p = match leaf {
-                                ParametricLeaf::Unused => 0.0,
-                                ParametricLeaf::Basic { slot } => {
-                                    -(-values[*slot as usize] * t).exp_m1()
-                                }
-                                ParametricLeaf::Core { index } => core_curves[*index][k][slot],
-                            };
-                        }
-                        points.push(MeasurePoint::exact(
-                            Some(t),
-                            crown.probability(&probabilities),
-                        ));
-                    }
-                    results.push(MeasureResult::new(
-                        slots.iter().map(|&slot| points[slot]).collect(),
-                    ));
-                }
+                let points = lanes
+                    .iter()
+                    .zip(&curves)
+                    .map(|(values, core_curves)| {
+                        crown_points(crown, leaves, |form| form.eval(values), core_curves, times)
+                    })
+                    .collect();
                 query_time += started.elapsed();
-                Ok(RateSweep {
-                    results,
+                Ok(LaneSweep {
+                    points,
                     instantiate_time,
                     query_time,
                 })
             }
+            Backend::Monolithic { .. } => unreachable!("parametric sessions are never monolithic"),
         }
-    }
-
-    /// Convenience sweep of [`Measure::Unreliability`] at mission time `t`: the
-    /// query surface of a rate-sensitivity study (one unreliability value per
-    /// valuation, one aggregation total).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`sweep_query`](Self::sweep_query).
-    pub fn sweep_unreliability(&self, t: f64, valuations: &[Valuation]) -> Result<RateSweep> {
-        self.sweep_query(&Measure::Unreliability(t), valuations)
     }
 
     /// The parameter slots of the model: what each slot means, its base value,
@@ -1713,401 +1287,20 @@ impl ParametricAnalyzer {
     pub fn base_valuation(&self) -> Valuation {
         self.params.base_valuation()
     }
-
-    /// The options the session was built with.
-    pub fn options(&self) -> &AnalysisOptions {
-        &self.options
-    }
-
-    /// Statistics of the (single) compositional aggregation run.
-    pub fn aggregation_stats(&self) -> &AggregationStats {
-        &self.aggregation
-    }
-
-    /// Size of the closed parametric model.
-    pub fn model_stats(&self) -> ModelStats {
-        self.model_stats
-    }
-
-    /// How many times this session has run compositional aggregation: 1 for a
-    /// freshly built session — however many valuations were instantiated or
-    /// swept — one per dynamic core for a hybrid build, and 0 for a session
-    /// restored via [`from_bytes`](Self::from_bytes), which reuses the
-    /// original builder's aggregation instead of running its own.
-    pub fn aggregation_runs(&self) -> usize {
-        match &self.backend {
-            ParametricBackend::Hybrid { cores, .. } if self.ran_aggregation => cores.len(),
-            _ => usize::from(self.ran_aggregation),
-        }
-    }
-
-    /// Returns `true` if the parametric model contains immediate
-    /// non-determinism, so instantiated sessions report scheduler bounds.
-    pub fn is_nondeterministic(&self) -> bool {
-        match &self.backend {
-            ParametricBackend::Compositional { point_valued, .. } => !point_valued,
-            // Hybrid sessions are only ever built from deterministic cores.
-            ParametricBackend::Hybrid { .. } => false,
-        }
-    }
-
-    /// The closed, minimised parametric I/O-IMC (compositional backend only; a
-    /// hybrid session has one parametric model per core).
-    pub fn final_model(&self) -> Option<&ParametricIoImc> {
-        match &self.backend {
-            ParametricBackend::Compositional { closed, .. } => Some(closed),
-            ParametricBackend::Hybrid { .. } => None,
-        }
-    }
-
-    /// The observable top-failure action of the cached model (compositional
-    /// backend only).
-    pub fn top_failure(&self) -> Option<Action> {
-        match &self.backend {
-            ParametricBackend::Compositional { top_failure, .. } => Some(*top_failure),
-            ParametricBackend::Hybrid { .. } => None,
-        }
-    }
-
-    /// The modularization record of the hybrid decomposition — same contract
-    /// as [`Analyzer::module_stats`]: `Some` certifies that the decomposition
-    /// actually happened rather than falling back.
-    pub fn module_stats(&self) -> Option<ModuleStats> {
-        match &self.backend {
-            ParametricBackend::Hybrid { modules, .. } => Some(*modules),
-            ParametricBackend::Compositional { .. } => None,
-        }
-    }
-
-    /// Serializes the parametric session into the versioned binary container
-    /// of the persistent model cache (see [`crate::store`]): the closed
-    /// parametric quotient (rates as sparse linear forms), the
-    /// [`ParamTable`], the precomputed can/must goal sets, statistics and
-    /// options.
-    ///
-    /// The inverse is [`from_bytes`](Self::from_bytes); a restored session
-    /// instantiates every valuation bit-identically to this one and reports
-    /// [`aggregation_runs`](Self::aggregation_runs)` == 0`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        store::seal(
-            store::Kind::Parametric,
-            0,
-            self.options.epsilon.to_bits(),
-            &self.encode_payload(),
-        )
-    }
-
-    /// Restores a session serialized with [`to_bytes`](Self::to_bytes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Store`] on truncated, corrupted or stale input; never
-    /// panics on malformed bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ParametricAnalyzer> {
-        store::unseal(bytes, store::Kind::Parametric, None)
-            .and_then(ParametricAnalyzer::decode_payload)
-            .map_err(|e| Error::Store {
-                message: e.to_string(),
-            })
-    }
-
-    /// The unframed payload body of [`to_bytes`](Self::to_bytes).
-    pub(crate) fn encode_payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_body(&mut w);
-        w.into_bytes()
-    }
-
-    /// Writes the session body onto a shared writer (hybrid payloads embed one
-    /// body per core).  Compositional-method payloads keep the exact format-1
-    /// byte layout; under [`Method::Hybrid`] a backend tag follows the model
-    /// statistics (0 = compositional fallback, 2 = genuine hybrid).
-    fn encode_body(&self, w: &mut Writer) {
-        store::encode_options(&self.options, w);
-        w.bool(self.repairable);
-        store::encode_aggregation_stats(&self.aggregation, w);
-        store::encode_model_stats(self.model_stats, w);
-        match &self.backend {
-            ParametricBackend::Compositional {
-                closed,
-                top_failure,
-                has_repair,
-                can,
-                must,
-                point_valued,
-                sweep_template: _, // derived lazily and deterministically
-            } => {
-                if self.options.method == Method::Hybrid {
-                    w.u8(0);
-                }
-                w.str(top_failure.name());
-                w.bool(*has_repair);
-                w.bool(*point_valued);
-                encode_params(&self.params, w);
-                codec::encode_model(closed, w);
-                store::encode_bools(can, w);
-                store::encode_bools(must, w);
-            }
-            ParametricBackend::Hybrid {
-                crown,
-                leaves,
-                cores,
-                modules,
-            } => {
-                w.u8(2);
-                encode_params(&self.params, w);
-                store::encode_module_stats(*modules, w);
-                w.len_prefix(crown.node_count());
-                for node in crown.nodes() {
-                    w.u32(node.var);
-                    w.u32(node.lo);
-                    w.u32(node.hi);
-                }
-                w.u32(crown.root());
-                w.len_prefix(leaves.len());
-                for leaf in leaves {
-                    match leaf {
-                        ParametricLeaf::Unused => w.u8(0),
-                        ParametricLeaf::Basic { slot } => {
-                            w.u8(1);
-                            w.u32(*slot);
-                        }
-                        ParametricLeaf::Core { index } => {
-                            w.u8(2);
-                            w.u32(u32::try_from(*index).expect("core count fits in u32"));
-                        }
-                    }
-                }
-                w.len_prefix(cores.len());
-                for core in cores {
-                    w.len_prefix(core.slots.len());
-                    for &slot in &core.slots {
-                        w.u32(slot);
-                    }
-                    core.analyzer.encode_body(w);
-                }
-            }
-        }
-    }
-
-    /// Decodes a payload produced by [`encode_payload`](Self::encode_payload).
-    pub(crate) fn decode_payload(payload: &[u8]) -> DecodeResult<ParametricAnalyzer> {
-        let mut r = Reader::new(payload);
-        let session = ParametricAnalyzer::decode_body(&mut r)?;
-        if !r.is_done() {
-            return Err(DecodeError::new(
-                "trailing bytes after the parametric payload",
-            ));
-        }
-        Ok(session)
-    }
-
-    /// Reads one parametric session body from a shared reader (the inverse of
-    /// [`encode_body`](Self::encode_body)).
-    fn decode_body(r: &mut Reader) -> DecodeResult<ParametricAnalyzer> {
-        let options = store::decode_options(r)?;
-        if options.method == Method::Monolithic {
-            return Err(DecodeError::new("parametric sessions are never monolithic"));
-        }
-        let repairable = r.bool()?;
-        let aggregation = store::decode_aggregation_stats(r)?;
-        let model_stats = store::decode_model_stats(r)?;
-        let backend_tag = if options.method == Method::Hybrid {
-            r.u8()?
-        } else {
-            0
-        };
-        let (params, backend) = match backend_tag {
-            0 => {
-                let top_failure = Action::new(&r.str()?);
-                let has_repair = r.bool()?;
-                let point_valued = r.bool()?;
-                let params = decode_params(r)?;
-                let closed = codec::decode_model::<ioimc::RateForm>(r)?;
-                // Every rate form must stay inside the decoded parameter table —
-                // `RateForm::eval` indexes the valuation unchecked at
-                // instantiation time, so an out-of-range slot in a corrupted
-                // entry must die here.
-                for t in closed.markovian() {
-                    if let Some(max_slot) = t.rate.max_slot() {
-                        if max_slot as usize >= params.len() {
-                            return Err(DecodeError::new(format!(
-                                "rate form references slot {max_slot} but the table has {} slots",
-                                params.len()
-                            )));
-                        }
-                    }
-                }
-                let can = store::decode_bools(r)?;
-                let must = store::decode_bools(r)?;
-                if can.len() != closed.num_states() || must.len() != closed.num_states() {
-                    return Err(DecodeError::new(
-                        "goal-set lengths disagree with the closed model",
-                    ));
-                }
-                (
-                    params,
-                    ParametricBackend::Compositional {
-                        closed,
-                        top_failure,
-                        has_repair,
-                        can,
-                        must,
-                        point_valued,
-                        sweep_template: OnceLock::new(),
-                    },
-                )
-            }
-            2 => {
-                if repairable {
-                    return Err(DecodeError::new(
-                        "a hybrid decomposition cannot be repairable",
-                    ));
-                }
-                let params = decode_params(r)?;
-                let modules = store::decode_module_stats(r)?;
-                let n = r.len_prefix(12)?;
-                let mut nodes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    nodes.push(BddNode {
-                        var: r.u32()?,
-                        lo: r.u32()?,
-                        hi: r.u32()?,
-                    });
-                }
-                let root = r.u32()?;
-                let crown = Bdd::from_parts(nodes, root)
-                    .map_err(|e| DecodeError::new(format!("decoded crown BDD is invalid: {e}")))?;
-                let n_leaves = r.len_prefix(1)?;
-                let mut leaves = Vec::with_capacity(n_leaves);
-                for _ in 0..n_leaves {
-                    leaves.push(match r.u8()? {
-                        0 => ParametricLeaf::Unused,
-                        1 => {
-                            let slot = r.u32()?;
-                            if slot as usize >= params.len() {
-                                return Err(DecodeError::new(
-                                    "crown leaf references a missing parameter slot",
-                                ));
-                            }
-                            ParametricLeaf::Basic { slot }
-                        }
-                        2 => ParametricLeaf::Core {
-                            index: r.u32()? as usize,
-                        },
-                        tag => {
-                            return Err(DecodeError::new(format!("unknown hybrid leaf tag {tag}")))
-                        }
-                    });
-                }
-                let n_cores = r.len_prefix(1)?;
-                let mut cores = Vec::with_capacity(n_cores);
-                for _ in 0..n_cores {
-                    let n_slots = r.len_prefix(4)?;
-                    let mut slots = Vec::with_capacity(n_slots);
-                    for _ in 0..n_slots {
-                        let slot = r.u32()?;
-                        if slot as usize >= params.len() {
-                            return Err(DecodeError::new(
-                                "core projection references a missing parameter slot",
-                            ));
-                        }
-                        slots.push(slot);
-                    }
-                    let analyzer = ParametricAnalyzer::decode_body(r)?;
-                    if analyzer.options.method != Method::Compositional
-                        || analyzer.is_nondeterministic()
-                    {
-                        return Err(DecodeError::new(
-                            "hybrid cores must be deterministic compositional sessions",
-                        ));
-                    }
-                    if slots.len() != analyzer.params.len() {
-                        return Err(DecodeError::new(
-                            "core projection length disagrees with the core's parameter table",
-                        ));
-                    }
-                    cores.push(ParametricCore { analyzer, slots });
-                }
-                for leaf in &leaves {
-                    if let ParametricLeaf::Core { index } = leaf {
-                        if *index >= cores.len() {
-                            return Err(DecodeError::new("hybrid leaf references a missing core"));
-                        }
-                    }
-                }
-                for var in crown.support() {
-                    if !matches!(
-                        leaves.get(var.index()),
-                        Some(ParametricLeaf::Basic { .. } | ParametricLeaf::Core { .. })
-                    ) {
-                        return Err(DecodeError::new("crown BDD references an unused leaf"));
-                    }
-                }
-                (
-                    params,
-                    ParametricBackend::Hybrid {
-                        crown,
-                        leaves,
-                        cores,
-                        modules,
-                    },
-                )
-            }
-            tag => {
-                return Err(DecodeError::new(format!(
-                    "unknown parametric backend tag {tag}"
-                )))
-            }
-        };
-        Ok(ParametricAnalyzer {
-            options,
-            repairable,
-            aggregation,
-            ran_aggregation: false,
-            model_stats,
-            params,
-            backend,
-        })
-    }
 }
 
-/// Shared [`ParamTable`] codec for the parametric payload layouts.
-fn encode_params(params: &ParamTable, w: &mut Writer) {
-    w.len_prefix(params.len());
-    for slot in params.slots() {
-        w.str(&slot.element);
-        w.u8(match slot.kind {
-            ParamKind::Failure => 0,
-            ParamKind::Repair => 1,
-        });
-        w.f64(slot.base);
-    }
-}
-
-fn decode_params(r: &mut Reader) -> DecodeResult<ParamTable> {
-    let num_slots = r.len_prefix(10)?;
-    let mut params = ParamTable::default();
-    for _ in 0..num_slots {
-        let element = r.str()?;
-        let kind = match r.u8()? {
-            0 => ParamKind::Failure,
-            1 => ParamKind::Repair,
-            other => {
-                return Err(DecodeError::new(format!(
-                    "invalid parameter kind tag {other}"
-                )))
-            }
-        };
-        let base = r.f64()?;
-        params.push(&element, kind, base);
-    }
-    Ok(params)
+/// Per-lane results of a batched sweep, before they are read back onto the
+/// requested times.
+struct LaneSweep {
+    /// `points[lane][grid slot]`.
+    points: Vec<Vec<MeasurePoint>>,
+    instantiate_time: Duration,
+    query_time: Duration,
 }
 
 /// The result of a rate sweep: one [`MeasureResult`] per valuation, in request
 /// order, plus the wall-clock split between instantiation and querying.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RateSweep {
     results: Vec<MeasureResult>,
     instantiate_time: Duration,
@@ -2147,6 +1340,31 @@ impl RateSweep {
     }
 }
 
+/// Mission times merged bit-exactly in first-occurrence order and validated
+/// on the way in: the one grid a batch of time-bounded measures (or a sweep)
+/// is evaluated on.
+#[derive(Default)]
+struct TimeGrid {
+    times: Vec<f64>,
+    slot_of: HashMap<u64, usize>,
+}
+
+impl TimeGrid {
+    /// Adds `times` to the grid and returns the grid slot of each.
+    fn slots(&mut self, times: &[f64]) -> Result<Vec<usize>> {
+        times
+            .iter()
+            .map(|&t| {
+                validate_mission_time(t)?;
+                Ok(*self.slot_of.entry(t.to_bits()).or_insert_with(|| {
+                    self.times.push(t);
+                    self.times.len() - 1
+                }))
+            })
+            .collect()
+    }
+}
+
 /// Rejects mission times no transient analysis can answer — NaN, infinite or
 /// negative — with a typed error at the query boundary, so they never reach
 /// the uniformisation routines (which would report them as an untyped
@@ -2160,10 +1378,12 @@ fn validate_mission_time(t: f64) -> Result<()> {
     }
 }
 
-/// Converts a closed I/O-IMC into the CTMDP state vector used by the `markov`
-/// crate: urgent states offer their immediate successors as a non-deterministic
-/// choice, all other states race their Markovian transitions.
-fn ctmdp_states_of(closed: &IoImc) -> Vec<CtmdpState> {
+/// Lowers a closed I/O-IMC into the CTMDP state vector used by the `markov`
+/// crate: urgent states offer their immediate successors as a
+/// non-deterministic choice, all other states race their Markovian
+/// transitions.  `rate` maps each Markovian rate, in state order and row
+/// order within a state — the kernel's edge order.
+fn lower<R: Rate>(closed: &IoImcOf<R>, mut rate: impl FnMut(&R) -> f64) -> Vec<CtmdpState> {
     closed
         .states()
         .map(|s| {
@@ -2180,10 +1400,39 @@ fn ctmdp_states_of(closed: &IoImc) -> Vec<CtmdpState> {
                     closed
                         .markovian_from(s)
                         .iter()
-                        .map(|t| (t.to.index() as u32, t.rate))
+                        .map(|t| (t.to.index() as u32, rate(&t.rate)))
                         .collect(),
                 )
             }
+        })
+        .collect()
+}
+
+/// Evaluates a hybrid crown at every time point: a crown basic event fails
+/// exponentially with the rate `rate` reads off its leaf, a core exit with
+/// its core's curve (`core_curves[core][time]`).  Exact because the cores are
+/// pairwise independent and independent of every crown basic event, and all
+/// indicators are monotone ("failed by t").
+fn crown_points<R>(
+    crown: &Bdd,
+    leaves: &[Leaf<R>],
+    rate: impl Fn(&R) -> f64,
+    core_curves: &[Vec<f64>],
+    times: &[f64],
+) -> Vec<MeasurePoint> {
+    let mut probabilities = vec![0.0f64; leaves.len()];
+    times
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| {
+            for (p, leaf) in probabilities.iter_mut().zip(leaves) {
+                *p = match leaf {
+                    Leaf::Unused => 0.0,
+                    Leaf::Basic { rate: r } => -(-rate(r) * t).exp_m1(),
+                    Leaf::Core { index } => core_curves[*index][i],
+                };
+            }
+            MeasurePoint::exact(Some(t), crown.probability(&probabilities))
         })
         .collect()
 }
@@ -2534,7 +1783,9 @@ mod tests {
             .iter()
             .map(|&s| parametric.params().scaled_valuation(s))
             .collect();
-        let sweep = parametric.sweep_unreliability(0.9, &valuations).unwrap();
+        let sweep = parametric
+            .sweep_query(&Measure::Unreliability(0.9), &valuations)
+            .unwrap();
         for (valuation, result) in valuations.iter().zip(sweep.results()) {
             assert!(!result.is_nondeterministic());
             let reference = parametric

@@ -128,6 +128,7 @@ use dft::Dft;
 use handle::SweepState;
 use queue::{JobQueue, Task};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
@@ -235,28 +236,24 @@ struct ParamCacheKey {
 /// A cache slot: `OnceLock` guarantees the build runs exactly once even when
 /// several workers race for the same key — latecomers block until the winner's
 /// session (or its error, which is equally deterministic) is available.
-type Slot = Arc<OnceLock<std::result::Result<Arc<Analyzer>, Error>>>;
-
-/// The parametric-model counterpart of [`Slot`].
-type ParamSlot = Arc<OnceLock<std::result::Result<Arc<ParametricAnalyzer>, Error>>>;
+type Slot<T> = Arc<OnceLock<std::result::Result<Arc<T>, Error>>>;
 
 #[derive(Debug)]
-struct CacheEntry {
-    slot: Slot,
+struct CacheEntry<T> {
+    slot: Slot<T>,
     last_used: u64,
 }
 
-#[derive(Debug)]
-struct ParamCacheEntry {
-    slot: ParamSlot,
-    last_used: u64,
-}
+/// One LRU-ordered key space of the cache.
+type Entries<K, T> = HashMap<K, CacheEntry<T>>;
 
 #[derive(Debug, Default)]
 struct Cache {
-    entries: HashMap<CacheKey, CacheEntry>,
+    entries: Entries<CacheKey, Analyzer>,
     /// Parametric (symbolic-rate) models, keyed by rate-blind structure.
-    param_entries: HashMap<ParamCacheKey, ParamCacheEntry>,
+    /// They do not compete with sessions for slots: parametric models are
+    /// far rarer and far more valuable than instantiated sessions.
+    param_entries: Entries<ParamCacheKey, ParametricAnalyzer>,
     /// Monotonic use counter backing the LRU order (no wall clock involved, so
     /// the order is deterministic under a single worker).
     tick: u64,
@@ -769,7 +766,7 @@ impl ServiceCore {
 
         let key = CacheKey::instance(structural, options, valuation);
         let instantiate_start = Instant::now();
-        let slot = self.reserve(key);
+        let slot = self.reserve(|cache| &mut cache.entries, key, &self.evictions);
         let mut built = false;
         let outcome = slot.get_or_init(|| {
             built = true;
@@ -817,7 +814,11 @@ impl ServiceCore {
             method: options.method,
             epsilon_bits: options.epsilon.to_bits(),
         };
-        let slot = self.reserve_param(key);
+        let slot = self.reserve(
+            |cache| &mut cache.param_entries,
+            key,
+            &self.parametric_evictions,
+        );
         let mut built = false;
         let outcome = slot.get_or_init(|| {
             built = true;
@@ -894,7 +895,7 @@ impl ServiceCore {
         dft: &Dft,
         options: &AnalysisOptions,
     ) -> (Result<Arc<Analyzer>>, bool, bool) {
-        let slot = self.reserve(key);
+        let slot = self.reserve(|cache| &mut cache.entries, key, &self.evictions);
         // A slot that is still empty here either becomes ours to build or means
         // another worker is building it right now — in the latter case the
         // `get_or_init` below blocks for the whole build.
@@ -969,20 +970,27 @@ impl ServiceCore {
         }
     }
 
-    /// Returns the slot for `key`, inserting a fresh one (and evicting the
-    /// least recently used *initialized* entry beyond capacity) under the cache
-    /// lock.  The actual build happens outside the lock, so a slow aggregation
-    /// never stalls jobs for other trees.
-    fn reserve(&self, key: CacheKey) -> Slot {
+    /// Returns the slot for `key` in the key space `space` picks, inserting
+    /// a fresh one (and evicting the least recently used *initialized* entry
+    /// of that space beyond capacity, counted in `evictions`) under the cache
+    /// lock.  The actual build happens outside the lock, so a slow
+    /// aggregation never stalls jobs for other trees.
+    fn reserve<K: Copy + Eq + Hash, T>(
+        &self,
+        space: fn(&mut Cache) -> &mut Entries<K, T>,
+        key: K,
+        evictions: &AtomicUsize,
+    ) -> Slot<T> {
         let mut cache = self.cache.lock().expect("cache lock");
         cache.tick += 1;
         let tick = cache.tick;
-        if let Some(entry) = cache.entries.get_mut(&key) {
+        let entries = space(&mut cache);
+        if let Some(entry) = entries.get_mut(&key) {
             entry.last_used = tick;
             return Arc::clone(&entry.slot);
         }
-        let slot: Slot = Arc::new(OnceLock::new());
-        cache.entries.insert(
+        let slot: Slot<T> = Arc::new(OnceLock::new());
+        entries.insert(
             key,
             CacheEntry {
                 slot: Arc::clone(&slot),
@@ -990,59 +998,18 @@ impl ServiceCore {
             },
         );
         let capacity = self.options.cache_capacity;
-        while capacity > 0 && cache.entries.len() > capacity {
+        while capacity > 0 && entries.len() > capacity {
             // In-flight (uninitialized) slots are exempt: evicting one would let
             // a racing duplicate rebuild the same model.
-            let victim = cache
-                .entries
+            let victim = entries
                 .iter()
                 .filter(|(k, e)| **k != key && e.slot.get().is_some())
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k);
             match victim {
                 Some(k) => {
-                    cache.entries.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
-        }
-        slot
-    }
-
-    /// [`reserve`](Self::reserve) for the parametric-model cache: same LRU
-    /// policy and capacity, its own key space (parametric models are far
-    /// rarer and far more valuable than instantiated sessions, so they do not
-    /// compete with them for slots) and its own eviction counter
-    /// ([`CacheStats::parametric_evictions`]).
-    fn reserve_param(&self, key: ParamCacheKey) -> ParamSlot {
-        let mut cache = self.cache.lock().expect("cache lock");
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some(entry) = cache.param_entries.get_mut(&key) {
-            entry.last_used = tick;
-            return Arc::clone(&entry.slot);
-        }
-        let slot: ParamSlot = Arc::new(OnceLock::new());
-        cache.param_entries.insert(
-            key,
-            ParamCacheEntry {
-                slot: Arc::clone(&slot),
-                last_used: tick,
-            },
-        );
-        let capacity = self.options.cache_capacity;
-        while capacity > 0 && cache.param_entries.len() > capacity {
-            let victim = cache
-                .param_entries
-                .iter()
-                .filter(|(k, e)| **k != key && e.slot.get().is_some())
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    cache.param_entries.remove(&k);
-                    self.parametric_evictions.fetch_add(1, Ordering::Relaxed);
+                    entries.remove(&k);
+                    evictions.fetch_add(1, Ordering::Relaxed);
                 }
                 None => break,
             }

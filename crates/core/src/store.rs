@@ -5,9 +5,8 @@
 //! [`Dft::fingerprint`](dft::Dft::fingerprint) and
 //! [`Dft::structural_fingerprint`](dft::Dft::structural_fingerprint) are stable
 //! across processes and platforms by construction.  A [`ModelStore`] therefore
-//! serializes *closed* models — the final minimised I/O-IMC with its can/must
-//! CTMDP pair and goal vectors, or the parametric quotient with its
-//! [`ParamTable`](crate::parametric::ParamTable) — into a directory shared
+//! serializes built [`Session`]s — numeric ones keyed by the fingerprint,
+//! parametric ones by the structural fingerprint — into a directory shared
 //! between runs and between a fleet of analysis servers, turning a restart
 //! from N full aggregations into N disk reads.
 //!
@@ -20,13 +19,28 @@
 //! epsilon bits u64 | payload length u64 | payload FNV-1a checksum u64 | payload
 //! ```
 //!
-//! The payload is the [`Analyzer::to_bytes`](crate::engine::Analyzer) /
-//! [`ParametricAnalyzer`] body built on the
-//! rate-generic [`ioimc::codec`].  Readers reject — and callers then rebuild —
-//! on *any* mismatch: wrong magic or version, foreign fingerprint, different
-//! ε, short file, checksum failure, or a payload that decodes but fails model
-//! validation.  Rejections are counted in [`StoreStats::rejected`]; they are
-//! never errors on the cache path.
+//! The kind is 1 for a numeric session ([`Analyzer`]) and 2 for a parametric
+//! one ([`ParametricAnalyzer`]).  Both share one payload layout, built on the
+//! rate-generic [`ioimc::codec`]:
+//!
+//! ```text
+//! options | repairable | optional aggregation stats | model stats |
+//! backend tag | parameter table (parametric only) | backend body
+//! ```
+//!
+//! A compositional body (tag 0) is the top-failure action, the repair and
+//! point-valued flags, the closed model and its can/must goal bits; the
+//! numerics cache next to it (the can/must CTMDP pair of a numeric session)
+//! is rebuilt on load by the same function a fresh build uses.  A monolithic
+//! body (tag 1, numeric only) is the CTMC and its goal bits.  A hybrid body
+//! (tag 2) is the module statistics, the crown BDD, one leaf per element and
+//! one nested compositional body per dynamic core.
+//!
+//! Readers reject — and callers then rebuild — on *any* mismatch: wrong magic
+//! or version, foreign fingerprint, different ε, short file, checksum
+//! failure, or a payload that decodes but fails model validation.
+//! Rejections are counted in [`StoreStats::rejected`]; they are never errors
+//! on the cache path.
 //!
 //! # Concurrency
 //!
@@ -49,12 +63,17 @@
 
 use crate::aggregate::{AggregationStats, StepStats};
 use crate::analysis::{AnalysisOptions, Method};
-use crate::engine::{Analyzer, ParametricAnalyzer};
+use crate::engine::{
+    Analyzer, Backend, ClosedModel, Leaf, ParametricAnalyzer, Session, SessionRate,
+};
+use crate::parametric::{ParamKind, ParamTable};
 use crate::{Error, Result};
+use dft::bdd::{Bdd, BddNode};
 use dft::modules::ModuleStats;
-use ioimc::codec::{DecodeError, DecodeResult, Reader, Writer};
+use ioimc::codec::{self, DecodeError, DecodeResult, Reader, Writer};
 use ioimc::stats::ModelStats;
-use markov::ctmdp::{Ctmdp, CtmdpState};
+use ioimc::Action;
+use markov::Ctmc;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -64,7 +83,7 @@ const MAGIC: [u8; 4] = *b"DFTM";
 /// Version of the on-disk format.  Bumped on any incompatible layout change;
 /// readers reject every version but their own (a stale entry is rebuilt and
 /// overwritten, never migrated in place).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// What an entry holds; part of the frame so a session entry renamed onto a
 /// parametric path (or vice versa) is rejected instead of misdecoded.
@@ -77,6 +96,15 @@ pub(crate) enum Kind {
 }
 
 impl Kind {
+    /// The kind of a session over the rate domain `R`.
+    pub(crate) fn of<R: SessionRate>() -> Kind {
+        if R::PARAMETRIC {
+            Kind::Parametric
+        } else {
+            Kind::Session
+        }
+    }
+
     fn tag(self) -> u8 {
         match self {
             Kind::Session => 1,
@@ -183,10 +211,10 @@ pub(crate) fn unseal(
 }
 
 // ---------------------------------------------------------------------------
-// Shared payload helpers (used by the engine's to_bytes/from_bytes codecs).
+// Payload building blocks.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn encode_method(method: Method, w: &mut Writer) {
+fn encode_method(method: Method, w: &mut Writer) {
     w.u8(match method {
         Method::Compositional => 0,
         Method::Monolithic => 1,
@@ -194,7 +222,7 @@ pub(crate) fn encode_method(method: Method, w: &mut Writer) {
     });
 }
 
-pub(crate) fn decode_method(r: &mut Reader<'_>) -> DecodeResult<Method> {
+fn decode_method(r: &mut Reader<'_>) -> DecodeResult<Method> {
     match r.u8()? {
         0 => Ok(Method::Compositional),
         1 => Ok(Method::Monolithic),
@@ -203,18 +231,18 @@ pub(crate) fn decode_method(r: &mut Reader<'_>) -> DecodeResult<Method> {
     }
 }
 
-pub(crate) fn encode_options(options: &AnalysisOptions, w: &mut Writer) {
+fn encode_options(options: &AnalysisOptions, w: &mut Writer) {
     w.f64(options.epsilon);
     encode_method(options.method, w);
 }
 
-pub(crate) fn decode_options(r: &mut Reader<'_>) -> DecodeResult<AnalysisOptions> {
+fn decode_options(r: &mut Reader<'_>) -> DecodeResult<AnalysisOptions> {
     let epsilon = r.f64()?;
     let method = decode_method(r)?;
     Ok(AnalysisOptions { epsilon, method })
 }
 
-pub(crate) fn encode_model_stats(stats: ModelStats, w: &mut Writer) {
+fn encode_model_stats(stats: ModelStats, w: &mut Writer) {
     w.len_prefix(stats.states);
     w.len_prefix(stats.interactive_transitions);
     w.len_prefix(stats.markovian_transitions);
@@ -232,7 +260,7 @@ fn decode_count(r: &mut Reader<'_>) -> DecodeResult<usize> {
     usize::try_from(n).map_err(|_| DecodeError::new(format!("count {n} exceeds the address space")))
 }
 
-pub(crate) fn decode_model_stats(r: &mut Reader<'_>) -> DecodeResult<ModelStats> {
+fn decode_model_stats(r: &mut Reader<'_>) -> DecodeResult<ModelStats> {
     Ok(ModelStats {
         states: decode_count(r)?,
         interactive_transitions: decode_count(r)?,
@@ -243,7 +271,7 @@ pub(crate) fn decode_model_stats(r: &mut Reader<'_>) -> DecodeResult<ModelStats>
     })
 }
 
-pub(crate) fn encode_module_stats(stats: ModuleStats, w: &mut Writer) {
+fn encode_module_stats(stats: ModuleStats, w: &mut Writer) {
     w.len_prefix(stats.total_elements);
     w.len_prefix(stats.static_modules);
     w.len_prefix(stats.dynamic_modules);
@@ -253,7 +281,7 @@ pub(crate) fn encode_module_stats(stats: ModuleStats, w: &mut Writer) {
     w.len_prefix(stats.core_elements);
 }
 
-pub(crate) fn decode_module_stats(r: &mut Reader<'_>) -> DecodeResult<ModuleStats> {
+fn decode_module_stats(r: &mut Reader<'_>) -> DecodeResult<ModuleStats> {
     Ok(ModuleStats {
         total_elements: decode_count(r)?,
         static_modules: decode_count(r)?,
@@ -265,7 +293,7 @@ pub(crate) fn decode_module_stats(r: &mut Reader<'_>) -> DecodeResult<ModuleStat
     })
 }
 
-pub(crate) fn encode_aggregation_stats(stats: &AggregationStats, w: &mut Writer) {
+fn encode_aggregation_stats(stats: &AggregationStats, w: &mut Writer) {
     w.len_prefix(stats.steps.len());
     for step in &stats.steps {
         w.str(&step.composed.0);
@@ -278,7 +306,7 @@ pub(crate) fn encode_aggregation_stats(stats: &AggregationStats, w: &mut Writer)
     encode_model_stats(stats.final_model, w);
 }
 
-pub(crate) fn decode_aggregation_stats(r: &mut Reader<'_>) -> DecodeResult<AggregationStats> {
+fn decode_aggregation_stats(r: &mut Reader<'_>) -> DecodeResult<AggregationStats> {
     let num_steps = r.len_prefix(1)?;
     let mut steps = Vec::with_capacity(num_steps);
     for _ in 0..num_steps {
@@ -303,76 +331,323 @@ pub(crate) fn decode_aggregation_stats(r: &mut Reader<'_>) -> DecodeResult<Aggre
     })
 }
 
-pub(crate) fn encode_bools(bools: &[bool], w: &mut Writer) {
+fn encode_bools(bools: &[bool], w: &mut Writer) {
     w.len_prefix(bools.len());
     for &b in bools {
         w.bool(b);
     }
 }
 
-pub(crate) fn decode_bools(r: &mut Reader<'_>) -> DecodeResult<Vec<bool>> {
+fn decode_bools(r: &mut Reader<'_>) -> DecodeResult<Vec<bool>> {
     let n = r.len_prefix(1)?;
     (0..n).map(|_| r.bool()).collect()
 }
 
-/// Serializes a CTMDP: the state vector, the initial state and the goal
-/// vector — exactly the triple [`Ctmdp::new`] consumes on the way back.
-pub(crate) fn encode_ctmdp(ctmdp: &Ctmdp, w: &mut Writer) {
-    w.len_prefix(ctmdp.num_states());
-    for state in ctmdp.states() {
-        match state {
-            CtmdpState::Markovian(rates) => {
-                w.u8(0);
-                w.len_prefix(rates.len());
-                for &(target, rate) in rates {
-                    w.u32(target);
-                    w.f64(rate);
+fn encode_params(params: &ParamTable, w: &mut Writer) {
+    w.len_prefix(params.len());
+    for slot in params.slots() {
+        w.str(&slot.element);
+        w.u8(match slot.kind {
+            ParamKind::Failure => 0,
+            ParamKind::Repair => 1,
+        });
+        w.f64(slot.base);
+    }
+}
+
+fn decode_params(r: &mut Reader<'_>) -> DecodeResult<ParamTable> {
+    let num_slots = r.len_prefix(10)?;
+    let mut params = ParamTable::default();
+    for _ in 0..num_slots {
+        let element = r.str()?;
+        let kind = match r.u8()? {
+            0 => ParamKind::Failure,
+            1 => ParamKind::Repair,
+            other => {
+                return Err(DecodeError::new(format!(
+                    "invalid parameter kind tag {other}"
+                )))
+            }
+        };
+        let base = r.f64()?;
+        params.push(&element, kind, base);
+    }
+    Ok(params)
+}
+
+// ---------------------------------------------------------------------------
+// The session payload.
+// ---------------------------------------------------------------------------
+
+/// The unframed payload of a session; [`seal`] frames it.
+pub(crate) fn encode_payload<R: SessionRate>(session: &Session<R>) -> Vec<u8> {
+    let mut w = Writer::new();
+    encode_session(session, &mut w);
+    w.into_bytes()
+}
+
+/// Decodes a payload produced by [`encode_payload`], re-validating every
+/// embedded model.
+pub(crate) fn decode_payload<R: SessionRate>(payload: &[u8]) -> DecodeResult<Session<R>> {
+    let mut r = Reader::new(payload);
+    let session = decode_session(&mut r, false)?;
+    if !r.is_done() {
+        return Err(DecodeError::new("trailing bytes after the session payload"));
+    }
+    Ok(session)
+}
+
+/// Writes one session body onto a shared writer, without framing or
+/// trailing checks: a hybrid payload embeds one body per core back to back
+/// on the same writer, so bodies must compose.
+fn encode_session<R: SessionRate>(session: &Session<R>, w: &mut Writer) {
+    encode_options(&session.options, w);
+    w.bool(session.repairable);
+    match &session.aggregation {
+        None => w.bool(false),
+        Some(stats) => {
+            w.bool(true);
+            encode_aggregation_stats(stats, w);
+        }
+    }
+    encode_model_stats(session.model_stats, w);
+    w.u8(match &session.backend {
+        Backend::Compositional { .. } => 0,
+        Backend::Monolithic { .. } => 1,
+        Backend::Hybrid { .. } => 2,
+    });
+    if R::PARAMETRIC {
+        encode_params(&session.params, w);
+    }
+    match &session.backend {
+        // The numerics are derived deterministically from the closed model
+        // and the goal bits on load.
+        Backend::Compositional { model, numerics: _ } => {
+            w.str(model.top_failure.name());
+            w.bool(model.has_repair);
+            w.bool(model.point_valued);
+            codec::encode_model(&model.closed, w);
+            encode_bools(&model.can, w);
+            encode_bools(&model.must, w);
+        }
+        Backend::Monolithic { ctmc, goal } => {
+            w.len_prefix(ctmc.num_states());
+            w.len_prefix(ctmc.initial());
+            let transitions = ctmc.transitions();
+            w.len_prefix(transitions.len());
+            for (from, to, rate) in transitions {
+                w.u32(from);
+                w.u32(to);
+                w.f64(rate);
+            }
+            encode_bools(goal, w);
+        }
+        Backend::Hybrid {
+            crown,
+            leaves,
+            cores,
+            modules,
+        } => {
+            encode_module_stats(*modules, w);
+            w.len_prefix(crown.node_count());
+            for node in crown.nodes() {
+                w.u32(node.var);
+                w.u32(node.lo);
+                w.u32(node.hi);
+            }
+            w.u32(crown.root());
+            w.len_prefix(leaves.len());
+            for leaf in leaves {
+                match leaf {
+                    Leaf::Unused => w.u8(0),
+                    Leaf::Basic { rate } => {
+                        w.u8(1);
+                        rate.encode_rate(w);
+                    }
+                    Leaf::Core { index } => {
+                        w.u8(2);
+                        w.len_prefix(*index);
+                    }
                 }
             }
-            CtmdpState::Immediate(successors) => {
-                w.u8(1);
-                w.len_prefix(successors.len());
-                for &target in successors {
-                    w.u32(target);
-                }
+            w.len_prefix(cores.len());
+            for core in cores {
+                encode_session(core, w);
             }
         }
     }
-    w.len_prefix(ctmdp.initial());
-    encode_bools(ctmdp.goal(), w);
 }
 
-/// Decodes a CTMDP through the validating [`Ctmdp::new`] constructor, so
-/// out-of-range targets and invalid rates in a corrupted entry surface as a
-/// clean [`DecodeError`].
-pub(crate) fn decode_ctmdp(r: &mut Reader<'_>) -> DecodeResult<Ctmdp> {
-    let num_states = r.len_prefix(1)?;
-    let mut states = Vec::with_capacity(num_states);
-    for _ in 0..num_states {
-        states.push(match r.u8()? {
-            0 => {
-                let n = r.len_prefix(12)?;
-                let mut rates = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rates.push((r.u32()?, r.f64()?));
-                }
-                CtmdpState::Markovian(rates)
-            }
-            1 => {
-                let n = r.len_prefix(4)?;
-                let mut successors = Vec::with_capacity(n);
-                for _ in 0..n {
-                    successors.push(r.u32()?);
-                }
-                CtmdpState::Immediate(successors)
-            }
-            other => return Err(DecodeError::new(format!("invalid CTMDP state tag {other}"))),
-        });
+/// Reads one session body from a shared reader (the inverse of
+/// [`encode_session`]); the caller checks for trailing bytes once the
+/// outermost body is done.  A hybrid core (`core == true`) must be a
+/// compositional body, so corrupt input cannot nest hybrids.
+fn decode_session<R: SessionRate>(r: &mut Reader<'_>, core: bool) -> DecodeResult<Session<R>> {
+    let options = decode_options(r)?;
+    let repairable = r.bool()?;
+    let aggregation = if r.bool()? {
+        Some(decode_aggregation_stats(r)?)
+    } else {
+        None
+    };
+    let model_stats = decode_model_stats(r)?;
+    let tag = r.u8()?;
+    if core && (tag != 0 || options.method != Method::Compositional) {
+        return Err(DecodeError::new(
+            "hybrid cores must be compositional sessions",
+        ));
     }
-    let initial = r.len_prefix(0)?;
-    let goal = decode_bools(r)?;
-    Ctmdp::new(states, initial, goal)
-        .map_err(|e| DecodeError::new(format!("decoded CTMDP is invalid: {e}")))
+    let params = if R::PARAMETRIC {
+        decode_params(r)?
+    } else {
+        ParamTable::default()
+    };
+    let backend = match (tag, options.method) {
+        // Tag 0 under `Method::Hybrid` is a hybrid session that fell back
+        // to the compositional pipeline (repairable tree or
+        // non-deterministic core): same body, different label.
+        (0, Method::Compositional | Method::Hybrid) => {
+            let top_failure = Action::new(&r.str()?);
+            let has_repair = r.bool()?;
+            let point_valued = r.bool()?;
+            let closed = codec::decode_model::<R>(r)?;
+            // Every rate must stay inside the decoded parameter table —
+            // `RateForm::eval` indexes the valuation unchecked at
+            // instantiation time, so an out-of-range slot in a corrupted
+            // entry must die here.
+            if !closed.markovian().iter().all(|t| t.rate.fits(&params)) {
+                return Err(DecodeError::new(
+                    "a rate references a slot outside the parameter table",
+                ));
+            }
+            let can = decode_bools(r)?;
+            let must = decode_bools(r)?;
+            if can.len() != closed.num_states() || must.len() != closed.num_states() {
+                return Err(DecodeError::new(
+                    "goal-set lengths disagree with the closed model",
+                ));
+            }
+            Backend::compositional(ClosedModel {
+                closed,
+                top_failure,
+                has_repair,
+                point_valued,
+                can,
+                must,
+            })
+            .map_err(|e| DecodeError::new(format!("decoded model is invalid: {e}")))?
+        }
+        (1, Method::Monolithic) if !R::PARAMETRIC => {
+            let num_states = r.len_prefix(0)?;
+            let initial = r.len_prefix(0)?;
+            let n = r.len_prefix(16)?;
+            let mut transitions = Vec::with_capacity(n);
+            for _ in 0..n {
+                transitions.push((r.u32()?, r.u32()?, r.f64()?));
+            }
+            let ctmc = Ctmc::from_transitions(num_states, initial, &transitions)
+                .map_err(|e| DecodeError::new(format!("decoded CTMC is invalid: {e}")))?;
+            let goal = decode_bools(r)?;
+            if goal.len() != num_states {
+                return Err(DecodeError::new("goal vector length mismatch"));
+            }
+            Backend::Monolithic { ctmc, goal }
+        }
+        (2, Method::Hybrid) => {
+            if repairable {
+                return Err(DecodeError::new(
+                    "a hybrid decomposition cannot be repairable",
+                ));
+            }
+            let modules = decode_module_stats(r)?;
+            let n = r.len_prefix(12)?;
+            let mut nodes = Vec::with_capacity(n);
+            for _ in 0..n {
+                nodes.push(BddNode {
+                    var: r.u32()?,
+                    lo: r.u32()?,
+                    hi: r.u32()?,
+                });
+            }
+            let root = r.u32()?;
+            let crown = Bdd::from_parts(nodes, root)
+                .map_err(|e| DecodeError::new(format!("decoded crown BDD is invalid: {e}")))?;
+            let n_leaves = r.len_prefix(1)?;
+            let mut leaves = Vec::with_capacity(n_leaves);
+            for _ in 0..n_leaves {
+                leaves.push(match r.u8()? {
+                    0 => Leaf::Unused,
+                    1 => {
+                        let rate = R::decode_rate(r)?;
+                        if !rate.is_valid() || !rate.fits(&params) {
+                            return Err(DecodeError::new("crown basic-event rate out of range"));
+                        }
+                        Leaf::Basic { rate }
+                    }
+                    2 => Leaf::Core {
+                        index: decode_count(r)?,
+                    },
+                    tag => return Err(DecodeError::new(format!("unknown hybrid leaf tag {tag}"))),
+                });
+            }
+            let n_cores = r.len_prefix(1)?;
+            let mut cores = Vec::with_capacity(n_cores);
+            for _ in 0..n_cores {
+                let core = decode_session::<R>(r, true)?;
+                if core.is_nondeterministic() {
+                    return Err(DecodeError::new("hybrid cores must be deterministic"));
+                }
+                // Core slots are looked up by element name in the session's
+                // table at instantiation time, so each one must resolve.
+                if !core
+                    .params
+                    .slots()
+                    .iter()
+                    .all(|slot| params.slot_of(&slot.element, slot.kind).is_some())
+                {
+                    return Err(DecodeError::new(
+                        "a core parameter is missing from the session's table",
+                    ));
+                }
+                cores.push(core);
+            }
+            for leaf in &leaves {
+                if let Leaf::Core { index } = leaf {
+                    if *index >= cores.len() {
+                        return Err(DecodeError::new("hybrid leaf references a missing core"));
+                    }
+                }
+            }
+            for var in crown.support() {
+                if !matches!(
+                    leaves.get(var.index()),
+                    Some(Leaf::Basic { .. } | Leaf::Core { .. })
+                ) {
+                    return Err(DecodeError::new("crown BDD references an unused leaf"));
+                }
+            }
+            Backend::Hybrid {
+                crown,
+                leaves,
+                cores,
+                modules,
+            }
+        }
+        (tag, method) => {
+            return Err(DecodeError::new(format!(
+                "backend tag {tag} disagrees with method {method:?}"
+            )))
+        }
+    };
+    Ok(Session {
+        options,
+        repairable,
+        aggregation,
+        model_stats,
+        params,
+        backend,
+        ran_aggregation: false,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -509,19 +784,7 @@ impl ModelStore {
     /// foreign entries are rejected (counted in [`StoreStats::rejected`]) and
     /// reported as a miss — the caller rebuilds and overwrites.
     pub fn load_analyzer(&self, fingerprint: u64, options: &AnalysisOptions) -> Option<Analyzer> {
-        let eps_bits = options.epsilon.to_bits();
-        let path = self.entry_path(Kind::Session, options.method, fingerprint, eps_bits);
-        // The frame carries fingerprint and ε; the method is encoded in the
-        // payload (and the file name), so verify it survived the round trip.
-        // The check lives inside the decode step so a mismatch counts as one
-        // rejection, like every other refusal — never as a hit.
-        self.load_entry(&path, Kind::Session, fingerprint, eps_bits, |payload| {
-            let decoded = Analyzer::decode_payload(payload)?;
-            if decoded.method() != options.method {
-                return Err(DecodeError::new("entry method disagrees with the request"));
-            }
-            Ok(decoded)
-        })
+        self.load_session(fingerprint, options)
     }
 
     /// Writes the entry for `fingerprint` ([`Dft::fingerprint`](dft::Dft::fingerprint)),
@@ -532,15 +795,7 @@ impl ModelStore {
     /// Returns [`Error::Store`] when serialization cannot be persisted (I/O
     /// failure); the failure is also counted in [`StoreStats::write_errors`].
     pub fn save_analyzer(&self, fingerprint: u64, analyzer: &Analyzer) -> Result<()> {
-        let eps_bits = analyzer.options().epsilon.to_bits();
-        let path = self.entry_path(Kind::Session, analyzer.method(), fingerprint, eps_bits);
-        let framed = seal(
-            Kind::Session,
-            fingerprint,
-            eps_bits,
-            &analyzer.encode_payload(),
-        );
-        self.write_atomic(&path, &framed)
+        self.save_session(fingerprint, analyzer)
     }
 
     /// Loads the parametric closed model cached for `structural_fingerprint`
@@ -552,26 +807,7 @@ impl ModelStore {
         structural_fingerprint: u64,
         options: &AnalysisOptions,
     ) -> Option<ParametricAnalyzer> {
-        let eps_bits = options.epsilon.to_bits();
-        let path = self.entry_path(
-            Kind::Parametric,
-            options.method,
-            structural_fingerprint,
-            eps_bits,
-        );
-        self.load_entry(
-            &path,
-            Kind::Parametric,
-            structural_fingerprint,
-            eps_bits,
-            |payload| {
-                let decoded = ParametricAnalyzer::decode_payload(payload)?;
-                if decoded.options().method != options.method {
-                    return Err(DecodeError::new("entry method disagrees with the request"));
-                }
-                Ok(decoded)
-            },
-        )
+        self.load_session(structural_fingerprint, options)
     }
 
     /// Writes the parametric entry for `structural_fingerprint`, atomically
@@ -585,19 +821,37 @@ impl ModelStore {
         structural_fingerprint: u64,
         parametric: &ParametricAnalyzer,
     ) -> Result<()> {
-        let eps_bits = parametric.options().epsilon.to_bits();
-        let path = self.entry_path(
-            Kind::Parametric,
-            parametric.options().method,
-            structural_fingerprint,
-            eps_bits,
-        );
-        let framed = seal(
-            Kind::Parametric,
-            structural_fingerprint,
-            eps_bits,
-            &parametric.encode_payload(),
-        );
+        self.save_session(structural_fingerprint, parametric)
+    }
+
+    /// The shared body of the `load_*` methods.
+    fn load_session<R: SessionRate>(
+        &self,
+        fingerprint: u64,
+        options: &AnalysisOptions,
+    ) -> Option<Session<R>> {
+        let kind = Kind::of::<R>();
+        let eps_bits = options.epsilon.to_bits();
+        let path = self.entry_path(kind, options.method, fingerprint, eps_bits);
+        // The frame carries fingerprint and ε; the method is encoded in the
+        // payload (and the file name), so verify it survived the round trip.
+        // The check lives inside the decode step so a mismatch counts as one
+        // rejection, like every other refusal — never as a hit.
+        self.load_entry(&path, kind, fingerprint, eps_bits, |payload| {
+            let decoded = decode_payload::<R>(payload)?;
+            if decoded.method() != options.method {
+                return Err(DecodeError::new("entry method disagrees with the request"));
+            }
+            Ok(decoded)
+        })
+    }
+
+    /// The shared body of the `save_*` methods.
+    fn save_session<R: SessionRate>(&self, fingerprint: u64, session: &Session<R>) -> Result<()> {
+        let kind = Kind::of::<R>();
+        let eps_bits = session.options().epsilon.to_bits();
+        let path = self.entry_path(kind, session.method(), fingerprint, eps_bits);
+        let framed = seal(kind, fingerprint, eps_bits, &encode_payload(session));
         self.write_atomic(&path, &framed)
     }
 

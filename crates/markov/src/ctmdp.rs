@@ -124,23 +124,6 @@ impl Ctmdp {
         self.initial
     }
 
-    /// The state vector, in index order.
-    ///
-    /// Together with [`initial`](Self::initial) and [`goal`](Self::goal) this
-    /// makes a CTMDP fully externalizable: feeding the three back into
-    /// [`Ctmdp::new`] reconstructs a model that answers every reachability
-    /// query bit-identically (the analysis only reads these fields, in this
-    /// order) — which is how the persistent model cache serializes the
-    /// can/must CTMDP pair of a closed model.
-    pub fn states(&self) -> &[CtmdpState] {
-        &self.states
-    }
-
-    /// The goal-state indicator vector, one flag per state.
-    pub fn goal(&self) -> &[bool] {
-        &self.goal
-    }
-
     /// Returns `true` if no state has more than one immediate successor, i.e. the
     /// model is actually a CTMC in disguise.
     pub fn is_deterministic(&self) -> bool {
@@ -379,28 +362,6 @@ impl Ctmdp {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accessors_round_trip_through_new() {
-        let mdp = Ctmdp::new(
-            vec![
-                CtmdpState::Immediate(vec![1, 2]),
-                CtmdpState::Markovian(vec![(2, 0.5)]),
-                CtmdpState::Markovian(vec![]),
-            ],
-            0,
-            vec![false, false, true],
-        )
-        .unwrap();
-        let rebuilt =
-            Ctmdp::new(mdp.states().to_vec(), mdp.initial(), mdp.goal().to_vec()).unwrap();
-        assert_eq!(rebuilt.states(), mdp.states());
-        assert_eq!(rebuilt.goal(), mdp.goal());
-        let a = mdp.reachability_bounds(0.7, 1e-12).unwrap();
-        let b = rebuilt.reachability_bounds(0.7, 1e-12).unwrap();
-        assert_eq!(a.min.to_bits(), b.min.to_bits());
-        assert_eq!(a.max.to_bits(), b.max.to_bits());
-    }
 
     #[test]
     fn deterministic_ctmdp_matches_ctmc() {

@@ -676,6 +676,12 @@ mod tests {
     /// A random small CTMDP: mixed Markovian/immediate states, some goals.
     /// Kept tiny (n ≤ 32) so the whole module stays Miri-friendly.
     fn random_ctmdp(seed: u64, n: usize) -> Ctmdp {
+        let (states, initial, goal) = random_parts(seed, n);
+        Ctmdp::new(states, initial, goal).unwrap()
+    }
+
+    /// The states, initial state and goal set of [`random_ctmdp`].
+    fn random_parts(seed: u64, n: usize) -> (Vec<CtmdpState>, usize, Vec<bool>) {
         let mut rng = Rng(seed | 1);
         let states = (0..n)
             .map(|_| {
@@ -693,7 +699,7 @@ mod tests {
             })
             .collect();
         let goal = (0..n).map(|_| rng.unit() < 0.2).collect();
-        Ctmdp::new(states, rng.below(n), goal).unwrap()
+        (states, rng.below(n), goal)
     }
 
     const TIMES: [f64; 3] = [0.0, 0.3, 1.1];
@@ -776,11 +782,10 @@ mod tests {
     fn batched_lanes_match_scalar_models_bit_for_bit() {
         // One shared structure, three rate scalings: lane k must reproduce a
         // standalone Ctmdp with the same rates exactly.
-        let mdp = random_ctmdp(42, 20);
+        let (states, initial, goal) = random_parts(42, 20);
         let scales = [1.0, 1.35, 0.8];
         let lanes = scales.len();
-        let edges: Vec<(usize, u32, f64)> = mdp
-            .states()
+        let edges: Vec<(usize, u32, f64)> = states
             .iter()
             .enumerate()
             .flat_map(|(s, st)| match st {
@@ -794,14 +799,14 @@ mod tests {
                 lane_rates.push(r * scale);
             }
         }
-        let kernel = RelaxKernel::from_template(mdp.states(), &lane_rates, lanes).unwrap();
+        let kernel = RelaxKernel::from_template(&states, &lane_rates, lanes).unwrap();
         for workers in [1usize, 3] {
             let batched = kernel
-                .reachability(mdp.initial(), mdp.goal(), &TIMES, 1e-10, true, workers)
+                .reachability(initial, &goal, &TIMES, 1e-10, true, workers)
                 .unwrap();
             for (k, &scale) in scales.iter().enumerate() {
                 let scaled = Ctmdp::new(
-                    mdp.states()
+                    states
                         .iter()
                         .map(|st| match st {
                             CtmdpState::Markovian(row) => CtmdpState::Markovian(
@@ -810,8 +815,8 @@ mod tests {
                             CtmdpState::Immediate(s) => CtmdpState::Immediate(s.clone()),
                         })
                         .collect(),
-                    mdp.initial(),
-                    mdp.goal().to_vec(),
+                    initial,
+                    goal.clone(),
                 )
                 .unwrap();
                 let solo = scaled.reachability_max_multi(&TIMES, 1e-10).unwrap();
@@ -829,15 +834,15 @@ mod tests {
     #[test]
     fn worker_count_never_changes_the_bits() {
         for seed in [5u64, 99] {
-            let mdp = random_ctmdp(seed, 32);
-            let kernel = RelaxKernel::from_states(mdp.states());
+            let (states, initial, goal) = random_parts(seed, 32);
+            let kernel = RelaxKernel::from_states(&states);
             for maximise in [false, true] {
                 let reference = kernel
-                    .reachability(mdp.initial(), mdp.goal(), &TIMES, 1e-9, maximise, 1)
+                    .reachability(initial, &goal, &TIMES, 1e-9, maximise, 1)
                     .unwrap();
                 for workers in [2usize, 4] {
                     let threaded = kernel
-                        .reachability(mdp.initial(), mdp.goal(), &TIMES, 1e-9, maximise, workers)
+                        .reachability(initial, &goal, &TIMES, 1e-9, maximise, workers)
                         .unwrap();
                     for (a, b) in reference.iter().zip(&threaded) {
                         assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} workers {workers}");
@@ -935,10 +940,10 @@ mod tests {
     #[test]
     fn stats_and_worker_cap_round_trip() {
         let before = stats();
-        let mdp = random_ctmdp(11, 16);
-        let kernel = RelaxKernel::from_states(mdp.states());
+        let (states, initial, goal) = random_parts(11, 16);
+        let kernel = RelaxKernel::from_states(&states);
         kernel
-            .reachability(mdp.initial(), mdp.goal(), &[0.5], 1e-9, true, 2)
+            .reachability(initial, &goal, &[0.5], 1e-9, true, 2)
             .unwrap();
         let after = stats();
         assert!(after.relax_passes > before.relax_passes);

@@ -12,7 +12,7 @@
 use dftmc::dft_core::casestudies::cas;
 use dftmc::dft_core::engine::ParametricAnalyzer;
 use dftmc::dft_core::parametric::ParamKind;
-use dftmc::dft_core::AnalysisOptions;
+use dftmc::dft_core::{AnalysisOptions, Measure};
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|i| parametric.params().scaled_valuation(1.0 + 0.05 * i as f64))
         .collect();
     let started = Instant::now();
-    let sweep = parametric.sweep_unreliability(1.0, &valuations)?;
+    let sweep = parametric.sweep_query(&Measure::Unreliability(1.0), &valuations)?;
     println!(
         "25-point sweep answered in {:.1?} (instantiate {:.1?}, query {:.1?})",
         started.elapsed(),

@@ -202,7 +202,9 @@ fn sweeps_cost_one_aggregation() {
         .iter()
         .map(|&s| parametric.params().scaled_valuation(s))
         .collect();
-    let sweep = parametric.sweep_unreliability(1.0, &valuations).unwrap();
+    let sweep = parametric
+        .sweep_query(&Measure::Unreliability(1.0), &valuations)
+        .unwrap();
     assert_eq!(sweep.len(), scales.len());
     assert_eq!(parametric.aggregation_runs(), 1);
 

@@ -185,18 +185,29 @@ fn cold_spare_chain_is_erlang() {
 }
 
 /// Random *dynamic* trees: a PAND over two random static sub-trees.  The two
-/// analysis paths must still agree (no closed form exists here).
+/// analysis paths must still agree (no closed form exists here).  From case 12
+/// on, one PAND input is a spare gate instead, on a seeded side: its failure
+/// (the allocation running out) must count as a PAND input failing.
 #[test]
 fn compositional_matches_monolithic_on_pand_over_modules() {
-    for case in 0..12u64 {
+    for case in 0..18u64 {
         let mut gen = Gen::new(0x9a7d_0500 + case);
         let left = random_recipe(&mut gen);
         let right = random_recipe(&mut gen);
         let t = gen.f64_in(0.2, 1.5);
         let mut b = DftBuilder::new();
         let l = build_module(&mut b, &left, &format!("pl{case}"));
-        let r = build_module(&mut b, &right, &format!("pr{case}"));
-        let top = b.pand_gate(&format!("pb{case}_pand_top"), &[l, r]).unwrap();
+        let inputs = if case < 12 {
+            [l, build_module(&mut b, &right, &format!("pr{case}"))]
+        } else {
+            let spare = spare_module(&mut b, &mut gen, &format!("ps{case}"));
+            if gen.usize_in(0, 2) == 0 {
+                [l, spare]
+            } else {
+                [spare, l]
+            }
+        };
+        let top = b.pand_gate(&format!("pb{case}_pand_top"), &inputs).unwrap();
         let dft = b.build(top).unwrap();
 
         let comp = Analyzer::new(&dft, AnalysisOptions::default())
@@ -218,4 +229,24 @@ fn compositional_matches_monolithic_on_pand_over_modules() {
             mono.value()
         );
     }
+}
+
+/// A spare gate over a hot primary and one or two cold or warm spares with
+/// seeded rates.
+fn spare_module(b: &mut DftBuilder, gen: &mut Gen, prefix: &str) -> ElementId {
+    let mut inputs = vec![b
+        .basic_event(&format!("{prefix}_p"), gen.f64_in(0.3, 2.0), Dormancy::Hot)
+        .unwrap()];
+    for i in 0..gen.usize_in(1, 3) {
+        let dormancy = if gen.usize_in(0, 2) == 0 {
+            Dormancy::Cold
+        } else {
+            Dormancy::Warm(0.5)
+        };
+        inputs.push(
+            b.basic_event(&format!("{prefix}_s{i}"), gen.f64_in(0.3, 2.0), dormancy)
+                .unwrap(),
+        );
+    }
+    b.spare_gate(&format!("{prefix}_spare"), &inputs).unwrap()
 }
