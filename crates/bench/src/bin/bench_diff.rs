@@ -1,36 +1,38 @@
-//! BENCH trend tracking: compares fresh `BENCH_<name>.json` records against a
-//! committed `BENCH_baseline/` snapshot and fails on *state-space* regressions.
+//! BENCH trend tracking: compares a fresh `BENCH_experiments.json` against
+//! the committed `BENCH_baseline/BENCH_experiments.json` and fails on
+//! *state-space* regressions.
 //!
-//! State counts are deterministic — a change means the pipeline itself changed
-//! — so any growth of a `*states*`/`*transitions*` metric over the baseline is
-//! an error.  Wall-clock metrics (`*_seconds`, `speedup`) vary with the host
-//! and are reported but never gated.
+//! Both records hold rows of `(experiment, case, metric, value)`, and every
+//! baseline row must be present in the fresh record.  State counts are
+//! deterministic — a change means the pipeline itself changed — so any
+//! growth of a row whose metric names states or transitions is an error.
+//! Wall-clock metrics (`*_seconds`, `*speedup`) vary with the host and are
+//! reported but never gated, except the marginal per-point sweep cost.
 //!
 //! Run with
-//! `cargo run --release -p dftmc-bench --bin bench_diff -- [baseline_dir] [name...]`
-//! after the experiment bins; the default baseline dir is `BENCH_baseline` and
-//! the default name set is everything the baseline dir contains.
-//!
-//! `bench_diff -- --validate FILE...` instead only checks that each file is
-//! non-empty, well-formed JSON (using the in-repo [`json::parse`]), replacing
-//! the `python3 -m json.tool` shell-out CI used to depend on — the pipeline
-//! stays pure Rust.
+//! `cargo run --release -p dftmc-bench --bin bench_diff -- [baseline_dir]`
+//! from the directory `experiments --smoke` wrote its record to; the default
+//! baseline dir is `BENCH_baseline`.  A record that cannot be read or parsed
+//! fails the diff.
 
 #![forbid(unsafe_code)]
 
 use dft::json::{self, Json};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
-/// A numeric metric is *gated* (fresh must not exceed baseline) when its key
-/// names a state-space size.
-fn is_gated(key: &str) -> bool {
-    key.contains("states") || key.contains("transitions")
+/// The record `experiments` writes and the baseline directory holds.
+const RECORD: &str = "BENCH_experiments.json";
+
+/// A row is *gated* (fresh must not exceed baseline) when its metric names a
+/// state-space size.
+fn is_gated(metric: &str) -> bool {
+    metric.contains("states") || metric.contains("transitions")
 }
 
 /// Wall-clock metrics are reported but never gated.
-fn is_timing(key: &str) -> bool {
-    key.ends_with("_seconds") || key == "speedup"
+fn is_timing(metric: &str) -> bool {
+    metric.ends_with("_seconds") || metric.ends_with("speedup")
 }
 
 /// Marginal per-point cost is a timing, but one the kernel batching makes a
@@ -40,232 +42,218 @@ fn is_timing(key: &str) -> bool {
 const MARGINAL_REGRESSION_FACTOR: f64 = 3.0;
 
 /// Timing metrics that *are* gated, with noise tolerance.
-fn is_gated_timing(key: &str) -> bool {
-    key == "marginal_us_per_point"
+fn is_gated_timing(metric: &str) -> bool {
+    metric == "marginal_us_per_point"
 }
 
+/// A parsed record: its `smoke` flag and its rows.
+struct Record {
+    smoke: Option<bool>,
+    rows: Vec<Row>,
+}
+
+struct Row {
+    /// `experiment/case/metric`, unique within a record.
+    key: String,
+    metric: String,
+    value: f64,
+}
+
+fn field<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
+    match doc {
+        Json::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+fn parse_record(doc: &Json) -> Result<Record, String> {
+    let smoke = match field(doc, "smoke") {
+        Some(Json::Bool(smoke)) => Some(*smoke),
+        _ => None,
+    };
+    let Some(Json::Arr(items)) = field(doc, "rows") else {
+        return Err("the record has no \"rows\" array".to_owned());
+    };
+    let rows = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let text = |key: &str| match field(item, key) {
+                Some(Json::Str(s)) => Ok(s.as_str()),
+                _ => Err(format!("row {i} has no string \"{key}\"")),
+            };
+            let Some(Json::Num(value)) = field(item, "value") else {
+                return Err(format!("row {i} has no numeric \"value\""));
+            };
+            let metric = text("metric")?;
+            Ok(Row {
+                key: format!("{}/{}/{metric}", text("experiment")?, text("case")?),
+                metric: metric.to_owned(),
+                value: *value,
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Record { smoke, rows })
+}
+
+fn load(path: &Path) -> Result<Record, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    json::parse(&text)
+        .and_then(|doc| parse_record(&doc))
+        .map_err(|e| format!("cannot parse {}: {e}", path.display()))
+}
+
+#[derive(Default)]
 struct Diff {
     regressions: Vec<String>,
     notes: Vec<String>,
 }
 
-impl Diff {
-    fn new() -> Diff {
-        Diff {
-            regressions: Vec::new(),
-            notes: Vec::new(),
+/// Checks every baseline row against the fresh row with the same key.
+fn diff(baseline: &Record, fresh: &Record) -> Diff {
+    let mut diff = Diff::default();
+    for base_row in &baseline.rows {
+        let key = &base_row.key;
+        let Some(fresh_row) = fresh.rows.iter().find(|r| r.key == *key) else {
+            diff.regressions.push(format!(
+                "{key}: present in baseline, missing in fresh record"
+            ));
+            continue;
+        };
+        let (metric, base, fresh) = (&base_row.metric, base_row.value, fresh_row.value);
+        if is_gated(metric) {
+            if fresh > base {
+                diff.regressions
+                    .push(format!("{key}: state-space regression {base} -> {fresh}"));
+            } else if fresh < base {
+                diff.notes.push(format!(
+                    "{key}: improved {base} -> {fresh} (update baseline?)"
+                ));
+            }
+        } else if is_gated_timing(metric) {
+            if fresh > base * MARGINAL_REGRESSION_FACTOR {
+                diff.regressions.push(format!(
+                    "{key}: marginal per-point cost regression {base} -> {fresh} \
+                     (more than {MARGINAL_REGRESSION_FACTOR}x the baseline)"
+                ));
+            } else if (fresh - base).abs() > f64::EPSILON {
+                diff.notes.push(format!(
+                    "{key}: {base} -> {fresh} (gated timing, within tolerance)"
+                ));
+            }
+        } else if is_timing(metric) && (fresh - base).abs() > f64::EPSILON {
+            diff.notes
+                .push(format!("{key}: {base} -> {fresh} (timing, not gated)"));
         }
     }
-
-    /// Walks baseline and fresh in lockstep; `path` names the current node.
-    fn walk(&mut self, path: &str, baseline: &Json, fresh: &Json) {
-        match (baseline, fresh) {
-            (Json::Obj(base_entries), Json::Obj(fresh_entries)) => {
-                for (key, base_value) in base_entries {
-                    let child = format!("{path}.{key}");
-                    match fresh_entries.iter().find(|(k, _)| k == key) {
-                        None => self.regressions.push(format!(
-                            "{child}: present in baseline, missing in fresh record"
-                        )),
-                        Some((_, fresh_value)) => self.walk(&child, base_value, fresh_value),
-                    }
-                }
-            }
-            (Json::Arr(base_items), Json::Arr(fresh_items)) => {
-                if base_items.len() != fresh_items.len() {
-                    self.regressions.push(format!(
-                        "{path}: baseline has {} entries, fresh has {}",
-                        base_items.len(),
-                        fresh_items.len()
-                    ));
-                    return;
-                }
-                for (i, (b, f)) in base_items.iter().zip(fresh_items).enumerate() {
-                    self.walk(&format!("{path}[{i}]"), b, f);
-                }
-            }
-            (Json::Num(base), Json::Num(fresh)) => {
-                let key = path.rsplit('.').next().unwrap_or(path);
-                if is_gated(key) {
-                    if fresh > base {
-                        self.regressions
-                            .push(format!("{path}: state-space regression {base} -> {fresh}"));
-                    } else if fresh < base {
-                        self.notes.push(format!(
-                            "{path}: improved {base} -> {fresh} (update baseline?)"
-                        ));
-                    }
-                } else if is_gated_timing(key) {
-                    if *fresh > base * MARGINAL_REGRESSION_FACTOR {
-                        self.regressions.push(format!(
-                            "{path}: marginal per-point cost regression {base} -> {fresh} \
-                             (more than {MARGINAL_REGRESSION_FACTOR}x the baseline)"
-                        ));
-                    } else if (fresh - base).abs() > f64::EPSILON {
-                        self.notes.push(format!(
-                            "{path}: {base} -> {fresh} (gated timing, within tolerance)"
-                        ));
-                    }
-                } else if is_timing(key) && (fresh - base).abs() > f64::EPSILON {
-                    self.notes
-                        .push(format!("{path}: {base} -> {fresh} (timing, not gated)"));
-                }
-            }
-            // Non-numeric leaves (strings, bools, null) and type changes are
-            // only compared when gated by key would make no sense; a type
-            // change on a gated key is a schema break and must fail.
-            (b, f) => {
-                let key = path.rsplit('.').next().unwrap_or(path);
-                if is_gated(key) && std::mem::discriminant(b) != std::mem::discriminant(f) {
-                    self.regressions.push(format!(
-                        "{path}: baseline and fresh record disagree on type"
-                    ));
-                }
-            }
-        }
-    }
-}
-
-fn load(path: &Path) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
-}
-
-/// The record's `smoke` flag, when it carries one.
-fn smoke_flag(record: &Json) -> Option<bool> {
-    match record {
-        Json::Obj(entries) => entries.iter().find_map(|(k, v)| match v {
-            Json::Bool(b) if k == "smoke" => Some(*b),
-            _ => None,
-        }),
-        _ => None,
-    }
-}
-
-/// `--validate FILE...`: each file must exist, be non-empty and parse as
-/// JSON.  No baseline comparison — this is the machine-readability gate the
-/// experiment bins' records pass through in CI.
-fn validate(files: &[String]) -> ExitCode {
-    if files.is_empty() {
-        eprintln!("--validate needs at least one file");
-        return ExitCode::FAILURE;
-    }
-    let mut failed = false;
-    for file in files {
-        match load(Path::new(file)) {
-            Ok(Json::Obj(entries)) if !entries.is_empty() => {
-                println!("{file}: valid JSON ({} top-level fields)", entries.len());
-            }
-            Ok(_) => {
-                eprintln!("FAIL: {file}: expected a non-empty JSON object");
-                failed = true;
-            }
-            Err(e) => {
-                eprintln!("FAIL: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    diff
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--validate") {
-        return validate(&args[1..]);
-    }
-    let baseline_dir = PathBuf::from(args.first().map(String::as_str).unwrap_or("BENCH_baseline"));
-
-    // Which experiments to diff: explicit names, or every BENCH_*.json in the
-    // baseline directory.
-    let names: Vec<String> = if args.len() > 1 {
-        args[1..].to_vec()
-    } else {
-        let mut names: Vec<String> = match std::fs::read_dir(&baseline_dir) {
-            Ok(dir) => dir
-                .filter_map(|entry| {
-                    let name = entry.ok()?.file_name().into_string().ok()?;
-                    Some(
-                        name.strip_prefix("BENCH_")?
-                            .strip_suffix(".json")?
-                            .to_owned(),
-                    )
-                })
-                .collect(),
-            Err(e) => {
-                eprintln!("cannot list {}: {e}", baseline_dir.display());
-                return ExitCode::FAILURE;
+    let baseline_dir = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "BENCH_baseline".to_owned());
+    let (baseline, fresh) = match (
+        load(&Path::new(&baseline_dir).join(RECORD)),
+        load(Path::new(RECORD)),
+    ) {
+        (Ok(baseline), Ok(fresh)) => (baseline, fresh),
+        (baseline, fresh) => {
+            for e in [baseline.err(), fresh.err()].into_iter().flatten() {
+                eprintln!("FAIL: {e}");
             }
-        };
-        names.sort();
-        names
+            return ExitCode::FAILURE;
+        }
     };
-    if names.is_empty() {
-        eprintln!("no baselines found in {}", baseline_dir.display());
+    // A smoke record has fewer rows than a full one: comparing the two
+    // would report bogus "regressions", so demand matching configurations
+    // up front with an actionable message.
+    if baseline.smoke != fresh.smoke {
+        let describe = |s: Option<bool>| match s {
+            Some(true) => "--smoke",
+            Some(false) => "full",
+            None => "unflagged",
+        };
+        eprintln!(
+            "FAIL: the baseline is a {} run but the fresh record is a {} run — \
+             re-run the experiments with the baseline's configuration",
+            describe(baseline.smoke),
+            describe(fresh.smoke)
+        );
         return ExitCode::FAILURE;
     }
 
-    let mut failed = false;
-    for name in &names {
-        let file = format!("BENCH_{name}.json");
-        let baseline = match load(&baseline_dir.join(&file)) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("{e}");
-                failed = true;
-                continue;
-            }
-        };
-        let fresh = match load(Path::new(&file)) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("{e}");
-                failed = true;
-                continue;
-            }
-        };
-        // A smoke record has fewer rows than a full one: comparing the two
-        // would report bogus "regressions", so demand matching configurations
-        // up front with an actionable message.
-        let (base_smoke, fresh_smoke) = (smoke_flag(&baseline), smoke_flag(&fresh));
-        if base_smoke != fresh_smoke {
-            let describe = |s: Option<bool>| match s {
-                Some(true) => "--smoke",
-                Some(false) => "full",
-                None => "unflagged",
-            };
-            eprintln!(
-                "FAIL: {name}: baseline is a {} run but the fresh record is a {} run — \
-                 re-run the experiment with the baseline's configuration",
-                describe(base_smoke),
-                describe(fresh_smoke)
-            );
-            failed = true;
-            continue;
+    let diff = diff(&baseline, &fresh);
+    for note in &diff.notes {
+        println!("note: {note}");
+    }
+    if diff.regressions.is_empty() {
+        println!(
+            "experiments: OK ({} baseline rows, no state-space regressions)",
+            baseline.rows.len()
+        );
+        ExitCode::SUCCESS
+    } else {
+        for regression in &diff.regressions {
+            eprintln!("FAIL: {regression}");
         }
-        let mut diff = Diff::new();
-        diff.walk(name, &baseline, &fresh);
-        for note in &diff.notes {
-            println!("note: {note}");
-        }
-        if diff.regressions.is_empty() {
-            println!("{name}: OK (no state-space regressions)");
-        } else {
-            for regression in &diff.regressions {
-                eprintln!("FAIL: {regression}");
-            }
-            failed = true;
-        }
+        ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A record with the CPS size rows, parsed from its JSON text.
+    fn cps_record(peak_states: usize, monolithic_states: usize) -> Record {
+        let rows: Vec<Json> = [
+            ("peak_states", peak_states),
+            ("peak_transitions", 416),
+            ("monolithic_states", monolithic_states),
+            ("monolithic_transitions", 24608),
+        ]
+        .into_iter()
+        .map(|(metric, value)| {
+            Json::obj([
+                ("experiment", "cps".into()),
+                ("case", "system".into()),
+                ("metric", metric.into()),
+                ("value", value.into()),
+            ])
+        })
+        .collect();
+        let text = Json::obj([
+            ("experiment", "experiments".into()),
+            ("smoke", true.into()),
+            ("rows", Json::Arr(rows)),
+        ])
+        .render();
+        parse_record(&json::parse(&text).unwrap()).unwrap()
     }
 
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    #[test]
+    fn cps_state_count_growth_is_a_regression() {
+        let diff = diff(&cps_record(177, 4113), &cps_record(999, 9999));
+        assert_eq!(
+            diff.regressions,
+            [
+                "cps/system/peak_states: state-space regression 177 -> 999",
+                "cps/system/monolithic_states: state-space regression 4113 -> 9999",
+            ]
+        );
+    }
+
+    #[test]
+    fn missing_rows_and_malformed_records_fail() {
+        let empty = Record {
+            smoke: Some(true),
+            rows: Vec::new(),
+        };
+        assert_eq!(diff(&cps_record(177, 4113), &empty).regressions.len(), 4);
+        let no_value = r#"{"rows":[{"experiment":"cps","case":"system","metric":"peak_states"}]}"#;
+        assert!(parse_record(&json::parse(no_value).unwrap()).is_err());
+        assert!(parse_record(&json::parse(r#"{"smoke":true}"#).unwrap()).is_err());
     }
 }

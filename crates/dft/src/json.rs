@@ -1,13 +1,10 @@
-//! A minimal JSON emitter for machine-readable benchmark records.
+//! A minimal JSON emitter and parser.
 //!
-//! The container carries no external crates, so the experiment bins cannot use
-//! `serde`.  This module provides the small subset they need: build a [`Json`]
-//! tree, render it deterministically (object keys keep insertion order), and
-//! write it to a `BENCH_<name>.json` file next to the human-readable tables so
-//! the performance trajectory of the repo can be tracked run over run.
+//! The workspace carries no external crates, so it cannot use `serde`.  This
+//! module provides the small subset it needs: build a [`Json`] tree, render it
+//! deterministically (object keys keep insertion order), and parse it back.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Duration;
 
 /// A JSON value.
@@ -353,29 +350,6 @@ fn text_slice(bytes: &[u8], start: usize, end: usize) -> std::result::Result<&st
         .get(start..end)
         .and_then(|s| std::str::from_utf8(s).ok())
         .ok_or_else(|| format!("invalid UTF-8 near byte {start}"))
-}
-
-/// Writes `value` to `BENCH_<name>.json` in the current directory and returns
-/// the path.  The experiment bins call this after printing their human tables;
-/// a trailing newline keeps the files friendly to line-oriented tooling.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn emit(name: &str, value: &Json) -> std::io::Result<PathBuf> {
-    let path = PathBuf::from(format!("BENCH_{name}.json"));
-    std::fs::write(&path, value.render() + "\n")?;
-    Ok(path)
-}
-
-/// [`emit`], plus a one-line note on stdout saying where the record went; I/O
-/// failures are reported on stderr instead of aborting an otherwise successful
-/// experiment run.
-pub fn emit_and_announce(name: &str, value: &Json) {
-    match emit(name, value) {
-        Ok(path) => println!("\nmachine-readable record: {}", path.display()),
-        Err(e) => eprintln!("\nwarning: could not write BENCH_{name}.json: {e}"),
-    }
 }
 
 #[cfg(test)]

@@ -40,11 +40,13 @@ fn num(doc: &Json, key: &str) -> f64 {
 }
 
 fn cas_body() -> String {
+    unreliability_body(&dft_core::casestudies::cas())
+}
+
+/// A `/submit` body asking for the unreliability of `dft` at t = 1.
+fn unreliability_body(dft: &dft::Dft) -> String {
     Json::obj([
-        (
-            "galileo",
-            Json::Str(dft::galileo::to_galileo(&dft_core::casestudies::cas())),
-        ),
+        ("galileo", Json::Str(dft::galileo::to_galileo(dft))),
         (
             "measures",
             Json::Arr(vec![Json::obj([
@@ -269,6 +271,59 @@ fn metrics_report_the_full_document_over_http() {
     let jobs = field(&doc, "jobs").unwrap();
     assert_eq!(num(&jobs, "completed"), 1.0);
     assert!(num(&jobs, "aggregation_runs") >= 1.0);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn concurrent_duplicate_submissions_aggregate_once_per_distinct_tree() {
+    let server = Server::start(small_options()).unwrap();
+    let addr = server.local_addr();
+
+    let trees = [1.0, 1.05].map(dft_core::casestudies::cas_scaled);
+    let bodies = trees.each_ref().map(unreliability_body);
+    let references = trees.each_ref().map(|dft| {
+        Analyzer::new(dft, AnalysisOptions::default())
+            .unwrap()
+            .unreliability(1.0)
+            .unwrap()
+            .value()
+    });
+    // Three clients submit both trees three times each, offset by client so
+    // duplicates of one tree are in flight from several clients at once.
+    std::thread::scope(|scope| {
+        for client in 0..3 {
+            let (bodies, references) = (&bodies, &references);
+            scope.spawn(move || {
+                let ids: Vec<(usize, u64)> = (0..6)
+                    .map(|j| {
+                        let tree = (client + j) % 2;
+                        (tree, submit(addr, "/submit", &bodies[tree]))
+                    })
+                    .collect();
+                for (tree, id) in ids {
+                    let value = num(&point(&wait_result(addr, id), 0), "value");
+                    assert_eq!(
+                        value.to_bits(),
+                        references[tree].to_bits(),
+                        "tree {tree}: HTTP {value} != in-process {}",
+                        references[tree]
+                    );
+                }
+            });
+        }
+    });
+
+    let (status, doc) = client::request(addr, "GET", "/metrics", "").unwrap();
+    assert_eq!(status, 200);
+    let jobs = field(&doc, "jobs").unwrap();
+    assert_eq!(num(&jobs, "completed"), 18.0);
+    assert_eq!(
+        num(&jobs, "aggregation_runs"),
+        2.0,
+        "every duplicate submission must be a cache hit"
+    );
 
     server.shutdown();
     server.join();
