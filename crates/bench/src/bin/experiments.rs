@@ -511,14 +511,14 @@ fn sweep(config: &Config) -> Result<Vec<Row>> {
         .iter()
         .map(|&s| parametric.params().scaled_valuation(s))
         .collect();
-    let measure = Measure::Unreliability(mission_time);
-    let (sweep, sweep_wall) = timed(|| parametric.sweep_query(&measure, &valuations));
+    let measures = [Measure::Unreliability(mission_time)];
+    let (sweep, sweep_wall) = timed(|| parametric.sweep_query(&measures, &valuations));
     let sweep = sweep?;
     // Marginal cost of one additional point: subtract a one-point sweep's
     // wall from the full sweep's wall.  The one-point run happens second, so
     // any lazily built per-model state is warm for it but *charged* to the
     // full sweep — the resulting marginal is conservative, never flattered.
-    let (one_point, one_point_wall) = timed(|| parametric.sweep_query(&measure, &valuations[..1]));
+    let (one_point, one_point_wall) = timed(|| parametric.sweep_query(&measures, &valuations[..1]));
     one_point?;
     let marginal_us_per_point =
         sweep_wall.saturating_sub(one_point_wall).as_secs_f64() * 1e6 / (points - 1) as f64;
@@ -527,7 +527,8 @@ fn sweep(config: &Config) -> Result<Vec<Row>> {
     let mut independent_total = Duration::ZERO;
     let mut single_point = Duration::ZERO;
     let mut max_abs_diff = 0.0f64;
-    for (i, (&scale, point)) in scales.iter().zip(sweep.results()).enumerate() {
+    for (i, (&scale, results)) in scales.iter().zip(sweep.results()).enumerate() {
+        let point = &results[0];
         let (reference, elapsed) = timed(|| {
             Analyzer::new(&cas_scaled(scale), options.clone())?.unreliability(mission_time)
         });
@@ -565,7 +566,7 @@ fn sweep(config: &Config) -> Result<Vec<Row>> {
         sweep
             .results()
             .windows(2)
-            .all(|pair| pair[1].value() >= pair[0].value() - 1e-12),
+            .all(|pair| pair[1][0].value() >= pair[0][0].value() - 1e-12),
         "unreliability must grow with the failure-rate scale"
     );
 

@@ -764,47 +764,18 @@ impl Session<f64> {
     /// are validated by the shared merged pass, before any scalar measure is
     /// evaluated.
     pub fn query_all(&self, measures: &[Measure]) -> Result<Vec<MeasureResult>> {
-        // Merge the mission times of all time-bounded measures, remembering for
-        // each measure which slots of the merged grid it reads back.
-        let mut grid = TimeGrid::default();
-        let mut plans: Vec<Option<Vec<usize>>> = Vec::with_capacity(measures.len());
-        for measure in measures {
-            plans.push(match measure {
-                Measure::Unreliability(t) => Some(grid.slots(std::slice::from_ref(t))?),
-                Measure::UnreliabilityCurve(times) => {
-                    if times.is_empty() {
-                        return Err(Error::EmptyCurve);
-                    }
-                    Some(grid.slots(times)?)
-                }
-                Measure::Unavailability | Measure::Mttf => None,
-            });
-        }
-
+        let (grid, plans) = TimeGrid::plan(measures)?;
         let merged = if grid.times.is_empty() {
             None
         } else {
             Some(self.unreliability_points(&grid.times)?)
         };
-
-        measures
-            .iter()
-            .zip(plans)
-            .map(|(measure, plan)| match (measure, plan) {
-                (Measure::Unavailability, None) => self.unavailability_point(),
-                (Measure::Mttf, None) => self.mttf_point(),
-                (_, Some(slots)) => {
-                    let points = merged
-                        .as_ref()
-                        .expect("time-bounded measures imply a merged pass")
-                        .points();
-                    Ok(MeasureResult::new(
-                        slots.iter().map(|&slot| points[slot]).collect(),
-                    ))
-                }
-                (_, None) => unreachable!("plan shape follows the measure shape"),
-            })
-            .collect()
+        read_back(
+            measures,
+            &plans,
+            merged.as_ref().map_or(&[], MeasureResult::points),
+            |measure| self.query(measure),
+        )
     }
 
     /// Convenience for [`Measure::Unreliability`].
@@ -1064,19 +1035,21 @@ impl Session<RateForm> {
             .collect()
     }
 
-    /// Evaluates one measure across a whole sweep of valuations with zero
-    /// re-aggregations.
+    /// Evaluates a batch of measures across a whole sweep of valuations with
+    /// zero re-aggregations.
     ///
-    /// Time-bounded measures ([`Measure::Unreliability`] and
-    /// [`Measure::UnreliabilityCurve`]) run *batched*: every valuation
-    /// becomes one lane of a [`RelaxKernel`], so the whole sweep costs one
-    /// (or two, for non-deterministic models) traversal of the shared
-    /// structure instead of one value iteration per point.  Each lane keeps
-    /// its own uniformisation rate, so every result is bit-identical to
-    /// [`instantiate`](Self::instantiate)` + `[`Analyzer::query`] on that
-    /// valuation alone — and independent of the kernel's worker count.
-    /// [`Measure::Unavailability`] and [`Measure::Mttf`] fall back to the
-    /// per-point loop.
+    /// The time bounds of every [`Measure::Unreliability`] and
+    /// [`Measure::UnreliabilityCurve`] in `measures` are merged onto one grid,
+    /// exactly as [`Analyzer::query_all`] merges them, and run *batched*:
+    /// every valuation becomes one lane of a [`RelaxKernel`], so the whole
+    /// sweep costs one (or two, for non-deterministic models) traversal of
+    /// the shared structure instead of one value iteration per point.  Each
+    /// lane keeps its own uniformisation rate, so every result is
+    /// bit-identical to [`instantiate`](Self::instantiate)` + `
+    /// [`Analyzer::query_all`] on that valuation alone — and independent of
+    /// the kernel's worker count.  [`Measure::Unavailability`] and
+    /// [`Measure::Mttf`] need the instantiated session's tangible CTMC, so
+    /// they instantiate and query per valuation.
     ///
     /// # Example
     ///
@@ -1097,13 +1070,15 @@ impl Session<RateForm> {
     /// let valuations: Vec<_> = (1..=5)
     ///     .map(|i| parametric.params().scaled_valuation(i as f64))
     ///     .collect();
-    /// let sweep = parametric.sweep_query(&Measure::Unreliability(1.0), &valuations)?;
+    /// let measures = [Measure::Unreliability(1.0), Measure::Mttf];
+    /// let sweep = parametric.sweep_query(&measures, &valuations)?;
     /// assert_eq!(sweep.len(), 5);
     /// assert_eq!(parametric.aggregation_runs(), 1);
-    /// // Each point matches the closed form 1 - exp(-scale·t).
-    /// for (i, value) in sweep.values().enumerate() {
-    ///     let exact = 1.0 - (-((i + 1) as f64)).exp();
-    ///     assert!((value - exact).abs() < 1e-6);
+    /// // Each point matches the closed forms 1 - exp(-scale·t) and 1/scale.
+    /// for (i, results) in sweep.results().iter().enumerate() {
+    ///     let scale = (i + 1) as f64;
+    ///     assert!((results[0].value() - (1.0 - (-scale).exp())).abs() < 1e-6);
+    ///     assert!((results[1].value() - 1.0 / scale).abs() < 1e-6);
     /// }
     /// # Ok(())
     /// # }
@@ -1112,60 +1087,53 @@ impl Session<RateForm> {
     /// # Errors
     ///
     /// Fails on the first invalid valuation or query error (see
-    /// [`instantiate`](Self::instantiate) and [`Analyzer::query`]).  A sweep
-    /// over zero valuations succeeds without validating the measure, like
-    /// the per-point loop it replaces.
-    pub fn sweep_query(&self, measure: &Measure, valuations: &[Valuation]) -> Result<RateSweep> {
+    /// [`instantiate`](Self::instantiate) and [`Analyzer::query_all`]).  A
+    /// sweep over zero valuations succeeds without validating the measures.
+    pub fn sweep_query(&self, measures: &[Measure], valuations: &[Valuation]) -> Result<RateSweep> {
         if valuations.is_empty() {
             return Ok(RateSweep::default());
         }
-        let times: &[f64] = match measure {
-            Measure::Unreliability(t) => std::slice::from_ref(t),
-            Measure::UnreliabilityCurve(times) => {
-                if times.is_empty() {
-                    return Err(Error::EmptyCurve);
-                }
-                times
-            }
-            Measure::Unavailability | Measure::Mttf => {
-                return self.sweep_per_point(measure, valuations)
-            }
-        };
-
-        // Merge duplicate time bounds in first-occurrence order — the exact
-        // plan `Analyzer::query_all` builds — so each lane reads the same
-        // merged grid a per-point query would.
-        let mut grid = TimeGrid::default();
-        let slots = grid.slots(times)?;
+        let (grid, plans) = TimeGrid::plan(measures)?;
         let started = Instant::now();
         for valuation in valuations {
             valuation.check_against(&self.params)?;
         }
         let lanes: Vec<&[f64]> = valuations.iter().map(Valuation::values).collect();
-        let checked = started.elapsed();
-        let swept = self.sweep_lanes(&grid.times, &lanes)?;
-        Ok(RateSweep {
-            results: swept
-                .points
-                .into_iter()
-                .map(|points| MeasureResult::new(slots.iter().map(|&slot| points[slot]).collect()))
-                .collect(),
-            instantiate_time: checked + swept.instantiate_time,
-            query_time: swept.query_time,
-        })
-    }
-
-    /// The pre-kernel sweep loop: instantiate + query per valuation.  Still
-    /// the path for measures the batched kernel does not cover.
-    fn sweep_per_point(&self, measure: &Measure, valuations: &[Valuation]) -> Result<RateSweep> {
-        let mut sweep = RateSweep::default();
-        for valuation in valuations {
-            let started = Instant::now();
-            let session = self.instantiate(valuation)?;
-            sweep.instantiate_time += started.elapsed();
-            let started = Instant::now();
-            sweep.results.push(session.query(measure)?);
-            sweep.query_time += started.elapsed();
+        let mut sweep = RateSweep {
+            instantiate_time: started.elapsed(),
+            ..RateSweep::default()
+        };
+        let swept = if grid.times.is_empty() {
+            None
+        } else {
+            let swept = self.sweep_lanes(&grid.times, &lanes)?;
+            sweep.instantiate_time += swept.instantiate_time;
+            sweep.query_time += swept.query_time;
+            Some(swept.points)
+        };
+        for (k, values) in lanes.into_iter().enumerate() {
+            let mut session = None;
+            let results = read_back(
+                measures,
+                &plans,
+                swept.as_ref().map_or(&[], |points| &points[k]),
+                |measure| {
+                    let session = match &mut session {
+                        Some(session) => session,
+                        None => {
+                            let started = Instant::now();
+                            let built = self.instantiate_values(values)?;
+                            sweep.instantiate_time += started.elapsed();
+                            session.insert(built)
+                        }
+                    };
+                    let started = Instant::now();
+                    let result = session.query(measure);
+                    sweep.query_time += started.elapsed();
+                    result
+                },
+            )?;
+            sweep.results.push(results);
         }
         Ok(sweep)
     }
@@ -1298,25 +1266,22 @@ struct LaneSweep {
     query_time: Duration,
 }
 
-/// The result of a rate sweep: one [`MeasureResult`] per valuation, in request
-/// order, plus the wall-clock split between instantiation and querying.
+/// The result of a rate sweep: one row of [`MeasureResult`]s per valuation,
+/// in request order, plus the wall-clock split between instantiation and
+/// querying.
 #[derive(Debug, Clone, Default)]
 pub struct RateSweep {
-    results: Vec<MeasureResult>,
+    results: Vec<Vec<MeasureResult>>,
     instantiate_time: Duration,
     query_time: Duration,
 }
 
 impl RateSweep {
-    /// One result per valuation, in the order the valuations were passed.
-    pub fn results(&self) -> &[MeasureResult] {
+    /// One row per valuation, in the order the valuations were passed; each
+    /// row holds one result per measure, in the order the measures were
+    /// passed.
+    pub fn results(&self) -> &[Vec<MeasureResult>] {
         &self.results
-    }
-
-    /// The scalar values of all results, in valuation order (see
-    /// [`MeasureResult::value`] for the non-determinism convention).
-    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.results.iter().map(MeasureResult::value)
     }
 
     /// Number of valuations evaluated.
@@ -1329,7 +1294,8 @@ impl RateSweep {
         self.results.is_empty()
     }
 
-    /// Total time spent evaluating rate forms and building CTMDPs.
+    /// Total time spent evaluating rate forms and building CTMDPs and
+    /// kernel lanes.
     pub fn instantiate_time(&self) -> Duration {
         self.instantiate_time
     }
@@ -1339,6 +1305,10 @@ impl RateSweep {
         self.query_time
     }
 }
+
+/// For each measure of a batch, the slots of the merged [`TimeGrid`] it
+/// reads back — `None` for the steady-state measures.
+type Plans = Vec<Option<Vec<usize>>>;
 
 /// Mission times merged bit-exactly in first-occurrence order and validated
 /// on the way in: the one grid a batch of time-bounded measures (or a sweep)
@@ -1350,6 +1320,25 @@ struct TimeGrid {
 }
 
 impl TimeGrid {
+    /// Merges the mission times of every time-bounded measure in `measures`
+    /// onto one grid, remembering which slots each measure reads back.
+    ///
+    /// Curve shapes and mission times are validated here, before any
+    /// numerical work starts.
+    fn plan(measures: &[Measure]) -> Result<(TimeGrid, Plans)> {
+        let mut grid = TimeGrid::default();
+        let plans = measures
+            .iter()
+            .map(|measure| match measure {
+                Measure::Unreliability(t) => grid.slots(std::slice::from_ref(t)).map(Some),
+                Measure::UnreliabilityCurve(times) if times.is_empty() => Err(Error::EmptyCurve),
+                Measure::UnreliabilityCurve(times) => grid.slots(times).map(Some),
+                Measure::Unavailability | Measure::Mttf => Ok(None),
+            })
+            .collect::<Result<Plans>>()?;
+        Ok((grid, plans))
+    }
+
     /// Adds `times` to the grid and returns the grid slot of each.
     fn slots(&mut self, times: &[f64]) -> Result<Vec<usize>> {
         times
@@ -1363,6 +1352,27 @@ impl TimeGrid {
             })
             .collect()
     }
+}
+
+/// Reads one batch's results back in measure order: each time-bounded
+/// measure takes its slots of `merged` (the batch's points on the merged
+/// grid), each steady-state measure is answered by `steady`.
+fn read_back(
+    measures: &[Measure],
+    plans: &[Option<Vec<usize>>],
+    merged: &[MeasurePoint],
+    mut steady: impl FnMut(&Measure) -> Result<MeasureResult>,
+) -> Result<Vec<MeasureResult>> {
+    measures
+        .iter()
+        .zip(plans)
+        .map(|(measure, plan)| match plan {
+            Some(slots) => Ok(MeasureResult::new(
+                slots.iter().map(|&slot| merged[slot]).collect(),
+            )),
+            None => steady(measure),
+        })
+        .collect()
 }
 
 /// Rejects mission times no transient analysis can answer — NaN, infinite or
@@ -1742,27 +1752,29 @@ mod tests {
         let measure = Measure::curve([0.4, 1.0, 0.4, 2.0]);
         for cap in [1usize, 2, 4] {
             markov::kernel::set_max_workers(cap);
-            let sweep = parametric.sweep_query(&measure, &valuations).unwrap();
+            let sweep = parametric
+                .sweep_query(std::slice::from_ref(&measure), &valuations)
+                .unwrap();
             assert_eq!(sweep.len(), valuations.len());
-            for (valuation, result) in valuations.iter().zip(sweep.results()) {
+            for (valuation, row) in valuations.iter().zip(sweep.results()) {
                 let reference = parametric
                     .instantiate(valuation)
                     .unwrap()
                     .query(measure.clone())
                     .unwrap();
-                assert_eq!(bits_of(result), bits_of(&reference), "cap {cap}");
+                assert_eq!(bits_of(&row[0]), bits_of(&reference), "cap {cap}");
             }
         }
         markov::kernel::set_max_workers(0);
 
         // An empty sweep stays a no-op, and an empty curve still errors when
         // there is at least one valuation to evaluate it for.
-        assert!(parametric.sweep_query(&measure, &[]).unwrap().is_empty());
+        assert!(parametric.sweep_query(&[measure], &[]).unwrap().is_empty());
         assert!(parametric
-            .sweep_query(&Measure::curve([]), &valuations)
+            .sweep_query(&[Measure::curve([])], &valuations)
             .is_err());
         assert!(parametric
-            .sweep_query(&Measure::curve([]), &[])
+            .sweep_query(&[Measure::curve([])], &[])
             .unwrap()
             .is_empty());
     }
@@ -1770,7 +1782,8 @@ mod tests {
     #[test]
     fn point_valued_sweeps_batch_through_one_pass() {
         // A deterministic model takes the point-valued shortcut (the lower
-        // pass is the upper pass); results must still match per-point queries.
+        // pass is the upper pass); results must still match per-point
+        // queries, also with MTTF and a second time grid in the same batch.
         let mut b = DftBuilder::new();
         let p = b.basic_event("en12_P", 0.8, Dormancy::Hot).unwrap();
         let s = b.basic_event("en12_S", 1.2, Dormancy::Cold).unwrap();
@@ -1783,17 +1796,23 @@ mod tests {
             .iter()
             .map(|&s| parametric.params().scaled_valuation(s))
             .collect();
-        let sweep = parametric
-            .sweep_query(&Measure::Unreliability(0.9), &valuations)
-            .unwrap();
-        for (valuation, result) in valuations.iter().zip(sweep.results()) {
-            assert!(!result.is_nondeterministic());
+        let measures = [
+            Measure::Unreliability(0.9),
+            Measure::Mttf,
+            Measure::curve([0.3, 0.9]),
+        ];
+        let sweep = parametric.sweep_query(&measures, &valuations).unwrap();
+        for (valuation, row) in valuations.iter().zip(sweep.results()) {
+            assert!(!row[0].is_nondeterministic());
             let reference = parametric
                 .instantiate(valuation)
                 .unwrap()
-                .unreliability(0.9)
+                .query_all(&measures)
                 .unwrap();
-            assert_eq!(bits_of(result), bits_of(&reference));
+            assert_eq!(row.len(), reference.len());
+            for (result, reference) in row.iter().zip(&reference) {
+                assert_eq!(bits_of(result), bits_of(reference));
+            }
         }
     }
 
@@ -2058,9 +2077,12 @@ mod tests {
             .map(|i| parametric.params().scaled_valuation(i as f64 * 0.5))
             .collect();
         let measure = Measure::UnreliabilityCurve(vec![0.5, 1.0, 2.0]);
-        let sweep = parametric.sweep_query(&measure, &valuations).unwrap();
+        let sweep = parametric
+            .sweep_query(std::slice::from_ref(&measure), &valuations)
+            .unwrap();
 
-        for (valuation, swept) in valuations.iter().zip(sweep.results()) {
+        for (valuation, row) in valuations.iter().zip(sweep.results()) {
+            let swept = &row[0];
             // Bit-identical to the per-point path on the hybrid session …
             let direct = parametric
                 .instantiate(valuation)

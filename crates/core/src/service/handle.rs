@@ -1,5 +1,4 @@
-//! The completion handle for submitted requests, and the shared state a
-//! sweep's tasks coordinate through.
+//! The completion handle for submitted requests.
 //!
 //! [`AnalysisService::submit_request`](super::AnalysisService::submit_request)
 //! enqueues and returns immediately; the caller keeps a [`RequestHandle`]
@@ -9,17 +8,8 @@
 //! lifetime: dropping the service drains the queue first, so every
 //! outstanding handle still receives its outcome.
 
-use super::{RequestOutcome, ServiceCore, SweepPointReport, SweepReport, SweepStats};
-use crate::analysis::AnalysisOptions;
-use crate::engine::ParametricAnalyzer;
-use crate::parametric::Valuation;
-use crate::query::Measure;
-use crate::request::SweepSpec;
-use crate::{Error, Result};
-use dft::Dft;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use super::RequestOutcome;
+use std::sync::mpsc;
 
 /// The completion handle of one submitted
 /// [`AnalysisRequest`](crate::request::AnalysisRequest).
@@ -88,198 +78,5 @@ impl RequestHandle {
             }
         }
         self.received.as_ref()
-    }
-}
-
-/// The outcome of a sweep's head task: the shared parametric model (or its
-/// deterministic error), whether it came out of the cache, and what the build
-/// cost.
-#[derive(Debug)]
-struct ParametricOutcome {
-    model: Result<Arc<ParametricAnalyzer>>,
-    cache_hit: bool,
-    build_time: Duration,
-}
-
-/// The state one sweep's tasks share: the head task stores the parametric
-/// model and the valuations resolved from the [`SweepSpec`], every point task
-/// fills its slot, and the *last* point to finish assembles the
-/// [`SweepReport`] and sends it to the handle.
-#[derive(Debug)]
-pub(super) struct SweepState {
-    dft: Dft,
-    options: AnalysisOptions,
-    measures: Vec<Measure>,
-    spec: SweepSpec,
-    structural: u64,
-    /// Pool size at submission, reported in [`SweepStats::workers`].
-    workers: usize,
-    /// Submission time; the report's wall clock covers queueing too.
-    started: Instant,
-    parametric: OnceLock<ParametricOutcome>,
-    /// The spec's concrete valuations, resolved by the head task (the
-    /// symbolic forms need the built model's
-    /// [`ParamTable`](crate::parametric::ParamTable)).  A resolution error
-    /// lands in every point's report instead of aborting the sweep.
-    resolved: OnceLock<Result<Vec<Valuation>>>,
-    slots: Mutex<Vec<Option<SweepPointReport>>>,
-    remaining: AtomicUsize,
-    /// `Sender` is `Send` but not `Sync`; only the final point task ever uses
-    /// it, so a mutex costs nothing.
-    tx: Mutex<mpsc::Sender<RequestOutcome>>,
-}
-
-impl SweepState {
-    pub(super) fn new(
-        dft: Dft,
-        options: AnalysisOptions,
-        measures: Vec<Measure>,
-        spec: SweepSpec,
-        workers: usize,
-        tx: mpsc::Sender<RequestOutcome>,
-    ) -> SweepState {
-        let structural = dft.structural_fingerprint();
-        let points = spec.len();
-        SweepState {
-            dft,
-            options,
-            measures,
-            spec,
-            structural,
-            workers,
-            started: Instant::now(),
-            parametric: OnceLock::new(),
-            resolved: OnceLock::new(),
-            slots: Mutex::new(vec![None; points]),
-            remaining: AtomicUsize::new(points),
-            tx: Mutex::new(tx),
-        }
-    }
-
-    /// Number of sweep points (= point tasks to expand); fixed by the spec at
-    /// submission time, before the model exists.
-    pub(super) fn points(&self) -> usize {
-        self.spec.len()
-    }
-
-    /// The head task: get-or-build the shared parametric model, then resolve
-    /// the spec into concrete valuations against its parameter table.
-    pub(super) fn build(&self, core: &ServiceCore) {
-        let build_start = Instant::now();
-        let (model, cache_hit) = core.parametric(self.structural, &self.dft, &self.options);
-        let resolved = match &model {
-            Ok(model) => self.spec.resolve(model.params()),
-            // The model failed to build: every point will report the build
-            // error, so the valuations are moot.  Table-free specs still
-            // resolve (keeping the classic per-point fingerprints); symbolic
-            // ones resolve to nothing and the points fall back to the build
-            // error below.
-            Err(_) => match &self.spec {
-                SweepSpec::Valuations(valuations) => Ok(valuations.clone()),
-                _ => Ok(Vec::new()),
-            },
-        };
-        self.resolved
-            .set(resolved)
-            .expect("the sweep head task runs exactly once");
-        let outcome = ParametricOutcome {
-            model,
-            cache_hit,
-            build_time: build_start.elapsed(),
-        };
-        self.parametric
-            .set(outcome)
-            .expect("the sweep head task runs exactly once");
-    }
-
-    /// One point task: instantiate-or-fetch the valuation's session, answer
-    /// the measures, and — when this was the last outstanding point —
-    /// assemble and deliver the report.
-    pub(super) fn run_point(&self, core: &ServiceCore, index: usize) {
-        let outcome = self
-            .parametric
-            .get()
-            .expect("the sweep head task expands the points only after building");
-        let resolved = self
-            .resolved
-            .get()
-            .expect("the sweep head task resolves the spec before any point runs");
-        let report = match resolved {
-            Err(e) => SweepPointReport {
-                valuation_fingerprint: 0,
-                cache_hit: false,
-                results: Err(e.clone()),
-                instantiate: Duration::ZERO,
-                query: Duration::ZERO,
-            },
-            Ok(valuations) => match valuations.get(index) {
-                Some(valuation) => core.run_sweep_point(
-                    &outcome.model,
-                    self.structural,
-                    &self.options,
-                    &self.measures,
-                    valuation,
-                ),
-                // A symbolic spec with a failed model build resolved to no
-                // valuations; surface the build error per point.
-                None => SweepPointReport {
-                    valuation_fingerprint: 0,
-                    cache_hit: false,
-                    results: Err(match &outcome.model {
-                        Err(e) => e.clone(),
-                        Ok(_) => Error::InvalidValuation {
-                            message: "sweep point has no valuation".to_owned(),
-                        },
-                    }),
-                    instantiate: Duration::ZERO,
-                    query: Duration::ZERO,
-                },
-            },
-        };
-        self.slots.lock().expect("sweep slots")[index] = Some(report);
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.finish(outcome);
-        }
-    }
-
-    fn finish(&self, outcome: &ParametricOutcome) {
-        let points: Vec<SweepPointReport> = self
-            .slots
-            .lock()
-            .expect("sweep slots")
-            .iter_mut()
-            .map(|slot| slot.take().expect("every point task filled its slot"))
-            .collect();
-        let mut stats = SweepStats {
-            valuations: points.len(),
-            parametric_cache_hit: outcome.cache_hit,
-            // A parametric model freshly *loaded from the persistent store*
-            // is an in-memory cache miss that still ran zero aggregations —
-            // ask the model itself instead of inferring from the hit flag.
-            aggregation_runs: match &outcome.model {
-                Ok(model) if !outcome.cache_hit => model.aggregation_runs(),
-                _ => 0,
-            },
-            workers: self.workers,
-            build_time: outcome.build_time,
-            wall_time: self.started.elapsed(),
-            ..SweepStats::default()
-        };
-        for point in &points {
-            if point.cache_hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.cache_misses += 1;
-            }
-            stats.instantiate_time += point.instantiate;
-            stats.query_time += point.query;
-        }
-        // The handle may have been dropped (fire-and-forget submission);
-        // delivery failure is not an error.
-        let _ = self
-            .tx
-            .lock()
-            .expect("sweep sender")
-            .send(RequestOutcome::Sweep(SweepReport { points, stats }));
     }
 }

@@ -29,11 +29,15 @@
 //!   `Arc<Analyzer>` keyed by [`Dft::fingerprint`] (plus the analysis method and
 //!   epsilon).  N requests over copies of one tree run aggregation exactly
 //!   once; the other N−1 are cache hits that go straight to the query phase.
-//! * **Sweeps** — a request carrying a
-//!   [`SweepSpec`](crate::request::SweepSpec) aggregates the tree's
-//!   *structure* once into a cached [`ParametricAnalyzer`] (shared by every
-//!   rate variant of the same structure) and instantiates one session per
-//!   valuation on the pool.
+//! * **Sweeps** — a request carrying a [`SweepSpec`] is one queued task.  It
+//!   aggregates the tree's *structure* once into a cached
+//!   [`ParametricAnalyzer`] (shared by every rate variant of the same
+//!   structure) and answers every time-bounded measure for all valuations in
+//!   one lane-batched kernel pass
+//!   ([`sweep_query`](ParametricAnalyzer::sweep_query)).  Only
+//!   `Unavailability` and `Mttf`, which need an instantiated session's
+//!   tangible CTMC, instantiate one session per valuation, cached like any
+//!   other session.
 //! * **Persistence** — with [`ServiceOptions::store`] pointing at a shared
 //!   directory, built models are also written to a cross-process
 //!   [`ModelStore`]: a cache miss consults the
@@ -121,11 +125,10 @@ use crate::analysis::{AnalysisOptions, Method};
 use crate::engine::{Analyzer, ParametricAnalyzer};
 use crate::parametric::Valuation;
 use crate::query::{Measure, MeasureResult};
-use crate::request::AnalysisRequest;
+use crate::request::{AnalysisRequest, SweepSpec};
 use crate::store::{ModelStore, StoreStats};
 use crate::{Error, Result};
 use dft::Dft;
-use handle::SweepState;
 use queue::{JobQueue, Task};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -262,9 +265,11 @@ struct Cache {
 /// Cumulative cache counters of a service, across all requests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Jobs that found their session already built (or being built).
+    /// Session lookups that found the session already built (or being
+    /// built): one per job, plus one per sweep valuation answered by an
+    /// instantiated session (see [`SweepStats::cache_hits`]).
     pub hits: usize,
-    /// Jobs that had to build their session.
+    /// Session lookups that had to build (or instantiate) the session.
     pub misses: usize,
     /// *Session* entries dropped to respect
     /// [`ServiceOptions::cache_capacity`].  Parametric models evicted from
@@ -343,20 +348,21 @@ pub enum RequestOutcome {
 }
 
 /// The outcome of one valuation of a sweep request.
+///
+/// Time-bounded measures of all valuations share one lane-batched kernel
+/// pass, so no time can be attributed to a single point; the sweep-level
+/// [`SweepStats`] carry the timings.
 #[derive(Debug, Clone)]
 pub struct SweepPointReport {
-    /// Fingerprint of the valuation ([`Valuation::fingerprint`]).
+    /// Fingerprint of the valuation ([`Valuation::fingerprint`]); 0 when the
+    /// spec could not be resolved into valuations.
     pub valuation_fingerprint: u64,
-    /// `true` when the instantiated session came out of the cache.
-    pub cache_hit: bool,
     /// One [`MeasureResult`] per requested measure, in request order — or the
-    /// first error (invalid valuation, query failure).
+    /// first error (model build, spec resolution, invalid valuation, query
+    /// failure).  Bit-identical to
+    /// [`instantiate`](ParametricAnalyzer::instantiate)` + `
+    /// [`query_all`](Analyzer::query_all) on this valuation alone.
     pub results: Result<Vec<MeasureResult>>,
-    /// Time spent instantiating (rate-form evaluation + CTMDP setup) or
-    /// fetching the session.
-    pub instantiate: Duration,
-    /// Time spent answering the measures.
-    pub query: Duration,
 }
 
 /// Sweep-level accounting of a sweep request.
@@ -364,9 +370,14 @@ pub struct SweepPointReport {
 pub struct SweepStats {
     /// Number of valuations in the sweep.
     pub valuations: usize,
-    /// Valuations answered from an already-instantiated session.
+    /// Valuations answered from an already-instantiated session in the
+    /// session cache.  Only valuations that need a session count: those of a
+    /// sweep asking for `Unavailability` or `Mttf`, and every valuation of a
+    /// sweep whose batched pass failed.  A sweep of time-bounded measures
+    /// alone reports 0 hits and 0 misses.
     pub cache_hits: usize,
-    /// Valuations that instantiated their session.
+    /// Valuations that instantiated their session (counted as
+    /// [`cache_hits`](Self::cache_hits) are).
     pub cache_misses: usize,
     /// `true` when the parametric model itself came out of the cache.
     pub parametric_cache_hit: bool,
@@ -374,17 +385,16 @@ pub struct SweepStats {
     /// the parametric model, 0 on a parametric cache hit — never once per
     /// valuation.
     pub aggregation_runs: usize,
-    /// Size of the persistent worker pool the sweep ran on (always 0 for an
-    /// empty sweep, which enqueues nothing and never starts the pool).
-    pub workers: usize,
     /// Time spent obtaining the parametric model (full aggregation on a miss).
     pub build_time: Duration,
-    /// Instantiation time summed over all valuations.
+    /// Time spent evaluating rate forms: building the batched pass's kernel
+    /// lanes, plus instantiating (or fetching) the per-valuation sessions.
     pub instantiate_time: Duration,
-    /// Query time summed over all valuations.
+    /// Time spent answering the measures: the batched kernel pass, plus the
+    /// per-valuation queries.
     pub query_time: Duration,
-    /// End-to-end wall-clock time of the sweep, from submission to the last
-    /// completed valuation.
+    /// End-to-end wall-clock time of the sweep, from submission to the
+    /// finished report.
     pub wall_time: Duration,
 }
 
@@ -510,9 +520,10 @@ impl AnalysisService {
     /// failure is deterministic, so retrying a structurally identical tree
     /// returns the same error without paying the construction cost again.
     pub fn analyzer(&self, dft: &Dft, options: &AnalysisOptions) -> Result<Arc<Analyzer>> {
+        let key = CacheKey::new(dft, options);
         let (session, _, _) = self
             .core
-            .session_tracked(CacheKey::new(dft, options), dft, options);
+            .session_tracked(key, || self.core.build_session(key, dft, options));
         session
     }
 
@@ -534,53 +545,44 @@ impl AnalysisService {
     ///   leader/follower scheduling, so no worker ever blocks on a concurrent
     ///   build (see [`JobReport::build_wait`]).  Errors (unsupported features,
     ///   numerical failures) land in [`JobReport::results`].
-    /// * **With a [`SweepSpec`](crate::request::SweepSpec)** the sweep's head
-    ///   task obtains the shared [`ParametricAnalyzer`] once (cached by
+    /// * **With a [`SweepSpec`]** the request becomes one sweep task.  It
+    ///   obtains the shared [`ParametricAnalyzer`] once (cached by
     ///   [`Dft::structural_fingerprint`], so every rate variant of the same
-    ///   structure reuses it), resolves the spec against its parameter table,
-    ///   then fans the valuations out across the pool; the handle delivers
-    ///   the assembled [`SweepReport`] when the last valuation finishes.
-    ///   Instantiated sessions enter the regular LRU session cache keyed by
-    ///   `(structural fingerprint, valuation)`, so repeated valuations never
-    ///   pay instantiation twice.  Resolution and per-valuation errors are
-    ///   reported per point and never abort the sweep.  A sweep without
-    ///   points is a true no-op: nothing is built or enqueued, no thread is
-    ///   spawned, and the (empty) report is available immediately.
+    ///   structure reuses it), resolves the spec against its parameter table
+    ///   and answers every time-bounded measure for all valuations in one
+    ///   lane-batched [`sweep_query`](ParametricAnalyzer::sweep_query) pass.
+    ///   `Unavailability` and `Mttf` are answered per valuation by
+    ///   instantiated sessions, which enter the regular LRU session cache
+    ///   keyed by `(structural fingerprint, valuation)`, so repeated
+    ///   valuations never pay instantiation twice.  Resolution and
+    ///   per-valuation errors are reported per point and never abort the
+    ///   sweep.  A sweep without points is a true no-op: nothing is built or
+    ///   enqueued, no thread is spawned, and the (empty) report is available
+    ///   immediately.
     pub fn submit_request(&self, mut request: AnalysisRequest) -> RequestHandle {
-        let (tx, rx) = mpsc::channel();
-        match request.sweep.take() {
-            None => {
-                self.ensure_pool();
-                let key = CacheKey::new(&request.dft, &request.options);
-                self.core.queue.push(Task::Job {
-                    request: Box::new(request),
-                    key,
-                    tx,
-                });
-            }
-            Some(spec) if spec.is_empty() => {
-                // `SweepStats::default()` already says workers: 0 — the sweep
-                // used none, whether or not earlier submissions started the
-                // pool.
-                return RequestHandle::ready(RequestOutcome::Sweep(SweepReport {
-                    points: Vec::new(),
-                    stats: SweepStats::default(),
-                }));
-            }
-            Some(spec) => {
-                let workers = self.ensure_pool();
-                let AnalysisRequest {
-                    dft,
-                    options,
-                    measures,
-                    ..
-                } = request;
-                let state = SweepState::new(dft, options, measures, spec, workers, tx);
-                self.core.queue.push(Task::SweepStart {
-                    state: Arc::new(state),
-                });
-            }
+        let sweep = request.sweep.take();
+        if sweep.as_ref().is_some_and(SweepSpec::is_empty) {
+            return RequestHandle::ready(RequestOutcome::Sweep(SweepReport {
+                points: Vec::new(),
+                stats: SweepStats::default(),
+            }));
         }
+        self.ensure_pool();
+        let (tx, rx) = mpsc::channel();
+        let request = Box::new(request);
+        self.core.queue.push(match sweep {
+            None => Task::Job {
+                key: CacheKey::new(&request.dft, &request.options),
+                request,
+                tx,
+            },
+            Some(spec) => Task::Sweep {
+                request,
+                spec,
+                submitted: Instant::now(),
+                tx,
+            },
+        });
         RequestHandle::new(rx)
     }
 
@@ -633,8 +635,8 @@ impl AnalysisService {
         cache.param_entries.clear();
     }
 
-    /// Starts the worker pool if it is not running yet; returns its size.
-    fn ensure_pool(&self) -> usize {
+    /// Starts the worker pool if it is not running yet.
+    fn ensure_pool(&self) {
         let mut pool = self.pool.lock().expect("pool lock");
         if pool.is_none() {
             let size = resolved_workers(&self.core.options);
@@ -657,7 +659,6 @@ impl AnalysisService {
                 .collect();
             *pool = Some(Pool { workers, size });
         }
-        pool.as_ref().expect("pool just ensured").size
     }
 }
 
@@ -706,8 +707,9 @@ impl ServiceCore {
     fn run_job(&self, key: CacheKey, request: &AnalysisRequest) -> JobReport {
         let fingerprint = key.fingerprint;
         let build_start = Instant::now();
-        let (session, cache_hit, build_wait) =
-            self.session_tracked(key, &request.dft, &request.options);
+        let (session, cache_hit, build_wait) = self.session_tracked(key, || {
+            self.build_session(key, &request.dft, &request.options)
+        });
         let build = build_start.elapsed();
         match session {
             Err(e) => JobReport {
@@ -740,65 +742,155 @@ impl ServiceCore {
         }
     }
 
-    /// Executes one sweep valuation: instantiate-or-fetch the session from the
-    /// shared parametric model, then answer the measures.
-    fn run_sweep_point(
+    /// Executes one sweep request: get-or-build the shared parametric model,
+    /// resolve the spec against its parameter table, then answer every
+    /// valuation (see [`sweep_points`](Self::sweep_points)).  A failed build or
+    /// resolution lands in every point's report.
+    fn run_sweep(
         &self,
-        parametric: &Result<Arc<ParametricAnalyzer>>,
+        request: &AnalysisRequest,
+        spec: &SweepSpec,
+        submitted: Instant,
+    ) -> SweepReport {
+        let structural = request.dft.structural_fingerprint();
+        let build_start = Instant::now();
+        let (model, parametric_cache_hit) =
+            self.parametric(structural, &request.dft, &request.options);
+        let mut stats = SweepStats {
+            valuations: spec.len(),
+            parametric_cache_hit,
+            // A parametric model freshly *loaded from the persistent store*
+            // is an in-memory cache miss that still ran zero aggregations —
+            // ask the model itself instead of inferring from the hit flag.
+            aggregation_runs: match &model {
+                Ok(model) if !parametric_cache_hit => model.aggregation_runs(),
+                _ => 0,
+            },
+            build_time: build_start.elapsed(),
+            ..SweepStats::default()
+        };
+        let failed = |fingerprint, e: &Error| SweepPointReport {
+            valuation_fingerprint: fingerprint,
+            results: Err(e.clone()),
+        };
+        let points = match &model {
+            // Table-free specs keep their per-point fingerprints; symbolic
+            // ones cannot resolve without the model.
+            Err(e) => match spec {
+                SweepSpec::Valuations(valuations) => valuations
+                    .iter()
+                    .map(|valuation| failed(valuation.fingerprint(), e))
+                    .collect(),
+                _ => vec![failed(0, e); spec.len()],
+            },
+            Ok(model) => match spec.resolve(model.params()) {
+                Err(e) => vec![failed(0, &e); spec.len()],
+                Ok(valuations) => self.sweep_points(
+                    model,
+                    structural,
+                    &request.options,
+                    &request.measures,
+                    &valuations,
+                    &mut stats,
+                ),
+            },
+        };
+        stats.wall_time = submitted.elapsed();
+        SweepReport { points, stats }
+    }
+
+    /// Answers `measures` for every valuation of a sweep.
+    ///
+    /// The time-bounded measures of all valid valuations run as one
+    /// lane-batched [`sweep_query`](ParametricAnalyzer::sweep_query) pass.
+    /// `Unavailability` and `Mttf` need the tangible CTMC of an instantiated
+    /// session, so each valuation that asks for them gets its session from
+    /// the session cache ([`CacheKey::instance`]).  Errors stay per point: an
+    /// invalid valuation is reported on its own point, and when the batched
+    /// pass fails every valuation is answered alone through its cached
+    /// session, so the error lands only where it belongs.
+    fn sweep_points(
+        &self,
+        model: &ParametricAnalyzer,
         structural: u64,
         options: &AnalysisOptions,
         measures: &[Measure],
-        valuation: &Valuation,
-    ) -> SweepPointReport {
-        let valuation_fingerprint = valuation.fingerprint();
-        let parametric = match parametric {
-            Ok(p) => p,
-            Err(e) => {
-                return SweepPointReport {
-                    valuation_fingerprint,
-                    cache_hit: false,
-                    results: Err(e.clone()),
-                    instantiate: Duration::ZERO,
-                    query: Duration::ZERO,
-                }
+        valuations: &[Valuation],
+        stats: &mut SweepStats,
+    ) -> Vec<SweepPointReport> {
+        let steady = |measure: &Measure| matches!(measure, Measure::Unavailability | Measure::Mttf);
+        let (steady_measures, timed): (Vec<Measure>, Vec<Measure>) =
+            measures.iter().cloned().partition(steady);
+        let checks: Vec<Result<()>> = valuations
+            .iter()
+            .map(|valuation| valuation.check_against(model.params()))
+            .collect();
+        let valid: Vec<Valuation> = valuations
+            .iter()
+            .zip(&checks)
+            .filter(|(_, check)| check.is_ok())
+            .map(|(valuation, _)| valuation.clone())
+            .collect();
+        let mut lanes = match model.sweep_query(&timed, &valid) {
+            Ok(sweep) => {
+                stats.instantiate_time += sweep.instantiate_time();
+                stats.query_time += sweep.query_time();
+                Some(sweep.results().to_vec().into_iter())
             }
+            Err(_) => None,
         };
 
-        let key = CacheKey::instance(structural, options, valuation);
-        let instantiate_start = Instant::now();
-        let slot = self.reserve(|cache| &mut cache.entries, key, &self.evictions);
-        let mut built = false;
-        let outcome = slot.get_or_init(|| {
-            built = true;
-            parametric.instantiate(valuation).map(Arc::new)
-        });
-        if built {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        let instantiate = instantiate_start.elapsed();
-
-        match outcome {
-            Err(e) => SweepPointReport {
-                valuation_fingerprint,
-                cache_hit: !built,
-                results: Err(e.clone()),
-                instantiate,
-                query: Duration::ZERO,
-            },
-            Ok(session) => {
-                let query_start = Instant::now();
-                let results = session.query_all(measures);
-                SweepPointReport {
-                    valuation_fingerprint,
-                    cache_hit: !built,
-                    results,
-                    instantiate,
-                    query: query_start.elapsed(),
-                }
+        // The cached instantiated session of one valuation, answering `asked`.
+        let mut per_valuation = |valuation: &Valuation, asked: &[Measure]| {
+            let started = Instant::now();
+            let key = CacheKey::instance(structural, options, valuation);
+            let (session, cache_hit, _) =
+                self.session_tracked(key, || model.instantiate(valuation));
+            stats.instantiate_time += started.elapsed();
+            if cache_hit {
+                stats.cache_hits += 1;
+            } else {
+                stats.cache_misses += 1;
             }
-        }
+            let started = Instant::now();
+            let results = session.and_then(|session| session.query_all(asked));
+            stats.query_time += started.elapsed();
+            results
+        };
+
+        valuations
+            .iter()
+            .zip(checks)
+            .map(|(valuation, check)| {
+                let results = check.and_then(|()| match lanes.as_mut() {
+                    None => per_valuation(valuation, measures),
+                    Some(lanes) => {
+                        let timed = lanes.next().expect("one lane per valid valuation");
+                        if steady_measures.is_empty() {
+                            return Ok(timed);
+                        }
+                        // Merge both halves back into measure order.
+                        let steady_results = per_valuation(valuation, &steady_measures)?;
+                        let (mut timed, mut steady_results) =
+                            (timed.into_iter(), steady_results.into_iter());
+                        Ok(measures
+                            .iter()
+                            .filter_map(|measure| {
+                                if steady(measure) {
+                                    steady_results.next()
+                                } else {
+                                    timed.next()
+                                }
+                            })
+                            .collect())
+                    }
+                });
+                SweepPointReport {
+                    valuation_fingerprint: valuation.fingerprint(),
+                    results,
+                }
+            })
+            .collect()
     }
 
     /// Get-or-build for the shared parametric model of a sweep; the
@@ -888,12 +980,13 @@ impl ServiceCore {
     /// Get-or-build with exactly-once semantics; the first boolean is `true`
     /// for a cache hit (the session existed or a concurrent worker built it),
     /// the second when the hit *blocked* on a concurrent builder.  The caller
-    /// supplies the key so the fingerprint is hashed once per job.
+    /// supplies the key so the fingerprint is hashed once per job, and the
+    /// build: [`build_session`](Self::build_session) for a tree, or
+    /// [`instantiate`](ParametricAnalyzer::instantiate) for a sweep valuation.
     fn session_tracked(
         &self,
         key: CacheKey,
-        dft: &Dft,
-        options: &AnalysisOptions,
+        build: impl FnOnce() -> Result<Analyzer>,
     ) -> (Result<Arc<Analyzer>>, bool, bool) {
         let slot = self.reserve(|cache| &mut cache.entries, key, &self.evictions);
         // A slot that is still empty here either becomes ours to build or means
@@ -903,27 +996,10 @@ impl ServiceCore {
         let mut built = false;
         let outcome = slot.get_or_init(|| {
             built = true;
-            // Cross-process store first (see `parametric` above): a warm
-            // entry replaces the whole build with a disk read.  Instantiated
-            // parametric sessions never reach this path (they are built in
-            // `run_sweep_point`), so only directly built sessions are
-            // persisted.
-            if let Some(store) = &self.store {
-                if let Some(analyzer) = store.load_analyzer(key.fingerprint, options) {
-                    return Ok(Arc::new(analyzer));
-                }
-            }
-            let result = Analyzer::new(dft, options.clone()).map(Arc::new);
-            if let (Some(store), Ok(analyzer)) = (&self.store, &result) {
-                let _ = store.save_analyzer(key.fingerprint, analyzer);
-            }
-            result
+            build().map(Arc::new)
         });
         if built {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            if let Ok(analyzer) = outcome {
-                self.record_hybrid(analyzer.method(), analyzer.module_stats());
-            }
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -935,6 +1011,36 @@ impl ServiceCore {
             !built,
             !built && !ready,
         )
+    }
+
+    /// Builds the session of one tree: from the cross-process store when it
+    /// holds a warm entry (see `parametric` above), by aggregation otherwise,
+    /// writing a fresh build back.  Instantiated sweep sessions never come
+    /// through here, so only directly built sessions are persisted.
+    fn build_session(
+        &self,
+        key: CacheKey,
+        dft: &Dft,
+        options: &AnalysisOptions,
+    ) -> Result<Analyzer> {
+        let stored = self
+            .store
+            .as_ref()
+            .and_then(|store| store.load_analyzer(key.fingerprint, options));
+        let result = match stored {
+            Some(analyzer) => Ok(analyzer),
+            None => {
+                let result = Analyzer::new(dft, options.clone());
+                if let (Some(store), Ok(analyzer)) = (&self.store, &result) {
+                    let _ = store.save_analyzer(key.fingerprint, analyzer);
+                }
+                result
+            }
+        };
+        if let Ok(analyzer) = &result {
+            self.record_hybrid(analyzer.method(), analyzer.module_stats());
+        }
+        result
     }
 
     /// Bumps the [`HybridStats`] counters for one fresh build (no-op for the
@@ -1142,9 +1248,8 @@ mod tests {
 
     #[test]
     fn dropping_the_service_drains_pending_sweeps() {
-        // A sweep claimed from the draining queue expands its point tasks
-        // *after* shutdown began; the drain must still complete them and
-        // deliver the report.
+        // A sweep still queued when the service drops is answered by the
+        // drain, and its report delivered.
         let service = AnalysisService::new(ServiceOptions {
             workers: 1,
             cache_capacity: 8,
@@ -1264,9 +1369,10 @@ mod tests {
 
     #[test]
     fn parametric_evictions_are_counted_separately() {
-        // Capacity 1 on both key spaces: sweeping two structurally distinct
-        // trees (one valuation each) evicts one parametric model *and* one
-        // instantiated session, each into its own counter.
+        // Capacity 1 on both key spaces: sweeping the MTTF of two
+        // structurally distinct trees (one valuation each) evicts one
+        // parametric model *and* one instantiated session, each into its own
+        // counter.
         let service = AnalysisService::new(ServiceOptions {
             workers: 1,
             cache_capacity: 1,
@@ -1280,7 +1386,7 @@ mod tests {
                 .base_valuation();
             let report = swept(service.run_request(sweep(
                 dft,
-                vec![Measure::Unreliability(1.0)],
+                vec![Measure::Mttf],
                 SweepSpec::Valuations(vec![valuation]),
             )));
             assert!(report.points[0].results.is_ok());
@@ -1423,7 +1529,6 @@ mod tests {
         assert!(report.points.is_empty());
         assert_eq!(report.stats.valuations, 0);
         assert_eq!(report.stats.aggregation_runs, 0);
-        assert_eq!(report.stats.workers, 0);
         assert_eq!(service.cache_stats(), CacheStats::default());
         assert_eq!(service.pool_workers(), 0, "empty sweeps must not spawn");
         assert_eq!(service.queue_stats().submitted, 0);

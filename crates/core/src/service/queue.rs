@@ -26,12 +26,12 @@
 //!   workers may serve them in parallel;
 //! * tasks for a key whose session is already built skip the protocol entirely.
 
-use super::handle::SweepState;
 use super::{CacheKey, RequestOutcome};
-use crate::request::AnalysisRequest;
+use crate::request::{AnalysisRequest, SweepSpec};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
+use std::time::Instant;
 
 /// One unit of queued work.
 #[derive(Debug)]
@@ -47,18 +47,18 @@ pub(super) enum Task {
         /// Delivers the [`RequestOutcome::Job`] to the request's handle.
         tx: Sender<RequestOutcome>,
     },
-    /// The head task of a sweep: build-or-fetch the parametric model, then
-    /// expand one [`Task::SweepPoint`] per valuation.
-    SweepStart {
-        /// The shared sweep bookkeeping.
-        state: Arc<SweepState>,
-    },
-    /// One valuation of a sweep.
-    SweepPoint {
-        /// The shared sweep bookkeeping.
-        state: Arc<SweepState>,
-        /// Index into the sweep's valuation list.
-        index: usize,
+    /// A whole sweep request: get-or-build the parametric model, resolve the
+    /// spec, answer every valuation, send the report to the submitting
+    /// handle.
+    Sweep {
+        /// The request to run (its `sweep` already taken into `spec`).
+        request: Box<AnalysisRequest>,
+        /// The request's sweep.
+        spec: SweepSpec,
+        /// Submission time; the report's wall clock covers queueing too.
+        submitted: Instant,
+        /// Delivers the [`RequestOutcome::Sweep`] to the request's handle.
+        tx: Sender<RequestOutcome>,
     },
 }
 
@@ -78,7 +78,8 @@ pub(super) struct Claim {
 /// once and released exactly once, instead of blocking a worker on the build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Tasks ever enqueued (jobs, sweep heads and sweep points).
+    /// Tasks ever enqueued: one per submitted request, whether job or sweep
+    /// (an empty sweep enqueues nothing).
     pub submitted: u64,
     /// Tasks that finished executing.
     pub completed: u64,
@@ -132,21 +133,6 @@ impl JobQueue {
         self.ready.notify_one();
     }
 
-    /// Enqueues a batch of tasks and wakes every worker.
-    ///
-    /// Unlike [`push`](Self::push), this is legal *during* shutdown: a sweep
-    /// head claimed from the draining queue still expands its point tasks
-    /// here, and the drain completes them (the expanding worker at minimum
-    /// keeps claiming until the queue is truly empty).
-    pub(super) fn push_many(&self, tasks: Vec<Task>) {
-        let mut state = self.state.lock().expect("queue lock");
-        let n = tasks.len();
-        state.ready.extend(tasks);
-        state.pending += n;
-        state.submitted += n as u64;
-        self.ready.notify_all();
-    }
-
     /// Blocks until a task is claimable and returns it, or `None` when the
     /// queue has shut down and drained.
     ///
@@ -160,9 +146,9 @@ impl JobQueue {
             while let Some(task) = state.ready.pop_front() {
                 let key = match &task {
                     Task::Job { key, .. } => *key,
-                    // Sweep tasks coordinate through their own shared state
-                    // and never block on a session build: claim directly.
-                    _ => {
+                    // A sweep shares its parametric model through the cache
+                    // slot alone: claim directly.
+                    Task::Sweep { .. } => {
                         return Some(Claim {
                             task,
                             leader_of: None,
@@ -194,8 +180,7 @@ impl JobQueue {
             // Nothing claimable.  Parked tasks are owed a release notification
             // by their (still running) leader, so only an empty park means the
             // drain is complete.  Tasks still *executing* on other workers add
-            // no new job work except through `complete` (which notifies) or
-            // sweep expansion (whose worker keeps draining itself).
+            // no new work except through `complete` (which notifies).
             if state.shutdown && state.parked_count == 0 {
                 return None;
             }
@@ -247,7 +232,7 @@ impl JobQueue {
 mod tests {
     use super::*;
     use crate::analysis::Method;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Arc};
     use std::thread;
 
     fn tiny_dft() -> dft::Dft {

@@ -6,7 +6,6 @@
 
 use super::queue::{JobQueue, Task};
 use super::{CacheKey, RequestOutcome, ServiceCore};
-use std::sync::Arc;
 
 /// Reports a claim's completion on drop, so a task that *panics* still
 /// releases its leadership — otherwise the key would stay in the queue's
@@ -47,25 +46,20 @@ pub(super) fn run(core: &ServiceCore) {
 
 /// Executes one claimed task.
 fn execute(core: &ServiceCore, task: Task) {
-    match task {
-        Task::Job { request, key, tx } => {
-            // The handle may have been dropped (fire-and-forget submission);
-            // the job still ran and warmed the cache, so a closed channel is
-            // not an error.
-            let _ = tx.send(RequestOutcome::Job(core.run_job(key, &request)));
-        }
-        Task::SweepStart { state } => {
-            state.build(core);
-            let tasks: Vec<Task> = (0..state.points())
-                .map(|index| Task::SweepPoint {
-                    state: Arc::clone(&state),
-                    index,
-                })
-                .collect();
-            core.queue.push_many(tasks);
-        }
-        Task::SweepPoint { state, index } => {
-            state.run_point(core, index);
-        }
-    }
+    let (outcome, tx) = match task {
+        Task::Job { request, key, tx } => (RequestOutcome::Job(core.run_job(key, &request)), tx),
+        Task::Sweep {
+            request,
+            spec,
+            submitted,
+            tx,
+        } => (
+            RequestOutcome::Sweep(core.run_sweep(&request, &spec, submitted)),
+            tx,
+        ),
+    };
+    // The handle may have been dropped (fire-and-forget submission); the
+    // request still ran and warmed the cache, so a closed channel is not an
+    // error.
+    let _ = tx.send(outcome);
 }

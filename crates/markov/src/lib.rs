@@ -82,6 +82,14 @@ pub enum Error {
     },
     /// The model has no transitions at all, so the requested measure is undefined.
     EmptyModel,
+    /// A uniformisation needs a Poisson mean (rate × time) above
+    /// [`poisson::MAX_MEAN`]: too many relax passes to ever finish.
+    MeanTooLarge {
+        /// The requested mean.
+        mean: f64,
+        /// The largest accepted mean.
+        max: f64,
+    },
 }
 
 impl fmt::Display for Error {
@@ -104,6 +112,11 @@ impl fmt::Display for Error {
                 )
             }
             Error::EmptyModel => write!(f, "model has no transitions"),
+            Error::MeanTooLarge { mean, max } => write!(
+                f,
+                "uniformisation needs a Poisson mean of {mean:e} (rate × time), above the \
+                 supported {max:e}"
+            ),
         }
     }
 }

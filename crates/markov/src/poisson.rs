@@ -9,6 +9,16 @@
 
 use crate::{Error, Result};
 
+/// The largest Poisson mean [`poisson_weights`] accepts.
+///
+/// The truncation window of a mean `m` holds about `m` weights, and a
+/// uniformisation that needs it runs about `m` relax passes, so a mean of
+/// 10⁷ already costs 10⁷ passes over the model.  Larger means come from
+/// rates or mission times no transient analysis can finish (a rate of 1e300,
+/// say); they are rejected with [`Error::MeanTooLarge`] before anything is
+/// allocated.
+pub const MAX_MEAN: f64 = 1e7;
+
 /// Poisson weights `w[k] = P[N = k]` for a Poisson distribution with the given
 /// `mean`, truncated on the right so that the neglected tail mass is below
 /// `epsilon`.
@@ -37,7 +47,8 @@ pub struct PoissonWeights {
 /// # Errors
 ///
 /// Returns [`Error::InvalidValue`] if `mean` is negative/NaN/infinite or `epsilon`
-/// is not in `(0, 1)`.
+/// is not in `(0, 1)`, and [`Error::MeanTooLarge`] if `mean` exceeds
+/// [`MAX_MEAN`].
 ///
 /// # Examples
 ///
@@ -54,6 +65,12 @@ pub fn poisson_weights(mean: f64, epsilon: f64) -> Result<PoissonWeights> {
     }
     if !(epsilon > 0.0 && epsilon < 1.0) {
         return Err(Error::InvalidValue { value: epsilon });
+    }
+    if mean > MAX_MEAN {
+        return Err(Error::MeanTooLarge {
+            mean,
+            max: MAX_MEAN,
+        });
     }
     if mean == 0.0 {
         return Ok(PoissonWeights {
@@ -266,6 +283,23 @@ mod tests {
         assert!(poisson_weights(f64::NAN, 1e-9).is_err());
         assert!(poisson_weights(1.0, 0.0).is_err());
         assert!(poisson_weights(1.0, 1.5).is_err());
+    }
+
+    #[test]
+    fn huge_means_are_typed_errors_not_allocations() {
+        for mean in [1e12, 1e300] {
+            assert_eq!(
+                poisson_weights(mean, 1e-9),
+                Err(Error::MeanTooLarge {
+                    mean,
+                    max: MAX_MEAN
+                })
+            );
+            assert!(matches!(
+                poisson_weights_multi(&[1.0, mean], 1e-9),
+                Err(Error::MeanTooLarge { .. })
+            ));
+        }
     }
 
     #[test]

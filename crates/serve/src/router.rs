@@ -311,7 +311,9 @@ fn job_fields(report: &JobReport) -> Vec<(String, Json)> {
 }
 
 /// The report fields of a finished sweep, in the order `GET /result/{id}`
-/// renders them.
+/// renders them.  A point carries only its valuation and results: the
+/// batched pass cannot attribute time to one valuation, so the timings are
+/// sweep-level.
 fn sweep_fields(report: &SweepReport) -> Vec<(String, Json)> {
     let stats = &report.stats;
     let points = report
@@ -324,12 +326,6 @@ fn sweep_fields(report: &SweepReport) -> Vec<(String, Json)> {
                     "valuation_fingerprint".to_owned(),
                     point.valuation_fingerprint.into(),
                 ),
-                ("cache_hit".to_owned(), point.cache_hit.into()),
-                (
-                    "instantiate_seconds".to_owned(),
-                    Json::secs(point.instantiate),
-                ),
-                ("query_seconds".to_owned(), Json::secs(point.query)),
                 (results_key, results),
             ])
         })

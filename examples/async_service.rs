@@ -87,8 +87,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "duplicates park behind the in-flight build instead of blocking"
     );
 
-    // A sweep rides the same queue: the head task builds (or fetches) the
-    // shared parametric model, the valuations fan out across the pool.
+    // A sweep rides the same queue as one task: it builds (or fetches) the
+    // shared parametric model and answers all eight valuations in one
+    // lane-batched kernel pass, without instantiating a session per point.
     let parametric = ParametricAnalyzer::new(&cas(), AnalysisOptions::default())?;
     let valuations: Vec<_> = (0..8)
         .map(|i| parametric.params().scaled_valuation(1.0 + 0.05 * i as f64))
@@ -102,8 +103,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         unreachable!("a sweep was requested")
     };
     println!(
-        "sweep: {} valuations, {} aggregation run(s), parametric cache hit: {}",
-        sweep.stats.valuations, sweep.stats.aggregation_runs, sweep.stats.parametric_cache_hit
+        "sweep: {} valuations, {} aggregation run(s), parametric cache hit: {}, \
+         {} instantiated session(s)",
+        sweep.stats.valuations,
+        sweep.stats.aggregation_runs,
+        sweep.stats.parametric_cache_hit,
+        sweep.stats.cache_misses
+    );
+    assert_eq!(
+        sweep.stats.cache_hits + sweep.stats.cache_misses,
+        0,
+        "time-bounded measures ride the batched pass, not per-point sessions"
     );
     for (i, point) in sweep.points.iter().enumerate() {
         let value = point.results.as_ref().unwrap()[0].value();

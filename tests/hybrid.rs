@@ -133,7 +133,7 @@ fn parametric_hybrid_sweep_matches_instantiate_plus_query() {
         .map(|&scale| parametric.params().scaled_valuation(scale))
         .collect();
     let sweep = parametric
-        .sweep_query(&Measure::UnreliabilityCurve(TIMES.to_vec()), &valuations)
+        .sweep_query(&[Measure::UnreliabilityCurve(TIMES.to_vec())], &valuations)
         .unwrap();
     for (lane, valuation) in valuations.iter().enumerate() {
         let direct = parametric
@@ -141,7 +141,7 @@ fn parametric_hybrid_sweep_matches_instantiate_plus_query() {
             .unwrap()
             .unreliability_curve(&TIMES)
             .unwrap();
-        let swept = &sweep.results()[lane];
+        let swept = &sweep.results()[lane][0];
         for (a, b) in swept.points().iter().zip(direct.points()) {
             assert_eq!(
                 a.value().to_bits(),

@@ -203,7 +203,7 @@ fn sweeps_cost_one_aggregation() {
         .map(|&s| parametric.params().scaled_valuation(s))
         .collect();
     let sweep = parametric
-        .sweep_query(&Measure::Unreliability(1.0), &valuations)
+        .sweep_query(&[Measure::Unreliability(1.0)], &valuations)
         .unwrap();
     assert_eq!(sweep.len(), scales.len());
     assert_eq!(parametric.aggregation_runs(), 1);
@@ -213,13 +213,13 @@ fn sweeps_cost_one_aggregation() {
         let direct = Analyzer::new(&twin, tight_options()).unwrap();
         let reference = direct.unreliability(1.0).unwrap();
         assert_close(
-            sweep.results()[i].value(),
+            sweep.results()[i][0].value(),
             reference.value(),
             &format!("sweep point {i}"),
         );
     }
     // Unreliability grows with a uniform failure-rate scale.
-    let values: Vec<f64> = sweep.values().collect();
+    let values: Vec<f64> = sweep.results().iter().map(|row| row[0].value()).collect();
     for pair in values.windows(2) {
         assert!(pair[1] >= pair[0] - 1e-12);
     }

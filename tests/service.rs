@@ -11,16 +11,24 @@
 //! 4. [`Analyzer::query_all`] answers a mixed measure batch in one pass,
 //!    bit-identical to individual queries,
 //! 5. empty curves are rejected with the typed [`Error::EmptyCurve`] instead of
-//!    panicking in the result accessors.
+//!    panicking in the result accessors,
+//! 6. a sweep is answered on the lane-batched kernel, every point
+//!    bit-identical to `instantiate` + `query_all` and every error kept on
+//!    its own point.
 
 mod common;
 
 use common::{job_report, job_request, run_jobs, sweep_report, sweep_request, totals, Totals};
 use dftmc::dft::{Dft, DftBuilder, Dormancy};
 use dftmc::dft_core::casestudies::{cas, cas_scaled, DEFAULT_MISSION_TIMES};
-use dftmc::dft_core::engine::Analyzer;
-use dftmc::dft_core::service::{AnalysisService, JobReport, RequestHandle, ServiceOptions};
-use dftmc::dft_core::{AnalysisOptions, AnalysisRequest, Error, Measure, MeasureResult, SweepSpec};
+use dftmc::dft_core::engine::{Analyzer, ParametricAnalyzer};
+use dftmc::dft_core::service::{
+    AnalysisService, JobReport, RequestHandle, ServiceOptions, SweepReport,
+};
+use dftmc::dft_core::{
+    AnalysisOptions, AnalysisRequest, Error, Measure, MeasureResult, Method, SweepSpec, Valuation,
+};
+use dftmc::markov::kernel;
 use std::sync::Arc;
 
 /// The load-bearing auto-trait guarantees, checked at compile time: the worker
@@ -36,7 +44,10 @@ const _: () = {
     assert_send::<RequestHandle>()
 };
 
-fn bits_of(result: &MeasureResult) -> Vec<(Option<u64>, u64, u64, u64)> {
+/// Time, value and bounds of every point of a result, as bit patterns.
+type Bits = Vec<(Option<u64>, u64, u64, u64)>;
+
+fn bits_of(result: &MeasureResult) -> Bits {
     result
         .points()
         .iter()
@@ -432,13 +443,78 @@ fn slow_leader_batch_completes_without_timed_out_waits() {
     assert_eq!(queue.submitted, (copies + 4) as u64);
 }
 
+/// The bits of every point of a sweep outcome (or its error), comparable
+/// with `==`.
+fn sweep_bits(results: &Result<Vec<MeasureResult>, Error>) -> Result<Vec<Bits>, Error> {
+    results
+        .as_ref()
+        .map(|results| results.iter().map(bits_of).collect())
+        .map_err(Clone::clone)
+}
+
+/// Sweeps `measures` over `dft` scaled by each of `scales` through the
+/// service and asserts every point is bit-identical to instantiating that
+/// valuation alone and answering the measures in one `query_all`.
+fn assert_sweep_matches_instantiate(
+    service: &AnalysisService,
+    dft: &Dft,
+    options: &AnalysisOptions,
+    measures: &[Measure],
+    scales: &[f64],
+) -> SweepReport {
+    let parametric = ParametricAnalyzer::new(dft, options.clone()).unwrap();
+    let valuations: Vec<Valuation> = scales
+        .iter()
+        .map(|&s| parametric.params().scaled_valuation(s))
+        .collect();
+    let report = sweep_report(service.run_request(sweep_request(
+        dft.clone(),
+        options.clone(),
+        measures.to_vec(),
+        SweepSpec::Valuations(valuations.clone()),
+    )));
+    assert_eq!(report.points.len(), valuations.len());
+    for (point, valuation) in report.points.iter().zip(&valuations) {
+        let reference = parametric
+            .instantiate(valuation)
+            .and_then(|session| session.query_all(measures));
+        assert_eq!(point.valuation_fingerprint, valuation.fingerprint());
+        assert_eq!(
+            sweep_bits(&point.results),
+            sweep_bits(&reference),
+            "{:?} sweep point {} diverged from instantiate + query_all",
+            options.method,
+            valuation.fingerprint()
+        );
+    }
+    report
+}
+
+/// A repairable tree: a redundant pair of repairable events under an OR
+/// with a third repairable event, so unavailability, MTTF and unreliability
+/// are all defined.
+fn repairable_tree() -> Dft {
+    let mut b = DftBuilder::new();
+    let p = b
+        .repairable_basic_event("rep_P", 1.0, Dormancy::Hot, 4.0)
+        .unwrap();
+    let s = b
+        .repairable_basic_event("rep_S", 1.5, Dormancy::Hot, 4.0)
+        .unwrap();
+    let pair = b.and_gate("rep_Pair", &[p, s]).unwrap();
+    let x = b
+        .repairable_basic_event("rep_X", 0.3, Dormancy::Hot, 9.0)
+        .unwrap();
+    let top = b.or_gate("rep_Top", &[pair, x]).unwrap();
+    b.build(top).unwrap()
+}
+
 /// The service-level rate sweep: one parametric aggregation feeds a whole
-/// fleet of rate variants, duplicate valuations are cache hits, and every
-/// point matches a direct per-variant [`Analyzer`] build.
+/// fleet of rate variants, every point is bit-identical to
+/// `instantiate` + `query_all`, and time-bounded measures ride the
+/// lane-batched kernel without creating one instantiated session.
 #[test]
 fn service_sweeps_share_one_parametric_model() {
-    use dftmc::dft_core::engine::ParametricAnalyzer;
-
     let options = AnalysisOptions {
         epsilon: 1e-13,
         ..AnalysisOptions::default()
@@ -448,54 +524,40 @@ fn service_sweeps_share_one_parametric_model() {
         cache_capacity: 64,
         ..ServiceOptions::default()
     });
+    let measures = [Measure::Unreliability(1.0), Measure::curve([0.5, 1.5])];
 
-    let parametric = ParametricAnalyzer::new(&cas(), options.clone()).unwrap();
-    let scales = [1.0, 1.2, 1.4, 1.2]; // one duplicate valuation
-    let valuations: Vec<_> = scales
-        .iter()
-        .map(|&s| parametric.params().scaled_valuation(s))
-        .collect();
-    let measures = vec![Measure::Unreliability(1.0), Measure::curve([0.5, 1.5])];
-    let job = sweep_request(
-        cas(),
-        options.clone(),
-        measures.clone(),
-        SweepSpec::Valuations(valuations),
+    let before = service.cache_stats();
+    let batched_before = kernel::stats().batched_calls;
+    // One duplicate valuation.
+    let report = assert_sweep_matches_instantiate(
+        &service,
+        &cas(),
+        &options,
+        &measures,
+        &[1.0, 1.2, 1.4, 1.2],
     );
-
-    let report = sweep_report(service.run_request(job));
+    assert!(
+        kernel::stats().batched_calls > batched_before,
+        "a service sweep must run on the lane-batched kernel"
+    );
     assert_eq!(report.stats.valuations, 4);
     assert_eq!(
         report.stats.aggregation_runs, 1,
         "the whole sweep pays one aggregation"
     );
     assert!(!report.stats.parametric_cache_hit);
-    assert_eq!(report.stats.cache_misses, 3, "three distinct valuations");
     assert_eq!(
-        report.stats.cache_hits, 1,
-        "the duplicate valuation is a hit"
+        (report.stats.cache_hits, report.stats.cache_misses),
+        (0, 0),
+        "time-bounded measures need no instantiated session"
     );
-
-    for (i, &scale) in scales.iter().enumerate() {
-        let point = &report.points[i];
-        let results = point.results.as_ref().unwrap();
-        assert_eq!(results.len(), 2);
-        let direct = Analyzer::new(&cas_scaled(scale), options.clone()).unwrap();
-        let reference = direct.query_all(&measures).unwrap();
-        for (ours, exact) in results.iter().zip(&reference) {
-            for (a, b) in ours.points().iter().zip(exact.points()) {
-                assert!(
-                    (a.value() - b.value()).abs() <= 1e-12,
-                    "scale {scale}: {} vs {}",
-                    a.value(),
-                    b.value()
-                );
-            }
-        }
-    }
+    let after = service.cache_stats();
+    assert_eq!(after.entries, before.entries);
+    assert_eq!((after.hits, after.misses), (before.hits, before.misses));
 
     // A second sweep over the same structure — even with *different* rates in
     // the submitted tree — reuses the cached parametric model outright.
+    let parametric = ParametricAnalyzer::new(&cas(), options.clone()).unwrap();
     let report2 = sweep_report(service.run_request(sweep_request(
         cas_scaled(3.0),
         options,
@@ -504,11 +566,119 @@ fn service_sweeps_share_one_parametric_model() {
     )));
     assert!(report2.stats.parametric_cache_hit);
     assert_eq!(report2.stats.aggregation_runs, 0);
-    assert_eq!(report2.stats.cache_hits, 1, "valuation session reused too");
+    assert_eq!(
+        bits_of(&report2.points[0].results.as_ref().unwrap()[0]),
+        bits_of(&report.points[2].results.as_ref().unwrap()[0]),
+        "the cached model answers a repeated valuation with the same bits"
+    );
     let stats = service.cache_stats();
+    assert_eq!(stats.entries, before.entries);
     assert_eq!(stats.parametric_entries, 1);
     assert_eq!(stats.parametric_misses, 1);
     assert_eq!(stats.parametric_hits, 1);
+}
+
+/// Bit-identity across backends and measure mixes: the compositional and
+/// hybrid methods on a nondeterministic tree, and a repairable tree asking
+/// for a point, a curve with a duplicate time, unavailability and MTTF in
+/// one request — whose steady-state measures reuse cached sessions when the
+/// sweep is repeated.
+#[test]
+fn service_sweeps_are_bit_identical_to_instantiate_plus_query_all() {
+    let service = AnalysisService::new(ServiceOptions {
+        workers: 2,
+        cache_capacity: 64,
+        ..ServiceOptions::default()
+    });
+    let timed = [
+        Measure::Unreliability(1.0),
+        Measure::curve([0.5, 1.5, 0.5, 2.0]),
+    ];
+    let scales = [0.5, 1.0, 1.7];
+    let options = |method| AnalysisOptions {
+        method,
+        ..AnalysisOptions::default()
+    };
+    for method in [Method::Compositional, Method::Hybrid] {
+        assert!(ParametricAnalyzer::new(&cas(), options(method))
+            .unwrap()
+            .is_nondeterministic());
+        assert_sweep_matches_instantiate(&service, &cas(), &options(method), &timed, &scales);
+    }
+    // A static OR crown over dynamic cores: the hybrid backend decomposes
+    // it, so its batched sweep runs one nested lane pass per core.
+    let crowned = variant("hyb", 1.0);
+    assert!(ParametricAnalyzer::new(&crowned, options(Method::Hybrid))
+        .unwrap()
+        .module_stats()
+        .is_some());
+    assert_sweep_matches_instantiate(
+        &service,
+        &crowned,
+        &options(Method::Hybrid),
+        &timed,
+        &scales,
+    );
+
+    let mixed = [
+        Measure::Unreliability(1.0),
+        Measure::curve([1.0, 0.5, 1.0]),
+        Measure::Unavailability,
+        Measure::Mttf,
+    ];
+    let sweep_mixed = || {
+        assert_sweep_matches_instantiate(
+            &service,
+            &repairable_tree(),
+            &AnalysisOptions::default(),
+            &mixed,
+            &scales,
+        )
+    };
+    // Unavailability and MTTF are answered by one instantiated session per
+    // valuation …
+    let first = sweep_mixed();
+    assert_eq!(
+        (first.stats.cache_hits, first.stats.cache_misses),
+        (0, scales.len())
+    );
+    // … which the session cache keeps (with its tangible CTMC), so a
+    // repeated sweep is a cache hit per valuation.
+    let before = service.cache_stats();
+    let second = sweep_mixed();
+    assert_eq!(
+        (second.stats.cache_hits, second.stats.cache_misses),
+        (scales.len(), 0)
+    );
+    let after = service.cache_stats();
+    assert_eq!(after.hits - before.hits, scales.len());
+    assert_eq!(
+        (after.misses, after.entries),
+        (before.misses, before.entries)
+    );
+}
+
+/// A valuation whose uniformisation cannot finish (a failure rate scaled by
+/// 1e300) fails the batched pass; the sweep answers the batch per valuation,
+/// so the error lands on that point alone and its neighbours are still
+/// bit-identical to `instantiate` + `query_all`.
+#[test]
+fn sweep_errors_stay_on_their_own_point() {
+    let service = AnalysisService::new(ServiceOptions {
+        workers: 1,
+        cache_capacity: 16,
+        ..ServiceOptions::default()
+    });
+    let report = assert_sweep_matches_instantiate(
+        &service,
+        &cas(),
+        &AnalysisOptions::default(),
+        &[Measure::Unreliability(1.0)],
+        &[1.0, 1e300, 2.0],
+    );
+    assert!(report.points[0].results.is_ok());
+    assert!(report.points[1].results.is_err());
+    assert!(report.points[2].results.is_ok());
 }
 
 /// A monolithic sweep fails with a typed error per point (the baseline has no
@@ -516,8 +686,6 @@ fn service_sweeps_share_one_parametric_model() {
 /// compositional sweep of the same structure and epsilon still succeeds.
 #[test]
 fn monolithic_sweeps_do_not_poison_the_parametric_cache() {
-    use dftmc::dft_core::{Method, Valuation};
-
     let service = AnalysisService::new(ServiceOptions {
         workers: 1,
         cache_capacity: 8,
