@@ -37,7 +37,7 @@ use crate::aggregate::{aggregate, AggregationOptions, AggregationStats};
 use crate::convert::convert;
 use crate::Result;
 use dft::Dft;
-use ioimc::{Action, IoImc};
+use ioimc::IoImc;
 
 /// Which algorithm computes the measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -90,17 +90,6 @@ pub fn aggregated_model(dft: &Dft) -> Result<(IoImc, AggregationStats)> {
             ..AggregationOptions::default()
         },
     )
-}
-
-/// Returns the community and the observable top-failure action for callers that
-/// want to drive the pipeline manually (examples, experiments).
-///
-/// # Errors
-///
-/// Same as [`convert`].
-pub fn community_of(dft: &Dft) -> Result<(Vec<IoImc>, Action)> {
-    let community = convert(dft)?;
-    Ok((community.models, community.top_failure))
 }
 
 #[cfg(test)]

@@ -185,8 +185,10 @@ pub enum SweepSpec {
 
 impl SweepSpec {
     /// Number of sweep points the spec expands to.  Known *without* the
-    /// model: every form fixes its point count at submission time, which is
-    /// what lets the service enqueue that many point tasks up front.
+    /// model: every form fixes its point count at submission time, so a
+    /// request over [`MAX_SWEEP_VALUES`] points is refused before anything is
+    /// built, an empty sweep is a ready no-op, and a sweep whose model fails
+    /// to build or resolve still reports one failed point per value.
     pub fn len(&self) -> usize {
         match self {
             SweepSpec::Valuations(v) => v.len(),

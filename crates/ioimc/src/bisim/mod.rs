@@ -18,8 +18,9 @@
 //!    (time-bounded reachability of failure, steady-state unavailability).
 //! 4. The pipeline is iterated until the state count no longer shrinks.
 //!
-//! [`minimize_strong`] restricts the refinement to strong bisimulation (no
-//! abstraction of internal steps); it is used by tests as a conservative baseline.
+//! [`refine`] and [`quotient`] also offer strong bisimulation (no abstraction
+//! of internal steps) through their `weak` flag; [`minimize`] always runs the
+//! weak pipeline.
 
 pub mod maximal_progress;
 pub mod partition;
@@ -56,25 +57,13 @@ use crate::rate::Rate;
 /// # }
 /// ```
 pub fn minimize<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
-    minimize_with(model, true)
-}
-
-/// Aggregates `model` modulo strong bisimulation (with Markovian lumping and
-/// maximal progress, but no abstraction of internal transitions).
-pub fn minimize_strong<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
-    minimize_with(model, false)
-}
-
-fn minimize_with<R: Rate>(model: &IoImcOf<R>, weak: bool) -> IoImcOf<R> {
     let mut current = cut_maximal_progress(model);
     current = current.restrict_to_reachable();
     loop {
         let before = current.num_states() + current.num_transitions();
-        if weak {
-            current = eliminate_deterministic_tau(&current);
-        }
-        let part = refine(&current, weak);
-        current = quotient(&current, &part, weak);
+        current = eliminate_deterministic_tau(&current);
+        let part = refine(&current, true);
+        current = quotient(&current, &part, true);
         current = cut_maximal_progress(&current);
         current = current.restrict_to_reachable();
         let after = current.num_states() + current.num_transitions();
@@ -225,17 +214,6 @@ mod tests {
         assert_eq!(red.num_states(), 3);
         assert_eq!(red.num_markovian(), 1);
         assert_eq!(red.num_interactive(), 1);
-    }
-
-    #[test]
-    fn strong_minimisation_is_not_coarser_than_weak() {
-        let (ma, mb) = figure2();
-        let composed = compose(&ma, &mb).unwrap();
-        let hidden = hide(&composed, &[act("bisim_fig2_a")]).unwrap();
-        let weak = minimize(&hidden);
-        let strong = minimize_strong(&hidden);
-        assert!(strong.num_states() >= weak.num_states());
-        assert!(strong.validate().is_ok());
     }
 
     #[test]

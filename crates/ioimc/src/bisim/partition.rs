@@ -16,10 +16,40 @@
 //! merging the states of one block never changes any property expressible over the
 //! visible actions, the Markovian timing and the atomic propositions — in
 //! particular the failure-time distribution of a DFT.
+//!
+//! # Flat signatures
+//!
+//! Each refinement round re-signs every state under the current partition and
+//! renumbers the blocks by signature, in state order, until the block count
+//! stops growing.  A signature is a run of `u64` words in one arena that is
+//! reused across rounds:
+//!
+//! ```text
+//! old block, #moves, move…, #rate maps, (#entries, entry…)…
+//! ```
+//!
+//! * a **move** packs (label, target block) into one word: the label's rank
+//!   among the model's distinct labels in the high half, the block in the low
+//!   half;
+//! * a **rate map** lists a state's cumulative Markovian rate into each target
+//!   block, one word per block: the interned [`Rate::key`] of the sum in the
+//!   high half, the block in the low half.  For numeric rates the key is the
+//!   sum's bit pattern; for [`RateForm`](crate::rate::RateForm) rates it is the
+//!   canonical coefficient vector, so two states are lumped only when their
+//!   cumulative rate *forms* coincide — an equality of linear forms that holds
+//!   under **every** valuation of the parameters, which is what makes
+//!   parametric aggregation sound for a whole rate sweep at once.
+//!
+//! Moves are sorted and deduplicated, and so are the rate maps (as word
+//! strings, one per non-urgent state of the inert reach in weak mode, exactly
+//! one in strong mode).  With the length prefixes, two states have equal
+//! signature slices exactly when they agree on old block, move set and
+//! rate-map set, and a `HashMap<&[u64], u32>` hands out the new block ids.
+//! Blocks are therefore numbered by their smallest member state.
 
 use crate::model::{InteractiveTransition, IoImcOf, Label, MarkovianTransitionOf, StateId};
 use crate::rate::Rate;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// A partition of the states of a model into equivalence blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,98 +76,204 @@ impl Partition {
     }
 }
 
-/// Canonical form of a per-block Markovian rate map: cumulative rate *keys*
-/// per target block (see [`Rate::key`]).
+/// Per-block cumulative Markovian rates of `state` under `block_of`, in block
+/// order, written to `sums`.
 ///
-/// For numeric rates the key is the rate's bit pattern; for
-/// [`RateForm`](crate::rate::RateForm) rates it is the canonical coefficient
-/// vector, so two states are lumped only when their cumulative rate *forms*
-/// into every block coincide — an equality of linear forms that holds under
-/// **every** valuation of the parameters, which is what makes parametric
-/// aggregation sound for a whole rate sweep at once.
-type RateMap<K> = Vec<(u32, K)>;
-
-fn rate_map<R: Rate>(model: &IoImcOf<R>, state: StateId, block_of: &[u32]) -> RateMap<R::Key> {
-    let mut sums: BTreeMap<u32, R> = BTreeMap::new();
-    for t in model.markovian_from(state) {
-        sums.entry(block_of[t.to.index()])
-            .or_insert_with(R::zero)
-            .add_assign(&t.rate);
-    }
-    sums.into_iter().map(|(b, r)| (b, r.key())).collect()
-}
-
-/// Key describing one visible move: (label kind, action id, target block).
-type Move = (u8, u32, u32);
-
-fn move_key(label: Label, target_block: u32) -> Move {
-    match label {
-        Label::Input(a) => (0, a.id(), target_block),
-        Label::Output(a) => (1, a.id(), target_block),
-        Label::Internal(a) => (2, a.id(), target_block),
-    }
-}
-
-/// The refinement signature of a single state under the current partition.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct StateSignature<K> {
-    old_block: u32,
-    moves: Vec<Move>,
-    rates: Vec<RateMap<K>>,
-}
-
-/// States reachable from `state` through *inert* internal transitions (internal
-/// transitions whose target stays in the same block), including `state` itself.
-fn inert_reach<R: Rate>(model: &IoImcOf<R>, state: StateId, block_of: &[u32]) -> Vec<StateId> {
-    let own_block = block_of[state.index()];
-    let mut seen = vec![state];
-    let mut stack = vec![state];
-    while let Some(s) = stack.pop() {
-        for t in model.interactive_from(s) {
-            if t.label.is_internal() && block_of[t.to.index()] == own_block && !seen.contains(&t.to)
-            {
-                seen.push(t.to);
-                stack.push(t.to);
-            }
-        }
-    }
-    seen
-}
-
-fn signature<R: Rate>(
+/// The transitions are stably ordered by target block (`order` holds the
+/// `(block, transition index)` pairs), and each block's rates are added onto
+/// [`Rate::zero`] in transition order, so a sum is the same value bit for bit
+/// wherever it is computed: [`refine`] lumps on the keys of these sums and
+/// [`quotient`] writes the sums themselves.
+fn block_rates<R: Rate>(
     model: &IoImcOf<R>,
     state: StateId,
     block_of: &[u32],
-    weak: bool,
-) -> StateSignature<R::Key> {
-    let own_block = block_of[state.index()];
-    let mut moves: BTreeSet<Move> = BTreeSet::new();
-    let mut rates: BTreeSet<RateMap<R::Key>> = BTreeSet::new();
+    order: &mut Vec<(u32, u32)>,
+    sums: &mut Vec<(u32, R)>,
+) {
+    let transitions = model.markovian_from(state);
+    order.clear();
+    order.extend(
+        transitions
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (block_of[t.to.index()], i as u32)),
+    );
+    // The pairs are distinct, so an unstable sort orders them like a stable
+    // sort by block would.
+    order.sort_unstable();
+    sums.clear();
+    for &(block, i) in order.iter() {
+        let rate = &transitions[i as usize].rate;
+        match sums.last_mut() {
+            Some((last, sum)) if *last == block => sum.add_assign(rate),
+            _ => {
+                let mut sum = R::zero();
+                sum.add_assign(rate);
+                sums.push((block, sum));
+            }
+        }
+    }
+}
 
-    if weak {
-        for u in inert_reach(model, state, block_of) {
-            for t in model.interactive_from(u) {
-                let target_block = block_of[t.to.index()];
-                let inert = t.label.is_internal() && target_block == own_block;
-                if !inert {
-                    moves.insert(move_key(t.label, target_block));
-                }
-            }
-            if !model.is_urgent(u) {
-                rates.insert(rate_map(model, u, block_of));
-            }
+/// The reused buffers of one [`refine`] call: the per-call tables (label
+/// ranks, urgency, interned rate keys) and the per-round arenas of rate maps
+/// and signatures laid out as the [module documentation](self) describes.
+struct Signer<R: Rate> {
+    /// `label_rank[i]` is the rank of `model.interactive[i].label`.
+    label_rank: Vec<u64>,
+    /// Weak (inert internal steps abstracted) or strong bisimulation.
+    weak: bool,
+    /// Whether each state's Markovian rates count: every state's in strong
+    /// mode, only the non-urgent states' in weak mode (maximal progress).
+    timed: Vec<bool>,
+    /// Interned cumulative rate keys.
+    rate_keys: HashMap<R::Key, u64>,
+    /// Every state's rate map under the current partition, back to back;
+    /// state `s` owns `rate_words[rate_start[s]..rate_start[s + 1]]`.
+    rate_words: Vec<u64>,
+    rate_start: Vec<usize>,
+    /// Every state's signature, back to back, laid out like the rate maps.
+    sig: Vec<u64>,
+    sig_start: Vec<usize>,
+    /// `reached[u] == s` while the inert reach of `s` is being collected.
+    reached: Vec<u32>,
+    stack: Vec<StateId>,
+    moves: Vec<u64>,
+    maps: Vec<(usize, usize)>,
+    order: Vec<(u32, u32)>,
+    sums: Vec<(u32, R)>,
+}
+
+fn pack(high: u64, low: u32) -> u64 {
+    (high << 32) | u64::from(low)
+}
+
+impl<R: Rate> Signer<R> {
+    fn new(model: &IoImcOf<R>, weak: bool) -> Signer<R> {
+        let mut labels: Vec<Label> = model.interactive().iter().map(|t| t.label).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        let label_rank = model
+            .interactive()
+            .iter()
+            .map(|t| labels.binary_search(&t.label).expect("label was collected") as u64)
+            .collect();
+        let n = model.num_states();
+        Signer {
+            label_rank,
+            weak,
+            timed: model
+                .states()
+                .map(|s| !weak || !model.is_urgent(s))
+                .collect(),
+            rate_keys: HashMap::new(),
+            rate_words: Vec::new(),
+            rate_start: Vec::with_capacity(n + 1),
+            sig: Vec::new(),
+            sig_start: Vec::with_capacity(n + 1),
+            reached: vec![u32::MAX; if weak { n } else { 0 }],
+            stack: Vec::new(),
+            moves: Vec::new(),
+            maps: Vec::new(),
+            order: Vec::new(),
+            sums: Vec::new(),
         }
-    } else {
-        for t in model.interactive_from(state) {
-            moves.insert(move_key(t.label, block_of[t.to.index()]));
-        }
-        rates.insert(rate_map(model, state, block_of));
     }
 
-    StateSignature {
-        old_block: own_block,
-        moves: moves.into_iter().collect(),
-        rates: rates.into_iter().collect(),
+    /// Encodes the rate map of every timed state under `block_of`; the
+    /// others' stay empty and unused.
+    fn rate_maps(&mut self, model: &IoImcOf<R>, block_of: &[u32]) {
+        self.rate_words.clear();
+        self.rate_start.clear();
+        for s in model.states() {
+            self.rate_start.push(self.rate_words.len());
+            if !self.timed[s.index()] {
+                continue;
+            }
+            block_rates(model, s, block_of, &mut self.order, &mut self.sums);
+            for (block, sum) in &self.sums {
+                let next = self.rate_keys.len() as u64;
+                let key = *self.rate_keys.entry(sum.key()).or_insert(next);
+                assert!(key < 1 << 32, "more than 2^32 distinct cumulative rates");
+                self.rate_words.push(pack(key, *block));
+            }
+        }
+        self.rate_start.push(self.rate_words.len());
+    }
+
+    /// Appends the signature of `state` to `sig`.
+    ///
+    /// In weak mode the moves and rate maps are collected over the inert
+    /// reach of `state`: the states reachable through internal moves that
+    /// stay in its block, `state` included.  Inert moves are followed, not
+    /// recorded.
+    fn sign(&mut self, model: &IoImcOf<R>, state: StateId, block_of: &[u32]) {
+        let weak = self.weak;
+        let own_block = block_of[state.index()];
+        self.moves.clear();
+        self.maps.clear();
+        if weak {
+            self.reached[state.index()] = state.raw();
+        }
+        self.stack.push(state);
+        while let Some(u) = self.stack.pop() {
+            let lo = model.interactive_index[u.index()] as usize;
+            let hi = model.interactive_index[u.index() + 1] as usize;
+            for (t, &rank) in model.interactive[lo..hi]
+                .iter()
+                .zip(&self.label_rank[lo..hi])
+            {
+                let target_block = block_of[t.to.index()];
+                if weak && t.label.is_internal() && target_block == own_block {
+                    if self.reached[t.to.index()] != state.raw() {
+                        self.reached[t.to.index()] = state.raw();
+                        self.stack.push(t.to);
+                    }
+                } else {
+                    self.moves.push(pack(rank, target_block));
+                }
+            }
+            if self.timed[u.index()] {
+                self.maps
+                    .push((self.rate_start[u.index()], self.rate_start[u.index() + 1]));
+            }
+        }
+        self.moves.sort_unstable();
+        self.moves.dedup();
+        let words = &self.rate_words;
+        self.maps
+            .sort_unstable_by(|a, b| words[a.0..a.1].cmp(&words[b.0..b.1]));
+        self.maps
+            .dedup_by(|a, b| words[a.0..a.1] == words[b.0..b.1]);
+
+        self.sig.push(u64::from(own_block));
+        self.sig.push(self.moves.len() as u64);
+        self.sig.extend_from_slice(&self.moves);
+        self.sig.push(self.maps.len() as u64);
+        for &(lo, hi) in &self.maps {
+            self.sig.push((hi - lo) as u64);
+            self.sig.extend_from_slice(&words[lo..hi]);
+        }
+    }
+
+    /// Signs every state under `block_of`.
+    fn sign_all(&mut self, model: &IoImcOf<R>, block_of: &[u32]) {
+        self.rate_maps(model, block_of);
+        if self.weak {
+            self.reached.fill(u32::MAX);
+        }
+        self.sig.clear();
+        self.sig_start.clear();
+        for s in model.states() {
+            self.sig_start.push(self.sig.len());
+            self.sign(model, s, block_of);
+        }
+        self.sig_start.push(self.sig.len());
+    }
+
+    fn signature(&self, state: usize) -> &[u64] {
+        &self.sig[self.sig_start[state]..self.sig_start[state + 1]]
     }
 }
 
@@ -145,7 +281,8 @@ fn signature<R: Rate>(
 ///
 /// The initial partition separates states by their atomic-proposition labelling, so
 /// proposition-labelled states (e.g. the "system down" marker used for
-/// unavailability analysis) are never merged with unlabelled ones.
+/// unavailability analysis) are never merged with unlabelled ones.  Blocks are
+/// numbered in order of their smallest member state.
 pub fn refine<R: Rate>(model: &IoImcOf<R>, weak: bool) -> Partition {
     let n = model.num_states();
     if n == 0 {
@@ -158,33 +295,24 @@ pub fn refine<R: Rate>(model: &IoImcOf<R>, weak: bool) -> Partition {
     // Initial partition: by proposition mask.
     let mut block_of: Vec<u32> = vec![0; n];
     let mut prop_blocks: HashMap<u64, u32> = HashMap::new();
-    let mut num_blocks = 0u32;
     for s in model.states() {
-        let mask = model.prop_mask(s);
-        let block = *prop_blocks.entry(mask).or_insert_with(|| {
-            let b = num_blocks;
-            num_blocks += 1;
-            b
-        });
-        block_of[s.index()] = block;
+        let next = prop_blocks.len() as u32;
+        block_of[s.index()] = *prop_blocks.entry(model.prop_mask(s)).or_insert(next);
     }
+    let mut num_blocks = prop_blocks.len() as u32;
 
+    let mut signer = Signer::new(model, weak);
+    let mut next_block_of: Vec<u32> = vec![0; n];
     loop {
-        let mut sig_blocks: HashMap<StateSignature<R::Key>, u32> = HashMap::new();
-        let mut next_block_of: Vec<u32> = vec![0; n];
-        let mut next_num_blocks = 0u32;
-        for s in model.states() {
-            let sig = signature(model, s, &block_of, weak);
-            let block = *sig_blocks.entry(sig).or_insert_with(|| {
-                let b = next_num_blocks;
-                next_num_blocks += 1;
-                b
-            });
-            next_block_of[s.index()] = block;
+        signer.sign_all(model, &block_of);
+        let mut sig_blocks: HashMap<&[u64], u32> = HashMap::with_capacity(n);
+        for (s, next) in next_block_of.iter_mut().enumerate() {
+            let fresh = sig_blocks.len() as u32;
+            *next = *sig_blocks.entry(signer.signature(s)).or_insert(fresh);
         }
-        let stable = next_num_blocks == num_blocks;
-        block_of = next_block_of;
-        num_blocks = next_num_blocks;
+        let stable = sig_blocks.len() as u32 == num_blocks;
+        num_blocks = sig_blocks.len() as u32;
+        std::mem::swap(&mut block_of, &mut next_block_of);
         if stable {
             break;
         }
@@ -237,15 +365,11 @@ pub fn quotient<R: Rate>(model: &IoImcOf<R>, partition: &Partition, weak: bool) 
             representative[b] = Some(s);
         }
     }
+    let (mut order, mut sums) = (Vec::new(), Vec::new());
     for (b, rep) in representative.iter().enumerate() {
         if let Some(rep) = rep {
-            let mut sums: BTreeMap<u32, R> = BTreeMap::new();
-            for t in model.markovian_from(*rep) {
-                sums.entry(block_of[t.to.index()])
-                    .or_insert_with(R::zero)
-                    .add_assign(&t.rate);
-            }
-            for (to, rate) in sums {
+            block_rates(model, *rep, block_of, &mut order, &mut sums);
+            for (to, rate) in sums.drain(..) {
                 if !rate.is_zero() {
                     markovian.push(MarkovianTransitionOf {
                         from: StateId::new(b as u32),
@@ -383,6 +507,29 @@ mod tests {
         let q = quotient(&m, &p, true);
         assert!(q.interactive().iter().any(|t| t.label == Label::Output(f)));
         assert_eq!(q.num_states(), 3);
+    }
+
+    #[test]
+    fn blocks_are_numbered_by_smallest_member() {
+        // s0 and s3 fire f and stop, s1 and s4 lumped by rate, s2 absorbing:
+        // block ids follow the first state of each block in state order.
+        let f = act("part_f_numbering");
+        let mut b = IoImcBuilder::new("m");
+        let s = b.add_states(6);
+        b.initial(s[5]);
+        for &from in &[s[0], s[3]] {
+            b.output(from, f, s[2]);
+        }
+        b.markovian(s[1], 2.0, s[0]);
+        b.markovian(s[4], 2.0, s[3]);
+        b.markovian(s[5], 1.0, s[1]);
+        b.markovian(s[5], 1.0, s[4]);
+        let m = b.build().unwrap();
+        for weak in [false, true] {
+            let p = refine(&m, weak);
+            assert_eq!(p.block_of, vec![0, 1, 2, 0, 1, 3]);
+            assert_eq!(p.num_blocks, 4);
+        }
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub mod builder;
 pub mod closed;
 pub mod codec;
 pub mod compose;
-pub mod dot;
 pub mod hide;
 pub mod model;
 pub mod rate;

@@ -7,7 +7,7 @@
 //! collapses the interleaving diamond into a four-state chain, exactly as drawn in
 //! Figure 2(c).
 
-use dftmc::ioimc::bisim::{minimize, minimize_strong};
+use dftmc::ioimc::bisim::minimize;
 use dftmc::ioimc::closed::{can_fire_immediately, drop_input_transitions};
 use dftmc::ioimc::compose::compose;
 use dftmc::ioimc::hide::hide;
@@ -82,15 +82,6 @@ fn aggregation_collapses_the_interleaving_diamond() {
         .interactive()
         .iter()
         .any(|t| t.label == Label::Output(Action::new("fig2_b"))));
-}
-
-#[test]
-fn weak_aggregation_is_at_least_as_strong_as_strong_bisimulation() {
-    let hidden = composed_and_hidden();
-    let weak = minimize(&hidden);
-    let strong = minimize_strong(&hidden);
-    assert!(weak.num_states() <= strong.num_states());
-    assert!(strong.num_states() <= hidden.num_states());
 }
 
 #[test]
