@@ -513,13 +513,17 @@ fn sweep(config: &Config) -> Result<Vec<Row>> {
         .collect();
     let measures = [Measure::Unreliability(mission_time)];
     let (sweep, sweep_wall) = timed(|| parametric.sweep_query(&measures, &valuations));
-    let sweep = sweep?;
+    let swept = sweep
+        .results()
+        .iter()
+        .cloned()
+        .collect::<Result<Vec<Vec<MeasureResult>>>>()?;
     // Marginal cost of one additional point: subtract a one-point sweep's
     // wall from the full sweep's wall.  The one-point run happens second, so
     // any lazily built per-model state is warm for it but *charged* to the
     // full sweep — the resulting marginal is conservative, never flattered.
     let (one_point, one_point_wall) = timed(|| parametric.sweep_query(&measures, &valuations[..1]));
-    one_point?;
+    one_point.results()[0].clone()?;
     let marginal_us_per_point =
         sweep_wall.saturating_sub(one_point_wall).as_secs_f64() * 1e6 / (points - 1) as f64;
 
@@ -527,7 +531,7 @@ fn sweep(config: &Config) -> Result<Vec<Row>> {
     let mut independent_total = Duration::ZERO;
     let mut single_point = Duration::ZERO;
     let mut max_abs_diff = 0.0f64;
-    for (i, (&scale, results)) in scales.iter().zip(sweep.results()).enumerate() {
+    for (i, (&scale, results)) in scales.iter().zip(&swept).enumerate() {
         let point = &results[0];
         let (reference, elapsed) = timed(|| {
             Analyzer::new(&cas_scaled(scale), options.clone())?.unreliability(mission_time)
@@ -563,8 +567,7 @@ fn sweep(config: &Config) -> Result<Vec<Row>> {
         "total query/instantiate time {amortized:?} must stay below {points} single-point builds"
     );
     assert!(
-        sweep
-            .results()
+        swept
             .windows(2)
             .all(|pair| pair[1][0].value() >= pair[0][0].value() - 1e-12),
         "unreliability must grow with the failure-rate scale"
@@ -611,7 +614,60 @@ fn sweep(config: &Config) -> Result<Vec<Row>> {
         row("cas", "marginal_us_per_point", marginal_us_per_point),
         row("cas", "max_abs_diff", max_abs_diff),
     ]);
+    rows.extend(cps_mttf_sweep()?);
     Ok(rows)
+}
+
+/// A 64-valuation CPS `Mttf` sweep through the service, next to 100 cached
+/// tree sessions at capacity 128: the wall time of the first and of a
+/// repeated sweep (parametric build excluded), and how many tree sessions
+/// the first sweep evicts.  A sweep builds no session per valuation, so it
+/// must evict none.
+fn cps_mttf_sweep() -> Result<Vec<Row>> {
+    const TREES: usize = 100;
+    let service = AnalysisService::new(ServiceOptions {
+        workers: 1,
+        cache_capacity: 128,
+        ..ServiceOptions::default()
+    });
+    for i in 0..TREES {
+        let tree = single_and_module(2, 1.0 + 0.01 * i as f64);
+        service.analyzer(&tree, &AnalysisOptions::default())?;
+    }
+    let request = AnalysisRequest {
+        measures: vec![Measure::Mttf],
+        sweep: Some(SweepSpec::FailureScales(
+            (0..64).map(|i| 0.5 + f64::from(i) / 64.0).collect(),
+        )),
+        ..AnalysisRequest::new(casestudies::cps())
+    };
+    let sweep_seconds = |request: AnalysisRequest| -> Result<f64> {
+        let RequestOutcome::Sweep(report) = service.run_request(request) else {
+            unreachable!("a sweep was requested")
+        };
+        for point in &report.points {
+            point.results.as_ref().map_err(Clone::clone)?;
+        }
+        let stats = report.stats;
+        Ok(stats
+            .wall_time
+            .saturating_sub(stats.build_time)
+            .as_secs_f64())
+    };
+    let before = service.cache_stats();
+    let first = sweep_seconds(request.clone())?;
+    let tree_evictions = service.cache_stats().evictions - before.evictions;
+    let repeat = sweep_seconds(request)?;
+    assert_eq!(
+        (tree_evictions, service.cache_stats().entries),
+        (0, TREES),
+        "a sweep must leave the session cache alone"
+    );
+    Ok(vec![
+        row("cps_mttf", "first_seconds", first),
+        row("cps_mttf", "repeat_seconds", repeat),
+        row("cps_mttf", "tree_evictions", tree_evictions as f64),
+    ])
 }
 
 /// Two measure results are bit-identical: same shape, and every time, value

@@ -3,16 +3,15 @@
 //! The paper's evaluation is reproduced by one runner, the `experiments`
 //! binary in `src/bin/`, which writes every measured number as one row of
 //! `BENCH_experiments.json`; `bench_diff` gates those rows against the
-//! committed baseline.  This library holds what the runner, the benches in
-//! `benches/` and the fuzzer share: the tree families below, the
-//! dependency-free [`timing`] harness and the decoder [`fuzz`] targets.
+//! committed baseline.  This library holds what the runner, the tests and
+//! the fuzzer share: the tree families below and the decoder [`fuzz`]
+//! targets.
 
 #![forbid(unsafe_code)]
 
 use dft::{Dft, DftBuilder, Dormancy, ElementId};
 
 pub mod fuzz;
-pub mod timing;
 
 /// A single AND module of `width` identical rate-`rate` basic events (module A of
 /// Figure 8/9).
@@ -26,21 +25,6 @@ pub fn single_and_module(width: usize, rate: f64) -> Dft {
         .collect();
     let top = b.and_gate("A", &events).expect("valid gate");
     b.build(top).expect("wellformed module")
-}
-
-/// A repairable k-out-of-n voting system over identical components, used by the
-/// repair bench (E8).
-pub fn repairable_voting(n: usize, failure_rate: f64, repair_rate: f64) -> Dft {
-    let mut b = DftBuilder::new();
-    let events: Vec<ElementId> = (0..n)
-        .map(|i| {
-            b.repairable_basic_event(&format!("R{i}"), failure_rate, Dormancy::Hot, repair_rate)
-                .expect("valid BE")
-        })
-        .collect();
-    let k = (n.div_ceil(2)) as u32;
-    let top = b.voting_gate("system", k, &events).expect("valid gate");
-    b.build(top).expect("wellformed DFT")
 }
 
 /// A "highly connected" DFT family for the negative result the paper mentions at
@@ -115,12 +99,5 @@ mod tests {
         let modules = dft::modules::independent_modules(&dft);
         // Only the top gate roots an independent module.
         assert_eq!(modules.len(), 1);
-    }
-
-    #[test]
-    fn repairable_voting_builds() {
-        let dft = repairable_voting(3, 0.5, 5.0);
-        assert_eq!(dft.num_basic_events(), 3);
-        assert!(dft.is_repairable());
     }
 }

@@ -80,9 +80,10 @@ use ioimc::closed::{
 };
 use ioimc::codec::RateCodec;
 use ioimc::stats::ModelStats;
-use ioimc::{Action, IoImc, IoImcOf, ParametricIoImc, Rate, RateForm};
+use ioimc::{Action, IoImcOf, ParametricIoImc, Rate, RateForm};
 use markov::ctmdp::{Ctmdp, CtmdpState};
 use markov::kernel::RelaxKernel;
+use markov::mttf::mean_time_to_absorption;
 use markov::steady::steady_state_probability;
 use markov::Ctmc;
 use std::borrow::Borrow;
@@ -112,6 +113,26 @@ pub(crate) struct ClosedModel<R> {
     pub(crate) can: Vec<bool>,
     /// Pessimistic goal set: "must fire the top failure immediately".
     pub(crate) must: Vec<bool>,
+}
+
+impl<R> ClosedModel<R> {
+    /// The points of lane `k` of a reachability pass over `lanes` lanes: the
+    /// optimistic (`uppers`) and pessimistic (`lowers`) values, time-major.
+    fn points(
+        &self,
+        times: &[f64],
+        uppers: &[f64],
+        lowers: &[f64],
+        lanes: usize,
+        k: usize,
+    ) -> Vec<MeasurePoint> {
+        (0..times.len())
+            .map(|slot| {
+                let (lo, hi) = (lowers[slot * lanes + k], uppers[slot * lanes + k]);
+                MeasurePoint::bounded(Some(times[slot]), self.point_valued.then_some(hi), (lo, hi))
+            })
+            .collect()
+    }
 }
 
 /// Compose the monitor into the community, aggregate with the top failure
@@ -231,14 +252,19 @@ impl SessionRate for f64 {
     }
 }
 
-/// The structure lowering a parametric session caches for batched sweeps:
+/// The rate-independent structure a parametric session caches for sweeps:
 /// the CTMDP state vector with dummy Markovian rates, the rate form of every
-/// Markovian edge in kernel edge order, and the initial state.
+/// Markovian edge in kernel edge order, the initial state, and the tangible
+/// CTMC skeleton of the steady-state measures.
 #[derive(Debug)]
 pub(crate) struct SweepTemplate {
     states: Vec<CtmdpState>,
     forms: Vec<RateForm>,
     initial: usize,
+    /// Extracted on the first steady-state sweep.  An error is cached too:
+    /// a nondeterministic or divergent model fails the same way for every
+    /// valuation.
+    tangible: OnceLock<Result<Tangible<RateForm>>>,
 }
 
 impl SweepTemplate {
@@ -254,14 +280,15 @@ impl SweepTemplate {
             states,
             forms,
             initial: closed.initial().index(),
+            tangible: OnceLock::new(),
         }
     }
 }
 
 impl SessionRate for RateForm {
-    /// Lowered once on the first sweep: batched sweeps evaluate rate forms
-    /// straight into kernel lanes instead of instantiating one CTMDP pair per
-    /// valuation.
+    /// Lowered once on the first sweep: sweeps evaluate rate forms straight
+    /// into kernel lanes and tangible CTMCs instead of instantiating one
+    /// session per valuation.
     type Numerics = OnceLock<SweepTemplate>;
 
     const PARAMETRIC: bool = true;
@@ -329,8 +356,9 @@ pub type Analyzer = Session<f64>;
 /// by evaluating linear [`RateForm`]s, **without** re-running conversion,
 /// composition or bisimulation minimisation.
 ///
-/// This is the engine behind rate-sensitivity sweeps: a K-point sweep costs
-/// one aggregation plus K cheap instantiations, where K independent
+/// This is the engine behind rate-sensitivity sweeps: a K-point
+/// [`sweep_query`](ParametricAnalyzer::sweep_query) costs one aggregation
+/// plus K evaluations of the rate forms, where K independent
 /// [`Analyzer::new`] calls would pay K full aggregations.  The aggregation
 /// lumps states only when their cumulative rate *forms* coincide, which is
 /// sound for every positive valuation at once; each instantiated session
@@ -701,6 +729,40 @@ impl<R: SessionRate> Session<R> {
                 message: e.to_string(),
             })
     }
+
+    /// Rejects a steady-state measure the session's backend cannot answer.
+    /// Numeric queries and parametric sweep lanes both check here, so they
+    /// report the same [`Error::Unsupported`].
+    fn steady_support(&self, measure: &Measure) -> Result<()> {
+        let message = match (measure, &self.backend) {
+            (Measure::Unavailability, _) if !self.repairable => {
+                "unavailability analysis needs at least one repairable basic event"
+            }
+            (Measure::Unavailability, Backend::Monolithic { .. }) => {
+                "the monolithic baseline only supports unreliability analysis"
+            }
+            // Defensive: a genuine hybrid backend implies an unrepairable tree,
+            // so the first arm already matched.
+            (Measure::Unavailability, Backend::Hybrid { .. }) => {
+                "the hybrid decomposition only exists for unrepairable trees"
+            }
+            (Measure::Unavailability, Backend::Compositional { model, .. })
+                if !model.has_repair =>
+            {
+                "the top event never emits a repair signal"
+            }
+            // MTTF needs a single first-passage model; the hybrid crown only
+            // composes time-bounded failure probabilities.
+            (Measure::Mttf, Backend::Hybrid { .. }) => {
+                "the hybrid decomposition only supports unreliability analysis; \
+                 use the compositional method for MTTF"
+            }
+            _ => return Ok(()),
+        };
+        Err(Error::Unsupported {
+            message: message.to_owned(),
+        })
+    }
 }
 
 impl Session<f64> {
@@ -733,8 +795,14 @@ impl Session<f64> {
                 }
                 self.unreliability_points(times)
             }
-            Measure::Unavailability => self.unavailability_point(),
-            Measure::Mttf => self.mttf_point(),
+            measure @ (Measure::Unavailability | Measure::Mttf) => {
+                self.steady_support(measure)?;
+                let (ctmc, down) = match &self.backend {
+                    Backend::Monolithic { ctmc, goal } => (ctmc, goal.as_slice()),
+                    _ => self.tangible()?,
+                };
+                solve_steady(measure, ctmc, down, self.options.epsilon)
+            }
         }
     }
 
@@ -838,17 +906,7 @@ impl Session<f64> {
                     numerics.lower.reachability_min_multi(times, epsilon)?
                 };
                 Ok(MeasureResult::new(
-                    times
-                        .iter()
-                        .zip(lowers.into_iter().zip(uppers))
-                        .map(|(&t, (lo, hi))| {
-                            MeasurePoint::bounded(
-                                Some(t),
-                                model.point_valued.then_some(hi),
-                                (lo, hi),
-                            )
-                        })
-                        .collect(),
+                    model.points(times, &uppers, &lowers, 1, 0),
                 ))
             }
             Backend::Hybrid {
@@ -881,70 +939,16 @@ impl Session<f64> {
         }
     }
 
-    fn unavailability_point(&self) -> Result<MeasureResult> {
-        if !self.repairable {
-            return Err(Error::Unsupported {
-                message: "unavailability analysis needs at least one repairable basic event"
-                    .to_owned(),
-            });
-        }
-        match &self.backend {
-            Backend::Monolithic { .. } => Err(Error::Unsupported {
-                message: "the monolithic baseline only supports unreliability analysis".to_owned(),
-            }),
-            // Defensive: a genuine hybrid backend implies an unrepairable tree,
-            // so the check above already returned.
-            Backend::Hybrid { .. } => Err(Error::Unsupported {
-                message: "the hybrid decomposition only exists for unrepairable trees".to_owned(),
-            }),
-            Backend::Compositional { model, .. } => {
-                if !model.has_repair {
-                    return Err(Error::Unsupported {
-                        message: "the top event never emits a repair signal".to_owned(),
-                    });
-                }
-                let (ctmc, down) = self.tangible()?;
-                let unavailability = steady_state_probability(ctmc, down, self.options.epsilon)?;
-                Ok(MeasureResult::new(vec![MeasurePoint::exact(
-                    None,
-                    unavailability,
-                )]))
-            }
-        }
-    }
-
-    fn mttf_point(&self) -> Result<MeasureResult> {
-        let mttf = match &self.backend {
-            Backend::Monolithic { ctmc, goal } => {
-                markov::mttf::mean_time_to_absorption(ctmc, goal, self.options.epsilon)?
-            }
-            Backend::Compositional { .. } => {
-                let (ctmc, down) = self.tangible()?;
-                markov::mttf::mean_time_to_absorption(ctmc, down, self.options.epsilon)?
-            }
-            // MTTF needs a single first-passage model; the hybrid crown only
-            // composes time-bounded failure probabilities.
-            Backend::Hybrid { .. } => {
-                return Err(Error::Unsupported {
-                    message: "the hybrid decomposition only supports unreliability analysis; \
-                              use the compositional method for MTTF"
-                        .to_owned(),
-                });
-            }
-        };
-        Ok(MeasureResult::new(vec![MeasurePoint::exact(None, mttf)]))
-    }
-
     /// The embedded CTMC of the closed model with its "down" labels, extracted on
     /// first use and cached for the session.
     fn tangible(&self) -> Result<(&Ctmc, &[bool])> {
         let Backend::Compositional { model, numerics } = &self.backend else {
             unreachable!("tangible() is only called on the compositional backend");
         };
-        match numerics
-            .tangible
-            .get_or_init(|| extract_ctmc_with_label(&model.closed, DOWN_PROP))
-        {
+        match numerics.tangible.get_or_init(|| {
+            let tangible = extract_tangible(&model.closed)?;
+            Ok((tangible.ctmc(|&rate| rate)?, tangible.down))
+        }) {
             Ok((ctmc, labels)) => Ok((ctmc, labels)),
             Err(e) => Err(e.clone()),
         }
@@ -999,11 +1003,7 @@ impl Session<RateForm> {
                     .collect(),
                 cores: cores
                     .iter()
-                    .map(|core| {
-                        let projected: Vec<f64> =
-                            self.projection(core).iter().map(|&s| values[s]).collect();
-                        core.instantiate_values(&projected)
-                    })
+                    .map(|core| core.instantiate_values(&self.project(core, values)))
                     .collect::<Result<Vec<Analyzer>>>()?,
                 modules: *modules,
             },
@@ -1021,35 +1021,42 @@ impl Session<RateForm> {
         })
     }
 
-    /// For each slot of a hybrid core's own table, the slot of this session's
-    /// table controlling the same rate of the same (named) basic event.
-    fn projection(&self, core: &Self) -> Vec<usize> {
+    /// `values` projected onto a hybrid core's own table: each core slot
+    /// takes the value of the slot of this session's table controlling the
+    /// same rate of the same (named) basic event.
+    fn project(&self, core: &Self, values: &[f64]) -> Vec<f64> {
         core.params
             .slots()
             .iter()
             .map(|slot| {
-                self.params
+                values[self
+                    .params
                     .slot_of(&slot.element, slot.kind)
-                    .expect("core basic events are basic events of the tree")
+                    .expect("core basic events are basic events of the tree")]
             })
             .collect()
     }
 
     /// Evaluates a batch of measures across a whole sweep of valuations with
-    /// zero re-aggregations.
+    /// zero re-aggregations, and without building a session per valuation.
     ///
-    /// The time bounds of every [`Measure::Unreliability`] and
-    /// [`Measure::UnreliabilityCurve`] in `measures` are merged onto one grid,
-    /// exactly as [`Analyzer::query_all`] merges them, and run *batched*:
-    /// every valuation becomes one lane of a [`RelaxKernel`], so the whole
-    /// sweep costs one (or two, for non-deterministic models) traversal of
-    /// the shared structure instead of one value iteration per point.  Each
-    /// lane keeps its own uniformisation rate, so every result is
-    /// bit-identical to [`instantiate`](Self::instantiate)` + `
-    /// [`Analyzer::query_all`] on that valuation alone — and independent of
-    /// the kernel's worker count.  [`Measure::Unavailability`] and
-    /// [`Measure::Mttf`] need the instantiated session's tangible CTMC, so
-    /// they instantiate and query per valuation.
+    /// Every valuation is one *lane*: its rate forms are evaluated straight
+    /// into rate-independent templates cached on this session.
+    ///
+    /// * The time bounds of every [`Measure::Unreliability`] and
+    ///   [`Measure::UnreliabilityCurve`] are merged onto one grid, exactly as
+    ///   [`Analyzer::query_all`] merges them, and run *batched*: every lane
+    ///   is one lane of a [`RelaxKernel`], so the whole sweep costs one (or
+    ///   two, for non-deterministic models) traversal of the shared structure
+    ///   instead of one value iteration per point.
+    /// * [`Measure::Unavailability`] and [`Measure::Mttf`] evaluate each
+    ///   lane's rates into the cached tangible CTMC skeleton and solve it.
+    ///
+    /// Each lane keeps its own uniformisation rate and sees its transitions in
+    /// the same order as an instantiated model, so every row is bit-identical
+    /// to [`instantiate`](Self::instantiate)` + `[`Analyzer::query_all`] on
+    /// that valuation alone, errors included, and independent of the
+    /// kernel's worker count.
     ///
     /// # Example
     ///
@@ -1071,11 +1078,12 @@ impl Session<RateForm> {
     ///     .map(|i| parametric.params().scaled_valuation(i as f64))
     ///     .collect();
     /// let measures = [Measure::Unreliability(1.0), Measure::Mttf];
-    /// let sweep = parametric.sweep_query(&measures, &valuations)?;
+    /// let sweep = parametric.sweep_query(&measures, &valuations);
     /// assert_eq!(sweep.len(), 5);
     /// assert_eq!(parametric.aggregation_runs(), 1);
     /// // Each point matches the closed forms 1 - exp(-scale·t) and 1/scale.
     /// for (i, results) in sweep.results().iter().enumerate() {
+    ///     let results = results.as_ref().map_err(Clone::clone)?;
     ///     let scale = (i + 1) as f64;
     ///     assert!((results[0].value() - (1.0 - (-scale).exp())).abs() < 1e-6);
     ///     assert!((results[1].value() - 1.0 / scale).abs() < 1e-6);
@@ -1084,122 +1092,104 @@ impl Session<RateForm> {
     /// # }
     /// ```
     ///
-    /// # Errors
-    ///
-    /// Fails on the first invalid valuation or query error (see
-    /// [`instantiate`](Self::instantiate) and [`Analyzer::query_all`]).  A
-    /// sweep over zero valuations succeeds without validating the measures.
-    pub fn sweep_query(&self, measures: &[Measure], valuations: &[Valuation]) -> Result<RateSweep> {
+    /// Every error stays on its own row: an invalid valuation, a rate that
+    /// evaluates out of range, a query error (see [`Analyzer::query_all`]).
+    /// When the batched kernel pass fails, every lane is rerun on its own,
+    /// so one lane's failure never reaches its neighbours.  A sweep over
+    /// zero valuations is empty and validates nothing.
+    pub fn sweep_query(&self, measures: &[Measure], valuations: &[Valuation]) -> RateSweep {
+        let mut sweep = RateSweep::default();
         if valuations.is_empty() {
-            return Ok(RateSweep::default());
+            return sweep;
         }
-        let (grid, plans) = TimeGrid::plan(measures)?;
         let started = Instant::now();
-        for valuation in valuations {
-            valuation.check_against(&self.params)?;
+        // The checks `instantiate` makes, in its order.
+        let lanes: Vec<Result<Lane>> = valuations
+            .iter()
+            .map(|valuation| {
+                valuation.check_against(&self.params)?;
+                self.lane(valuation.values())
+            })
+            .collect();
+        sweep.instantiate_time = started.elapsed();
+
+        let started = Instant::now();
+        let plan = TimeGrid::plan(measures);
+        let live: Vec<&Lane> = lanes.iter().flatten().collect();
+        let mut timed = match &plan {
+            Ok((grid, _)) if !grid.times.is_empty() => self.timed_lanes(&grid.times, &live),
+            _ => vec![Ok(Vec::new()); live.len()],
         }
-        let lanes: Vec<&[f64]> = valuations.iter().map(Valuation::values).collect();
-        let mut sweep = RateSweep {
-            instantiate_time: started.elapsed(),
-            ..RateSweep::default()
-        };
-        let swept = if grid.times.is_empty() {
-            None
-        } else {
-            let swept = self.sweep_lanes(&grid.times, &lanes)?;
-            sweep.instantiate_time += swept.instantiate_time;
-            sweep.query_time += swept.query_time;
-            Some(swept.points)
-        };
-        for (k, values) in lanes.into_iter().enumerate() {
-            let mut session = None;
-            let results = read_back(
-                measures,
-                &plans,
-                swept.as_ref().map_or(&[], |points| &points[k]),
-                |measure| {
-                    let session = match &mut session {
-                        Some(session) => session,
-                        None => {
-                            let started = Instant::now();
-                            let built = self.instantiate_values(values)?;
-                            sweep.instantiate_time += started.elapsed();
-                            session.insert(built)
-                        }
-                    };
-                    let started = Instant::now();
-                    let result = session.query(measure);
-                    sweep.query_time += started.elapsed();
-                    result
-                },
-            )?;
-            sweep.results.push(results);
-        }
-        Ok(sweep)
+        .into_iter();
+        sweep.results = lanes
+            .iter()
+            .map(|lane| {
+                let lane = lane.as_ref().map_err(Clone::clone)?;
+                let points = timed.next().expect("one timed row per live lane");
+                let (_, plans) = plan.as_ref().map_err(Clone::clone)?;
+                let mut ctmc = None;
+                read_back(measures, plans, &points?, |measure| {
+                    self.steady_lane(measure, lane.values, &mut ctmc)
+                })
+            })
+            .collect();
+        sweep.query_time = started.elapsed();
+        sweep
     }
 
-    /// The batched sweep over checked lanes (one value vector per valuation)
-    /// and a merged, validated time grid: lane `k` of the result holds one
-    /// point per grid time.
-    ///
-    /// A compositional session builds K lanes of one [`RelaxKernel`] from its
-    /// cached [`SweepTemplate`], and one value-iteration pass per goal set
-    /// answers every lane and every time bound at once.  A hybrid session
-    /// runs one nested batched sweep per core — each bit-identical to
-    /// instantiating that core per valuation — and evaluates the crown per
-    /// lane.
-    fn sweep_lanes(&self, times: &[f64], lanes: &[&[f64]]) -> Result<LaneSweep> {
-        match &self.backend {
-            Backend::Compositional { model, numerics } => {
-                let started = Instant::now();
-                let template = numerics.get_or_init(|| SweepTemplate::of(&model.closed));
-                let n = lanes.len();
-                let mut lane_rates = vec![0.0f64; template.forms.len() * n];
-                for (k, values) in lanes.iter().enumerate() {
-                    // Same forms, same eval, same slot order as `map_rates`
-                    // inside `instantiate` — lane k's rates carry identical
-                    // bits.
-                    for (e, form) in template.forms.iter().enumerate() {
-                        lane_rates[e * n + k] = form.eval(values);
-                    }
-                }
-                let kernel = RelaxKernel::from_template(&template.states, &lane_rates, n)?;
-                let instantiate_time = started.elapsed();
+    /// Evaluates one checked valuation into a lane, failing like the CTMDP
+    /// construction inside [`instantiate`](Self::instantiate) would.
+    fn lane<'a>(&self, values: &'a [f64]) -> Result<Lane<'a>> {
+        let rates = match &self.backend {
+            Backend::Compositional { .. } => vec![self.edge_rates(values)?],
+            Backend::Hybrid { cores, .. } => cores
+                .iter()
+                .map(|core| core.edge_rates(&self.project(core, values)))
+                .collect::<Result<_>>()?,
+            Backend::Monolithic { .. } => unreachable!("parametric sessions are never monolithic"),
+        };
+        Ok(Lane { values, rates })
+    }
 
-                let started = Instant::now();
-                let epsilon = self.options.epsilon;
-                let workers = kernel.auto_workers();
-                let reach = |goal: &[bool], maximise: bool| {
-                    kernel.reachability(template.initial, goal, times, epsilon, maximise, workers)
-                };
-                let uppers = reach(&model.can, true)?;
-                let lowers = if model.point_valued {
-                    uppers.clone()
-                } else {
-                    reach(&model.must, false)?
-                };
-                let points = (0..n)
-                    .map(|k| {
-                        times
-                            .iter()
-                            .enumerate()
-                            .map(|(slot, &t)| {
-                                let hi = uppers[slot * n + k];
-                                let lo = lowers[slot * n + k];
-                                MeasurePoint::bounded(
-                                    Some(t),
-                                    model.point_valued.then_some(hi),
-                                    (lo, hi),
-                                )
-                            })
-                            .collect()
-                    })
-                    .collect();
-                Ok(LaneSweep {
-                    points,
-                    instantiate_time,
-                    query_time: started.elapsed(),
-                })
+    /// The rate of every Markovian edge of a compositional session under
+    /// `values`, in kernel edge order.  Like `Ctmdp::new`, the first rate
+    /// that is not finite and strictly positive is an error.
+    fn edge_rates(&self, values: &[f64]) -> Result<Vec<f64>> {
+        let (_, template) = self.template();
+        template
+            .forms
+            .iter()
+            .map(|form| match form.eval(values) {
+                rate if rate.is_finite() && rate > 0.0 => Ok(rate),
+                rate => Err(markov::Error::InvalidValue { value: rate }.into()),
+            })
+            .collect()
+    }
+
+    /// The closed model of a compositional session (a sweep's own model or
+    /// a hybrid core) with its sweep template, lowered on first use.
+    fn template(&self) -> (&ClosedModel<RateForm>, &SweepTemplate) {
+        let Backend::Compositional { model, numerics } = &self.backend else {
+            unreachable!("only compositional models are lowered into sweep templates");
+        };
+        (
+            model,
+            numerics.get_or_init(|| SweepTemplate::of(&model.closed)),
+        )
+    }
+
+    /// The time-bounded points of every lane on the merged grid `times`.
+    ///
+    /// A compositional session runs all lanes on one kernel.  A hybrid
+    /// session runs one batched pass per core and evaluates the crown per
+    /// lane; like [`query`](Analyzer::query) on an instantiated session, a
+    /// lane stops at its first failing core.
+    fn timed_lanes(&self, times: &[f64], lanes: &[&Lane]) -> Vec<Result<Vec<MeasurePoint>>> {
+        match &self.backend {
+            Backend::Compositional { .. } => {
+                let rates: Vec<&[f64]> =
+                    lanes.iter().map(|lane| lane.rates[0].as_slice()).collect();
+                self.reach_lanes(&rates, times)
             }
             Backend::Hybrid {
                 crown,
@@ -1207,42 +1197,114 @@ impl Session<RateForm> {
                 cores,
                 ..
             } => {
-                let mut instantiate_time = Duration::ZERO;
-                let mut query_time = Duration::ZERO;
                 // curves[lane][core][time slot]
-                let mut curves: Vec<Vec<Vec<f64>>> = vec![Vec::new(); lanes.len()];
-                for core in cores {
-                    let projection = self.projection(core);
-                    let projected: Vec<Vec<f64>> = lanes
-                        .iter()
-                        .map(|values| projection.iter().map(|&s| values[s]).collect())
-                        .collect();
-                    let core_lanes: Vec<&[f64]> = projected.iter().map(Vec::as_slice).collect();
-                    let swept = core.sweep_lanes(times, &core_lanes)?;
-                    instantiate_time += swept.instantiate_time;
-                    query_time += swept.query_time;
-                    for (curve, points) in curves.iter_mut().zip(swept.points) {
-                        curve.push(points.iter().map(MeasurePoint::value).collect());
+                let mut curves: Vec<Result<Vec<Vec<f64>>>> = vec![Ok(Vec::new()); lanes.len()];
+                for (i, core) in cores.iter().enumerate() {
+                    let live: Vec<usize> =
+                        (0..lanes.len()).filter(|&k| curves[k].is_ok()).collect();
+                    let rates: Vec<&[f64]> =
+                        live.iter().map(|&k| lanes[k].rates[i].as_slice()).collect();
+                    for (k, points) in live.into_iter().zip(core.reach_lanes(&rates, times)) {
+                        match points {
+                            Ok(points) => {
+                                if let Ok(curve) = &mut curves[k] {
+                                    curve.push(points.iter().map(MeasurePoint::value).collect());
+                                }
+                            }
+                            Err(e) => curves[k] = Err(e),
+                        }
                     }
                 }
-
-                let started = Instant::now();
-                let points = lanes
+                lanes
                     .iter()
-                    .zip(&curves)
-                    .map(|(values, core_curves)| {
-                        crown_points(crown, leaves, |form| form.eval(values), core_curves, times)
+                    .zip(curves)
+                    .map(|(lane, curves)| {
+                        Ok(crown_points(
+                            crown,
+                            leaves,
+                            |form| form.eval(lane.values),
+                            &curves?,
+                            times,
+                        ))
                     })
-                    .collect();
-                query_time += started.elapsed();
-                Ok(LaneSweep {
-                    points,
-                    instantiate_time,
-                    query_time,
-                })
+                    .collect()
             }
             Backend::Monolithic { .. } => unreachable!("parametric sessions are never monolithic"),
         }
+    }
+
+    /// Time-bounded reachability of a compositional session for every lane
+    /// (`rates[k]` holds lane k's edge rates): one value-iteration pass per
+    /// goal set answers every lane and every time bound.  When the batched
+    /// pass fails (one lane's Poisson window too large, say), every lane is
+    /// rerun on a one-lane kernel, so the error lands on its own lane.
+    fn reach_lanes(&self, rates: &[&[f64]], times: &[f64]) -> Vec<Result<Vec<MeasurePoint>>> {
+        let (model, template) = self.template();
+        let pass = |rates: &[&[f64]]| -> Result<Vec<Vec<MeasurePoint>>> {
+            let n = rates.len();
+            let mut lane_rates = vec![0.0f64; template.forms.len() * n];
+            for (k, lane) in rates.iter().enumerate() {
+                for (e, &rate) in lane.iter().enumerate() {
+                    lane_rates[e * n + k] = rate;
+                }
+            }
+            let kernel = RelaxKernel::from_template(&template.states, &lane_rates, n)?;
+            let workers = kernel.auto_workers();
+            let reach = |goal: &[bool], maximise: bool| {
+                kernel.reachability(
+                    template.initial,
+                    goal,
+                    times,
+                    self.options.epsilon,
+                    maximise,
+                    workers,
+                )
+            };
+            let uppers = reach(&model.can, true)?;
+            let lowers = if model.point_valued {
+                uppers.clone()
+            } else {
+                reach(&model.must, false)?
+            };
+            Ok((0..n)
+                .map(|k| model.points(times, &uppers, &lowers, n, k))
+                .collect())
+        };
+        match pass(rates) {
+            Ok(points) => points.into_iter().map(Ok).collect(),
+            Err(e) if rates.len() <= 1 => vec![Err(e); rates.len()],
+            Err(_) => rates
+                .iter()
+                .map(|&lane| pass(&[lane]).map(|mut points| points.remove(0)))
+                .collect(),
+        }
+    }
+
+    /// Answers a steady-state measure for one lane: the session's support
+    /// checks, then the lane's tangible CTMC — the cached skeleton under the
+    /// lane's rates, built once per lane — and the solver a numeric session
+    /// uses.
+    fn steady_lane(
+        &self,
+        measure: &Measure,
+        values: &[f64],
+        ctmc: &mut Option<Result<Ctmc>>,
+    ) -> Result<MeasureResult> {
+        self.steady_support(measure)?;
+        // Past the support check only a compositional backend is left.
+        let (model, template) = self.template();
+        let tangible = match template
+            .tangible
+            .get_or_init(|| extract_tangible(&model.closed))
+        {
+            Ok(tangible) => tangible,
+            Err(e) => return Err(e.clone()),
+        };
+        let ctmc = ctmc
+            .get_or_insert_with(|| tangible.ctmc(|form| form.eval(values)))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        solve_steady(measure, ctmc, &tangible.down, self.options.epsilon)
     }
 
     /// The parameter slots of the model: what each slot means, its base value,
@@ -1257,30 +1319,30 @@ impl Session<RateForm> {
     }
 }
 
-/// Per-lane results of a batched sweep, before they are read back onto the
-/// requested times.
-struct LaneSweep {
-    /// `points[lane][grid slot]`.
-    points: Vec<Vec<MeasurePoint>>,
-    instantiate_time: Duration,
-    query_time: Duration,
+/// One valuation of a sweep, past the checks
+/// [`instantiate`](ParametricAnalyzer::instantiate) makes: its slot values,
+/// and its edge rates in kernel edge order — one vector for a compositional
+/// session, one per dynamic core for a hybrid one.
+struct Lane<'a> {
+    values: &'a [f64],
+    rates: Vec<Vec<f64>>,
 }
 
-/// The result of a rate sweep: one row of [`MeasureResult`]s per valuation,
-/// in request order, plus the wall-clock split between instantiation and
-/// querying.
+/// The result of a rate sweep: one row per valuation, in request order, plus
+/// the wall-clock split between evaluating rate forms and querying.
 #[derive(Debug, Clone, Default)]
 pub struct RateSweep {
-    results: Vec<Vec<MeasureResult>>,
+    results: Vec<Result<Vec<MeasureResult>>>,
     instantiate_time: Duration,
     query_time: Duration,
 }
 
 impl RateSweep {
-    /// One row per valuation, in the order the valuations were passed; each
-    /// row holds one result per measure, in the order the measures were
-    /// passed.
-    pub fn results(&self) -> &[Vec<MeasureResult>] {
+    /// One row per valuation, in the order the valuations were passed: one
+    /// result per measure, in the order the measures were passed, or the
+    /// error [`instantiate`](ParametricAnalyzer::instantiate)` + `
+    /// [`Analyzer::query_all`] would return for that valuation.
+    pub fn results(&self) -> &[Result<Vec<MeasureResult>>] {
         &self.results
     }
 
@@ -1294,13 +1356,13 @@ impl RateSweep {
         self.results.is_empty()
     }
 
-    /// Total time spent evaluating rate forms and building CTMDPs and
-    /// kernel lanes.
+    /// Time spent checking the valuations and evaluating their edge rates.
     pub fn instantiate_time(&self) -> Duration {
         self.instantiate_time
     }
 
-    /// Total time spent answering the measure queries.
+    /// Time spent answering the measures: kernel passes, tangible CTMCs and
+    /// their solvers.
     pub fn query_time(&self) -> Duration {
         self.query_time
     }
@@ -1447,9 +1509,38 @@ fn crown_points<R>(
         .collect()
 }
 
-/// Eliminates the remaining immediate (vanishing) states of a closed, deterministic
-/// I/O-IMC and returns the embedded CTMC together with a boolean label vector for
-/// the given atomic proposition.
+/// The embedded CTMC of a closed, deterministic model over rates `R`: its
+/// tangible states (those without an outgoing immediate transition) with
+/// every immediate chain resolved to the tangible state it ends in.
+#[derive(Debug)]
+struct Tangible<R> {
+    states: usize,
+    initial: usize,
+    /// The monitor's "down" label of each tangible state.
+    down: Vec<bool>,
+    /// `(from, to, rate)` in state order, row order within a state.
+    transitions: Vec<(u32, u32, R)>,
+}
+
+impl<R> Tangible<R> {
+    /// The CTMC under the numeric rate `rate` gives each transition.
+    fn ctmc(&self, rate: impl Fn(&R) -> f64) -> Result<Ctmc> {
+        let transitions: Vec<(u32, u32, f64)> = self
+            .transitions
+            .iter()
+            .map(|(from, to, r)| (*from, *to, rate(r)))
+            .collect();
+        Ok(Ctmc::from_transitions(
+            self.states,
+            self.initial,
+            &transitions,
+        )?)
+    }
+}
+
+/// Eliminates the remaining immediate (vanishing) states of a closed,
+/// deterministic I/O-IMC: the rate-independent half of the steady-state
+/// measures, written once for numeric and symbolic rates.
 ///
 /// # Errors
 ///
@@ -1457,9 +1548,9 @@ fn crown_points<R>(
 /// state has more than one immediate successor, and [`Error::Unsupported`] if an
 /// immediate cycle (divergence) survives into the closed model — such a chain has
 /// no embedded CTMC.
-fn extract_ctmc_with_label(closed: &IoImc, prop: &str) -> Result<(Ctmc, Vec<bool>)> {
+fn extract_tangible<R: Rate>(closed: &IoImcOf<R>) -> Result<Tangible<R>> {
     check_deterministic(closed).map_err(Error::from)?;
-    let prop_id = closed.prop(prop);
+    let prop_id = closed.prop(DOWN_PROP);
 
     // Resolve each state to the non-urgent state its immediate chain ends in; an
     // immediate cycle never reaches one, which surfaces as an error rather than a
@@ -1501,19 +1592,40 @@ fn extract_ctmc_with_label(closed: &IoImc, prop: &str) -> Result<(Ctmc, Vec<bool
             as u32
     };
 
-    let mut transitions: Vec<(u32, u32, f64)> = Vec::new();
+    let mut transitions = Vec::new();
     for &s in &tangible {
         for t in closed.markovian_from(s) {
-            transitions.push((index_of(s), index_of(resolve(t.to)?), t.rate));
+            transitions.push((index_of(s), index_of(resolve(t.to)?), t.rate.clone()));
         }
     }
     let initial = index_of(resolve(closed.initial())?) as usize;
-    let ctmc = Ctmc::from_transitions(tangible.len(), initial, &transitions)?;
-    let labels = tangible
+    let down = tangible
         .iter()
         .map(|&s| prop_id.map(|p| closed.has_prop(s, p)).unwrap_or(false))
         .collect();
-    Ok((ctmc, labels))
+    Ok(Tangible {
+        states: tangible.len(),
+        initial,
+        down,
+        transitions,
+    })
+}
+
+/// Solves a steady-state measure on an embedded CTMC: the long-run
+/// probability of the `down` states for [`Measure::Unavailability`], the
+/// mean time to first reach one for [`Measure::Mttf`].
+fn solve_steady(
+    measure: &Measure,
+    ctmc: &Ctmc,
+    down: &[bool],
+    epsilon: f64,
+) -> Result<MeasureResult> {
+    let value = if matches!(measure, Measure::Unavailability) {
+        steady_state_probability(ctmc, down, epsilon)?
+    } else {
+        mean_time_to_absorption(ctmc, down, epsilon)?
+    };
+    Ok(MeasureResult::new(vec![MeasurePoint::exact(None, value)]))
 }
 
 #[cfg(test)]
@@ -1752,9 +1864,7 @@ mod tests {
         let measure = Measure::curve([0.4, 1.0, 0.4, 2.0]);
         for cap in [1usize, 2, 4] {
             markov::kernel::set_max_workers(cap);
-            let sweep = parametric
-                .sweep_query(std::slice::from_ref(&measure), &valuations)
-                .unwrap();
+            let sweep = parametric.sweep_query(std::slice::from_ref(&measure), &valuations);
             assert_eq!(sweep.len(), valuations.len());
             for (valuation, row) in valuations.iter().zip(sweep.results()) {
                 let reference = parametric
@@ -1762,20 +1872,34 @@ mod tests {
                     .unwrap()
                     .query(measure.clone())
                     .unwrap();
-                assert_eq!(bits_of(&row[0]), bits_of(&reference), "cap {cap}");
+                assert_eq!(
+                    bits_of(&row.as_ref().unwrap()[0]),
+                    bits_of(&reference),
+                    "cap {cap}"
+                );
             }
         }
         markov::kernel::set_max_workers(0);
 
-        // An empty sweep stays a no-op, and an empty curve still errors when
-        // there is at least one valuation to evaluate it for.
-        assert!(parametric.sweep_query(&[measure], &[]).unwrap().is_empty());
-        assert!(parametric
-            .sweep_query(&[Measure::curve([])], &valuations)
-            .is_err());
+        // MTTF needs a CTMC: every lane of the CTMDP reports the tangible
+        // extraction error an instantiated session reports.
+        let sweep = parametric.sweep_query(&[Measure::Mttf], &valuations);
+        for (valuation, row) in valuations.iter().zip(sweep.results()) {
+            let reference = parametric.instantiate(valuation).unwrap().mttf();
+            assert!(matches!(reference, Err(Error::Ioimc(_))));
+            assert_eq!(row.as_ref().unwrap_err(), reference.as_ref().unwrap_err());
+        }
+
+        // An empty sweep stays a no-op, and an empty curve errors on every
+        // point there is to evaluate it for.
+        assert!(parametric.sweep_query(&[measure], &[]).is_empty());
+        let sweep = parametric.sweep_query(&[Measure::curve([])], &valuations);
+        assert!(sweep
+            .results()
+            .iter()
+            .all(|row| matches!(row, Err(Error::EmptyCurve))));
         assert!(parametric
             .sweep_query(&[Measure::curve([])], &[])
-            .unwrap()
             .is_empty());
     }
 
@@ -1801,8 +1925,9 @@ mod tests {
             Measure::Mttf,
             Measure::curve([0.3, 0.9]),
         ];
-        let sweep = parametric.sweep_query(&measures, &valuations).unwrap();
+        let sweep = parametric.sweep_query(&measures, &valuations);
         for (valuation, row) in valuations.iter().zip(sweep.results()) {
+            let row = row.as_ref().unwrap();
             assert!(!row[0].is_nondeterministic());
             let reference = parametric
                 .instantiate(valuation)
@@ -2077,12 +2202,10 @@ mod tests {
             .map(|i| parametric.params().scaled_valuation(i as f64 * 0.5))
             .collect();
         let measure = Measure::UnreliabilityCurve(vec![0.5, 1.0, 2.0]);
-        let sweep = parametric
-            .sweep_query(std::slice::from_ref(&measure), &valuations)
-            .unwrap();
+        let sweep = parametric.sweep_query(std::slice::from_ref(&measure), &valuations);
 
         for (valuation, row) in valuations.iter().zip(sweep.results()) {
-            let swept = &row[0];
+            let swept = &row.as_ref().unwrap()[0];
             // Bit-identical to the per-point path on the hybrid session …
             let direct = parametric
                 .instantiate(valuation)

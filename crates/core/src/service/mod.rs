@@ -32,12 +32,10 @@
 //! * **Sweeps** — a request carrying a [`SweepSpec`] is one queued task.  It
 //!   aggregates the tree's *structure* once into a cached
 //!   [`ParametricAnalyzer`] (shared by every rate variant of the same
-//!   structure) and answers every time-bounded measure for all valuations in
-//!   one lane-batched kernel pass
-//!   ([`sweep_query`](ParametricAnalyzer::sweep_query)).  Only
-//!   `Unavailability` and `Mttf`, which need an instantiated session's
-//!   tangible CTMC, instantiate one session per valuation, cached like any
-//!   other session.
+//!   structure) and answers every measure for all valuations in one
+//!   [`sweep_query`](ParametricAnalyzer::sweep_query) call, from templates
+//!   cached on that model.  A sweep builds no session per valuation, so it
+//!   never touches the session cache.
 //! * **Persistence** — with [`ServiceOptions::store`] pointing at a shared
 //!   directory, built models are also written to a cross-process
 //!   [`ModelStore`]: a cache miss consults the
@@ -123,8 +121,7 @@ pub use queue::QueueStats;
 
 use crate::analysis::{AnalysisOptions, Method};
 use crate::engine::{Analyzer, ParametricAnalyzer};
-use crate::parametric::Valuation;
-use crate::query::{Measure, MeasureResult};
+use crate::query::MeasureResult;
 use crate::request::{AnalysisRequest, SweepSpec};
 use crate::store::{ModelStore, StoreStats};
 use crate::{Error, Result};
@@ -188,20 +185,11 @@ impl Default for ServiceOptions {
 /// Sessions are shared per structure *and* per analysis configuration: the same
 /// tree analysed monolithically or with a different epsilon is a different
 /// model (epsilon drives every numerical query on the session).
-///
-/// Sessions *instantiated from a parametric model* additionally carry the
-/// valuation fingerprint: their structure key is the rate-blind
-/// [`Dft::structural_fingerprint`] (the valuation fully determines the rates),
-/// so a fleet of rate variants shares one parametric model and each distinct
-/// valuation one instantiated session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
     fingerprint: u64,
     method: Method,
     epsilon_bits: u64,
-    /// `Some(valuation fingerprint)` for instantiated parametric sessions,
-    /// `None` for directly built ones.
-    valuation: Option<u64>,
 }
 
 impl CacheKey {
@@ -210,16 +198,6 @@ impl CacheKey {
             fingerprint: dft.fingerprint(),
             method: options.method,
             epsilon_bits: options.epsilon.to_bits(),
-            valuation: None,
-        }
-    }
-
-    fn instance(structural: u64, options: &AnalysisOptions, valuation: &Valuation) -> CacheKey {
-        CacheKey {
-            fingerprint: structural,
-            method: options.method,
-            epsilon_bits: options.epsilon.to_bits(),
-            valuation: Some(valuation.fingerprint()),
         }
     }
 }
@@ -255,7 +233,7 @@ struct Cache {
     entries: Entries<CacheKey, Analyzer>,
     /// Parametric (symbolic-rate) models, keyed by rate-blind structure.
     /// They do not compete with sessions for slots: parametric models are
-    /// far rarer and far more valuable than instantiated sessions.
+    /// far rarer and far more valuable than single sessions.
     param_entries: Entries<ParamCacheKey, ParametricAnalyzer>,
     /// Monotonic use counter backing the LRU order (no wall clock involved, so
     /// the order is deterministic under a single worker).
@@ -266,10 +244,10 @@ struct Cache {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Session lookups that found the session already built (or being
-    /// built): one per job, plus one per sweep valuation answered by an
-    /// instantiated session (see [`SweepStats::cache_hits`]).
+    /// built): one per job or [`AnalysisService::analyzer`] call.  Sweeps
+    /// look up no session.
     pub hits: usize,
-    /// Session lookups that had to build (or instantiate) the session.
+    /// Session lookups that had to build the session.
     pub misses: usize,
     /// *Session* entries dropped to respect
     /// [`ServiceOptions::cache_capacity`].  Parametric models evicted from
@@ -349,12 +327,14 @@ pub enum RequestOutcome {
 
 /// The outcome of one valuation of a sweep request.
 ///
-/// Time-bounded measures of all valuations share one lane-batched kernel
-/// pass, so no time can be attributed to a single point; the sweep-level
-/// [`SweepStats`] carry the timings.
+/// All valuations are answered by one
+/// [`sweep_query`](ParametricAnalyzer::sweep_query) call, so no time can be
+/// attributed to a single point; the sweep-level [`SweepStats`] carry the
+/// timings.
 #[derive(Debug, Clone)]
 pub struct SweepPointReport {
-    /// Fingerprint of the valuation ([`Valuation::fingerprint`]); 0 when the
+    /// Fingerprint of the valuation
+    /// ([`Valuation::fingerprint`](crate::parametric::Valuation::fingerprint)); 0 when the
     /// spec could not be resolved into valuations.
     pub valuation_fingerprint: u64,
     /// One [`MeasureResult`] per requested measure, in request order — or the
@@ -370,16 +350,7 @@ pub struct SweepPointReport {
 pub struct SweepStats {
     /// Number of valuations in the sweep.
     pub valuations: usize,
-    /// Valuations answered from an already-instantiated session in the
-    /// session cache.  Only valuations that need a session count: those of a
-    /// sweep asking for `Unavailability` or `Mttf`, and every valuation of a
-    /// sweep whose batched pass failed.  A sweep of time-bounded measures
-    /// alone reports 0 hits and 0 misses.
-    pub cache_hits: usize,
-    /// Valuations that instantiated their session (counted as
-    /// [`cache_hits`](Self::cache_hits) are).
-    pub cache_misses: usize,
-    /// `true` when the parametric model itself came out of the cache.
+    /// `true` when the parametric model came out of the cache.
     pub parametric_cache_hit: bool,
     /// Compositional aggregation runs executed by this call: 1 when it built
     /// the parametric model, 0 on a parametric cache hit — never once per
@@ -387,11 +358,11 @@ pub struct SweepStats {
     pub aggregation_runs: usize,
     /// Time spent obtaining the parametric model (full aggregation on a miss).
     pub build_time: Duration,
-    /// Time spent evaluating rate forms: building the batched pass's kernel
-    /// lanes, plus instantiating (or fetching) the per-valuation sessions.
+    /// Time spent checking the valuations and evaluating their rate forms
+    /// ([`RateSweep::instantiate_time`](crate::engine::RateSweep::instantiate_time)).
     pub instantiate_time: Duration,
-    /// Time spent answering the measures: the batched kernel pass, plus the
-    /// per-valuation queries.
+    /// Time spent answering the measures
+    /// ([`RateSweep::query_time`](crate::engine::RateSweep::query_time)).
     pub query_time: Duration,
     /// End-to-end wall-clock time of the sweep, from submission to the
     /// finished report.
@@ -521,9 +492,7 @@ impl AnalysisService {
     /// returns the same error without paying the construction cost again.
     pub fn analyzer(&self, dft: &Dft, options: &AnalysisOptions) -> Result<Arc<Analyzer>> {
         let key = CacheKey::new(dft, options);
-        let (session, _, _) = self
-            .core
-            .session_tracked(key, || self.core.build_session(key, dft, options));
+        let (session, _, _) = self.core.session_tracked(key, dft, options);
         session
     }
 
@@ -549,16 +518,13 @@ impl AnalysisService {
     ///   obtains the shared [`ParametricAnalyzer`] once (cached by
     ///   [`Dft::structural_fingerprint`], so every rate variant of the same
     ///   structure reuses it), resolves the spec against its parameter table
-    ///   and answers every time-bounded measure for all valuations in one
-    ///   lane-batched [`sweep_query`](ParametricAnalyzer::sweep_query) pass.
-    ///   `Unavailability` and `Mttf` are answered per valuation by
-    ///   instantiated sessions, which enter the regular LRU session cache
-    ///   keyed by `(structural fingerprint, valuation)`, so repeated
-    ///   valuations never pay instantiation twice.  Resolution and
-    ///   per-valuation errors are reported per point and never abort the
-    ///   sweep.  A sweep without points is a true no-op: nothing is built or
-    ///   enqueued, no thread is spawned, and the (empty) report is available
-    ///   immediately.
+    ///   and answers every measure for all valuations in one
+    ///   [`sweep_query`](ParametricAnalyzer::sweep_query) call.  No session
+    ///   is built per valuation, so a sweep leaves the session cache as it
+    ///   found it.  Resolution and per-valuation errors are reported per
+    ///   point and never abort the sweep.  A sweep without points is a true
+    ///   no-op: nothing is built or enqueued, no thread is spawned, and the
+    ///   (empty) report is available immediately.
     pub fn submit_request(&self, mut request: AnalysisRequest) -> RequestHandle {
         let sweep = request.sweep.take();
         if sweep.as_ref().is_some_and(SweepSpec::is_empty) {
@@ -707,9 +673,8 @@ impl ServiceCore {
     fn run_job(&self, key: CacheKey, request: &AnalysisRequest) -> JobReport {
         let fingerprint = key.fingerprint;
         let build_start = Instant::now();
-        let (session, cache_hit, build_wait) = self.session_tracked(key, || {
-            self.build_session(key, &request.dft, &request.options)
-        });
+        let (session, cache_hit, build_wait) =
+            self.session_tracked(key, &request.dft, &request.options);
         let build = build_start.elapsed();
         match session {
             Err(e) => JobReport {
@@ -744,8 +709,8 @@ impl ServiceCore {
 
     /// Executes one sweep request: get-or-build the shared parametric model,
     /// resolve the spec against its parameter table, then answer every
-    /// valuation (see [`sweep_points`](Self::sweep_points)).  A failed build or
-    /// resolution lands in every point's report.
+    /// valuation in one [`sweep_query`](ParametricAnalyzer::sweep_query)
+    /// call.  A failed build or resolution lands in every point's report.
     fn run_sweep(
         &self,
         request: &AnalysisRequest,
@@ -785,112 +750,23 @@ impl ServiceCore {
             },
             Ok(model) => match spec.resolve(model.params()) {
                 Err(e) => vec![failed(0, &e); spec.len()],
-                Ok(valuations) => self.sweep_points(
-                    model,
-                    structural,
-                    &request.options,
-                    &request.measures,
-                    &valuations,
-                    &mut stats,
-                ),
+                Ok(valuations) => {
+                    let sweep = model.sweep_query(&request.measures, &valuations);
+                    stats.instantiate_time = sweep.instantiate_time();
+                    stats.query_time = sweep.query_time();
+                    valuations
+                        .iter()
+                        .zip(sweep.results())
+                        .map(|(valuation, results)| SweepPointReport {
+                            valuation_fingerprint: valuation.fingerprint(),
+                            results: results.clone(),
+                        })
+                        .collect()
+                }
             },
         };
         stats.wall_time = submitted.elapsed();
         SweepReport { points, stats }
-    }
-
-    /// Answers `measures` for every valuation of a sweep.
-    ///
-    /// The time-bounded measures of all valid valuations run as one
-    /// lane-batched [`sweep_query`](ParametricAnalyzer::sweep_query) pass.
-    /// `Unavailability` and `Mttf` need the tangible CTMC of an instantiated
-    /// session, so each valuation that asks for them gets its session from
-    /// the session cache ([`CacheKey::instance`]).  Errors stay per point: an
-    /// invalid valuation is reported on its own point, and when the batched
-    /// pass fails every valuation is answered alone through its cached
-    /// session, so the error lands only where it belongs.
-    fn sweep_points(
-        &self,
-        model: &ParametricAnalyzer,
-        structural: u64,
-        options: &AnalysisOptions,
-        measures: &[Measure],
-        valuations: &[Valuation],
-        stats: &mut SweepStats,
-    ) -> Vec<SweepPointReport> {
-        let steady = |measure: &Measure| matches!(measure, Measure::Unavailability | Measure::Mttf);
-        let (steady_measures, timed): (Vec<Measure>, Vec<Measure>) =
-            measures.iter().cloned().partition(steady);
-        let checks: Vec<Result<()>> = valuations
-            .iter()
-            .map(|valuation| valuation.check_against(model.params()))
-            .collect();
-        let valid: Vec<Valuation> = valuations
-            .iter()
-            .zip(&checks)
-            .filter(|(_, check)| check.is_ok())
-            .map(|(valuation, _)| valuation.clone())
-            .collect();
-        let mut lanes = match model.sweep_query(&timed, &valid) {
-            Ok(sweep) => {
-                stats.instantiate_time += sweep.instantiate_time();
-                stats.query_time += sweep.query_time();
-                Some(sweep.results().to_vec().into_iter())
-            }
-            Err(_) => None,
-        };
-
-        // The cached instantiated session of one valuation, answering `asked`.
-        let mut per_valuation = |valuation: &Valuation, asked: &[Measure]| {
-            let started = Instant::now();
-            let key = CacheKey::instance(structural, options, valuation);
-            let (session, cache_hit, _) =
-                self.session_tracked(key, || model.instantiate(valuation));
-            stats.instantiate_time += started.elapsed();
-            if cache_hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.cache_misses += 1;
-            }
-            let started = Instant::now();
-            let results = session.and_then(|session| session.query_all(asked));
-            stats.query_time += started.elapsed();
-            results
-        };
-
-        valuations
-            .iter()
-            .zip(checks)
-            .map(|(valuation, check)| {
-                let results = check.and_then(|()| match lanes.as_mut() {
-                    None => per_valuation(valuation, measures),
-                    Some(lanes) => {
-                        let timed = lanes.next().expect("one lane per valid valuation");
-                        if steady_measures.is_empty() {
-                            return Ok(timed);
-                        }
-                        // Merge both halves back into measure order.
-                        let steady_results = per_valuation(valuation, &steady_measures)?;
-                        let (mut timed, mut steady_results) =
-                            (timed.into_iter(), steady_results.into_iter());
-                        Ok(measures
-                            .iter()
-                            .filter_map(|measure| {
-                                if steady(measure) {
-                                    steady_results.next()
-                                } else {
-                                    timed.next()
-                                }
-                            })
-                            .collect())
-                    }
-                });
-                SweepPointReport {
-                    valuation_fingerprint: valuation.fingerprint(),
-                    results,
-                }
-            })
-            .collect()
     }
 
     /// Get-or-build for the shared parametric model of a sweep; the
@@ -980,13 +856,12 @@ impl ServiceCore {
     /// Get-or-build with exactly-once semantics; the first boolean is `true`
     /// for a cache hit (the session existed or a concurrent worker built it),
     /// the second when the hit *blocked* on a concurrent builder.  The caller
-    /// supplies the key so the fingerprint is hashed once per job, and the
-    /// build: [`build_session`](Self::build_session) for a tree, or
-    /// [`instantiate`](ParametricAnalyzer::instantiate) for a sweep valuation.
+    /// supplies the key so the fingerprint is hashed once per job.
     fn session_tracked(
         &self,
         key: CacheKey,
-        build: impl FnOnce() -> Result<Analyzer>,
+        dft: &Dft,
+        options: &AnalysisOptions,
     ) -> (Result<Arc<Analyzer>>, bool, bool) {
         let slot = self.reserve(|cache| &mut cache.entries, key, &self.evictions);
         // A slot that is still empty here either becomes ours to build or means
@@ -996,7 +871,7 @@ impl ServiceCore {
         let mut built = false;
         let outcome = slot.get_or_init(|| {
             built = true;
-            build().map(Arc::new)
+            self.build_session(key, dft, options).map(Arc::new)
         });
         if built {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -1015,8 +890,7 @@ impl ServiceCore {
 
     /// Builds the session of one tree: from the cross-process store when it
     /// holds a warm entry (see `parametric` above), by aggregation otherwise,
-    /// writing a fresh build back.  Instantiated sweep sessions never come
-    /// through here, so only directly built sessions are persisted.
+    /// writing a fresh build back.
     fn build_session(
         &self,
         key: CacheKey,
@@ -1128,6 +1002,7 @@ impl ServiceCore {
 mod tests {
     use super::*;
     use crate::parametric::ParamKind;
+    use crate::query::Measure;
     use crate::request::SweepSpec;
     use dft::{DftBuilder, Dormancy};
 
@@ -1371,8 +1246,7 @@ mod tests {
     fn parametric_evictions_are_counted_separately() {
         // Capacity 1 on both key spaces: sweeping the MTTF of two
         // structurally distinct trees (one valuation each) evicts one
-        // parametric model *and* one instantiated session, each into its own
-        // counter.
+        // parametric model, and the sweeps never touch the session cache.
         let service = AnalysisService::new(ServiceOptions {
             workers: 1,
             cache_capacity: 1,
@@ -1398,8 +1272,7 @@ mod tests {
             stats.parametric_evictions, 1,
             "one parametric model evicted"
         );
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.evictions, 1, "one instantiated session evicted");
+        assert_eq!((stats.entries, stats.evictions), (0, 0));
     }
 
     #[test]
@@ -1439,9 +1312,6 @@ mod tests {
                 }
             }
         }
-        // The second sweep instantiated nothing new: every valuation was
-        // already cached from the explicit run.
-        assert_eq!(symbolic.stats.cache_hits, symbolic.stats.valuations);
     }
 
     #[test]

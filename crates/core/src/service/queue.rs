@@ -252,7 +252,6 @@ mod tests {
             fingerprint,
             method: Method::Compositional,
             epsilon_bits: 0,
-            valuation: None,
         };
         let (tx, rx) = mpsc::channel();
         let task = Task::Job {

@@ -335,8 +335,6 @@ fn sweep_fields(report: &SweepReport) -> Vec<(String, Json)> {
             "stats".to_owned(),
             Json::obj([
                 ("valuations", stats.valuations.into()),
-                ("cache_hits", stats.cache_hits.into()),
-                ("cache_misses", stats.cache_misses.into()),
                 ("parametric_cache_hit", stats.parametric_cache_hit.into()),
                 ("aggregation_runs", stats.aggregation_runs.into()),
                 ("build_seconds", Json::secs(stats.build_time)),

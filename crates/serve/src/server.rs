@@ -27,10 +27,14 @@ use dft::json::Json;
 use dft_core::service::{AnalysisService, ServiceOptions};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+use std::time::Instant;
+
+/// Most bytes read off a refused request before its connection is closed.
+const DRAIN_CAP: usize = 64 * 1024;
 
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
@@ -251,17 +255,21 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> bool {
 
     let mut buffer: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
-    let (response, shutdown) = loop {
+    let (response, shutdown, refused) = loop {
         match http::parse_request(&buffer, limits) {
             Ok(Some(request)) => {
                 let reply = shared.router.handle(&request);
-                break (http::response(reply.status, &reply.body), reply.shutdown);
+                break (
+                    http::response(reply.status, &reply.body),
+                    reply.shutdown,
+                    false,
+                );
             }
             Err(e) => {
                 // The request never reached the router; count it here.
                 bump(&shared.router.http_counters().bad_requests);
                 let body = Json::obj([("error", Json::Str(e.to_string()))]).render();
-                break (http::response(e.status(), &body), false);
+                break (http::response(e.status(), &body), false, true);
             }
             Ok(None) => match stream.read(&mut chunk) {
                 Ok(0) | Err(_) => {
@@ -279,6 +287,29 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> bool {
         .is_err()
     {
         bump(&shared.router.http_counters().dropped_connections);
+    } else if refused {
+        drain(&mut stream, limits);
     }
     shutdown
+}
+
+/// Half-closes a refused connection, then reads what the client still sends,
+/// up to [`DRAIN_CAP`] bytes and for at most [`HttpLimits::read_timeout`].
+/// Closing a socket with unread request bytes makes the kernel send a reset,
+/// which can destroy the error response before the client reads it.
+fn drain(stream: &mut TcpStream, limits: &HttpLimits) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + limits.read_timeout;
+    let mut chunk = [0u8; 4096];
+    let mut drained = 0;
+    while drained < DRAIN_CAP {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
+    }
 }

@@ -230,6 +230,32 @@ fn protocol_errors_map_to_typed_statuses() {
     server.join();
 }
 
+/// A refused request body must come back as its 413, never as a connection
+/// reset: the server drains the unread body before it closes the socket.
+#[test]
+fn oversized_bodies_always_get_their_413() {
+    let server = Server::start(ServerOptions {
+        limits: HttpLimits {
+            max_body_bytes: 512,
+            ..HttpLimits::default()
+        },
+        ..small_options()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    for size in [600, 4096] {
+        let body = "x".repeat(size);
+        for i in 0..200 {
+            let status = client::request(addr, "POST", "/submit", &body)
+                .unwrap_or_else(|e| panic!("{size}-byte body, request {i}: {e}"))
+                .0;
+            assert_eq!(status, 413, "{size}-byte body, request {i}");
+        }
+    }
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn full_registries_throttle_submissions() {
     let server = Server::start(ServerOptions {

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|i| parametric.params().scaled_valuation(1.0 + 0.05 * i as f64))
         .collect();
     let started = Instant::now();
-    let sweep = parametric.sweep_query(&[Measure::Unreliability(1.0)], &valuations)?;
+    let sweep = parametric.sweep_query(&[Measure::Unreliability(1.0)], &valuations);
     println!(
         "25-point sweep answered in {:.1?} (instantiate {:.1?}, query {:.1?})",
         started.elapsed(),
@@ -41,6 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("\n{:>8} {:>16}", "scale", "unreliability");
     for (i, row) in sweep.results().iter().enumerate() {
+        let row = row.as_ref().map_err(Clone::clone)?;
         println!("{:>8.2} {:>16.8}", 1.0 + 0.05 * i as f64, row[0].value());
     }
     assert_eq!(parametric.aggregation_runs(), 1);

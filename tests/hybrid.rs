@@ -132,16 +132,14 @@ fn parametric_hybrid_sweep_matches_instantiate_plus_query() {
         .iter()
         .map(|&scale| parametric.params().scaled_valuation(scale))
         .collect();
-    let sweep = parametric
-        .sweep_query(&[Measure::UnreliabilityCurve(TIMES.to_vec())], &valuations)
-        .unwrap();
+    let sweep = parametric.sweep_query(&[Measure::UnreliabilityCurve(TIMES.to_vec())], &valuations);
     for (lane, valuation) in valuations.iter().enumerate() {
         let direct = parametric
             .instantiate(valuation)
             .unwrap()
             .unreliability_curve(&TIMES)
             .unwrap();
-        let swept = &sweep.results()[lane][0];
+        let swept = &sweep.results()[lane].as_ref().unwrap()[0];
         for (a, b) in swept.points().iter().zip(direct.points()) {
             assert_eq!(
                 a.value().to_bits(),

@@ -12,7 +12,7 @@ use dftmc::dft::{DftBuilder, Dormancy};
 use dftmc::dft_core::analysis::AnalysisOptions;
 use dftmc::dft_core::engine::{Analyzer, ParametricAnalyzer};
 use dftmc::dft_core::parametric::{ParamKind, Valuation};
-use dftmc::dft_core::query::Measure;
+use dftmc::dft_core::query::{Measure, MeasureResult};
 use dftmc::dft_core::Error;
 
 mod common;
@@ -202,10 +202,13 @@ fn sweeps_cost_one_aggregation() {
         .iter()
         .map(|&s| parametric.params().scaled_valuation(s))
         .collect();
-    let sweep = parametric
-        .sweep_query(&[Measure::Unreliability(1.0)], &valuations)
-        .unwrap();
+    let sweep = parametric.sweep_query(&[Measure::Unreliability(1.0)], &valuations);
     assert_eq!(sweep.len(), scales.len());
+    let rows: Vec<&Vec<MeasureResult>> = sweep
+        .results()
+        .iter()
+        .map(|row| row.as_ref().unwrap())
+        .collect();
     assert_eq!(parametric.aggregation_runs(), 1);
 
     for (i, &scale) in scales.iter().enumerate() {
@@ -213,13 +216,13 @@ fn sweeps_cost_one_aggregation() {
         let direct = Analyzer::new(&twin, tight_options()).unwrap();
         let reference = direct.unreliability(1.0).unwrap();
         assert_close(
-            sweep.results()[i][0].value(),
+            rows[i][0].value(),
             reference.value(),
             &format!("sweep point {i}"),
         );
     }
     // Unreliability grows with a uniform failure-rate scale.
-    let values: Vec<f64> = sweep.results().iter().map(|row| row[0].value()).collect();
+    let values: Vec<f64> = rows.iter().map(|row| row[0].value()).collect();
     for pair in values.windows(2) {
         assert!(pair[1] >= pair[0] - 1e-12);
     }

@@ -546,11 +546,6 @@ fn service_sweeps_share_one_parametric_model() {
         "the whole sweep pays one aggregation"
     );
     assert!(!report.stats.parametric_cache_hit);
-    assert_eq!(
-        (report.stats.cache_hits, report.stats.cache_misses),
-        (0, 0),
-        "time-bounded measures need no instantiated session"
-    );
     let after = service.cache_stats();
     assert_eq!(after.entries, before.entries);
     assert_eq!((after.hits, after.misses), (before.hits, before.misses));
@@ -578,11 +573,12 @@ fn service_sweeps_share_one_parametric_model() {
     assert_eq!(stats.parametric_hits, 1);
 }
 
-/// Bit-identity across backends and measure mixes: the compositional and
-/// hybrid methods on a nondeterministic tree, and a repairable tree asking
-/// for a point, a curve with a duplicate time, unavailability and MTTF in
-/// one request — whose steady-state measures reuse cached sessions when the
-/// sweep is repeated.
+/// Bit-identity across backends and measure mixes, errors included: the
+/// compositional and hybrid methods on a nondeterministic tree (whose MTTF
+/// fails on every point), a hybrid crowned tree (whose MTTF is unsupported),
+/// unavailability of an unrepairable tree, and a repairable tree asking for
+/// a point, a curve with a duplicate time, unavailability and MTTF in one
+/// request.
 #[test]
 fn service_sweeps_are_bit_identical_to_instantiate_plus_query_all() {
     let service = AnalysisService::new(ServiceOptions {
@@ -604,6 +600,20 @@ fn service_sweeps_are_bit_identical_to_instantiate_plus_query_all() {
             .unwrap()
             .is_nondeterministic());
         assert_sweep_matches_instantiate(&service, &cas(), &options(method), &timed, &scales);
+        let report = assert_sweep_matches_instantiate(
+            &service,
+            &cas(),
+            &options(method),
+            &[Measure::Unreliability(1.0), Measure::Mttf],
+            &scales,
+        );
+        assert!(
+            report
+                .points
+                .iter()
+                .all(|point| matches!(point.results, Err(Error::Ioimc(_)))),
+            "MTTF of a CTMDP fails on the tangible extraction"
+        );
     }
     // A static OR crown over dynamic cores: the hybrid backend decomposes
     // it, so its batched sweep runs one nested lane pass per core.
@@ -619,6 +629,22 @@ fn service_sweeps_are_bit_identical_to_instantiate_plus_query_all() {
         &timed,
         &scales,
     );
+    for (method, measure) in [
+        (Method::Hybrid, Measure::Mttf),
+        (Method::Compositional, Measure::Unavailability),
+    ] {
+        let report = assert_sweep_matches_instantiate(
+            &service,
+            &crowned,
+            &options(method),
+            &[Measure::Unreliability(1.0), measure],
+            &scales,
+        );
+        assert!(report
+            .points
+            .iter()
+            .all(|point| matches!(point.results, Err(Error::Unsupported { .. }))));
+    }
 
     let mixed = [
         Measure::Unreliability(1.0),
@@ -626,42 +652,70 @@ fn service_sweeps_are_bit_identical_to_instantiate_plus_query_all() {
         Measure::Unavailability,
         Measure::Mttf,
     ];
-    let sweep_mixed = || {
-        assert_sweep_matches_instantiate(
-            &service,
-            &repairable_tree(),
-            &AnalysisOptions::default(),
-            &mixed,
-            &scales,
-        )
-    };
-    // Unavailability and MTTF are answered by one instantiated session per
-    // valuation …
-    let first = sweep_mixed();
-    assert_eq!(
-        (first.stats.cache_hits, first.stats.cache_misses),
-        (0, scales.len())
+    let report = assert_sweep_matches_instantiate(
+        &service,
+        &repairable_tree(),
+        &AnalysisOptions::default(),
+        &mixed,
+        &scales,
     );
-    // … which the session cache keeps (with its tangible CTMC), so a
-    // repeated sweep is a cache hit per valuation.
+    assert!(report.points.iter().all(|point| point.results.is_ok()));
+}
+
+/// A sweep builds no session per valuation, so it leaves the session cache
+/// alone: a steady-state sweep with more valuations than the cache holds
+/// evicts none of the cached trees, which stay cache hits.
+#[test]
+fn sweeps_leave_the_session_cache_alone() {
+    let capacity = 8;
+    let service = AnalysisService::new(ServiceOptions {
+        workers: 1,
+        cache_capacity: capacity,
+        ..ServiceOptions::default()
+    });
+    let options = AnalysisOptions::default();
+    let trees: Vec<Dft> = (0..capacity)
+        .map(|i| variant(&format!("keep{i}"), 1.0 + 0.125 * i as f64))
+        .collect();
+    for tree in &trees {
+        service.analyzer(tree, &options).unwrap();
+    }
     let before = service.cache_stats();
-    let second = sweep_mixed();
-    assert_eq!(
-        (second.stats.cache_hits, second.stats.cache_misses),
-        (scales.len(), 0)
+    assert_eq!((before.entries, before.evictions), (capacity, 0));
+
+    let scales: Vec<f64> = (0..2 * capacity).map(|i| 0.5 + 0.1 * i as f64).collect();
+    let report = assert_sweep_matches_instantiate(
+        &service,
+        &repairable_tree(),
+        &options,
+        &[Measure::Unavailability, Measure::Mttf],
+        &scales,
     );
+    assert!(report.points.iter().all(|point| point.results.is_ok()));
     let after = service.cache_stats();
-    assert_eq!(after.hits - before.hits, scales.len());
     assert_eq!(
-        (after.misses, after.entries),
-        (before.misses, before.entries)
+        (after.evictions, after.entries, after.hits, after.misses),
+        (before.evictions, before.entries, before.hits, before.misses),
+        "a sweep must not touch the session cache"
     );
+
+    for tree in &trees {
+        service.analyzer(tree, &options).unwrap();
+    }
+    let again = service.cache_stats();
+    assert_eq!(
+        again.hits - after.hits,
+        capacity,
+        "every tree is still cached"
+    );
+    assert_eq!(again.misses, after.misses);
 }
 
 /// A valuation whose uniformisation cannot finish (a failure rate scaled by
-/// 1e300) fails the batched pass; the sweep answers the batch per valuation,
+/// 1e300) fails the batched pass; the sweep reruns the lanes one at a time,
 /// so the error lands on that point alone and its neighbours are still
-/// bit-identical to `instantiate` + `query_all`.
+/// bit-identical to `instantiate` + `query_all` — with and without MTTF,
+/// and for MTTF alone, which needs no uniformisation.
 #[test]
 fn sweep_errors_stay_on_their_own_point() {
     let service = AnalysisService::new(ServiceOptions {
@@ -679,6 +733,25 @@ fn sweep_errors_stay_on_their_own_point() {
     assert!(report.points[0].results.is_ok());
     assert!(report.points[1].results.is_err());
     assert!(report.points[2].results.is_ok());
+
+    let deterministic = variant("huge", 1.0);
+    let report = assert_sweep_matches_instantiate(
+        &service,
+        &deterministic,
+        &AnalysisOptions::default(),
+        &[Measure::Unreliability(1.0), Measure::Mttf],
+        &[1.0, 1e300, 2.0],
+    );
+    assert!(report.points[0].results.is_ok());
+    assert!(report.points[1].results.is_err());
+    assert!(report.points[2].results.is_ok());
+    assert_sweep_matches_instantiate(
+        &service,
+        &deterministic,
+        &AnalysisOptions::default(),
+        &[Measure::Mttf],
+        &[1.0, 1e300, 2.0],
+    );
 }
 
 /// A monolithic sweep fails with a typed error per point (the baseline has no
