@@ -60,7 +60,9 @@ pub enum Method {
 /// Options shared by the analyses.
 #[derive(Debug, Clone)]
 pub struct AnalysisOptions {
-    /// Truncation error bound for the numerical transient/steady-state analysis.
+    /// Truncation error bound for the numerical transient/steady-state
+    /// analysis, in `(0, 1)`: it is both the Poisson truncation error of
+    /// uniformisation and the tolerance of the steady-state solvers.
     pub epsilon: f64,
     /// Analysis method.
     pub method: Method,

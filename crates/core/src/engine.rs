@@ -26,10 +26,11 @@
 //!
 //! Only three things differ between the two rate domains: how the tree is
 //! converted, which store kind holds the session, and what is cached next to
-//! the closed model for the numerics (the can/must CTMDP pair for numeric
+//! the closed model for the numerics (a one-lane relax kernel for numeric
 //! rates, the batched-sweep template for symbolic ones).  Composition,
 //! hiding, minimisation, the hybrid crown and the store layout are written
-//! once.
+//! once, and so is the time-bounded analysis: a numeric query is one lane of
+//! the same two-pass kernel call that answers every lane of a sweep.
 //!
 //! A mission-time sweep through [`Measure::UnreliabilityCurve`] additionally
 //! shares the uniformisation pass between all time points, so a 100-point curve
@@ -81,7 +82,7 @@ use ioimc::closed::{
 use ioimc::codec::RateCodec;
 use ioimc::stats::ModelStats;
 use ioimc::{Action, IoImcOf, ParametricIoImc, Rate, RateForm};
-use markov::ctmdp::{Ctmdp, CtmdpState};
+use markov::ctmdp::CtmdpState;
 use markov::kernel::RelaxKernel;
 use markov::mttf::mean_time_to_absorption;
 use markov::steady::steady_state_probability;
@@ -115,23 +116,44 @@ pub(crate) struct ClosedModel<R> {
     pub(crate) must: Vec<bool>,
 }
 
-impl<R> ClosedModel<R> {
-    /// The points of lane `k` of a reachability pass over `lanes` lanes: the
-    /// optimistic (`uppers`) and pessimistic (`lowers`) values, time-major.
-    fn points(
+impl<R: Rate> ClosedModel<R> {
+    /// Time-bounded reachability of every lane of `kernel`, a lowering of
+    /// this model: the maximising pass towards the optimistic (`can`) goal
+    /// set gives the upper bound, the minimising pass towards the pessimistic
+    /// (`must`) set the lower one.  A point-valued model skips the second
+    /// pass, which would redo the first.  Returns each lane's points.
+    fn reach(
         &self,
+        kernel: &RelaxKernel,
         times: &[f64],
-        uppers: &[f64],
-        lowers: &[f64],
-        lanes: usize,
-        k: usize,
-    ) -> Vec<MeasurePoint> {
-        (0..times.len())
-            .map(|slot| {
-                let (lo, hi) = (lowers[slot * lanes + k], uppers[slot * lanes + k]);
-                MeasurePoint::bounded(Some(times[slot]), self.point_valued.then_some(hi), (lo, hi))
+        epsilon: f64,
+    ) -> Result<Vec<Vec<MeasurePoint>>> {
+        let initial = self.closed.initial().index();
+        let workers = kernel.auto_workers();
+        let reach = |goal: &[bool], maximise: bool| {
+            kernel.reachability(initial, goal, times, epsilon, maximise, workers)
+        };
+        let uppers = reach(&self.can, true)?;
+        let lowers = if self.point_valued {
+            uppers.clone()
+        } else {
+            reach(&self.must, false)?
+        };
+        let lanes = kernel.lanes();
+        Ok((0..lanes)
+            .map(|k| {
+                (0..times.len())
+                    .map(|slot| {
+                        let (lo, hi) = (lowers[slot * lanes + k], uppers[slot * lanes + k]);
+                        MeasurePoint::bounded(
+                            Some(times[slot]),
+                            self.point_valued.then_some(hi),
+                            (lo, hi),
+                        )
+                    })
+                    .collect()
             })
-            .collect()
+            .collect())
     }
 }
 
@@ -210,13 +232,10 @@ pub(crate) trait SessionRate: RateCodec {
 
 /// The numerics cache of a numeric session.
 #[derive(Debug)]
-pub(crate) struct CtmdpPair {
-    /// CTMDP with the optimistic ("can fire the failure") goal set; its
-    /// maximising analysis yields the upper bound.
-    upper: Ctmdp,
-    /// CTMDP with the pessimistic ("must fire the failure") goal set; its
-    /// minimising analysis yields the lower bound.
-    lower: Ctmdp,
+pub(crate) struct NumericCache {
+    /// The closed model lowered into a one-lane kernel, shared by the upper
+    /// and the lower bound (see [`ClosedModel::reach`]).
+    kernel: RelaxKernel,
     /// Embedded CTMC with the monitor's "down" labels, extracted lazily for
     /// the steady-state and first-passage measures (fails for CTMDPs).  A
     /// [`OnceLock`] rather than a `OnceCell` so a shared `Arc<Analyzer>` can
@@ -225,7 +244,7 @@ pub(crate) struct CtmdpPair {
 }
 
 impl SessionRate for f64 {
-    type Numerics = CtmdpPair;
+    type Numerics = NumericCache;
 
     const PARAMETRIC: bool = false;
 
@@ -237,12 +256,14 @@ impl SessionRate for f64 {
         rate
     }
 
-    fn numerics(model: &ClosedModel<f64>) -> Result<CtmdpPair> {
-        let states = lower(&model.closed, |&rate| rate);
-        let initial = model.closed.initial().index();
-        Ok(CtmdpPair {
-            upper: Ctmdp::new(states.clone(), initial, model.can.clone())?,
-            lower: Ctmdp::new(states, initial, model.must.clone())?,
+    fn numerics(model: &ClosedModel<f64>) -> Result<NumericCache> {
+        let mut rates = Vec::new();
+        let states = lower(&model.closed, |&rate| {
+            rates.push(rate);
+            rate
+        });
+        Ok(NumericCache {
+            kernel: RelaxKernel::from_template(&states, &rates, 1)?,
             tangible: OnceLock::new(),
         })
     }
@@ -254,13 +275,12 @@ impl SessionRate for f64 {
 
 /// The rate-independent structure a parametric session caches for sweeps:
 /// the CTMDP state vector with dummy Markovian rates, the rate form of every
-/// Markovian edge in kernel edge order, the initial state, and the tangible
-/// CTMC skeleton of the steady-state measures.
+/// Markovian edge in kernel edge order, and the tangible CTMC skeleton of the
+/// steady-state measures.
 #[derive(Debug)]
 pub(crate) struct SweepTemplate {
     states: Vec<CtmdpState>,
     forms: Vec<RateForm>,
-    initial: usize,
     /// Extracted on the first steady-state sweep.  An error is cached too:
     /// a nondeterministic or divergent model fails the same way for every
     /// valuation.
@@ -279,7 +299,6 @@ impl SweepTemplate {
         SweepTemplate {
             states,
             forms,
-            initial: closed.initial().index(),
             tangible: OnceLock::new(),
         }
     }
@@ -487,11 +506,17 @@ impl<R: SessionRate> Session<R> {
     ///
     /// # Errors
     ///
-    /// Propagates conversion, aggregation and numerical errors; returns
+    /// Returns [`Error::Markov`] wrapping [`markov::Error::InvalidValue`] for
+    /// an `epsilon` outside `(0, 1)`, before converting anything.  Propagates
+    /// conversion, aggregation and numerical errors; returns
     /// [`Error::Unsupported`] for DFT features outside the selected method's
     /// scope, and for [`Method::Monolithic`] on a [`ParametricAnalyzer`] (the
     /// monolithic baseline has no parametric form).
     pub fn new(dft: &Dft, options: AnalysisOptions) -> Result<Session<R>> {
+        let epsilon = options.epsilon;
+        if !(epsilon > 0.0 && epsilon < 1.0) {
+            return Err(markov::Error::InvalidValue { value: epsilon }.into());
+        }
         match options.method {
             Method::Compositional => Session::compositional(dft, options),
             Method::Monolithic if R::PARAMETRIC => Err(Error::Unsupported {
@@ -895,20 +920,9 @@ impl Session<f64> {
                         .collect(),
                 ))
             }
-            Backend::Compositional { model, numerics } => {
-                let uppers = numerics.upper.reachability_max_multi(times, epsilon)?;
-                // When the model is deterministic and the optimistic/pessimistic
-                // goal sets coincide, the minimising pass would redo the same
-                // value iteration over the same CTMDP — skip it.
-                let lowers = if model.point_valued {
-                    uppers.clone()
-                } else {
-                    numerics.lower.reachability_min_multi(times, epsilon)?
-                };
-                Ok(MeasureResult::new(
-                    model.points(times, &uppers, &lowers, 1, 0),
-                ))
-            }
+            Backend::Compositional { model, numerics } => Ok(MeasureResult::new(
+                model.reach(&numerics.kernel, times, epsilon)?.remove(0),
+            )),
             Backend::Hybrid {
                 crown,
                 leaves,
@@ -1152,8 +1166,9 @@ impl Session<RateForm> {
     }
 
     /// The rate of every Markovian edge of a compositional session under
-    /// `values`, in kernel edge order.  Like `Ctmdp::new`, the first rate
-    /// that is not finite and strictly positive is an error.
+    /// `values`, in kernel edge order.  Like the kernel an instantiated
+    /// session builds, the first rate that is not finite and strictly
+    /// positive is an error.
     fn edge_rates(&self, values: &[f64]) -> Result<Vec<f64>> {
         let (_, template) = self.template();
         template
@@ -1249,26 +1264,7 @@ impl Session<RateForm> {
                 }
             }
             let kernel = RelaxKernel::from_template(&template.states, &lane_rates, n)?;
-            let workers = kernel.auto_workers();
-            let reach = |goal: &[bool], maximise: bool| {
-                kernel.reachability(
-                    template.initial,
-                    goal,
-                    times,
-                    self.options.epsilon,
-                    maximise,
-                    workers,
-                )
-            };
-            let uppers = reach(&model.can, true)?;
-            let lowers = if model.point_valued {
-                uppers.clone()
-            } else {
-                reach(&model.must, false)?
-            };
-            Ok((0..n)
-                .map(|k| model.points(times, &uppers, &lowers, n, k))
-                .collect())
+            model.reach(&kernel, times, self.options.epsilon)
         };
         match pass(rates) {
             Ok(points) => points.into_iter().map(Ok).collect(),
@@ -1662,6 +1658,29 @@ mod tests {
         assert!(analyzer.model_stats().states > 0);
         assert!(analyzer.final_model().is_some());
         assert!(analyzer.top_failure().is_some());
+    }
+
+    #[test]
+    fn epsilon_outside_the_unit_interval_is_rejected_before_converting() {
+        let mut b = DftBuilder::new();
+        let x = b.basic_event("eps_X", 1.0, Dormancy::Hot).unwrap();
+        let top = b.or_gate("eps_Top", &[x]).unwrap();
+        let dft = b.build(top).unwrap();
+        let rejected = |result: Result<()>, epsilon: f64| match result {
+            Err(Error::Markov(markov::Error::InvalidValue { value })) => {
+                assert_eq!(value.to_bits(), epsilon.to_bits());
+            }
+            other => panic!("epsilon {epsilon}: {other:?}"),
+        };
+        for epsilon in [1.5, 1.0, 0.0, -1.0, f64::NAN] {
+            for method in [Method::Compositional, Method::Monolithic, Method::Hybrid] {
+                let options = AnalysisOptions { epsilon, method };
+                rejected(Analyzer::new(&dft, options.clone()).map(drop), epsilon);
+                // A parametric monolithic build is unsupported, but the
+                // epsilon check comes first.
+                rejected(ParametricAnalyzer::new(&dft, options).map(drop), epsilon);
+            }
+        }
     }
 
     #[test]

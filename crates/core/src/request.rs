@@ -526,8 +526,12 @@ impl AnalysisRequest {
         }
         match field(doc, "epsilon") {
             None => {}
-            Some(Json::Num(e)) if e.is_finite() && *e > 0.0 => request.options.epsilon = *e,
-            Some(_) => return Err(schema("field 'epsilon' must be a positive finite number")),
+            Some(Json::Num(e)) if *e > 0.0 && *e < 1.0 => request.options.epsilon = *e,
+            Some(_) => {
+                return Err(schema(
+                    "field 'epsilon' must be a number strictly between 0 and 1",
+                ))
+            }
         }
 
         let measures = field(doc, "measures");
@@ -873,7 +877,23 @@ mod tests {
                     ("measures", Json::Arr(Vec::new())),
                     ("epsilon", (-1.0).into()),
                 ]),
-                "positive finite",
+                "strictly between 0 and 1",
+            ),
+            (
+                Json::obj([
+                    ("galileo", TREE.into()),
+                    ("measures", Json::Arr(Vec::new())),
+                    ("epsilon", (1.5).into()),
+                ]),
+                "strictly between 0 and 1",
+            ),
+            (
+                Json::obj([
+                    ("galileo", TREE.into()),
+                    ("measures", Json::Arr(Vec::new())),
+                    ("epsilon", (1.0).into()),
+                ]),
+                "strictly between 0 and 1",
             ),
             (
                 Json::obj([

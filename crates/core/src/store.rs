@@ -30,11 +30,11 @@
 //!
 //! A compositional body (tag 0) is the top-failure action, the repair and
 //! point-valued flags, the closed model and its can/must goal bits; the
-//! numerics cache next to it (the can/must CTMDP pair of a numeric session)
-//! is rebuilt on load by the same function a fresh build uses.  A monolithic
-//! body (tag 1, numeric only) is the CTMC and its goal bits.  A hybrid body
-//! (tag 2) is the module statistics, the crown BDD, one leaf per element and
-//! one nested compositional body per dynamic core.
+//! numerics cache next to it (the one-lane relax kernel of a numeric
+//! session) is rebuilt on load by the same function a fresh build uses.  A
+//! monolithic body (tag 1, numeric only) is the CTMC and its goal bits.  A
+//! hybrid body (tag 2) is the module statistics, the crown BDD, one leaf per
+//! element and one nested compositional body per dynamic core.
 //!
 //! Readers reject — and callers then rebuild — on *any* mismatch: wrong magic
 //! or version, foreign fingerprint, different ε, short file, checksum

@@ -18,7 +18,6 @@
 //! lower, bound for the measure under general schedulers.
 
 use crate::kernel::RelaxKernel;
-use crate::poisson::poisson_weights;
 use crate::{Error, Result};
 use std::sync::OnceLock;
 
@@ -133,58 +132,6 @@ impl Ctmdp {
         })
     }
 
-    fn max_exit_rate(&self) -> f64 {
-        self.states
-            .iter()
-            .map(|s| match s {
-                CtmdpState::Markovian(rates) => rates.iter().map(|&(_, r)| r).sum(),
-                CtmdpState::Immediate(_) => 0.0,
-            })
-            .fold(0.0, f64::max)
-    }
-
-    /// Resolves the values of immediate states given the current values of
-    /// Markovian/goal states, by iterating the optimisation until a fixpoint.
-    /// Chains of immediate states are bounded by the state count, so `n` rounds
-    /// suffice; immediate cycles (divergence) settle at their pessimistic value.
-    fn settle_immediate(&self, value: &mut [f64], maximise: bool) {
-        let n = self.states.len();
-        for _ in 0..n {
-            let mut changed = false;
-            for s in 0..n {
-                if self.goal[s] {
-                    continue;
-                }
-                if let CtmdpState::Immediate(succs) = &self.states[s] {
-                    if succs.is_empty() {
-                        continue;
-                    }
-                    let candidate = succs.iter().map(|&t| value[t as usize]).fold(
-                        if maximise {
-                            f64::NEG_INFINITY
-                        } else {
-                            f64::INFINITY
-                        },
-                        |a, b| {
-                            if maximise {
-                                a.max(b)
-                            } else {
-                                a.min(b)
-                            }
-                        },
-                    );
-                    if (candidate - value[s]).abs() > 1e-15 {
-                        value[s] = candidate;
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
     /// One extremal reachability value per requested time bound, computed in a
     /// *single* value-iteration pass.
     ///
@@ -193,9 +140,7 @@ impl Ctmdp {
     /// mission-time sweep costs one pass to the largest truncation point instead of
     /// one pass per point.  Results are returned in the same order as `times`.
     ///
-    /// Runs on the cached [`RelaxKernel`]; results are bit-identical to
-    /// [`reachability_extremal_multi_legacy`](Self::reachability_extremal_multi_legacy)
-    /// regardless of the worker count the kernel chooses.
+    /// Runs on the cached one-lane [`RelaxKernel`].
     fn reachability_extremal_multi(
         &self,
         times: &[f64],
@@ -211,91 +156,6 @@ impl Ctmdp {
             maximise,
             kernel.auto_workers(),
         )
-    }
-
-    /// The original nested-loop value iteration, kept verbatim as the
-    /// reference implementation for differential tests against the CSR
-    /// kernel ([`crate::kernel`]).  Semantics and bit patterns define the
-    /// contract the kernel must honour; not intended for production use.
-    #[doc(hidden)]
-    pub fn reachability_extremal_multi_legacy(
-        &self,
-        times: &[f64],
-        epsilon: f64,
-        maximise: bool,
-    ) -> Result<Vec<f64>> {
-        for &t in times {
-            if !t.is_finite() || t < 0.0 {
-                return Err(Error::InvalidValue { value: t });
-            }
-        }
-        let n = self.states.len();
-        let lambda = self.max_exit_rate();
-
-        // Value at "zero remaining steps": goal states count, and immediate states
-        // resolve instantaneously.
-        let mut terminal: Vec<f64> = self
-            .goal
-            .iter()
-            .map(|&g| if g { 1.0 } else { 0.0 })
-            .collect();
-        self.settle_immediate(&mut terminal, maximise);
-
-        if lambda == 0.0 {
-            return Ok(vec![terminal[self.initial]; times.len()]);
-        }
-
-        // Poisson weights per time bound; a bound of zero yields the degenerate
-        // single weight 1 at k = 0, so it needs no special casing below.
-        let weights = times
-            .iter()
-            .map(|&t| poisson_weights(lambda * t, epsilon))
-            .collect::<Result<Vec<_>>>()?;
-        let k_max = weights
-            .iter()
-            .map(|w| w.weights.len() - 1)
-            .max()
-            .unwrap_or(0);
-
-        // value[s] = optimal probability of reaching a goal within `k` uniformised
-        // steps; computed backwards from k = 0 upwards, accumulating each time
-        // bound's Poisson mixture for the initial state on the fly.
-        let mut value = terminal;
-        let mut results: Vec<f64> = weights
-            .iter()
-            .map(|w| w.weights[0] * value[self.initial])
-            .collect();
-        for k in 1..=k_max {
-            let mut next = vec![0.0; n];
-            for s in 0..n {
-                if self.goal[s] {
-                    next[s] = 1.0;
-                    continue;
-                }
-                match &self.states[s] {
-                    CtmdpState::Markovian(rates) => {
-                        let exit: f64 = rates.iter().map(|&(_, r)| r).sum();
-                        let mut acc = (1.0 - exit / lambda) * value[s];
-                        for &(target, rate) in rates {
-                            acc += rate / lambda * value[target as usize];
-                        }
-                        next[s] = acc;
-                    }
-                    CtmdpState::Immediate(_) => {
-                        // Filled in by settle_immediate below.
-                        next[s] = 0.0;
-                    }
-                }
-            }
-            self.settle_immediate(&mut next, maximise);
-            value = next;
-            for (result, w) in results.iter_mut().zip(weights.iter()) {
-                if let Some(&weight) = w.weights.get(k) {
-                    *result += weight * value[self.initial];
-                }
-            }
-        }
-        Ok(results.into_iter().map(|r| r.clamp(0.0, 1.0)).collect())
     }
 
     fn reachability_extremal(&self, t: f64, epsilon: f64, maximise: bool) -> Result<f64> {

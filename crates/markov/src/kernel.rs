@@ -1,10 +1,10 @@
 //! Flat CSR value-iteration kernel for CTMDP transient analysis.
 //!
-//! Every query the engine answers bottoms out in the uniformisation /
-//! value-iteration passes of [`crate::ctmdp`].  The naive relax loop there
-//! chases per-state `Vec<(target, rate)>` allocations; this module lowers the
-//! Markovian choices into a flat CSR-style layout once per model so the inner
-//! relax runs over contiguous arrays, and adds two levers on top:
+//! Every time-bounded answer the engine gives — a numeric query's bounds and
+//! every lane of a parametric sweep — comes from one call,
+//! [`RelaxKernel::reachability`].  The kernel lowers the Markovian choices
+//! into a flat CSR-style layout once per model so the inner relax runs over
+//! contiguous arrays, and adds two levers on top:
 //!
 //! * **Lane batching** — K independent rate assignments of one shared
 //!   structure (a parametric rate sweep) iterate as K *lanes* of a
@@ -15,34 +15,28 @@
 //!   sequence is exactly the scalar sequence — batched results are
 //!   bit-identical per lane — while the Poisson windows are deduplicated
 //!   across the batch ([`crate::poisson::poisson_weights_multi`]).
-//! * **Multi-threaded relax** — for large models the per-step relax is split
-//!   across disjoint state ranges.  Each state's next value is computed
-//!   independently in a fixed operation order, workers write only their own
-//!   chunk, and the chunks are reassembled in index order on the coordinating
-//!   thread — so results are bit-identical to the sequential pass and
-//!   invariant under the worker count.  The immediate-state fixpoint and the
-//!   Poisson accumulation stay sequential (they are a negligible fraction of
-//!   the work and their order is part of the determinism contract).
+//! * **Lane groups** — with more than one worker, a batch is split into
+//!   contiguous groups of lanes, and each group runs the sequential driver
+//!   on its own scoped thread.  Lanes never read each other's values, so
+//!   every lane's bits are those of the one-group call, whatever the worker
+//!   count; a one-lane kernel never splits.
 //!
-//! The kernel is the production path of [`crate::Ctmdp`]'s reachability
-//! methods; the original nested-loop implementation is kept as
-//! [`crate::Ctmdp::reachability_extremal_multi_legacy`] and serves as the
-//! reference in differential tests.
+//! The original nested-loop relax is kept in this module's tests as the
+//! reference the kernel is compared against bit for bit.
 
 use crate::ctmdp::CtmdpState;
 use crate::poisson::{poisson_weights_multi, PoissonWeights};
 use crate::{Error, Result};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
 
 /// Process-wide cap on relax workers; 0 means "derive from the host".
 static MAX_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Total relax passes executed (one per uniformised step per reachability
-/// call, threaded or not).
+/// call, split into lane groups or not).
 static RELAX_PASSES: AtomicU64 = AtomicU64::new(0);
-/// Relax passes that ran on more than one worker.
+/// Relax passes of calls split into more than one lane group.
 static THREADED_PASSES: AtomicU64 = AtomicU64::new(0);
 /// Reachability calls that batched more than one lane.
 static BATCHED_CALLS: AtomicU64 = AtomicU64::new(0);
@@ -53,9 +47,11 @@ static BATCHED_CALLS: AtomicU64 = AtomicU64::new(0);
 /// exposes deltas between snapshots.  They never influence results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Relax passes executed (one per uniformised step of every call).
+    /// Relax passes executed: one per uniformised step of every call, however
+    /// many lane groups ran it.
     pub relax_passes: u64,
-    /// Relax passes that were split across more than one worker.
+    /// The relax passes of calls split into more than one lane group,
+    /// counted once per step like `relax_passes`.
     pub threaded_passes: u64,
     /// Reachability calls that batched more than one lane.
     pub batched_calls: u64,
@@ -75,7 +71,8 @@ pub fn stats() -> KernelStats {
 ///
 /// A service whose own pool already saturates the host sets this to
 /// `cores / pool_size` so nested parallelism cannot oversubscribe.  The cap
-/// only changes *how fast* a pass runs — results are worker-count-invariant.
+/// only bounds how many lane groups a batched call splits into — results
+/// are worker-count-invariant.
 pub fn set_max_workers(cap: usize) {
     MAX_WORKERS.store(cap, Ordering::Relaxed);
 }
@@ -93,7 +90,7 @@ pub fn max_workers() -> usize {
 }
 
 /// A CTMDP lowered into flat CSR arrays, ready for (optionally batched and
-/// multi-threaded) value iteration.
+/// lane-group-threaded) value iteration.
 ///
 /// `row_ptr[s]..row_ptr[s+1]` indexes the Markovian edges of state `s` into
 /// `cols`/`rates`; `choice_ptr[s]..choice_ptr[s+1]` indexes the immediate
@@ -111,7 +108,8 @@ pub struct RelaxKernel {
     /// Edge rates, `rates[e * lanes + k]` for edge `e`, lane `k`.
     rates: Vec<f64>,
     /// Exit rates, `exit[s * lanes + k]`, summed in row order (the exact
-    /// summation order of the legacy relax, so precomputing changes no bits).
+    /// summation order of the reference relax, so precomputing changes no
+    /// bits).
     exit: Vec<f64>,
     choice_ptr: Vec<usize>,
     choice_cols: Vec<u32>,
@@ -279,7 +277,7 @@ impl RelaxKernel {
     }
 
     /// Per-lane uniformisation rates: the maximal exit rate of each lane,
-    /// folded in state order exactly like the legacy scalar path.
+    /// folded in state order exactly like the reference scalar relax.
     pub fn uniformisation_rates(&self) -> Vec<f64> {
         let mut lambdas = vec![0.0f64; self.lanes];
         for (k, lambda) in lambdas.iter_mut().enumerate() {
@@ -291,8 +289,9 @@ impl RelaxKernel {
     }
 
     /// Chooses a worker count for [`reachability`](Self::reachability): 1 for
-    /// models too small to amortize thread hand-off, otherwise proportional
-    /// to the per-pass work, capped by [`max_workers`] and the state count.
+    /// batches too small to amortize a thread, otherwise proportional to the
+    /// per-pass work, capped by [`max_workers`] and the lane count — so a
+    /// one-lane kernel always runs sequentially.
     ///
     /// The choice never affects results — only wall-clock.
     pub fn auto_workers(&self) -> usize {
@@ -306,7 +305,7 @@ impl RelaxKernel {
         }
         (work / WORK_PER_WORKER)
             .min(max_workers())
-            .min(self.num_states)
+            .min(self.lanes)
             .max(1)
     }
 
@@ -316,18 +315,20 @@ impl RelaxKernel {
     /// Returns values in time-major order: `out[t * lanes + k]` is the
     /// probability for `times[t]` under lane `k`, clamped to `[0, 1]`.  Every
     /// lane is computed with its own uniformisation rate, so each lane's
-    /// result is bit-identical to running that lane alone — and, with
-    /// `workers == 1`, bit-identical to the legacy nested-loop relax.  For
-    /// `workers > 1` the relax is split across disjoint state ranges and
-    /// reassembled in index order, which is also bit-identical; the worker
-    /// count never changes the bits.
+    /// result is bit-identical to running that lane alone, and to the
+    /// nested-loop reference relax.  With `workers > 1` the lanes are split
+    /// into at most `workers` contiguous groups, each iterated by the
+    /// sequential driver on its own scoped thread and interleaved back in
+    /// time-major order — so the worker count never changes the bits.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidState`] for an out-of-range `initial`,
-    /// [`Error::DimensionMismatch`] for a wrong `goal` length, and
+    /// [`Error::DimensionMismatch`] for a wrong `goal` length,
     /// [`Error::InvalidValue`] for a negative/NaN time bound or an `epsilon`
-    /// outside `(0, 1)`.
+    /// outside `(0, 1)`, and [`Error::MeanTooLarge`] for a Poisson window no
+    /// pass could finish.  Every check runs before any split, so a split
+    /// call fails exactly like the one-group call.
     pub fn reachability(
         &self,
         initial: usize,
@@ -368,7 +369,7 @@ impl RelaxKernel {
                 terminal[s * l..(s + 1) * l].fill(1.0);
             }
         }
-        self.settle_immediate(goal, &mut terminal, maximise);
+        self.settle_immediate(goal, &mut terminal, maximise, l);
 
         let lambdas = self.uniformisation_rates();
         if self.cols.is_empty() {
@@ -390,14 +391,10 @@ impl RelaxKernel {
             .flat_map(|&t| lambdas.iter().map(move |&lambda| lambda * t))
             .collect();
         let weights = poisson_weights_multi(&means, epsilon)?;
-        let k_max = weights
-            .iter()
-            .map(|w| w.weights.len() - 1)
-            .max()
-            .unwrap_or(0);
+        let k_max = window_end(&weights);
 
         // Loop-invariant uniformised coefficients, hoisted out of the relax:
-        // identical operations to the legacy per-step divisions, evaluated
+        // identical operations to the reference per-step divisions, evaluated
         // once.  stay[s·l + k] = 1 - exit/λ_k, jump[e·l + k] = rate/λ_k.
         let mut stay = vec![0.0f64; n * l];
         for s in 0..n {
@@ -413,124 +410,98 @@ impl RelaxKernel {
         }
 
         let ctx = PassCtx {
+            lanes: l,
             stay,
             jump,
             goal,
             weights,
-            k_max,
             initial,
             maximise,
         };
-        let mut results = vec![0.0f64; times.len() * l];
-        if workers <= 1 || n == 0 || k_max == 0 {
-            self.iterate_sequential(&ctx, terminal, &mut results);
+        RELAX_PASSES.fetch_add(k_max as u64, Ordering::Relaxed);
+        let groups = chunk_ranges(l, workers);
+        let results = if groups.len() <= 1 || k_max == 0 {
+            self.iterate(&ctx, terminal)
         } else {
-            self.iterate_threaded(&ctx, terminal, &mut results, workers);
-        }
+            THREADED_PASSES.fetch_add(k_max as u64, Ordering::Relaxed);
+            self.iterate_groups(&ctx, &terminal, &groups)
+        };
         Ok(results.into_iter().map(|r| r.clamp(0.0, 1.0)).collect())
     }
 
-    /// Sequential value iteration: the single-worker driver of
-    /// [`reachability`](Self::reachability).
-    fn iterate_sequential(&self, ctx: &PassCtx<'_>, terminal: Vec<f64>, results: &mut [f64]) {
+    /// The sequential driver of [`reachability`](Self::reachability): value
+    /// iteration of every lane of `ctx` from `terminal` to the end of its
+    /// longest Poisson window, returning the mixtures in time-major order.
+    fn iterate(&self, ctx: &PassCtx<'_>, terminal: Vec<f64>) -> Vec<f64> {
+        let mut results = vec![0.0f64; ctx.weights.len()];
         let mut value = terminal;
         let mut next = vec![0.0f64; value.len()];
-        accumulate(results, &ctx.weights, 0, &value, ctx.initial, self.lanes);
-        for step in 1..=ctx.k_max {
-            self.relax_chunk(ctx, &value, 0..self.num_states, &mut next);
-            RELAX_PASSES.fetch_add(1, Ordering::Relaxed);
-            self.settle_immediate(ctx.goal, &mut next, ctx.maximise);
+        ctx.accumulate(&mut results, 0, &value);
+        for step in 1..=window_end(&ctx.weights) {
+            self.relax(ctx, &value, &mut next);
+            self.settle_immediate(ctx.goal, &mut next, ctx.maximise, ctx.lanes);
             std::mem::swap(&mut value, &mut next);
-            accumulate(results, &ctx.weights, step, &value, ctx.initial, self.lanes);
+            ctx.accumulate(&mut results, step, &value);
         }
+        results
     }
 
-    /// Multi-threaded value iteration: `workers` persistent scoped threads
-    /// each own a fixed disjoint state range for the whole call.  Per step,
-    /// the coordinating thread ships the (shared, read-only) value vector to
-    /// every worker, collects their chunk buffers, reassembles `next` in
-    /// index order, and runs the immediate fixpoint and Poisson accumulation
-    /// itself — so the operation order, and therefore every bit of the
-    /// result, matches the sequential driver regardless of the worker count.
-    fn iterate_threaded(
+    /// Runs [`iterate`](Self::iterate) once per lane group, each on its own
+    /// scoped thread over that group's slice of `ctx` and `terminal`, and
+    /// interleaves the groups' results back in time-major order.
+    fn iterate_groups(
         &self,
         ctx: &PassCtx<'_>,
-        terminal: Vec<f64>,
-        results: &mut [f64],
-        workers: usize,
-    ) {
-        // One relax job: the shared read-only value vector plus the worker's
-        // reusable chunk buffer.
-        type RelaxJob = (Arc<Vec<f64>>, Vec<f64>);
-        let l = self.lanes;
-        let chunks = chunk_ranges(self.num_states, workers);
-        let workers = chunks.len();
+        terminal: &[f64],
+        groups: &[Range<usize>],
+    ) -> Vec<f64> {
+        let l = ctx.lanes;
+        let mut results = vec![0.0f64; ctx.weights.len()];
         std::thread::scope(|scope| {
-            let (res_tx, res_rx) = mpsc::channel::<(usize, Vec<f64>)>();
-            let mut job_txs: Vec<mpsc::Sender<RelaxJob>> = Vec::with_capacity(workers);
-            for (index, range) in chunks.iter().enumerate() {
-                let (job_tx, job_rx) = mpsc::channel::<RelaxJob>();
-                job_txs.push(job_tx);
-                let res_tx = res_tx.clone();
-                let range = range.clone();
-                let ctx: &PassCtx<'_> = ctx;
-                scope.spawn(move || {
-                    while let Ok((value, mut chunk)) = job_rx.recv() {
-                        self.relax_chunk(ctx, &value, range.clone(), &mut chunk);
-                        // Release the shared value before reporting, so the
-                        // coordinator can reclaim the buffer allocation-free
-                        // once every chunk has arrived.
-                        drop(value);
-                        if res_tx.send((index, chunk)).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(res_tx);
-
-            let mut value = Arc::new(terminal);
-            let mut next = vec![0.0f64; self.num_states * l];
-            let mut chunk_bufs: Vec<Option<Vec<f64>>> = chunks
+            let handles: Vec<_> = groups
                 .iter()
-                .map(|r| Some(vec![0.0f64; r.len() * l]))
+                .map(|group| {
+                    scope.spawn(move || {
+                        let group_ctx = PassCtx {
+                            lanes: group.len(),
+                            stay: lanes_of(&ctx.stay, l, group),
+                            jump: lanes_of(&ctx.jump, l, group),
+                            goal: ctx.goal,
+                            weights: lanes_of(&ctx.weights, l, group),
+                            initial: ctx.initial,
+                            maximise: ctx.maximise,
+                        };
+                        self.iterate(&group_ctx, lanes_of(terminal, l, group))
+                    })
+                })
                 .collect();
-            accumulate(results, &ctx.weights, 0, &value, ctx.initial, l);
-            for step in 1..=ctx.k_max {
-                for (tx, buf) in job_txs.iter().zip(chunk_bufs.iter_mut()) {
-                    let job = (
-                        Arc::clone(&value),
-                        buf.take().expect("chunk buffer returned last step"),
-                    );
-                    tx.send(job).expect("relax worker alive");
+            for (group, handle) in groups.iter().zip(handles) {
+                let part = handle.join().expect("a lane group's relax never panics");
+                for (row, part) in results
+                    .chunks_exact_mut(l)
+                    .zip(part.chunks_exact(group.len()))
+                {
+                    row[group.clone()].copy_from_slice(part);
                 }
-                for _ in 0..workers {
-                    let (index, chunk) = res_rx.recv().expect("relax worker alive");
-                    next[chunks[index].start * l..chunks[index].end * l].copy_from_slice(&chunk);
-                    chunk_bufs[index] = Some(chunk);
-                }
-                RELAX_PASSES.fetch_add(1, Ordering::Relaxed);
-                THREADED_PASSES.fetch_add(1, Ordering::Relaxed);
-                self.settle_immediate(ctx.goal, &mut next, ctx.maximise);
-                // Every worker dropped its Arc clone before reporting, so
-                // make_mut reclaims the buffer without cloning.
-                std::mem::swap(Arc::make_mut(&mut value), &mut next);
-                accumulate(results, &ctx.weights, step, &value, ctx.initial, l);
             }
-            drop(job_txs);
         });
+        results
     }
 
-    /// One relax step over `range`, writing into `out` (of length
-    /// `range.len() × lanes`): goal states pin at 1, immediate states reset
-    /// to 0 for the subsequent fixpoint, Markovian states accumulate
-    /// `stay·v[s] + Σ jump·v[target]` in row order — the exact operation
-    /// sequence of the legacy nested loop, for every lane at once.
-    fn relax_chunk(&self, ctx: &PassCtx<'_>, value: &[f64], range: Range<usize>, out: &mut [f64]) {
-        let l = self.lanes;
-        let base = range.start;
-        for s in range {
-            let dst = &mut out[(s - base) * l..(s - base + 1) * l];
+    /// One relax step over every state, writing into `out`: goal states pin
+    /// at 1, immediate states reset to 0 for the subsequent fixpoint,
+    /// Markovian states accumulate `stay·v[s] + Σ jump·v[target]` in row
+    /// order — the exact operation sequence of the reference nested loop, for
+    /// every lane of `ctx` at once.
+    ///
+    /// Kept out of line: inlined into the step loop of
+    /// [`iterate`](Self::iterate), a one-lane CAS query ran about 30% slower
+    /// (release build, 2-vCPU x86-64 host).
+    #[inline(never)]
+    fn relax(&self, ctx: &PassCtx<'_>, value: &[f64], out: &mut [f64]) {
+        let l = ctx.lanes;
+        for s in 0..self.num_states {
+            let dst = &mut out[s * l..(s + 1) * l];
             if ctx.goal[s] {
                 dst.fill(1.0);
                 continue;
@@ -556,13 +527,12 @@ impl RelaxKernel {
     }
 
     /// Resolves immediate states by iterating the scheduler optimisation to a
-    /// fixpoint, per lane, in state order — the batched form of the legacy
-    /// `settle_immediate`.  Lanes are independent: a lane that has settled is
-    /// left untouched by the extra rounds another lane may need, so each
-    /// lane's bits match a solo run.
-    fn settle_immediate(&self, goal: &[bool], value: &mut [f64], maximise: bool) {
+    /// fixpoint, per lane of `value` (`l` of them), in state order — the
+    /// batched form of the reference relax's settle step.  Lanes are
+    /// independent: a lane that has settled is left untouched by the extra
+    /// rounds another lane may need, so each lane's bits match a solo run.
+    fn settle_immediate(&self, goal: &[bool], value: &mut [f64], maximise: bool, l: usize) {
         let n = self.num_states;
-        let l = self.lanes;
         for _ in 0..n {
             let mut changed = false;
             for s in 0..n {
@@ -598,36 +568,50 @@ impl RelaxKernel {
     }
 }
 
-/// The loop-invariant context of one reachability call.
+/// The loop-invariant context of one reachability call, or of one lane
+/// group of it.  Every per-lane array is lane-minor over `lanes` lanes.
 struct PassCtx<'a> {
+    lanes: usize,
     stay: Vec<f64>,
     jump: Vec<f64>,
     goal: &'a [bool],
     /// Time-major Poisson windows: `weights[t * lanes + k]`.
     weights: Vec<PoissonWeights>,
-    k_max: usize,
     initial: usize,
     maximise: bool,
 }
 
-/// Adds step `step`'s Poisson-weighted contribution of the initial state to
-/// every (time, lane) accumulator.
-fn accumulate(
-    results: &mut [f64],
-    weights: &[PoissonWeights],
-    step: usize,
-    value: &[f64],
-    initial: usize,
-    lanes: usize,
-) {
-    let at_initial = &value[initial * lanes..(initial + 1) * lanes];
-    for (result, w) in results.chunks_exact_mut(lanes).zip(weights.chunks(lanes)) {
-        for k in 0..lanes {
-            if let Some(&weight) = w[k].weights.get(step) {
-                result[k] += weight * at_initial[k];
+impl PassCtx<'_> {
+    /// Adds step `step`'s Poisson-weighted contribution of the initial state
+    /// to every (time, lane) accumulator.
+    fn accumulate(&self, results: &mut [f64], step: usize, value: &[f64]) {
+        let l = self.lanes;
+        let at_initial = &value[self.initial * l..(self.initial + 1) * l];
+        for (result, w) in results.chunks_exact_mut(l).zip(self.weights.chunks(l)) {
+            for k in 0..l {
+                if let Some(&weight) = w[k].weights.get(step) {
+                    result[k] += weight * at_initial[k];
+                }
             }
         }
     }
+}
+
+/// The last uniformised step any window of `weights` reaches.
+fn window_end(weights: &[PoissonWeights]) -> usize {
+    weights
+        .iter()
+        .map(|w| w.weights.len() - 1)
+        .max()
+        .unwrap_or(0)
+}
+
+/// The lanes `group` of a lane-minor array (`a[i * lanes + k]`), in the same
+/// layout over `group.len()` lanes.
+fn lanes_of<T: Clone>(a: &[T], lanes: usize, group: &Range<usize>) -> Vec<T> {
+    a.chunks_exact(lanes)
+        .flat_map(|row| row[group.clone()].iter().cloned())
+        .collect()
 }
 
 /// Splits `0..n` into at most `workers` contiguous, near-equal ranges.
@@ -649,6 +633,7 @@ fn chunk_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poisson::poisson_weights;
     use crate::Ctmdp;
 
     /// Deterministic xorshift64*; good enough to generate varied models.
@@ -673,15 +658,12 @@ mod tests {
         }
     }
 
-    /// A random small CTMDP: mixed Markovian/immediate states, some goals.
-    /// Kept tiny (n ≤ 32) so the whole module stays Miri-friendly.
-    fn random_ctmdp(seed: u64, n: usize) -> Ctmdp {
-        let (states, initial, goal) = random_parts(seed, n);
-        Ctmdp::new(states, initial, goal).unwrap()
-    }
-
-    /// The states, initial state and goal set of [`random_ctmdp`].
-    fn random_parts(seed: u64, n: usize) -> (Vec<CtmdpState>, usize, Vec<bool>) {
+    /// The states, initial state and goal set of a random small CTMDP:
+    /// mixed Markovian/immediate states, some goals, and at most
+    /// `max_succs - 1` immediate successors per state (`max_succs == 2` gives
+    /// a deterministic model).  Kept tiny (n ≤ 32) so the whole module stays
+    /// Miri-friendly.
+    fn random_parts(seed: u64, n: usize, max_succs: usize) -> (Vec<CtmdpState>, usize, Vec<bool>) {
         let mut rng = Rng(seed | 1);
         let states = (0..n)
             .map(|_| {
@@ -693,13 +675,126 @@ mod tests {
                             .collect(),
                     )
                 } else {
-                    let succs = rng.below(4);
+                    let succs = rng.below(max_succs);
                     CtmdpState::Immediate((0..succs).map(|_| rng.below(n) as u32).collect())
                 }
             })
             .collect();
         let goal = (0..n).map(|_| rng.unit() < 0.2).collect();
         (states, rng.below(n), goal)
+    }
+
+    /// One kernel over `states` with one lane per scale: lane `k` multiplies
+    /// every Markovian rate by `scales[k]`.
+    fn scaled_kernel(states: &[CtmdpState], scales: &[f64]) -> RelaxKernel {
+        let mut lane_rates = Vec::new();
+        for st in states {
+            if let CtmdpState::Markovian(row) = st {
+                for &(_, rate) in row {
+                    lane_rates.extend(scales.iter().map(|scale| rate * scale));
+                }
+            }
+        }
+        RelaxKernel::from_template(states, &lane_rates, scales.len()).unwrap()
+    }
+
+    /// The original nested-loop value iteration over a state vector: the
+    /// reference the kernel must match bit for bit.  The goal states count
+    /// at zero remaining steps, immediate states settle by the scheduler
+    /// fixpoint, and each time bound accumulates its Poisson mixture of the
+    /// initial state's step values.
+    fn reference_reachability(
+        states: &[CtmdpState],
+        initial: usize,
+        goal: &[bool],
+        times: &[f64],
+        epsilon: f64,
+        maximise: bool,
+    ) -> Result<Vec<f64>> {
+        for &t in times {
+            if !t.is_finite() || t < 0.0 {
+                return Err(Error::InvalidValue { value: t });
+            }
+        }
+        let n = states.len();
+        let exit = |st: &CtmdpState| match st {
+            CtmdpState::Markovian(rates) => rates.iter().map(|&(_, r)| r).sum(),
+            CtmdpState::Immediate(_) => 0.0,
+        };
+        let lambda = states.iter().map(exit).fold(0.0, f64::max);
+        // Chains of immediate states are bounded by the state count, so `n`
+        // rounds suffice; immediate cycles settle at their pessimistic value.
+        let settle = |value: &mut [f64]| {
+            for _ in 0..n {
+                let mut changed = false;
+                for s in 0..n {
+                    if goal[s] {
+                        continue;
+                    }
+                    if let CtmdpState::Immediate(succs) = &states[s] {
+                        if succs.is_empty() {
+                            continue;
+                        }
+                        let candidate = succs.iter().map(|&t| value[t as usize]).fold(
+                            if maximise {
+                                f64::NEG_INFINITY
+                            } else {
+                                f64::INFINITY
+                            },
+                            |a, b| if maximise { a.max(b) } else { a.min(b) },
+                        );
+                        if (candidate - value[s]).abs() > 1e-15 {
+                            value[s] = candidate;
+                            changed = true;
+                        }
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+        };
+
+        let mut value: Vec<f64> = goal.iter().map(|&g| if g { 1.0 } else { 0.0 }).collect();
+        settle(&mut value);
+        if lambda == 0.0 {
+            return Ok(vec![value[initial]; times.len()]);
+        }
+        let weights = times
+            .iter()
+            .map(|&t| poisson_weights(lambda * t, epsilon))
+            .collect::<Result<Vec<_>>>()?;
+        let k_max = weights
+            .iter()
+            .map(|w| w.weights.len() - 1)
+            .max()
+            .unwrap_or(0);
+        let mut results: Vec<f64> = weights
+            .iter()
+            .map(|w| w.weights[0] * value[initial])
+            .collect();
+        for k in 1..=k_max {
+            let mut next = vec![0.0; n];
+            for s in 0..n {
+                if goal[s] {
+                    next[s] = 1.0;
+                } else if let CtmdpState::Markovian(rates) = &states[s] {
+                    let mut acc = (1.0 - exit(&states[s]) / lambda) * value[s];
+                    for &(target, rate) in rates {
+                        acc += rate / lambda * value[target as usize];
+                    }
+                    next[s] = acc;
+                }
+            }
+            settle(&mut next);
+            value = next;
+            for (result, w) in results.iter_mut().zip(weights.iter()) {
+                if let Some(&weight) = w.weights.get(k) {
+                    *result += weight * value[initial];
+                }
+            }
+        }
+        Ok(results.into_iter().map(|r| r.clamp(0.0, 1.0)).collect())
     }
 
     const TIMES: [f64; 3] = [0.0, 0.3, 1.1];
@@ -761,11 +856,12 @@ mod tests {
     #[test]
     fn kernel_matches_legacy_bit_for_bit_on_random_models() {
         for seed in [3u64, 17, 2026, 0xBEEF] {
-            let mdp = random_ctmdp(seed, 24);
+            let (states, initial, goal) = random_parts(seed, 24, 4);
+            let mdp = Ctmdp::new(states.clone(), initial, goal.clone()).unwrap();
             for maximise in [false, true] {
-                let legacy = mdp
-                    .reachability_extremal_multi_legacy(&TIMES, 1e-10, maximise)
-                    .unwrap();
+                let legacy =
+                    reference_reachability(&states, initial, &goal, &TIMES, 1e-10, maximise)
+                        .unwrap();
                 let fast = if maximise {
                     mdp.reachability_max_multi(&TIMES, 1e-10).unwrap()
                 } else {
@@ -782,24 +878,10 @@ mod tests {
     fn batched_lanes_match_scalar_models_bit_for_bit() {
         // One shared structure, three rate scalings: lane k must reproduce a
         // standalone Ctmdp with the same rates exactly.
-        let (states, initial, goal) = random_parts(42, 20);
+        let (states, initial, goal) = random_parts(42, 20, 4);
         let scales = [1.0, 1.35, 0.8];
         let lanes = scales.len();
-        let edges: Vec<(usize, u32, f64)> = states
-            .iter()
-            .enumerate()
-            .flat_map(|(s, st)| match st {
-                CtmdpState::Markovian(row) => row.iter().map(move |&(t, r)| (s, t, r)).collect(),
-                CtmdpState::Immediate(_) => Vec::new(),
-            })
-            .collect();
-        let mut lane_rates = Vec::with_capacity(edges.len() * lanes);
-        for &(_, _, r) in &edges {
-            for &scale in &scales {
-                lane_rates.push(r * scale);
-            }
-        }
-        let kernel = RelaxKernel::from_template(&states, &lane_rates, lanes).unwrap();
+        let kernel = scaled_kernel(&states, &scales);
         for workers in [1usize, 3] {
             let batched = kernel
                 .reachability(initial, &goal, &TIMES, 1e-10, true, workers)
@@ -831,24 +913,51 @@ mod tests {
         }
     }
 
+    /// Lane scales of the threading tests: 7 lanes, a count no worker count
+    /// below it divides, with a repeated scale to share Poisson windows.
+    const SCALES: [f64; 7] = [1.0, 0.6, 1.35, 2.2, 0.8, 1.35, 0.25];
+
     #[test]
     fn worker_count_never_changes_the_bits() {
-        for seed in [5u64, 99] {
-            let (states, initial, goal) = random_parts(seed, 32);
-            let kernel = RelaxKernel::from_states(&states);
+        // Deterministic (at most one immediate successor) and
+        // nondeterministic batched models.
+        for (seed, max_succs) in [(5u64, 2usize), (99, 4), (31, 4)] {
+            let (states, initial, goal) = random_parts(seed, 24, max_succs);
+            let kernel = scaled_kernel(&states, &SCALES);
             for maximise in [false, true] {
                 let reference = kernel
                     .reachability(initial, &goal, &TIMES, 1e-9, maximise, 1)
                     .unwrap();
-                for workers in [2usize, 4] {
+                for workers in [2usize, 3, 4, SCALES.len()] {
+                    let before = stats().threaded_passes;
                     let threaded = kernel
                         .reachability(initial, &goal, &TIMES, 1e-9, maximise, workers)
                         .unwrap();
+                    assert!(stats().threaded_passes > before, "workers {workers} split");
                     for (a, b) in reference.iter().zip(&threaded) {
                         assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} workers {workers}");
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_failing_lane_fails_every_worker_count_alike() {
+        // The last lane's Poisson mean (rate × 1e12 × 1.1) is far above
+        // `MAX_MEAN`; a split call must report the one-group call's error.
+        let (states, initial, goal) = random_parts(99, 24, 4);
+        let mut scales = SCALES.to_vec();
+        scales.push(1e12);
+        let kernel = scaled_kernel(&states, &scales);
+        let reference = kernel.reachability(initial, &goal, &TIMES, 1e-9, true, 1);
+        assert!(
+            matches!(reference, Err(Error::MeanTooLarge { .. })),
+            "{reference:?}"
+        );
+        for workers in [2usize, 3, 4, scales.len()] {
+            let split = kernel.reachability(initial, &goal, &TIMES, 1e-9, true, workers);
+            assert_eq!(split, reference, "workers {workers}");
         }
     }
 
@@ -896,21 +1005,16 @@ mod tests {
 
     #[test]
     fn no_markovian_edges_short_circuits_like_legacy() {
-        let mdp = Ctmdp::new(
-            vec![
-                CtmdpState::Immediate(vec![1]),
-                CtmdpState::Immediate(vec![]),
-            ],
-            0,
-            vec![false, false],
-        )
-        .unwrap();
+        let states = vec![
+            CtmdpState::Immediate(vec![1]),
+            CtmdpState::Immediate(vec![]),
+        ];
+        let goal = vec![false, false];
+        let mdp = Ctmdp::new(states.clone(), 0, goal.clone()).unwrap();
         // Epsilon is not validated on this path, matching the legacy shortcut.
         let r = mdp.reachability_max_multi(&TIMES, 0.0).unwrap();
         assert_eq!(r, vec![0.0; TIMES.len()]);
-        let legacy = mdp
-            .reachability_extremal_multi_legacy(&TIMES, 0.0, true)
-            .unwrap();
+        let legacy = reference_reachability(&states, 0, &goal, &TIMES, 0.0, true).unwrap();
         assert_eq!(r, legacy);
     }
 
@@ -939,15 +1043,16 @@ mod tests {
 
     #[test]
     fn stats_and_worker_cap_round_trip() {
+        let (states, initial, goal) = random_parts(11, 16, 4);
+        let kernel = scaled_kernel(&states, &SCALES[..3]);
         let before = stats();
-        let (states, initial, goal) = random_parts(11, 16);
-        let kernel = RelaxKernel::from_states(&states);
         kernel
             .reachability(initial, &goal, &[0.5], 1e-9, true, 2)
             .unwrap();
         let after = stats();
         assert!(after.relax_passes > before.relax_passes);
         assert!(after.threaded_passes > before.threaded_passes);
+        assert!(after.batched_calls > before.batched_calls);
         // The cap setter round-trips and 0 restores the host default.
         set_max_workers(3);
         assert_eq!(max_workers(), 3);

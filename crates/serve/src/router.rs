@@ -494,6 +494,12 @@ mod tests {
                 ("epsilon", (-1.0).into()),
             ])
             .render(),
+            &Json::obj([
+                ("galileo", TREE.into()),
+                ("measures", Json::Arr(Vec::new())),
+                ("epsilon", (1.5).into()),
+            ])
+            .render(),
         ] {
             let reply = router.handle(&post("/submit", body));
             assert_eq!(reply.status, 400, "{body} -> {}", reply.body);

@@ -48,7 +48,8 @@ in <start>..<end> step <step>
     --queries <file>      A file of query lines (one per line; blank lines
                           and lines starting with '#' are skipped).
     --method <name>       compositional | monolithic | hybrid  [default: hybrid]
-    --epsilon <e>         Truncation error of the transient analysis.
+    --epsilon <e>         Truncation error of the transient analysis and
+                          tolerance of the steady-state solvers, in (0, 1).
     --store <dir>         Persistent model store shared across runs and with
                           dftmc-serve: a tree analyzed once is a disk read
                           ever after.
@@ -146,12 +147,12 @@ fn run(args: &[String]) -> Result<String, Fatal> {
                     .map_err(|e| usage_error(e.to_string()))?;
             }
             "--epsilon" => {
-                let raw = value("a positive number")?;
+                let raw = value("a number between 0 and 1")?;
                 let parsed: f64 = raw
                     .parse()
                     .map_err(|_| usage_error(format!("cannot parse epsilon '{raw}'")))?;
-                if !parsed.is_finite() || parsed <= 0.0 {
-                    return Err(usage_error("epsilon must be a positive finite number"));
+                if !(parsed > 0.0 && parsed < 1.0) {
+                    return Err(usage_error("epsilon must lie strictly between 0 and 1"));
                 }
                 epsilon = Some(parsed);
             }

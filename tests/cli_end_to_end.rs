@@ -194,4 +194,19 @@ fn usage_and_input_errors_use_distinct_exit_codes() {
     ]);
     assert_eq!(bad_method.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&bad_method.stderr).contains("method"));
+
+    // An epsilon of 1 or more is no truncation error: a usage problem, not
+    // a silently wrong MTTF.
+    for epsilon in ["1.5", "1.0"] {
+        let bad_epsilon = dftmc(&[
+            "run",
+            "tests/fixtures/corpus/hecs.dft",
+            "--epsilon",
+            epsilon,
+            "--query",
+            "mttf",
+        ]);
+        assert_eq!(bad_epsilon.status.code(), Some(2), "epsilon {epsilon}");
+        assert!(String::from_utf8_lossy(&bad_epsilon.stderr).contains("epsilon"));
+    }
 }

@@ -10,10 +10,12 @@
 
 use dftmc::dft::{DftBuilder, Dormancy};
 use dftmc::dft_core::analysis::AnalysisOptions;
+use dftmc::dft_core::casestudies::cps;
 use dftmc::dft_core::engine::{Analyzer, ParametricAnalyzer};
 use dftmc::dft_core::parametric::{ParamKind, Valuation};
-use dftmc::dft_core::query::{Measure, MeasureResult};
+use dftmc::dft_core::query::{Measure, MeasurePoint, MeasureResult};
 use dftmc::dft_core::Error;
+use dftmc::markov::kernel;
 
 mod common;
 use common::{build_static_tree, random_recipe, Gen};
@@ -278,4 +280,37 @@ fn base_valuation_reproduces_the_original_tree() {
     let ours = session.unreliability(1.0).unwrap();
     let reference = direct.unreliability(1.0).unwrap();
     assert_close(ours.value(), reference.value(), "base valuation");
+}
+
+/// The first engine sweep wide enough for the kernel to split: five CPS
+/// valuations pass `auto_workers`' threshold, so at a cap of 2 workers the
+/// batched pass runs as two lane groups — with the bits of the cap-1 pass.
+#[test]
+fn wide_cps_sweeps_split_into_lane_groups_with_the_same_bits() {
+    let parametric = ParametricAnalyzer::new(&cps(), AnalysisOptions::default()).unwrap();
+    let valuations: Vec<Valuation> = [0.5, 0.8, 1.0, 1.6, 2.5]
+        .iter()
+        .map(|&s| parametric.params().scaled_valuation(s))
+        .collect();
+    let measures = [Measure::curve([0.25, 0.5, 1.0])];
+    let sweep_at = |cap: usize| {
+        kernel::set_max_workers(cap);
+        let before = kernel::stats().threaded_passes;
+        let sweep = parametric.sweep_query(&measures, &valuations);
+        (sweep, kernel::stats().threaded_passes - before)
+    };
+    let (sequential, _) = sweep_at(1);
+    let (split, threaded_passes) = sweep_at(2);
+    kernel::set_max_workers(0);
+    assert!(threaded_passes > 0, "the cap-2 sweep ran on lane groups");
+    for (k, (a, b)) in sequential.results().iter().zip(split.results()).enumerate() {
+        let (a, b) = (&a.as_ref().unwrap()[0], &b.as_ref().unwrap()[0]);
+        for (p, q) in a.points().iter().zip(b.points()) {
+            let bits = |p: &MeasurePoint| {
+                let (lo, hi) = p.bounds();
+                (p.point().map(f64::to_bits), lo.to_bits(), hi.to_bits())
+            };
+            assert_eq!(bits(p), bits(q), "valuation {k}");
+        }
+    }
 }
