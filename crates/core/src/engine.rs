@@ -181,7 +181,17 @@ fn aggregate_and_close<R: Rate>(
             ..AggregationOptions::default()
         },
     )?;
-    let closed = minimize(&drop_input_transitions(&final_model));
+    // `aggregate` (which minimises every element) returns a `minimize` output,
+    // and `minimize` is idempotent.  So when closing drops no input
+    // transition, the closed model is already minimal: minimising it again
+    // would only rename it.
+    let closed = if final_model.interactive().iter().any(|t| t.label.is_input()) {
+        minimize(&drop_input_transitions(&final_model))
+    } else {
+        let mut closed = drop_input_transitions(&final_model);
+        closed.set_name(format!("min({})", final_model.name()));
+        closed
+    };
 
     let can = can_fire_immediately(&closed, top_failure);
     let must = must_fire_immediately(&closed, top_failure);

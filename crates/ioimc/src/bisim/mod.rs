@@ -16,7 +16,13 @@
 //!    The computed equivalence refines (is contained in) weak bisimilarity for
 //!    I/O-IMCs, so the quotient preserves every measure the paper computes
 //!    (time-bounded reachability of failure, steady-state unavailability).
-//! 4. The pipeline is iterated until the state count no longer shrinks.
+//! 4. The pipeline is iterated while a round shrinks the model (states plus
+//!    transitions).  [`minimize`] stops as soon as it can prove that a round
+//!    would change nothing: no state is vanishing, the partition is discrete,
+//!    and the model has no internal self-loop, no urgent Markovian transition
+//!    and no two Markovian transitions between the same pair of states.  The
+//!    quotient is then the model itself, and every other round strictly
+//!    shrinks the model, so the result is a fixpoint of the pipeline.
 //!
 //! [`refine`] and [`quotient`] also offer strong bisimulation (no abstraction
 //! of internal steps) through their `weak` flag; [`minimize`] always runs the
@@ -32,9 +38,14 @@ pub use tau_elim::eliminate_deterministic_tau;
 
 use crate::model::IoImcOf;
 use crate::rate::Rate;
+use tau_elim::is_vanishing;
 
 /// Aggregates `model` modulo (branching-style) weak bisimulation with maximal
 /// progress, returning an equivalent model with at most as many states.
+///
+/// The result is a fixpoint: `minimize` is idempotent up to the model name,
+/// so minimising its output again returns the same states and transitions
+/// bit for bit.
 ///
 /// # Examples
 ///
@@ -57,16 +68,33 @@ use crate::rate::Rate;
 /// # }
 /// ```
 pub fn minimize<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
-    let mut current = cut_maximal_progress(model);
-    current = current.restrict_to_reachable();
+    let mut current = if has_urgent_rates(model) {
+        cut_maximal_progress(model).restrict_to_reachable()
+    } else {
+        model.restrict_to_reachable()
+    };
     loop {
         let before = current.num_states() + current.num_transitions();
-        current = eliminate_deterministic_tau(&current);
+        let vanishing = current.states().any(|s| is_vanishing(&current, s));
+        if vanishing {
+            current = eliminate_deterministic_tau(&current);
+        }
         let part = refine(&current, true);
+        if !vanishing
+            && part.num_blocks as usize == current.num_states()
+            && is_quotient_fixed(&current)
+        {
+            // The rest of the round would give `current` back unchanged.
+            break;
+        }
         current = quotient(&current, &part, true);
         current = cut_maximal_progress(&current);
         current = current.restrict_to_reachable();
         let after = current.num_states() + current.num_transitions();
+        debug_assert!(
+            after < before,
+            "a round that changes nothing is caught before the quotient"
+        );
         if after >= before {
             break;
         }
@@ -76,15 +104,46 @@ pub fn minimize<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
     result
 }
 
+/// Whether some urgent state of `model` has a Markovian transition, which
+/// [`cut_maximal_progress`] would remove.
+fn has_urgent_rates<R: Rate>(model: &IoImcOf<R>) -> bool {
+    model
+        .states()
+        .any(|s| !model.markovian_from(s).is_empty() && model.is_urgent(s))
+}
+
+/// Whether the weak quotient of `model` under its discrete partition is
+/// `model` itself: no state has an internal self-loop (which the quotient
+/// drops), no urgent state has a Markovian transition (which the quotient
+/// and maximal progress drop), and no two Markovian transitions share source
+/// and target (which the quotient sums).  Each block's rates then come from
+/// its single member, added onto [`Rate::zero`], which leaves them unchanged.
+fn is_quotient_fixed<R: Rate>(model: &IoImcOf<R>) -> bool {
+    !has_urgent_rates(model)
+        && model.states().all(|s| {
+            let self_loop = model
+                .interactive_from(s)
+                .iter()
+                .any(|t| t.label.is_internal() && t.to == s);
+            let parallel_rates = model
+                .markovian_from(s)
+                .windows(2)
+                .any(|pair| pair[0].to == pair[1].to);
+            !self_loop && !parallel_rates
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::action::Action;
     use crate::builder::IoImcBuilder;
+    use crate::codec::{encode_model, RateCodec, Writer};
     use crate::compose::compose;
     use crate::hide::hide;
     use crate::model::IoImc;
     use crate::model::Label;
+    use crate::rate::RateForm;
 
     fn act(n: &str) -> Action {
         Action::new(n)
@@ -234,14 +293,108 @@ mod tests {
         assert_eq!(red.states_with_prop(down).len(), 1);
     }
 
+    /// The codec bytes of `model` under a fixed name.
+    fn bytes_of<R: RateCodec>(model: &IoImcOf<R>) -> Vec<u8> {
+        let mut model = model.clone();
+        model.set_name("m");
+        let mut w = Writer::new();
+        encode_model(&model, &mut w);
+        w.into_bytes()
+    }
+
+    fn assert_idempotent<R: RateCodec>(model: &IoImcOf<R>) {
+        let once = minimize(model);
+        let twice = minimize(&once);
+        assert_eq!(bytes_of(&once), bytes_of(&twice), "model {}", model.name());
+    }
+
     #[test]
     fn minimisation_is_idempotent() {
         let (ma, mb) = figure2();
         let composed = compose(&ma, &mb).unwrap();
         let hidden = hide(&composed, &[act("bisim_fig2_a")]).unwrap();
-        let once = minimize(&hidden);
-        let twice = minimize(&once);
-        assert_eq!(once.num_states(), twice.num_states());
-        assert_eq!(once.num_transitions(), twice.num_transitions());
+        assert_idempotent(&hidden);
+        for seed in 0..64 {
+            let model = random_model(seed);
+            assert_idempotent(&model);
+            assert_idempotent(&lift(&model));
+        }
+    }
+
+    /// SplitMix64, the seeded generator behind [`random_model`].
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        /// A uniform index in `0..n`.
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A random I/O-IMC of 2 to 24 states over small action pools.
+    ///
+    /// Rates come from a three-value set, so equal-rate branches (lumpable)
+    /// and parallel transitions are common; about a third of the states race
+    /// an immediate move against a Markovian one (urgent states whose rates
+    /// maximal progress cuts); internal targets are uniform, so internal
+    /// chains, cycles and self-loops occur.
+    pub(super) fn random_model(seed: u64) -> IoImc {
+        const RATES: [f64; 3] = [0.5, 1.0, 2.0];
+        let pool = |kind: &str| -> Vec<Action> {
+            (0..3)
+                .map(|i| act(&format!("bisim_random_{kind}{i}")))
+                .collect()
+        };
+        let (inputs, outputs, taus) = (pool("in"), pool("out"), pool("tau"));
+        let mut rng = SplitMix64(seed);
+        let n = 2 + rng.below(23);
+        let mut b = IoImcBuilder::new(format!("random{seed}"));
+        let s = b.add_states(n);
+        b.initial(s[0]);
+        let down = b.prop("down");
+        let up = b.prop("up");
+        for &from in &s {
+            match rng.below(6) {
+                0 => {
+                    b.internal(from, taus[rng.below(3)], s[rng.below(n)]);
+                }
+                1 => {
+                    b.output(from, outputs[rng.below(3)], s[rng.below(n)]);
+                    b.markovian(from, RATES[rng.below(3)], s[rng.below(n)]);
+                }
+                2 => {
+                    b.internal(from, taus[rng.below(3)], s[rng.below(n)]);
+                    b.internal(from, taus[rng.below(3)], s[rng.below(n)]);
+                    b.markovian(from, RATES[rng.below(3)], s[rng.below(n)]);
+                }
+                _ => {}
+            }
+            for _ in 0..rng.below(3) {
+                b.markovian(from, RATES[rng.below(3)], s[rng.below(n)]);
+            }
+            if rng.below(3) == 0 {
+                b.input(from, inputs[rng.below(3)], s[rng.below(n)]);
+            }
+            match rng.below(8) {
+                0 => {
+                    b.set_prop(from, down);
+                }
+                1 => {
+                    b.set_prop(from, up);
+                }
+                _ => {}
+            }
+        }
+        b.build().expect("random model is well-formed")
+    }
+
+    /// Lifts rate r to the form r·λ_k, with the slot chosen by the rate, so
+    /// equal numeric rates stay equal forms.
+    pub(super) fn lift(model: &IoImc) -> IoImcOf<RateForm> {
+        model.map_rates(|&r| RateForm::scaled_var((r * 2.0) as u32 % 3, r))
     }
 }

@@ -21,8 +21,8 @@
 //!
 //! Each refinement round re-signs every state under the current partition and
 //! renumbers the blocks by signature, in state order, until the block count
-//! stops growing.  A signature is a run of `u64` words in one arena that is
-//! reused across rounds:
+//! stops growing or every state is its own block.  A signature is a run of
+//! `u64` words in one arena that is reused across rounds:
 //!
 //! ```text
 //! old block, #moves, move…, #rate maps, (#entries, entry…)…
@@ -282,28 +282,17 @@ impl<R: Rate> Signer<R> {
 /// The initial partition separates states by their atomic-proposition labelling, so
 /// proposition-labelled states (e.g. the "system down" marker used for
 /// unavailability analysis) are never merged with unlabelled ones.  Blocks are
-/// numbered in order of their smallest member state.
+/// numbered in order of their smallest member state.  Refinement stops as soon
+/// as the partition is discrete (one block per state), which it then stays.
 pub fn refine<R: Rate>(model: &IoImcOf<R>, weak: bool) -> Partition {
     let n = model.num_states();
-    if n == 0 {
-        return Partition {
-            block_of: Vec::new(),
-            num_blocks: 0,
-        };
-    }
-
-    // Initial partition: by proposition mask.
-    let mut block_of: Vec<u32> = vec![0; n];
-    let mut prop_blocks: HashMap<u64, u32> = HashMap::new();
-    for s in model.states() {
-        let next = prop_blocks.len() as u32;
-        block_of[s.index()] = *prop_blocks.entry(model.prop_mask(s)).or_insert(next);
-    }
-    let mut num_blocks = prop_blocks.len() as u32;
-
+    let (mut block_of, mut num_blocks) = proposition_partition(model);
     let mut signer = Signer::new(model, weak);
     let mut next_block_of: Vec<u32> = vec![0; n];
-    loop {
+    // A discrete partition is stable: every signature starts with the state's
+    // own block, and blocks are numbered by first-seen state, so another
+    // round would only give `block_of[s] = s` again.
+    while (num_blocks as usize) < n {
         signer.sign_all(model, &block_of);
         let mut sig_blocks: HashMap<&[u64], u32> = HashMap::with_capacity(n);
         for (s, next) in next_block_of.iter_mut().enumerate() {
@@ -322,6 +311,19 @@ pub fn refine<R: Rate>(model: &IoImcOf<R>, weak: bool) -> Partition {
         block_of,
         num_blocks,
     }
+}
+
+/// The initial partition of [`refine`]: states grouped by proposition mask,
+/// blocks numbered by first-seen state.  Returns `block_of` and the block
+/// count.
+fn proposition_partition<R: Rate>(model: &IoImcOf<R>) -> (Vec<u32>, u32) {
+    let mut block_of: Vec<u32> = vec![0; model.num_states()];
+    let mut prop_blocks: HashMap<u64, u32> = HashMap::new();
+    for s in model.states() {
+        let next = prop_blocks.len() as u32;
+        block_of[s.index()] = *prop_blocks.entry(model.prop_mask(s)).or_insert(next);
+    }
+    (block_of, prop_blocks.len() as u32)
 }
 
 /// Builds the quotient model of `model` under `partition`.
@@ -529,6 +531,74 @@ mod tests {
             let p = refine(&m, weak);
             assert_eq!(p.block_of, vec![0, 1, 2, 0, 1, 3]);
             assert_eq!(p.num_blocks, 4);
+        }
+    }
+
+    /// The refinement loop without the discrete-partition stop: it always
+    /// runs until a round adds no block.
+    fn refine_reference<R: Rate>(model: &IoImcOf<R>, weak: bool) -> Partition {
+        let (mut block_of, mut num_blocks) = proposition_partition(model);
+        let mut signer = Signer::new(model, weak);
+        let mut next_block_of: Vec<u32> = vec![0; model.num_states()];
+        loop {
+            signer.sign_all(model, &block_of);
+            let mut sig_blocks: HashMap<&[u64], u32> = HashMap::new();
+            for (s, next) in next_block_of.iter_mut().enumerate() {
+                let fresh = sig_blocks.len() as u32;
+                *next = *sig_blocks.entry(signer.signature(s)).or_insert(fresh);
+            }
+            let stable = sig_blocks.len() as u32 == num_blocks;
+            num_blocks = sig_blocks.len() as u32;
+            std::mem::swap(&mut block_of, &mut next_block_of);
+            if stable {
+                return Partition {
+                    block_of,
+                    num_blocks,
+                };
+            }
+        }
+    }
+
+    #[test]
+    fn refine_matches_the_reference_loop() {
+        use crate::bisim::tests::{lift, random_model};
+        for seed in 0..256 {
+            let model = random_model(seed);
+            let lifted = lift(&model);
+            for weak in [false, true] {
+                assert_eq!(
+                    refine(&model, weak),
+                    refine_reference(&model, weak),
+                    "seed {seed}, weak {weak}"
+                );
+                assert_eq!(
+                    refine(&lifted, weak),
+                    refine_reference(&lifted, weak),
+                    "seed {seed}, weak {weak}, parametric"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_discrete_proposition_partition_is_returned_as_is() {
+        // Three states with three different labellings: the initial partition
+        // is already discrete, so it is the answer, whatever the transitions.
+        let mut b = IoImcBuilder::new("m");
+        let s = b.add_states(3);
+        b.initial(s[0]);
+        b.markovian(s[0], 1.0, s[1]);
+        b.markovian(s[0], 1.0, s[2]);
+        b.internal(s[1], act("part_tau_discrete"), s[2]);
+        let down = b.prop("down");
+        let up = b.prop("up");
+        b.set_prop(s[1], down);
+        b.set_prop(s[2], up);
+        let m = b.build().unwrap();
+        for weak in [false, true] {
+            let p = refine(&m, weak);
+            assert_eq!(p.block_of, vec![0, 1, 2]);
+            assert_eq!(p.num_blocks, 3);
         }
     }
 

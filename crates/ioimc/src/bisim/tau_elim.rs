@@ -12,7 +12,7 @@ use crate::rate::Rate;
 /// Returns `true` if `state` is a *vanishing* state: its only outgoing behaviour is
 /// exactly one internal transition (no inputs, no outputs, no Markovian
 /// transitions) and it carries no atomic proposition.
-fn is_vanishing<R: Rate>(model: &IoImcOf<R>, state: StateId) -> bool {
+pub(crate) fn is_vanishing<R: Rate>(model: &IoImcOf<R>, state: StateId) -> bool {
     if model.prop_mask(state) != 0 {
         return false;
     }
@@ -36,17 +36,23 @@ pub fn eliminate_deterministic_tau<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
         }
     }
 
-    // Resolve chains with cycle detection: resolve(s) follows forward pointers
-    // until a non-vanishing state or a cycle is found.
+    // Resolve chains with cycle detection: from each unresolved state, follow
+    // forward pointers until a non-vanishing state, a resolved state or a
+    // cycle is found, then resolve the whole path to that target.  The path
+    // buffer is reused, and `on_path[s] == start` marks the states on the
+    // path from `start`, so a chain of L vanishing states costs O(L).
     let mut resolved: Vec<Option<StateId>> = vec![None; n];
-    let resolve = |start: StateId,
-                   forward: &[Option<StateId>],
-                   resolved: &mut Vec<Option<StateId>>|
-     -> StateId {
+    let mut on_path: Vec<u32> = vec![u32::MAX; n];
+    let mut path: Vec<StateId> = Vec::new();
+    let mut map = vec![StateId::new(0); n];
+    for start in model.states() {
         if let Some(r) = resolved[start.index()] {
-            return r;
+            map[start.index()] = r;
+            continue;
         }
-        let mut path = vec![start];
+        path.clear();
+        path.push(start);
+        on_path[start.index()] = start.raw();
         let mut cur = start;
         let target = loop {
             match forward[cur.index()] {
@@ -55,24 +61,20 @@ pub fn eliminate_deterministic_tau<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
                     if let Some(r) = resolved[next.index()] {
                         break r;
                     }
-                    if path.contains(&next) {
+                    if on_path[next.index()] == start.raw() {
                         // Internal cycle: keep the entry point as its own target.
                         break next;
                     }
+                    on_path[next.index()] = start.raw();
                     path.push(next);
                     cur = next;
                 }
             }
         };
-        for s in path {
+        for &s in &path {
             resolved[s.index()] = Some(target);
         }
-        target
-    };
-
-    let mut map = vec![StateId::new(0); n];
-    for s in model.states() {
-        map[s.index()] = resolve(s, &forward, &mut resolved);
+        map[start.index()] = target;
     }
 
     let initial = map[model.initial().index()];
@@ -202,6 +204,69 @@ mod tests {
         let e = eliminate_deterministic_tau(&m);
         assert!(e.validate().is_ok());
         assert!(e.num_states() >= 2);
+    }
+
+    #[test]
+    fn long_chains_resolve_in_linear_time() {
+        // A chain of 100,000 vanishing states; resolving it with a per-state
+        // path scan would take on the order of 10^10 steps.
+        const LEN: usize = 100_000;
+        let tau = act("te_tau_long");
+        let f = act("te_f_long");
+        let mut b = IoImcBuilder::new("m");
+        let s = b.add_states(LEN + 3);
+        b.initial(s[0]);
+        b.markovian(s[0], 1.0, s[1]);
+        for i in 1..=LEN {
+            b.internal(s[i], tau, s[i + 1]);
+        }
+        b.output(s[LEN + 1], f, s[LEN + 2]);
+        let m = b.build().unwrap();
+        let start = std::time::Instant::now();
+        let e = eliminate_deterministic_tau(&m);
+        let elapsed = start.elapsed();
+        assert_eq!(e.num_states(), 3);
+        assert_eq!(e.num_markovian(), 1);
+        assert_eq!(e.num_interactive(), 1);
+        assert!(elapsed.as_secs() < 5, "took {elapsed:?}");
+    }
+
+    #[test]
+    fn cycles_resolve_to_their_first_state() {
+        // s0 --1--> s3 --tau--> s2, with s1 <--tau--> s2 a 2-cycle, and
+        // s0 --2--> s4 --tau--> s4 a self-loop.  Every state on the 2-cycle,
+        // and the chain entering it at s2, resolve to s1, the cycle state
+        // visited first in state order, which keeps its step (now a self-loop);
+        // the self-loop state keeps its own.
+        let tau = act("te_tau_cycles");
+        let mut b = IoImcBuilder::new("m");
+        let s = b.add_states(5);
+        b.initial(s[0]);
+        b.markovian(s[0], 1.0, s[3]);
+        b.markovian(s[0], 2.0, s[4]);
+        b.internal(s[1], tau, s[2]);
+        b.internal(s[2], tau, s[1]);
+        b.internal(s[3], tau, s[2]);
+        b.internal(s[4], tau, s[4]);
+        let m = b.build().unwrap();
+        let e = eliminate_deterministic_tau(&m);
+        // s2 and s3 are unreachable; s0, s1, s4 are renumbered 0, 1, 2.
+        assert_eq!(e.num_states(), 3);
+        let markovian: Vec<(u32, f64, u32)> = e
+            .markovian()
+            .iter()
+            .map(|t| (t.from.raw(), t.rate, t.to.raw()))
+            .collect();
+        assert_eq!(markovian, vec![(0, 1.0, 1), (0, 2.0, 2)]);
+        let interactive: Vec<(u32, Label, u32)> = e
+            .interactive()
+            .iter()
+            .map(|t| (t.from.raw(), t.label, t.to.raw()))
+            .collect();
+        assert_eq!(
+            interactive,
+            vec![(1, Label::Internal(tau), 1), (2, Label::Internal(tau), 2)]
+        );
     }
 
     #[test]

@@ -406,24 +406,29 @@ impl<R: Rate> IoImcOf<R> {
     /// Restricts the model to the states reachable from the initial state,
     /// renumbering states densely.  Transitions from unreachable states are
     /// dropped.
+    ///
+    /// When every state is reachable the result is a clone of `self`: the
+    /// renumbering is then the identity, and the transition lists of every
+    /// model are already sorted and deduplicated, so rebuilding them would
+    /// give the same model.
     pub fn restrict_to_reachable(&self) -> IoImcOf<R> {
         let n = self.num_states as usize;
         let mut reachable = vec![false; n];
         let mut stack = vec![self.initial];
         reachable[self.initial.index()] = true;
+        let mut num_reachable = 1;
         while let Some(s) = stack.pop() {
-            for t in self.interactive_from(s) {
-                if !reachable[t.to.index()] {
-                    reachable[t.to.index()] = true;
-                    stack.push(t.to);
+            let targets = self.interactive_from(s).iter().map(|t| t.to);
+            for to in targets.chain(self.markovian_from(s).iter().map(|t| t.to)) {
+                if !reachable[to.index()] {
+                    reachable[to.index()] = true;
+                    num_reachable += 1;
+                    stack.push(to);
                 }
             }
-            for t in self.markovian_from(s) {
-                if !reachable[t.to.index()] {
-                    reachable[t.to.index()] = true;
-                    stack.push(t.to);
-                }
-            }
+        }
+        if num_reachable == n {
+            return self.clone();
         }
         let mut remap = vec![u32::MAX; n];
         let mut next = 0u32;

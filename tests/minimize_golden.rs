@@ -15,6 +15,9 @@
 //! transition order or the order in which rates are summed changes a
 //! fingerprint.
 //!
+//! Every fingerprinted model is also checked to be a fixpoint: minimising it
+//! again gives the same bytes (up to the model name).
+//!
 //! The codec writes actions in interning order, which is process-wide, so the
 //! suite is deliberately a single `#[test]`: its binary interns every action
 //! in the same order on every run.
@@ -52,15 +55,39 @@ fn fingerprint<'a, R: RateCodec + 'a>(models: impl IntoIterator<Item = &'a IoImc
     hash
 }
 
+/// The codec bytes of `model` under a fixed name.
+fn bytes_of<R: RateCodec>(model: &IoImcOf<R>) -> Vec<u8> {
+    let mut model = model.clone();
+    model.set_name("m");
+    let mut w = Writer::new();
+    encode_model(&model, &mut w);
+    w.into_bytes()
+}
+
+/// Panics unless minimising each of `minimised` again gives the same bytes.
+fn assert_fixpoints<'a, R: RateCodec + 'a>(
+    case: &str,
+    minimised: impl IntoIterator<Item = &'a IoImcOf<R>>,
+) {
+    for (i, model) in minimised.into_iter().enumerate() {
+        assert!(
+            bytes_of(&minimize(model)) == bytes_of(model),
+            "{case}: model {i} changes when minimised again"
+        );
+    }
+}
+
 /// The four fingerprints of one tree: minimised community members and closed
 /// model, numeric then parametric.
 fn tree_fingerprints(name: &str, dft: &Dft, out: &mut Vec<(String, u64)>) {
     let community = convert(dft).expect("tree converts");
     let members: Vec<IoImc> = community.models.iter().map(minimize).collect();
+    assert_fixpoints(name, &members);
     out.push((format!("{name}/community"), fingerprint(&members)));
 
     let (community, _) = convert_parametric(dft).expect("tree converts parametrically");
     let members: Vec<IoImcOf<RateForm>> = community.models.iter().map(minimize).collect();
+    assert_fixpoints(name, &members);
     out.push((
         format!("{name}/community_parametric"),
         fingerprint(&members),
@@ -68,11 +95,13 @@ fn tree_fingerprints(name: &str, dft: &Dft, out: &mut Vec<(String, u64)>) {
 
     let session = Analyzer::new(dft, AnalysisOptions::default()).expect("tree builds");
     let closed = session.final_model().expect("compositional session");
+    assert_fixpoints(name, [closed]);
     out.push((format!("{name}/closed"), fingerprint([closed])));
 
     let session = ParametricAnalyzer::new(dft, AnalysisOptions::default())
         .expect("tree builds parametrically");
     let closed = session.final_model().expect("compositional session");
+    assert_fixpoints(name, [closed]);
     out.push((format!("{name}/closed_parametric"), fingerprint([closed])));
 }
 
@@ -152,6 +181,8 @@ fn random_fingerprints(out: &mut Vec<(String, u64)>) {
         numeric.push(minimize(&model));
         parametric.push(minimize(&lifted));
     }
+    assert_fixpoints("random", &numeric);
+    assert_fixpoints("random/parametric", &parametric);
     for (chunk, (num, par)) in numeric.chunks(16).zip(parametric.chunks(16)).enumerate() {
         out.push((format!("random/{chunk}"), fingerprint(num)));
         out.push((format!("random/{chunk}/parametric"), fingerprint(par)));
