@@ -16,6 +16,10 @@
 //!    The computed equivalence refines (is contained in) weak bisimilarity for
 //!    I/O-IMCs, so the quotient preserves every measure the paper computes
 //!    (time-bounded reachability of failure, steady-state unavailability).
+//!    After the first round, a refinement round re-signs only the blocks of
+//!    two or more members that split in the last round or have a member with
+//!    a transition into a block that did; every other block keeps its members
+//!    together, which is the partition that signing every state would give.
 //! 4. The pipeline is iterated while a round shrinks the model (states plus
 //!    transitions).  [`minimize`] stops as soon as it can prove that a round
 //!    would change nothing: no state is vanishing, the partition is discrete,
@@ -134,7 +138,7 @@ fn is_quotient_fixed<R: Rate>(model: &IoImcOf<R>) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::action::Action;
     use crate::builder::IoImcBuilder;
@@ -322,11 +326,11 @@ mod tests {
     }
 
     /// SplitMix64, the seeded generator behind [`random_model`].
-    struct SplitMix64(u64);
+    pub(crate) struct SplitMix64(pub(crate) u64);
 
     impl SplitMix64 {
         /// A uniform index in `0..n`.
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -343,6 +347,20 @@ mod tests {
     /// maximal progress cuts); internal targets are uniform, so internal
     /// chains, cycles and self-loops occur.
     pub(super) fn random_model(seed: u64) -> IoImc {
+        let mut rng = SplitMix64(seed);
+        let n = 2 + rng.below(23);
+        random_model_of(format!("random{seed}"), n, rng)
+    }
+
+    /// A random I/O-IMC like [`random_model`]'s, of 100 to 400 states, so
+    /// that splits take several rounds to travel through it.
+    pub(super) fn large_random_model(seed: u64) -> IoImc {
+        let mut rng = SplitMix64(seed);
+        let n = 100 + rng.below(301);
+        random_model_of(format!("large_random{seed}"), n, rng)
+    }
+
+    fn random_model_of(name: String, n: usize, mut rng: SplitMix64) -> IoImc {
         const RATES: [f64; 3] = [0.5, 1.0, 2.0];
         let pool = |kind: &str| -> Vec<Action> {
             (0..3)
@@ -350,9 +368,7 @@ mod tests {
                 .collect()
         };
         let (inputs, outputs, taus) = (pool("in"), pool("out"), pool("tau"));
-        let mut rng = SplitMix64(seed);
-        let n = 2 + rng.below(23);
-        let mut b = IoImcBuilder::new(format!("random{seed}"));
+        let mut b = IoImcBuilder::new(name);
         let s = b.add_states(n);
         b.initial(s[0]);
         let down = b.prop("down");

@@ -19,10 +19,11 @@
 //!
 //! # Flat signatures
 //!
-//! Each refinement round re-signs every state under the current partition and
-//! renumbers the blocks by signature, in state order, until the block count
-//! stops growing or every state is its own block.  A signature is a run of
-//! `u64` words in one arena that is reused across rounds:
+//! Each refinement round signs the states of the blocks that can still split
+//! (see [`refine`] for which blocks a round skips, and why that gives the same
+//! partition) and renumbers the blocks by signature, in state order, until the
+//! block count stops growing or every state is its own block.  A signature is
+//! a run of `u64` words in one arena that is reused across rounds:
 //!
 //! ```text
 //! old block, #moves, move…, #rate maps, (#entries, entry…)…
@@ -45,7 +46,9 @@
 //! one in strong mode).  With the length prefixes, two states have equal
 //! signature slices exactly when they agree on old block, move set and
 //! rate-map set, and a `HashMap<&[u64], u32>` hands out the new block ids.
-//! Blocks are therefore numbered by their smallest member state.
+//! A block that is not signed keeps its members together under one new id,
+//! drawn from the same counter when its smallest member comes up, so blocks
+//! are numbered by their smallest member state.
 
 use crate::model::{InteractiveTransition, IoImcOf, Label, MarkovianTransitionOf, StateId};
 use crate::rate::Rate;
@@ -181,14 +184,14 @@ impl<R: Rate> Signer<R> {
         }
     }
 
-    /// Encodes the rate map of every timed state under `block_of`; the
-    /// others' stay empty and unused.
-    fn rate_maps(&mut self, model: &IoImcOf<R>, block_of: &[u32]) {
+    /// Encodes the rate map of every timed state of the blocks marked in
+    /// `signed`; the others' stay empty and unused.
+    fn rate_maps(&mut self, model: &IoImcOf<R>, block_of: &[u32], signed: &[bool]) {
         self.rate_words.clear();
         self.rate_start.clear();
         for s in model.states() {
             self.rate_start.push(self.rate_words.len());
-            if !self.timed[s.index()] {
+            if !self.timed[s.index()] || !signed[block_of[s.index()] as usize] {
                 continue;
             }
             block_rates(model, s, block_of, &mut self.order, &mut self.sums);
@@ -257,23 +260,33 @@ impl<R: Rate> Signer<R> {
         }
     }
 
-    /// Signs every state under `block_of`.
-    fn sign_all(&mut self, model: &IoImcOf<R>, block_of: &[u32]) {
-        self.rate_maps(model, block_of);
+    /// Signs the states of the blocks marked in `signed`, in state order.
+    /// An inert reach never leaves its block, so every rate map it reads
+    /// belongs to a signed state.
+    fn sign_blocks(&mut self, model: &IoImcOf<R>, block_of: &[u32], signed: &[bool]) {
+        self.rate_maps(model, block_of, signed);
         if self.weak {
             self.reached.fill(u32::MAX);
         }
         self.sig.clear();
         self.sig_start.clear();
         for s in model.states() {
-            self.sig_start.push(self.sig.len());
-            self.sign(model, s, block_of);
+            if signed[block_of[s.index()] as usize] {
+                self.sig_start.push(self.sig.len());
+                self.sign(model, s, block_of);
+            }
         }
         self.sig_start.push(self.sig.len());
     }
 
-    fn signature(&self, state: usize) -> &[u64] {
-        &self.sig[self.sig_start[state]..self.sig_start[state + 1]]
+    /// Number of states signed by the last [`sign_blocks`](Self::sign_blocks).
+    fn num_signed(&self) -> usize {
+        self.sig_start.len() - 1
+    }
+
+    /// The signatures of the signed states, in state order.
+    fn signatures(&self) -> impl Iterator<Item = &[u64]> {
+        self.sig_start.windows(2).map(|w| &self.sig[w[0]..w[1]])
     }
 }
 
@@ -284,33 +297,107 @@ impl<R: Rate> Signer<R> {
 /// unavailability analysis) are never merged with unlabelled ones.  Blocks are
 /// numbered in order of their smallest member state.  Refinement stops as soon
 /// as the partition is discrete (one block per state), which it then stays.
+///
+/// A round signs only the blocks that can still split.  The first round signs
+/// every block of two or more members.  After it, a block is *settled*, and
+/// keeps its members together without being signed, when it has one member,
+/// or when it came through the last round whole and no member has a
+/// transition (interactive or Markovian) into a block that split.  The
+/// members of such a block had equal signatures under the previous
+/// partition, and every block they reach, their own included, was only
+/// renumbered since, so their signatures are still equal; in weak mode their
+/// inert reach cannot leave the unchanged block.  Signing every state would
+/// therefore give the same partition, round by round, with the same
+/// numbering.
 pub fn refine<R: Rate>(model: &IoImcOf<R>, weak: bool) -> Partition {
     let n = model.num_states();
     let (mut block_of, mut num_blocks) = proposition_partition(model);
     let mut signer = Signer::new(model, weak);
     let mut next_block_of: Vec<u32> = vec![0; n];
+    // `split[b]`: block `b` is a proper part of a block of the previous
+    // round; the proposition blocks count as split.
+    let mut split = vec![true; num_blocks as usize];
+    let mut size = block_sizes(&block_of, num_blocks);
+    // `signed[b]`: block `b` is signed this round.
+    let mut signed: Vec<bool> = Vec::new();
+    // `settled[b]`: the next round's id of block `b` when it is not signed.
+    let mut settled: Vec<u32> = Vec::new();
+    // `parent[b]`: the block that next-round block `b` came from;
+    // `children[b]`: how many next-round blocks came from block `b`.
+    let mut parent: Vec<u32> = Vec::new();
+    let mut children: Vec<u32> = Vec::new();
     // A discrete partition is stable: every signature starts with the state's
     // own block, and blocks are numbered by first-seen state, so another
     // round would only give `block_of[s] = s` again.
     while (num_blocks as usize) < n {
-        signer.sign_all(model, &block_of);
-        let mut sig_blocks: HashMap<&[u64], u32> = HashMap::with_capacity(n);
-        for (s, next) in next_block_of.iter_mut().enumerate() {
-            let fresh = sig_blocks.len() as u32;
-            *next = *sig_blocks.entry(signer.signature(s)).or_insert(fresh);
+        signed.clear();
+        signed.extend(
+            size.iter()
+                .zip(&split)
+                .map(|(&size, &split)| size > 1 && split),
+        );
+        for s in model.states() {
+            let b = block_of[s.index()] as usize;
+            if signed[b] || size[b] < 2 {
+                continue;
+            }
+            let into_split = |to: StateId| split[block_of[to.index()] as usize];
+            signed[b] = model.interactive_from(s).iter().any(|t| into_split(t.to))
+                || model.markovian_from(s).iter().any(|t| into_split(t.to));
         }
-        let stable = sig_blocks.len() as u32 == num_blocks;
-        num_blocks = sig_blocks.len() as u32;
+        signer.sign_blocks(model, &block_of, &signed);
+
+        let mut sig_blocks: HashMap<&[u64], u32> = HashMap::with_capacity(signer.num_signed());
+        settled.clear();
+        settled.resize(num_blocks as usize, u32::MAX);
+        parent.clear();
+        let mut signatures = signer.signatures();
+        for (next, &b) in next_block_of.iter_mut().zip(&block_of) {
+            let fresh = parent.len() as u32;
+            let id = if signed[b as usize] {
+                let signature = signatures.next().expect("every signed state was signed");
+                *sig_blocks.entry(signature).or_insert(fresh)
+            } else {
+                let id = &mut settled[b as usize];
+                if *id == u32::MAX {
+                    *id = fresh;
+                }
+                *id
+            };
+            if id == fresh {
+                parent.push(b);
+            }
+            *next = id;
+        }
+        let stable = parent.len() as u32 == num_blocks;
+        num_blocks = parent.len() as u32;
         std::mem::swap(&mut block_of, &mut next_block_of);
         if stable {
             break;
         }
+        children.clear();
+        children.resize(size.len(), 0);
+        for &p in &parent {
+            children[p as usize] += 1;
+        }
+        split.clear();
+        split.extend(parent.iter().map(|&p| children[p as usize] > 1));
+        size = block_sizes(&block_of, num_blocks);
     }
 
     Partition {
         block_of,
         num_blocks,
     }
+}
+
+/// The number of states in each block.
+fn block_sizes(block_of: &[u32], num_blocks: u32) -> Vec<u32> {
+    let mut size = vec![0; num_blocks as usize];
+    for &b in block_of {
+        size[b as usize] += 1;
+    }
+    size
 }
 
 /// The initial partition of [`refine`]: states grouped by proposition mask,
@@ -400,7 +487,9 @@ pub fn quotient<R: Rate>(model: &IoImcOf<R>, partition: &Partition, weak: bool) 
 mod tests {
     use super::*;
     use crate::action::Action;
+    use crate::bisim::tests::{large_random_model, lift, random_model};
     use crate::builder::IoImcBuilder;
+    use crate::model::IoImc;
 
     fn act(n: &str) -> Action {
         Action::new(n)
@@ -534,18 +623,18 @@ mod tests {
         }
     }
 
-    /// The refinement loop without the discrete-partition stop: it always
-    /// runs until a round adds no block.
+    /// The refinement loop that signs every state in every round and has no
+    /// discrete-partition stop: it always runs until a round adds no block.
     fn refine_reference<R: Rate>(model: &IoImcOf<R>, weak: bool) -> Partition {
         let (mut block_of, mut num_blocks) = proposition_partition(model);
         let mut signer = Signer::new(model, weak);
         let mut next_block_of: Vec<u32> = vec![0; model.num_states()];
         loop {
-            signer.sign_all(model, &block_of);
+            signer.sign_blocks(model, &block_of, &vec![true; num_blocks as usize]);
             let mut sig_blocks: HashMap<&[u64], u32> = HashMap::new();
-            for (s, next) in next_block_of.iter_mut().enumerate() {
+            for (next, signature) in next_block_of.iter_mut().zip(signer.signatures()) {
                 let fresh = sig_blocks.len() as u32;
-                *next = *sig_blocks.entry(signer.signature(s)).or_insert(fresh);
+                *next = *sig_blocks.entry(signature).or_insert(fresh);
             }
             let stable = sig_blocks.len() as u32 == num_blocks;
             num_blocks = sig_blocks.len() as u32;
@@ -559,25 +648,110 @@ mod tests {
         }
     }
 
+    /// Asserts that [`refine`] agrees with [`refine_reference`] on `model`
+    /// and on its parametric lift, in strong and weak mode.
+    fn assert_matches_reference(model: &IoImc, what: &str) {
+        let lifted = lift(model);
+        for weak in [false, true] {
+            assert_eq!(
+                refine(model, weak),
+                refine_reference(model, weak),
+                "{what}, weak {weak}"
+            );
+            assert_eq!(
+                refine(&lifted, weak),
+                refine_reference(&lifted, weak),
+                "{what}, weak {weak}, parametric"
+            );
+        }
+    }
+
     #[test]
     fn refine_matches_the_reference_loop() {
-        use crate::bisim::tests::{lift, random_model};
         for seed in 0..256 {
-            let model = random_model(seed);
-            let lifted = lift(&model);
-            for weak in [false, true] {
-                assert_eq!(
-                    refine(&model, weak),
-                    refine_reference(&model, weak),
-                    "seed {seed}, weak {weak}"
-                );
-                assert_eq!(
-                    refine(&lifted, weak),
-                    refine_reference(&lifted, weak),
-                    "seed {seed}, weak {weak}, parametric"
-                );
-            }
+            assert_matches_reference(&random_model(seed), &format!("seed {seed}"));
         }
+        for seed in 0..16 {
+            let model = large_random_model(seed);
+            assert!((100..=400).contains(&model.num_states()));
+            assert_matches_reference(&model, &format!("large seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn splits_travel_down_a_long_chain() {
+        // An equal-rate chain c0 → … → c(len-1) whose last state is `down`,
+        // beside an equal-rate unlabelled cycle of the same length: the
+        // chain's split travels back one state per round, while the cycle
+        // stays one block.  The watchers x1 → c0 and x2 → y0 share a g?
+        // move, so they form their own block in the first round and then
+        // come through every round whole until c0 parts from the cycle;
+        // only their Markovian transitions into the block that keeps
+        // splitting get them re-signed.
+        let len = 200;
+        let g = act("part_chain_g");
+        let mut b = IoImcBuilder::new("chain");
+        let chain = b.add_states(len);
+        let cycle = b.add_states(len);
+        let [x1, x2, z] = [b.add_state(), b.add_state(), b.add_state()];
+        b.initial(x1);
+        for i in 1..len {
+            b.markovian(chain[i - 1], 1.0, chain[i]);
+            b.markovian(cycle[i - 1], 1.0, cycle[i]);
+        }
+        b.markovian(cycle[len - 1], 1.0, cycle[0]);
+        let down = b.prop("down");
+        b.set_prop(chain[len - 1], down);
+        for (x, to) in [(x1, chain[0]), (x2, cycle[0])] {
+            b.markovian(x, 1.0, to);
+            b.input(x, g, z);
+        }
+        let model = b.build().unwrap();
+        assert_matches_reference(&model, "chain");
+        for weak in [false, true] {
+            let p = refine(&model, weak);
+            for (i, &c) in chain.iter().enumerate() {
+                assert_eq!(p.block(c), i as u32);
+            }
+            assert!(cycle.iter().all(|&y| p.block(y) == p.block(cycle[0])));
+            assert_ne!(p.block(x1), p.block(x2));
+            assert_eq!(p.num_blocks as usize, len + 4);
+        }
+    }
+
+    #[test]
+    fn a_split_reaches_a_block_through_its_inert_steps() {
+        // u --τ--> v --f!--> w1 and u' --τ--> v' --f!--> w2, where w1 starts
+        // a chain to a `down` state and w2 an unlabelled cycle of the same
+        // length: w1 and w2 part only after the chain's split has travelled
+        // back to w1.  Then v and v' part, and u and u' with them, although
+        // u and u' have no transition into the block that split: they reach
+        // it only through their inert τ-steps.
+        let len = 12;
+        let tau = act("part_inert_tau");
+        let f = act("part_inert_f");
+        let mut b = IoImcBuilder::new("inert");
+        let [u, v, u2, v2] = [b.add_state(), b.add_state(), b.add_state(), b.add_state()];
+        let chain = b.add_states(len);
+        let cycle = b.add_states(len);
+        b.initial(u);
+        b.internal(u, tau, v);
+        b.output(v, f, chain[0]);
+        b.internal(u2, tau, v2);
+        b.output(v2, f, cycle[0]);
+        for i in 1..len {
+            b.markovian(chain[i - 1], 1.0, chain[i]);
+            b.markovian(cycle[i - 1], 1.0, cycle[i]);
+        }
+        b.markovian(cycle[len - 1], 1.0, cycle[0]);
+        let down = b.prop("down");
+        b.set_prop(chain[len - 1], down);
+        let model = b.build().unwrap();
+        assert_matches_reference(&model, "inert steps");
+        let p = refine(&model, true);
+        assert_eq!(p.block(u), p.block(v));
+        assert_eq!(p.block(u2), p.block(v2));
+        assert_ne!(p.block(u), p.block(u2));
     }
 
     #[test]

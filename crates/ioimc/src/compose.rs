@@ -119,17 +119,6 @@ pub fn compose<R: Rate>(left: &IoImcOf<R>, right: &IoImcOf<R>) -> Result<IoImcOf
     let mut interactive: Vec<InteractiveTransition> = Vec::new();
     let mut markovian: Vec<MarkovianTransitionOf<R>> = Vec::new();
 
-    // Collect the a?-successors of `state` in `model`; an empty list means the
-    // implicit self-loop applies.
-    let input_successors = |model: &IoImcOf<R>, state: StateId, action: Action| -> Vec<StateId> {
-        model
-            .interactive_from(state)
-            .iter()
-            .filter(|t| t.label == Label::Input(action))
-            .map(|t| t.to)
-            .collect()
-    };
-
     while let Some(current) = worklist.pop() {
         let (ls, rs) = pairs[current.index()];
 
@@ -153,7 +142,6 @@ pub fn compose<R: Rate>(left: &IoImcOf<R>, right: &IoImcOf<R>) -> Result<IoImcOf
 
         // Interactive transitions of the left component.
         for t in left.interactive_from(ls) {
-            let action = t.label.action();
             match t.label {
                 Label::Internal(_) => {
                     let to = intern(t.to, rs, &mut index, &mut pairs, &mut props, &mut worklist);
@@ -165,9 +153,7 @@ pub fn compose<R: Rate>(left: &IoImcOf<R>, right: &IoImcOf<R>) -> Result<IoImcOf
                 }
                 Label::Output(a) => {
                     if right.signature().is_input(a) {
-                        let succs = input_successors(right, rs, a);
-                        let targets = if succs.is_empty() { vec![rs] } else { succs };
-                        for r_to in targets {
+                        for r_to in input_targets(right, rs, a) {
                             let to = intern(
                                 t.to,
                                 r_to,
@@ -197,9 +183,7 @@ pub fn compose<R: Rate>(left: &IoImcOf<R>, right: &IoImcOf<R>) -> Result<IoImcOf
                         // Driven from the right component's side below.
                         continue;
                     } else if right.signature().is_input(a) {
-                        let succs = input_successors(right, rs, a);
-                        let targets = if succs.is_empty() { vec![rs] } else { succs };
-                        for r_to in targets {
+                        for r_to in input_targets(right, rs, a) {
                             let to = intern(
                                 t.to,
                                 r_to,
@@ -225,7 +209,6 @@ pub fn compose<R: Rate>(left: &IoImcOf<R>, right: &IoImcOf<R>) -> Result<IoImcOf
                     }
                 }
             }
-            let _ = action;
         }
 
         // Interactive transitions of the right component.
@@ -241,9 +224,7 @@ pub fn compose<R: Rate>(left: &IoImcOf<R>, right: &IoImcOf<R>) -> Result<IoImcOf
                 }
                 Label::Output(a) => {
                     if left.signature().is_input(a) {
-                        let succs = input_successors(left, ls, a);
-                        let targets = if succs.is_empty() { vec![ls] } else { succs };
-                        for l_to in targets {
+                        for l_to in input_targets(left, ls, a) {
                             let to = intern(
                                 l_to,
                                 t.to,
@@ -273,9 +254,7 @@ pub fn compose<R: Rate>(left: &IoImcOf<R>, right: &IoImcOf<R>) -> Result<IoImcOf
                         // Driven from the left component's side above.
                         continue;
                     } else if left.signature().is_input(a) {
-                        let succs = input_successors(left, ls, a);
-                        let targets = if succs.is_empty() { vec![ls] } else { succs };
-                        for l_to in targets {
+                        for l_to in input_targets(left, ls, a) {
                             let to = intern(
                                 l_to,
                                 t.to,
@@ -315,6 +294,22 @@ pub fn compose<R: Rate>(left: &IoImcOf<R>, right: &IoImcOf<R>) -> Result<IoImcOf
         prop_names,
         props,
     ))
+}
+
+/// The `a?`-successors of `state` in `model`, in transition order, or `state`
+/// itself when it has none (the implicit input self-loop).  A state's
+/// transitions are sorted by label, so the `a?` moves are one contiguous run.
+fn input_targets<R: Rate>(
+    model: &IoImcOf<R>,
+    state: StateId,
+    action: Action,
+) -> impl Iterator<Item = StateId> + '_ {
+    let label = Label::Input(action);
+    let from = model.interactive_from(state);
+    let from = &from[from.partition_point(|t| t.label < label)..];
+    let run = &from[..from.partition_point(|t| t.label == label)];
+    let stay = run.is_empty().then_some(state);
+    run.iter().map(|t| t.to).chain(stay)
 }
 
 /// Composes a non-empty sequence of I/O-IMCs left to right.

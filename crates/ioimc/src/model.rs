@@ -171,6 +171,13 @@ impl<R: Rate> IoImcOf<R> {
     /// Assembles a model from raw parts, sorting the transition lists and building
     /// the per-state index.  The caller (the builder and the in-crate operations)
     /// must already have validated states, rates and the signature.
+    ///
+    /// Interactive transitions end up sorted by `(from, label, to)` without
+    /// duplicates, Markovian ones stably sorted by `(from, to)`: parallel rates
+    /// keep their insertion order, which fixes the order in which
+    /// [`quotient`](crate::bisim::quotient) sums them.  Both lists are grouped
+    /// by a stable counting sort on the source state, whose prefix sums are
+    /// the per-state index, and then each state's slice is sorted on its own.
     #[allow(clippy::too_many_arguments)] // internal constructor mirroring the model's fields
     pub(crate) fn from_parts(
         name: String,
@@ -182,25 +189,20 @@ impl<R: Rate> IoImcOf<R> {
         prop_names: Vec<String>,
         mut props: Vec<u64>,
     ) -> IoImcOf<R> {
-        interactive.sort_by_key(|t| (t.from.0, t.label, t.to.0));
-        interactive.dedup_by(|a, b| a.from == b.from && a.label == b.label && a.to == b.to);
-        markovian.sort_by_key(|t| (t.from.0, t.to.0));
+        let mut interactive_index = group_by_source(&mut interactive, num_states, |t| t.from);
+        for w in interactive_index.windows(2) {
+            interactive[w[0] as usize..w[1] as usize].sort_unstable_by_key(|t| (t.label, t.to));
+        }
+        let len = interactive.len();
+        interactive.dedup();
+        if interactive.len() < len {
+            interactive_index = group_by_source(&mut interactive, num_states, |t| t.from);
+        }
+        let markovian_index = group_by_source(&mut markovian, num_states, |t| t.from);
+        for w in markovian_index.windows(2) {
+            markovian[w[0] as usize..w[1] as usize].sort_by_key(|t| t.to);
+        }
         props.resize(num_states as usize, 0);
-
-        let mut interactive_index = vec![0u32; num_states as usize + 1];
-        for t in &interactive {
-            interactive_index[t.from.index() + 1] += 1;
-        }
-        for i in 1..interactive_index.len() {
-            interactive_index[i] += interactive_index[i - 1];
-        }
-        let mut markovian_index = vec![0u32; num_states as usize + 1];
-        for t in &markovian {
-            markovian_index[t.from.index() + 1] += 1;
-        }
-        for i in 1..markovian_index.len() {
-            markovian_index[i] += markovian_index[i - 1];
-        }
 
         IoImcOf {
             name,
@@ -505,6 +507,40 @@ impl<R: Rate> IoImcOf<R> {
     }
 }
 
+/// Stably reorders `list` by source state (a counting sort) and returns the
+/// per-state index: the transitions leaving state `s` end up in
+/// `list[index[s]..index[s + 1]]`.  Elements are moved by swaps along the
+/// cycles of the permutation, never cloned.
+fn group_by_source<T>(list: &mut [T], num_states: u32, from: impl Fn(&T) -> StateId) -> Vec<u32> {
+    let mut index = vec![0u32; num_states as usize + 1];
+    for t in list.iter() {
+        index[from(t).index() + 1] += 1;
+    }
+    for i in 1..index.len() {
+        index[i] += index[i - 1];
+    }
+    if list.windows(2).all(|w| from(&w[0]) <= from(&w[1])) {
+        return index;
+    }
+    let mut next = index.clone();
+    let mut dest: Vec<u32> = list
+        .iter()
+        .map(|t| {
+            let slot = &mut next[from(t).index()];
+            *slot += 1;
+            *slot - 1
+        })
+        .collect();
+    for i in 0..list.len() {
+        while dest[i] as usize != i {
+            let j = dest[i] as usize;
+            list.swap(i, j);
+            dest.swap(i, j);
+        }
+    }
+    index
+}
+
 impl<R: Rate> fmt::Display for IoImcOf<R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -630,6 +666,127 @@ mod tests {
         let text = m.to_string();
         assert!(text.contains("4 states"));
         assert!(text.contains("sample"));
+    }
+
+    /// The per-state index of a list sorted by source state.
+    fn source_index(num_states: u32, from: impl Iterator<Item = StateId>) -> Vec<u32> {
+        let mut index = vec![0u32; num_states as usize + 1];
+        for s in from {
+            index[s.index() + 1] += 1;
+        }
+        for i in 1..index.len() {
+            index[i] += index[i - 1];
+        }
+        index
+    }
+
+    /// [`IoImcOf::from_parts`]'s grouping by comparison sort: the reference
+    /// the counting sort must reproduce.
+    fn grouped_by_comparison_sort<R: Rate>(
+        num_states: u32,
+        mut interactive: Vec<InteractiveTransition>,
+        mut markovian: Vec<MarkovianTransitionOf<R>>,
+    ) -> (
+        Vec<InteractiveTransition>,
+        Vec<MarkovianTransitionOf<R>>,
+        Vec<u32>,
+        Vec<u32>,
+    ) {
+        interactive.sort_by_key(|t| (t.from.0, t.label, t.to.0));
+        interactive.dedup_by(|a, b| a.from == b.from && a.label == b.label && a.to == b.to);
+        markovian.sort_by_key(|t| (t.from.0, t.to.0));
+        let interactive_index = source_index(num_states, interactive.iter().map(|t| t.from));
+        let markovian_index = source_index(num_states, markovian.iter().map(|t| t.from));
+        (interactive, markovian, interactive_index, markovian_index)
+    }
+
+    /// Asserts that `from_parts` groups the lists like the comparison sort,
+    /// and returns whether the case had a duplicate interactive transition
+    /// and whether it had parallel rates.
+    fn assert_grouped_like_comparison_sort<R: Rate>(
+        num_states: u32,
+        interactive: Vec<InteractiveTransition>,
+        markovian: Vec<MarkovianTransitionOf<R>>,
+        case: &str,
+    ) -> (bool, bool) {
+        let num_interactive = interactive.len();
+        let expected =
+            grouped_by_comparison_sort(num_states, interactive.clone(), markovian.clone());
+        let m = IoImcOf::from_parts(
+            case.to_owned(),
+            Signature::new(),
+            num_states,
+            StateId(0),
+            interactive,
+            markovian,
+            Vec::new(),
+            Vec::new(),
+        );
+        assert_eq!(m.interactive, expected.0, "{case}");
+        assert_eq!(m.markovian, expected.1, "{case}");
+        assert_eq!(m.interactive_index, expected.2, "{case}");
+        assert_eq!(m.markovian_index, expected.3, "{case}");
+        let parallel = m
+            .markovian
+            .windows(2)
+            .any(|w| (w[0].from, w[0].to) == (w[1].from, w[1].to));
+        (m.interactive.len() < num_interactive, parallel)
+    }
+
+    #[test]
+    fn from_parts_groups_like_a_comparison_sort() {
+        use crate::bisim::tests::SplitMix64;
+        let labels = [
+            Label::Input(act("fp_a")),
+            Label::Output(act("fp_b")),
+            Label::Internal(act("fp_c")),
+            Label::Input(act("fp_d")),
+        ];
+        let (mut duplicates, mut parallel) = (false, false);
+        for seed in 0..24 {
+            let mut rng = SplitMix64(seed);
+            let n = 1 + rng.below(6) as u32;
+            let state = |rng: &mut SplitMix64| StateId(rng.below(n as usize) as u32);
+            // Few states and labels: duplicate interactive transitions and
+            // several rates on one (from, to) pair are common.
+            let interactive: Vec<InteractiveTransition> = (0..rng.below(24))
+                .map(|_| InteractiveTransition {
+                    from: state(&mut rng),
+                    label: labels[rng.below(labels.len())],
+                    to: state(&mut rng),
+                })
+                .collect();
+            // Every rate is distinct, so any reordering of parallel rates shows.
+            let mut markovian: Vec<MarkovianTransition> = (0..rng.below(24))
+                .map(|i| MarkovianTransitionOf {
+                    from: state(&mut rng),
+                    rate: 1.0 + i as f64,
+                    to: state(&mut rng),
+                })
+                .collect();
+            if seed % 4 == 0 {
+                // Already grouped by source, as most callers deliver them.
+                markovian.sort_by_key(|t| t.from);
+            }
+            let parametric: Vec<MarkovianTransitionOf<RateForm>> = markovian
+                .iter()
+                .map(|t| MarkovianTransitionOf {
+                    from: t.from,
+                    rate: RateForm::scaled_var(t.rate as u32 % 3, t.rate),
+                    to: t.to,
+                })
+                .collect();
+            let case = format!("seed {seed}");
+            let seen =
+                assert_grouped_like_comparison_sort(n, interactive.clone(), markovian, &case);
+            assert_grouped_like_comparison_sort(n, interactive, parametric, &case);
+            duplicates |= seen.0;
+            parallel |= seen.1;
+        }
+        assert!(
+            duplicates && parallel,
+            "the cases cover deduplication and parallel rates"
+        );
     }
 
     #[test]
