@@ -56,26 +56,16 @@ impl AggregationStats {
 }
 
 /// Options controlling the aggregation loop.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AggregationOptions {
     /// Output actions that must stay observable (typically the top event's failure
     /// and, for repairable models, its repair signal).
     pub keep: Vec<Action>,
-    /// Whether every elementary model is minimised before composition starts.
-    pub minimize_elements: bool,
-}
-
-impl Default for AggregationOptions {
-    fn default() -> Self {
-        AggregationOptions {
-            keep: Vec::new(),
-            minimize_elements: true,
-        }
-    }
 }
 
 /// Runs compositional aggregation on a community of I/O-IMCs and returns the final
-/// aggregated model together with size statistics.
+/// aggregated model together with size statistics.  Every element is minimised
+/// before composition starts.
 ///
 /// # Errors
 ///
@@ -93,11 +83,7 @@ pub fn aggregate<R: Rate>(
     let keep: BTreeSet<Action> = options.keep.iter().copied().collect();
 
     let mut stats = AggregationStats::default();
-    let mut community: Vec<IoImcOf<R>> = if options.minimize_elements {
-        models.iter().map(minimize).collect()
-    } else {
-        models.to_vec()
-    };
+    let mut community: Vec<IoImcOf<R>> = models.iter().map(minimize).collect();
     for m in &community {
         stats.record_intermediate(ModelStats::of(m));
     }
@@ -198,7 +184,6 @@ mod tests {
         let community = convert(&dft).unwrap();
         let options = AggregationOptions {
             keep: vec![community.top_failure],
-            ..AggregationOptions::default()
         };
         let (final_model, stats) = aggregate(&community.models, &options).unwrap();
         assert!(final_model.validate().is_ok());
@@ -227,7 +212,6 @@ mod tests {
         let community = convert(&dft).unwrap();
         let options = AggregationOptions {
             keep: vec![community.top_failure],
-            ..AggregationOptions::default()
         };
         let (forward, _) = aggregate(&community.models, &options).unwrap();
         let mut reversed = community.models.clone();
@@ -254,7 +238,6 @@ mod tests {
             &community.models,
             &AggregationOptions {
                 keep: vec![community.top_failure],
-                ..AggregationOptions::default()
             },
         )
         .unwrap()
@@ -305,7 +288,6 @@ mod tests {
             &community.models,
             &AggregationOptions {
                 keep: vec![community.top_failure],
-                ..AggregationOptions::default()
             },
         )
         .unwrap();

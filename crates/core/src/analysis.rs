@@ -89,7 +89,6 @@ pub fn aggregated_model(dft: &Dft) -> Result<(IoImc, AggregationStats)> {
         &community.models,
         &AggregationOptions {
             keep: vec![community.top_failure],
-            ..AggregationOptions::default()
         },
     )
 }

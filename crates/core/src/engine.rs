@@ -178,7 +178,6 @@ fn aggregate_and_close<R: Rate>(
         &models,
         &AggregationOptions {
             keep: vec![top_failure],
-            ..AggregationOptions::default()
         },
     )?;
     // `aggregate` (which minimises every element) returns a `minimize` output,
@@ -1447,7 +1446,7 @@ fn read_back(
 /// negative — with a typed error at the query boundary, so they never reach
 /// the uniformisation routines (which would report them as an untyped
 /// numerical [`markov::Error::InvalidValue`] from deep inside
-/// `Ctmc::transient`).
+/// [`RelaxKernel::reachability`] or [`Ctmc::reachability_multi`]).
 fn validate_mission_time(t: f64) -> Result<()> {
     if t.is_finite() && t >= 0.0 {
         Ok(())

@@ -89,13 +89,6 @@ pub enum Error {
         /// Description of the unsupported combination.
         message: String,
     },
-    /// The final model is non-deterministic, but a point result was requested.
-    Nondeterministic {
-        /// Lower bound of the measure.
-        min: f64,
-        /// Upper bound of the measure.
-        max: f64,
-    },
     /// A curve query carried no mission times, so there is nothing to evaluate.
     ///
     /// Rejected at [`Analyzer::query`](engine::Analyzer::query) time so the
@@ -143,9 +136,6 @@ impl fmt::Display for Error {
             Error::Ioimc(e) => write!(f, "I/O-IMC error: {e}"),
             Error::Markov(e) => write!(f, "numerical error: {e}"),
             Error::Unsupported { message } => write!(f, "unsupported model: {message}"),
-            Error::Nondeterministic { min, max } => {
-                write!(f, "non-deterministic model: measure lies in [{min}, {max}]")
-            }
             Error::EmptyCurve => {
                 write!(f, "an unreliability curve needs at least one mission time")
             }

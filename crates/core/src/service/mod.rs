@@ -120,7 +120,7 @@ pub use handle::RequestHandle;
 pub use queue::QueueStats;
 
 use crate::analysis::{AnalysisOptions, Method};
-use crate::engine::{Analyzer, ParametricAnalyzer};
+use crate::engine::{Analyzer, ParametricAnalyzer, Session, SessionRate};
 use crate::query::MeasureResult;
 use crate::request::{AnalysisRequest, SweepSpec};
 use crate::store::{ModelStore, StoreStats};
@@ -128,7 +128,6 @@ use crate::{Error, Result};
 use dft::Dft;
 use queue::{JobQueue, Task};
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
@@ -182,9 +181,17 @@ impl Default for ServiceOptions {
     }
 }
 
-/// Sessions are shared per structure *and* per analysis configuration: the same
-/// tree analysed monolithically or with a different epsilon is a different
-/// model (epsilon drives every numerical query on the session).
+/// Cached models are shared per structure *and* per analysis configuration:
+/// the same tree analysed monolithically or with a different epsilon is a
+/// different model (epsilon drives every numerical query on the session).
+///
+/// A session's `fingerprint` is [`Dft::fingerprint`]; a parametric model's is
+/// the rate-blind [`Dft::structural_fingerprint`], so every rate variant of
+/// one structure shares it.  The two live in separate maps.  The method takes
+/// part for parametric models too, although only the compositional method
+/// can ever *succeed*: a monolithic sweep caches its deterministic
+/// `Unsupported` error under its own key instead of poisoning the
+/// compositional entry for the same structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
     fingerprint: u64,
@@ -193,25 +200,13 @@ struct CacheKey {
 }
 
 impl CacheKey {
-    fn new(dft: &Dft, options: &AnalysisOptions) -> CacheKey {
+    fn new(fingerprint: u64, options: &AnalysisOptions) -> CacheKey {
         CacheKey {
-            fingerprint: dft.fingerprint(),
+            fingerprint,
             method: options.method,
             epsilon_bits: options.epsilon.to_bits(),
         }
     }
-}
-
-/// Parametric models are shared per rate-blind structure and analysis
-/// configuration.  The method takes part even though only the compositional
-/// method can ever *succeed*: a monolithic sweep caches its deterministic
-/// `Unsupported` error under its own key instead of poisoning the
-/// compositional entry for the same structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ParamCacheKey {
-    structural_fingerprint: u64,
-    method: Method,
-    epsilon_bits: u64,
 }
 
 /// A cache slot: `OnceLock` guarantees the build runs exactly once even when
@@ -226,15 +221,18 @@ struct CacheEntry<T> {
 }
 
 /// One LRU-ordered key space of the cache.
-type Entries<K, T> = HashMap<K, CacheEntry<T>>;
+type Entries<T> = HashMap<CacheKey, CacheEntry<T>>;
+
+/// Picks one key space out of the cache.
+type Space<T> = fn(&mut Cache) -> &mut Entries<T>;
 
 #[derive(Debug, Default)]
 struct Cache {
-    entries: Entries<CacheKey, Analyzer>,
+    entries: Entries<Analyzer>,
     /// Parametric (symbolic-rate) models, keyed by rate-blind structure.
     /// They do not compete with sessions for slots: parametric models are
     /// far rarer and far more valuable than single sessions.
-    param_entries: Entries<ParamCacheKey, ParametricAnalyzer>,
+    param_entries: Entries<ParametricAnalyzer>,
     /// Monotonic use counter backing the LRU order (no wall clock involved, so
     /// the order is deterministic under a single worker).
     tick: u64,
@@ -391,12 +389,8 @@ struct ServiceCore {
     /// strictly before the builder's report is delivered to any handle and
     /// therefore before the service's drop-drain can possibly complete.
     store: Option<ModelStore>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    evictions: AtomicUsize,
-    parametric_hits: AtomicUsize,
-    parametric_misses: AtomicUsize,
-    parametric_evictions: AtomicUsize,
+    sessions: Counters,
+    parametric: Counters,
     /// Hybrid-decomposition counters (see [`HybridStats`]), bumped on every
     /// fresh [`Method::Hybrid`] build — session or parametric, including
     /// sessions restored from the persistent store.
@@ -406,6 +400,14 @@ struct ServiceCore {
     hybrid_crown_elements: AtomicUsize,
     hybrid_core_elements: AtomicUsize,
     queue: JobQueue,
+}
+
+/// The cumulative lookup counters of one key space of the cache.
+#[derive(Debug, Default)]
+struct Counters {
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+    evictions: AtomicUsize,
 }
 
 /// The worker threads of a started pool, joined when the service drops.
@@ -491,8 +493,15 @@ impl AnalysisService {
     /// failure is deterministic, so retrying a structurally identical tree
     /// returns the same error without paying the construction cost again.
     pub fn analyzer(&self, dft: &Dft, options: &AnalysisOptions) -> Result<Arc<Analyzer>> {
-        let key = CacheKey::new(dft, options);
-        let (session, _, _) = self.core.session_tracked(key, dft, options);
+        let key = CacheKey::new(dft.fingerprint(), options);
+        let core = &self.core;
+        let (session, _, _) = core.cached(
+            |cache| &mut cache.entries,
+            &core.sessions,
+            key,
+            dft,
+            options,
+        );
         session
     }
 
@@ -538,7 +547,7 @@ impl AnalysisService {
         let request = Box::new(request);
         self.core.queue.push(match sweep {
             None => Task::Job {
-                key: CacheKey::new(&request.dft, &request.options),
+                key: CacheKey::new(request.dft.fingerprint(), &request.options),
                 request,
                 tx,
             },
@@ -673,8 +682,13 @@ impl ServiceCore {
     fn run_job(&self, key: CacheKey, request: &AnalysisRequest) -> JobReport {
         let fingerprint = key.fingerprint;
         let build_start = Instant::now();
-        let (session, cache_hit, build_wait) =
-            self.session_tracked(key, &request.dft, &request.options);
+        let (session, cache_hit, build_wait) = self.cached(
+            |cache| &mut cache.entries,
+            &self.sessions,
+            key,
+            &request.dft,
+            &request.options,
+        );
         let build = build_start.elapsed();
         match session {
             Err(e) => JobReport {
@@ -717,10 +731,15 @@ impl ServiceCore {
         spec: &SweepSpec,
         submitted: Instant,
     ) -> SweepReport {
-        let structural = request.dft.structural_fingerprint();
+        let key = CacheKey::new(request.dft.structural_fingerprint(), &request.options);
         let build_start = Instant::now();
-        let (model, parametric_cache_hit) =
-            self.parametric(structural, &request.dft, &request.options);
+        let (model, parametric_cache_hit, _) = self.cached(
+            |cache| &mut cache.param_entries,
+            &self.parametric,
+            key,
+            &request.dft,
+            &request.options,
+        );
         let mut stats = SweepStats {
             valuations: spec.len(),
             parametric_cache_hit,
@@ -769,61 +788,6 @@ impl ServiceCore {
         SweepReport { points, stats }
     }
 
-    /// Get-or-build for the shared parametric model of a sweep; the
-    /// boolean is `true` for a cache hit.
-    fn parametric(
-        &self,
-        structural: u64,
-        dft: &Dft,
-        options: &AnalysisOptions,
-    ) -> (Result<Arc<ParametricAnalyzer>>, bool) {
-        let key = ParamCacheKey {
-            structural_fingerprint: structural,
-            method: options.method,
-            epsilon_bits: options.epsilon.to_bits(),
-        };
-        let slot = self.reserve(
-            |cache| &mut cache.param_entries,
-            key,
-            &self.parametric_evictions,
-        );
-        let mut built = false;
-        let outcome = slot.get_or_init(|| {
-            built = true;
-            // Consult the cross-process store first: a warm entry (written by
-            // an earlier run, or by a fleet neighbour sharing the directory)
-            // turns the aggregation into a disk read; the restored model
-            // reports `aggregation_runs() == 0`.
-            if let Some(store) = &self.store {
-                if let Some(parametric) = store.load_parametric(structural, options) {
-                    return Ok(Arc::new(parametric));
-                }
-            }
-            let result = ParametricAnalyzer::new(dft, options.clone()).map(Arc::new);
-            if let (Some(store), Ok(parametric)) = (&self.store, &result) {
-                // Best-effort write-back: a failure is counted in the store's
-                // own stats and the entry stays in-memory-only.
-                let _ = store.save_parametric(structural, parametric);
-            }
-            result
-        });
-        if built {
-            self.parametric_misses.fetch_add(1, Ordering::Relaxed);
-            if let Ok(parametric) = outcome {
-                self.record_hybrid(parametric.options().method, parametric.module_stats());
-            }
-        } else {
-            self.parametric_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        (
-            match outcome {
-                Ok(parametric) => Ok(Arc::clone(parametric)),
-                Err(e) => Err(e.clone()),
-            },
-            !built,
-        )
-    }
-
     /// Cumulative cache counters since the service was created.
     fn cache_stats(&self) -> CacheStats {
         let (entries, parametric_entries) = {
@@ -831,13 +795,13 @@ impl ServiceCore {
             (cache.entries.len(), cache.param_entries.len())
         };
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: self.sessions.hits.load(Ordering::Relaxed),
+            misses: self.sessions.misses.load(Ordering::Relaxed),
+            evictions: self.sessions.evictions.load(Ordering::Relaxed),
             entries,
-            parametric_hits: self.parametric_hits.load(Ordering::Relaxed),
-            parametric_misses: self.parametric_misses.load(Ordering::Relaxed),
-            parametric_evictions: self.parametric_evictions.load(Ordering::Relaxed),
+            parametric_hits: self.parametric.hits.load(Ordering::Relaxed),
+            parametric_misses: self.parametric.misses.load(Ordering::Relaxed),
+            parametric_evictions: self.parametric.evictions.load(Ordering::Relaxed),
             parametric_entries,
         }
     }
@@ -853,17 +817,28 @@ impl ServiceCore {
             .is_some_and(|entry| entry.slot.get().is_some())
     }
 
-    /// Get-or-build with exactly-once semantics; the first boolean is `true`
-    /// for a cache hit (the session existed or a concurrent worker built it),
-    /// the second when the hit *blocked* on a concurrent builder.  The caller
-    /// supplies the key so the fingerprint is hashed once per job.
-    fn session_tracked(
+    /// Get-or-build with exactly-once semantics, for sessions and parametric
+    /// models alike: `space` picks the key space and `counters` its hit, miss
+    /// and eviction counters.  The first boolean is `true` for a cache hit
+    /// (the model existed or a concurrent worker built it), the second when
+    /// the hit *blocked* on a concurrent builder.  The caller supplies the
+    /// key so the fingerprint is hashed once per request.
+    ///
+    /// A fresh build consults the cross-process store first: a warm entry
+    /// (written by an earlier run, or by a fleet neighbour sharing the
+    /// directory) turns the aggregation into a disk read, and the restored
+    /// model reports `aggregation_runs() == 0`.  Otherwise the model is
+    /// aggregated and written back best-effort: a failed write is counted in
+    /// the store's own stats and the entry stays in memory only.
+    fn cached<R: SessionRate>(
         &self,
+        space: Space<Session<R>>,
+        counters: &Counters,
         key: CacheKey,
         dft: &Dft,
         options: &AnalysisOptions,
-    ) -> (Result<Arc<Analyzer>>, bool, bool) {
-        let slot = self.reserve(|cache| &mut cache.entries, key, &self.evictions);
+    ) -> (Result<Arc<Session<R>>>, bool, bool) {
+        let slot = self.reserve(space, key, &counters.evictions);
         // A slot that is still empty here either becomes ours to build or means
         // another worker is building it right now — in the latter case the
         // `get_or_init` below blocks for the whole build.
@@ -871,50 +846,31 @@ impl ServiceCore {
         let mut built = false;
         let outcome = slot.get_or_init(|| {
             built = true;
-            self.build_session(key, dft, options).map(Arc::new)
+            let stored = self
+                .store
+                .as_ref()
+                .and_then(|store| store.load_session(key.fingerprint, options));
+            let result = match stored {
+                Some(session) => Ok(session),
+                None => {
+                    let result = Session::new(dft, options.clone());
+                    if let (Some(store), Ok(session)) = (&self.store, &result) {
+                        let _ = store.save_session(key.fingerprint, session);
+                    }
+                    result
+                }
+            };
+            if let Ok(session) = &result {
+                self.record_hybrid(session.method(), session.module_stats());
+            }
+            result.map(Arc::new)
         });
         if built {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            counters.misses.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            counters.hits.fetch_add(1, Ordering::Relaxed);
         }
-        (
-            match outcome {
-                Ok(analyzer) => Ok(Arc::clone(analyzer)),
-                Err(e) => Err(e.clone()),
-            },
-            !built,
-            !built && !ready,
-        )
-    }
-
-    /// Builds the session of one tree: from the cross-process store when it
-    /// holds a warm entry (see `parametric` above), by aggregation otherwise,
-    /// writing a fresh build back.
-    fn build_session(
-        &self,
-        key: CacheKey,
-        dft: &Dft,
-        options: &AnalysisOptions,
-    ) -> Result<Analyzer> {
-        let stored = self
-            .store
-            .as_ref()
-            .and_then(|store| store.load_analyzer(key.fingerprint, options));
-        let result = match stored {
-            Some(analyzer) => Ok(analyzer),
-            None => {
-                let result = Analyzer::new(dft, options.clone());
-                if let (Some(store), Ok(analyzer)) = (&self.store, &result) {
-                    let _ = store.save_analyzer(key.fingerprint, analyzer);
-                }
-                result
-            }
-        };
-        if let Ok(analyzer) = &result {
-            self.record_hybrid(analyzer.method(), analyzer.module_stats());
-        }
-        result
+        (outcome.clone(), !built, !built && !ready)
     }
 
     /// Bumps the [`HybridStats`] counters for one fresh build (no-op for the
@@ -955,12 +911,7 @@ impl ServiceCore {
     /// of that space beyond capacity, counted in `evictions`) under the cache
     /// lock.  The actual build happens outside the lock, so a slow
     /// aggregation never stalls jobs for other trees.
-    fn reserve<K: Copy + Eq + Hash, T>(
-        &self,
-        space: fn(&mut Cache) -> &mut Entries<K, T>,
-        key: K,
-        evictions: &AtomicUsize,
-    ) -> Slot<T> {
+    fn reserve<T>(&self, space: Space<T>, key: CacheKey, evictions: &AtomicUsize) -> Slot<T> {
         let mut cache = self.cache.lock().expect("cache lock");
         cache.tick += 1;
         let tick = cache.tick;

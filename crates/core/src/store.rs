@@ -20,8 +20,8 @@
 //! ```
 //!
 //! The kind is 1 for a numeric session ([`Analyzer`]) and 2 for a parametric
-//! one ([`ParametricAnalyzer`]).  Both share one payload layout, built on the
-//! rate-generic [`ioimc::codec`]:
+//! one ([`ParametricAnalyzer`](crate::engine::ParametricAnalyzer)).  Both
+//! share one payload layout, built on the rate-generic [`ioimc::codec`]:
 //!
 //! ```text
 //! options | repairable | optional aggregation stats | model stats |
@@ -53,19 +53,16 @@
 //! # Errors
 //!
 //! Only the *explicit* [`ModelStore`] API ([`save_analyzer`],
-//! [`save_parametric`], [`ModelStore::open`]) reports typed
-//! [`Error::Store`] failures.  The [`AnalysisService`](crate::service) cache
-//! path treats every store problem as a miss (load) or a skipped write-back
-//! (save) and keeps serving from memory.
+//! [`ModelStore::open`]) reports typed [`Error::Store`] failures.  The
+//! [`AnalysisService`](crate::service) cache path — the only one that stores
+//! parametric models — treats every store problem as a miss (load) or a
+//! skipped write-back (save) and keeps serving from memory.
 //!
 //! [`save_analyzer`]: ModelStore::save_analyzer
-//! [`save_parametric`]: ModelStore::save_parametric
 
 use crate::aggregate::{AggregationStats, StepStats};
 use crate::analysis::{AnalysisOptions, Method};
-use crate::engine::{
-    Analyzer, Backend, ClosedModel, Leaf, ParametricAnalyzer, Session, SessionRate,
-};
+use crate::engine::{Analyzer, Backend, ClosedModel, Leaf, Session, SessionRate};
 use crate::parametric::{ParamKind, ParamTable};
 use crate::{Error, Result};
 use dft::bdd::{Bdd, BddNode};
@@ -91,7 +88,8 @@ pub const FORMAT_VERSION: u32 = 2;
 pub(crate) enum Kind {
     /// A numeric closed model (an [`Analyzer`] payload).
     Session,
-    /// A parametric closed model (a [`ParametricAnalyzer`] payload).
+    /// A parametric closed model (a
+    /// [`ParametricAnalyzer`](crate::engine::ParametricAnalyzer) payload).
     Parametric,
 }
 
@@ -798,34 +796,11 @@ impl ModelStore {
         self.save_session(fingerprint, analyzer)
     }
 
-    /// Loads the parametric closed model cached for `structural_fingerprint`
-    /// ([`Dft::structural_fingerprint`](dft::Dft::structural_fingerprint))
-    /// under `options`; same rejection semantics as
-    /// [`load_analyzer`](Self::load_analyzer).
-    pub fn load_parametric(
-        &self,
-        structural_fingerprint: u64,
-        options: &AnalysisOptions,
-    ) -> Option<ParametricAnalyzer> {
-        self.load_session(structural_fingerprint, options)
-    }
-
-    /// Writes the parametric entry for `structural_fingerprint`, atomically
-    /// replacing any previous one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Store`] when the entry cannot be persisted.
-    pub fn save_parametric(
-        &self,
-        structural_fingerprint: u64,
-        parametric: &ParametricAnalyzer,
-    ) -> Result<()> {
-        self.save_session(structural_fingerprint, parametric)
-    }
-
-    /// The shared body of the `load_*` methods.
-    fn load_session<R: SessionRate>(
+    /// Loads the session of either rate domain cached for `fingerprint`
+    /// under `options`: the body of [`load_analyzer`](Self::load_analyzer),
+    /// and the service's load path for parametric models, keyed by
+    /// [`Dft::structural_fingerprint`](dft::Dft::structural_fingerprint).
+    pub(crate) fn load_session<R: SessionRate>(
         &self,
         fingerprint: u64,
         options: &AnalysisOptions,
@@ -846,8 +821,14 @@ impl ModelStore {
         })
     }
 
-    /// The shared body of the `save_*` methods.
-    fn save_session<R: SessionRate>(&self, fingerprint: u64, session: &Session<R>) -> Result<()> {
+    /// Writes the entry of a session of either rate domain: the body of
+    /// [`save_analyzer`](Self::save_analyzer), and the service's write-back
+    /// path for parametric models.
+    pub(crate) fn save_session<R: SessionRate>(
+        &self,
+        fingerprint: u64,
+        session: &Session<R>,
+    ) -> Result<()> {
         let kind = Kind::of::<R>();
         let eps_bits = session.options().epsilon.to_bits();
         let path = self.entry_path(kind, session.method(), fingerprint, eps_bits);

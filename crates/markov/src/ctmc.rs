@@ -1,6 +1,6 @@
 //! Continuous-time Markov chains and transient (uniformisation) analysis.
 
-use crate::poisson::{poisson_weights, poisson_weights_multi};
+use crate::poisson::poisson_weights_multi;
 use crate::sparse::CsrMatrix;
 use crate::{Error, Result};
 
@@ -126,47 +126,6 @@ impl Ctmc {
         CsrMatrix::from_triplets(self.num_states, self.num_states, &triplets)
     }
 
-    /// Computes the transient state distribution at time `t` starting from the
-    /// initial state, with truncation error bounded by `epsilon`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidValue`] for negative/NaN `t` or an `epsilon` outside
-    /// `(0, 1)`.
-    pub fn transient(&self, t: f64, epsilon: f64) -> Result<Vec<f64>> {
-        if !t.is_finite() || t < 0.0 {
-            return Err(Error::InvalidValue { value: t });
-        }
-        let mut pi = vec![0.0; self.num_states];
-        pi[self.initial] = 1.0;
-        if t == 0.0 {
-            return Ok(pi);
-        }
-        let lambda = self.max_exit_rate();
-        if lambda == 0.0 {
-            // No transitions anywhere: distribution never changes.
-            return Ok(pi);
-        }
-        let p = self.uniformised(lambda)?;
-        let weights = poisson_weights(lambda * t, epsilon)?;
-        let mut result = vec![0.0; self.num_states];
-        let mut current = pi;
-        // Ping-pong buffer for the power sequence: no per-step allocation.
-        let mut scratch = vec![0.0; self.num_states];
-        for (k, &w) in weights.weights.iter().enumerate() {
-            if k > 0 {
-                p.vec_mul_into(&current, &mut scratch)?;
-                std::mem::swap(&mut current, &mut scratch);
-            }
-            if w > 0.0 {
-                for (r, &c) in result.iter_mut().zip(current.iter()) {
-                    *r += w * c;
-                }
-            }
-        }
-        Ok(result)
-    }
-
     /// Probability of reaching a `goal` state within time `t` (time-bounded
     /// reachability).  Goal states are made absorbing, so the result is the
     /// cumulative probability of having *ever* visited a goal state by time `t` —
@@ -175,8 +134,7 @@ impl Ctmc {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::DimensionMismatch`] if `goal.len() != num_states`, and the
-    /// same errors as [`transient`](Self::transient) otherwise.
+    /// The same errors as [`reachability_multi`](Self::reachability_multi).
     pub fn reachability(&self, goal: &[bool], t: f64, epsilon: f64) -> Result<f64> {
         Ok(self.reachability_multi(goal, &[t], epsilon)?[0])
     }
@@ -213,6 +171,9 @@ impl Ctmc {
                 return Err(Error::InvalidValue { value: t });
             }
         }
+        if !(epsilon > 0.0 && epsilon < 1.0) {
+            return Err(Error::InvalidValue { value: epsilon });
+        }
         // Make goal states absorbing, so "being in a goal state at time t" equals
         // "having ever visited one by time t".
         let mut triplets: Vec<(u32, u32, f64)> = Vec::new();
@@ -245,9 +206,6 @@ impl Ctmc {
             // Every non-goal state is absorbing too: the distribution never moves.
             return Ok(vec![goal_mass(&current); times.len()]);
         }
-        // Validate epsilon eagerly (even for an empty sweep) via a throwaway call.
-        poisson_weights(0.0, epsilon)?;
-
         let p = absorbed.uniformised(lambda)?;
         // One Poisson window per distinct mean: repeated time bounds (and the
         // t = 0 degenerate window) are computed once and shared.
@@ -274,48 +232,6 @@ impl Ctmc {
             }
         }
         Ok(results.into_iter().map(|r| r.clamp(0.0, 1.0)).collect())
-    }
-
-    /// Probability of *ever* reaching a `goal` state (unbounded reachability),
-    /// computed by value iteration on the embedded jump chain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] for a wrong goal length or
-    /// [`Error::NoConvergence`] if value iteration does not converge.
-    pub fn reachability_unbounded(&self, goal: &[bool], tolerance: f64) -> Result<f64> {
-        if goal.len() != self.num_states {
-            return Err(Error::DimensionMismatch {
-                expected: self.num_states,
-                actual: goal.len(),
-            });
-        }
-        let mut value: Vec<f64> = goal.iter().map(|&g| if g { 1.0 } else { 0.0 }).collect();
-        let mut next = vec![0.0; self.num_states];
-        let max_iter = 100_000;
-        for _ in 0..max_iter {
-            let mut delta: f64 = 0.0;
-            next.copy_from_slice(&value);
-            for s in 0..self.num_states {
-                if goal[s] || self.exit_rates[s] == 0.0 {
-                    continue;
-                }
-                let (cols, vals) = self.rates.row(s);
-                let mut acc = 0.0;
-                for (&c, &v) in cols.iter().zip(vals) {
-                    acc += v / self.exit_rates[s] * value[c as usize];
-                }
-                delta = delta.max((acc - value[s]).abs());
-                next[s] = acc;
-            }
-            std::mem::swap(&mut value, &mut next);
-            if delta < tolerance {
-                return Ok(value[self.initial]);
-            }
-        }
-        Err(Error::NoConvergence {
-            iterations: max_iter,
-        })
     }
 }
 
@@ -375,24 +291,28 @@ mod tests {
     }
 
     #[test]
-    fn transient_distribution_sums_to_one() {
-        let ctmc = Ctmc::from_transitions(
-            4,
-            0,
-            &[
-                (0, 1, 1.0),
-                (0, 2, 2.0),
-                (1, 3, 0.5),
-                (2, 3, 0.25),
-                (3, 0, 1.0),
-            ],
-        )
-        .unwrap();
-        for t in [0.1, 1.0, 10.0] {
-            let pi = ctmc.transient(t, 1e-12).unwrap();
-            let total: f64 = pi.iter().sum();
-            assert!((total - 1.0).abs() < 1e-9);
-            assert!(pi.iter().all(|&p| p >= -1e-12));
+    fn competing_exponentials_split_the_mass() {
+        // 0 --1--> 1, 0 --2--> 2: the first jump happens at rate 3 and picks
+        // each target in proportion to its rate, so P(reach 1 by t) =
+        // (1 - e^{-3t}) / 3 and P(reach 2 by t) = 2 (1 - e^{-3t}) / 3, and the
+        // two masses sum to P(reach {1, 2} by t).
+        let ctmc = Ctmc::from_transitions(3, 0, &[(0, 1, 1.0), (0, 2, 2.0)]).unwrap();
+        let times = [0.1, 1.0, 10.0];
+        let one = ctmc
+            .reachability_multi(&[false, true, false], &times, 1e-12)
+            .unwrap();
+        let two = ctmc
+            .reachability_multi(&[false, false, true], &times, 1e-12)
+            .unwrap();
+        let either = ctmc
+            .reachability_multi(&[false, true, true], &times, 1e-12)
+            .unwrap();
+        for (i, &t) in times.iter().enumerate() {
+            let jumped = 1.0 - (-3.0 * t).exp();
+            assert!((one[i] - jumped / 3.0).abs() < 1e-9, "t={t}");
+            assert!((two[i] - 2.0 * jumped / 3.0).abs() < 1e-9, "t={t}");
+            assert!((either[i] - jumped).abs() < 1e-9, "t={t}");
+            assert!((one[i] + two[i] - either[i]).abs() < 1e-9, "t={t}");
         }
     }
 
@@ -405,20 +325,18 @@ mod tests {
 
     #[test]
     fn absorbing_chain_without_transitions() {
+        // No transition anywhere: the initial state keeps all the mass.
         let ctmc = Ctmc::from_transitions(1, 0, &[]).unwrap();
-        let pi = ctmc.transient(5.0, 1e-9).unwrap();
-        assert_eq!(pi, vec![1.0]);
         assert_eq!(ctmc.max_exit_rate(), 0.0);
-    }
-
-    #[test]
-    fn unbounded_reachability_of_transient_goal() {
-        // 0 -> 1 with rate 1, 0 -> 2 with rate 3; goal = {1}: P = 1/4.
-        let ctmc = Ctmc::from_transitions(3, 0, &[(0, 1, 1.0), (0, 2, 3.0)]).unwrap();
-        let p = ctmc
-            .reachability_unbounded(&[false, true, false], 1e-12)
-            .unwrap();
-        assert!((p - 0.25).abs() < 1e-9);
+        let times = [0.0, 5.0];
+        assert_eq!(
+            ctmc.reachability_multi(&[true], &times, 1e-9).unwrap(),
+            vec![1.0; 2]
+        );
+        assert_eq!(
+            ctmc.reachability_multi(&[false], &times, 1e-9).unwrap(),
+            vec![0.0; 2]
+        );
     }
 
     #[test]
@@ -428,7 +346,17 @@ mod tests {
         assert!(Ctmc::from_transitions(2, 0, &[(0, 1, f64::NAN)]).is_err());
         let ctmc = Ctmc::from_transitions(2, 0, &[(0, 1, 1.0)]).unwrap();
         assert!(ctmc.reachability(&[true], 1.0, 1e-9).is_err());
-        assert!(ctmc.transient(-1.0, 1e-9).is_err());
+        assert!(ctmc.reachability(&[false, true], -1.0, 1e-9).is_err());
+        assert!(ctmc.reachability(&[false, true], f64::NAN, 1e-9).is_err());
+        // Epsilon is checked on every path: an empty sweep, and a chain
+        // whose uniformisation rate is zero once the goal is absorbing.
+        for epsilon in [0.0, 1.0, f64::NAN] {
+            assert!(ctmc.reachability(&[false, true], 1.0, epsilon).is_err());
+            assert!(ctmc
+                .reachability_multi(&[false, true], &[], epsilon)
+                .is_err());
+            assert!(ctmc.reachability(&[true, false], 1.0, epsilon).is_err());
+        }
     }
 
     #[test]

@@ -118,48 +118,22 @@ pub struct RelaxKernel {
 
 impl RelaxKernel {
     /// Lowers a validated CTMDP state vector into the flat layout
-    /// (single-lane).
+    /// (single-lane): [`from_template`](Self::from_template) with each
+    /// state's own rates as the one lane.
     ///
-    /// The states must satisfy the invariants of [`crate::Ctmdp::new`]
-    /// (in-range targets, finite positive rates); this is the cached builder
-    /// [`crate::Ctmdp`] invokes once per model.
+    /// # Panics
+    ///
+    /// Panics if the states break the invariants [`crate::Ctmdp::new`]
+    /// checks (in-range targets, finite positive rates).
     pub fn from_states(states: &[CtmdpState]) -> RelaxKernel {
-        let n = states.len();
-        let mut kernel = RelaxKernel {
-            num_states: n,
-            lanes: 1,
-            row_ptr: Vec::with_capacity(n + 1),
-            cols: Vec::new(),
-            rates: Vec::new(),
-            exit: Vec::with_capacity(n),
-            choice_ptr: Vec::with_capacity(n + 1),
-            choice_cols: Vec::new(),
-            immediate: Vec::with_capacity(n),
-        };
-        kernel.row_ptr.push(0);
-        kernel.choice_ptr.push(0);
+        let mut rates = Vec::new();
         for st in states {
-            match st {
-                CtmdpState::Markovian(row) => {
-                    let mut exit = 0.0f64;
-                    for &(target, rate) in row {
-                        kernel.cols.push(target);
-                        kernel.rates.push(rate);
-                        exit += rate;
-                    }
-                    kernel.exit.push(exit);
-                    kernel.immediate.push(false);
-                }
-                CtmdpState::Immediate(succs) => {
-                    kernel.choice_cols.extend_from_slice(succs);
-                    kernel.exit.push(0.0);
-                    kernel.immediate.push(true);
-                }
+            if let CtmdpState::Markovian(row) = st {
+                rates.extend(row.iter().map(|&(_, rate)| rate));
             }
-            kernel.row_ptr.push(kernel.cols.len());
-            kernel.choice_ptr.push(kernel.choice_cols.len());
         }
-        kernel
+        RelaxKernel::from_template(states, &rates, 1)
+            .expect("validated CTMDP states lower without error")
     }
 
     /// Lowers a shared structure plus `lanes` independent rate assignments
@@ -356,6 +330,9 @@ impl RelaxKernel {
             if !t.is_finite() || t < 0.0 {
                 return Err(Error::InvalidValue { value: t });
             }
+        }
+        if !(epsilon > 0.0 && epsilon < 1.0) {
+            return Err(Error::InvalidValue { value: epsilon });
         }
         if l > 1 {
             BATCHED_CALLS.fetch_add(1, Ordering::Relaxed);
@@ -634,7 +611,6 @@ fn chunk_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
 mod tests {
     use super::*;
     use crate::poisson::poisson_weights;
-    use crate::Ctmdp;
 
     /// Deterministic xorshift64*; good enough to generate varied models.
     struct Rng(u64);
@@ -696,6 +672,18 @@ mod tests {
             }
         }
         RelaxKernel::from_template(states, &lane_rates, scales.len()).unwrap()
+    }
+
+    /// The one-lane (min, max) reachability bounds of `states` for one time
+    /// bound: a minimising and a maximising kernel call.
+    fn bounds(states: &[CtmdpState], goal: &[bool], t: f64, epsilon: f64) -> (f64, f64) {
+        let kernel = RelaxKernel::from_states(states);
+        let pass = |maximise| {
+            kernel
+                .reachability(0, goal, &[t], epsilon, maximise, 1)
+                .unwrap()[0]
+        };
+        (pass(false), pass(true))
     }
 
     /// The original nested-loop value iteration over a state vector: the
@@ -850,23 +838,116 @@ mod tests {
         assert!(k
             .reachability(0, &[false], &[f64::NAN], 1e-9, true, 1)
             .is_err());
-        assert!(k.reachability(0, &[false], &TIMES, 0.0, true, 1).is_err());
+        // Epsilon is checked on every path: with Markovian edges, for an
+        // empty sweep, and on a model without any Markovian edge.
+        let no_edges = RelaxKernel::from_states(&[CtmdpState::Markovian(vec![])]);
+        assert!(no_edges
+            .reachability(0, &[false], &[-1.0], 1e-9, true, 1)
+            .is_err());
+        for epsilon in [0.0, 1.0, f64::NAN] {
+            for kernel in [&k, &no_edges] {
+                for times in [&TIMES[..], &[]] {
+                    let r = kernel.reachability(0, &[false], times, epsilon, true, 1);
+                    assert!(
+                        matches!(r, Err(Error::InvalidValue { .. })),
+                        "epsilon {epsilon}: {r:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deterministic_model_matches_the_closed_form() {
+        // 0 --lambda--> 1 (goal): both bounds equal 1 - exp(-lambda t).
+        let lambda = 1.7;
+        let states = [
+            CtmdpState::Markovian(vec![(1, lambda)]),
+            CtmdpState::Markovian(vec![]),
+        ];
+        let t = 0.9;
+        let (min, max) = bounds(&states, &[false, true], t, 1e-12);
+        let exact = 1.0 - (-lambda * t).exp();
+        assert!((min - exact).abs() < 1e-9);
+        assert!((max - exact).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nondeterministic_choice_gives_an_interval() {
+        // Initial immediate choice between a fast branch (rate 10) and a slow
+        // branch (rate 0.1) towards the goal.
+        let states = [
+            CtmdpState::Immediate(vec![1, 2]),
+            CtmdpState::Markovian(vec![(3, 10.0)]),
+            CtmdpState::Markovian(vec![(3, 0.1)]),
+            CtmdpState::Markovian(vec![]),
+        ];
+        let t = 1.0;
+        let (min, max) = bounds(&states, &[false, false, false, true], t, 1e-12);
+        let fast = 1.0 - (-10.0f64 * t).exp();
+        let slow = 1.0 - (-0.1f64 * t).exp();
+        assert!((max - fast).abs() < 1e-6, "max {max} vs {fast}");
+        assert!((min - slow).abs() < 1e-6, "min {min} vs {slow}");
+        assert!(min < max);
+    }
+
+    #[test]
+    fn bounds_bracket_every_fixed_resolution() {
+        // Non-deterministic choice between two moderate branches; either fixed
+        // resolution must lie within the bounds.
+        let states = [
+            CtmdpState::Immediate(vec![1, 2]),
+            CtmdpState::Markovian(vec![(3, 2.0)]),
+            CtmdpState::Markovian(vec![(3, 3.0)]),
+            CtmdpState::Markovian(vec![]),
+        ];
+        let t = 0.4;
+        let (min, max) = bounds(&states, &[false, false, false, true], t, 1e-12);
+        for rate in [2.0f64, 3.0] {
+            let p = 1.0 - (-rate * t).exp();
+            assert!(min <= p + 1e-9 && p <= max + 1e-9, "rate {rate}");
+        }
+    }
+
+    #[test]
+    fn goal_at_the_initial_state_is_certain() {
+        let states = [CtmdpState::Markovian(vec![])];
+        assert_eq!(bounds(&states, &[true], 2.0, 1e-9), (1.0, 1.0));
+    }
+
+    #[test]
+    fn immediate_chain_resolves_through_layers() {
+        // 0 (immediate) -> 1 (immediate) -> 2 (goal): reachable with
+        // probability 1 immediately, under any scheduler.
+        let states = [
+            CtmdpState::Immediate(vec![1]),
+            CtmdpState::Immediate(vec![2]),
+            CtmdpState::Markovian(vec![]),
+        ];
+        assert_eq!(
+            bounds(&states, &[false, false, true], 0.0, 1e-9),
+            (1.0, 1.0)
+        );
+    }
+
+    #[test]
+    fn dead_end_immediate_state_never_reaches_the_goal() {
+        let states = [CtmdpState::Immediate(vec![]), CtmdpState::Markovian(vec![])];
+        assert_eq!(bounds(&states, &[false, true], 10.0, 1e-9), (0.0, 0.0));
     }
 
     #[test]
     fn kernel_matches_legacy_bit_for_bit_on_random_models() {
         for seed in [3u64, 17, 2026, 0xBEEF] {
             let (states, initial, goal) = random_parts(seed, 24, 4);
-            let mdp = Ctmdp::new(states.clone(), initial, goal.clone()).unwrap();
+            let kernel = RelaxKernel::from_states(&states);
             for maximise in [false, true] {
                 let legacy =
                     reference_reachability(&states, initial, &goal, &TIMES, 1e-10, maximise)
                         .unwrap();
-                let fast = if maximise {
-                    mdp.reachability_max_multi(&TIMES, 1e-10).unwrap()
-                } else {
-                    mdp.reachability_min_multi(&TIMES, 1e-10).unwrap()
-                };
+                let fast = kernel
+                    .reachability(initial, &goal, &TIMES, 1e-10, maximise, 1)
+                    .unwrap();
                 for (a, b) in legacy.iter().zip(&fast) {
                     assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} max {maximise}");
                 }
@@ -877,7 +958,7 @@ mod tests {
     #[test]
     fn batched_lanes_match_scalar_models_bit_for_bit() {
         // One shared structure, three rate scalings: lane k must reproduce a
-        // standalone Ctmdp with the same rates exactly.
+        // standalone one-lane kernel with the same rates exactly.
         let (states, initial, goal) = random_parts(42, 20, 4);
         let scales = [1.0, 1.35, 0.8];
         let lanes = scales.len();
@@ -887,21 +968,18 @@ mod tests {
                 .reachability(initial, &goal, &TIMES, 1e-10, true, workers)
                 .unwrap();
             for (k, &scale) in scales.iter().enumerate() {
-                let scaled = Ctmdp::new(
-                    states
-                        .iter()
-                        .map(|st| match st {
-                            CtmdpState::Markovian(row) => CtmdpState::Markovian(
-                                row.iter().map(|&(t, r)| (t, r * scale)).collect(),
-                            ),
-                            CtmdpState::Immediate(s) => CtmdpState::Immediate(s.clone()),
-                        })
-                        .collect(),
-                    initial,
-                    goal.clone(),
-                )
-                .unwrap();
-                let solo = scaled.reachability_max_multi(&TIMES, 1e-10).unwrap();
+                let scaled: Vec<CtmdpState> = states
+                    .iter()
+                    .map(|st| match st {
+                        CtmdpState::Markovian(row) => CtmdpState::Markovian(
+                            row.iter().map(|&(t, r)| (t, r * scale)).collect(),
+                        ),
+                        CtmdpState::Immediate(s) => CtmdpState::Immediate(s.clone()),
+                    })
+                    .collect();
+                let solo = RelaxKernel::from_states(&scaled)
+                    .reachability(initial, &goal, &TIMES, 1e-10, true, 1)
+                    .unwrap();
                 for (t, s) in solo.iter().enumerate() {
                     assert_eq!(
                         batched[t * lanes + k].to_bits(),
@@ -986,8 +1064,6 @@ mod tests {
                 }
             }
         }
-        let mdp = Ctmdp::new(states, 0, goal_states.clone()).unwrap();
-        assert!(mdp.is_deterministic());
         let absorbed: Vec<(u32, u32, f64)> = transitions
             .iter()
             .copied()
@@ -997,7 +1073,9 @@ mod tests {
         let via_ctmc = ctmc
             .reachability_multi(&goal_states, &TIMES, 1e-10)
             .unwrap();
-        let via_kernel = mdp.reachability_max_multi(&TIMES, 1e-10).unwrap();
+        let via_kernel = RelaxKernel::from_states(&states)
+            .reachability(0, &goal_states, &TIMES, 1e-10, true, 1)
+            .unwrap();
         for (a, b) in via_ctmc.iter().zip(&via_kernel) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
@@ -1010,11 +1088,14 @@ mod tests {
             CtmdpState::Immediate(vec![]),
         ];
         let goal = vec![false, false];
-        let mdp = Ctmdp::new(states.clone(), 0, goal.clone()).unwrap();
-        // Epsilon is not validated on this path, matching the legacy shortcut.
-        let r = mdp.reachability_max_multi(&TIMES, 0.0).unwrap();
+        let kernel = RelaxKernel::from_states(&states);
+        // The shortcut still validates epsilon, unlike the legacy loop.
+        assert!(kernel.reachability(0, &goal, &TIMES, 0.0, true, 1).is_err());
+        let r = kernel
+            .reachability(0, &goal, &TIMES, 1e-9, true, 1)
+            .unwrap();
         assert_eq!(r, vec![0.0; TIMES.len()]);
-        let legacy = reference_reachability(&states, 0, &goal, &TIMES, 0.0, true).unwrap();
+        let legacy = reference_reachability(&states, 0, &goal, &TIMES, 1e-9, true).unwrap();
         assert_eq!(r, legacy);
     }
 

@@ -6,11 +6,13 @@
 //! the two measures the paper reports:
 //!
 //! * **Unreliability** — the probability that a set of goal ("failed") states is
-//!   reached within the mission time, computed by uniformisation
-//!   ([`Ctmc::reachability`]).  For CTMDPs, [`Ctmdp::reachability_bounds`] computes
-//!   minimum and maximum probabilities over time-abstract schedulers with the
-//!   value-iteration scheme of Baier, Hermanns, Katoen & Haverkort (2005), which
-//!   the paper cites as its CTMDP back-end.
+//!   reached within the mission time, computed by uniformisation.  For CTMDPs,
+//!   [`RelaxKernel::reachability`] computes minimum and maximum probabilities
+//!   over time-abstract schedulers with the value-iteration scheme of Baier,
+//!   Hermanns, Katoen & Haverkort (2005), which the paper cites as its CTMDP
+//!   back-end; a [`Ctmdp`] is the validated model it lowers.  The forward CTMC
+//!   uniformisation of [`Ctmc::reachability`] shares no code with that kernel
+//!   and answers the monolithic baseline.
 //! * **Unavailability** — the long-run fraction of time spent in "down" states of a
 //!   repairable system, computed from the steady-state distribution
 //!   ([`steady::steady_state`]).

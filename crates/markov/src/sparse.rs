@@ -83,16 +83,6 @@ impl CsrMatrix {
         })
     }
 
-    /// Number of rows.
-    pub fn num_rows(&self) -> usize {
-        self.num_rows
-    }
-
-    /// Number of columns.
-    pub fn num_cols(&self) -> usize {
-        self.num_cols
-    }
-
     /// Number of stored entries.
     pub fn num_entries(&self) -> usize {
         self.values.len()
@@ -109,32 +99,9 @@ impl CsrMatrix {
         (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
 
-    /// Returns the value at `(row, col)`, or 0 if not stored.
-    pub fn get(&self, row: usize, col: usize) -> f64 {
-        let (cols, vals) = self.row(row);
-        cols.iter()
-            .zip(vals)
-            .find(|&(&c, _)| c as usize == col)
-            .map(|(_, &v)| v)
-            .unwrap_or(0.0)
-    }
-
-    /// Computes the row-vector–matrix product `y = x · M`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if `x.len() != num_rows`.
-    pub fn vec_mul(&self, x: &[f64]) -> Result<Vec<f64>> {
-        let mut y = vec![0.0; self.num_cols];
-        self.vec_mul_into(x, &mut y)?;
-        Ok(y)
-    }
-
-    /// Computes `y = x · M` into a caller-provided buffer, so an iterative
-    /// solver can ping-pong two vectors without per-step allocation.
-    ///
-    /// `y` is fully overwritten; operation order matches [`vec_mul`](Self::vec_mul)
-    /// exactly, so swapping the allocating call for this one changes no bits.
+    /// Computes the row-vector–matrix product `y = x · M` into a
+    /// caller-provided buffer, so an iterative solver can ping-pong two
+    /// vectors without per-step allocation.  `y` is fully overwritten.
     ///
     /// # Errors
     ///
@@ -166,49 +133,6 @@ impl CsrMatrix {
         Ok(())
     }
 
-    /// Computes the matrix–vector product `y = M · x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if `x.len() != num_cols`.
-    pub fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        let mut y = vec![0.0; self.num_rows];
-        self.mul_vec_into(x, &mut y)?;
-        Ok(y)
-    }
-
-    /// Computes `y = M · x` into a caller-provided buffer, the allocation-free
-    /// counterpart of [`mul_vec`](Self::mul_vec) with identical operation
-    /// order (bit-identical results).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if `x.len() != num_cols` or
-    /// `y.len() != num_rows`.
-    pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
-        if x.len() != self.num_cols {
-            return Err(Error::DimensionMismatch {
-                expected: self.num_cols,
-                actual: x.len(),
-            });
-        }
-        if y.len() != self.num_rows {
-            return Err(Error::DimensionMismatch {
-                expected: self.num_rows,
-                actual: y.len(),
-            });
-        }
-        for (row, out) in y.iter_mut().enumerate() {
-            let (cols, vals) = self.row(row);
-            let mut acc = 0.0;
-            for (&c, &v) in cols.iter().zip(vals) {
-                acc += v * x[c as usize];
-            }
-            *out = acc;
-        }
-        Ok(())
-    }
-
     /// Sum of the stored entries of `row`.
     pub fn row_sum(&self, row: usize) -> f64 {
         self.row(row).1.iter().sum()
@@ -227,24 +151,17 @@ mod tests {
     #[test]
     fn construction_and_access() {
         let m = sample();
-        assert_eq!(m.num_rows(), 3);
-        assert_eq!(m.num_cols(), 3);
         assert_eq!(m.num_entries(), 4);
-        assert_eq!(m.get(0, 1), 2.0);
-        assert_eq!(m.get(0, 2), 3.0);
-        assert_eq!(m.get(1, 0), 1.0);
-        assert_eq!(m.get(2, 2), 4.0);
-        assert_eq!(m.get(1, 1), 0.0);
+        assert_eq!(m.row(0), (&[1, 2][..], &[2.0, 3.0][..]));
+        assert_eq!(m.row(1), (&[0][..], &[1.0][..]));
+        assert_eq!(m.row(2), (&[2][..], &[4.0][..]));
         assert_eq!(m.row_sum(0), 5.0);
-        let (cols, vals) = m.row(2);
-        assert_eq!(cols, &[2]);
-        assert_eq!(vals, &[4.0]);
     }
 
     #[test]
     fn duplicates_are_summed() {
         let m = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (0, 1, 2.5)]).unwrap();
-        assert_eq!(m.get(0, 1), 3.5);
+        assert_eq!(m.row(0), (&[1][..], &[3.5][..]));
         assert_eq!(m.num_entries(), 1);
     }
 
@@ -253,8 +170,7 @@ mod tests {
         let m = CsrMatrix::from_triplets(4, 4, &[(3, 0, 1.0)]).unwrap();
         assert_eq!(m.row(0).0.len(), 0);
         assert_eq!(m.row(1).0.len(), 0);
-        assert_eq!(m.row(3).0.len(), 1);
-        assert_eq!(m.get(3, 0), 1.0);
+        assert_eq!(m.row(3), (&[0][..], &[1.0][..]));
     }
 
     #[test]
@@ -267,44 +183,21 @@ mod tests {
     #[test]
     fn vector_matrix_product() {
         let m = sample();
-        let y = m.vec_mul(&[1.0, 2.0, 0.5]).unwrap();
-        // y_j = sum_i x_i * M[i][j]
-        assert_eq!(y, vec![2.0, 2.0, 5.0]);
-        assert!(m.vec_mul(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn matrix_vector_product() {
-        let m = sample();
-        let y = m.mul_vec(&[1.0, 2.0, 3.0]).unwrap();
-        // y_i = sum_j M[i][j] * x_j
-        assert_eq!(y, vec![13.0, 1.0, 12.0]);
-        assert!(m.mul_vec(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn in_place_products_match_the_allocating_calls() {
-        let m = sample();
-        let x = [1.0, 2.0, 0.5];
+        // A stale buffer is fully overwritten: y_j = sum_i x_i * M[i][j].
         let mut y = vec![7.0; 3];
-        m.vec_mul_into(&x, &mut y).unwrap();
-        assert_eq!(y, m.vec_mul(&x).unwrap());
-        m.mul_vec_into(&x, &mut y).unwrap();
-        assert_eq!(y, m.mul_vec(&x).unwrap());
+        m.vec_mul_into(&[1.0, 2.0, 0.5], &mut y).unwrap();
+        assert_eq!(y, vec![2.0, 2.0, 5.0]);
         // Buffer-length mismatches are rejected, as are input mismatches.
         let mut short = vec![0.0; 2];
-        assert!(m.vec_mul_into(&x, &mut short).is_err());
-        assert!(m.mul_vec_into(&x, &mut short).is_err());
+        assert!(m.vec_mul_into(&[1.0, 2.0, 0.5], &mut short).is_err());
         assert!(m.vec_mul_into(&[1.0], &mut y).is_err());
-        assert!(m.mul_vec_into(&[1.0], &mut y).is_err());
     }
 
     #[test]
     fn non_square_matrices_work() {
         let m = CsrMatrix::from_triplets(2, 3, &[(0, 2, 1.0), (1, 0, 2.0)]).unwrap();
-        let y = m.vec_mul(&[1.0, 1.0]).unwrap();
+        let mut y = vec![0.0; 3];
+        m.vec_mul_into(&[1.0, 1.0], &mut y).unwrap();
         assert_eq!(y, vec![2.0, 0.0, 1.0]);
-        let z = m.mul_vec(&[1.0, 0.0, 1.0]).unwrap();
-        assert_eq!(z, vec![1.0, 2.0]);
     }
 }

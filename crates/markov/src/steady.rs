@@ -60,7 +60,7 @@ pub fn steady_state(ctmc: &Ctmc, tolerance: f64) -> Result<Vec<f64>> {
 
     let mut pi = vec![1.0 / n as f64; n];
     // Ping-pong two buffers through the power iteration instead of allocating
-    // a fresh vector per step; vec_mul_into is bit-identical to vec_mul.
+    // a fresh vector per step.
     let mut next = vec![0.0; n];
     let max_iter = 1_000_000;
     for it in 0..max_iter {

@@ -23,7 +23,7 @@ use dftmc::dft::{Dft, DftBuilder, Dormancy};
 use dftmc::dft_core::casestudies::{cas, cas_scaled, DEFAULT_MISSION_TIMES};
 use dftmc::dft_core::engine::{Analyzer, ParametricAnalyzer};
 use dftmc::dft_core::service::{
-    AnalysisService, JobReport, RequestHandle, ServiceOptions, SweepReport,
+    AnalysisService, HybridStats, JobReport, RequestHandle, ServiceOptions, SweepReport,
 };
 use dftmc::dft_core::{
     AnalysisOptions, AnalysisRequest, Error, Measure, MeasureResult, Method, SweepSpec, Valuation,
@@ -797,4 +797,78 @@ fn monolithic_sweeps_do_not_poison_the_parametric_cache() {
     assert!((results[0].value() - exact).abs() < 1e-6);
     assert!(!compositional.stats.parametric_cache_hit);
     assert_eq!(compositional.stats.aggregation_runs, 1);
+}
+
+/// `HybridStats` counts fresh `Method::Hybrid` builds: a job's session and a
+/// sweep's parametric model bump `builds` once each, a cache hit bumps
+/// nothing, and a second service restoring both models from the warm store
+/// bumps once per load, exactly like the first service's builds.
+#[test]
+fn hybrid_stats_count_fresh_builds_and_store_loads() {
+    let dir = std::env::temp_dir().join(format!("dftmc-service-hybrid-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let hybrid = AnalysisOptions {
+        method: Method::Hybrid,
+        ..AnalysisOptions::default()
+    };
+    let tree = variant("hstat", 1.0);
+    let job = || {
+        job_request(
+            tree.clone(),
+            hybrid.clone(),
+            vec![Measure::Unreliability(1.0)],
+        )
+    };
+    let sweep = || {
+        sweep_request(
+            tree.clone(),
+            hybrid.clone(),
+            vec![Measure::Unreliability(1.0)],
+            SweepSpec::FailureScales(vec![0.5, 2.0]),
+        )
+    };
+    let mut first_generation = None;
+    for generation in 0..2 {
+        let service = AnalysisService::new(
+            ServiceOptions {
+                workers: 1,
+                ..ServiceOptions::default()
+            }
+            .store(&dir),
+        );
+        assert_eq!(service.hybrid_stats(), HybridStats::default());
+
+        let report = job_report(service.run_request(job()));
+        assert!(!report.cache_hit);
+        // A store load runs no aggregation; a build runs one per core.
+        assert_eq!(report.aggregation_runs == 0, generation == 1);
+        let after_job = service.hybrid_stats();
+        assert_eq!((after_job.builds, after_job.fallbacks), (1, 0));
+        assert!(after_job.cores >= 1 && after_job.crown_elements >= 1);
+
+        let report = sweep_report(service.run_request(sweep()));
+        assert!(!report.stats.parametric_cache_hit);
+        assert_eq!(report.stats.aggregation_runs == 0, generation == 1);
+        let after_sweep = service.hybrid_stats();
+        assert_eq!((after_sweep.builds, after_sweep.fallbacks), (2, 0));
+
+        // Cache hits on both key spaces bump nothing.
+        assert!(job_report(service.run_request(job())).cache_hit);
+        assert!(
+            sweep_report(service.run_request(sweep()))
+                .stats
+                .parametric_cache_hit
+        );
+        assert_eq!(service.hybrid_stats(), after_sweep);
+
+        let store = service
+            .store_stats()
+            .expect("the store directory is usable");
+        assert_eq!(store.hits, if generation == 0 { 0 } else { 2 });
+        match first_generation {
+            None => first_generation = Some(after_sweep),
+            Some(first) => assert_eq!(after_sweep, first),
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("remove the store directory");
 }
