@@ -59,30 +59,23 @@ struct Row {
     value: f64,
 }
 
-fn field<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
 fn parse_record(doc: &Json) -> Result<Record, String> {
-    let smoke = match field(doc, "smoke") {
+    let smoke = match doc.get("smoke") {
         Some(Json::Bool(smoke)) => Some(*smoke),
         _ => None,
     };
-    let Some(Json::Arr(items)) = field(doc, "rows") else {
+    let Some(Json::Arr(items)) = doc.get("rows") else {
         return Err("the record has no \"rows\" array".to_owned());
     };
     let rows = items
         .iter()
         .enumerate()
         .map(|(i, item)| {
-            let text = |key: &str| match field(item, key) {
+            let text = |key: &str| match item.get(key) {
                 Some(Json::Str(s)) => Ok(s.as_str()),
                 _ => Err(format!("row {i} has no string \"{key}\"")),
             };
-            let Some(Json::Num(value)) = field(item, "value") else {
+            let Some(Json::Num(value)) = item.get("value") else {
                 return Err(format!("row {i} has no numeric \"value\""));
             };
             let metric = text("metric")?;

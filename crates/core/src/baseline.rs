@@ -453,16 +453,6 @@ pub fn monolithic_ctmc(dft: &Dft) -> Result<MonolithicResult> {
     Explorer::new(dft)?.explore()
 }
 
-/// Convenience wrapper: unreliability at `mission_time` computed on the monolithic
-/// chain.
-///
-/// # Errors
-///
-/// Same as [`monolithic_ctmc`], plus numerical errors of the transient analysis.
-pub fn monolithic_unreliability(dft: &Dft, mission_time: f64, epsilon: f64) -> Result<f64> {
-    monolithic_ctmc(dft)?.unreliability(mission_time, epsilon)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,7 +487,10 @@ mod tests {
         let top = b.or_gate("bl2_Top", &[x, y]).unwrap();
         let dft = b.build(top).unwrap();
         let t = 0.5;
-        let p = monolithic_unreliability(&dft, t, 1e-10).unwrap();
+        let p = monolithic_ctmc(&dft)
+            .unwrap()
+            .unreliability(t, 1e-10)
+            .unwrap();
         assert!((p - exp_cdf(3.0, t)).abs() < 1e-8);
     }
 
@@ -509,7 +502,10 @@ mod tests {
         let top = b.spare_gate("bl3_Top", &[p, s]).unwrap();
         let dft = b.build(top).unwrap();
         let t = 1.0;
-        let unrel = monolithic_unreliability(&dft, t, 1e-10).unwrap();
+        let unrel = monolithic_ctmc(&dft)
+            .unwrap()
+            .unreliability(t, 1e-10)
+            .unwrap();
         let erlang = 1.0 - (-t).exp() * (1.0 + t);
         assert!((unrel - erlang).abs() < 1e-8, "{unrel} vs {erlang}");
     }
@@ -534,7 +530,10 @@ mod tests {
         let y = b.basic_event("bl5_Y", 1.0, Dormancy::Hot).unwrap();
         let top = b.pand_gate("bl5_Top", &[x, y]).unwrap();
         let dft = b.build(top).unwrap();
-        let p = monolithic_unreliability(&dft, 50.0, 1e-10).unwrap();
+        let p = monolithic_ctmc(&dft)
+            .unwrap()
+            .unreliability(50.0, 1e-10)
+            .unwrap();
         assert!((p - 0.5).abs() < 1e-3, "{p}");
     }
 
@@ -558,7 +557,10 @@ mod tests {
 
     #[test]
     fn pand_sees_a_spare_gate_failing_in_the_same_step() {
-        let p = monolithic_unreliability(&pand_over_spare(), 1.0, 1e-12).unwrap();
+        let p = monolithic_ctmc(&pand_over_spare())
+            .unwrap()
+            .unreliability(1.0, 1e-12)
+            .unwrap();
         let exact = pand_over_spare_exact();
         assert!((p - exact).abs() < 1e-9, "{p} vs {exact}");
     }
@@ -594,7 +596,7 @@ mod tests {
         let result = monolithic_ctmc(&dft).unwrap();
         // The goal requires PA, PB and PS all failed (PS only after activation).
         assert!(result.num_states() >= 6);
-        let p = monolithic_unreliability(&dft, 1.0, 1e-10).unwrap();
+        let p = result.unreliability(1.0, 1e-10).unwrap();
         assert!(p > 0.0 && p < 1.0);
         // The unreliability must be below that of the system without the spare
         // (plain AND of PA and PB) because the spare only helps.
@@ -611,7 +613,10 @@ mod tests {
         let _f = b.fdep_gate("bl7_F", t, &[x, y]).unwrap();
         let top = b.and_gate("bl7_Top", &[x, y]).unwrap();
         let dft = b.build(top).unwrap();
-        let p = monolithic_unreliability(&dft, 1.0, 1e-10).unwrap();
+        let p = monolithic_ctmc(&dft)
+            .unwrap()
+            .unreliability(1.0, 1e-10)
+            .unwrap();
         // Failing the trigger alone fails the system, so unreliability is at least
         // the trigger's failure probability.
         assert!(p >= exp_cdf(0.5, 1.0) - 1e-9);

@@ -17,20 +17,27 @@
 //!   [`sweep_query`](ParametricAnalyzer::sweep_query).
 //!
 //! ```text
-//! Session::new:  DFT ──convert──▶ community (+ monitor) ──aggregate──▶ model
-//! query(…):      model ──uniformisation──▶ unreliability (point or curve)
-//!                model ──steady state───▶ unavailability
-//!                model ──first passage──▶ MTTF
-//! instantiate:   symbolic model ──evaluate rate forms──▶ numeric model
+//! Session::new:   DFT ──convert──▶ community (+ monitor) ──aggregate──▶ model
+//! query_all(…):   the session's own rates ──▶ 1 lane  ─┐
+//! sweep_query(…): one valuation per lane ───▶ K lanes ─┴─▶ evaluate:
+//!   time bounds:  merged grid ──one uniformisation pass, all lanes──▶ unreliability
+//!   per lane:     tangible CTMC ──steady state───▶ unavailability
+//!                               ──first passage──▶ MTTF
+//! instantiate:    symbolic model ──evaluate rate forms──▶ numeric model
 //! ```
 //!
-//! Only three things differ between the two rate domains: how the tree is
-//! converted, which store kind holds the session, and what is cached next to
-//! the closed model for the numerics (a one-lane relax kernel for numeric
-//! rates, the batched-sweep template for symbolic ones).  Composition,
-//! hiding, minimisation, the hybrid crown and the store layout are written
-//! once, and so is the time-bounded analysis: a numeric query is one lane of
-//! the same two-pass kernel call that answers every lane of a sweep.
+//! Every answer, in either rate domain, comes from one private evaluator
+//! over a set of *lanes*: [`query`](Analyzer::query) and
+//! [`query_all`](Analyzer::query_all) are the one lane of the session's own
+//! rates, [`sweep_query`](ParametricAnalyzer::sweep_query) is one lane per
+//! valuation.  Only four things differ between the domains: how the tree is
+//! converted, which store kind holds the session, how a rate is evaluated in
+//! a lane (a numeric rate is itself), and where a lane set's kernel comes
+//! from (the one-lane relax kernel a numeric session builds once, or the
+//! template a symbolic session fills with its lanes' rates).  Composition,
+//! hiding, minimisation, the evaluator, the hybrid crown, the tangible-CTMC
+//! skeleton of the steady-state measures and the store layout are written
+//! once.
 //!
 //! A mission-time sweep through [`Measure::UnreliabilityCurve`] additionally
 //! shares the uniformisation pass between all time points, so a 100-point curve
@@ -81,7 +88,7 @@ use ioimc::closed::{
 };
 use ioimc::codec::RateCodec;
 use ioimc::stats::ModelStats;
-use ioimc::{Action, IoImcOf, ParametricIoImc, Rate, RateForm};
+use ioimc::{Action, IoImcOf, Rate, RateForm};
 use markov::ctmdp::CtmdpState;
 use markov::kernel::RelaxKernel;
 use markov::mttf::mean_time_to_absorption;
@@ -211,11 +218,11 @@ fn aggregate_and_close<R: Rate>(
 }
 
 /// What differs between the numeric (`f64`) and the symbolic
-/// ([`RateForm`]) rate domain of a [`Session`]; everything else is written
-/// once over `R`.
+/// ([`RateForm`]) rate domain of a [`Session`]; everything else, the
+/// evaluator included, is written once over `R`.
 pub(crate) trait SessionRate: RateCodec {
-    /// What a compositional session caches next to its closed model for the
-    /// numerics.
+    /// What a compositional session caches next to its closed model to get
+    /// the kernel of a set of lanes.
     type Numerics: fmt::Debug + Send + Sync;
 
     /// `true` for symbolic rates: selects the store kind and the
@@ -235,25 +242,36 @@ pub(crate) trait SessionRate: RateCodec {
     /// bit-identically to the one that was stored.
     fn numerics(model: &ClosedModel<Self>) -> Result<Self::Numerics>;
 
+    /// The rate in a lane whose slot values are `values`.
+    fn lane_rate(&self, values: &[f64]) -> f64;
+
+    /// The edge rates a lane with slot values `values` feeds the kernel, in
+    /// kernel edge order.  Like the kernel an instantiated session builds,
+    /// the first rate that is not finite and strictly positive is an error.
+    fn edge_rates(
+        model: &ClosedModel<Self>,
+        numerics: &Self::Numerics,
+        values: &[f64],
+    ) -> Result<Vec<f64>>;
+
+    /// Time-bounded reachability of every lane (`edges[k]` holds lane k's
+    /// edge rates) in one kernel call; see [`ClosedModel::reach`].
+    fn reach(
+        model: &ClosedModel<Self>,
+        numerics: &Self::Numerics,
+        edges: &[&[f64]],
+        times: &[f64],
+        epsilon: f64,
+    ) -> Result<Vec<Vec<MeasurePoint>>>;
+
     /// Whether every parameter slot the rate mentions exists in `params`.
     fn fits(&self, params: &ParamTable) -> bool;
 }
 
-/// The numerics cache of a numeric session.
-#[derive(Debug)]
-pub(crate) struct NumericCache {
-    /// The closed model lowered into a one-lane kernel, shared by the upper
-    /// and the lower bound (see [`ClosedModel::reach`]).
-    kernel: RelaxKernel,
-    /// Embedded CTMC with the monitor's "down" labels, extracted lazily for
-    /// the steady-state and first-passage measures (fails for CTMDPs).  A
-    /// [`OnceLock`] rather than a `OnceCell` so a shared `Arc<Analyzer>` can
-    /// be queried from many threads at once.
-    tangible: OnceLock<Result<(Ctmc, Vec<bool>)>>,
-}
-
 impl SessionRate for f64 {
-    type Numerics = NumericCache;
+    /// The closed model lowered once into a one-lane kernel, shared by every
+    /// query and by both bounds (see [`ClosedModel::reach`]).
+    type Numerics = RelaxKernel;
 
     const PARAMETRIC: bool = false;
 
@@ -265,16 +283,33 @@ impl SessionRate for f64 {
         rate
     }
 
-    fn numerics(model: &ClosedModel<f64>) -> Result<NumericCache> {
+    fn numerics(model: &ClosedModel<f64>) -> Result<RelaxKernel> {
         let mut rates = Vec::new();
         let states = lower(&model.closed, |&rate| {
             rates.push(rate);
             rate
         });
-        Ok(NumericCache {
-            kernel: RelaxKernel::from_template(&states, &rates, 1)?,
-            tangible: OnceLock::new(),
-        })
+        Ok(RelaxKernel::from_template(&states, &rates, 1)?)
+    }
+
+    fn lane_rate(&self, _values: &[f64]) -> f64 {
+        *self
+    }
+
+    /// The session's own rates, checked when its kernel was built: the lane
+    /// carries none.
+    fn edge_rates(_: &ClosedModel<f64>, _: &RelaxKernel, _: &[f64]) -> Result<Vec<f64>> {
+        Ok(Vec::new())
+    }
+
+    fn reach(
+        model: &ClosedModel<f64>,
+        kernel: &RelaxKernel,
+        _edges: &[&[f64]],
+        times: &[f64],
+        epsilon: f64,
+    ) -> Result<Vec<Vec<MeasurePoint>>> {
+        model.reach(kernel, times, epsilon)
     }
 
     fn fits(&self, _params: &ParamTable) -> bool {
@@ -282,41 +317,35 @@ impl SessionRate for f64 {
     }
 }
 
-/// The rate-independent structure a parametric session caches for sweeps:
-/// the CTMDP state vector with dummy Markovian rates, the rate form of every
-/// Markovian edge in kernel edge order, and the tangible CTMC skeleton of the
-/// steady-state measures.
+/// The rate-independent structure a parametric session fills with each lane
+/// set's rates: the CTMDP state vector with dummy Markovian rates and the
+/// rate form of every Markovian edge in kernel edge order.
 #[derive(Debug)]
 pub(crate) struct SweepTemplate {
     states: Vec<CtmdpState>,
     forms: Vec<RateForm>,
-    /// Extracted on the first steady-state sweep.  An error is cached too:
-    /// a nondeterministic or divergent model fails the same way for every
-    /// valuation.
-    tangible: OnceLock<Result<Tangible<RateForm>>>,
 }
 
 impl SweepTemplate {
-    fn of(closed: &ParametricIoImc) -> SweepTemplate {
-        let mut forms = Vec::new();
-        let states = lower(closed, |form| {
-            forms.push(form.clone());
-            // The rate is a template placeholder; the kernel takes real
-            // rates per lane.
-            1.0
-        });
-        SweepTemplate {
-            states,
-            forms,
-            tangible: OnceLock::new(),
-        }
+    /// The template of `model`, lowered on first use into `cache`.
+    fn of<'a>(model: &ClosedModel<RateForm>, cache: &'a OnceLock<SweepTemplate>) -> &'a Self {
+        cache.get_or_init(|| {
+            let mut forms = Vec::new();
+            let states = lower(&model.closed, |form| {
+                forms.push(form.clone());
+                // The rate is a template placeholder; the kernel takes real
+                // rates per lane.
+                1.0
+            });
+            SweepTemplate { states, forms }
+        })
     }
 }
 
 impl SessionRate for RateForm {
-    /// Lowered once on the first sweep: sweeps evaluate rate forms straight
-    /// into kernel lanes and tangible CTMCs instead of instantiating one
-    /// session per valuation.
+    /// Lowered once on the first evaluation: lanes evaluate rate forms
+    /// straight into kernel lanes instead of instantiating one session per
+    /// valuation.
     type Numerics = OnceLock<SweepTemplate>;
 
     const PARAMETRIC: bool = true;
@@ -331,6 +360,46 @@ impl SessionRate for RateForm {
 
     fn numerics(_model: &ClosedModel<RateForm>) -> Result<OnceLock<SweepTemplate>> {
         Ok(OnceLock::new())
+    }
+
+    fn lane_rate(&self, values: &[f64]) -> f64 {
+        self.eval(values)
+    }
+
+    fn edge_rates(
+        model: &ClosedModel<RateForm>,
+        cache: &OnceLock<SweepTemplate>,
+        values: &[f64],
+    ) -> Result<Vec<f64>> {
+        SweepTemplate::of(model, cache)
+            .forms
+            .iter()
+            .map(|form| match form.eval(values) {
+                rate if rate.is_finite() && rate > 0.0 => Ok(rate),
+                rate => Err(markov::Error::InvalidValue { value: rate }.into()),
+            })
+            .collect()
+    }
+
+    /// Fills the template with the lanes' rates, lane-minor, and runs one
+    /// kernel over all of them.
+    fn reach(
+        model: &ClosedModel<RateForm>,
+        cache: &OnceLock<SweepTemplate>,
+        edges: &[&[f64]],
+        times: &[f64],
+        epsilon: f64,
+    ) -> Result<Vec<Vec<MeasurePoint>>> {
+        let template = SweepTemplate::of(model, cache);
+        let n = edges.len();
+        let mut lane_rates = vec![0.0f64; template.forms.len() * n];
+        for (k, lane) in edges.iter().enumerate() {
+            for (e, &rate) in lane.iter().enumerate() {
+                lane_rates[e * n + k] = rate;
+            }
+        }
+        let kernel = RelaxKernel::from_template(&template.states, &lane_rates, n)?;
+        model.reach(&kernel, times, epsilon)
     }
 
     fn fits(&self, params: &ParamTable) -> bool {
@@ -414,6 +483,12 @@ pub(crate) enum Backend<R: SessionRate> {
     Compositional {
         model: ClosedModel<R>,
         numerics: R::Numerics,
+        /// The tangible-CTMC skeleton of the steady-state measures, extracted
+        /// on first use.  An error is cached too: a nondeterministic or
+        /// divergent model fails the same way in every lane.  A
+        /// [`OnceLock`] rather than a `OnceCell` so a shared session can be
+        /// queried from many threads at once.
+        tangible: OnceLock<Result<Tangible<R>>>,
     },
     /// The DIFTree-style baseline: one CTMC over the whole tree.  Only ever
     /// built for numeric sessions.
@@ -447,7 +522,11 @@ impl<R: SessionRate> Backend<R> {
     /// The compositional backend over a closed model, with its numerics.
     pub(crate) fn compositional(model: ClosedModel<R>) -> Result<Backend<R>> {
         let numerics = R::numerics(&model)?;
-        Ok(Backend::Compositional { model, numerics })
+        Ok(Backend::Compositional {
+            model,
+            numerics,
+            tangible: OnceLock::new(),
+        })
     }
 }
 
@@ -764,34 +843,201 @@ impl<R: SessionRate> Session<R> {
             })
     }
 
-    /// Rejects a steady-state measure the session's backend cannot answer.
-    /// Numeric queries and parametric sweep lanes both check here, so they
-    /// report the same [`Error::Unsupported`].
-    fn steady_support(&self, measure: &Measure) -> Result<()> {
-        let message = match (measure, &self.backend) {
-            (Measure::Unavailability, _) if !self.repairable => {
+    /// `values` projected onto a hybrid core's own table: each core slot
+    /// takes the value of the slot of this session's table controlling the
+    /// same rate of the same (named) basic event.  Numeric sessions have no
+    /// slots, so their projection is empty.
+    fn project(&self, core: &Self, values: &[f64]) -> Vec<f64> {
+        core.params
+            .slots()
+            .iter()
+            .map(|slot| {
+                values[self
+                    .params
+                    .slot_of(&slot.element, slot.kind)
+                    .expect("core basic events are basic events of the tree")]
+            })
+            .collect()
+    }
+
+    /// The lane of slot values `values`, checked against this session's
+    /// table already: a numeric session's one lane has no values.  Fails
+    /// like the kernel construction inside
+    /// [`instantiate`](ParametricAnalyzer::instantiate) would, core by core.
+    fn lane(&self, values: Vec<f64>) -> Result<Lane> {
+        let (edges, cores) = match &self.backend {
+            Backend::Compositional {
+                model, numerics, ..
+            } => (R::edge_rates(model, numerics, &values)?, Vec::new()),
+            Backend::Hybrid { cores, .. } => (
+                Vec::new(),
+                cores
+                    .iter()
+                    .map(|core| core.lane(self.project(core, &values)))
+                    .collect::<Result<_>>()?,
+            ),
+            Backend::Monolithic { .. } => (Vec::new(), Vec::new()),
+        };
+        Ok(Lane {
+            values,
+            edges,
+            cores,
+        })
+    }
+
+    /// The one evaluator: answers `measures` in every lane, one row per
+    /// lane, and a failed lane keeps its error.  The time bounds of every
+    /// measure are merged onto one [`TimeGrid`] and answered by one
+    /// time-bounded pass over all lanes; each steady-state measure is solved
+    /// per lane.  A row fails with the lane's own error, else the grid's,
+    /// else the pass's, else the first failing steady-state measure's.
+    fn evaluate(
+        &self,
+        measures: &[Measure],
+        lanes: &[Result<Lane>],
+    ) -> Vec<Result<Vec<MeasureResult>>> {
+        let plan = TimeGrid::plan(measures);
+        let live: Vec<&Lane> = lanes.iter().flatten().collect();
+        let mut timed = match &plan {
+            Ok((grid, _)) if !grid.times.is_empty() => self.timed_lanes(&grid.times, &live),
+            _ => vec![Ok(Vec::new()); live.len()],
+        }
+        .into_iter();
+        lanes
+            .iter()
+            .map(|lane| {
+                let lane = lane.as_ref().map_err(Clone::clone)?;
+                let points = timed.next().expect("one timed row per live lane");
+                let (_, plans) = plan.as_ref().map_err(Clone::clone)?;
+                let mut ctmc = None;
+                read_back(measures, plans, &points?, |measure| {
+                    self.steady_lane(measure, &lane.values, &mut ctmc)
+                })
+            })
+            .collect()
+    }
+
+    /// The time-bounded points of every lane on the merged grid `times`.
+    ///
+    /// The monolithic chain runs its forward pass; a compositional model
+    /// runs all lanes on one kernel, and when that batched pass fails (one
+    /// lane's Poisson window too large, say) every lane is rerun alone, so
+    /// the error lands on its own lane.  A hybrid session runs each core's
+    /// own pass over the lanes and evaluates the crown per lane; a lane
+    /// stops at its first failing core.
+    fn timed_lanes(&self, times: &[f64], lanes: &[&Lane]) -> Vec<Result<Vec<MeasurePoint>>> {
+        let epsilon = self.options.epsilon;
+        match &self.backend {
+            Backend::Monolithic { ctmc, goal } => lanes
+                .iter()
+                .map(|_| {
+                    let values = ctmc.reachability_multi(goal, times, epsilon)?;
+                    Ok(times
+                        .iter()
+                        .zip(values)
+                        .map(|(&t, v)| MeasurePoint::exact(Some(t), v))
+                        .collect())
+                })
+                .collect(),
+            Backend::Compositional {
+                model, numerics, ..
+            } => {
+                let pass = |lanes: &[&Lane]| {
+                    let edges: Vec<&[f64]> =
+                        lanes.iter().map(|lane| lane.edges.as_slice()).collect();
+                    R::reach(model, numerics, &edges, times, epsilon)
+                };
+                match pass(lanes) {
+                    Ok(points) => points.into_iter().map(Ok).collect(),
+                    Err(e) if lanes.len() <= 1 => vec![Err(e); lanes.len()],
+                    Err(_) => lanes
+                        .iter()
+                        .map(|&lane| pass(&[lane]).map(|mut points| points.remove(0)))
+                        .collect(),
+                }
+            }
+            Backend::Hybrid {
+                crown,
+                leaves,
+                cores,
+                ..
+            } => {
+                // curves[lane][core][time slot]
+                let mut curves: Vec<Result<Vec<Vec<f64>>>> = vec![Ok(Vec::new()); lanes.len()];
+                for (i, core) in cores.iter().enumerate() {
+                    let live: Vec<usize> =
+                        (0..lanes.len()).filter(|&k| curves[k].is_ok()).collect();
+                    let core_lanes: Vec<&Lane> = live.iter().map(|&k| &lanes[k].cores[i]).collect();
+                    for (k, points) in live.into_iter().zip(core.timed_lanes(times, &core_lanes)) {
+                        match points {
+                            Ok(points) => {
+                                if let Ok(curve) = &mut curves[k] {
+                                    curve.push(points.iter().map(MeasurePoint::value).collect());
+                                }
+                            }
+                            Err(e) => curves[k] = Err(e),
+                        }
+                    }
+                }
+                lanes
+                    .iter()
+                    .zip(curves)
+                    .map(|(lane, curves)| {
+                        Ok(crown_points(crown, leaves, &lane.values, &curves?, times))
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Answers a steady-state measure in one lane: the backend's support
+    /// checks, then the lane's tangible CTMC — the cached skeleton under the
+    /// lane's rates, built at most once per lane (`ctmc`) — and its solver.
+    fn steady_lane(
+        &self,
+        measure: &Measure,
+        values: &[f64],
+        ctmc: &mut Option<Result<Ctmc>>,
+    ) -> Result<MeasureResult> {
+        let epsilon = self.options.epsilon;
+        let unavailability = matches!(measure, Measure::Unavailability);
+        let message = match &self.backend {
+            _ if unavailability && !self.repairable => {
                 "unavailability analysis needs at least one repairable basic event"
             }
-            (Measure::Unavailability, Backend::Monolithic { .. }) => {
+            Backend::Monolithic { .. } if unavailability => {
                 "the monolithic baseline only supports unreliability analysis"
+            }
+            Backend::Monolithic { ctmc, goal } => {
+                return solve_steady(measure, ctmc, goal, epsilon)
             }
             // Defensive: a genuine hybrid backend implies an unrepairable tree,
             // so the first arm already matched.
-            (Measure::Unavailability, Backend::Hybrid { .. }) => {
+            Backend::Hybrid { .. } if unavailability => {
                 "the hybrid decomposition only exists for unrepairable trees"
-            }
-            (Measure::Unavailability, Backend::Compositional { model, .. })
-                if !model.has_repair =>
-            {
-                "the top event never emits a repair signal"
             }
             // MTTF needs a single first-passage model; the hybrid crown only
             // composes time-bounded failure probabilities.
-            (Measure::Mttf, Backend::Hybrid { .. }) => {
+            Backend::Hybrid { .. } => {
                 "the hybrid decomposition only supports unreliability analysis; \
                  use the compositional method for MTTF"
             }
-            _ => return Ok(()),
+            Backend::Compositional { model, .. } if unavailability && !model.has_repair => {
+                "the top event never emits a repair signal"
+            }
+            Backend::Compositional {
+                model, tangible, ..
+            } => {
+                let tangible = match tangible.get_or_init(|| extract_tangible(&model.closed)) {
+                    Ok(tangible) => tangible,
+                    Err(e) => return Err(e.clone()),
+                };
+                let ctmc = ctmc
+                    .get_or_insert_with(|| tangible.ctmc(values))
+                    .as_ref()
+                    .map_err(Clone::clone)?;
+                return solve_steady(measure, ctmc, &tangible.down, epsilon);
+            }
         };
         Err(Error::Unsupported {
             message: message.to_owned(),
@@ -800,7 +1046,8 @@ impl<R: SessionRate> Session<R> {
 }
 
 impl Session<f64> {
-    /// Answers one typed query against the cached model.
+    /// Answers one typed query against the cached model: the one-measure
+    /// [`query_all`](Self::query_all).
     ///
     /// Accepts the measure by value or by reference (`Measure` is owned data, so
     /// batch callers keep their measures and pass `&m`).
@@ -815,36 +1062,18 @@ impl Session<f64> {
     /// propagates numerical errors.  The construction work is *not* repeated on
     /// any path.
     pub fn query(&self, measure: impl Borrow<Measure>) -> Result<MeasureResult> {
-        match measure.borrow() {
-            Measure::Unreliability(t) => {
-                validate_mission_time(*t)?;
-                self.unreliability_points(&[*t])
-            }
-            Measure::UnreliabilityCurve(times) => {
-                if times.is_empty() {
-                    return Err(Error::EmptyCurve);
-                }
-                for &t in times {
-                    validate_mission_time(t)?;
-                }
-                self.unreliability_points(times)
-            }
-            measure @ (Measure::Unavailability | Measure::Mttf) => {
-                self.steady_support(measure)?;
-                let (ctmc, down) = match &self.backend {
-                    Backend::Monolithic { ctmc, goal } => (ctmc, goal.as_slice()),
-                    _ => self.tangible()?,
-                };
-                solve_steady(measure, ctmc, down, self.options.epsilon)
-            }
-        }
+        let mut results = self.query_all(std::slice::from_ref(measure.borrow()))?;
+        Ok(results.remove(0))
     }
 
     /// Answers a whole batch of measures against the cached model, sharing one
     /// uniformisation / value-iteration pass between *all* time-bounded measures
     /// in the batch.
     ///
-    /// The requested mission times of every [`Measure::Unreliability`] and
+    /// This is the session's evaluator over one lane, the session's own
+    /// rates: the same code answers every lane of a
+    /// [`sweep_query`](ParametricAnalyzer::sweep_query).  The requested
+    /// mission times of every [`Measure::Unreliability`] and
     /// [`Measure::UnreliabilityCurve`] in `measures` are merged (deduplicated
     /// bit-exactly), evaluated in a single multi-time reachability pass, and
     /// distributed back to their measures.  Because the value-iteration
@@ -866,18 +1095,7 @@ impl Session<f64> {
     /// are validated by the shared merged pass, before any scalar measure is
     /// evaluated.
     pub fn query_all(&self, measures: &[Measure]) -> Result<Vec<MeasureResult>> {
-        let (grid, plans) = TimeGrid::plan(measures)?;
-        let merged = if grid.times.is_empty() {
-            None
-        } else {
-            Some(self.unreliability_points(&grid.times)?)
-        };
-        read_back(
-            measures,
-            &plans,
-            merged.as_ref().map_or(&[], MeasureResult::points),
-            |measure| self.query(measure),
-        )
+        self.evaluate(measures, &[self.lane(Vec::new())]).remove(0)
     }
 
     /// Convenience for [`Measure::Unreliability`].
@@ -914,67 +1132,6 @@ impl Session<f64> {
     /// Same as [`query`](Self::query).
     pub fn mttf(&self) -> Result<MeasureResult> {
         self.query(Measure::Mttf)
-    }
-
-    fn unreliability_points(&self, times: &[f64]) -> Result<MeasureResult> {
-        let epsilon = self.options.epsilon;
-        match &self.backend {
-            Backend::Monolithic { ctmc, goal } => {
-                let values = ctmc.reachability_multi(goal, times, epsilon)?;
-                Ok(MeasureResult::new(
-                    times
-                        .iter()
-                        .zip(values)
-                        .map(|(&t, v)| MeasurePoint::exact(Some(t), v))
-                        .collect(),
-                ))
-            }
-            Backend::Compositional { model, numerics } => Ok(MeasureResult::new(
-                model.reach(&numerics.kernel, times, epsilon)?.remove(0),
-            )),
-            Backend::Hybrid {
-                crown,
-                leaves,
-                cores,
-                ..
-            } => {
-                // One multi-time pass per dynamic core, then a combinatorial
-                // crown evaluation per time point.
-                let core_curves = cores
-                    .iter()
-                    .map(|core| {
-                        Ok(core
-                            .unreliability_points(times)?
-                            .points()
-                            .iter()
-                            .map(MeasurePoint::value)
-                            .collect::<Vec<f64>>())
-                    })
-                    .collect::<Result<Vec<Vec<f64>>>>()?;
-                Ok(MeasureResult::new(crown_points(
-                    crown,
-                    leaves,
-                    |&rate| rate,
-                    &core_curves,
-                    times,
-                )))
-            }
-        }
-    }
-
-    /// The embedded CTMC of the closed model with its "down" labels, extracted on
-    /// first use and cached for the session.
-    fn tangible(&self) -> Result<(&Ctmc, &[bool])> {
-        let Backend::Compositional { model, numerics } = &self.backend else {
-            unreachable!("tangible() is only called on the compositional backend");
-        };
-        match numerics.tangible.get_or_init(|| {
-            let tangible = extract_tangible(&model.closed)?;
-            Ok((tangible.ctmc(|&rate| rate)?, tangible.down))
-        }) {
-            Ok((ctmc, labels)) => Ok((ctmc, labels)),
-            Err(e) => Err(e.clone()),
-        }
     }
 }
 
@@ -1044,34 +1201,20 @@ impl Session<RateForm> {
         })
     }
 
-    /// `values` projected onto a hybrid core's own table: each core slot
-    /// takes the value of the slot of this session's table controlling the
-    /// same rate of the same (named) basic event.
-    fn project(&self, core: &Self, values: &[f64]) -> Vec<f64> {
-        core.params
-            .slots()
-            .iter()
-            .map(|slot| {
-                values[self
-                    .params
-                    .slot_of(&slot.element, slot.kind)
-                    .expect("core basic events are basic events of the tree")]
-            })
-            .collect()
-    }
-
     /// Evaluates a batch of measures across a whole sweep of valuations with
     /// zero re-aggregations, and without building a session per valuation.
     ///
-    /// Every valuation is one *lane*: its rate forms are evaluated straight
-    /// into rate-independent templates cached on this session.
+    /// Every valuation is one *lane*: after the checks
+    /// [`instantiate`](Self::instantiate) makes, its rate forms are evaluated
+    /// straight into rate-independent templates cached on this session, and
+    /// the lanes go to the evaluator that answers [`Analyzer::query_all`]
+    /// over one lane.
     ///
     /// * The time bounds of every [`Measure::Unreliability`] and
-    ///   [`Measure::UnreliabilityCurve`] are merged onto one grid, exactly as
-    ///   [`Analyzer::query_all`] merges them, and run *batched*: every lane
-    ///   is one lane of a [`RelaxKernel`], so the whole sweep costs one (or
-    ///   two, for non-deterministic models) traversal of the shared structure
-    ///   instead of one value iteration per point.
+    ///   [`Measure::UnreliabilityCurve`] are merged onto one grid and run
+    ///   *batched*: every lane is one lane of a [`RelaxKernel`], so the whole
+    ///   sweep costs one (or two, for non-deterministic models) traversal of
+    ///   the shared structure instead of one value iteration per point.
     /// * [`Measure::Unavailability`] and [`Measure::Mttf`] evaluate each
     ///   lane's rates into the cached tangible CTMC skeleton and solve it.
     ///
@@ -1131,185 +1274,15 @@ impl Session<RateForm> {
             .iter()
             .map(|valuation| {
                 valuation.check_against(&self.params)?;
-                self.lane(valuation.values())
+                self.lane(valuation.values().to_vec())
             })
             .collect();
         sweep.instantiate_time = started.elapsed();
 
         let started = Instant::now();
-        let plan = TimeGrid::plan(measures);
-        let live: Vec<&Lane> = lanes.iter().flatten().collect();
-        let mut timed = match &plan {
-            Ok((grid, _)) if !grid.times.is_empty() => self.timed_lanes(&grid.times, &live),
-            _ => vec![Ok(Vec::new()); live.len()],
-        }
-        .into_iter();
-        sweep.results = lanes
-            .iter()
-            .map(|lane| {
-                let lane = lane.as_ref().map_err(Clone::clone)?;
-                let points = timed.next().expect("one timed row per live lane");
-                let (_, plans) = plan.as_ref().map_err(Clone::clone)?;
-                let mut ctmc = None;
-                read_back(measures, plans, &points?, |measure| {
-                    self.steady_lane(measure, lane.values, &mut ctmc)
-                })
-            })
-            .collect();
+        sweep.results = self.evaluate(measures, &lanes);
         sweep.query_time = started.elapsed();
         sweep
-    }
-
-    /// Evaluates one checked valuation into a lane, failing like the CTMDP
-    /// construction inside [`instantiate`](Self::instantiate) would.
-    fn lane<'a>(&self, values: &'a [f64]) -> Result<Lane<'a>> {
-        let rates = match &self.backend {
-            Backend::Compositional { .. } => vec![self.edge_rates(values)?],
-            Backend::Hybrid { cores, .. } => cores
-                .iter()
-                .map(|core| core.edge_rates(&self.project(core, values)))
-                .collect::<Result<_>>()?,
-            Backend::Monolithic { .. } => unreachable!("parametric sessions are never monolithic"),
-        };
-        Ok(Lane { values, rates })
-    }
-
-    /// The rate of every Markovian edge of a compositional session under
-    /// `values`, in kernel edge order.  Like the kernel an instantiated
-    /// session builds, the first rate that is not finite and strictly
-    /// positive is an error.
-    fn edge_rates(&self, values: &[f64]) -> Result<Vec<f64>> {
-        let (_, template) = self.template();
-        template
-            .forms
-            .iter()
-            .map(|form| match form.eval(values) {
-                rate if rate.is_finite() && rate > 0.0 => Ok(rate),
-                rate => Err(markov::Error::InvalidValue { value: rate }.into()),
-            })
-            .collect()
-    }
-
-    /// The closed model of a compositional session (a sweep's own model or
-    /// a hybrid core) with its sweep template, lowered on first use.
-    fn template(&self) -> (&ClosedModel<RateForm>, &SweepTemplate) {
-        let Backend::Compositional { model, numerics } = &self.backend else {
-            unreachable!("only compositional models are lowered into sweep templates");
-        };
-        (
-            model,
-            numerics.get_or_init(|| SweepTemplate::of(&model.closed)),
-        )
-    }
-
-    /// The time-bounded points of every lane on the merged grid `times`.
-    ///
-    /// A compositional session runs all lanes on one kernel.  A hybrid
-    /// session runs one batched pass per core and evaluates the crown per
-    /// lane; like [`query`](Analyzer::query) on an instantiated session, a
-    /// lane stops at its first failing core.
-    fn timed_lanes(&self, times: &[f64], lanes: &[&Lane]) -> Vec<Result<Vec<MeasurePoint>>> {
-        match &self.backend {
-            Backend::Compositional { .. } => {
-                let rates: Vec<&[f64]> =
-                    lanes.iter().map(|lane| lane.rates[0].as_slice()).collect();
-                self.reach_lanes(&rates, times)
-            }
-            Backend::Hybrid {
-                crown,
-                leaves,
-                cores,
-                ..
-            } => {
-                // curves[lane][core][time slot]
-                let mut curves: Vec<Result<Vec<Vec<f64>>>> = vec![Ok(Vec::new()); lanes.len()];
-                for (i, core) in cores.iter().enumerate() {
-                    let live: Vec<usize> =
-                        (0..lanes.len()).filter(|&k| curves[k].is_ok()).collect();
-                    let rates: Vec<&[f64]> =
-                        live.iter().map(|&k| lanes[k].rates[i].as_slice()).collect();
-                    for (k, points) in live.into_iter().zip(core.reach_lanes(&rates, times)) {
-                        match points {
-                            Ok(points) => {
-                                if let Ok(curve) = &mut curves[k] {
-                                    curve.push(points.iter().map(MeasurePoint::value).collect());
-                                }
-                            }
-                            Err(e) => curves[k] = Err(e),
-                        }
-                    }
-                }
-                lanes
-                    .iter()
-                    .zip(curves)
-                    .map(|(lane, curves)| {
-                        Ok(crown_points(
-                            crown,
-                            leaves,
-                            |form| form.eval(lane.values),
-                            &curves?,
-                            times,
-                        ))
-                    })
-                    .collect()
-            }
-            Backend::Monolithic { .. } => unreachable!("parametric sessions are never monolithic"),
-        }
-    }
-
-    /// Time-bounded reachability of a compositional session for every lane
-    /// (`rates[k]` holds lane k's edge rates): one value-iteration pass per
-    /// goal set answers every lane and every time bound.  When the batched
-    /// pass fails (one lane's Poisson window too large, say), every lane is
-    /// rerun on a one-lane kernel, so the error lands on its own lane.
-    fn reach_lanes(&self, rates: &[&[f64]], times: &[f64]) -> Vec<Result<Vec<MeasurePoint>>> {
-        let (model, template) = self.template();
-        let pass = |rates: &[&[f64]]| -> Result<Vec<Vec<MeasurePoint>>> {
-            let n = rates.len();
-            let mut lane_rates = vec![0.0f64; template.forms.len() * n];
-            for (k, lane) in rates.iter().enumerate() {
-                for (e, &rate) in lane.iter().enumerate() {
-                    lane_rates[e * n + k] = rate;
-                }
-            }
-            let kernel = RelaxKernel::from_template(&template.states, &lane_rates, n)?;
-            model.reach(&kernel, times, self.options.epsilon)
-        };
-        match pass(rates) {
-            Ok(points) => points.into_iter().map(Ok).collect(),
-            Err(e) if rates.len() <= 1 => vec![Err(e); rates.len()],
-            Err(_) => rates
-                .iter()
-                .map(|&lane| pass(&[lane]).map(|mut points| points.remove(0)))
-                .collect(),
-        }
-    }
-
-    /// Answers a steady-state measure for one lane: the session's support
-    /// checks, then the lane's tangible CTMC — the cached skeleton under the
-    /// lane's rates, built once per lane — and the solver a numeric session
-    /// uses.
-    fn steady_lane(
-        &self,
-        measure: &Measure,
-        values: &[f64],
-        ctmc: &mut Option<Result<Ctmc>>,
-    ) -> Result<MeasureResult> {
-        self.steady_support(measure)?;
-        // Past the support check only a compositional backend is left.
-        let (model, template) = self.template();
-        let tangible = match template
-            .tangible
-            .get_or_init(|| extract_tangible(&model.closed))
-        {
-            Ok(tangible) => tangible,
-            Err(e) => return Err(e.clone()),
-        };
-        let ctmc = ctmc
-            .get_or_insert_with(|| tangible.ctmc(|form| form.eval(values)))
-            .as_ref()
-            .map_err(Clone::clone)?;
-        solve_steady(measure, ctmc, &tangible.down, self.options.epsilon)
     }
 
     /// The parameter slots of the model: what each slot means, its base value,
@@ -1324,13 +1297,14 @@ impl Session<RateForm> {
     }
 }
 
-/// One valuation of a sweep, past the checks
-/// [`instantiate`](ParametricAnalyzer::instantiate) makes: its slot values,
-/// and its edge rates in kernel edge order — one vector for a compositional
-/// session, one per dynamic core for a hybrid one.
-struct Lane<'a> {
-    values: &'a [f64],
-    rates: Vec<Vec<f64>>,
+/// A session's rates in one lane of an evaluation: the slot values every
+/// symbolic rate evaluates under (none for a numeric session), the edge rates
+/// of a compositional model in kernel edge order (none where the kernel is
+/// cached), and one lane per hybrid core.
+struct Lane {
+    values: Vec<f64>,
+    edges: Vec<f64>,
+    cores: Vec<Lane>,
 }
 
 /// The result of a rate sweep: one row per valuation, in request order, plus
@@ -1486,14 +1460,14 @@ fn lower<R: Rate>(closed: &IoImcOf<R>, mut rate: impl FnMut(&R) -> f64) -> Vec<C
 }
 
 /// Evaluates a hybrid crown at every time point: a crown basic event fails
-/// exponentially with the rate `rate` reads off its leaf, a core exit with
-/// its core's curve (`core_curves[core][time]`).  Exact because the cores are
-/// pairwise independent and independent of every crown basic event, and all
-/// indicators are monotone ("failed by t").
-fn crown_points<R>(
+/// exponentially with its leaf's rate in the lane with slot values `values`,
+/// a core exit with its core's curve (`core_curves[core][time]`).  Exact
+/// because the cores are pairwise independent and independent of every
+/// crown basic event, and all indicators are monotone ("failed by t").
+fn crown_points<R: SessionRate>(
     crown: &Bdd,
     leaves: &[Leaf<R>],
-    rate: impl Fn(&R) -> f64,
+    values: &[f64],
     core_curves: &[Vec<f64>],
     times: &[f64],
 ) -> Vec<MeasurePoint> {
@@ -1505,7 +1479,7 @@ fn crown_points<R>(
             for (p, leaf) in probabilities.iter_mut().zip(leaves) {
                 *p = match leaf {
                     Leaf::Unused => 0.0,
-                    Leaf::Basic { rate: r } => -(-rate(r) * t).exp_m1(),
+                    Leaf::Basic { rate } => -(-rate.lane_rate(values) * t).exp_m1(),
                     Leaf::Core { index } => core_curves[*index][i],
                 };
             }
@@ -1518,7 +1492,7 @@ fn crown_points<R>(
 /// tangible states (those without an outgoing immediate transition) with
 /// every immediate chain resolved to the tangible state it ends in.
 #[derive(Debug)]
-struct Tangible<R> {
+pub(crate) struct Tangible<R> {
     states: usize,
     initial: usize,
     /// The monitor's "down" label of each tangible state.
@@ -1527,13 +1501,13 @@ struct Tangible<R> {
     transitions: Vec<(u32, u32, R)>,
 }
 
-impl<R> Tangible<R> {
-    /// The CTMC under the numeric rate `rate` gives each transition.
-    fn ctmc(&self, rate: impl Fn(&R) -> f64) -> Result<Ctmc> {
+impl<R: SessionRate> Tangible<R> {
+    /// The CTMC in the lane with slot values `values`.
+    fn ctmc(&self, values: &[f64]) -> Result<Ctmc> {
         let transitions: Vec<(u32, u32, f64)> = self
             .transitions
             .iter()
-            .map(|(from, to, r)| (*from, *to, rate(r)))
+            .map(|(from, to, rate)| (*from, *to, rate.lane_rate(values)))
             .collect();
         Ok(Ctmc::from_transitions(
             self.states,

@@ -492,7 +492,7 @@ impl AnalysisRequest {
     /// A typed [`RequestError`] naming the first violated rule; caps are
     /// enforced before any expensive work.
     pub fn from_json(doc: &Json) -> std::result::Result<AnalysisRequest, RequestError> {
-        let dft = match (field(doc, "galileo"), field(doc, "tree")) {
+        let dft = match (doc.get("galileo"), doc.get("tree")) {
             (Some(Json::Str(text)), _) => {
                 dft::galileo::parse(text).map_err(|e| RequestError::Tree {
                     message: format!("invalid Galileo tree: {e}"),
@@ -515,7 +515,7 @@ impl AnalysisRequest {
         };
 
         let mut request = AnalysisRequest::new(dft);
-        match field(doc, "method") {
+        match doc.get("method") {
             None => {}
             Some(Json::Str(s)) => request.options.method = s.parse::<MethodSpec>()?.0,
             Some(_) => {
@@ -524,7 +524,7 @@ impl AnalysisRequest {
                 ))
             }
         }
-        match field(doc, "epsilon") {
+        match doc.get("epsilon") {
             None => {}
             Some(Json::Num(e)) if *e > 0.0 && *e < 1.0 => request.options.epsilon = *e,
             Some(_) => {
@@ -534,8 +534,8 @@ impl AnalysisRequest {
             }
         }
 
-        let measures = field(doc, "measures");
-        let queries = field(doc, "queries");
+        let measures = doc.get("measures");
+        let queries = doc.get("queries");
         if measures.is_none() && queries.is_none() {
             return Err(schema("missing array field 'measures'"));
         }
@@ -573,7 +573,7 @@ impl AnalysisRequest {
             }
         }
 
-        if let Some(spec) = field(doc, "sweep") {
+        if let Some(spec) = doc.get("sweep") {
             if request.sweep.is_some() {
                 return Err(schema(
                     "the request carries both a 'sweep' object and a sweep query",
@@ -585,27 +585,6 @@ impl AnalysisRequest {
     }
 }
 
-fn field<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn str_field<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-    match field(doc, key) {
-        Some(Json::Str(s)) => Some(s),
-        _ => None,
-    }
-}
-
-fn num_field(doc: &Json, key: &str) -> Option<f64> {
-    match field(doc, key) {
-        Some(Json::Num(n)) => Some(*n),
-        _ => None,
-    }
-}
-
 /// A numeric array field, with a cap enforced before collection.
 fn num_array(
     doc: &Json,
@@ -613,7 +592,7 @@ fn num_array(
     what: &'static str,
     cap: usize,
 ) -> std::result::Result<Option<Vec<f64>>, RequestError> {
-    let Some(value) = field(doc, key) else {
+    let Some(value) = doc.get(key) else {
         return Ok(None);
     };
     let Json::Arr(items) = value else {
@@ -640,13 +619,15 @@ fn num_array(
 /// `{"type": "curve", "times": […]}`, `{"type": "unavailability"}` or
 /// `{"type": "mttf"}`.
 fn parse_measure(doc: &Json) -> std::result::Result<Measure, RequestError> {
-    let kind = str_field(doc, "type")
-        .ok_or_else(|| schema("every measure needs a string field 'type'"))?;
-    match kind {
+    let Some(Json::Str(kind)) = doc.get("type") else {
+        return Err(schema("every measure needs a string field 'type'"));
+    };
+    match kind.as_str() {
         "unreliability" => {
-            let time = num_field(doc, "time")
-                .ok_or_else(|| schema("measure 'unreliability' needs a numeric 'time'"))?;
-            Ok(Measure::Unreliability(time))
+            let Some(Json::Num(time)) = doc.get("time") else {
+                return Err(schema("measure 'unreliability' needs a numeric 'time'"));
+            };
+            Ok(Measure::Unreliability(*time))
         }
         "curve" => {
             let times = num_array(doc, "times", "curve times", MAX_CURVE_POINTS)?
@@ -668,25 +649,26 @@ fn parse_sweep_object(spec: &Json) -> std::result::Result<SweepSpec, RequestErro
     if let Some(scales) = num_array(spec, "scales", "sweep values", MAX_SWEEP_VALUES)? {
         return Ok(SweepSpec::FailureScales(scales));
     }
-    if let Some(element) = str_field(spec, "element") {
-        let kind = match str_field(spec, "kind") {
-            None | Some("failure") => ParamKind::Failure,
-            Some("repair") => ParamKind::Repair,
-            Some(other) => {
+    if let Some(Json::Str(element)) = spec.get("element") {
+        // A missing (or non-string) kind means failure rates.
+        let kind = match spec.get("kind") {
+            Some(Json::Str(kind)) if kind == "repair" => ParamKind::Repair,
+            Some(Json::Str(other)) if other != "failure" => {
                 return Err(schema(format!(
                     "unknown sweep kind '{other}' (expected \"failure\" or \"repair\")"
                 )))
             }
+            _ => ParamKind::Failure,
         };
         let values = num_array(spec, "values", "sweep values", MAX_SWEEP_VALUES)?
             .ok_or_else(|| schema("an element sweep needs a numeric array 'values'"))?;
         return Ok(SweepSpec::Element {
-            element: element.to_owned(),
+            element: element.clone(),
             kind,
             values,
         });
     }
-    if let Some(line) = str_field(spec, "query") {
+    if let Some(Json::Str(line)) = spec.get("query") {
         return match QuerySpec::parse(line)? {
             QuerySpec::Sweep(spec) => Ok(spec),
             QuerySpec::Measure(_) => Err(schema(

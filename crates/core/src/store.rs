@@ -30,8 +30,9 @@
 //!
 //! A compositional body (tag 0) is the top-failure action, the repair and
 //! point-valued flags, the closed model and its can/must goal bits; the
-//! numerics cache next to it (the one-lane relax kernel of a numeric
-//! session) is rebuilt on load by the same function a fresh build uses.  A
+//! caches next to it (the one-lane relax kernel of a numeric session, the
+//! tangible-CTMC skeleton) are rebuilt on load by the same code a fresh build
+//! uses.  A
 //! monolithic body (tag 1, numeric only) is the CTMC and its goal bits.  A
 //! hybrid body (tag 2) is the module statistics, the crown BDD, one leaf per
 //! element and one nested compositional body per dynamic core.
@@ -418,9 +419,9 @@ fn encode_session<R: SessionRate>(session: &Session<R>, w: &mut Writer) {
         encode_params(&session.params, w);
     }
     match &session.backend {
-        // The numerics are derived deterministically from the closed model
-        // and the goal bits on load.
-        Backend::Compositional { model, numerics: _ } => {
+        // The numerics and the tangible skeleton are derived
+        // deterministically from the closed model and the goal bits on load.
+        Backend::Compositional { model, .. } => {
             w.str(model.top_failure.name());
             w.bool(model.has_repair);
             w.bool(model.point_valued);

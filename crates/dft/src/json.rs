@@ -35,6 +35,15 @@ impl Json {
         )
     }
 
+    /// The value of the first `key` entry of an object; `None` when the key
+    /// is missing or the value is not an object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// A duration, rendered as fractional seconds (the universal bench unit).
     pub fn secs(d: Duration) -> Json {
         Json::Num(d.as_secs_f64())

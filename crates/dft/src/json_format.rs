@@ -142,10 +142,6 @@ enum RawNode {
     },
 }
 
-fn field<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
 /// Reads an id field: dftlib writes strings, but plain integers are accepted.
 fn id_string(value: &Json, what: &str) -> Result<String> {
     match value {
@@ -184,13 +180,14 @@ fn threshold(value: &Json, what: &str) -> Result<u32> {
 ///
 /// As for [`parse`].
 pub fn decode(value: &Json) -> Result<Dft> {
-    let Json::Obj(root) = value else {
+    if !matches!(value, Json::Obj(_)) {
         return Err(err("document root must be an object".to_owned()));
-    };
-    let toplevel = field(root, "toplevel")
+    }
+    let toplevel = value
+        .get("toplevel")
         .ok_or_else(|| err("missing 'toplevel'".to_owned()))
         .and_then(|v| id_string(v, "'toplevel'"))?;
-    let Some(Json::Arr(nodes)) = field(root, "nodes") else {
+    let Some(Json::Arr(nodes)) = value.get("nodes") else {
         return Err(err("missing 'nodes' array".to_owned()));
     };
 
@@ -199,33 +196,35 @@ pub fn decode(value: &Json) -> Result<Dft> {
     let mut defs: Vec<(String, String, RawNode)> = Vec::new();
     let mut by_id: HashMap<String, usize> = HashMap::new();
     for (position, node) in nodes.iter().enumerate() {
-        let Json::Obj(entries) = node else {
+        if !matches!(node, Json::Obj(_)) {
             return Err(err(format!("node #{position} must be an object")));
-        };
-        let Some(Json::Obj(data)) = field(entries, "data") else {
+        }
+        let Some(data @ Json::Obj(_)) = node.get("data") else {
             return Err(err(format!("node #{position} has no 'data' object")));
         };
-        let id = field(data, "id")
+        let id = data
+            .get("id")
             .ok_or_else(|| err(format!("node #{position} has no 'id'")))
             .and_then(|v| id_string(v, "'id'"))?;
-        let name = match field(data, "name") {
+        let name = match data.get("name") {
             Some(Json::Str(s)) if !s.is_empty() => s.clone(),
             Some(_) => return Err(err(format!("node '{id}': 'name' must be a string"))),
             None => id.clone(),
         };
-        let Some(Json::Str(type_name)) = field(data, "type") else {
+        let Some(Json::Str(type_name)) = data.get("type") else {
             return Err(err(format!("node '{id}': missing 'type'")));
         };
         let raw = match type_name.as_str() {
             "be" | "be_exp" => {
-                let rate = field(data, "rate")
+                let rate = data
+                    .get("rate")
                     .ok_or_else(|| err(format!("basic event '{id}': missing 'rate'")))
                     .and_then(|v| number(v, &format!("basic event '{id}' rate")))?;
-                let dorm = match field(data, "dorm") {
+                let dorm = match data.get("dorm") {
                     Some(v) => number(v, &format!("basic event '{id}' dorm"))?,
                     None => 1.0,
                 };
-                let repair = match field(data, "repair") {
+                let repair = match data.get("repair") {
                     Some(v) => number(v, &format!("basic event '{id}' repair"))?,
                     None => 0.0,
                 };
@@ -236,7 +235,8 @@ pub fn decode(value: &Json) -> Result<Dft> {
                     "and" => GateKind::And,
                     "or" => GateKind::Or,
                     "vot" => {
-                        let k = field(data, "voting")
+                        let k = data
+                            .get("voting")
                             .ok_or_else(|| {
                                 err(format!("voting gate '{id}': missing 'voting' threshold"))
                             })
@@ -252,7 +252,7 @@ pub fn decode(value: &Json) -> Result<Dft> {
                         return Err(err(format!("node '{id}': unknown type '{other}'")));
                     }
                 };
-                let Some(Json::Arr(child_values)) = field(data, "children") else {
+                let Some(Json::Arr(child_values)) = data.get("children") else {
                     return Err(err(format!("gate '{id}': missing 'children' array")));
                 };
                 let mut children = Vec::with_capacity(child_values.len());

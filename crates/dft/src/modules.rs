@@ -12,14 +12,10 @@
 //! analysis backend: the maximal connected regions that contain dynamism (the
 //! *cores*, each observed by the rest of the tree through a single exit
 //! element) versus the purely static *crown* above them, which a [`crate::bdd`]
-//! diagram solves combinatorially.  [`collapse_static_modules`] is the separate,
-//! explicitly *approximate* rewrite that replaces static modules under dynamic
-//! gates by exponential pseudo events.
+//! diagram solves combinatorially.
 
-use crate::bdd::{exponential_probabilities, Bdd};
-use crate::element::{BasicEvent, Dormancy, Element, ElementId, GateKind};
+use crate::element::{Element, ElementId};
 use crate::tree::Dft;
-use crate::Result;
 use std::collections::{BTreeSet, HashMap};
 
 /// Information about one independent module.
@@ -85,51 +81,6 @@ pub fn independent_modules(dft: &Dft) -> Vec<ModuleInfo> {
         }
     }
     out
-}
-
-/// Returns the independent modules that the DIFTree methodology can actually solve
-/// separately: modules whose *parent gates are all static* (an independent module
-/// below a dynamic gate cannot be replaced by a constant-probability basic event,
-/// cf. Section 2 of the paper).
-///
-/// This is the *classification* the hybrid backend's exactness boundary is
-/// built on: [`hybrid_plan`] keeps everything below a dynamic gate in the
-/// state-space cores, precisely because such modules are not in this list;
-/// only [`collapse_static_modules`] — the explicit opt-in approximation —
-/// will replace them with pseudo events.
-///
-/// # Examples
-///
-/// An AND module below a PAND gate is independent, yet not DIFTree-solvable:
-///
-/// ```
-/// use dft::modules::{diftree_solvable_modules, independent_modules};
-/// use dft::{DftBuilder, Dormancy};
-/// # fn main() -> Result<(), dft::Error> {
-/// let mut b = DftBuilder::new();
-/// let x = b.basic_event("X", 1.0, Dormancy::Hot)?;
-/// let y = b.basic_event("Y", 1.0, Dormancy::Hot)?;
-/// let a = b.and_gate("A", &[x, y])?;
-/// let z = b.basic_event("Z", 1.0, Dormancy::Hot)?;
-/// let top = b.pand_gate("Top", &[a, z])?;
-/// let dft = b.build(top)?;
-/// assert!(independent_modules(&dft).iter().any(|m| m.root == a));
-/// assert!(!diftree_solvable_modules(&dft).iter().any(|m| m.root == a));
-/// # Ok(())
-/// # }
-/// ```
-pub fn diftree_solvable_modules(dft: &Dft) -> Vec<ModuleInfo> {
-    independent_modules(dft)
-        .into_iter()
-        .filter(|m| {
-            dft.parents(m.root).iter().all(|&p| {
-                matches!(
-                    dft.element(p).as_gate().map(|g| g.kind),
-                    Some(GateKind::And) | Some(GateKind::Or) | Some(GateKind::Voting { .. })
-                )
-            })
-        })
-        .collect()
 }
 
 /// Statistics of a hybrid static/dynamic decomposition: how much of the tree
@@ -369,137 +320,6 @@ fn extract_subtree(dft: &Dft, members: &[ElementId], exit: ElementId) -> Dft {
     )
 }
 
-/// Statistics of an approximate [`collapse_static_modules`] rewrite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CollapseStats {
-    /// Static modules replaced by exponential pseudo events.
-    pub collapsed_modules: usize,
-    /// Elements removed from the tree by those replacements.
-    pub removed_elements: usize,
-}
-
-/// **Approximate**, opt-in rewrite: replaces every maximal unrepairable static
-/// independent module — *including those underneath dynamic gates* — with a
-/// single exponential pseudo basic event whose rate is the reciprocal of the
-/// module's mean time to failure.
-///
-/// The hybrid backend never does this on its own: a static module below a
-/// dynamic gate has a non-exponential failure distribution, and summarising it
-/// by its MTTF changes results.  Calling this function is the explicit
-/// approximation flag.  Modules serving as spare-gate inputs keep their
-/// structure (activation and dormancy are not combinatorial notions), as do
-/// repairable modules and the top itself.
-///
-/// The MTTF `∫₀^∞ R(t) dt` is evaluated from the module's BDD by midpoint
-/// quadrature after the substitution `u = e^(−ct)` (with `c` the smallest leaf
-/// rate), which maps the integral onto `[0, 1]` with a bounded integrand.
-///
-/// # Errors
-///
-/// Propagates [`crate::Error::InvalidGate`] from BDD compilation; unreachable
-/// for the static modules this function selects.
-pub fn collapse_static_modules(dft: &Dft) -> Result<(Dft, CollapseStats)> {
-    let modules = independent_modules(dft);
-    let candidates: Vec<&ModuleInfo> = modules
-        .iter()
-        .filter(|m| {
-            !m.dynamic
-                && m.root != dft.top()
-                && !dft.parents(m.root).iter().any(|&p| {
-                    matches!(
-                        dft.element(p).as_gate().map(|g| g.kind),
-                        Some(GateKind::Spare)
-                    )
-                })
-                && m.members.iter().all(|&e| match dft.element(e) {
-                    Element::BasicEvent(be) => be.repair_rate.is_none(),
-                    Element::Gate(g) => !g.repairable,
-                })
-        })
-        .collect();
-    // Independent modules are nested or disjoint; keep the maximal ones.
-    let chosen: Vec<&ModuleInfo> = candidates
-        .iter()
-        .filter(|m| {
-            !candidates
-                .iter()
-                .any(|other| other.root != m.root && other.members.binary_search(&m.root).is_ok())
-        })
-        .copied()
-        .collect();
-    let mut replacement: HashMap<ElementId, f64> = HashMap::with_capacity(chosen.len());
-    let mut removed = vec![false; dft.num_elements()];
-    let mut removed_elements = 0;
-    for module in &chosen {
-        let sub = extract_subtree(dft, &module.members, module.root);
-        replacement.insert(module.root, 1.0 / module_mttf(&sub)?);
-        for &e in &module.members {
-            if e != module.root {
-                removed[e.index()] = true;
-                removed_elements += 1;
-            }
-        }
-    }
-    let mut index_of = vec![u32::MAX; dft.num_elements()];
-    let mut names = Vec::new();
-    let mut by_name = HashMap::new();
-    for id in dft.elements() {
-        if removed[id.index()] {
-            continue;
-        }
-        index_of[id.index()] = names.len() as u32;
-        by_name.insert(dft.name(id).to_owned(), ElementId::new(names.len() as u32));
-        names.push(dft.name(id).to_owned());
-    }
-    let mut elements = Vec::with_capacity(names.len());
-    for id in dft.elements() {
-        if removed[id.index()] {
-            continue;
-        }
-        if let Some(&rate) = replacement.get(&id) {
-            elements.push(Element::BasicEvent(BasicEvent {
-                rate,
-                dormancy: Dormancy::Hot,
-                repair_rate: None,
-            }));
-        } else {
-            let mut element = dft.element(id).clone();
-            if let Element::Gate(gate) = &mut element {
-                for input in &mut gate.inputs {
-                    *input = ElementId::new(index_of[input.index()]);
-                }
-            }
-            elements.push(element);
-        }
-    }
-    let top = ElementId::new(index_of[dft.top().index()]);
-    let stats = CollapseStats {
-        collapsed_modules: chosen.len(),
-        removed_elements,
-    };
-    Ok((Dft::assemble(names, elements, by_name, top), stats))
-}
-
-/// Mean time to failure of an unrepairable static tree, by BDD evaluation and
-/// midpoint quadrature (see [`collapse_static_modules`]).
-fn module_mttf(sub: &Dft) -> Result<f64> {
-    let bdd = Bdd::for_tree(sub)?;
-    let c = sub
-        .basic_events()
-        .iter()
-        .filter_map(|&e| sub.element(e).as_basic_event().map(|be| be.rate))
-        .fold(f64::INFINITY, f64::min);
-    const STEPS: usize = 4096;
-    let mut total = 0.0;
-    for i in 0..STEPS {
-        let u = (i as f64 + 0.5) / STEPS as f64;
-        let t = -u.ln() / c;
-        let reliability = 1.0 - bdd.probability(&exponential_probabilities(sub, t));
-        total += reliability / (c * u);
-    }
-    Ok(total / STEPS as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,16 +352,6 @@ mod tests {
         assert!(!mod_a.dynamic);
         let top = modules.iter().find(|m| dft.name(m.root) == "Top").unwrap();
         assert!(top.dynamic);
-    }
-
-    #[test]
-    fn diftree_cannot_solve_modules_under_dynamic_gates() {
-        let dft = cascaded();
-        let solvable = diftree_solvable_modules(&dft);
-        // Only the top module itself (no parents) qualifies; the AND modules are
-        // below a PAND gate.
-        let roots: Vec<&str> = solvable.iter().map(|m| dft.name(m.root)).collect();
-        assert_eq!(roots, vec!["Top"]);
     }
 
     #[test]
@@ -684,71 +494,5 @@ mod tests {
         assert_eq!(core.dft.name(core.dft.top()), "C");
         let crown_names: Vec<&str> = plan.crown.iter().map(|&m| dft.name(m)).collect();
         assert_eq!(crown_names, vec!["X", "Top"]);
-    }
-
-    #[test]
-    fn collapse_replaces_static_modules_with_pseudo_events() {
-        let dft = cascaded();
-        let (reduced, stats) = collapse_static_modules(&dft).unwrap();
-        assert_eq!(stats.collapsed_modules, 2);
-        assert_eq!(stats.removed_elements, 4);
-        assert_eq!(reduced.num_elements(), 3);
-        assert_eq!(reduced.num_basic_events(), 2);
-        assert_eq!(reduced.name(reduced.top()), "Top");
-        // AND of two unit-rate events: MTTF = 2 − 1/2 = 3/2, rate = 2/3.  The
-        // transformed integrand is linear in u, so midpoint quadrature is exact.
-        let mod_a = reduced.require("ModA").unwrap();
-        let be = reduced.element(mod_a).as_basic_event().unwrap();
-        assert!((be.rate - 2.0 / 3.0).abs() < 1e-9, "rate {}", be.rate);
-    }
-
-    #[test]
-    fn collapse_quadrature_is_accurate_for_uneven_rates() {
-        // AND(λ=1, λ=2): MTTF = 1 + 1/2 − 1/3 = 7/6.
-        let mut b = DftBuilder::new();
-        let x = b.basic_event("X", 1.0, Dormancy::Hot).unwrap();
-        let y = b.basic_event("Y", 2.0, Dormancy::Hot).unwrap();
-        let m = b.and_gate("M", &[x, y]).unwrap();
-        let z = b.basic_event("Z", 1.0, Dormancy::Hot).unwrap();
-        let top = b.pand_gate("Top", &[m, z]).unwrap();
-        let dft = b.build(top).unwrap();
-        let (reduced, stats) = collapse_static_modules(&dft).unwrap();
-        assert_eq!(stats.collapsed_modules, 1);
-        let m = reduced.require("M").unwrap();
-        let be = reduced.element(m).as_basic_event().unwrap();
-        assert!((be.rate - 6.0 / 7.0).abs() < 1e-6, "rate {}", be.rate);
-    }
-
-    #[test]
-    fn collapse_skips_spare_modules_repairable_modules_and_the_top() {
-        // A complex spare module must keep its structure (activation), and a
-        // repairable module must keep its state space.
-        let mut b = DftBuilder::new();
-        let p = b.basic_event("P", 1.0, Dormancy::Hot).unwrap();
-        let c = b.basic_event("C", 1.0, Dormancy::Cold).unwrap();
-        let d = b.basic_event("D", 1.0, Dormancy::Cold).unwrap();
-        let spare_module = b.and_gate("SpareModule", &[c, d]).unwrap();
-        let spare = b.spare_gate("Spare", &[p, spare_module]).unwrap();
-        let r1 = b
-            .repairable_basic_event("R1", 1.0, Dormancy::Hot, 2.0)
-            .unwrap();
-        let r2 = b.basic_event("R2", 1.0, Dormancy::Hot).unwrap();
-        let repairable = b.and_gate("Repairable", &[r1, r2]).unwrap();
-        let top = b.or_gate("Top", &[spare, repairable]).unwrap();
-        let dft = b.build(top).unwrap();
-        let (reduced, stats) = collapse_static_modules(&dft).unwrap();
-        assert_eq!(stats.collapsed_modules, 0);
-        assert_eq!(reduced.num_elements(), dft.num_elements());
-
-        // A fully static tree's top is itself a maximal static module, but the
-        // top is never collapsed.
-        let mut b2 = DftBuilder::new();
-        let x = b2.basic_event("X", 1.0, Dormancy::Hot).unwrap();
-        let y = b2.basic_event("Y", 1.0, Dormancy::Hot).unwrap();
-        let top2 = b2.and_gate("Top", &[x, y]).unwrap();
-        let static_dft = b2.build(top2).unwrap();
-        let (kept, stats2) = collapse_static_modules(&static_dft).unwrap();
-        assert_eq!(stats2.collapsed_modules, 0);
-        assert_eq!(kept.num_elements(), 3);
     }
 }

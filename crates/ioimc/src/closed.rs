@@ -147,18 +147,6 @@ pub fn check_deterministic<R: Rate>(model: &IoImcOf<R>) -> Result<()> {
     Ok(())
 }
 
-/// Checks that the model has no input actions left.
-///
-/// # Errors
-///
-/// Returns [`Error::NotClosed`] naming one of the remaining input actions.
-pub fn check_closed<R: Rate>(model: &IoImcOf<R>) -> Result<()> {
-    if let Some(a) = model.signature().inputs().next() {
-        return Err(Error::NotClosed { action: a });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,8 +169,6 @@ mod tests {
         assert!(!closed.signature().is_input(act("cl_in")));
         // s1 becomes unreachable.
         assert_eq!(closed.num_states(), 2);
-        assert!(check_closed(&closed).is_ok());
-        assert!(check_closed(&m).is_err());
     }
 
     #[test]

@@ -312,27 +312,6 @@ fn input_targets<R: Rate>(
     run.iter().map(|t| t.to).chain(stay)
 }
 
-/// Composes a non-empty sequence of I/O-IMCs left to right.
-///
-/// # Errors
-///
-/// Propagates the first composability error encountered.
-///
-/// # Panics
-///
-/// Panics if `models` is empty.
-pub fn compose_all<R: Rate>(models: &[IoImcOf<R>]) -> Result<IoImcOf<R>> {
-    assert!(
-        !models.is_empty(),
-        "compose_all requires at least one model"
-    );
-    let mut acc = models[0].clone();
-    for m in &models[1..] {
-        acc = compose(&acc, m)?;
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,26 +464,6 @@ mod tests {
             .filter(|&s| c.has_prop(s, a_done) && c.has_prop(s, b_done))
             .collect();
         assert_eq!(both.len(), 1);
-    }
-
-    #[test]
-    fn compose_all_chains_left_to_right() {
-        let (sender, receiver) = sender_receiver();
-        let mut m = IoImcBuilder::new("monitor");
-        let u = m.add_states(2);
-        m.initial(u[0]);
-        m.input(u[0], act("c_done"), u[1]);
-        let monitor = m.build().unwrap();
-
-        let all = compose_all(&[sender, receiver, monitor]).unwrap();
-        assert!(all.validate().is_ok());
-        assert_eq!(all.num_states(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one model")]
-    fn compose_all_rejects_empty() {
-        let _ = compose_all::<f64>(&[]);
     }
 
     #[test]

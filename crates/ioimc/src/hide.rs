@@ -81,26 +81,6 @@ pub fn hide<R: Rate>(model: &IoImcOf<R>, actions: &[Action]) -> Result<IoImcOf<R
     ))
 }
 
-/// Hides *all* output actions of the model except those listed in `keep`.
-///
-/// This is the form used at the end of compositional aggregation, where only the
-/// top-level failure (and, for repairable systems, repair) signal must stay
-/// observable.
-///
-/// # Errors
-///
-/// Never fails for well-formed models; the error type is kept for uniformity with
-/// [`hide`].
-pub fn hide_all_except<R: Rate>(model: &IoImcOf<R>, keep: &[Action]) -> Result<IoImcOf<R>> {
-    let keep: BTreeSet<Action> = keep.iter().copied().collect();
-    let to_hide: Vec<Action> = model
-        .signature()
-        .outputs()
-        .filter(|a| !keep.contains(a))
-        .collect();
-    hide(model, &to_hide)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,15 +130,6 @@ mod tests {
         let h = hide(&m, &[act("h_not_in_model")]).unwrap();
         assert_eq!(h.num_transitions(), m.num_transitions());
         assert_eq!(h.signature(), m.signature());
-    }
-
-    #[test]
-    fn hide_all_except_keeps_only_requested_outputs() {
-        let m = two_output_model();
-        let h = hide_all_except(&m, &[act("h_second")]).unwrap();
-        assert!(h.signature().is_internal(act("h_first")));
-        assert!(h.signature().is_output(act("h_second")));
-        assert!(h.signature().is_input(act("h_input")));
     }
 
     #[test]

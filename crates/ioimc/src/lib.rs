@@ -139,11 +139,6 @@ pub enum Error {
         /// The action that two names were mapped to.
         action: Action,
     },
-    /// The model still has input actions although a closed model was required.
-    NotClosed {
-        /// One of the remaining input actions.
-        action: Action,
-    },
     /// The model is non-deterministic and cannot be interpreted as a CTMC.
     Nondeterministic {
         /// A state exhibiting a non-deterministic choice between immediate
@@ -193,9 +188,6 @@ impl fmt::Display for Error {
             }
             Error::RenameCollision { action } => {
                 write!(f, "renaming maps two distinct actions to {}", action.name())
-            }
-            Error::NotClosed { action } => {
-                write!(f, "model still has input action {}", action.name())
             }
             Error::Nondeterministic { state } => {
                 write!(f, "immediate non-determinism in state {}", state.index())

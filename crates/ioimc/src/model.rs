@@ -314,15 +314,6 @@ impl<R: Rate> IoImcOf<R> {
             .any(|t| t.label.is_immediate())
     }
 
-    /// Returns `true` if `state` has no outgoing internal transition (the classical
-    /// IMC notion of stability).
-    pub fn is_stable(&self, state: StateId) -> bool {
-        !self
-            .interactive_from(state)
-            .iter()
-            .any(|t| t.label.is_internal())
-    }
-
     /// Names of the atomic propositions of this model, in [`PropId`] order.
     pub fn prop_names(&self) -> &[String] {
         &self.prop_names
@@ -605,17 +596,13 @@ mod tests {
     }
 
     #[test]
-    fn urgency_and_stability() {
+    fn urgency() {
         let m = sample();
-        // s0 has only a Markovian and an input transition: not urgent, stable.
+        // s0 has only a Markovian and an input transition: not urgent.
         assert!(!m.is_urgent(StateId::new(0)));
-        assert!(m.is_stable(StateId::new(0)));
-        // s1 has an output: urgent but stable (no internal).
+        // s1 has an output and s2 an internal transition: both urgent.
         assert!(m.is_urgent(StateId::new(1)));
-        assert!(m.is_stable(StateId::new(1)));
-        // s2 has an internal transition: urgent and unstable.
         assert!(m.is_urgent(StateId::new(2)));
-        assert!(!m.is_stable(StateId::new(2)));
     }
 
     #[test]

@@ -112,17 +112,6 @@ pub fn rename<R: Rate>(
     ))
 }
 
-/// Renames a single action, convenience wrapper around [`rename`].
-///
-/// # Errors
-///
-/// Same as [`rename`].
-pub fn rename_one<R: Rate>(model: &IoImcOf<R>, from: Action, to: Action) -> Result<IoImcOf<R>> {
-    let mut map = BTreeMap::new();
-    map.insert(from, to);
-    rename(model, &map)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,7 +150,7 @@ mod tests {
     #[test]
     fn unmapped_actions_survive() {
         let m = module();
-        let renamed = rename_one(&m, act("rn_fail"), act("rn_fail2")).unwrap();
+        let renamed = rename(&m, &BTreeMap::from([(act("rn_fail"), act("rn_fail2"))])).unwrap();
         assert!(renamed.signature().is_input(act("rn_activate")));
     }
 
@@ -169,7 +158,7 @@ mod tests {
     fn collision_with_existing_action_is_rejected() {
         let m = module();
         // Mapping the output onto the existing (unmapped) input action must fail.
-        let err = rename_one(&m, act("rn_fail"), act("rn_activate")).unwrap_err();
+        let err = rename(&m, &BTreeMap::from([(act("rn_fail"), act("rn_activate"))])).unwrap_err();
         assert!(matches!(
             err,
             Error::RenameCollision { .. } | Error::ConflictingSignature { .. }

@@ -77,11 +77,6 @@ impl Signature {
         self.internals.contains(&action)
     }
 
-    /// Returns `true` if `action` is visible (input or output) in this signature.
-    pub fn is_visible(&self, action: Action) -> bool {
-        self.is_input(action) || self.is_output(action)
-    }
-
     /// Iterates over the input actions in sorted (interning) order.
     pub fn inputs(&self) -> impl Iterator<Item = Action> + '_ {
         self.inputs.iter().copied()
@@ -233,9 +228,6 @@ mod tests {
         assert!(sig.is_input(act("in1")));
         assert!(sig.is_output(act("out1")));
         assert!(sig.is_internal(act("tau1")));
-        assert!(sig.is_visible(act("in1")));
-        assert!(sig.is_visible(act("out1")));
-        assert!(!sig.is_visible(act("tau1")));
         assert!(sig.contains(act("tau1")));
         assert!(!sig.contains(act("absent")));
         assert_eq!(sig.num_inputs(), 1);

@@ -28,31 +28,21 @@ use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-fn field(doc: &Json, key: &str) -> Option<Json> {
-    match doc {
-        Json::Obj(entries) => entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone()),
-        _ => None,
-    }
-}
-
 fn num(doc: &Json, key: &str) -> f64 {
-    match field(doc, key) {
-        Some(Json::Num(n)) => n,
+    match doc.get(key) {
+        Some(Json::Num(n)) => *n,
         other => panic!("field {key} is not a number: {other:?}"),
     }
 }
 
 /// `results[0].points[0].value` of a `/result/{id}` document.
 fn result_value(doc: &Json) -> f64 {
-    let first = |value: Json| match value {
-        Json::Arr(items) => items.into_iter().next().expect("non-empty array"),
+    let first = |value: Option<&Json>| match value {
+        Some(Json::Arr(items)) => items.first().expect("non-empty array").clone(),
         other => panic!("expected an array, got {other:?}"),
     };
-    let measure = first(field(doc, "results").expect("results present"));
-    let point = first(field(&measure, "points").expect("points present"));
+    let measure = first(doc.get("results"));
+    let point = first(measure.get("points"));
     num(&point, "value")
 }
 
@@ -189,13 +179,13 @@ fn main() {
 
     let (status, metrics) = client::request(b.addr, "GET", "/metrics", "").expect("metrics I/O");
     assert_eq!(status, 200);
-    let store_stats = field(&metrics, "store").expect("store section present");
+    let store_stats = metrics.get("store").expect("store section present");
     assert!(
         !matches!(store_stats, Json::Null),
         "a store-backed server must render store stats"
     );
     assert!(
-        num(&store_stats, "hits") > 0.0,
+        num(store_stats, "hits") > 0.0,
         "server B never hit the shared store: {}",
         metrics.render()
     );
@@ -227,11 +217,11 @@ fn main() {
     let _ = wait_result(b.addr, id);
     let (status, metrics) = client::request(b.addr, "GET", "/metrics", "").expect("metrics I/O");
     assert_eq!(status, 200);
-    let hybrid = field(&metrics, "hybrid").expect("hybrid section present");
-    assert_eq!(num(&hybrid, "builds"), 1.0, "{}", metrics.render());
-    assert_eq!(num(&hybrid, "fallbacks"), 0.0, "{}", metrics.render());
+    let hybrid = metrics.get("hybrid").expect("hybrid section present");
+    assert_eq!(num(hybrid, "builds"), 1.0, "{}", metrics.render());
+    assert_eq!(num(hybrid, "fallbacks"), 0.0, "{}", metrics.render());
     assert!(
-        num(&hybrid, "crown_elements") > 0.0 && num(&hybrid, "core_elements") > 0.0,
+        num(hybrid, "crown_elements") > 0.0 && num(hybrid, "core_elements") > 0.0,
         "the static crown never collapsed: {}",
         metrics.render()
     );

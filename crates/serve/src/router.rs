@@ -371,27 +371,6 @@ mod tests {
     use super::*;
     use dft_core::service::ServiceOptions;
 
-    fn field<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-        match doc {
-            Json::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn str_field<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-        match field(doc, key) {
-            Some(Json::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn num_field(doc: &Json, key: &str) -> Option<f64> {
-        match field(doc, key) {
-            Some(Json::Num(n)) => Some(*n),
-            _ => None,
-        }
-    }
-
     fn router() -> Router {
         let service = AnalysisService::new(ServiceOptions {
             workers: 1,
@@ -449,10 +428,10 @@ mod tests {
         let reply = router.handle(&post("/submit", &submit_body()));
         assert_eq!(reply.status, 202, "{}", reply.body);
         let doc = json::parse(&reply.body).unwrap();
-        assert_eq!(num_field(&doc, "id"), Some(1.0));
+        assert_eq!(doc.get("id"), Some(&Json::Num(1.0)));
 
         let done = wait_done(&router, 1);
-        assert_eq!(str_field(&done, "status"), Some("done"));
+        assert_eq!(done.get("status"), Some(&Json::from("done")));
         let status = router.handle(&get("/status/1"));
         assert_eq!(status.status, 200);
         // The result survives repeated fetches.
@@ -548,7 +527,7 @@ mod tests {
         let reply = router.handle(&post("/sweep", &doc.render()));
         assert_eq!(reply.status, 202, "{}", reply.body);
         let done = wait_done(&router, 1);
-        let Some(Json::Arr(points)) = field(&done, "points") else {
+        let Some(Json::Arr(points)) = done.get("points") else {
             panic!("no points in {}", reply.body);
         };
         assert_eq!(points.len(), 3);
@@ -596,7 +575,7 @@ mod tests {
         let reply = router.handle(&post("/sweep", &doc.render()));
         assert_eq!(reply.status, 202, "{}", reply.body);
         let done = wait_done(&router, 1);
-        let Some(Json::Arr(points)) = field(&done, "points") else {
+        let Some(Json::Arr(points)) = done.get("points") else {
             panic!("no points in {}", reply.body);
         };
         assert_eq!(points.len(), 4);
@@ -610,8 +589,8 @@ mod tests {
         let metrics = router.handle(&get("/metrics"));
         assert_eq!(metrics.status, 200);
         let doc = json::parse(&metrics.body).unwrap();
-        assert!(field(&doc, "queue").is_some());
-        assert!(field(&doc, "cache").is_some());
+        assert!(doc.get("queue").is_some());
+        assert!(doc.get("cache").is_some());
 
         let shutdown = router.handle(&post("/shutdown", ""));
         assert_eq!(shutdown.status, 200);
@@ -646,17 +625,17 @@ mod tests {
         let reply = router.handle(&post("/submit", &doc.render()));
         assert_eq!(reply.status, 202, "{}", reply.body);
         let done = wait_done(&router, 1);
-        assert_eq!(str_field(&done, "status"), Some("done"));
+        assert_eq!(done.get("status"), Some(&Json::from("done")));
 
         let metrics = router.handle(&get("/metrics"));
         assert_eq!(metrics.status, 200);
         let doc = json::parse(&metrics.body).unwrap();
-        let hybrid = field(&doc, "hybrid").expect("metrics carry a hybrid section");
-        assert_eq!(num_field(hybrid, "builds"), Some(1.0));
-        assert_eq!(num_field(hybrid, "fallbacks"), Some(0.0));
+        let hybrid = doc.get("hybrid").expect("metrics carry a hybrid section");
+        assert_eq!(hybrid.get("builds"), Some(&Json::Num(1.0)));
+        assert_eq!(hybrid.get("fallbacks"), Some(&Json::Num(0.0)));
         // One core (the spare pair) plus a collapsed static crown.
-        assert_eq!(num_field(hybrid, "cores"), Some(1.0));
-        assert!(num_field(hybrid, "crown_elements").unwrap() > 0.0);
-        assert!(num_field(hybrid, "core_elements").unwrap() > 0.0);
+        assert_eq!(hybrid.get("cores"), Some(&Json::Num(1.0)));
+        assert!(matches!(hybrid.get("crown_elements"), Some(Json::Num(n)) if *n > 0.0));
+        assert!(matches!(hybrid.get("core_elements"), Some(Json::Num(n)) if *n > 0.0));
     }
 }

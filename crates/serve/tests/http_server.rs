@@ -22,19 +22,9 @@ fn small_options() -> ServerOptions {
     }
 }
 
-fn field(doc: &Json, key: &str) -> Option<Json> {
-    match doc {
-        Json::Obj(entries) => entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone()),
-        _ => None,
-    }
-}
-
 fn num(doc: &Json, key: &str) -> f64 {
-    match field(doc, key) {
-        Some(Json::Num(n)) => n,
+    match doc.get(key) {
+        Some(Json::Num(n)) => *n,
         other => panic!("field {key} is not a number: {other:?}"),
     }
 }
@@ -79,10 +69,10 @@ fn wait_result(addr: SocketAddr, id: u64) -> Json {
 
 /// `results[i].points[0]` of a result document.
 fn point(doc: &Json, i: usize) -> Json {
-    let Some(Json::Arr(results)) = field(doc, "results") else {
+    let Some(Json::Arr(results)) = doc.get("results") else {
         panic!("no results in {}", doc.render());
     };
-    let Some(Json::Arr(points)) = field(&results[i], "points") else {
+    let Some(Json::Arr(points)) = results[i].get("points") else {
         panic!("no points in {}", doc.render());
     };
     points[0].clone()
@@ -110,7 +100,7 @@ fn submitted_jobs_answer_bit_identically_to_the_analyzer() {
     // Status flips to done and the result survives repeated fetches.
     let (status, doc) = client::request(addr, "GET", &format!("/status/{id}"), "").unwrap();
     assert_eq!(status, 200);
-    assert_eq!(field(&doc, "status"), Some(Json::Str("done".to_owned())));
+    assert_eq!(doc.get("status"), Some(&Json::from("done")));
     assert_eq!(
         client::request(addr, "GET", &format!("/result/{id}"), "")
             .unwrap()
@@ -151,7 +141,7 @@ fn sweeps_resolve_specs_and_match_the_parametric_engine() {
     .render();
     let id = submit(addr, "/sweep", &body);
     let report = wait_result(addr, id);
-    let Some(Json::Arr(points)) = field(&report, "points") else {
+    let Some(Json::Arr(points)) = report.get("points") else {
         panic!("no points in {}", report.render());
     };
     assert_eq!(points.len(), scales.len());
@@ -159,10 +149,10 @@ fn sweeps_resolve_specs_and_match_the_parametric_engine() {
     let parametric =
         ParametricAnalyzer::new(&dft_core::casestudies::cas(), AnalysisOptions::default()).unwrap();
     for (point_doc, &scale) in points.iter().zip(&scales) {
-        let Some(Json::Arr(results)) = field(point_doc, "results") else {
+        let Some(Json::Arr(results)) = point_doc.get("results") else {
             panic!("sweep point carries no results: {}", point_doc.render());
         };
-        let Some(Json::Arr(point_list)) = field(&results[0], "points") else {
+        let Some(Json::Arr(point_list)) = results[0].get("points") else {
             panic!("no inner points");
         };
         let value = num(&point_list[0], "value");
@@ -290,13 +280,13 @@ fn metrics_report_the_full_document_over_http() {
     let (status, doc) = client::request(addr, "GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);
     for section in ["http", "jobs", "queue", "cache"] {
-        assert!(field(&doc, section).is_some(), "{section} missing");
+        assert!(doc.get(section).is_some(), "{section} missing");
     }
     // Storeless server: the store section is null, not absent.
-    assert_eq!(field(&doc, "store"), Some(Json::Null));
-    let jobs = field(&doc, "jobs").unwrap();
-    assert_eq!(num(&jobs, "completed"), 1.0);
-    assert!(num(&jobs, "aggregation_runs") >= 1.0);
+    assert_eq!(doc.get("store"), Some(&Json::Null));
+    let jobs = doc.get("jobs").unwrap();
+    assert_eq!(num(jobs, "completed"), 1.0);
+    assert!(num(jobs, "aggregation_runs") >= 1.0);
 
     server.shutdown();
     server.join();
@@ -343,10 +333,10 @@ fn concurrent_duplicate_submissions_aggregate_once_per_distinct_tree() {
 
     let (status, doc) = client::request(addr, "GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);
-    let jobs = field(&doc, "jobs").unwrap();
-    assert_eq!(num(&jobs, "completed"), 18.0);
+    let jobs = doc.get("jobs").unwrap();
+    assert_eq!(num(jobs, "completed"), 18.0);
     assert_eq!(
-        num(&jobs, "aggregation_runs"),
+        num(jobs, "aggregation_runs"),
         2.0,
         "every duplicate submission must be a cache hit"
     );
@@ -375,10 +365,7 @@ fn graceful_shutdown_drains_and_persists_in_flight_jobs() {
     let id = submit(addr, "/submit", &cas_body());
     let (status, doc) = client::request(addr, "POST", "/shutdown", "").unwrap();
     assert_eq!(status, 200);
-    assert_eq!(
-        field(&doc, "status"),
-        Some(Json::Str("draining".to_owned()))
-    );
+    assert_eq!(doc.get("status"), Some(&Json::from("draining")));
     server.join();
     assert!(id >= 1);
 

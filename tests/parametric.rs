@@ -9,7 +9,7 @@
 //! come from the same seeded generator as the other suites.
 
 use dftmc::dft::{DftBuilder, Dormancy};
-use dftmc::dft_core::analysis::AnalysisOptions;
+use dftmc::dft_core::analysis::{AnalysisOptions, Method};
 use dftmc::dft_core::casestudies::cps;
 use dftmc::dft_core::engine::{Analyzer, ParametricAnalyzer};
 use dftmc::dft_core::parametric::{ParamKind, Valuation};
@@ -257,7 +257,7 @@ fn invalid_valuations_and_methods_are_rejected() {
     }
     // The monolithic baseline has no parametric form.
     let monolithic = AnalysisOptions {
-        method: dftmc::dft_core::analysis::Method::Monolithic,
+        method: Method::Monolithic,
         ..AnalysisOptions::default()
     };
     assert!(matches!(
@@ -313,4 +313,125 @@ fn wide_cps_sweeps_split_into_lane_groups_with_the_same_bits() {
             assert_eq!(bits(p), bits(q), "valuation {k}");
         }
     }
+}
+
+/// The bits of a batch: time, point value and both bounds of every point of
+/// every measure.
+type Bits = Vec<Vec<(Option<u64>, Option<u64>, u64, u64)>>;
+
+fn bits_of(results: &[MeasureResult]) -> Bits {
+    results
+        .iter()
+        .map(|result| {
+            result
+                .points()
+                .iter()
+                .map(|p| {
+                    let (lo, hi) = p.bounds();
+                    (
+                        p.time().map(f64::to_bits),
+                        p.point().map(f64::to_bits),
+                        lo.to_bits(),
+                        hi.to_bits(),
+                    )
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn outcome_bits(outcome: &Result<Vec<MeasureResult>, Error>) -> Result<Bits, Error> {
+    outcome
+        .as_ref()
+        .map(|results| bits_of(results))
+        .map_err(Clone::clone)
+}
+
+/// Every corpus tree, under both state-space methods and three valuations:
+/// the sweep row, `instantiate` + `query_all` and a `query` per measure give
+/// the same bits or the same error.  Three measure batches, so that a failing
+/// steady-state measure cannot hide the time-bounded ones; a monolithic
+/// session's `query` matches its own `query_all` too.
+#[test]
+fn every_evaluation_path_gives_the_same_bits_across_the_corpus() {
+    let batches = [
+        vec![
+            Measure::curve([0.5, 1.0, 2.0]),
+            Measure::Unreliability(1.0),
+            Measure::Mttf,
+        ],
+        vec![Measure::curve([0.5, 1.0, 2.0])],
+        vec![Measure::Unavailability],
+    ];
+    let mut files: Vec<_> = std::fs::read_dir("tests/fixtures/corpus")
+        .expect("the corpus directory exists")
+        .map(|entry| entry.expect("a readable entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "dft"))
+        .collect();
+    files.sort();
+    let (mut rows, mut compared) = (0usize, 0usize);
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("a readable corpus tree");
+        let dft = dftmc::dft::galileo::parse(&text).expect("the corpus tree parses");
+        for method in [Method::Compositional, Method::Hybrid] {
+            let options = AnalysisOptions {
+                method,
+                ..AnalysisOptions::default()
+            };
+            let parametric = ParametricAnalyzer::new(&dft, options)
+                .unwrap_or_else(|e| panic!("{path:?} {method:?}: {e}"));
+            let valuations = [
+                parametric.base_valuation(),
+                parametric.params().scaled_valuation(0.5),
+                parametric.params().scaled_valuation(2.0),
+            ];
+            for measures in &batches {
+                let sweep = parametric.sweep_query(measures, &valuations);
+                assert_eq!(sweep.len(), valuations.len());
+                for (k, (valuation, row)) in valuations.iter().zip(sweep.results()).enumerate() {
+                    let what = format!("{path:?} {method:?} valuation {k} {measures:?}");
+                    let session = parametric.instantiate(valuation);
+                    let batch = session
+                        .as_ref()
+                        .map_err(Clone::clone)
+                        .and_then(|session| session.query_all(measures));
+                    assert_eq!(outcome_bits(row), outcome_bits(&batch), "{what}");
+                    rows += 1;
+                    if let (Ok(session), Ok(batch)) = (&session, &batch) {
+                        for (measure, result) in measures.iter().zip(batch) {
+                            let single = session.query(measure).expect("a batch member answers");
+                            assert_eq!(
+                                bits_of(&[single]),
+                                bits_of(std::slice::from_ref(result)),
+                                "{what}: {measure:?}"
+                            );
+                        }
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        let monolithic = AnalysisOptions {
+            method: Method::Monolithic,
+            ..AnalysisOptions::default()
+        };
+        if let Ok(analyzer) = Analyzer::new(&dft, monolithic) {
+            for measures in &batches {
+                if let Ok(batch) = analyzer.query_all(measures) {
+                    for (measure, result) in measures.iter().zip(&batch) {
+                        assert_eq!(
+                            bits_of(&[analyzer.query(measure).unwrap()]),
+                            bits_of(std::slice::from_ref(result)),
+                            "{path:?} monolithic: {measure:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(rows, files.len() * 2 * 3 * batches.len());
+    assert_eq!(
+        compared, 105,
+        "successful batches compared measure by measure"
+    );
 }
