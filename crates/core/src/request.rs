@@ -650,15 +650,22 @@ fn parse_sweep_object(spec: &Json) -> std::result::Result<SweepSpec, RequestErro
         return Ok(SweepSpec::FailureScales(scales));
     }
     if let Some(Json::Str(element)) = spec.get("element") {
-        // A missing (or non-string) kind means failure rates.
+        // A missing kind means failure rates.
         let kind = match spec.get("kind") {
+            None => ParamKind::Failure,
+            Some(Json::Str(kind)) if kind == "failure" => ParamKind::Failure,
             Some(Json::Str(kind)) if kind == "repair" => ParamKind::Repair,
-            Some(Json::Str(other)) if other != "failure" => {
+            Some(Json::Str(other)) => {
                 return Err(schema(format!(
                     "unknown sweep kind '{other}' (expected \"failure\" or \"repair\")"
                 )))
             }
-            _ => ParamKind::Failure,
+            Some(other) => {
+                return Err(schema(format!(
+                    "field 'sweep'.'kind' must be a string, not {}",
+                    other.render()
+                )))
+            }
         };
         let values = num_array(spec, "values", "sweep values", MAX_SWEEP_VALUES)?
             .ok_or_else(|| schema("an element sweep needs a numeric array 'values'"))?;
@@ -838,6 +845,44 @@ mod tests {
             request.sweep,
             Some(SweepSpec::FailureScales(ref scales)) if scales.len() == 3
         ));
+    }
+
+    #[test]
+    fn element_sweep_kinds_must_be_strings() {
+        let doc = |kind: Option<Json>| {
+            let mut sweep = vec![
+                ("element".to_owned(), "A".into()),
+                ("values".to_owned(), Json::Arr(vec![1.0.into()])),
+            ];
+            sweep.extend(kind.map(|kind| ("kind".to_owned(), kind)));
+            Json::obj([
+                ("galileo", TREE.into()),
+                ("measures", Json::Arr(Vec::new())),
+                ("sweep", Json::Obj(sweep)),
+            ])
+        };
+        let kind_of = |kind| match AnalysisRequest::from_json(&doc(kind)) {
+            Ok(AnalysisRequest {
+                sweep: Some(SweepSpec::Element { kind, .. }),
+                ..
+            }) => kind,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(kind_of(None), ParamKind::Failure);
+        assert_eq!(kind_of(Some("failure".into())), ParamKind::Failure);
+        assert_eq!(kind_of(Some("repair".into())), ParamKind::Repair);
+        for (kind, needle) in [
+            (3.0.into(), "must be a string, not 3"),
+            (Json::Null, "must be a string, not null"),
+            ("dormancy".into(), "unknown sweep kind 'dormancy'"),
+        ] {
+            match AnalysisRequest::from_json(&doc(Some(kind))) {
+                Err(e @ RequestError::Schema { .. }) => {
+                    assert!(e.to_string().contains(needle), "{e} !~ {needle}")
+                }
+                other => panic!("{other:?} should be a schema error ({needle})"),
+            }
+        }
     }
 
     #[test]

@@ -45,14 +45,17 @@
 //! strings, one per non-urgent state of the inert reach in weak mode, exactly
 //! one in strong mode).  With the length prefixes, two states have equal
 //! signature slices exactly when they agree on old block, move set and
-//! rate-map set, and a `HashMap<&[u64], u32>` hands out the new block ids.
+//! rate-map set, and a map from signature slice to block id hands out the new
+//! ids.  That map, the interned rate keys and the proposition blocks hash
+//! with the crate's seeded fast hasher, and ids come from a counter in state
+//! order, never from the maps' iteration order, so the seed never shows.
 //! A block that is not signed keeps its members together under one new id,
 //! drawn from the same counter when its smallest member comes up, so blocks
 //! are numbered by their smallest member state.
 
+use crate::hash::FastMap;
 use crate::model::{InteractiveTransition, IoImcOf, Label, MarkovianTransitionOf, StateId};
 use crate::rate::Rate;
-use std::collections::HashMap;
 
 /// A partition of the states of a model into equivalence blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,7 +134,7 @@ struct Signer<R: Rate> {
     /// mode, only the non-urgent states' in weak mode (maximal progress).
     timed: Vec<bool>,
     /// Interned cumulative rate keys.
-    rate_keys: HashMap<R::Key, u64>,
+    rate_keys: FastMap<R::Key, u64>,
     /// Every state's rate map under the current partition, back to back;
     /// state `s` owns `rate_words[rate_start[s]..rate_start[s + 1]]`.
     rate_words: Vec<u64>,
@@ -170,7 +173,7 @@ impl<R: Rate> Signer<R> {
                 .states()
                 .map(|s| !weak || !model.is_urgent(s))
                 .collect(),
-            rate_keys: HashMap::new(),
+            rate_keys: FastMap::default(),
             rate_words: Vec::new(),
             rate_start: Vec::with_capacity(n + 1),
             sig: Vec::new(),
@@ -347,7 +350,8 @@ pub fn refine<R: Rate>(model: &IoImcOf<R>, weak: bool) -> Partition {
         }
         signer.sign_blocks(model, &block_of, &signed);
 
-        let mut sig_blocks: HashMap<&[u64], u32> = HashMap::with_capacity(signer.num_signed());
+        let mut sig_blocks: FastMap<&[u64], u32> =
+            FastMap::with_capacity_and_hasher(signer.num_signed(), Default::default());
         settled.clear();
         settled.resize(num_blocks as usize, u32::MAX);
         parent.clear();
@@ -405,7 +409,7 @@ fn block_sizes(block_of: &[u32], num_blocks: u32) -> Vec<u32> {
 /// count.
 fn proposition_partition<R: Rate>(model: &IoImcOf<R>) -> (Vec<u32>, u32) {
     let mut block_of: Vec<u32> = vec![0; model.num_states()];
-    let mut prop_blocks: HashMap<u64, u32> = HashMap::new();
+    let mut prop_blocks: FastMap<u64, u32> = FastMap::default();
     for s in model.states() {
         let next = prop_blocks.len() as u32;
         block_of[s.index()] = *prop_blocks.entry(model.prop_mask(s)).or_insert(next);
@@ -490,6 +494,7 @@ mod tests {
     use crate::bisim::tests::{large_random_model, lift, random_model};
     use crate::builder::IoImcBuilder;
     use crate::model::IoImc;
+    use std::collections::HashMap;
 
     fn act(n: &str) -> Action {
         Action::new(n)

@@ -17,10 +17,10 @@
 //! Only the reachable part of the product is constructed.
 
 use crate::action::Action;
+use crate::hash::FastMap;
 use crate::model::{InteractiveTransition, IoImcOf, Label, MarkovianTransitionOf, StateId};
 use crate::rate::Rate;
 use crate::Result;
-use std::collections::HashMap;
 
 /// Composes two I/O-IMCs in parallel.
 ///
@@ -86,14 +86,14 @@ pub fn compose<R: Rate>(left: &IoImcOf<R>, right: &IoImcOf<R>) -> Result<IoImcOf
         out
     };
 
-    let mut index: HashMap<(StateId, StateId), StateId> = HashMap::new();
+    let mut index: FastMap<(StateId, StateId), StateId> = FastMap::default();
     let mut pairs: Vec<(StateId, StateId)> = Vec::new();
     let mut props: Vec<u64> = Vec::new();
     let mut worklist: Vec<StateId> = Vec::new();
 
     let intern = |l: StateId,
                   r: StateId,
-                  index: &mut HashMap<(StateId, StateId), StateId>,
+                  index: &mut FastMap<(StateId, StateId), StateId>,
                   pairs: &mut Vec<(StateId, StateId)>,
                   props: &mut Vec<u64>,
                   worklist: &mut Vec<StateId>|

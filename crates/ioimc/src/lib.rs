@@ -68,6 +68,7 @@ pub mod builder;
 pub mod closed;
 pub mod codec;
 pub mod compose;
+mod hash;
 pub mod hide;
 pub mod model;
 pub mod rate;

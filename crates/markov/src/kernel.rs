@@ -21,6 +21,16 @@
 //!   every lane's bits are those of the one-group call, whatever the worker
 //!   count; a one-lane kernel never splits.
 //!
+//! The relax is one body generic over the lane width, instantiated twice:
+//! at the constant width 1 for a one-lane call (every numeric query), where
+//! a row is a plain walk over zipped `cols`/`jump` slices, and at the run-time
+//! width of a batch; the settle fixpoint of the immediate states is
+//! instantiated the same way, and walks only the immediate states that can
+//! move.  The sequential driver picks the width once per call (a lane group
+//! of one lane runs at width 1 too).  Both instantiations do each lane's
+//! operations in the same order, so a one-lane call and every lane of a
+//! batch give the same bits.
+//!
 //! The original nested-loop relax is kept in this module's tests as the
 //! reference the kernel is compared against bit for bit.
 
@@ -338,6 +348,15 @@ impl RelaxKernel {
             BATCHED_CALLS.fetch_add(1, Ordering::Relaxed);
         }
 
+        // The immediate states the scheduler fixpoint can move: not goal,
+        // with at least one successor, in state order.
+        let choosers: Vec<u32> = (0..n)
+            .filter(|&s| {
+                !goal[s] && self.immediate[s] && self.choice_ptr[s] < self.choice_ptr[s + 1]
+            })
+            .map(|s| s as u32)
+            .collect();
+
         // Value at "zero remaining steps": goal states count, immediate
         // states resolve instantaneously.
         let mut terminal = vec![0.0f64; n * l];
@@ -346,7 +365,7 @@ impl RelaxKernel {
                 terminal[s * l..(s + 1) * l].fill(1.0);
             }
         }
-        self.settle_immediate(goal, &mut terminal, maximise, l);
+        self.settle_immediate(Dyn(l), &choosers, &mut terminal, maximise);
 
         let lambdas = self.uniformisation_rates();
         if self.cols.is_empty() {
@@ -391,6 +410,7 @@ impl RelaxKernel {
             stay,
             jump,
             goal,
+            choosers: &choosers,
             weights,
             initial,
             maximise,
@@ -409,14 +429,27 @@ impl RelaxKernel {
     /// The sequential driver of [`reachability`](Self::reachability): value
     /// iteration of every lane of `ctx` from `terminal` to the end of its
     /// longest Poisson window, returning the mixtures in time-major order.
+    ///
+    /// The lane width is picked here, once per call: a one-lane context runs
+    /// the relax and settle steps instantiated for the constant width
+    /// [`One`], a batch those for its [`Dyn`] width.
     fn iterate(&self, ctx: &PassCtx<'_>, terminal: Vec<f64>) -> Vec<f64> {
+        if ctx.lanes == 1 {
+            self.iterate_as(One, ctx, terminal)
+        } else {
+            self.iterate_as(Dyn(ctx.lanes), ctx, terminal)
+        }
+    }
+
+    /// [`iterate`](Self::iterate) at lane width `width`.
+    fn iterate_as<W: Width>(&self, width: W, ctx: &PassCtx<'_>, terminal: Vec<f64>) -> Vec<f64> {
         let mut results = vec![0.0f64; ctx.weights.len()];
         let mut value = terminal;
         let mut next = vec![0.0f64; value.len()];
         ctx.accumulate(&mut results, 0, &value);
         for step in 1..=window_end(&ctx.weights) {
-            self.relax(ctx, &value, &mut next);
-            self.settle_immediate(ctx.goal, &mut next, ctx.maximise, ctx.lanes);
+            self.relax(width, ctx, &value, &mut next);
+            self.settle_immediate(width, ctx.choosers, &mut next, ctx.maximise);
             std::mem::swap(&mut value, &mut next);
             ctx.accumulate(&mut results, step, &value);
         }
@@ -444,6 +477,7 @@ impl RelaxKernel {
                             stay: lanes_of(&ctx.stay, l, group),
                             jump: lanes_of(&ctx.jump, l, group),
                             goal: ctx.goal,
+                            choosers: ctx.choosers,
                             weights: lanes_of(&ctx.weights, l, group),
                             initial: ctx.initial,
                             maximise: ctx.maximise,
@@ -471,14 +505,26 @@ impl RelaxKernel {
     /// order — the exact operation sequence of the reference nested loop, for
     /// every lane of `ctx` at once.
     ///
-    /// Kept out of line: inlined into the step loop of
-    /// [`iterate`](Self::iterate), a one-lane CAS query ran about 30% slower
-    /// (release build, 2-vCPU x86-64 host).
+    /// One body serves every lane width.  Each state's lanes are one chunk of
+    /// `width` values, and its row walks `cols` zipped with the row's chunks
+    /// of `jump`.  Instantiated at [`One`], every chunk is a single value and
+    /// the lane loops vanish, so a numeric query walks plain zipped slices;
+    /// at [`Dyn`] the same loops run over a batch's lanes.  Both do the same
+    /// operations in the same order per lane, so their bits agree.
+    ///
+    /// Kept out of line, one copy per width: inlined into the step loop of
+    /// [`iterate`](Self::iterate), a one-lane CAS query ran 108–145 µs
+    /// against 85–127 µs out of line (best of 7 × 2000 queries, 4 alternating
+    /// runs, release build, 2-vCPU x86-64 host).
     #[inline(never)]
-    fn relax(&self, ctx: &PassCtx<'_>, value: &[f64], out: &mut [f64]) {
-        let l = ctx.lanes;
-        for s in 0..self.num_states {
-            let dst = &mut out[s * l..(s + 1) * l];
+    fn relax<W: Width>(&self, width: W, ctx: &PassCtx<'_>, value: &[f64], out: &mut [f64]) {
+        let l = width.get();
+        let states = out
+            .chunks_exact_mut(l)
+            .zip(value.chunks_exact(l))
+            .zip(ctx.stay.chunks_exact(l))
+            .zip(self.row_ptr.windows(2));
+        for (s, (((dst, src), stay), row)) in states.enumerate() {
             if ctx.goal[s] {
                 dst.fill(1.0);
                 continue;
@@ -487,15 +533,15 @@ impl RelaxKernel {
                 dst.fill(0.0);
                 continue;
             }
-            let src = &value[s * l..(s + 1) * l];
-            let stay = &ctx.stay[s * l..(s + 1) * l];
             for k in 0..l {
                 dst[k] = stay[k] * src[k];
             }
-            for e in self.row_ptr[s]..self.row_ptr[s + 1] {
-                let target = self.cols[e] as usize * l;
-                let tv = &value[target..target + l];
-                let jump = &ctx.jump[e * l..(e + 1) * l];
+            let (lo, hi) = (row[0], row[1]);
+            for (&target, jump) in self.cols[lo..hi]
+                .iter()
+                .zip(ctx.jump[lo * l..hi * l].chunks_exact(l))
+            {
+                let tv = &value[target as usize * l..][..l];
                 for k in 0..l {
                     dst[k] += jump[k] * tv[k];
                 }
@@ -504,34 +550,33 @@ impl RelaxKernel {
     }
 
     /// Resolves immediate states by iterating the scheduler optimisation to a
-    /// fixpoint, per lane of `value` (`l` of them), in state order — the
-    /// batched form of the reference relax's settle step.  Lanes are
+    /// fixpoint, per lane of `value`, over `choosers` (the immediate states
+    /// that can move) in state order — the batched form of the reference
+    /// relax's settle step, which skips the other states anyway.  Lanes are
     /// independent: a lane that has settled is left untouched by the extra
     /// rounds another lane may need, so each lane's bits match a solo run.
-    fn settle_immediate(&self, goal: &[bool], value: &mut [f64], maximise: bool, l: usize) {
-        let n = self.num_states;
-        for _ in 0..n {
+    fn settle_immediate<W: Width>(
+        &self,
+        width: W,
+        choosers: &[u32],
+        value: &mut [f64],
+        maximise: bool,
+    ) {
+        let l = width.get();
+        for _ in 0..self.num_states {
             let mut changed = false;
-            for s in 0..n {
-                if goal[s] || !self.immediate[s] {
-                    continue;
-                }
-                let (lo, hi) = (self.choice_ptr[s], self.choice_ptr[s + 1]);
-                if lo == hi {
-                    continue;
-                }
+            for &s in choosers {
+                let s = s as usize;
+                let succs = &self.choice_cols[self.choice_ptr[s]..self.choice_ptr[s + 1]];
                 for k in 0..l {
-                    let candidate = self.choice_cols[lo..hi]
-                        .iter()
-                        .map(|&t| value[t as usize * l + k])
-                        .fold(
-                            if maximise {
-                                f64::NEG_INFINITY
-                            } else {
-                                f64::INFINITY
-                            },
-                            |a, b| if maximise { a.max(b) } else { a.min(b) },
-                        );
+                    let candidate = succs.iter().map(|&t| value[t as usize * l + k]).fold(
+                        if maximise {
+                            f64::NEG_INFINITY
+                        } else {
+                            f64::INFINITY
+                        },
+                        |a, b| if maximise { a.max(b) } else { a.min(b) },
+                    );
                     if (candidate - value[s * l + k]).abs() > 1e-15 {
                         value[s * l + k] = candidate;
                         changed = true;
@@ -545,6 +590,35 @@ impl RelaxKernel {
     }
 }
 
+/// The lane width of one instantiation of [`RelaxKernel::relax`]: [`One`]
+/// for a numeric query, [`Dyn`] for a batch.
+trait Width: Copy {
+    /// The number of lanes.
+    fn get(self) -> usize;
+}
+
+/// The constant width of a one-lane call.
+#[derive(Clone, Copy)]
+struct One;
+
+impl Width for One {
+    #[inline(always)]
+    fn get(self) -> usize {
+        1
+    }
+}
+
+/// A width known only at run time: a batch's lane count.
+#[derive(Clone, Copy)]
+struct Dyn(usize);
+
+impl Width for Dyn {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self.0
+    }
+}
+
 /// The loop-invariant context of one reachability call, or of one lane
 /// group of it.  Every per-lane array is lane-minor over `lanes` lanes.
 struct PassCtx<'a> {
@@ -552,6 +626,8 @@ struct PassCtx<'a> {
     stay: Vec<f64>,
     jump: Vec<f64>,
     goal: &'a [bool],
+    /// The immediate states the settle fixpoint can move, in state order.
+    choosers: &'a [u32],
     /// Time-major Poisson windows: `weights[t * lanes + k]`.
     weights: Vec<PoissonWeights>,
     initial: usize,
@@ -989,6 +1065,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn one_lane_matches_both_lanes_of_an_equal_rate_batch() {
+        // A one-lane kernel runs the relax body at width `One`, a batch at
+        // `Dyn`: each lane of a two-lane batch with the one-lane rates must
+        // give the one-lane bits.  `seen` checks that the models reach every
+        // kind of state the body treats apart: goal, immediate, dead-end
+        // immediate, absorbing.  (`random_parts` sets the seed's low bit, so
+        // odd seeds are the distinct models; a summation-order slip in one
+        // instantiation shows on 7 of these 32.)
+        let mut seen = [false; 4];
+        for seed in (1..64u64).step_by(2) {
+            let (states, initial, goal) = random_parts(seed, 24, 4);
+            for (st, &g) in states.iter().zip(&goal) {
+                match st {
+                    _ if g => seen[0] = true,
+                    CtmdpState::Immediate(succs) => seen[1 + usize::from(succs.is_empty())] = true,
+                    CtmdpState::Markovian(row) if row.is_empty() => seen[3] = true,
+                    CtmdpState::Markovian(_) => {}
+                }
+            }
+            let one = RelaxKernel::from_states(&states);
+            let two = scaled_kernel(&states, &[1.0, 1.0]);
+            for maximise in [false, true] {
+                let solo = one
+                    .reachability(initial, &goal, &TIMES, 1e-10, maximise, 1)
+                    .unwrap();
+                let batched = two
+                    .reachability(initial, &goal, &TIMES, 1e-10, maximise, 1)
+                    .unwrap();
+                for (t, s) in solo.iter().enumerate() {
+                    for k in 0..2 {
+                        assert_eq!(
+                            batched[t * 2 + k].to_bits(),
+                            s.to_bits(),
+                            "seed {seed} max {maximise} lane {k} time {t}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [true; 4], "goal / immediate / dead end / absorbing");
     }
 
     /// Lane scales of the threading tests: 7 lanes, a count no worker count

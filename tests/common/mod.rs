@@ -1,5 +1,6 @@
-//! Shared test support: a deterministic random fault-tree generator, and
-//! request helpers for the service suites.
+//! Shared test support: a deterministic random fault-tree generator, the
+//! random I/O-IMCs of the minimisation suites, and request helpers for the
+//! service suites.
 //!
 //! The container carries no external crates, so instead of proptest the
 //! integration tests draw their random cases from a seeded [`SplitMix64`]
@@ -16,6 +17,7 @@ use dftmc::dft::{Dft, DftBuilder, Dormancy, ElementId};
 use dftmc::dft_core::rng::SplitMix64;
 use dftmc::dft_core::service::{AnalysisService, JobReport, RequestOutcome, SweepReport};
 use dftmc::dft_core::{AnalysisOptions, AnalysisRequest, Measure, SweepSpec};
+use dftmc::ioimc::{Action, IoImc, IoImcBuilder};
 
 /// Minimal generator driver over a seeded SplitMix64 stream.
 pub struct Gen {
@@ -196,6 +198,63 @@ pub fn random_galileo(rng: &mut SplitMix64) -> String {
         top = name;
     }
     format!("toplevel \"{top}\";\n{out}")
+}
+
+/// A random I/O-IMC over small action pools, so signatures never conflict:
+/// the golden minimisation suite's generator.
+///
+/// Rates come from a three-value set, so equal-rate branches (lumpable) are
+/// common; about a third of the states race an immediate move against a
+/// Markovian one (urgent states whose rates maximal progress cuts); internal
+/// targets are uniform, so internal cycles occur.
+pub fn random_model(
+    rng: &mut SplitMix64,
+    inputs: &[Action],
+    outputs: &[Action],
+    taus: &[Action],
+) -> IoImc {
+    const RATES: [f64; 3] = [0.5, 1.0, 2.0];
+    let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+    let n = 2 + pick(23);
+    let mut b = IoImcBuilder::new("golden_random");
+    let s = b.add_states(n);
+    b.initial(s[0]);
+    let down = b.prop("down");
+    let up = b.prop("up");
+    for i in 0..n {
+        let from = s[i];
+        match pick(6) {
+            0 => {
+                b.internal(from, taus[pick(taus.len())], s[pick(n)]);
+            }
+            1 => {
+                b.output(from, outputs[pick(outputs.len())], s[pick(n)]);
+                b.markovian(from, RATES[pick(3)], s[pick(n)]);
+            }
+            2 => {
+                b.internal(from, taus[pick(taus.len())], s[pick(n)]);
+                b.internal(from, taus[pick(taus.len())], s[pick(n)]);
+                b.markovian(from, RATES[pick(3)], s[pick(n)]);
+            }
+            _ => {}
+        }
+        for _ in 0..pick(3) {
+            b.markovian(from, RATES[pick(3)], s[pick(n)]);
+        }
+        if pick(3) == 0 {
+            b.input(from, inputs[pick(inputs.len())], s[pick(n)]);
+        }
+        match pick(8) {
+            0 => {
+                b.set_prop(from, down);
+            }
+            1 => {
+                b.set_prop(from, up);
+            }
+            _ => {}
+        }
+    }
+    b.build().expect("random model is well-formed")
 }
 
 /// Structural equality for round-trip checking: same names, and per name the

@@ -30,7 +30,10 @@ use dftmc::dft_core::rng::SplitMix64;
 use dftmc::dft_core::{AnalysisOptions, Analyzer, ParametricAnalyzer};
 use dftmc::ioimc::bisim::minimize;
 use dftmc::ioimc::codec::{encode_model, RateCodec, Writer};
-use dftmc::ioimc::{Action, IoImc, IoImcBuilder, IoImcOf, RateForm};
+use dftmc::ioimc::{Action, IoImc, IoImcOf, RateForm};
+
+mod common;
+use common::random_model;
 
 /// FNV-1a over a byte string: small, stable across platforms and releases.
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
@@ -103,62 +106,6 @@ fn tree_fingerprints(name: &str, dft: &Dft, out: &mut Vec<(String, u64)>) {
     let closed = session.final_model().expect("compositional session");
     assert_fixpoints(name, [closed]);
     out.push((format!("{name}/closed_parametric"), fingerprint([closed])));
-}
-
-/// A random I/O-IMC over small action pools, so signatures never conflict.
-///
-/// Rates come from a three-value set, so equal-rate branches (lumpable) are
-/// common; about a third of the states race an immediate move against a
-/// Markovian one (urgent states whose rates maximal progress cuts); internal
-/// targets are uniform, so internal cycles occur.
-fn random_model(
-    rng: &mut SplitMix64,
-    inputs: &[Action],
-    outputs: &[Action],
-    taus: &[Action],
-) -> IoImc {
-    const RATES: [f64; 3] = [0.5, 1.0, 2.0];
-    let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
-    let n = 2 + pick(23);
-    let mut b = IoImcBuilder::new("golden_random");
-    let s = b.add_states(n);
-    b.initial(s[0]);
-    let down = b.prop("down");
-    let up = b.prop("up");
-    for i in 0..n {
-        let from = s[i];
-        match pick(6) {
-            0 => {
-                b.internal(from, taus[pick(taus.len())], s[pick(n)]);
-            }
-            1 => {
-                b.output(from, outputs[pick(outputs.len())], s[pick(n)]);
-                b.markovian(from, RATES[pick(3)], s[pick(n)]);
-            }
-            2 => {
-                b.internal(from, taus[pick(taus.len())], s[pick(n)]);
-                b.internal(from, taus[pick(taus.len())], s[pick(n)]);
-                b.markovian(from, RATES[pick(3)], s[pick(n)]);
-            }
-            _ => {}
-        }
-        for _ in 0..pick(3) {
-            b.markovian(from, RATES[pick(3)], s[pick(n)]);
-        }
-        if pick(3) == 0 {
-            b.input(from, inputs[pick(inputs.len())], s[pick(n)]);
-        }
-        match pick(8) {
-            0 => {
-                b.set_prop(from, down);
-            }
-            1 => {
-                b.set_prop(from, up);
-            }
-            _ => {}
-        }
-    }
-    b.build().expect("random model is well-formed")
 }
 
 fn random_fingerprints(out: &mut Vec<(String, u64)>) {
