@@ -14,6 +14,7 @@ use crate::rate::Rate;
 /// outgoing output or internal transition).
 ///
 /// The returned model has the same states, signature and proposition labelling.
+/// It is built directly: the kept rows are copied in order.
 ///
 /// # Examples
 ///
@@ -33,23 +34,15 @@ use crate::rate::Rate;
 /// # }
 /// ```
 pub fn cut_maximal_progress<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
-    let urgent: Vec<bool> = model.states().map(|s| model.is_urgent(s)).collect();
-    let markovian = model
-        .markovian()
-        .iter()
-        .filter(|t| !urgent[t.from.index()])
-        .cloned()
-        .collect();
-    IoImcOf::from_parts(
-        model.name().to_owned(),
-        model.signature().clone(),
-        model.num_states,
-        model.initial(),
-        model.interactive().to_vec(),
-        markovian,
-        model.prop_names.clone(),
-        model.props.clone(),
-    )
+    model.without_rates_of(&|s| model.is_urgent(s))
+}
+
+/// [`cut_maximal_progress`] followed by
+/// [`restrict_to_reachable`](IoImcOf::restrict_to_reachable), as one search
+/// over the cut model and one build.
+pub(crate) fn cut_to_reachable<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
+    let timed: Vec<bool> = model.states().map(|s| !model.is_urgent(s)).collect();
+    model.retain_reachable(&|_| true, &|s| timed[s.index()])
 }
 
 #[cfg(test)]

@@ -30,8 +30,9 @@
 //! ```
 //!
 //! * a **move** packs (label, target block) into one word: the label's rank
-//!   among the model's distinct labels in the high half, the block in the low
-//!   half;
+//!   in the high half, the block in the low half.  Labels are ranked in the
+//!   order the model's transition list first shows them; any one-to-one
+//!   ranking would do, since only the equality of signatures matters;
 //! * a **rate map** lists a state's cumulative Markovian rate into each target
 //!   block, one word per block: the interned [`Rate::key`] of the sum in the
 //!   high half, the block in the low half.  For numeric rates the key is the
@@ -126,7 +127,8 @@ fn block_rates<R: Rate>(
 /// ranks, urgency, interned rate keys) and the per-round arenas of rate maps
 /// and signatures laid out as the [module documentation](self) describes.
 struct Signer<R: Rate> {
-    /// `label_rank[i]` is the rank of `model.interactive[i].label`.
+    /// `label_rank[i]` is the rank of `model.interactive[i].label`, in the
+    /// order the labels are first seen (see the [module documentation](self)).
     label_rank: Vec<u64>,
     /// Weak (inert internal steps abstracted) or strong bisimulation.
     weak: bool,
@@ -157,13 +159,14 @@ fn pack(high: u64, low: u32) -> u64 {
 
 impl<R: Rate> Signer<R> {
     fn new(model: &IoImcOf<R>, weak: bool) -> Signer<R> {
-        let mut labels: Vec<Label> = model.interactive().iter().map(|t| t.label).collect();
-        labels.sort_unstable();
-        labels.dedup();
+        let mut ranks: FastMap<Label, u64> = FastMap::default();
         let label_rank = model
             .interactive()
             .iter()
-            .map(|t| labels.binary_search(&t.label).expect("label was collected") as u64)
+            .map(|t| {
+                let next = ranks.len() as u64;
+                *ranks.entry(t.label).or_insert(next)
+            })
             .collect();
         let n = model.num_states();
         Signer {
@@ -422,7 +425,7 @@ fn proposition_partition<R: Rate>(model: &IoImcOf<R>) -> (Vec<u32>, u32) {
 /// In weak mode, internal transitions between states of the same block are dropped
 /// (they are unobservable), and the Markovian behaviour of a block is taken from
 /// its non-urgent members (which, by construction of the refinement, all carry the
-/// same cumulative rates).
+/// same cumulative rates).  The result is restricted to its reachable blocks.
 pub fn quotient<R: Rate>(model: &IoImcOf<R>, partition: &Partition, weak: bool) -> IoImcOf<R> {
     let nb = partition.num_blocks as usize;
     let block_of = &partition.block_of;
@@ -484,7 +487,7 @@ pub fn quotient<R: Rate>(model: &IoImcOf<R>, partition: &Partition, weak: bool) 
         model.prop_names.clone(),
         props,
     )
-    .restrict_to_reachable()
+    .into_reachable()
 }
 
 #[cfg(test)]

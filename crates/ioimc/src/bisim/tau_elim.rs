@@ -26,6 +26,8 @@ pub(crate) fn is_vanishing<R: Rate>(model: &IoImcOf<R>, state: StateId) -> bool 
 /// Short-circuits every vanishing state, redirecting incoming transitions to the
 /// end of its internal chain.  Cycles of internal transitions are left untouched
 /// (they denote divergence, which does not occur in DFT models but must not crash).
+///
+/// The result is restricted to the states that stay reachable.
 pub fn eliminate_deterministic_tau<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
     let n = model.num_states();
     // forward[s] = Some(t) if s is vanishing with internal successor t.
@@ -98,7 +100,7 @@ pub fn eliminate_deterministic_tau<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
         })
         .collect();
 
-    let next = IoImcOf::from_parts(
+    IoImcOf::from_parts(
         model.name().to_owned(),
         model.signature().clone(),
         model.num_states,
@@ -107,8 +109,8 @@ pub fn eliminate_deterministic_tau<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
         markovian,
         model.prop_names.clone(),
         model.props.clone(),
-    );
-    next.restrict_to_reachable()
+    )
+    .into_reachable()
 }
 
 #[cfg(test)]

@@ -20,29 +20,15 @@ use crate::{Error, Result};
 ///
 /// In a closed model there is no environment left to provide inputs, so input
 /// transitions are dead code.  Outputs and internal transitions are untouched.
+/// The result is restricted to the states that stay reachable without the
+/// inputs; the filter and the restriction are one search and one build.
 pub fn drop_input_transitions<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
-    let interactive: Vec<_> = model
-        .interactive()
-        .iter()
-        .filter(|t| !t.label.is_input())
-        .copied()
-        .collect();
-    let mut signature = model.signature().clone();
-    let inputs: Vec<Action> = signature.inputs().collect();
+    let mut closed = model.retain_reachable(&|t| !t.label.is_input(), &|_| true);
+    let inputs: Vec<Action> = closed.signature.inputs().collect();
     for a in inputs {
-        signature.remove(a);
+        closed.signature.remove(a);
     }
-    IoImcOf::from_parts(
-        model.name().to_owned(),
-        signature,
-        model.num_states,
-        model.initial(),
-        interactive,
-        model.markovian().to_vec(),
-        model.prop_names.clone(),
-        model.props.clone(),
-    )
-    .restrict_to_reachable()
+    closed
 }
 
 /// Returns, for every state, whether an output of `action` can occur from it

@@ -7,7 +7,7 @@
 //! Step 3 of the conversion/analysis algorithm in Section 5 of the paper.
 
 use crate::action::Action;
-use crate::model::{InteractiveTransition, IoImcOf, Label};
+use crate::model::{IoImcOf, Label};
 use crate::rate::Rate;
 use crate::{Error, Result};
 use std::collections::BTreeSet;
@@ -56,29 +56,10 @@ pub fn hide<R: Rate>(model: &IoImcOf<R>, actions: &[Action]) -> Result<IoImcOf<R
         }
     }
 
-    let interactive: Vec<InteractiveTransition> = model
-        .interactive()
-        .iter()
-        .map(|t| match t.label {
-            Label::Output(a) if to_hide.contains(&a) => InteractiveTransition {
-                from: t.from,
-                label: Label::Internal(a),
-                to: t.to,
-            },
-            _ => *t,
-        })
-        .collect();
-
-    Ok(IoImcOf::from_parts(
-        model.name().to_owned(),
-        signature,
-        model.num_states,
-        model.initial(),
-        interactive,
-        model.markovian().to_vec(),
-        model.prop_names.clone(),
-        model.props.clone(),
-    ))
+    Ok(model.relabel(signature, |label| match label {
+        Label::Output(a) if to_hide.contains(&a) => Label::Internal(a),
+        _ => label,
+    }))
 }
 
 #[cfg(test)]

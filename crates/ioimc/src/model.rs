@@ -178,6 +178,19 @@ impl<R: Rate> IoImcOf<R> {
     /// [`quotient`](crate::bisim::quotient) sums them.  Both lists are grouped
     /// by a stable counting sort on the source state, whose prefix sums are
     /// the per-state index, and then each state's slice is sorted on its own.
+    ///
+    /// Only the passes whose rows really must be regrouped or re-sorted
+    /// come through here: the builder and the codec (rows in any order),
+    /// [`compose`](crate::compose::compose) (product rows in exploration
+    /// order), [τ-elimination](crate::bisim::eliminate_deterministic_tau)
+    /// (redirected targets) and the [`quotient`](crate::bisim::quotient)
+    /// (rows merged per block).  The passes that keep the order of an
+    /// existing model build their rows and indexes directly and give the
+    /// same model this rebuild would: reachability, the closing of inputs
+    /// and the maximal-progress cut drop rows or states and renumber the
+    /// rest in order (see
+    /// [`restrict_to_reachable`](Self::restrict_to_reachable)), and hiding
+    /// and renaming re-sort only the rows whose labels changed.
     #[allow(clippy::too_many_arguments)] // internal constructor mirroring the model's fields
     pub(crate) fn from_parts(
         name: String,
@@ -400,19 +413,86 @@ impl<R: Rate> IoImcOf<R> {
     /// renumbering states densely.  Transitions from unreachable states are
     /// dropped.
     ///
-    /// When every state is reachable the result is a clone of `self`: the
-    /// renumbering is then the identity, and the transition lists of every
-    /// model are already sorted and deduplicated, so rebuilding them would
-    /// give the same model.
+    /// When every state is reachable the result is a clone of `self`.
+    /// Otherwise the kept rows are copied straight into the new model, with
+    /// no regrouping or re-sorting: the reachable states are renumbered in
+    /// their old order, and a renumbering that keeps the order of states
+    /// maps a row sorted by target (and by `(label, target)` for interactive
+    /// rows) to a row sorted the same way, with distinct entries still
+    /// distinct and parallel rates in their old order.  The per-state index
+    /// is counted while the rows are copied.
+    ///
+    /// Closing inputs ([`drop_input_transitions`](crate::closed::drop_input_transitions)),
+    /// the [maximal-progress cut](crate::bisim::cut_maximal_progress),
+    /// [hiding](crate::hide::hide) and [renaming](crate::rename::rename)
+    /// keep a model's order in the same way and build directly too.  The
+    /// builder, the codec, [composition](crate::compose::compose),
+    /// [τ-elimination](crate::bisim::eliminate_deterministic_tau) and the
+    /// [quotient](crate::bisim::quotient) make rows out of order and sort
+    /// them again.
     pub fn restrict_to_reachable(&self) -> IoImcOf<R> {
+        match self.reachable_states(&|_| true, &|_| true) {
+            None => self.clone(),
+            Some(reachable) => self.compact(&reachable, &|_| true, &|_| true),
+        }
+    }
+
+    /// [`restrict_to_reachable`](Self::restrict_to_reachable) for a model
+    /// the caller has just built: `self` itself, not a clone, when every
+    /// state is reachable.
+    pub(crate) fn into_reachable(self) -> IoImcOf<R> {
+        match self.reachable_states(&|_| true, &|_| true) {
+            None => self,
+            Some(reachable) => self.compact(&reachable, &|_| true, &|_| true),
+        }
+    }
+
+    /// The model without the interactive transitions `keep` rejects and
+    /// without the Markovian rows of the states `timed` rejects, restricted
+    /// to the states that stay reachable: one search over the kept
+    /// transitions and one direct build, which give the same model as
+    /// filtering through [`from_parts`](Self::from_parts) and then calling
+    /// [`restrict_to_reachable`](Self::restrict_to_reachable).
+    pub(crate) fn retain_reachable(
+        &self,
+        keep: &impl Fn(&InteractiveTransition) -> bool,
+        timed: &impl Fn(StateId) -> bool,
+    ) -> IoImcOf<R> {
+        let reachable = self
+            .reachable_states(keep, timed)
+            .unwrap_or_else(|| vec![true; self.num_states as usize]);
+        self.compact(&reachable, keep, timed)
+    }
+
+    /// The model on the same states without the Markovian rows of the
+    /// states `urgent` accepts: the one build behind the
+    /// [maximal-progress cut](crate::bisim::cut_maximal_progress).
+    pub(crate) fn without_rates_of(&self, urgent: &impl Fn(StateId) -> bool) -> IoImcOf<R> {
+        let every_state = vec![true; self.num_states as usize];
+        self.compact(&every_state, &|_| true, &|s| !urgent(s))
+    }
+
+    /// Marks the states reachable from the initial state over the
+    /// interactive transitions `keep` admits and the Markovian rows of the
+    /// states `timed` admits; `None` when every state is reachable.
+    fn reachable_states(
+        &self,
+        keep: &impl Fn(&InteractiveTransition) -> bool,
+        timed: &impl Fn(StateId) -> bool,
+    ) -> Option<Vec<bool>> {
         let n = self.num_states as usize;
         let mut reachable = vec![false; n];
         let mut stack = vec![self.initial];
         reachable[self.initial.index()] = true;
         let mut num_reachable = 1;
         while let Some(s) = stack.pop() {
-            let targets = self.interactive_from(s).iter().map(|t| t.to);
-            for to in targets.chain(self.markovian_from(s).iter().map(|t| t.to)) {
+            let moves = self.interactive_from(s).iter().filter(|t| keep(t));
+            let delays = if timed(s) {
+                self.markovian_from(s)
+            } else {
+                &[]
+            };
+            for to in moves.map(|t| t.to).chain(delays.iter().map(|t| t.to)) {
                 if !reachable[to.index()] {
                     reachable[to.index()] = true;
                     num_reachable += 1;
@@ -420,51 +500,119 @@ impl<R: Rate> IoImcOf<R> {
                 }
             }
         }
-        if num_reachable == n {
-            return self.clone();
+        (num_reachable < n).then_some(reachable)
+    }
+
+    /// The rows `keep` and `timed` admit of the `reachable` states, which
+    /// must be closed under those rows, renumbered in state order.
+    fn compact(
+        &self,
+        reachable: &[bool],
+        keep: &impl Fn(&InteractiveTransition) -> bool,
+        timed: &impl Fn(StateId) -> bool,
+    ) -> IoImcOf<R> {
+        let mut remap = vec![u32::MAX; reachable.len()];
+        let mut num_states = 0;
+        for (slot, _) in remap.iter_mut().zip(reachable).filter(|(_, &r)| r) {
+            *slot = num_states;
+            num_states += 1;
         }
-        let mut remap = vec![u32::MAX; n];
-        let mut next = 0u32;
-        for (i, &r) in reachable.iter().enumerate() {
-            if r {
-                remap[i] = next;
-                next += 1;
+        let mut interactive = Vec::with_capacity(self.interactive.len());
+        let mut markovian = Vec::with_capacity(self.markovian.len());
+        let mut interactive_index = Vec::with_capacity(num_states as usize + 1);
+        let mut markovian_index = Vec::with_capacity(num_states as usize + 1);
+        let mut props = Vec::with_capacity(num_states as usize);
+        interactive_index.push(0);
+        markovian_index.push(0);
+        for s in self.states().filter(|s| reachable[s.index()]) {
+            let from = StateId(remap[s.index()]);
+            let to = |t: StateId| StateId(remap[t.index()]);
+            interactive.extend(
+                self.interactive_from(s)
+                    .iter()
+                    .filter(|t| keep(t))
+                    .map(|t| InteractiveTransition {
+                        from,
+                        label: t.label,
+                        to: to(t.to),
+                    }),
+            );
+            if timed(s) {
+                markovian.extend(
+                    self.markovian_from(s)
+                        .iter()
+                        .map(|t| MarkovianTransitionOf {
+                            from,
+                            rate: t.rate.clone(),
+                            to: to(t.to),
+                        }),
+                );
             }
+            interactive_index.push(interactive.len() as u32);
+            markovian_index.push(markovian.len() as u32);
+            props.push(self.props[s.index()]);
         }
-        let interactive = self
-            .interactive
-            .iter()
-            .filter(|t| reachable[t.from.index()] && reachable[t.to.index()])
-            .map(|t| InteractiveTransition {
-                from: StateId(remap[t.from.index()]),
-                label: t.label,
-                to: StateId(remap[t.to.index()]),
-            })
-            .collect();
-        let markovian = self
-            .markovian
-            .iter()
-            .filter(|t| reachable[t.from.index()] && reachable[t.to.index()])
-            .map(|t| MarkovianTransitionOf {
-                from: StateId(remap[t.from.index()]),
-                rate: t.rate.clone(),
-                to: StateId(remap[t.to.index()]),
-            })
-            .collect();
-        let props = (0..n)
-            .filter(|&i| reachable[i])
-            .map(|i| self.props[i])
-            .collect();
-        IoImcOf::from_parts(
-            self.name.clone(),
-            self.signature.clone(),
-            next,
-            StateId(remap[self.initial.index()]),
+        // A closed model lives on in a session cache: it should not keep
+        // the room reserved for the rows that were dropped.
+        interactive.shrink_to_fit();
+        markovian.shrink_to_fit();
+        IoImcOf {
+            name: self.name.clone(),
+            signature: self.signature.clone(),
+            num_states,
+            initial: StateId(remap[self.initial.index()]),
             interactive,
             markovian,
-            self.prop_names.clone(),
+            prop_names: self.prop_names.clone(),
             props,
-        )
+            interactive_index,
+            markovian_index,
+        }
+    }
+
+    /// The model with every interactive label mapped through `relabel` and
+    /// the given signature: the one build behind [`hide`](crate::hide) and
+    /// [`rename`](crate::rename).
+    ///
+    /// `relabel` must be injective on the labels of the model, which both
+    /// callers guarantee (hiding turns outputs into internals, and an action
+    /// is never both; renaming rejects collisions), so no row gains a
+    /// duplicate.  Only the rows with a changed label are sorted again; the
+    /// Markovian rows and both indexes are copied as they are.
+    pub(crate) fn relabel(
+        &self,
+        signature: Signature,
+        relabel: impl Fn(Label) -> Label,
+    ) -> IoImcOf<R> {
+        let mut interactive = self.interactive.clone();
+        for w in self.interactive_index.windows(2) {
+            let row = &mut interactive[w[0] as usize..w[1] as usize];
+            let mut changed = false;
+            for t in row.iter_mut() {
+                let label = relabel(t.label);
+                changed |= label != t.label;
+                t.label = label;
+            }
+            if changed {
+                row.sort_unstable_by_key(|t| (t.label, t.to));
+                debug_assert!(
+                    row.windows(2).all(|pair| pair[0] != pair[1]),
+                    "an injective relabelling keeps rows free of duplicates"
+                );
+            }
+        }
+        IoImcOf {
+            name: self.name.clone(),
+            signature,
+            num_states: self.num_states,
+            initial: self.initial,
+            interactive,
+            markovian: self.markovian.clone(),
+            prop_names: self.prop_names.clone(),
+            props: self.props.clone(),
+            interactive_index: self.interactive_index.clone(),
+            markovian_index: self.markovian_index.clone(),
+        }
     }
 
     /// Maps every Markovian rate through `f`, keeping states, interactive
@@ -774,6 +922,287 @@ mod tests {
             duplicates && parallel,
             "the cases cover deduplication and parallel rates"
         );
+    }
+
+    /// A model rebuilt through [`IoImcOf::from_parts`] from `model`'s rows:
+    /// labels mapped through `label` (dropped on `None`) and the Markovian
+    /// rows of the states `timed` rejects left out: the reference that the
+    /// direct build of each order-keeping pass must equal.
+    fn rebuilt<R: Rate>(
+        model: &IoImcOf<R>,
+        signature: Signature,
+        label: impl Fn(Label) -> Option<Label>,
+        timed: impl Fn(StateId) -> bool,
+    ) -> IoImcOf<R> {
+        let interactive = model
+            .interactive
+            .iter()
+            .filter_map(|t| {
+                label(t.label).map(|label| InteractiveTransition {
+                    from: t.from,
+                    label,
+                    to: t.to,
+                })
+            })
+            .collect();
+        let markovian = model
+            .markovian
+            .iter()
+            .filter(|t| timed(t.from))
+            .cloned()
+            .collect();
+        IoImcOf::from_parts(
+            model.name.clone(),
+            signature,
+            model.num_states,
+            model.initial,
+            interactive,
+            markovian,
+            model.prop_names.clone(),
+            model.props.clone(),
+        )
+    }
+
+    /// The restriction to reachable states as a filter and a
+    /// [`IoImcOf::from_parts`] rebuild.
+    fn restricted_by_rebuild<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
+        let n = model.num_states();
+        let mut reachable = vec![false; n];
+        let mut stack = vec![model.initial];
+        reachable[model.initial.index()] = true;
+        while let Some(s) = stack.pop() {
+            let targets = model.interactive_from(s).iter().map(|t| t.to);
+            for to in targets.chain(model.markovian_from(s).iter().map(|t| t.to)) {
+                if !reachable[to.index()] {
+                    reachable[to.index()] = true;
+                    stack.push(to);
+                }
+            }
+        }
+        let mut remap = vec![u32::MAX; n];
+        let mut next = 0u32;
+        for (i, &r) in reachable.iter().enumerate() {
+            if r {
+                remap[i] = next;
+                next += 1;
+            }
+        }
+        let keep = |from: StateId, to: StateId| reachable[from.index()] && reachable[to.index()];
+        let interactive = model
+            .interactive
+            .iter()
+            .filter(|t| keep(t.from, t.to))
+            .map(|t| InteractiveTransition {
+                from: StateId(remap[t.from.index()]),
+                label: t.label,
+                to: StateId(remap[t.to.index()]),
+            })
+            .collect();
+        let markovian = model
+            .markovian
+            .iter()
+            .filter(|t| keep(t.from, t.to))
+            .map(|t| MarkovianTransitionOf {
+                from: StateId(remap[t.from.index()]),
+                rate: t.rate.clone(),
+                to: StateId(remap[t.to.index()]),
+            })
+            .collect();
+        let props = (0..n)
+            .filter(|&i| reachable[i])
+            .map(|i| model.props[i])
+            .collect();
+        IoImcOf::from_parts(
+            model.name.clone(),
+            model.signature.clone(),
+            next,
+            StateId(remap[model.initial.index()]),
+            interactive,
+            markovian,
+            model.prop_names.clone(),
+            props,
+        )
+    }
+
+    /// Whether mapping `model`'s labels through `label` leaves some row out
+    /// of `(label, to)` order, so that a relabelling must sort it again.
+    fn relabel_unsorts_a_row<R: Rate>(model: &IoImcOf<R>, label: impl Fn(Label) -> Label) -> bool {
+        model.states().any(|s| {
+            let row: Vec<(Label, StateId)> = model
+                .interactive_from(s)
+                .iter()
+                .map(|t| (label(t.label), t.to))
+                .collect();
+            row.windows(2).any(|pair| pair[0] > pair[1])
+        })
+    }
+
+    /// What [`direct_builds_equal_their_from_parts_rebuilds`] saw, so that
+    /// it can check that its models exercise every path.
+    #[derive(Default)]
+    struct Seen {
+        unreachable: bool,
+        urgent_rates: bool,
+        closing_strands: bool,
+        hide_resorts: bool,
+        rename_resorts: bool,
+    }
+
+    /// Asserts that every pass that builds its model directly gives the
+    /// codec bytes of its `from_parts` rebuild.
+    fn assert_direct_builds_match<R: crate::codec::RateCodec>(
+        model: &IoImcOf<R>,
+        hidden: &[Action],
+        mapping: &std::collections::BTreeMap<Action, Action>,
+        seen: &mut Seen,
+    ) {
+        use crate::bisim::cut_maximal_progress;
+        use crate::bisim::maximal_progress::cut_to_reachable;
+        use crate::bisim::tests::bytes_of;
+        let case = model.name.clone();
+        let same = |direct: &IoImcOf<R>, rebuilt: &IoImcOf<R>, pass: &str| {
+            assert!(bytes_of(direct) == bytes_of(rebuilt), "{case}: {pass}");
+        };
+
+        let restricted = restricted_by_rebuild(model);
+        seen.unreachable |= restricted.num_states() < model.num_states();
+        same(
+            &model.restrict_to_reachable(),
+            &restricted,
+            "restrict_to_reachable",
+        );
+        same(
+            &model.clone().into_reachable(),
+            &restricted,
+            "into_reachable",
+        );
+
+        let urgent: Vec<bool> = model.states().map(|s| model.is_urgent(s)).collect();
+        let cut = rebuilt(model, model.signature.clone(), Some, |s| !urgent[s.index()]);
+        seen.urgent_rates |= cut.num_markovian() < model.num_markovian();
+        same(&cut_maximal_progress(model), &cut, "cut_maximal_progress");
+        same(
+            &cut_to_reachable(model),
+            &restricted_by_rebuild(&cut),
+            "cut + restrict",
+        );
+
+        let closed = crate::closed::drop_input_transitions(model);
+        let without_inputs = rebuilt(
+            model,
+            closed.signature.clone(),
+            |l| (!l.is_input()).then_some(l),
+            |_| true,
+        );
+        let closed_by_rebuild = restricted_by_rebuild(&without_inputs);
+        seen.closing_strands |= closed_by_rebuild.num_states() < without_inputs.num_states();
+        same(&closed, &closed_by_rebuild, "drop_input_transitions");
+
+        // Hiding rejects inputs: a composition may listen to a hidden action.
+        let hidden: Vec<Action> = hidden
+            .iter()
+            .copied()
+            .filter(|&a| !model.signature.is_input(a))
+            .collect();
+        let hide_label = |l: Label| match l {
+            Label::Output(a) if hidden.contains(&a) => Label::Internal(a),
+            _ => l,
+        };
+        let direct = crate::hide::hide(model, &hidden).expect("hides outputs only");
+        seen.hide_resorts |= relabel_unsorts_a_row(model, hide_label);
+        same(
+            &direct,
+            &rebuilt(
+                model,
+                direct.signature.clone(),
+                |l| Some(hide_label(l)),
+                |_| true,
+            ),
+            "hide",
+        );
+
+        let rename_label = |l: Label| {
+            let apply = |a: Action| mapping.get(&a).copied().unwrap_or(a);
+            match l {
+                Label::Input(a) => Label::Input(apply(a)),
+                Label::Output(a) => Label::Output(apply(a)),
+                Label::Internal(a) => Label::Internal(apply(a)),
+            }
+        };
+        let direct = crate::rename::rename(model, mapping).expect("renaming has no collision");
+        seen.rename_resorts |= relabel_unsorts_a_row(model, rename_label);
+        same(
+            &direct,
+            &rebuilt(
+                model,
+                direct.signature.clone(),
+                |l| Some(rename_label(l)),
+                |_| true,
+            ),
+            "rename",
+        );
+    }
+
+    #[test]
+    fn direct_builds_equal_their_from_parts_rebuilds() {
+        use crate::bisim::tests::{large_random_model, lift, random_model};
+        use crate::compose::compose;
+        use crate::rename::rename;
+        use std::collections::BTreeMap;
+        // The random models' action pools.
+        let pool = |kind: &str| -> Vec<Action> {
+            (0..3)
+                .map(|i| act(&format!("bisim_random_{kind}{i}")))
+                .collect()
+        };
+        let (inputs, outputs, taus) = (pool("in"), pool("out"), pool("tau"));
+        let fresh = |kind: &str, i: usize| act(&format!("direct_build_{kind}{i}"));
+        // A listener made from another random model: its inputs become the
+        // outputs of the model it listens to, its own actions fresh ones.
+        // Composed with it, a random model has rows that mix inputs,
+        // outputs and internals of both sides.
+        let listener_names: BTreeMap<Action, Action> = (0..3)
+            .flat_map(|i| {
+                [
+                    (inputs[i], outputs[i]),
+                    (outputs[i], fresh("out", i)),
+                    (taus[i], fresh("tau", i)),
+                ]
+            })
+            .collect();
+        let hidden = [outputs[0], outputs[2], fresh("out", 1)];
+        // Swapping two outputs and two internals reorders the rows that
+        // hold both; the inputs go to fresh actions.
+        let mut mapping: BTreeMap<Action, Action> = BTreeMap::from([
+            (outputs[0], outputs[1]),
+            (outputs[1], outputs[0]),
+            (taus[1], taus[2]),
+            (taus[2], taus[1]),
+            (fresh("out", 0), fresh("out", 2)),
+            (fresh("out", 2), fresh("out", 0)),
+        ]);
+        mapping.extend((0..3).map(|i| (inputs[i], fresh("in", i))));
+
+        let (small, large) = if cfg!(miri) { (2, 0) } else { (48, 4) };
+        let mut models: Vec<IoImc> = Vec::new();
+        for seed in 0..small {
+            let model = random_model(seed);
+            let listener = rename(&random_model(seed + 1000), &listener_names)
+                .expect("fresh names do not collide");
+            models.push(compose(&model, &listener).expect("signatures compose"));
+            models.push(model);
+        }
+        models.extend((0..large).map(large_random_model));
+        let mut seen = Seen::default();
+        for model in &models {
+            assert_direct_builds_match(model, &hidden, &mapping, &mut seen);
+            assert_direct_builds_match(&lift(model), &hidden, &mapping, &mut seen);
+        }
+        assert!(seen.unreachable, "some model has unreachable states");
+        assert!(seen.urgent_rates, "some model has urgent rates to cut");
+        assert!(seen.closing_strands, "closing some model strands states");
+        assert!(seen.hide_resorts, "hiding reorders some row");
+        assert!(seen.rename_resorts, "renaming reorders some row");
     }
 
     #[test]

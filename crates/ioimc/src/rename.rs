@@ -6,7 +6,7 @@
 //! activation and firing signals.
 
 use crate::action::Action;
-use crate::model::{InteractiveTransition, IoImcOf, Label};
+use crate::model::{IoImcOf, Label};
 use crate::rate::Rate;
 use crate::signature::Signature;
 use crate::{Error, Result};
@@ -83,33 +83,11 @@ pub fn rename<R: Rate>(
     }
     signature.validate()?;
 
-    let interactive: Vec<InteractiveTransition> = model
-        .interactive()
-        .iter()
-        .map(|t| {
-            let label = match t.label {
-                Label::Input(a) => Label::Input(apply(a)),
-                Label::Output(a) => Label::Output(apply(a)),
-                Label::Internal(a) => Label::Internal(apply(a)),
-            };
-            InteractiveTransition {
-                from: t.from,
-                label,
-                to: t.to,
-            }
-        })
-        .collect();
-
-    Ok(IoImcOf::from_parts(
-        model.name().to_owned(),
-        signature,
-        model.num_states,
-        model.initial(),
-        interactive,
-        model.markovian().to_vec(),
-        model.prop_names.clone(),
-        model.props.clone(),
-    ))
+    Ok(model.relabel(signature, |label| match label {
+        Label::Input(a) => Label::Input(apply(a)),
+        Label::Output(a) => Label::Output(apply(a)),
+        Label::Internal(a) => Label::Internal(apply(a)),
+    }))
 }
 
 #[cfg(test)]

@@ -16,7 +16,11 @@
 //! fingerprint.
 //!
 //! Every fingerprinted model is also checked to be a fixpoint: minimising it
-//! again gives the same bytes (up to the model name).
+//! again gives the same bytes (up to the model name).  For every model the
+//! suite minimises or fingerprints, the weak quotient under its weak
+//! refinement is checked to have no urgent Markovian transition and no
+//! unreachable state, which is why `minimize` runs no maximal-progress cut
+//! after a quotient.
 //!
 //! The codec writes actions in interning order, which is process-wide, so the
 //! suite is deliberately a single `#[test]`: its binary interns every action
@@ -28,9 +32,9 @@ use dftmc::dft_core::casestudies::{cas, cps};
 use dftmc::dft_core::convert::{convert, convert_parametric};
 use dftmc::dft_core::rng::SplitMix64;
 use dftmc::dft_core::{AnalysisOptions, Analyzer, ParametricAnalyzer};
-use dftmc::ioimc::bisim::minimize;
+use dftmc::ioimc::bisim::{minimize, quotient, refine};
 use dftmc::ioimc::codec::{encode_model, RateCodec, Writer};
-use dftmc::ioimc::{Action, IoImc, IoImcOf, RateForm};
+use dftmc::ioimc::{Action, IoImc, IoImcOf, Rate, RateForm};
 
 mod common;
 use common::random_model;
@@ -80,17 +84,39 @@ fn assert_fixpoints<'a, R: RateCodec + 'a>(
     }
 }
 
+/// Panics unless the weak quotient of each of `models` has no urgent state
+/// with a Markovian transition and no unreachable state.
+fn assert_weak_quotients_need_no_cut<'a, R: Rate + 'a>(
+    case: &str,
+    models: impl IntoIterator<Item = &'a IoImcOf<R>>,
+) {
+    for (i, model) in models.into_iter().enumerate() {
+        let q = quotient(model, &refine(model, true), true);
+        assert!(
+            q.states()
+                .all(|s| !q.is_urgent(s) || q.markovian_from(s).is_empty()),
+            "{case}: the weak quotient of model {i} has an urgent rate"
+        );
+        assert!(
+            q.restrict_to_reachable().num_states() == q.num_states(),
+            "{case}: the weak quotient of model {i} has an unreachable state"
+        );
+    }
+}
+
 /// The four fingerprints of one tree: minimised community members and closed
 /// model, numeric then parametric.
 fn tree_fingerprints(name: &str, dft: &Dft, out: &mut Vec<(String, u64)>) {
     let community = convert(dft).expect("tree converts");
     let members: Vec<IoImc> = community.models.iter().map(minimize).collect();
     assert_fixpoints(name, &members);
+    assert_weak_quotients_need_no_cut(name, community.models.iter().chain(&members));
     out.push((format!("{name}/community"), fingerprint(&members)));
 
     let (community, _) = convert_parametric(dft).expect("tree converts parametrically");
     let members: Vec<IoImcOf<RateForm>> = community.models.iter().map(minimize).collect();
     assert_fixpoints(name, &members);
+    assert_weak_quotients_need_no_cut(name, community.models.iter().chain(&members));
     out.push((
         format!("{name}/community_parametric"),
         fingerprint(&members),
@@ -99,12 +125,14 @@ fn tree_fingerprints(name: &str, dft: &Dft, out: &mut Vec<(String, u64)>) {
     let session = Analyzer::new(dft, AnalysisOptions::default()).expect("tree builds");
     let closed = session.final_model().expect("compositional session");
     assert_fixpoints(name, [closed]);
+    assert_weak_quotients_need_no_cut(name, [closed]);
     out.push((format!("{name}/closed"), fingerprint([closed])));
 
     let session = ParametricAnalyzer::new(dft, AnalysisOptions::default())
         .expect("tree builds parametrically");
     let closed = session.final_model().expect("compositional session");
     assert_fixpoints(name, [closed]);
+    assert_weak_quotients_need_no_cut(name, [closed]);
     out.push((format!("{name}/closed_parametric"), fingerprint([closed])));
 }
 
@@ -125,11 +153,15 @@ fn random_fingerprints(out: &mut Vec<(String, u64)>) {
         // Lift rate r to the form r·λ_k, with the slot chosen by the rate so
         // equal numeric rates stay equal forms.
         let lifted = model.map_rates(|&r| RateForm::scaled_var((r * 2.0) as u32 % 3, r));
+        assert_weak_quotients_need_no_cut("random", [&model]);
+        assert_weak_quotients_need_no_cut("random/parametric", [&lifted]);
         numeric.push(minimize(&model));
         parametric.push(minimize(&lifted));
     }
     assert_fixpoints("random", &numeric);
     assert_fixpoints("random/parametric", &parametric);
+    assert_weak_quotients_need_no_cut("random", &numeric);
+    assert_weak_quotients_need_no_cut("random/parametric", &parametric);
     for (chunk, (num, par)) in numeric.chunks(16).zip(parametric.chunks(16)).enumerate() {
         out.push((format!("random/{chunk}"), fingerprint(num)));
         out.push((format!("random/{chunk}/parametric"), fingerprint(par)));
