@@ -615,54 +615,7 @@ fn sweep(config: &Config) -> Result<Vec<Row>> {
         row("cas", "max_abs_diff", max_abs_diff),
     ]);
     rows.extend(cps_mttf_sweep()?);
-    rows.extend(cps_wide_sweep()?);
     Ok(rows)
-}
-
-/// A 64-valuation CPS curve (3 points to t = 1) through `sweep_query`, with
-/// the kernel capped at one worker and at the default cap: the wall time of
-/// each.  At the default cap a multi-core host splits the batched pass into
-/// lane groups, which must not change a bit.
-fn cps_wide_sweep() -> Result<Vec<Row>> {
-    let parametric = ParametricAnalyzer::new(&casestudies::cps(), AnalysisOptions::default())?;
-    let valuations: Vec<Valuation> = (0..64)
-        .map(|i| {
-            parametric
-                .params()
-                .scaled_valuation(0.5 + f64::from(i) / 64.0)
-        })
-        .collect();
-    let measures = [Measure::curve([0.25, 0.5, 1.0])];
-    // Lowers the sweep template, so neither timed sweep pays for it.
-    parametric
-        .sweep_query(&measures, &valuations[..1])
-        .results()[0]
-        .clone()?;
-    let sweep_at = |cap: usize| {
-        markov::kernel::set_max_workers(cap);
-        timed(|| parametric.sweep_query(&measures, &valuations))
-    };
-    let (sequential, sequential_seconds) = sweep_at(1);
-    let (parallel, parallel_seconds) = sweep_at(0);
-    for (one, default) in sequential.results().iter().zip(parallel.results()) {
-        let one = one.as_ref().map_err(Clone::clone)?;
-        assert!(
-            all_bitwise_eq(default, one),
-            "the worker cap must not change a sweep's bits"
-        );
-    }
-    Ok(vec![
-        row(
-            "cps_wide",
-            "sequential_seconds",
-            sequential_seconds.as_secs_f64(),
-        ),
-        row(
-            "cps_wide",
-            "parallel_seconds",
-            parallel_seconds.as_secs_f64(),
-        ),
-    ])
 }
 
 /// A 64-valuation CPS `Mttf` sweep through the service, next to 100 cached

@@ -146,9 +146,6 @@ pub fn cps_analyzer(options: AnalysisOptions) -> Result<Analyzer> {
     Analyzer::new(&cps(), options)
 }
 
-/// Number of states the paper reports for each aggregated CAS module I/O-IMC.
-pub const CAS_PAPER_MODULE_STATES: usize = 6;
-
 /// The CPU unit of the CAS as a stand-alone DFT (primary CPU with a warm spare,
 /// both functionally dependent on the cross switch / system supervision trigger).
 ///

@@ -34,11 +34,6 @@ pub struct CommunityOf<R = f64> {
 pub type Community = CommunityOf<f64>;
 
 impl<R: Rate> CommunityOf<R> {
-    /// Total number of states over all community members.
-    pub fn total_states(&self) -> usize {
-        self.models.iter().map(|m| m.num_states()).sum()
-    }
-
     /// Number of community members.
     pub fn len(&self) -> usize {
         self.models.len()
@@ -391,7 +386,6 @@ mod tests {
         assert_eq!(community.top_failure.name(), "f_cv_Top");
         assert!(community.top_repair.is_none());
         assert!(!community.is_empty());
-        assert!(community.total_states() > 0);
     }
 
     #[test]

@@ -136,9 +136,8 @@ impl<R: Rate> ClosedModel<R> {
         epsilon: f64,
     ) -> Result<Vec<Vec<MeasurePoint>>> {
         let initial = self.closed.initial().index();
-        let workers = kernel.auto_workers();
         let reach = |goal: &[bool], maximise: bool| {
-            kernel.reachability(initial, goal, times, epsilon, maximise, workers)
+            kernel.reachability(initial, goal, times, epsilon, maximise)
         };
         let uppers = reach(&self.can, true)?;
         let lowers = if self.point_valued {
@@ -1864,24 +1863,16 @@ mod tests {
             .collect();
         // A curve with a duplicate time bound exercises the merged-grid plan.
         let measure = Measure::curve([0.4, 1.0, 0.4, 2.0]);
-        for cap in [1usize, 2, 4] {
-            markov::kernel::set_max_workers(cap);
-            let sweep = parametric.sweep_query(std::slice::from_ref(&measure), &valuations);
-            assert_eq!(sweep.len(), valuations.len());
-            for (valuation, row) in valuations.iter().zip(sweep.results()) {
-                let reference = parametric
-                    .instantiate(valuation)
-                    .unwrap()
-                    .query(measure.clone())
-                    .unwrap();
-                assert_eq!(
-                    bits_of(&row.as_ref().unwrap()[0]),
-                    bits_of(&reference),
-                    "cap {cap}"
-                );
-            }
+        let sweep = parametric.sweep_query(std::slice::from_ref(&measure), &valuations);
+        assert_eq!(sweep.len(), valuations.len());
+        for (valuation, row) in valuations.iter().zip(sweep.results()) {
+            let reference = parametric
+                .instantiate(valuation)
+                .unwrap()
+                .query(measure.clone())
+                .unwrap();
+            assert_eq!(bits_of(&row.as_ref().unwrap()[0]), bits_of(&reference));
         }
-        markov::kernel::set_max_workers(0);
 
         // MTTF needs a CTMC: every lane of the CTMDP reports the tangible
         // extraction error an instantiated session reports.

@@ -602,27 +602,11 @@ impl AnalysisService {
             .map_or(0, |pool| pool.size)
     }
 
-    /// Drops every cached session and parametric model (the cumulative
-    /// hit/miss counters keep counting).
-    pub fn clear_cache(&self) {
-        let mut cache = self.core.cache.lock().expect("cache lock");
-        cache.entries.clear();
-        cache.param_entries.clear();
-    }
-
     /// Starts the worker pool if it is not running yet.
     fn ensure_pool(&self) {
         let mut pool = self.pool.lock().expect("pool lock");
         if pool.is_none() {
             let size = resolved_workers(&self.core.options);
-            // The pool is about to occupy `size` threads; cap the numeric
-            // kernel's nested relax threading to the leftover parallelism so
-            // a saturated pool never oversubscribes the host.  The cap only
-            // affects wall-clock — kernel results are worker-count-invariant.
-            let cores = thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1);
-            markov::kernel::set_max_workers((cores / size).max(1));
             let workers = (0..size)
                 .map(|i| {
                     let core = Arc::clone(&self.core);

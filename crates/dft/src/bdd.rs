@@ -10,8 +10,7 @@
 //! * exact [`unreliability`](Bdd::unreliability) /
 //!   [`unreliability_curve`](Bdd::unreliability_curve) evaluation from
 //!   exponential leaf probabilities (one linear bottom-up pass per time point),
-//! * a MOCUS-style [`minimal_cut_sets`](Bdd::minimal_cut_sets) export as a
-//!   cross-check against the classical cut-set view, and
+//!   and
 //! * raw [`nodes`](Bdd::nodes) / [`from_parts`](Bdd::from_parts) access so a
 //!   binary codec can persist a compiled diagram.
 //!
@@ -35,7 +34,6 @@
 //! let t = 0.5f64;
 //! let exact = (1.0 - (-t).exp()) * (1.0 - (-2.0 * t).exp());
 //! assert!((bdd.unreliability(&dft, t) - exact).abs() < 1e-15);
-//! assert_eq!(bdd.minimal_cut_sets(), vec![vec![x, y]]);
 //! # Ok(())
 //! # }
 //! ```
@@ -448,55 +446,6 @@ impl Bdd {
     pub fn unreliability_curve(&self, dft: &Dft, times: &[f64]) -> Vec<f64> {
         times.iter().map(|&t| self.unreliability(dft, t)).collect()
     }
-
-    /// The minimal cut sets of the (monotone) function: every inclusion-minimal
-    /// set of leaves whose joint failure fails the system, each set ascending
-    /// by id, sets in lexicographic order.
-    ///
-    /// This is the MOCUS-style cross-check: for static fault trees the BDD and
-    /// the cut-set representation must describe the same function.  The export
-    /// is exponential in the worst case — use it on the module-sized trees it
-    /// is meant to sanity-check, not on full industrial crowns.
-    pub fn minimal_cut_sets(&self) -> Vec<Vec<ElementId>> {
-        // Two-pointer subset test over ascending sets.
-        fn subset(a: &[u32], b: &[u32]) -> bool {
-            let mut i = 0;
-            for &x in b {
-                if i == a.len() {
-                    return true;
-                }
-                if a[i] == x {
-                    i += 1;
-                }
-            }
-            i == a.len()
-        }
-        let mut cuts: Vec<Vec<Vec<u32>>> = vec![Vec::new(), vec![Vec::new()]];
-        for node in self.nodes.iter().skip(2) {
-            let lo = &cuts[node.lo as usize];
-            let hi = &cuts[node.hi as usize];
-            let mut sets: Vec<Vec<u32>> = lo.clone();
-            for s in hi {
-                // {var} ∪ s is minimal unless some lo-cut is contained in it;
-                // lo-cuts only mention variables below `var`, so the test
-                // reduces to containment in `s`.
-                if lo.iter().any(|l| subset(l, s)) {
-                    continue;
-                }
-                let mut cut = Vec::with_capacity(s.len() + 1);
-                cut.push(node.var);
-                cut.extend_from_slice(s);
-                sets.push(cut);
-            }
-            cuts.push(sets);
-        }
-        let mut out: Vec<Vec<ElementId>> = cuts[self.root as usize]
-            .iter()
-            .map(|s| s.iter().map(|&v| ElementId::new(v)).collect())
-            .collect();
-        out.sort();
-        out
-    }
 }
 
 /// Per-element failure probabilities at mission time `t`: `1 − e^(−λt)` at each
@@ -579,7 +528,6 @@ mod tests {
         let t = 0.7f64;
         let exact = (1.0 - (-t).exp()) * (1.0 - (-2.0 * t).exp());
         assert!((bdd.unreliability(&dft, t) - exact).abs() < 1e-15);
-        assert_eq!(bdd.minimal_cut_sets(), vec![vec![x, y]]);
     }
 
     #[test]
@@ -596,7 +544,6 @@ mod tests {
         probs[y.index()] = qy;
         let exact = qx + qy - qx * qy;
         assert!((bdd.probability(&probs) - exact).abs() < 1e-15);
-        assert_eq!(bdd.minimal_cut_sets(), vec![vec![x], vec![y]]);
     }
 
     #[test]
@@ -607,7 +554,6 @@ mod tests {
         // two terminals: canonical sharing keeps the diagram at 6 nodes.
         assert_eq!(bdd.node_count(), 6);
         assert_eq!(bdd.support().len(), 3);
-        assert_eq!(bdd.minimal_cut_sets().len(), 3);
         let probs = [0.2, 0.5, 0.9, 0.0];
         let exact = brute_force(&dft, &probs);
         assert!((bdd.probability(&probs) - exact).abs() < 1e-15);
@@ -628,8 +574,6 @@ mod tests {
         let probs = [0.4, 0.25, 0.7, 0.0, 0.0, 0.0];
         let exact = brute_force(&dft, &probs);
         assert!((bdd.probability(&probs) - exact).abs() < 1e-15);
-        // MCS sees through the sharing: {X,Y} and {X,Z}.
-        assert_eq!(bdd.minimal_cut_sets(), vec![vec![x, y], vec![x, z]]);
     }
 
     #[test]
@@ -709,6 +653,5 @@ mod tests {
         assert_eq!(bdd.node_count(), 3);
         assert_eq!(bdd.probability(&[1.0, 0.0]), 1.0);
         assert_eq!(bdd.probability(&[0.0, 0.0]), 0.0);
-        assert_eq!(bdd.minimal_cut_sets(), vec![vec![x]]);
     }
 }

@@ -1,7 +1,6 @@
 //! The DFT structure: a named DAG of elements with a designated top event.
 
 use crate::element::{Element, ElementId, GateKind};
-use crate::{Error, Result};
 use std::collections::HashMap;
 
 /// A validated dynamic fault tree.
@@ -84,18 +83,6 @@ impl Dft {
     /// Looks an element up by name.
     pub fn by_name(&self, name: &str) -> Option<ElementId> {
         self.by_name.get(name).copied()
-    }
-
-    /// Looks an element up by name, returning an error mentioning the name if it
-    /// does not exist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownElement`].
-    pub fn require(&self, name: &str) -> Result<ElementId> {
-        self.by_name(name).ok_or_else(|| Error::UnknownElement {
-            name: name.to_owned(),
-        })
     }
 
     /// Iterates over all element ids in insertion order.
@@ -327,8 +314,6 @@ mod tests {
         assert_eq!(dft.fdep_gates().len(), 0);
         assert!(dft.by_name("A").is_some());
         assert!(dft.by_name("missing").is_none());
-        assert!(dft.require("C").is_ok());
-        assert!(dft.require("missing").is_err());
     }
 
     #[test]

@@ -188,12 +188,6 @@ impl<R: Rate> IoImcBuilderOf<R> {
         self
     }
 
-    /// Declares `action` as an output even if no transition uses it yet.
-    pub fn declare_output(&mut self, action: Action) -> &mut Self {
-        self.signature.add_output(action);
-        self
-    }
-
     /// Registers (or looks up) an atomic proposition by name.
     ///
     /// # Panics
@@ -317,10 +311,8 @@ mod tests {
         let s0 = b.add_state();
         b.initial(s0);
         b.declare_input(act("ignored_b4"));
-        b.declare_output(act("never_fired_b4"));
         let m = b.build().unwrap();
         assert!(m.signature().is_input(act("ignored_b4")));
-        assert!(m.signature().is_output(act("never_fired_b4")));
         assert_eq!(m.num_transitions(), 0);
     }
 

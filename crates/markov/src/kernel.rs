@@ -4,32 +4,26 @@
 //! every lane of a parametric sweep — comes from one call,
 //! [`RelaxKernel::reachability`].  The kernel lowers the Markovian choices
 //! into a flat CSR-style layout once per model so the inner relax runs over
-//! contiguous arrays, and adds two levers on top:
-//!
-//! * **Lane batching** — K independent rate assignments of one shared
-//!   structure (a parametric rate sweep) iterate as K *lanes* of a
-//!   structure-of-arrays value block: values are stored state-major
-//!   (`value[s·K + k]`), edge rates lane-major per edge (`rates[e·K + k]`),
-//!   and one traversal of the structure relaxes every lane at once.  Each
-//!   lane keeps its *own* uniformisation rate, so its floating-point op
-//!   sequence is exactly the scalar sequence — batched results are
-//!   bit-identical per lane — while the Poisson windows are deduplicated
-//!   across the batch ([`crate::poisson::poisson_weights_multi`]).
-//! * **Lane groups** — with more than one worker, a batch is split into
-//!   contiguous groups of lanes, and each group runs the sequential driver
-//!   on its own scoped thread.  Lanes never read each other's values, so
-//!   every lane's bits are those of the one-group call, whatever the worker
-//!   count; a one-lane kernel never splits.
+//! contiguous arrays.  On top of that it batches *lanes*: K independent rate
+//! assignments of one shared structure (a parametric rate sweep) iterate as
+//! K lanes of a structure-of-arrays value block.  Values are stored
+//! state-major (`value[s·K + k]`), edge rates lane-major per edge
+//! (`rates[e·K + k]`), and one traversal of the structure relaxes every lane
+//! at once.  Each lane keeps its *own* uniformisation rate, so its
+//! floating-point op sequence is exactly the scalar sequence — batched
+//! results are bit-identical per lane — while the Poisson windows are
+//! deduplicated across the batch
+//! ([`crate::poisson::poisson_weights_multi`]).  Every call runs on the
+//! calling thread.
 //!
 //! The relax is one body generic over the lane width, instantiated twice:
 //! at the constant width 1 for a one-lane call (every numeric query), where
 //! a row is a plain walk over zipped `cols`/`jump` slices, and at the run-time
 //! width of a batch; the settle fixpoint of the immediate states is
 //! instantiated the same way, and walks only the immediate states that can
-//! move.  The sequential driver picks the width once per call (a lane group
-//! of one lane runs at width 1 too).  Both instantiations do each lane's
-//! operations in the same order, so a one-lane call and every lane of a
-//! batch give the same bits.
+//! move.  The driver picks the width once per call.  Both instantiations do
+//! each lane's operations in the same order, so a one-lane call and every
+//! lane of a batch give the same bits.
 //!
 //! The original nested-loop relax is kept in this module's tests as the
 //! reference the kernel is compared against bit for bit.
@@ -37,17 +31,11 @@
 use crate::ctmdp::CtmdpState;
 use crate::poisson::{poisson_weights_multi, PoissonWeights};
 use crate::{Error, Result};
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// Process-wide cap on relax workers; 0 means "derive from the host".
-static MAX_WORKERS: AtomicUsize = AtomicUsize::new(0);
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Total relax passes executed (one per uniformised step per reachability
-/// call, split into lane groups or not).
+/// call).
 static RELAX_PASSES: AtomicU64 = AtomicU64::new(0);
-/// Relax passes of calls split into more than one lane group.
-static THREADED_PASSES: AtomicU64 = AtomicU64::new(0);
 /// Reachability calls that batched more than one lane.
 static BATCHED_CALLS: AtomicU64 = AtomicU64::new(0);
 
@@ -57,11 +45,10 @@ static BATCHED_CALLS: AtomicU64 = AtomicU64::new(0);
 /// exposes deltas between snapshots.  They never influence results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Relax passes executed: one per uniformised step of every call, however
-    /// many lane groups ran it.
+    /// Relax passes executed: one per uniformised step of every call.
     pub relax_passes: u64,
-    /// The relax passes of calls split into more than one lane group,
-    /// counted once per step like `relax_passes`.
+    /// Always 0: every relax pass runs on the calling thread.  The field
+    /// stays because perfbench reports it.
     pub threaded_passes: u64,
     /// Reachability calls that batched more than one lane.
     pub batched_calls: u64,
@@ -71,36 +58,13 @@ pub struct KernelStats {
 pub fn stats() -> KernelStats {
     KernelStats {
         relax_passes: RELAX_PASSES.load(Ordering::Relaxed),
-        threaded_passes: THREADED_PASSES.load(Ordering::Relaxed),
+        threaded_passes: 0,
         batched_calls: BATCHED_CALLS.load(Ordering::Relaxed),
     }
 }
 
-/// Caps the number of worker threads [`RelaxKernel::auto_workers`] may choose,
-/// process-wide.  `0` restores the default (host parallelism, capped at 8).
-///
-/// A service whose own pool already saturates the host sets this to
-/// `cores / pool_size` so nested parallelism cannot oversubscribe.  The cap
-/// only bounds how many lane groups a batched call splits into — results
-/// are worker-count-invariant.
-pub fn set_max_workers(cap: usize) {
-    MAX_WORKERS.store(cap, Ordering::Relaxed);
-}
-
-/// The effective worker cap: the value of [`set_max_workers`], or host
-/// parallelism capped at 8 when unset.
-pub fn max_workers() -> usize {
-    match MAX_WORKERS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(8),
-        cap => cap,
-    }
-}
-
-/// A CTMDP lowered into flat CSR arrays, ready for (optionally batched and
-/// lane-group-threaded) value iteration.
+/// A CTMDP lowered into flat CSR arrays, ready for (optionally batched)
+/// value iteration.
 ///
 /// `row_ptr[s]..row_ptr[s+1]` indexes the Markovian edges of state `s` into
 /// `cols`/`rates`; `choice_ptr[s]..choice_ptr[s+1]` indexes the immediate
@@ -262,7 +226,7 @@ impl RelaxKernel {
 
     /// Per-lane uniformisation rates: the maximal exit rate of each lane,
     /// folded in state order exactly like the reference scalar relax.
-    pub fn uniformisation_rates(&self) -> Vec<f64> {
+    fn uniformisation_rates(&self) -> Vec<f64> {
         let mut lambdas = vec![0.0f64; self.lanes];
         for (k, lambda) in lambdas.iter_mut().enumerate() {
             *lambda = (0..self.num_states)
@@ -272,27 +236,6 @@ impl RelaxKernel {
         lambdas
     }
 
-    /// Chooses a worker count for [`reachability`](Self::reachability): 1 for
-    /// batches too small to amortize a thread, otherwise proportional to the
-    /// per-pass work, capped by [`max_workers`] and the lane count — so a
-    /// one-lane kernel always runs sequentially.
-    ///
-    /// The choice never affects results — only wall-clock.
-    pub fn auto_workers(&self) -> usize {
-        // One relax pass touches every edge-lane once and every state-lane a
-        // couple of times; 32k units is roughly the point where a pass stops
-        // being memory-latency-bound enough for a second thread to pay off.
-        const WORK_PER_WORKER: usize = 1 << 15;
-        let work = self.rates.len() + self.num_states * self.lanes;
-        if work < 2 * WORK_PER_WORKER {
-            return 1;
-        }
-        (work / WORK_PER_WORKER)
-            .min(max_workers())
-            .min(self.lanes)
-            .max(1)
-    }
-
     /// Extremal time-bounded reachability for every lane and every time
     /// bound, in one value-iteration pass over the batch.
     ///
@@ -300,10 +243,7 @@ impl RelaxKernel {
     /// probability for `times[t]` under lane `k`, clamped to `[0, 1]`.  Every
     /// lane is computed with its own uniformisation rate, so each lane's
     /// result is bit-identical to running that lane alone, and to the
-    /// nested-loop reference relax.  With `workers > 1` the lanes are split
-    /// into at most `workers` contiguous groups, each iterated by the
-    /// sequential driver on its own scoped thread and interleaved back in
-    /// time-major order — so the worker count never changes the bits.
+    /// nested-loop reference relax.  The call runs on the calling thread.
     ///
     /// # Errors
     ///
@@ -311,8 +251,7 @@ impl RelaxKernel {
     /// [`Error::DimensionMismatch`] for a wrong `goal` length,
     /// [`Error::InvalidValue`] for a negative/NaN time bound or an `epsilon`
     /// outside `(0, 1)`, and [`Error::MeanTooLarge`] for a Poisson window no
-    /// pass could finish.  Every check runs before any split, so a split
-    /// call fails exactly like the one-group call.
+    /// pass could finish.
     pub fn reachability(
         &self,
         initial: usize,
@@ -320,7 +259,6 @@ impl RelaxKernel {
         times: &[f64],
         epsilon: f64,
         maximise: bool,
-        workers: usize,
     ) -> Result<Vec<f64>> {
         let n = self.num_states;
         let l = self.lanes;
@@ -416,17 +354,11 @@ impl RelaxKernel {
             maximise,
         };
         RELAX_PASSES.fetch_add(k_max as u64, Ordering::Relaxed);
-        let groups = chunk_ranges(l, workers);
-        let results = if groups.len() <= 1 || k_max == 0 {
-            self.iterate(&ctx, terminal)
-        } else {
-            THREADED_PASSES.fetch_add(k_max as u64, Ordering::Relaxed);
-            self.iterate_groups(&ctx, &terminal, &groups)
-        };
+        let results = self.iterate(&ctx, terminal);
         Ok(results.into_iter().map(|r| r.clamp(0.0, 1.0)).collect())
     }
 
-    /// The sequential driver of [`reachability`](Self::reachability): value
+    /// The driver of [`reachability`](Self::reachability): value
     /// iteration of every lane of `ctx` from `terminal` to the end of its
     /// longest Poisson window, returning the mixtures in time-major order.
     ///
@@ -453,49 +385,6 @@ impl RelaxKernel {
             std::mem::swap(&mut value, &mut next);
             ctx.accumulate(&mut results, step, &value);
         }
-        results
-    }
-
-    /// Runs [`iterate`](Self::iterate) once per lane group, each on its own
-    /// scoped thread over that group's slice of `ctx` and `terminal`, and
-    /// interleaves the groups' results back in time-major order.
-    fn iterate_groups(
-        &self,
-        ctx: &PassCtx<'_>,
-        terminal: &[f64],
-        groups: &[Range<usize>],
-    ) -> Vec<f64> {
-        let l = ctx.lanes;
-        let mut results = vec![0.0f64; ctx.weights.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .iter()
-                .map(|group| {
-                    scope.spawn(move || {
-                        let group_ctx = PassCtx {
-                            lanes: group.len(),
-                            stay: lanes_of(&ctx.stay, l, group),
-                            jump: lanes_of(&ctx.jump, l, group),
-                            goal: ctx.goal,
-                            choosers: ctx.choosers,
-                            weights: lanes_of(&ctx.weights, l, group),
-                            initial: ctx.initial,
-                            maximise: ctx.maximise,
-                        };
-                        self.iterate(&group_ctx, lanes_of(terminal, l, group))
-                    })
-                })
-                .collect();
-            for (group, handle) in groups.iter().zip(handles) {
-                let part = handle.join().expect("a lane group's relax never panics");
-                for (row, part) in results
-                    .chunks_exact_mut(l)
-                    .zip(part.chunks_exact(group.len()))
-                {
-                    row[group.clone()].copy_from_slice(part);
-                }
-            }
-        });
         results
     }
 
@@ -619,8 +508,8 @@ impl Width for Dyn {
     }
 }
 
-/// The loop-invariant context of one reachability call, or of one lane
-/// group of it.  Every per-lane array is lane-minor over `lanes` lanes.
+/// The loop-invariant context of one reachability call.  Every per-lane
+/// array is lane-minor over `lanes` lanes.
 struct PassCtx<'a> {
     lanes: usize,
     stay: Vec<f64>,
@@ -657,30 +546,6 @@ fn window_end(weights: &[PoissonWeights]) -> usize {
         .map(|w| w.weights.len() - 1)
         .max()
         .unwrap_or(0)
-}
-
-/// The lanes `group` of a lane-minor array (`a[i * lanes + k]`), in the same
-/// layout over `group.len()` lanes.
-fn lanes_of<T: Clone>(a: &[T], lanes: usize, group: &Range<usize>) -> Vec<T> {
-    a.chunks_exact(lanes)
-        .flat_map(|row| row[group.clone()].iter().cloned())
-        .collect()
-}
-
-/// Splits `0..n` into at most `workers` contiguous, near-equal ranges.
-fn chunk_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
-    let workers = workers.min(n).max(1);
-    let base = n / workers;
-    let remainder = n % workers;
-    let mut start = 0usize;
-    (0..workers)
-        .map(|i| {
-            let len = base + usize::from(i < remainder);
-            let range = start..start + len;
-            start += len;
-            range
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -756,7 +621,7 @@ mod tests {
         let kernel = RelaxKernel::from_states(states);
         let pass = |maximise| {
             kernel
-                .reachability(0, goal, &[t], epsilon, maximise, 1)
+                .reachability(0, goal, &[t], epsilon, maximise)
                 .unwrap()[0]
         };
         (pass(false), pass(true))
@@ -906,24 +771,24 @@ mod tests {
     #[test]
     fn reachability_validates_its_inputs() {
         let k = RelaxKernel::from_states(&[CtmdpState::Markovian(vec![(0, 1.0)])]);
-        assert!(k.reachability(1, &[false], &TIMES, 1e-9, true, 1).is_err());
+        assert!(k.reachability(1, &[false], &TIMES, 1e-9, true).is_err());
         assert!(k
-            .reachability(0, &[false, true], &TIMES, 1e-9, true, 1)
+            .reachability(0, &[false, true], &TIMES, 1e-9, true)
             .is_err());
-        assert!(k.reachability(0, &[false], &[-1.0], 1e-9, true, 1).is_err());
+        assert!(k.reachability(0, &[false], &[-1.0], 1e-9, true).is_err());
         assert!(k
-            .reachability(0, &[false], &[f64::NAN], 1e-9, true, 1)
+            .reachability(0, &[false], &[f64::NAN], 1e-9, true)
             .is_err());
         // Epsilon is checked on every path: with Markovian edges, for an
         // empty sweep, and on a model without any Markovian edge.
         let no_edges = RelaxKernel::from_states(&[CtmdpState::Markovian(vec![])]);
         assert!(no_edges
-            .reachability(0, &[false], &[-1.0], 1e-9, true, 1)
+            .reachability(0, &[false], &[-1.0], 1e-9, true)
             .is_err());
         for epsilon in [0.0, 1.0, f64::NAN] {
             for kernel in [&k, &no_edges] {
                 for times in [&TIMES[..], &[]] {
-                    let r = kernel.reachability(0, &[false], times, epsilon, true, 1);
+                    let r = kernel.reachability(0, &[false], times, epsilon, true);
                     assert!(
                         matches!(r, Err(Error::InvalidValue { .. })),
                         "epsilon {epsilon}: {r:?}"
@@ -1022,7 +887,7 @@ mod tests {
                     reference_reachability(&states, initial, &goal, &TIMES, 1e-10, maximise)
                         .unwrap();
                 let fast = kernel
-                    .reachability(initial, &goal, &TIMES, 1e-10, maximise, 1)
+                    .reachability(initial, &goal, &TIMES, 1e-10, maximise)
                     .unwrap();
                 for (a, b) in legacy.iter().zip(&fast) {
                     assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} max {maximise}");
@@ -1038,31 +903,28 @@ mod tests {
         let (states, initial, goal) = random_parts(42, 20, 4);
         let scales = [1.0, 1.35, 0.8];
         let lanes = scales.len();
-        let kernel = scaled_kernel(&states, &scales);
-        for workers in [1usize, 3] {
-            let batched = kernel
-                .reachability(initial, &goal, &TIMES, 1e-10, true, workers)
+        let batched = scaled_kernel(&states, &scales)
+            .reachability(initial, &goal, &TIMES, 1e-10, true)
+            .unwrap();
+        for (k, &scale) in scales.iter().enumerate() {
+            let scaled: Vec<CtmdpState> = states
+                .iter()
+                .map(|st| match st {
+                    CtmdpState::Markovian(row) => {
+                        CtmdpState::Markovian(row.iter().map(|&(t, r)| (t, r * scale)).collect())
+                    }
+                    CtmdpState::Immediate(s) => CtmdpState::Immediate(s.clone()),
+                })
+                .collect();
+            let solo = RelaxKernel::from_states(&scaled)
+                .reachability(initial, &goal, &TIMES, 1e-10, true)
                 .unwrap();
-            for (k, &scale) in scales.iter().enumerate() {
-                let scaled: Vec<CtmdpState> = states
-                    .iter()
-                    .map(|st| match st {
-                        CtmdpState::Markovian(row) => CtmdpState::Markovian(
-                            row.iter().map(|&(t, r)| (t, r * scale)).collect(),
-                        ),
-                        CtmdpState::Immediate(s) => CtmdpState::Immediate(s.clone()),
-                    })
-                    .collect();
-                let solo = RelaxKernel::from_states(&scaled)
-                    .reachability(initial, &goal, &TIMES, 1e-10, true, 1)
-                    .unwrap();
-                for (t, s) in solo.iter().enumerate() {
-                    assert_eq!(
-                        batched[t * lanes + k].to_bits(),
-                        s.to_bits(),
-                        "lane {k} time {t} workers {workers}"
-                    );
-                }
+            for (t, s) in solo.iter().enumerate() {
+                assert_eq!(
+                    batched[t * lanes + k].to_bits(),
+                    s.to_bits(),
+                    "lane {k} time {t}"
+                );
             }
         }
     }
@@ -1091,10 +953,10 @@ mod tests {
             let two = scaled_kernel(&states, &[1.0, 1.0]);
             for maximise in [false, true] {
                 let solo = one
-                    .reachability(initial, &goal, &TIMES, 1e-10, maximise, 1)
+                    .reachability(initial, &goal, &TIMES, 1e-10, maximise)
                     .unwrap();
                 let batched = two
-                    .reachability(initial, &goal, &TIMES, 1e-10, maximise, 1)
+                    .reachability(initial, &goal, &TIMES, 1e-10, maximise)
                     .unwrap();
                 for (t, s) in solo.iter().enumerate() {
                     for k in 0..2 {
@@ -1108,54 +970,6 @@ mod tests {
             }
         }
         assert_eq!(seen, [true; 4], "goal / immediate / dead end / absorbing");
-    }
-
-    /// Lane scales of the threading tests: 7 lanes, a count no worker count
-    /// below it divides, with a repeated scale to share Poisson windows.
-    const SCALES: [f64; 7] = [1.0, 0.6, 1.35, 2.2, 0.8, 1.35, 0.25];
-
-    #[test]
-    fn worker_count_never_changes_the_bits() {
-        // Deterministic (at most one immediate successor) and
-        // nondeterministic batched models.
-        for (seed, max_succs) in [(5u64, 2usize), (99, 4), (31, 4)] {
-            let (states, initial, goal) = random_parts(seed, 24, max_succs);
-            let kernel = scaled_kernel(&states, &SCALES);
-            for maximise in [false, true] {
-                let reference = kernel
-                    .reachability(initial, &goal, &TIMES, 1e-9, maximise, 1)
-                    .unwrap();
-                for workers in [2usize, 3, 4, SCALES.len()] {
-                    let before = stats().threaded_passes;
-                    let threaded = kernel
-                        .reachability(initial, &goal, &TIMES, 1e-9, maximise, workers)
-                        .unwrap();
-                    assert!(stats().threaded_passes > before, "workers {workers} split");
-                    for (a, b) in reference.iter().zip(&threaded) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} workers {workers}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn a_failing_lane_fails_every_worker_count_alike() {
-        // The last lane's Poisson mean (rate × 1e12 × 1.1) is far above
-        // `MAX_MEAN`; a split call must report the one-group call's error.
-        let (states, initial, goal) = random_parts(99, 24, 4);
-        let mut scales = SCALES.to_vec();
-        scales.push(1e12);
-        let kernel = scaled_kernel(&states, &scales);
-        let reference = kernel.reachability(initial, &goal, &TIMES, 1e-9, true, 1);
-        assert!(
-            matches!(reference, Err(Error::MeanTooLarge { .. })),
-            "{reference:?}"
-        );
-        for workers in [2usize, 3, 4, scales.len()] {
-            let split = kernel.reachability(initial, &goal, &TIMES, 1e-9, true, workers);
-            assert_eq!(split, reference, "workers {workers}");
-        }
     }
 
     #[test]
@@ -1193,7 +1007,7 @@ mod tests {
             .reachability_multi(&goal_states, &TIMES, 1e-10)
             .unwrap();
         let via_kernel = RelaxKernel::from_states(&states)
-            .reachability(0, &goal_states, &TIMES, 1e-10, true, 1)
+            .reachability(0, &goal_states, &TIMES, 1e-10, true)
             .unwrap();
         for (a, b) in via_ctmc.iter().zip(&via_kernel) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
@@ -1209,54 +1023,24 @@ mod tests {
         let goal = vec![false, false];
         let kernel = RelaxKernel::from_states(&states);
         // The shortcut still validates epsilon, unlike the legacy loop.
-        assert!(kernel.reachability(0, &goal, &TIMES, 0.0, true, 1).is_err());
-        let r = kernel
-            .reachability(0, &goal, &TIMES, 1e-9, true, 1)
-            .unwrap();
+        assert!(kernel.reachability(0, &goal, &TIMES, 0.0, true).is_err());
+        let r = kernel.reachability(0, &goal, &TIMES, 1e-9, true).unwrap();
         assert_eq!(r, vec![0.0; TIMES.len()]);
         let legacy = reference_reachability(&states, 0, &goal, &TIMES, 1e-9, true).unwrap();
         assert_eq!(r, legacy);
     }
 
     #[test]
-    fn chunk_ranges_partition_exactly() {
-        for n in [0usize, 1, 7, 32] {
-            for workers in [1usize, 2, 3, 8, 40] {
-                let ranges = chunk_ranges(n, workers);
-                assert!(!ranges.is_empty() || n == 0 || workers == 0);
-                let mut expected = 0usize;
-                for r in &ranges {
-                    assert_eq!(r.start, expected);
-                    expected = r.end;
-                }
-                assert_eq!(expected, n);
-                assert!(ranges.len() <= workers.max(1));
-            }
-        }
-    }
-
-    #[test]
-    fn auto_workers_stays_sequential_for_small_models() {
-        let k = RelaxKernel::from_states(&[CtmdpState::Markovian(vec![(0, 1.0)])]);
-        assert_eq!(k.auto_workers(), 1);
-    }
-
-    #[test]
-    fn stats_and_worker_cap_round_trip() {
+    fn stats_count_relax_passes_and_batched_calls() {
         let (states, initial, goal) = random_parts(11, 16, 4);
-        let kernel = scaled_kernel(&states, &SCALES[..3]);
+        let kernel = scaled_kernel(&states, &[1.0, 0.6, 1.35]);
         let before = stats();
         kernel
-            .reachability(initial, &goal, &[0.5], 1e-9, true, 2)
+            .reachability(initial, &goal, &[0.5], 1e-9, true)
             .unwrap();
         let after = stats();
         assert!(after.relax_passes > before.relax_passes);
-        assert!(after.threaded_passes > before.threaded_passes);
         assert!(after.batched_calls > before.batched_calls);
-        // The cap setter round-trips and 0 restores the host default.
-        set_max_workers(3);
-        assert_eq!(max_workers(), 3);
-        set_max_workers(0);
-        assert!(max_workers() >= 1);
+        assert_eq!(after.threaded_passes, 0);
     }
 }
