@@ -176,14 +176,6 @@ impl Builder {
         r
     }
 
-    fn and(&mut self, f: u32, g: u32) -> u32 {
-        self.ite(f, g, FALSE)
-    }
-
-    fn or(&mut self, f: u32, g: u32) -> u32 {
-        self.ite(f, TRUE, g)
-    }
-
     /// "At least `k` of `inputs` are true", memoised on (threshold, suffix).
     fn voting(&mut self, k: u32, inputs: &[u32]) -> u32 {
         fn go(
@@ -213,60 +205,6 @@ impl Builder {
     }
 }
 
-/// Lowers the element `e` of `dft` to a BDD function, memoised per element so
-/// shared sub-DAGs are compiled once.
-fn func_of<F: Fn(ElementId) -> bool>(
-    b: &mut Builder,
-    dft: &Dft,
-    memo: &mut [Option<u32>],
-    is_leaf: &F,
-    e: ElementId,
-) -> Result<u32> {
-    if let Some(f) = memo[e.index()] {
-        return Ok(f);
-    }
-    let f = if is_leaf(e) {
-        b.mk(e.index() as u32, FALSE, TRUE)
-    } else {
-        let Element::Gate(gate) = dft.element(e) else {
-            // A basic event that the caller did not declare a leaf.
-            return Err(Error::InvalidGate {
-                name: dft.name(e).to_owned(),
-                message: "basic event reached but not declared a BDD leaf".to_owned(),
-            });
-        };
-        let mut inputs = Vec::with_capacity(gate.inputs.len());
-        for &input in &gate.inputs {
-            inputs.push(func_of(b, dft, memo, is_leaf, input)?);
-        }
-        match gate.kind {
-            GateKind::And => {
-                let mut acc = TRUE;
-                for f in inputs {
-                    acc = b.and(acc, f);
-                }
-                acc
-            }
-            GateKind::Or => {
-                let mut acc = FALSE;
-                for f in inputs {
-                    acc = b.or(acc, f);
-                }
-                acc
-            }
-            GateKind::Voting { k } => b.voting(k, &inputs),
-            kind => {
-                return Err(Error::InvalidGate {
-                    name: dft.name(e).to_owned(),
-                    message: format!("a {kind} gate cannot be compiled to a BDD"),
-                });
-            }
-        }
-    };
-    memo[e.index()] = Some(f);
-    Ok(f)
-}
-
 impl Bdd {
     /// Compiles the function of `root` over `dft`, treating every element for
     /// which `is_leaf` returns `true` as a BDD variable and descending through
@@ -282,8 +220,54 @@ impl Bdd {
     /// declared a leaf) is reachable from `root` without crossing a leaf.
     pub fn build<F: Fn(ElementId) -> bool>(dft: &Dft, root: ElementId, is_leaf: F) -> Result<Bdd> {
         let mut b = Builder::new();
-        let mut memo = vec![None; dft.num_elements()];
-        let f = func_of(&mut b, dft, &mut memo, &is_leaf, root)?;
+        // Each element's function once lowered, so shared sub-DAGs compile once.
+        let mut memo: Vec<Option<u32>> = vec![None; dft.num_elements()];
+        // A post-order walk with its own stack, so no tree is too deep for the
+        // thread's: the gates being lowered, innermost last, each with the
+        // inputs it has left, and the functions of the inputs lowered so far.
+        let mut open = Vec::new();
+        let mut args: Vec<u32> = Vec::new();
+        let mut next = Some(root);
+        loop {
+            if let Some(e) = next.take() {
+                if memo[e.index()].is_none() && !is_leaf(e) {
+                    let Element::Gate(gate) = dft.element(e) else {
+                        return Err(Error::InvalidGate {
+                            name: dft.name(e).to_owned(),
+                            message: "basic event reached but not declared a BDD leaf".to_owned(),
+                        });
+                    };
+                    open.push((e, gate, gate.inputs.iter()));
+                } else {
+                    let leaf = || b.mk(e.index() as u32, FALSE, TRUE);
+                    args.push(*memo[e.index()].get_or_insert_with(leaf));
+                }
+            }
+            let Some((e, gate, pending)) = open.last_mut() else {
+                break;
+            };
+            if let Some(&input) = pending.next() {
+                next = Some(input);
+                continue;
+            }
+            let (e, gate) = (*e, *gate);
+            open.pop();
+            let inputs = args.split_off(args.len() - gate.inputs.len());
+            let f = match gate.kind {
+                GateKind::And => inputs.iter().fold(TRUE, |acc, &f| b.ite(acc, f, FALSE)),
+                GateKind::Or => inputs.iter().fold(FALSE, |acc, &f| b.ite(acc, TRUE, f)),
+                GateKind::Voting { k } => b.voting(k, &inputs),
+                kind => {
+                    return Err(Error::InvalidGate {
+                        name: dft.name(e).to_owned(),
+                        message: format!("a {kind} gate cannot be compiled to a BDD"),
+                    });
+                }
+            };
+            memo[e.index()] = Some(f);
+            args.push(f);
+        }
+        let f = args.pop().expect("the walk ends with the root's function");
         Ok(Bdd::compact(&b.nodes, f))
     }
 

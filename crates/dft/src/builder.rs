@@ -85,7 +85,7 @@ impl DftBuilder {
         self.basic_event_full(name, rate, dormancy, Some(repair_rate))
     }
 
-    fn basic_event_full(
+    pub(crate) fn basic_event_full(
         &mut self,
         name: &str,
         rate: f64,
@@ -123,7 +123,12 @@ impl DftBuilder {
         )
     }
 
-    fn gate(&mut self, name: &str, kind: GateKind, inputs: &[ElementId]) -> Result<ElementId> {
+    pub(crate) fn gate(
+        &mut self,
+        name: &str,
+        kind: GateKind,
+        inputs: &[ElementId],
+    ) -> Result<ElementId> {
         for &input in inputs {
             if input.index() >= self.elements.len() {
                 return Err(Error::UnknownElement {

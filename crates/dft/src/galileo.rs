@@ -26,24 +26,11 @@
 //! * Basic events take `lambda=<rate>` and optionally `dorm=<factor>` and
 //!   `repair=<rate>` (our Section 7.2 extension).
 
-use crate::builder::DftBuilder;
-use crate::element::{Dormancy, Element, GateKind};
+use crate::element::{BasicEvent, Dormancy, Element, GateKind};
+use crate::read::{self, Body, Definition};
 use crate::tree::Dft;
 use crate::{Error, Result};
 use std::collections::HashMap;
-
-#[derive(Debug, Clone)]
-enum RawDef {
-    Gate {
-        kind: GateKind,
-        inputs: Vec<String>,
-    },
-    BasicEvent {
-        rate: f64,
-        dormancy: f64,
-        repair: Option<f64>,
-    },
-}
 
 /// One token of a Galileo statement: its text, with the quotes already
 /// stripped, and whether it was quoted in the source.  Quoted tokens are
@@ -132,14 +119,76 @@ fn tokenize(line: &str) -> std::result::Result<Vec<Vec<Token>>, String> {
     Ok(statements)
 }
 
-/// Parses a voting keyword `<K>of<M>` ("2of3", "3of5", …) into `(k, m)`.
-/// The caller checks `m` against the actual input count and `k` against `m`.
+/// Parses a lowercase voting keyword `<K>of<M>` ("2of3", "3of5", …) into
+/// `(k, m)`.  The caller checks `m` against the actual input count and `k`
+/// against `m`.
 fn parse_voting_keyword(keyword: &str) -> Option<(u32, u32)> {
-    let lower = keyword.to_ascii_lowercase();
-    let (k, rest) = lower.split_once("of")?;
+    let (k, rest) = keyword.split_once("of")?;
     let k: u32 = k.parse().ok()?;
     let m: u32 = rest.parse().ok()?;
     Some((k, m))
+}
+
+/// Parses what follows the name `name` in its definition: `key=value`
+/// attributes of a basic event, or a gate keyword and the gate's inputs.
+fn definition(name: &str, rest: &[Token]) -> std::result::Result<Body, String> {
+    let Some((keyword, gate_inputs)) = rest.split_first() else {
+        return Err(format!("cannot parse '{name}'"));
+    };
+    if keyword.quoted {
+        return Err(format!(
+            "expected a gate type or key=value attributes after '{name}', got quoted name '{}'",
+            keyword.text
+        ));
+    }
+    if keyword.text.contains('=') {
+        // Basic event: key=value pairs (attributes are never quoted).
+        let (mut rate, mut dormancy, mut repair) = (None, 1.0, None);
+        for pair in rest {
+            let Some((key, value)) = (!pair.quoted)
+                .then_some(pair.text.as_str())
+                .and_then(|text| text.split_once('='))
+            else {
+                return Err(format!("expected key=value, got '{}'", pair.text));
+            };
+            let value: f64 = value
+                .parse()
+                .map_err(|_| format!("cannot parse number '{value}'"))?;
+            match key.to_ascii_lowercase().as_str() {
+                "lambda" | "rate" => rate = Some(value),
+                "dorm" | "dormancy" => dormancy = value,
+                "repair" | "mu" => repair = Some(value),
+                other => return Err(format!("unknown basic-event attribute '{other}'")),
+            }
+        }
+        return Ok(Body::BasicEvent(BasicEvent {
+            rate: rate.ok_or_else(|| format!("basic event '{name}' needs lambda=<rate>"))?,
+            dormancy: Dormancy::from_factor(dormancy),
+            repair_rate: repair,
+        }));
+    }
+    let inputs: Vec<String> = gate_inputs.iter().map(|t| t.text.clone()).collect();
+    let keyword = keyword.text.to_ascii_lowercase();
+    let kind = match (read::gate_kind(&keyword), parse_voting_keyword(&keyword)) {
+        (Some(kind), _) => kind,
+        (None, Some((k, m))) if usize::try_from(m) != Ok(inputs.len()) => {
+            return Err(format!(
+                "voting gate '{name}' says {k}of{m} but lists {} inputs",
+                inputs.len()
+            ))
+        }
+        (None, Some((k, m))) if k == 0 || k > m => {
+            return Err(format!(
+                "voting threshold {k}of{m} is out of range (need 1 <= k <= {m})"
+            ))
+        }
+        (None, Some((k, _))) => GateKind::Voting { k },
+        (None, None) => return Err(format!("unknown gate type '{keyword}'")),
+    };
+    if inputs.is_empty() {
+        return Err(format!("gate '{name}' has no inputs"));
+    }
+    Ok(Body::Gate { kind, inputs })
 }
 
 /// Parses a Galileo DFT description.
@@ -151,7 +200,7 @@ fn parse_voting_keyword(keyword: &str) -> Option<(u32, u32)> {
 /// invalid rates, cyclic definitions, arity violations).
 pub fn parse(input: &str) -> Result<Dft> {
     let mut toplevel: Option<String> = None;
-    let mut defs: Vec<(usize, String, RawDef)> = Vec::new();
+    let mut defs: Vec<Definition> = Vec::new();
     let mut by_name: HashMap<String, usize> = HashMap::new();
 
     for (idx, raw_line) in input.lines().enumerate() {
@@ -174,115 +223,22 @@ pub fn parse(input: &str) -> Result<Dft> {
                 toplevel = Some(top_name.text.clone());
                 continue;
             }
-            let Some((keyword, gate_inputs)) = rest.split_first() else {
+            if rest.is_empty() {
                 return Err(Error::Parse {
                     line: line_no,
                     message: format!("cannot parse '{}'", head.text),
                 });
-            };
+            }
             let name = head.text.clone();
             if by_name.contains_key(&name) {
                 return Err(Error::DuplicateName { name });
             }
-
-            let def = if !keyword.quoted && keyword.text.contains('=') {
-                // Basic event: parse key=value pairs (attributes are never quoted).
-                let mut rate: Option<f64> = None;
-                let mut dormancy = 1.0;
-                let mut repair: Option<f64> = None;
-                for pair in rest {
-                    let Some((key, value)) = (!pair.quoted)
-                        .then_some(pair.text.as_str())
-                        .and_then(|text| text.split_once('='))
-                    else {
-                        return Err(Error::Parse {
-                            line: line_no,
-                            message: format!("expected key=value, got '{}'", pair.text),
-                        });
-                    };
-                    let value: f64 = value.parse().map_err(|_| Error::Parse {
-                        line: line_no,
-                        message: format!("cannot parse number '{value}'"),
-                    })?;
-                    match key.to_ascii_lowercase().as_str() {
-                        "lambda" | "rate" => rate = Some(value),
-                        "dorm" | "dormancy" => dormancy = value,
-                        "repair" | "mu" => repair = Some(value),
-                        other => {
-                            return Err(Error::Parse {
-                                line: line_no,
-                                message: format!("unknown basic-event attribute '{other}'"),
-                            })
-                        }
-                    }
-                }
-                let rate = rate.ok_or(Error::Parse {
-                    line: line_no,
-                    message: format!("basic event '{name}' needs lambda=<rate>"),
-                })?;
-                RawDef::BasicEvent {
-                    rate,
-                    dormancy,
-                    repair,
-                }
-            } else if keyword.quoted {
-                return Err(Error::Parse {
+            let body = definition(&name, rest).map_err(|message| Error::Parse {
                 line: line_no,
-                message: format!(
-                    "expected a gate type or key=value attributes after '{name}', got quoted name '{}'",
-                    keyword.text
-                ),
-            });
-            } else {
-                let inputs: Vec<String> = gate_inputs.iter().map(|t| t.text.clone()).collect();
-                let keyword = keyword.text.to_ascii_lowercase();
-                let kind = match keyword.as_str() {
-                    "and" => GateKind::And,
-                    "or" => GateKind::Or,
-                    "pand" => GateKind::Pand,
-                    "fdep" => GateKind::Fdep,
-                    "seq" => GateKind::Seq,
-                    "inhibit" => GateKind::Inhibit,
-                    "spare" | "csp" | "wsp" | "hsp" => GateKind::Spare,
-                    other => match parse_voting_keyword(other) {
-                        Some((k, m)) => {
-                            if usize::try_from(m) != Ok(inputs.len()) {
-                                return Err(Error::Parse {
-                                    line: line_no,
-                                    message: format!(
-                                        "voting gate '{name}' says {k}of{m} but lists {} inputs",
-                                        inputs.len()
-                                    ),
-                                });
-                            }
-                            if k == 0 || k > m {
-                                return Err(Error::Parse {
-                                    line: line_no,
-                                    message: format!(
-                                    "voting threshold {k}of{m} is out of range (need 1 <= k <= {m})"
-                                ),
-                                });
-                            }
-                            GateKind::Voting { k }
-                        }
-                        None => {
-                            return Err(Error::Parse {
-                                line: line_no,
-                                message: format!("unknown gate type '{other}'"),
-                            })
-                        }
-                    },
-                };
-                if inputs.is_empty() {
-                    return Err(Error::Parse {
-                        line: line_no,
-                        message: format!("gate '{name}' has no inputs"),
-                    });
-                }
-                RawDef::Gate { kind, inputs }
-            };
+                message,
+            })?;
             by_name.insert(name.clone(), defs.len());
-            defs.push((line_no, name, def));
+            defs.push(Definition { name, body });
         }
     }
 
@@ -291,115 +247,7 @@ pub fn parse(input: &str) -> Result<Dft> {
         message: "missing 'toplevel' declaration".to_owned(),
     })?;
 
-    // Insert definitions bottom-up (inputs first) with an explicit stack so deep
-    // trees cannot overflow the call stack.  Cycles among definitions are detected
-    // via the in-progress marker.
-    let mut builder = DftBuilder::new();
-    let mut built: HashMap<String, crate::element::ElementId> = HashMap::new();
-    let mut in_progress: Vec<bool> = vec![false; defs.len()];
-
-    fn build_one(
-        name: &str,
-        defs: &[(usize, String, RawDef)],
-        by_name: &HashMap<String, usize>,
-        builder: &mut DftBuilder,
-        built: &mut HashMap<String, crate::element::ElementId>,
-        in_progress: &mut [bool],
-    ) -> Result<crate::element::ElementId> {
-        if let Some(&id) = built.get(name) {
-            return Ok(id);
-        }
-        let &def_index = by_name.get(name).ok_or_else(|| Error::UnknownElement {
-            name: name.to_owned(),
-        })?;
-        // `by_name` maps into `defs` (and `in_progress` mirrors it) by
-        // construction, so a miss here means the tables are corrupt — report
-        // the element as unknown rather than panicking.
-        if in_progress.get(def_index).copied().unwrap_or(false) {
-            return Err(Error::Cyclic {
-                name: name.to_owned(),
-            });
-        }
-        if let Some(flag) = in_progress.get_mut(def_index) {
-            *flag = true;
-        }
-        let (_, _, def) = defs.get(def_index).ok_or_else(|| Error::UnknownElement {
-            name: name.to_owned(),
-        })?;
-        let id = match def {
-            RawDef::BasicEvent {
-                rate,
-                dormancy,
-                repair,
-            } => {
-                let dormancy = Dormancy::from_factor(*dormancy);
-                match repair {
-                    Some(mu) => builder.repairable_basic_event(name, *rate, dormancy, *mu)?,
-                    None => builder.basic_event(name, *rate, dormancy)?,
-                }
-            }
-            RawDef::Gate { kind, inputs } => {
-                let mut input_ids = Vec::with_capacity(inputs.len());
-                for input in inputs {
-                    input_ids.push(build_one(
-                        input,
-                        defs,
-                        by_name,
-                        builder,
-                        built,
-                        in_progress,
-                    )?);
-                }
-                // Parsing rejects gates with zero inputs, so the split only
-                // fails if the tables are corrupt; surface that as the arity
-                // error it is instead of panicking.
-                let split_trigger = || {
-                    input_ids.split_first().ok_or(Error::InvalidGate {
-                        name: name.to_owned(),
-                        message: "needs a trigger input".to_owned(),
-                    })
-                };
-                match kind {
-                    GateKind::And => builder.and_gate(name, &input_ids)?,
-                    GateKind::Or => builder.or_gate(name, &input_ids)?,
-                    GateKind::Voting { k } => builder.voting_gate(name, *k, &input_ids)?,
-                    GateKind::Pand => builder.pand_gate(name, &input_ids)?,
-                    GateKind::Spare => builder.spare_gate(name, &input_ids)?,
-                    GateKind::Seq => builder.seq_gate(name, &input_ids)?,
-                    GateKind::Fdep => {
-                        let (&trigger, dependents) = split_trigger()?;
-                        builder.fdep_gate(name, trigger, dependents)?
-                    }
-                    GateKind::Inhibit => {
-                        let (&condition, others) = split_trigger()?;
-                        builder.inhibit_gate(name, condition, others)?
-                    }
-                }
-            }
-        };
-        if let Some(flag) = in_progress.get_mut(def_index) {
-            *flag = false;
-        }
-        built.insert(name.to_owned(), id);
-        Ok(id)
-    }
-
-    // Build every definition so that FDEP gates not reachable from the top event
-    // are part of the model too.
-    for (_, name, _) in &defs {
-        build_one(
-            name,
-            &defs,
-            &by_name,
-            &mut builder,
-            &mut built,
-            &mut in_progress,
-        )?;
-    }
-    let top = *built.get(&toplevel).ok_or_else(|| Error::UnknownElement {
-        name: toplevel.clone(),
-    })?;
-    builder.build(top)
+    read::build(&defs, &by_name, &toplevel)
 }
 
 /// Prints a DFT in Galileo syntax; [`parse`] ∘ [`to_galileo`] is the identity up to
@@ -412,14 +260,9 @@ pub fn to_galileo(dft: &Dft) -> String {
         match dft.element(id) {
             Element::Gate(gate) => {
                 let keyword = match gate.kind {
-                    GateKind::And => "and".to_owned(),
-                    GateKind::Or => "or".to_owned(),
-                    GateKind::Pand => "pand".to_owned(),
                     GateKind::Spare => "wsp".to_owned(),
-                    GateKind::Fdep => "fdep".to_owned(),
-                    GateKind::Seq => "seq".to_owned(),
-                    GateKind::Inhibit => "inhibit".to_owned(),
                     GateKind::Voting { k } => format!("{k}of{}", gate.inputs.len()),
+                    kind => kind.name().to_owned(),
                 };
                 let inputs: Vec<String> = gate
                     .inputs

@@ -187,6 +187,12 @@ impl From<&str> for Json {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts.  The parser
+/// recurses once per level, so the bound keeps a hostile document from
+/// overflowing the thread's stack; no document this workspace reads comes
+/// near it.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (the subset [`Json`] renders: objects, arrays,
 /// strings, finite numbers, booleans, `null`), so the trend-tracking tooling
 /// can read committed `BENCH_*.json` baselines back without external crates.
@@ -194,11 +200,11 @@ impl From<&str> for Json {
 /// # Errors
 ///
 /// Returns a human-readable description of the first syntax error, with its
-/// byte offset.
+/// byte offset.  Arrays and objects nested more than 128 deep are an error.
 pub fn parse(text: &str) -> std::result::Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -221,8 +227,14 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> std::result::Result<(), St
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> std::result::Result<Json, String> {
+/// Parses the value at `pos`, inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> std::result::Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match bytes.get(*pos) {
         Some(b'{') => {
             *pos += 1;
@@ -234,13 +246,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> std::result::Result<Json, Strin
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos)? {
+                let key = match parse_value(bytes, pos, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key at byte {pos} is not a string")),
                 };
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                entries.push((key, parse_value(bytes, pos)?));
+                entries.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -261,7 +273,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> std::result::Result<Json, Strin
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -425,5 +437,21 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("nope").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // 20,000 levels (40 KB) fail fast instead of overflowing the stack.
+        assert!(parse(&nested(20_000)).is_err());
     }
 }

@@ -21,7 +21,9 @@
 //! rates can later become symbolic parameters).  [`encode`] produces exactly
 //! this shape; [`decode`] additionally tolerates plain JSON numbers for
 //! `rate`/`dorm`/`repair`/`voting`, numeric ids, a missing `dorm` (hot), and a
-//! `repair` of `0` (non-repairable, which is how dftlib spells "no repair").
+//! `repair` of exactly `0` (non-repairable, which is how dftlib spells "no
+//! repair"; any other non-positive or non-finite repair rate is an
+//! [`Error::InvalidParameter`], as in Galileo).
 //! Unknown keys (`position`, `classes`, `parameters`, …) are ignored, so
 //! documents exported by SAFEST load unchanged.
 //!
@@ -36,9 +38,9 @@
 //! Round-tripping is exact: rates are rendered with Rust's shortest-round-trip
 //! formatting and parsed back bit-identically.
 
-use crate::builder::DftBuilder;
-use crate::element::{Dormancy, Element, GateKind};
+use crate::element::{BasicEvent, Dormancy, Element, GateKind};
 use crate::json::{self, Json};
+use crate::read::{self, Body, Definition};
 use crate::tree::Dft;
 use crate::{Error, Result};
 use std::collections::HashMap;
@@ -74,17 +76,7 @@ pub fn encode(dft: &Dft) -> Json {
                     }
                 }
                 Element::Gate(gate) => {
-                    let type_name = match gate.kind {
-                        GateKind::And => "and",
-                        GateKind::Or => "or",
-                        GateKind::Voting { .. } => "vot",
-                        GateKind::Pand => "pand",
-                        GateKind::Spare => "spare",
-                        GateKind::Fdep => "fdep",
-                        GateKind::Seq => "seq",
-                        GateKind::Inhibit => "inhibit",
-                    };
-                    data.push(("type".to_owned(), Json::Str(type_name.to_owned())));
+                    data.push(("type".to_owned(), Json::Str(gate.kind.name().to_owned())));
                     if let GateKind::Voting { k } = gate.kind {
                         data.push(("voting".to_owned(), Json::Str(k.to_string())));
                     }
@@ -126,20 +118,6 @@ pub fn to_json(dft: &Dft) -> String {
 pub fn parse(text: &str) -> Result<Dft> {
     let value = json::parse(text).map_err(err)?;
     decode(&value)
-}
-
-/// One node, extracted from the document in the first pass.
-#[derive(Debug)]
-enum RawNode {
-    Gate {
-        kind: GateKind,
-        children: Vec<String>,
-    },
-    BasicEvent {
-        rate: f64,
-        dorm: f64,
-        repair: f64,
-    },
 }
 
 /// Reads an id field: dftlib writes strings, but plain integers are accepted.
@@ -191,9 +169,8 @@ pub fn decode(value: &Json) -> Result<Dft> {
         return Err(err("missing 'nodes' array".to_owned()));
     };
 
-    // First pass: pull out (id, name, definition) per node, keeping document
-    // order so the second pass can build deterministically.
-    let mut defs: Vec<(String, String, RawNode)> = Vec::new();
+    // Pull out one definition per node, in document order.
+    let mut defs: Vec<Definition> = Vec::new();
     let mut by_id: HashMap<String, usize> = HashMap::new();
     for (position, node) in nodes.iter().enumerate() {
         if !matches!(node, Json::Obj(_)) {
@@ -214,26 +191,31 @@ pub fn decode(value: &Json) -> Result<Dft> {
         let Some(Json::Str(type_name)) = data.get("type") else {
             return Err(err(format!("node '{id}': missing 'type'")));
         };
-        let raw = match type_name.as_str() {
+        let body = match type_name.as_str() {
             "be" | "be_exp" => {
                 let rate = data
                     .get("rate")
                     .ok_or_else(|| err(format!("basic event '{id}': missing 'rate'")))
                     .and_then(|v| number(v, &format!("basic event '{id}' rate")))?;
-                let dorm = match data.get("dorm") {
+                let dormancy = match data.get("dorm") {
                     Some(v) => number(v, &format!("basic event '{id}' dorm"))?,
                     None => 1.0,
                 };
-                let repair = match data.get("repair") {
-                    Some(v) => number(v, &format!("basic event '{id}' repair"))?,
-                    None => 0.0,
-                };
-                RawNode::BasicEvent { rate, dorm, repair }
+                // dftlib spells "no repair" as a repair rate of exactly 0;
+                // every other value goes to the builder's check.
+                let repair_rate = data
+                    .get("repair")
+                    .map(|v| number(v, &format!("basic event '{id}' repair")))
+                    .transpose()?
+                    .filter(|&mu| mu != 0.0);
+                Body::BasicEvent(BasicEvent {
+                    rate,
+                    dormancy: Dormancy::from_factor(dormancy),
+                    repair_rate,
+                })
             }
             gate_type => {
                 let kind = match gate_type {
-                    "and" => GateKind::And,
-                    "or" => GateKind::Or,
                     "vot" => {
                         let k = data
                             .get("voting")
@@ -243,130 +225,29 @@ pub fn decode(value: &Json) -> Result<Dft> {
                             .and_then(|v| threshold(v, &format!("voting gate '{id}'")))?;
                         GateKind::Voting { k }
                     }
-                    "pand" => GateKind::Pand,
-                    "spare" | "csp" | "wsp" | "hsp" => GateKind::Spare,
-                    "fdep" => GateKind::Fdep,
-                    "seq" => GateKind::Seq,
-                    "inhibit" => GateKind::Inhibit,
-                    other => {
-                        return Err(err(format!("node '{id}': unknown type '{other}'")));
-                    }
+                    other => read::gate_kind(other)
+                        .ok_or_else(|| err(format!("node '{id}': unknown type '{other}'")))?,
                 };
                 let Some(Json::Arr(child_values)) = data.get("children") else {
                     return Err(err(format!("gate '{id}': missing 'children' array")));
                 };
-                let mut children = Vec::with_capacity(child_values.len());
+                let mut inputs = Vec::with_capacity(child_values.len());
                 for child in child_values {
-                    children.push(id_string(child, &format!("gate '{id}' child"))?);
+                    inputs.push(id_string(child, &format!("gate '{id}' child"))?);
                 }
-                if children.is_empty() {
+                if inputs.is_empty() {
                     return Err(err(format!("gate '{id}' has no children")));
                 }
-                RawNode::Gate { kind, children }
+                Body::Gate { kind, inputs }
             }
         };
         if by_id.contains_key(&id) {
             return Err(err(format!("duplicate node id '{id}'")));
         }
-        by_id.insert(id.clone(), defs.len());
-        defs.push((id, name, raw));
+        by_id.insert(id, defs.len());
+        defs.push(Definition { name, body });
     }
-
-    // Second pass: build bottom-up (children first), with an in-progress marker
-    // for cycle detection — the same discipline as the Galileo parser.
-    let mut builder = DftBuilder::new();
-    let mut built: HashMap<String, crate::element::ElementId> = HashMap::new();
-    let mut in_progress: Vec<bool> = vec![false; defs.len()];
-
-    fn build_one(
-        id: &str,
-        defs: &[(String, String, RawNode)],
-        by_id: &HashMap<String, usize>,
-        builder: &mut DftBuilder,
-        built: &mut HashMap<String, crate::element::ElementId>,
-        in_progress: &mut [bool],
-    ) -> Result<crate::element::ElementId> {
-        if let Some(&done) = built.get(id) {
-            return Ok(done);
-        }
-        let &def_index = by_id.get(id).ok_or_else(|| Error::UnknownElement {
-            name: id.to_owned(),
-        })?;
-        if in_progress.get(def_index).copied().unwrap_or(false) {
-            return Err(Error::Cyclic {
-                name: id.to_owned(),
-            });
-        }
-        if let Some(flag) = in_progress.get_mut(def_index) {
-            *flag = true;
-        }
-        let (_, name, def) = defs.get(def_index).ok_or_else(|| Error::UnknownElement {
-            name: id.to_owned(),
-        })?;
-        let element = match def {
-            RawNode::BasicEvent { rate, dorm, repair } => {
-                let dormancy = Dormancy::from_factor(*dorm);
-                if *repair > 0.0 {
-                    builder.repairable_basic_event(name, *rate, dormancy, *repair)?
-                } else {
-                    builder.basic_event(name, *rate, dormancy)?
-                }
-            }
-            RawNode::Gate { kind, children } => {
-                let mut input_ids = Vec::with_capacity(children.len());
-                for child in children {
-                    input_ids.push(build_one(child, defs, by_id, builder, built, in_progress)?);
-                }
-                // Gates with zero children are rejected in the first pass, so
-                // the split can only fail on corrupt tables; surface that as
-                // the arity error it is instead of panicking.
-                let split_trigger = || {
-                    input_ids.split_first().ok_or(Error::InvalidGate {
-                        name: name.clone(),
-                        message: "needs a trigger input".to_owned(),
-                    })
-                };
-                match kind {
-                    GateKind::And => builder.and_gate(name, &input_ids)?,
-                    GateKind::Or => builder.or_gate(name, &input_ids)?,
-                    GateKind::Voting { k } => builder.voting_gate(name, *k, &input_ids)?,
-                    GateKind::Pand => builder.pand_gate(name, &input_ids)?,
-                    GateKind::Spare => builder.spare_gate(name, &input_ids)?,
-                    GateKind::Seq => builder.seq_gate(name, &input_ids)?,
-                    GateKind::Fdep => {
-                        let (&trigger, dependents) = split_trigger()?;
-                        builder.fdep_gate(name, trigger, dependents)?
-                    }
-                    GateKind::Inhibit => {
-                        let (&condition, others) = split_trigger()?;
-                        builder.inhibit_gate(name, condition, others)?
-                    }
-                }
-            }
-        };
-        if let Some(flag) = in_progress.get_mut(def_index) {
-            *flag = false;
-        }
-        built.insert(id.to_owned(), element);
-        Ok(element)
-    }
-
-    // Build every node, not just what the top event reaches, so FDEP gates
-    // hanging off to the side survive the round trip (as in the Galileo path).
-    for (id, _, _) in &defs {
-        build_one(
-            id,
-            &defs,
-            &by_id,
-            &mut builder,
-            &mut built,
-            &mut in_progress,
-        )?;
-    }
-    let top = *built.get(&toplevel).ok_or_else(|| Error::UnknownElement {
-        name: toplevel.clone(),
-    })?;
-    builder.build(top)
+    read::build(&defs, &by_id, &toplevel)
 }
 
 #[cfg(test)]

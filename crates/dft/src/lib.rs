@@ -53,6 +53,7 @@ pub mod galileo;
 pub mod json;
 pub mod json_format;
 pub mod modules;
+mod read;
 pub mod tree;
 pub mod validate;
 

@@ -16,7 +16,7 @@
 
 use crate::element::{Element, ElementId};
 use crate::tree::Dft;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Information about one independent module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,34 +53,73 @@ pub struct ModuleInfo {
 /// # }
 /// ```
 pub fn independent_modules(dft: &Dft) -> Vec<ModuleInfo> {
-    let mut out = Vec::new();
-    for id in dft.elements() {
-        if dft.element(id).as_gate().is_none() {
-            continue;
-        }
-        let members: BTreeSet<ElementId> = dft.descendants(id).into_iter().collect();
-        let mut independent = true;
-        'outer: for &member in &members {
-            if member == id {
-                continue;
-            }
-            for &parent in dft.parents(member) {
-                if !members.contains(&parent) {
-                    independent = false;
-                    break 'outer;
-                }
-            }
-        }
-        if independent {
-            let dynamic = members.iter().any(|&m| dft.element(m).is_dynamic_gate());
-            out.push(ModuleInfo {
-                root: id,
-                members: members.into_iter().collect(),
+    let roots = module_roots(dft);
+    dft.elements()
+        .filter_map(|root| {
+            let dynamic = roots[root.index()]?;
+            Some(ModuleInfo {
+                root,
+                members: dft.descendants(root),
                 dynamic,
-            });
+            })
+        })
+        .collect()
+}
+
+/// For every element, `Some(dynamic)` when it is a gate rooting an
+/// independent module (`dynamic`: the module holds a dynamic gate), else
+/// `None`.
+///
+/// Linear time, after Dutuit and Rauzy: a depth-first walk from every
+/// parentless element dates each visit of an element (one per input edge),
+/// and a gate roots a module exactly when every visit of every element below
+/// it falls between the walk's entering and leaving the gate.
+fn module_roots(dft: &Dft) -> Vec<Option<bool>> {
+    let n = dft.num_elements();
+    // When the walk enters (0: not yet) and leaves each element, and the
+    // earliest and latest visit of each element.
+    let (mut enter, mut leave) = (vec![0; n], vec![0; n]);
+    let mut span = vec![(usize::MAX, 0); n];
+    let mut date = 0;
+    for root in dft.elements().filter(|&e| dft.parents(e).is_empty()) {
+        date += 1;
+        enter[root.index()] = date;
+        let mut stack = vec![(root, dft.element(root).inputs().iter())];
+        while let Some((e, pending)) = stack.last_mut() {
+            date += 1;
+            let Some(&input) = pending.next() else {
+                leave[e.index()] = date;
+                stack.pop();
+                continue;
+            };
+            let i = input.index();
+            span[i] = (span[i].0.min(date), date);
+            if enter[i] == 0 {
+                enter[i] = date;
+                stack.push((input, dft.element(input).inputs().iter()));
+            }
         }
     }
-    out
+    // Widen each span over everything below.  A gate's inputs have smaller
+    // ids (the builder adds a gate after its inputs), so one pass in id order
+    // sees them first.
+    let mut dynamic = vec![false; n];
+    let mut roots = vec![None; n];
+    for e in dft.elements() {
+        let (i, element) = (e.index(), dft.element(e));
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        dynamic[i] = element.is_dynamic_gate();
+        for input in element.inputs() {
+            lo = lo.min(span[input.index()].0);
+            hi = hi.max(span[input.index()].1);
+            dynamic[i] |= dynamic[input.index()];
+        }
+        if element.as_gate().is_some() && enter[i] < lo && hi < leave[i] {
+            roots[i] = Some(dynamic[i]);
+        }
+        span[i] = (span[i].0.min(lo), span[i].1.max(hi));
+    }
+    roots
 }
 
 /// Statistics of a hybrid static/dynamic decomposition: how much of the tree
@@ -266,16 +305,18 @@ pub fn hybrid_plan(dft: &Dft) -> HybridPlan {
         .collect();
     cores.sort_by_key(|c| c.exit);
     let crown: Vec<ElementId> = dft.elements().filter(|&e| !in_core[e.index()]).collect();
-    let modules = independent_modules(dft);
-    let static_modules = modules.iter().filter(|m| !m.dynamic).count();
-    let static_modules_retained = modules
-        .iter()
-        .filter(|m| !m.dynamic && m.members.iter().all(|&e| in_core[e.index()]))
+    // The core set is descendant-closed, so a module lies inside it exactly
+    // when its root does.
+    let modules = module_roots(dft);
+    let static_modules = modules.iter().filter(|&&m| m == Some(false)).count();
+    let static_modules_retained = dft
+        .elements()
+        .filter(|e| modules[e.index()] == Some(false) && in_core[e.index()])
         .count();
     let stats = ModuleStats {
         total_elements: n,
         static_modules,
-        dynamic_modules: modules.len() - static_modules,
+        dynamic_modules: modules.iter().filter(|&&m| m == Some(true)).count(),
         static_modules_retained,
         crown_elements: crown.len(),
         core_count: cores.len(),

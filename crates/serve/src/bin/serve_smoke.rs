@@ -11,6 +11,9 @@
 //!    and `/metrics` must show `store.hits > 0`.
 //! 4. Submit a static-heavy tree with `"method": "hybrid"` and check the
 //!    hybrid backend's reduction counters surface in `/metrics`.
+//! 5. Hostile depth: a body of 20,000 nested brackets gets a 400, a
+//!    12,000-deep Galileo OR chain runs hybrid to 1 − e⁻¹, and the same
+//!    process still answers `/metrics`.
 //!
 //! The harness finds the `dftmc-serve` binary next to its own executable, so
 //! run it via `cargo run --release -p dftmc-serve --bin serve_smoke` after a
@@ -135,7 +138,7 @@ fn main() {
         .value();
 
     // --- Process A: cold store -------------------------------------------
-    println!("[1/4] cold server: submit CAS over HTTP, check bit-identity");
+    println!("[1/5] cold server: submit CAS over HTTP, check bit-identity");
     let a = start_server(&binary, &store);
     let id = submit(a.addr, &body);
     let report = wait_result(a.addr, id);
@@ -151,7 +154,7 @@ fn main() {
         report.render()
     );
 
-    println!("[2/4] shutdown with an in-flight job: the drain must finish it");
+    println!("[2/5] shutdown with an in-flight job: the drain must finish it");
     let in_flight = submit(a.addr, &body);
     assert!(in_flight > id);
     let (status, doc) = client::request(a.addr, "POST", "/shutdown", "").expect("shutdown I/O");
@@ -161,7 +164,7 @@ fn main() {
     assert!(exit.success(), "server A exited with {exit:?}");
 
     // --- Process B: same store directory ---------------------------------
-    println!("[3/4] warm server on the same store: zero aggregations");
+    println!("[3/5] warm server on the same store: zero aggregations");
     let b = start_server(&binary, &store);
     let id = submit(b.addr, &body);
     let report = wait_result(b.addr, id);
@@ -191,7 +194,7 @@ fn main() {
     );
 
     // --- Hybrid backend over HTTP -----------------------------------------
-    println!("[4/4] hybrid job on a static-heavy tree: reduction counters in /metrics");
+    println!("[4/5] hybrid job on a static-heavy tree: reduction counters in /metrics");
     let static_heavy = "toplevel \"Top\";\n\
                         \"Top\" or \"Dyn\" \"Static\";\n\
                         \"Dyn\" wsp \"P\" \"S\";\n\
@@ -226,6 +229,39 @@ fn main() {
         metrics.render()
     );
 
+    // --- Hostile depth -----------------------------------------------------
+    println!("[5/5] deep inputs: nested brackets refused, a deep chain answered");
+    let nested = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
+    let (status, doc) = client::request(b.addr, "POST", "/submit", &nested).expect("submit I/O");
+    assert_eq!(status, 400, "{}", doc.render());
+    let depth = 12_000;
+    let mut chain = String::from("toplevel \"G0\";\n");
+    for i in 0..depth {
+        chain.push_str(&format!("\"G{i}\" or \"G{}\";\n", i + 1));
+    }
+    chain.push_str(&format!("\"G{depth}\" lambda=1;\n"));
+    let chain_body = Json::obj([
+        ("galileo", Json::Str(chain)),
+        ("method", "hybrid".into()),
+        (
+            "measures",
+            Json::Arr(vec![Json::obj([
+                ("type", "unreliability".into()),
+                ("time", 1.0.into()),
+            ])]),
+        ),
+    ])
+    .render();
+    let id = submit(b.addr, &chain_body);
+    let value = result_value(&wait_result(b.addr, id));
+    let exact = 1.0 - (-1.0f64).exp();
+    assert!(
+        (value - exact).abs() < 1e-12,
+        "deep chain: {value} vs {exact}"
+    );
+    let (status, _) = client::request(b.addr, "GET", "/metrics", "").expect("metrics I/O");
+    assert_eq!(status, 200, "the server must outlive the deep inputs");
+
     let (status, _) = client::request(b.addr, "POST", "/shutdown", "").expect("shutdown I/O");
     assert_eq!(status, 200);
     let mut child = b.child;
@@ -233,5 +269,7 @@ fn main() {
     assert!(exit.success(), "server B exited with {exit:?}");
 
     let _ = std::fs::remove_dir_all(&store);
-    println!("serve_smoke: PASS (fleet-warm across processes, graceful drain, bit-identical)");
+    println!(
+        "serve_smoke: PASS (fleet-warm across processes, graceful drain, bit-identical, deep inputs)"
+    );
 }

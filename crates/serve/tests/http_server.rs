@@ -220,6 +220,20 @@ fn protocol_errors_map_to_typed_statuses() {
     server.join();
 }
 
+/// A body of 20,000 nested brackets (40 KB) is refused with a 400 instead of
+/// overflowing an HTTP thread's stack, and the server lives on.
+#[test]
+fn deeply_nested_bodies_are_refused_and_the_server_lives_on() {
+    let server = Server::start(small_options()).unwrap();
+    let addr = server.local_addr();
+    let nested = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
+    let (status, doc) = client::request(addr, "POST", "/submit", &nested).unwrap();
+    assert_eq!(status, 400, "{}", doc.render());
+    assert_eq!(client::request(addr, "GET", "/metrics", "").unwrap().0, 200);
+    server.shutdown();
+    server.join();
+}
+
 /// A refused request body must come back as its 413, never as a connection
 /// reset: the server drains the unread body before it closes the socket.
 #[test]

@@ -140,6 +140,7 @@ pub const DECODE_FILES: &[&str] = &[
     "crates/dft/src/galileo.rs",
     "crates/dft/src/json.rs",
     "crates/dft/src/json_format.rs",
+    "crates/dft/src/read.rs",
     "crates/core/src/store.rs",
     "crates/core/src/request.rs",
     "crates/serve/src/http.rs",

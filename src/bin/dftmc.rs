@@ -102,16 +102,20 @@ fn dispatch(args: &[String]) -> Result<String, Fatal> {
 }
 
 /// Reads and parses a tree file, detecting the format from the content:
-/// dftlib JSON documents start with '{', Galileo text never does.
-fn load_tree(path: &str) -> Result<Dft, Fatal> {
+/// dftlib JSON documents start with '{', Galileo text never does.  The flag
+/// says whether the file was JSON.
+fn load_tree(path: &str) -> Result<(Dft, bool), Fatal> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| input_error(format!("cannot read '{path}': {e}")))?;
-    let parsed = if text.trim_start().starts_with('{') {
+    let from_json = text.trim_start().starts_with('{');
+    let parsed = if from_json {
         dft::json_format::parse(&text)
     } else {
         dft::galileo::parse(&text)
     };
-    parsed.map_err(|e| input_error(format!("cannot parse '{path}': {e}")))
+    parsed
+        .map(|dft| (dft, from_json))
+        .map_err(|e| input_error(format!("cannot parse '{path}': {e}")))
 }
 
 fn run(args: &[String]) -> Result<String, Fatal> {
@@ -173,7 +177,7 @@ fn run(args: &[String]) -> Result<String, Fatal> {
         return Err(usage_error("no queries given (use --query or --queries)"));
     }
 
-    let mut request = AnalysisRequest::new(load_tree(path)?);
+    let mut request = AnalysisRequest::new(load_tree(path)?.0);
     request.options.method = method.0;
     if let Some(epsilon) = epsilon {
         request.options.epsilon = epsilon;
@@ -231,15 +235,7 @@ fn convert(args: &[String]) -> Result<String, Fatal> {
     let Some(path) = tree_path else {
         return Err(usage_error("missing tree file (try 'dftmc help')"));
     };
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| input_error(format!("cannot read '{path}': {e}")))?;
-    let from_json = text.trim_start().starts_with('{');
-    let dft = if from_json {
-        dft::json_format::parse(&text)
-    } else {
-        dft::galileo::parse(&text)
-    }
-    .map_err(|e| input_error(format!("cannot parse '{path}': {e}")))?;
+    let (dft, from_json) = load_tree(path)?;
     // Without --to, convert to the format the input is not in.
     let to_json = match target {
         Some(t) => t == "json",

@@ -8,9 +8,11 @@
 //! generator as `property_based.rs` so failures replay by seed.
 
 use dftmc::dft::bdd::Bdd;
-use dftmc::dft::{Dft, DftBuilder, Dormancy};
+use dftmc::dft::{galileo, Dft, DftBuilder, Dormancy};
 use dftmc::dft_core::analysis::{AnalysisOptions, Method};
 use dftmc::dft_core::engine::{Analyzer, ParametricAnalyzer};
+use dftmc::dft_core::request::AnalysisRequest;
+use dftmc::dft_core::service::{AnalysisService, RequestOutcome, ServiceOptions};
 use dftmc::dft_core::{casestudies, Measure};
 
 mod common;
@@ -202,4 +204,27 @@ fn hybrid_shrinks_the_state_space_tenfold_on_a_static_heavy_tree() {
         .map(|p| p.value())
         .collect();
     assert_curves_match(&reduced, &reference, "static-heavy");
+}
+
+/// A 50,000-deep static chain (one-input OR gates over one unit-rate event)
+/// compiles to its one-variable crown BDD through the service: neither the
+/// Galileo build nor the crown compile recurses per tree level.
+#[test]
+fn a_deep_static_chain_runs_hybrid_through_the_service() {
+    let depth = 50_000;
+    let mut text = String::from("toplevel \"G0\";\n");
+    for i in 0..depth {
+        text.push_str(&format!("\"G{i}\" or \"G{}\";\n", i + 1));
+    }
+    text.push_str(&format!("\"G{depth}\" lambda=1;\n"));
+    let mut request = AnalysisRequest::new(galileo::parse(&text).unwrap());
+    request.options.method = Method::Hybrid;
+    request.measures.push(Measure::Unreliability(1.0));
+    let service = AnalysisService::new(ServiceOptions::default());
+    let RequestOutcome::Job(report) = service.run_request(request) else {
+        panic!("a request without a sweep answers with a job report");
+    };
+    let value = report.results.unwrap()[0].value();
+    let exact = 1.0 - (-1.0f64).exp();
+    assert!((value - exact).abs() < 1e-12, "{value} vs {exact}");
 }

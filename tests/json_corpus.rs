@@ -138,6 +138,19 @@ fn negative_json_corpus_fails_typed() {
         json_format::parse(duplicate_name),
         Err(Error::DuplicateName { .. })
     ));
+
+    // "No repair" is spelled only as an exact 0 or a missing key; any other
+    // repair rate meets the builder's check, as `repair=-1` does in Galileo.
+    for repair in [r#""-1""#, "-2.5", r#""NaN""#] {
+        let text = format!(
+            r#"{{"toplevel": "1", "nodes": [
+                {{"data": {{"id": "1", "type": "be", "rate": 1, "repair": {repair}}}}}]}}"#
+        );
+        match json_format::parse(&text) {
+            Err(Error::InvalidParameter { .. }) => {}
+            other => panic!("repair {repair}: expected Error::InvalidParameter, got {other:?}"),
+        }
+    }
 }
 
 fn corpus_files() -> Vec<PathBuf> {

@@ -1,14 +1,18 @@
 //! Experiment E6 — modular model building (Section 6, Figure 10): complex spares
 //! and FDEPs triggering gates, plus the module-reuse argument of Section 5.2.
 
-use dftmc::dft::modules::independent_modules;
-use dftmc::dft::{Dft, DftBuilder, Dormancy};
+use dftmc::dft::modules::{hybrid_plan, independent_modules, ModuleInfo};
+use dftmc::dft::{galileo, Dft, DftBuilder, Dormancy};
 use dftmc::dft_core::analysis::AnalysisOptions;
-use dftmc::dft_core::casestudies::cps;
+use dftmc::dft_core::casestudies::{cas, cps};
+use dftmc::dft_core::rng::SplitMix64;
 use dftmc::dft_core::Analyzer;
 use dftmc::ioimc::rename::rename;
 use dftmc::ioimc::Action;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+mod common;
+use common::random_galileo;
 
 fn unrel(dft: &Dft, t: f64) -> f64 {
     Analyzer::new(dft, AnalysisOptions::default())
@@ -137,4 +141,63 @@ fn cps_modules_are_detected_and_reusable() {
     assert_eq!(reused_c.num_states(), aggregated_a.num_states());
     assert!(reused_c.signature().is_output(Action::new("f_C")));
     assert!(!reused_c.signature().is_output(Action::new("f_A")));
+}
+
+/// Independent modules straight from their definition, one descendant set
+/// per gate: a gate roots a module when nothing strictly below it has a
+/// parent outside its subtree.
+fn modules_by_definition(dft: &Dft) -> Vec<ModuleInfo> {
+    dft.elements()
+        .filter(|&root| dft.element(root).as_gate().is_some())
+        .filter_map(|root| {
+            let members: BTreeSet<_> = dft.descendants(root).into_iter().collect();
+            let closed = members
+                .iter()
+                .filter(|&&m| m != root)
+                .all(|&m| dft.parents(m).iter().all(|p| members.contains(p)));
+            closed.then(|| ModuleInfo {
+                root,
+                dynamic: members.iter().any(|&m| dft.element(m).is_dynamic_gate()),
+                members: members.into_iter().collect(),
+            })
+        })
+        .collect()
+}
+
+/// The linear-time module detection finds exactly the modules of the
+/// definition, and the hybrid plan counts them the same way, on the case
+/// studies, the committed corpus and 256 random trees with shared inputs,
+/// FDEPs and spares.
+#[test]
+fn module_detection_matches_the_definition() {
+    let mut trees = vec![cas(), cps()];
+    for entry in std::fs::read_dir("tests/fixtures/corpus").unwrap() {
+        let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+        trees.push(galileo::parse(&text).unwrap());
+    }
+    for seed in 0..256 {
+        trees.push(galileo::parse(&random_galileo(&mut SplitMix64::new(seed))).unwrap());
+    }
+    for dft in &trees {
+        let expected = modules_by_definition(dft);
+        assert_eq!(
+            independent_modules(dft),
+            expected,
+            "{}",
+            galileo::to_galileo(dft)
+        );
+        let plan = hybrid_plan(dft);
+        let in_core = |m: &ModuleInfo| {
+            m.members
+                .iter()
+                .all(|e| plan.crown.binary_search(e).is_err())
+        };
+        let statics: Vec<&ModuleInfo> = expected.iter().filter(|m| !m.dynamic).collect();
+        assert_eq!(plan.stats.static_modules, statics.len());
+        assert_eq!(plan.stats.dynamic_modules, expected.len() - statics.len());
+        assert_eq!(
+            plan.stats.static_modules_retained,
+            statics.into_iter().filter(|m| in_core(m)).count()
+        );
+    }
 }
