@@ -124,7 +124,7 @@ toplevel "Top";
 /// Sealed session frames, as the persistent store loads them from disk: one
 /// per backend tag of each rate domain.  The seed tree splits into a dynamic
 /// core under a static crown, so the hybrid frames carry a crown BDD, leaves
-/// and a nested core body.
+/// and one compositional body per core.
 fn session_corpus() -> Vec<Vec<u8>> {
     let dft = dft::galileo::parse(SESSION_SEED_TEXT).expect("the fuzz session corpus parses");
     let options = |method| AnalysisOptions {

@@ -193,11 +193,6 @@ impl ActivationAnalysis {
         self.modes[element.index()]
     }
 
-    /// Returns `true` if `element` is active from the start.
-    pub fn is_always_active(&self, element: ElementId) -> bool {
-        self.mode(element) == ActivationMode::AlwaysActive
-    }
-
     /// The spare-module root whose activation signal `element` listens to, if any.
     pub fn activation_root(&self, element: ElementId) -> Option<ElementId> {
         match self.mode(element) {
@@ -242,8 +237,9 @@ mod tests {
         let analysis = ActivationAnalysis::analyze(&dft).unwrap();
         for name in ["PA", "PB", "Pump_A", "Pump_B", "Pump_unit"] {
             let id = dft.by_name(name).unwrap();
-            assert!(
-                analysis.is_always_active(id),
+            assert_eq!(
+                analysis.mode(id),
+                ActivationMode::AlwaysActive,
                 "{name} should be always active"
             );
         }
@@ -299,11 +295,11 @@ mod tests {
         let system = dft.by_name("system").unwrap();
 
         // The top spare gate and its primary module are active from the start.
-        assert!(analysis.is_always_active(system));
-        assert!(analysis.is_always_active(primary));
+        assert_eq!(analysis.mode(system), ActivationMode::AlwaysActive);
+        assert_eq!(analysis.mode(primary), ActivationMode::AlwaysActive);
         // The primary A of the (active) primary module is active; its spare B is
         // activated by the module itself.
-        assert!(analysis.is_always_active(a));
+        assert_eq!(analysis.mode(a), ActivationMode::AlwaysActive);
         assert_eq!(analysis.mode(bb), ActivationMode::Dynamic { root: bb });
         // The spare module and its components are dormant: C (primary of 'spare')
         // is activated when 'spare' is activated, D when 'spare' claims it.
@@ -362,7 +358,10 @@ mod tests {
         let top = b.or_gate("Top", &[x, t]).unwrap();
         let dft = b.build(top).unwrap();
         let analysis = ActivationAnalysis::analyze(&dft).unwrap();
-        assert!(analysis.is_always_active(dft.by_name("X").unwrap()));
+        assert_eq!(
+            analysis.mode(dft.by_name("X").unwrap()),
+            ActivationMode::AlwaysActive
+        );
     }
 
     #[test]

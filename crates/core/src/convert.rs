@@ -193,7 +193,7 @@ pub fn convert_parametric(dft: &Dft) -> Result<(CommunityOf<RateForm>, ParamTabl
 
 /// The shared conversion core: `be_rates` supplies the three rates of each
 /// basic event in the target rate type; everything else is rate-free.
-fn convert_impl<R: Rate>(
+pub(crate) fn convert_impl<R: Rate>(
     dft: &Dft,
     be_rates: &mut dyn FnMut(ElementId) -> BeRates<R>,
 ) -> Result<CommunityOf<R>> {

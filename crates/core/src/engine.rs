@@ -73,7 +73,7 @@
 use crate::aggregate::{aggregate, AggregationOptions, AggregationStats};
 use crate::analysis::{AnalysisOptions, Method};
 use crate::baseline;
-use crate::convert::{convert_parametric, CommunityOf};
+use crate::convert::{convert_impl, convert_parametric, CommunityOf};
 use crate::parametric::{ParamKind, ParamTable, Valuation};
 use crate::query::{Measure, MeasurePoint, MeasureResult};
 use crate::semantics::monitor;
@@ -81,7 +81,7 @@ use crate::store;
 use crate::{Error, Result};
 use dft::bdd::Bdd;
 use dft::modules::{hybrid_plan, ModuleStats};
-use dft::{Dft, Element};
+use dft::{BasicEvent, Dft, Element};
 use ioimc::bisim::minimize;
 use ioimc::closed::{
     can_fire_immediately, check_deterministic, drop_input_transitions, must_fire_immediately,
@@ -163,6 +163,23 @@ impl<R: Rate> ClosedModel<R> {
     }
 }
 
+impl ClosedModel<RateForm> {
+    /// The numeric model in the lane with slot values `values`: the same
+    /// structure and goal sets, every rate form evaluated.
+    fn instantiate(&self, values: &[f64]) -> ClosedModel<f64> {
+        let closed = self.closed.map_rates(|form| form.eval(values));
+        debug_assert!(closed.validate().is_ok());
+        ClosedModel {
+            closed,
+            top_failure: self.top_failure,
+            has_repair: self.has_repair,
+            point_valued: self.point_valued,
+            can: self.can.clone(),
+            must: self.must.clone(),
+        }
+    }
+}
+
 /// Compose the monitor into the community, aggregate with the top failure
 /// kept observable, close and minimise the result, and compute the goal sets
 /// — identically for numeric and symbolic rates.
@@ -232,9 +249,9 @@ pub(crate) trait SessionRate: RateCodec {
     /// its rates refer to (empty for numeric rates).
     fn convert(dft: &Dft) -> Result<(CommunityOf<Self>, ParamTable)>;
 
-    /// The rate of a hybrid crown basic event with failure rate `rate` and
-    /// failure slot `slot`.
-    fn crown_rate(slot: u32, rate: f64) -> Self;
+    /// The active and dormant failure rates of the unrepairable basic event
+    /// `be` of a hybrid session, whose failure slot is `slot`.
+    fn failure_rates(slot: u32, be: &BasicEvent) -> (Self, Self);
 
     /// The numerics cache of a closed model.  Building, instantiating and
     /// loading a session all go through here, so a restored session answers
@@ -278,8 +295,8 @@ impl SessionRate for f64 {
         Ok((crate::convert::convert(dft)?, ParamTable::default()))
     }
 
-    fn crown_rate(_slot: u32, rate: f64) -> f64 {
-        rate
+    fn failure_rates(_slot: u32, be: &BasicEvent) -> (f64, f64) {
+        (be.rate, be.dormant_rate())
     }
 
     fn numerics(model: &ClosedModel<f64>) -> Result<RelaxKernel> {
@@ -353,8 +370,11 @@ impl SessionRate for RateForm {
         convert_parametric(dft)
     }
 
-    fn crown_rate(slot: u32, _rate: f64) -> RateForm {
-        RateForm::var(slot)
+    fn failure_rates(slot: u32, be: &BasicEvent) -> (RateForm, RateForm) {
+        (
+            RateForm::var(slot),
+            RateForm::scaled_var(slot, be.dormancy.factor()),
+        )
     }
 
     fn numerics(_model: &ClosedModel<RateForm>) -> Result<OnceLock<SweepTemplate>> {
@@ -493,13 +513,14 @@ pub(crate) enum Backend<R: SessionRate> {
     /// built for numeric sessions.
     Monolithic { ctmc: Ctmc, goal: Vec<bool> },
     /// The hybrid static/dynamic decomposition (see
-    /// [`dft::modules::hybrid_plan`]): each maximal dynamic core is a nested
-    /// compositional session over its sub-DFT, and the static crown above the
-    /// cores is a BDD over crown basic events and core exits, evaluated
-    /// combinatorially at query time.  Only built for unrepairable trees whose
-    /// cores are all deterministic — the conditions under which crown
-    /// composition is exact; anything else falls back to
-    /// [`Backend::Compositional`] under the same [`Method::Hybrid`] label.
+    /// [`dft::modules::hybrid_plan`]): each maximal dynamic core is a closed
+    /// model of its sub-DFT, converted onto the session's own parameter
+    /// slots, and the static crown above the cores is a BDD over crown basic
+    /// events and core exits, evaluated combinatorially at query time.  Only
+    /// built for unrepairable trees whose cores are all deterministic — the
+    /// conditions under which crown composition is exact; anything else
+    /// falls back to [`Backend::Compositional`] under the same
+    /// [`Method::Hybrid`] label.
     Hybrid {
         /// The crown function; its variables are original [`dft::ElementId`]
         /// indices described by `leaves`.
@@ -507,10 +528,10 @@ pub(crate) enum Backend<R: SessionRate> {
         /// One entry per element of the original tree: what the crown variable
         /// with that index stands for.
         leaves: Vec<Leaf<R>>,
-        /// The nested compositional sessions, one per dynamic core.  A
-        /// parametric core has its own parameter table; its slots map onto
-        /// the session's table by element name.
-        cores: Vec<Session<R>>,
+        /// One point-valued closed model per dynamic core, with its
+        /// numerics.  A parametric core's rate forms name the session's own
+        /// slots, so every lane evaluates them as they stand.
+        cores: Vec<(ClosedModel<R>, R::Numerics)>,
         /// The modularization decision record of the plan that produced this
         /// decomposition.
         modules: ModuleStats,
@@ -567,21 +588,6 @@ fn add_model_stats(a: ModelStats, b: ModelStats) -> ModelStats {
         outputs: a.outputs + b.outputs,
         internals: a.internals + b.internals,
     }
-}
-
-/// Merges the per-core aggregation records of a hybrid session: steps are
-/// concatenated in core order (the cores run their pipelines sequentially),
-/// the peak is the componentwise maximum, and the final model is the disjoint
-/// union of the core models.
-fn merge_aggregation_stats<'a>(
-    stats: impl Iterator<Item = &'a AggregationStats>,
-) -> AggregationStats {
-    stats.fold(AggregationStats::default(), |mut acc, s| {
-        acc.steps.extend(s.steps.iter().cloned());
-        acc.peak = acc.peak.max(s.peak);
-        acc.final_model = add_model_stats(acc.final_model, s.final_model);
-        acc
-    })
 }
 
 // See the note on `Session`.
@@ -659,25 +665,10 @@ impl<R: SessionRate> Session<R> {
         if dft.is_repairable() {
             return Session::compositional(dft, options);
         }
-        let plan = hybrid_plan(dft);
-        let core_options = AnalysisOptions {
-            method: Method::Compositional,
-            ..options
-        };
-        let mut cores = Vec::with_capacity(plan.cores.len());
-        for core in &plan.cores {
-            let session = Session::compositional(&core.dft, core_options.clone())?;
-            if session.is_nondeterministic() {
-                return Session::compositional(dft, options);
-            }
-            cores.push(session);
-        }
-
         // One failure slot per basic event in element order: exactly the
         // table `convert_parametric` builds for an unrepairable tree, so
-        // valuations and slot lookups agree across backends.  Core tables
-        // were built the same way from the cores' sub-trees, which keep the
-        // element names.
+        // valuations and slot lookups agree across backends.  The crown and
+        // every core name these slots.
         let mut params = ParamTable::default();
         let mut slots = vec![0u32; dft.num_elements()];
         for id in dft.elements() {
@@ -685,11 +676,47 @@ impl<R: SessionRate> Session<R> {
                 slots[id.index()] = params.push(dft.name(id), ParamKind::Failure, be.rate);
             }
         }
+
+        let plan = hybrid_plan(dft);
+        // The cores' aggregation records: steps concatenated in core order
+        // (the cores run their pipelines one after another), the peak the
+        // componentwise maximum, the final model the disjoint union of the
+        // core models.
+        let mut aggregation = AggregationStats::default();
+        let mut model_stats = ModelStats::default();
+        let mut cores = Vec::with_capacity(plan.cores.len());
+        for core in &plan.cores {
+            // Core element `i` is `core.members[i]` of the tree.  Members
+            // ascend, so core slots map monotonically onto session slots.
+            let community = convert_impl(&core.dft, &mut |i| {
+                let be = core
+                    .dft
+                    .element(i)
+                    .as_basic_event()
+                    .expect("rates are only requested for basic events");
+                let (active, dormant) =
+                    R::failure_rates(slots[core.members[i.index()].index()], be);
+                (active, dormant, None)
+            })?;
+            let (model, stats) = aggregate_and_close(community)?;
+            let numerics = R::numerics(&model)?;
+            if !model.point_valued {
+                return Session::compositional(dft, options);
+            }
+            aggregation.steps.extend(stats.steps);
+            aggregation.peak = aggregation.peak.max(stats.peak);
+            aggregation.final_model = add_model_stats(aggregation.final_model, stats.final_model);
+            // The hybrid state space is exactly the union of the
+            // (independent) core state spaces — the crown adds no states.
+            model_stats = add_model_stats(model_stats, ModelStats::of(&model.closed));
+            cores.push((model, numerics));
+        }
+
         let mut leaves = vec![Leaf::Unused; dft.num_elements()];
         for &e in &plan.crown {
             if let Element::BasicEvent(be) = dft.element(e) {
                 leaves[e.index()] = Leaf::Basic {
-                    rate: R::crown_rate(slots[e.index()], be.rate),
+                    rate: R::failure_rates(slots[e.index()], be).0,
                 };
             }
         }
@@ -703,14 +730,8 @@ impl<R: SessionRate> Session<R> {
         Ok(Session {
             options,
             repairable: false,
-            aggregation: Some(merge_aggregation_stats(
-                cores.iter().filter_map(Session::aggregation_stats),
-            )),
-            // The hybrid state space is exactly the union of the
-            // (independent) core state spaces — the crown adds no states.
-            model_stats: cores.iter().fold(ModelStats::default(), |acc, core| {
-                add_model_stats(acc, core.model_stats)
-            }),
+            aggregation: Some(aggregation),
+            model_stats,
             // Numeric sessions have no parameter slots.
             params: if R::PARAMETRIC {
                 params
@@ -842,46 +863,22 @@ impl<R: SessionRate> Session<R> {
             })
     }
 
-    /// `values` projected onto a hybrid core's own table: each core slot
-    /// takes the value of the slot of this session's table controlling the
-    /// same rate of the same (named) basic event.  Numeric sessions have no
-    /// slots, so their projection is empty.
-    fn project(&self, core: &Self, values: &[f64]) -> Vec<f64> {
-        core.params
-            .slots()
-            .iter()
-            .map(|slot| {
-                values[self
-                    .params
-                    .slot_of(&slot.element, slot.kind)
-                    .expect("core basic events are basic events of the tree")]
-            })
-            .collect()
-    }
-
     /// The lane of slot values `values`, checked against this session's
     /// table already: a numeric session's one lane has no values.  Fails
     /// like the kernel construction inside
     /// [`instantiate`](ParametricAnalyzer::instantiate) would, core by core.
     fn lane(&self, values: Vec<f64>) -> Result<Lane> {
-        let (edges, cores) = match &self.backend {
+        let edges = match &self.backend {
             Backend::Compositional {
                 model, numerics, ..
-            } => (R::edge_rates(model, numerics, &values)?, Vec::new()),
-            Backend::Hybrid { cores, .. } => (
-                Vec::new(),
-                cores
-                    .iter()
-                    .map(|core| core.lane(self.project(core, &values)))
-                    .collect::<Result<_>>()?,
-            ),
-            Backend::Monolithic { .. } => (Vec::new(), Vec::new()),
+            } => vec![R::edge_rates(model, numerics, &values)?],
+            Backend::Hybrid { cores, .. } => cores
+                .iter()
+                .map(|(model, numerics)| R::edge_rates(model, numerics, &values))
+                .collect::<Result<_>>()?,
+            Backend::Monolithic { .. } => Vec::new(),
         };
-        Ok(Lane {
-            values,
-            edges,
-            cores,
-        })
+        Ok(Lane { values, edges })
     }
 
     /// The one evaluator: answers `measures` in every lane, one row per
@@ -919,11 +916,9 @@ impl<R: SessionRate> Session<R> {
     /// The time-bounded points of every lane on the merged grid `times`.
     ///
     /// The monolithic chain runs its forward pass; a compositional model
-    /// runs all lanes on one kernel, and when that batched pass fails (one
-    /// lane's Poisson window too large, say) every lane is rerun alone, so
-    /// the error lands on its own lane.  A hybrid session runs each core's
-    /// own pass over the lanes and evaluates the crown per lane; a lane
-    /// stops at its first failing core.
+    /// runs all lanes through [`reach_lanes`].  A hybrid session runs each
+    /// core through it over the lanes and evaluates the crown per lane; a
+    /// lane stops at its first failing core.
     fn timed_lanes(&self, times: &[f64], lanes: &[&Lane]) -> Vec<Result<Vec<MeasurePoint>>> {
         let epsilon = self.options.epsilon;
         match &self.backend {
@@ -941,19 +936,9 @@ impl<R: SessionRate> Session<R> {
             Backend::Compositional {
                 model, numerics, ..
             } => {
-                let pass = |lanes: &[&Lane]| {
-                    let edges: Vec<&[f64]> =
-                        lanes.iter().map(|lane| lane.edges.as_slice()).collect();
-                    R::reach(model, numerics, &edges, times, epsilon)
-                };
-                match pass(lanes) {
-                    Ok(points) => points.into_iter().map(Ok).collect(),
-                    Err(e) if lanes.len() <= 1 => vec![Err(e); lanes.len()],
-                    Err(_) => lanes
-                        .iter()
-                        .map(|&lane| pass(&[lane]).map(|mut points| points.remove(0)))
-                        .collect(),
-                }
+                let edges: Vec<&[f64]> =
+                    lanes.iter().map(|lane| lane.edges[0].as_slice()).collect();
+                reach_lanes(model, numerics, &edges, times, epsilon)
             }
             Backend::Hybrid {
                 crown,
@@ -963,11 +948,13 @@ impl<R: SessionRate> Session<R> {
             } => {
                 // curves[lane][core][time slot]
                 let mut curves: Vec<Result<Vec<Vec<f64>>>> = vec![Ok(Vec::new()); lanes.len()];
-                for (i, core) in cores.iter().enumerate() {
+                for (i, (model, numerics)) in cores.iter().enumerate() {
                     let live: Vec<usize> =
                         (0..lanes.len()).filter(|&k| curves[k].is_ok()).collect();
-                    let core_lanes: Vec<&Lane> = live.iter().map(|&k| &lanes[k].cores[i]).collect();
-                    for (k, points) in live.into_iter().zip(core.timed_lanes(times, &core_lanes)) {
+                    let edges: Vec<&[f64]> =
+                        live.iter().map(|&k| lanes[k].edges[i].as_slice()).collect();
+                    let points = reach_lanes(model, numerics, &edges, times, epsilon);
+                    for (k, points) in live.into_iter().zip(points) {
                         match points {
                             Ok(points) => {
                                 if let Ok(curve) = &mut curves[k] {
@@ -1156,19 +1143,10 @@ impl Session<RateForm> {
     fn instantiate_values(&self, values: &[f64]) -> Result<Analyzer> {
         let backend = match &self.backend {
             Backend::Compositional { model, .. } => {
-                let closed = model.closed.map_rates(|form| form.eval(values));
-                debug_assert!(closed.validate().is_ok());
-                Backend::compositional(ClosedModel {
-                    closed,
-                    top_failure: model.top_failure,
-                    has_repair: model.has_repair,
-                    point_valued: model.point_valued,
-                    can: model.can.clone(),
-                    must: model.must.clone(),
-                })?
+                Backend::compositional(model.instantiate(values))?
             }
-            // Instantiate every core through its slot projection; the crown
-            // structure is shared (it does not depend on rates).
+            // Instantiate every core; the crown structure is shared (it does
+            // not depend on rates).
             Backend::Hybrid {
                 crown,
                 leaves,
@@ -1182,8 +1160,12 @@ impl Session<RateForm> {
                     .collect(),
                 cores: cores
                     .iter()
-                    .map(|core| core.instantiate_values(&self.project(core, values)))
-                    .collect::<Result<Vec<Analyzer>>>()?,
+                    .map(|(model, _)| {
+                        let model = model.instantiate(values);
+                        let kernel = f64::numerics(&model)?;
+                        Ok((model, kernel))
+                    })
+                    .collect::<Result<_>>()?,
                 modules: *modules,
             },
             Backend::Monolithic { .. } => unreachable!("parametric sessions are never monolithic"),
@@ -1297,13 +1279,13 @@ impl Session<RateForm> {
 }
 
 /// A session's rates in one lane of an evaluation: the slot values every
-/// symbolic rate evaluates under (none for a numeric session), the edge rates
-/// of a compositional model in kernel edge order (none where the kernel is
-/// cached), and one lane per hybrid core.
+/// symbolic rate evaluates under (none for a numeric session), and the edge
+/// rates of each closed model in kernel edge order — one vector for a
+/// compositional model, one per hybrid core, each empty where the kernel is
+/// cached.
 struct Lane {
     values: Vec<f64>,
-    edges: Vec<f64>,
-    cores: Vec<Lane>,
+    edges: Vec<Vec<f64>>,
 }
 
 /// The result of a rate sweep: one row per valuation, in request order, plus
@@ -1391,6 +1373,28 @@ impl TimeGrid {
                 }))
             })
             .collect()
+    }
+}
+
+/// The time-bounded points of every lane (`edges[k]` holds lane k's edge
+/// rates) of one closed model: one kernel pass over all lanes, and when that
+/// batched pass fails (one lane's Poisson window too large, say) every lane
+/// is rerun alone, so the error lands on its own lane.
+fn reach_lanes<R: SessionRate>(
+    model: &ClosedModel<R>,
+    numerics: &R::Numerics,
+    edges: &[&[f64]],
+    times: &[f64],
+    epsilon: f64,
+) -> Vec<Result<Vec<MeasurePoint>>> {
+    let pass = |edges: &[&[f64]]| R::reach(model, numerics, edges, times, epsilon);
+    match pass(edges) {
+        Ok(points) => points.into_iter().map(Ok).collect(),
+        Err(e) if edges.len() <= 1 => vec![Err(e); edges.len()],
+        Err(_) => edges
+            .iter()
+            .map(|&lane| pass(&[lane]).map(|mut points| points.remove(0)))
+            .collect(),
     }
 }
 
@@ -1613,6 +1617,42 @@ mod tests {
 
     fn exp_cdf(rate: f64, t: f64) -> f64 {
         1.0 - (-rate * t).exp()
+    }
+
+    /// Crown events come first in element order, so the core's two events
+    /// hold slots 2 and 3 of the session's table, and its rate forms must
+    /// name exactly those.
+    #[test]
+    fn parametric_hybrid_cores_name_the_session_slots() {
+        let mut b = DftBuilder::new();
+        let x = b.basic_event("X", 0.3, Dormancy::Hot).unwrap();
+        let y = b.basic_event("Y", 0.4, Dormancy::Hot).unwrap();
+        let crown = b.and_gate("Crown", &[x, y]).unwrap();
+        let d1 = b.basic_event("D1", 1.0, Dormancy::Hot).unwrap();
+        let d2 = b.basic_event("D2", 2.0, Dormancy::Warm(0.5)).unwrap();
+        let core = b.pand_gate("Core", &[d1, d2]).unwrap();
+        let top = b.or_gate("Top", &[crown, core]).unwrap();
+        let options = AnalysisOptions {
+            method: Method::Hybrid,
+            ..AnalysisOptions::default()
+        };
+        let session = ParametricAnalyzer::new(&b.build(top).unwrap(), options).unwrap();
+        assert_eq!(session.params().slot_of("D1", ParamKind::Failure), Some(2));
+        assert_eq!(session.params().slot_of("D2", ParamKind::Failure), Some(3));
+        let Backend::Hybrid { cores, .. } = &session.backend else {
+            panic!("the tree decomposes");
+        };
+        assert_eq!(cores.len(), 1);
+        let mut slots: Vec<u32> = cores[0]
+            .0
+            .closed
+            .markovian()
+            .iter()
+            .flat_map(|t| t.rate.terms().iter().map(|&(slot, _)| slot))
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots, [2, 3]);
     }
 
     #[test]

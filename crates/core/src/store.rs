@@ -35,7 +35,12 @@
 //! uses.  A
 //! monolithic body (tag 1, numeric only) is the CTMC and its goal bits.  A
 //! hybrid body (tag 2) is the module statistics, the crown BDD, one leaf per
-//! element and one nested compositional body per dynamic core.
+//! element and one compositional body per dynamic core.  A core body is
+//! read by the same code as a tag-0 body, so it passes the same checks (its
+//! rates fit the session's parameter table, its goal sets cover its
+//! states), and it must be point-valued.  Format version 3 introduced this
+//! layout; version 2 entries nested a whole session per core and are
+//! rejected like any other stale version.
 //!
 //! Readers reject — and callers then rebuild — on *any* mismatch: wrong magic
 //! or version, foreign fingerprint, different ε, short file, checksum
@@ -74,14 +79,17 @@ use ioimc::Action;
 use markov::Ctmc;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// File magic: "DFTM" (dynamic fault tree model).
 const MAGIC: [u8; 4] = *b"DFTM";
 
 /// Version of the on-disk format.  Bumped on any incompatible layout change;
 /// readers reject every version but their own (a stale entry is rebuilt and
-/// overwritten, never migrated in place).
-pub const FORMAT_VERSION: u32 = 2;
+/// overwritten, never migrated in place).  Version 3 writes each hybrid core
+/// as a bare compositional body whose rates name the session's own
+/// parameter slots, where version 2 nested a whole session per core.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// What an entry holds; part of the frame so a session entry renamed onto a
 /// parametric path (or vice versa) is rejected instead of misdecoded.
@@ -381,54 +389,26 @@ fn decode_params(r: &mut Reader<'_>) -> DecodeResult<ParamTable> {
 /// The unframed payload of a session; [`seal`] frames it.
 pub(crate) fn encode_payload<R: SessionRate>(session: &Session<R>) -> Vec<u8> {
     let mut w = Writer::new();
-    encode_session(session, &mut w);
-    w.into_bytes()
-}
-
-/// Decodes a payload produced by [`encode_payload`], re-validating every
-/// embedded model.
-pub(crate) fn decode_payload<R: SessionRate>(payload: &[u8]) -> DecodeResult<Session<R>> {
-    let mut r = Reader::new(payload);
-    let session = decode_session(&mut r, false)?;
-    if !r.is_done() {
-        return Err(DecodeError::new("trailing bytes after the session payload"));
-    }
-    Ok(session)
-}
-
-/// Writes one session body onto a shared writer, without framing or
-/// trailing checks: a hybrid payload embeds one body per core back to back
-/// on the same writer, so bodies must compose.
-fn encode_session<R: SessionRate>(session: &Session<R>, w: &mut Writer) {
-    encode_options(&session.options, w);
+    encode_options(&session.options, &mut w);
     w.bool(session.repairable);
     match &session.aggregation {
         None => w.bool(false),
         Some(stats) => {
             w.bool(true);
-            encode_aggregation_stats(stats, w);
+            encode_aggregation_stats(stats, &mut w);
         }
     }
-    encode_model_stats(session.model_stats, w);
+    encode_model_stats(session.model_stats, &mut w);
     w.u8(match &session.backend {
         Backend::Compositional { .. } => 0,
         Backend::Monolithic { .. } => 1,
         Backend::Hybrid { .. } => 2,
     });
     if R::PARAMETRIC {
-        encode_params(&session.params, w);
+        encode_params(&session.params, &mut w);
     }
     match &session.backend {
-        // The numerics and the tangible skeleton are derived
-        // deterministically from the closed model and the goal bits on load.
-        Backend::Compositional { model, .. } => {
-            w.str(model.top_failure.name());
-            w.bool(model.has_repair);
-            w.bool(model.point_valued);
-            codec::encode_model(&model.closed, w);
-            encode_bools(&model.can, w);
-            encode_bools(&model.must, w);
-        }
+        Backend::Compositional { model, .. } => encode_closed(model, &mut w),
         Backend::Monolithic { ctmc, goal } => {
             w.len_prefix(ctmc.num_states());
             w.len_prefix(ctmc.initial());
@@ -439,7 +419,7 @@ fn encode_session<R: SessionRate>(session: &Session<R>, w: &mut Writer) {
                 w.u32(to);
                 w.f64(rate);
             }
-            encode_bools(goal, w);
+            encode_bools(goal, &mut w);
         }
         Backend::Hybrid {
             crown,
@@ -447,7 +427,7 @@ fn encode_session<R: SessionRate>(session: &Session<R>, w: &mut Writer) {
             cores,
             modules,
         } => {
-            encode_module_stats(*modules, w);
+            encode_module_stats(*modules, &mut w);
             w.len_prefix(crown.node_count());
             for node in crown.nodes() {
                 w.u32(node.var);
@@ -461,7 +441,7 @@ fn encode_session<R: SessionRate>(session: &Session<R>, w: &mut Writer) {
                     Leaf::Unused => w.u8(0),
                     Leaf::Basic { rate } => {
                         w.u8(1);
-                        rate.encode_rate(w);
+                        rate.encode_rate(&mut w);
                     }
                     Leaf::Core { index } => {
                         w.u8(2);
@@ -470,18 +450,18 @@ fn encode_session<R: SessionRate>(session: &Session<R>, w: &mut Writer) {
                 }
             }
             w.len_prefix(cores.len());
-            for core in cores {
-                encode_session(core, w);
+            for (model, _) in cores {
+                encode_closed(model, &mut w);
             }
         }
     }
+    w.into_bytes()
 }
 
-/// Reads one session body from a shared reader (the inverse of
-/// [`encode_session`]); the caller checks for trailing bytes once the
-/// outermost body is done.  A hybrid core (`core == true`) must be a
-/// compositional body, so corrupt input cannot nest hybrids.
-fn decode_session<R: SessionRate>(r: &mut Reader<'_>, core: bool) -> DecodeResult<Session<R>> {
+/// Decodes a payload produced by [`encode_payload`], re-validating every
+/// embedded model.
+pub(crate) fn decode_payload<R: SessionRate>(payload: &[u8]) -> DecodeResult<Session<R>> {
+    let r = &mut Reader::new(payload);
     let options = decode_options(r)?;
     let repairable = r.bool()?;
     let aggregation = if r.bool()? {
@@ -491,11 +471,6 @@ fn decode_session<R: SessionRate>(r: &mut Reader<'_>, core: bool) -> DecodeResul
     };
     let model_stats = decode_model_stats(r)?;
     let tag = r.u8()?;
-    if core && (tag != 0 || options.method != Method::Compositional) {
-        return Err(DecodeError::new(
-            "hybrid cores must be compositional sessions",
-        ));
-    }
     let params = if R::PARAMETRIC {
         decode_params(r)?
     } else {
@@ -506,35 +481,12 @@ fn decode_session<R: SessionRate>(r: &mut Reader<'_>, core: bool) -> DecodeResul
         // to the compositional pipeline (repairable tree or
         // non-deterministic core): same body, different label.
         (0, Method::Compositional | Method::Hybrid) => {
-            let top_failure = Action::new(&r.str()?);
-            let has_repair = r.bool()?;
-            let point_valued = r.bool()?;
-            let closed = codec::decode_model::<R>(r)?;
-            // Every rate must stay inside the decoded parameter table —
-            // `RateForm::eval` indexes the valuation unchecked at
-            // instantiation time, so an out-of-range slot in a corrupted
-            // entry must die here.
-            if !closed.markovian().iter().all(|t| t.rate.fits(&params)) {
-                return Err(DecodeError::new(
-                    "a rate references a slot outside the parameter table",
-                ));
+            let (model, numerics) = decode_closed::<R>(r, &params)?;
+            Backend::Compositional {
+                model,
+                numerics,
+                tangible: OnceLock::new(),
             }
-            let can = decode_bools(r)?;
-            let must = decode_bools(r)?;
-            if can.len() != closed.num_states() || must.len() != closed.num_states() {
-                return Err(DecodeError::new(
-                    "goal-set lengths disagree with the closed model",
-                ));
-            }
-            Backend::compositional(ClosedModel {
-                closed,
-                top_failure,
-                has_repair,
-                point_valued,
-                can,
-                must,
-            })
-            .map_err(|e| DecodeError::new(format!("decoded model is invalid: {e}")))?
         }
         (1, Method::Monolithic) if !R::PARAMETRIC => {
             let num_states = r.len_prefix(0)?;
@@ -592,21 +544,9 @@ fn decode_session<R: SessionRate>(r: &mut Reader<'_>, core: bool) -> DecodeResul
             let n_cores = r.len_prefix(1)?;
             let mut cores = Vec::with_capacity(n_cores);
             for _ in 0..n_cores {
-                let core = decode_session::<R>(r, true)?;
-                if core.is_nondeterministic() {
+                let core = decode_closed::<R>(r, &params)?;
+                if !core.0.point_valued {
                     return Err(DecodeError::new("hybrid cores must be deterministic"));
-                }
-                // Core slots are looked up by element name in the session's
-                // table at instantiation time, so each one must resolve.
-                if !core
-                    .params
-                    .slots()
-                    .iter()
-                    .all(|slot| params.slot_of(&slot.element, slot.kind).is_some())
-                {
-                    return Err(DecodeError::new(
-                        "a core parameter is missing from the session's table",
-                    ));
                 }
                 cores.push(core);
             }
@@ -638,6 +578,9 @@ fn decode_session<R: SessionRate>(r: &mut Reader<'_>, core: bool) -> DecodeResul
             )))
         }
     };
+    if !r.is_done() {
+        return Err(DecodeError::new("trailing bytes after the session payload"));
+    }
     Ok(Session {
         options,
         repairable,
@@ -647,6 +590,57 @@ fn decode_session<R: SessionRate>(r: &mut Reader<'_>, core: bool) -> DecodeResul
         backend,
         ran_aggregation: false,
     })
+}
+
+/// Writes a closed model: the body of a compositional session and of each
+/// hybrid core.  The numerics and the tangible skeleton are derived
+/// deterministically from the closed model and the goal bits on load.
+fn encode_closed<R: SessionRate>(model: &ClosedModel<R>, w: &mut Writer) {
+    w.str(model.top_failure.name());
+    w.bool(model.has_repair);
+    w.bool(model.point_valued);
+    codec::encode_model(&model.closed, w);
+    encode_bools(&model.can, w);
+    encode_bools(&model.must, w);
+}
+
+/// Reads a closed model written by [`encode_closed`] and rebuilds its
+/// numerics, checking that every rate stays inside `params` and that the
+/// goal sets cover every state.
+fn decode_closed<R: SessionRate>(
+    r: &mut Reader<'_>,
+    params: &ParamTable,
+) -> DecodeResult<(ClosedModel<R>, R::Numerics)> {
+    let top_failure = Action::new(&r.str()?);
+    let has_repair = r.bool()?;
+    let point_valued = r.bool()?;
+    let closed = codec::decode_model::<R>(r)?;
+    // Every rate must stay inside the decoded parameter table —
+    // `RateForm::eval` indexes the valuation unchecked at instantiation
+    // time, so an out-of-range slot in a corrupted entry must die here.
+    if !closed.markovian().iter().all(|t| t.rate.fits(params)) {
+        return Err(DecodeError::new(
+            "a rate references a slot outside the parameter table",
+        ));
+    }
+    let can = decode_bools(r)?;
+    let must = decode_bools(r)?;
+    if can.len() != closed.num_states() || must.len() != closed.num_states() {
+        return Err(DecodeError::new(
+            "goal-set lengths disagree with the closed model",
+        ));
+    }
+    let model = ClosedModel {
+        closed,
+        top_failure,
+        has_repair,
+        point_valued,
+        can,
+        must,
+    };
+    let numerics = R::numerics(&model)
+        .map_err(|e| DecodeError::new(format!("decoded model is invalid: {e}")))?;
+    Ok((model, numerics))
 }
 
 // ---------------------------------------------------------------------------
@@ -910,6 +904,8 @@ impl ModelStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dft::Dormancy;
+    use ioimc::RateForm;
 
     #[test]
     fn frames_round_trip_and_reject_mismatches() {
@@ -952,6 +948,41 @@ mod tests {
         let mut foreign = framed;
         foreign[0] = b'X';
         assert!(unseal(&foreign, Kind::Parametric, None).is_err());
+    }
+
+    /// A parametric hybrid session over a crown (`X and Y`) and one PAND
+    /// core whose events take slots 2 and 3 of the session's table.
+    fn parametric_hybrid() -> Session<RateForm> {
+        let mut b = dft::DftBuilder::new();
+        let x = b.basic_event("X", 0.3, Dormancy::Hot).unwrap();
+        let y = b.basic_event("Y", 0.4, Dormancy::Hot).unwrap();
+        let crown = b.and_gate("Crown", &[x, y]).unwrap();
+        let d1 = b.basic_event("D1", 1.0, Dormancy::Hot).unwrap();
+        let d2 = b.basic_event("D2", 2.0, Dormancy::Warm(0.5)).unwrap();
+        let core = b.pand_gate("Core", &[d1, d2]).unwrap();
+        let top = b.or_gate("Top", &[crown, core]).unwrap();
+        let options = AnalysisOptions {
+            method: Method::Hybrid,
+            ..AnalysisOptions::default()
+        };
+        Session::new(&b.build(top).unwrap(), options).unwrap()
+    }
+
+    #[test]
+    fn a_core_rate_outside_the_session_table_is_refused() {
+        let mut session = parametric_hybrid();
+        assert!(decode_payload::<RateForm>(&encode_payload(&session)).is_ok());
+        let outside = u32::try_from(session.params.len()).unwrap();
+        let Backend::Hybrid { cores, .. } = &mut session.backend else {
+            panic!("the tree decomposes");
+        };
+        let model = &mut cores[0].0;
+        model.closed = model.closed.map_rates(|_| RateForm::var(outside));
+        let err = decode_payload::<RateForm>(&encode_payload(&session)).unwrap_err();
+        assert!(
+            err.to_string().contains("outside the parameter table"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -220,14 +220,11 @@ pub struct HybridPlan {
 pub fn hybrid_plan(dft: &Dft) -> HybridPlan {
     let n = dft.num_elements();
     // Seed: dynamism contaminates everything below it.
-    let mut in_core = vec![false; n];
-    for id in dft.elements() {
-        if dft.element(id).is_dynamic_gate() {
-            for d in dft.descendants(id) {
-                in_core[d.index()] = true;
-            }
-        }
-    }
+    let mut in_core: Vec<bool> = dft
+        .elements()
+        .map(|e| dft.element(e).is_dynamic_gate())
+        .collect();
+    mark_inputs(dft, &mut in_core);
     // Grow the core set until every connected core component is observed
     // through a single exit.  The set only grows, so this terminates (at the
     // latest once the top joins a core and becomes its only exit).
@@ -277,18 +274,15 @@ pub fn hybrid_plan(dft: &Dft) -> HybridPlan {
             }
             for &exit in exit_set {
                 for &parent in dft.parents(exit) {
-                    if !in_core[parent.index()] {
-                        for d in dft.descendants(parent) {
-                            in_core[d.index()] = true;
-                        }
-                        grew = true;
-                    }
+                    grew |= !in_core[parent.index()];
+                    in_core[parent.index()] = true;
                 }
             }
         }
         if !grew {
             break components.into_iter().zip(exits).collect::<Vec<_>>();
         }
+        mark_inputs(dft, &mut in_core);
     };
     let mut cores: Vec<CoreModule> = components
         .into_iter()
@@ -326,6 +320,19 @@ pub fn hybrid_plan(dft: &Dft) -> HybridPlan {
         cores,
         crown,
         stats,
+    }
+}
+
+/// Marks every input of a marked element, transitively.  A gate's inputs
+/// have smaller ids (the builder adds a gate after its inputs), so one pass
+/// in reverse id order sees every parent before its inputs.
+fn mark_inputs(dft: &Dft, marked: &mut [bool]) {
+    for i in (0..marked.len()).rev() {
+        if marked[i] {
+            for input in dft.element(ElementId::new(i as u32)).inputs() {
+                marked[input.index()] = true;
+            }
+        }
     }
 }
 
@@ -535,5 +542,240 @@ mod tests {
         assert_eq!(core.dft.name(core.dft.top()), "C");
         let crown_names: Vec<&str> = plan.crown.iter().map(|&m| dft.name(m)).collect();
         assert_eq!(crown_names, vec!["X", "Top"]);
+    }
+
+    /// The planner before its linear seed: one descendant walk per dynamic
+    /// gate and per absorbed parent.  The reference `hybrid_plan` must equal.
+    fn reference_plan(dft: &Dft) -> HybridPlan {
+        let n = dft.num_elements();
+        // Seed: dynamism contaminates everything below it.
+        let mut in_core = vec![false; n];
+        for id in dft.elements() {
+            if dft.element(id).is_dynamic_gate() {
+                for d in dft.descendants(id) {
+                    in_core[d.index()] = true;
+                }
+            }
+        }
+        // Grow the core set until every connected core component is observed
+        // through a single exit.  The set only grows, so this terminates (at the
+        // latest once the top joins a core and becomes its only exit).
+        let components = loop {
+            // Label connected components over input/parent adjacency.  The core
+            // set is descendant-closed, so every input of a core element is a core
+            // element of the same component.
+            let mut label = vec![usize::MAX; n];
+            let mut components: Vec<Vec<ElementId>> = Vec::new();
+            for start in dft.elements() {
+                if !in_core[start.index()] || label[start.index()] != usize::MAX {
+                    continue;
+                }
+                let id = components.len();
+                let mut members = Vec::new();
+                let mut stack = vec![start];
+                label[start.index()] = id;
+                while let Some(e) = stack.pop() {
+                    members.push(e);
+                    let inputs = dft.element(e).inputs().iter();
+                    for &next in inputs.chain(dft.parents(e)) {
+                        if in_core[next.index()] && label[next.index()] == usize::MAX {
+                            label[next.index()] = id;
+                            stack.push(next);
+                        }
+                    }
+                }
+                members.sort();
+                components.push(members);
+            }
+            let exits: Vec<Vec<ElementId>> = components
+                .iter()
+                .map(|members| {
+                    members
+                        .iter()
+                        .copied()
+                        .filter(|&e| {
+                            e == dft.top() || dft.parents(e).iter().any(|p| !in_core[p.index()])
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut grew = false;
+            for exit_set in &exits {
+                if exit_set.len() < 2 {
+                    continue;
+                }
+                for &exit in exit_set {
+                    for &parent in dft.parents(exit) {
+                        if !in_core[parent.index()] {
+                            for d in dft.descendants(parent) {
+                                in_core[d.index()] = true;
+                            }
+                            grew = true;
+                        }
+                    }
+                }
+            }
+            if !grew {
+                break components.into_iter().zip(exits).collect::<Vec<_>>();
+            }
+        };
+        let mut cores: Vec<CoreModule> = components
+            .into_iter()
+            .filter_map(|(members, exits)| {
+                // A dynamic island the top never observes contributes nothing.
+                let &exit = exits.first()?;
+                let sub = extract_subtree(dft, &members, exit);
+                Some(CoreModule {
+                    exit,
+                    members,
+                    dft: sub,
+                })
+            })
+            .collect();
+        cores.sort_by_key(|c| c.exit);
+        let crown: Vec<ElementId> = dft.elements().filter(|&e| !in_core[e.index()]).collect();
+        // The core set is descendant-closed, so a module lies inside it exactly
+        // when its root does.
+        let modules = module_roots(dft);
+        let static_modules = modules.iter().filter(|&&m| m == Some(false)).count();
+        let static_modules_retained = dft
+            .elements()
+            .filter(|e| modules[e.index()] == Some(false) && in_core[e.index()])
+            .count();
+        let stats = ModuleStats {
+            total_elements: n,
+            static_modules,
+            dynamic_modules: modules.iter().filter(|&&m| m == Some(true)).count(),
+            static_modules_retained,
+            crown_elements: crown.len(),
+            core_count: cores.len(),
+            core_elements: cores.iter().map(|c| c.members.len()).sum(),
+        };
+        HybridPlan {
+            cores,
+            crown,
+            stats,
+        }
+    }
+
+    /// The plans' cores (exit, members, extracted tree), crowns and stats.
+    fn assert_same_plan(dft: &Dft, what: &str) {
+        let (plan, reference) = (hybrid_plan(dft), reference_plan(dft));
+        let cores = |plan: &HybridPlan| -> Vec<_> {
+            plan.cores
+                .iter()
+                .map(|c| {
+                    let names: Vec<String> =
+                        c.dft.elements().map(|e| c.dft.name(e).to_owned()).collect();
+                    (c.exit, c.members.clone(), names, c.dft.fingerprint())
+                })
+                .collect()
+        };
+        assert_eq!(cores(&plan), cores(&reference), "{what}: cores");
+        assert_eq!(plan.crown, reference.crown, "{what}: crown");
+        assert_eq!(plan.stats, reference.stats, "{what}: stats");
+    }
+
+    #[test]
+    fn hybrid_plan_matches_the_reference_planner_on_the_corpus() {
+        let dir =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/corpus");
+        let mut planned = 0;
+        for entry in std::fs::read_dir(&dir).expect("the corpus directory exists") {
+            let path = entry.expect("a readable entry").path();
+            if path.extension().is_some_and(|ext| ext == "dft") {
+                let text = std::fs::read_to_string(&path).expect("a readable corpus tree");
+                let dft = crate::galileo::parse(&text).expect("the corpus tree parses");
+                assert_same_plan(&dft, &format!("{path:?}"));
+                planned += 1;
+            }
+        }
+        assert_eq!(planned, 11);
+    }
+
+    /// A seeded random tree mixing static and dynamic gates over shared
+    /// inputs, or `None` when the builder refuses the draw.
+    fn random_tree(seed: u64) -> Option<Dft> {
+        // SplitMix64.
+        let mut state = seed;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let mut b = DftBuilder::new();
+        let mut ids = Vec::new();
+        for i in 0..2 + next(7) {
+            let dormancy = [Dormancy::Hot, Dormancy::Cold, Dormancy::Warm(0.5)][next(3)];
+            ids.push(b.basic_event(&format!("B{i}"), 1.0, dormancy).ok()?);
+        }
+        let mut used = vec![false; ids.len()];
+        for g in 0..2 + next(7) {
+            let picks: Vec<usize> = (0..1 + next(3)).map(|_| next(ids.len())).collect();
+            let mut inputs: Vec<ElementId> = Vec::new();
+            for &p in &picks {
+                if !inputs.contains(&ids[p]) {
+                    inputs.push(ids[p]);
+                }
+            }
+            let name = format!("G{g}");
+            let gate = match next(6) {
+                0 => b.and_gate(&name, &inputs),
+                1 => b.or_gate(&name, &inputs),
+                2 => b.voting_gate(&name, 1, &inputs),
+                3 => b.pand_gate(&name, &inputs),
+                4 => b.spare_gate(&name, &inputs),
+                _ if inputs.len() > 1 => b.fdep_gate(&name, inputs[0], &inputs[1..]),
+                _ => b.or_gate(&name, &inputs),
+            }
+            .ok()?;
+            for &p in &picks {
+                used[p] = true;
+            }
+            ids.push(gate);
+            used.push(false);
+        }
+        // The top observes every element nothing else uses.
+        let loose: Vec<ElementId> = ids
+            .iter()
+            .zip(&used)
+            .filter(|&(_, &used)| !used)
+            .map(|(&id, _)| id)
+            .collect();
+        let top = b.or_gate("Top", &loose).ok()?;
+        b.build(top).ok()
+    }
+
+    #[test]
+    fn hybrid_plan_matches_the_reference_planner_on_random_trees() {
+        let mut planned = 0;
+        for seed in 0..512 {
+            if let Some(dft) = random_tree(seed) {
+                assert_same_plan(&dft, &format!("seed {seed}"));
+                planned += 1;
+            }
+        }
+        assert!(planned >= 128, "only {planned} random trees built");
+    }
+
+    /// `G_i = PAND(G_{i-1}, B_i)`: the old seed walked every gate's
+    /// descendants, quadratic in the depth.
+    #[test]
+    fn a_deep_pand_chain_plans_in_linear_time() {
+        const DEPTH: usize = 20_000;
+        let mut b = DftBuilder::new();
+        let mut below = b.basic_event("B0", 1.0, Dormancy::Hot).unwrap();
+        for i in 1..=DEPTH {
+            let event = b.basic_event(&format!("B{i}"), 1.0, Dormancy::Hot).unwrap();
+            below = b.pand_gate(&format!("G{i}"), &[below, event]).unwrap();
+        }
+        let dft = b.build(below).unwrap();
+        let plan = hybrid_plan(&dft);
+        assert_eq!(plan.cores.len(), 1);
+        assert_eq!(plan.cores[0].exit, dft.top());
+        assert_eq!(plan.cores[0].members.len(), 2 * DEPTH + 1);
+        assert!(plan.crown.is_empty());
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! 1. Start server A on a scratch store directory, submit the CAS case study
 //!    over HTTP and check the unreliability is bit-identical to an in-process
-//!    [`Analyzer`] on the same tree.
+//!    [`Analyzer`] on the same tree; then `POST /sweep` a parametric hybrid
+//!    sweep (a BDD crown over one dynamic core) and keep its point values.
 //! 2. Submit a second job and immediately `POST /shutdown`: the graceful
 //!    drain must complete that in-flight job (and persist its model) before
 //!    the process exits 0.
@@ -11,7 +12,10 @@
 //!    and `/metrics` must show `store.hits > 0`.
 //! 4. Submit a static-heavy tree with `"method": "hybrid"` and check the
 //!    hybrid backend's reduction counters surface in `/metrics`.
-//! 5. Hostile depth: a body of 20,000 nested brackets gets a 400, a
+//! 5. Send server B the hybrid sweep of step 1: its parametric model comes
+//!    off the shared store (`stats.aggregation_runs == 0`) and every point
+//!    value is bit-identical to server A's.
+//! 6. Hostile depth: a body of 20,000 nested brackets gets a 400, a
 //!    12,000-deep Galileo OR chain runs hybrid to 1 − e⁻¹, and the same
 //!    process still answers `/metrics`.
 //!
@@ -107,6 +111,31 @@ fn wait_result(addr: SocketAddr, id: u64) -> Json {
     }
 }
 
+/// The `value` bits of every point of every measure of every sweep point of
+/// a finished `/sweep` document, in order.
+fn sweep_bits(doc: &Json) -> Vec<u64> {
+    let items = |value: Option<&Json>| match value {
+        Some(Json::Arr(items)) => items.clone(),
+        other => panic!("expected an array, got {other:?}"),
+    };
+    let mut bits = Vec::new();
+    for point in items(doc.get("points")) {
+        for measure in items(point.get("results")) {
+            for p in items(measure.get("points")) {
+                bits.push(num(&p, "value").to_bits());
+            }
+        }
+    }
+    bits
+}
+
+/// `POST /sweep` and the accepted job's id.
+fn submit_sweep(addr: SocketAddr, body: &str) -> u64 {
+    let (status, doc) = client::request(addr, "POST", "/sweep", body).expect("sweep I/O");
+    assert_eq!(status, 202, "sweep refused: {}", doc.render());
+    num(&doc, "id") as u64
+}
+
 fn main() {
     let binary = std::env::current_exe()
         .expect("own path")
@@ -137,8 +166,40 @@ fn main() {
         .expect("in-process reference queries")
         .value();
 
+    // A crown (X and Y) over one PAND core whose events hold slots 2 and 3.
+    let mixed = "toplevel \"Top\";\n\
+                 \"Top\" or \"Crown\" \"Core\";\n\
+                 \"Crown\" and \"X\" \"Y\";\n\
+                 \"Core\" pand \"D1\" \"D2\";\n\
+                 \"X\" lambda=0.3 dorm=0.0;\n\
+                 \"Y\" lambda=0.4 dorm=0.0;\n\
+                 \"D1\" lambda=1.0 dorm=0.0;\n\
+                 \"D2\" lambda=2.0 dorm=0.0;\n";
+    let sweep_body = Json::obj([
+        ("galileo", mixed.into()),
+        ("method", "hybrid".into()),
+        (
+            "measures",
+            Json::Arr(vec![
+                Json::obj([
+                    ("type", "curve".into()),
+                    ("times", Json::Arr(vec![0.5.into(), 1.0.into(), 2.0.into()])),
+                ]),
+                Json::obj([("type", "unreliability".into()), ("time", 1.0.into())]),
+            ]),
+        ),
+        (
+            "sweep",
+            Json::obj([(
+                "scales",
+                Json::Arr(vec![0.5.into(), 1.0.into(), 2.0.into()]),
+            )]),
+        ),
+    ])
+    .render();
+
     // --- Process A: cold store -------------------------------------------
-    println!("[1/5] cold server: submit CAS over HTTP, check bit-identity");
+    println!("[1/6] cold server: submit CAS and a hybrid sweep over HTTP, check bit-identity");
     let a = start_server(&binary, &store);
     let id = submit(a.addr, &body);
     let report = wait_result(a.addr, id);
@@ -153,8 +214,17 @@ fn main() {
         "the first process must aggregate: {}",
         report.render()
     );
+    let cold_sweep = wait_result(a.addr, submit_sweep(a.addr, &sweep_body));
+    let stats = cold_sweep.get("stats").expect("sweep stats present");
+    assert!(
+        num(stats, "aggregation_runs") > 0.0,
+        "the first process must aggregate the sweep: {}",
+        cold_sweep.render()
+    );
+    let cold_sweep_bits = sweep_bits(&cold_sweep);
+    assert_eq!(cold_sweep_bits.len(), 3 * 4, "3 valuations × 4 points");
 
-    println!("[2/5] shutdown with an in-flight job: the drain must finish it");
+    println!("[2/6] shutdown with an in-flight job: the drain must finish it");
     let in_flight = submit(a.addr, &body);
     assert!(in_flight > id);
     let (status, doc) = client::request(a.addr, "POST", "/shutdown", "").expect("shutdown I/O");
@@ -164,7 +234,7 @@ fn main() {
     assert!(exit.success(), "server A exited with {exit:?}");
 
     // --- Process B: same store directory ---------------------------------
-    println!("[3/5] warm server on the same store: zero aggregations");
+    println!("[3/6] warm server on the same store: zero aggregations");
     let b = start_server(&binary, &store);
     let id = submit(b.addr, &body);
     let report = wait_result(b.addr, id);
@@ -194,7 +264,7 @@ fn main() {
     );
 
     // --- Hybrid backend over HTTP -----------------------------------------
-    println!("[4/5] hybrid job on a static-heavy tree: reduction counters in /metrics");
+    println!("[4/6] hybrid job on a static-heavy tree: reduction counters in /metrics");
     let static_heavy = "toplevel \"Top\";\n\
                         \"Top\" or \"Dyn\" \"Static\";\n\
                         \"Dyn\" wsp \"P\" \"S\";\n\
@@ -229,8 +299,24 @@ fn main() {
         metrics.render()
     );
 
+    // --- Hybrid sweep from the shared store ------------------------------
+    println!("[5/6] warm hybrid sweep on the same store: zero aggregations, same bits");
+    let warm_sweep = wait_result(b.addr, submit_sweep(b.addr, &sweep_body));
+    let stats = warm_sweep.get("stats").expect("sweep stats present");
+    assert_eq!(
+        num(stats, "aggregation_runs"),
+        0.0,
+        "the parametric hybrid model must come off the store: {}",
+        warm_sweep.render()
+    );
+    assert_eq!(
+        sweep_bits(&warm_sweep),
+        cold_sweep_bits,
+        "warm sweep values diverged"
+    );
+
     // --- Hostile depth -----------------------------------------------------
-    println!("[5/5] deep inputs: nested brackets refused, a deep chain answered");
+    println!("[6/6] deep inputs: nested brackets refused, a deep chain answered");
     let nested = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
     let (status, doc) = client::request(b.addr, "POST", "/submit", &nested).expect("submit I/O");
     assert_eq!(status, 400, "{}", doc.render());
@@ -270,6 +356,6 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&store);
     println!(
-        "serve_smoke: PASS (fleet-warm across processes, graceful drain, bit-identical, deep inputs)"
+        "serve_smoke: PASS (fleet-warm across processes for jobs and hybrid sweeps, graceful drain, bit-identical, deep inputs)"
     );
 }

@@ -361,6 +361,109 @@ fn corrupt_entries_are_rejected_and_rebuilt() {
     }
 }
 
+/// A crown over two hot events and a dynamic core whose events come later
+/// in element order, so the core's slots are not the first ones of the
+/// session's table.
+fn mixed_tree(prefix: &str) -> Dft {
+    let mut b = DftBuilder::new();
+    let x = b
+        .basic_event(&format!("{prefix}_X"), 0.3, Dormancy::Hot)
+        .unwrap();
+    let y = b
+        .basic_event(&format!("{prefix}_Y"), 0.4, Dormancy::Hot)
+        .unwrap();
+    let crown = b.and_gate(&format!("{prefix}_Crown"), &[x, y]).unwrap();
+    let d1 = b
+        .basic_event(&format!("{prefix}_D1"), 1.0, Dormancy::Hot)
+        .unwrap();
+    let d2 = b
+        .basic_event(&format!("{prefix}_D2"), 2.0, Dormancy::Hot)
+        .unwrap();
+    let core = b.pand_gate(&format!("{prefix}_Core"), &[d1, d2]).unwrap();
+    let top = b.or_gate(&format!("{prefix}_Top"), &[crown, core]).unwrap();
+    b.build(top).unwrap()
+}
+
+/// Entries written before hybrid cores became bare compositional bodies
+/// carry format version 2: the service refuses both hybrid entries (numeric
+/// and parametric), counts the refusals, rebuilds and republishes them
+/// under the current version.
+#[test]
+fn version_2_hybrid_entries_are_rejected_and_rebuilt() {
+    let temp = TempStore::new("v2");
+    let options = AnalysisOptions {
+        method: dftmc::dft_core::Method::Hybrid,
+        ..AnalysisOptions::default()
+    };
+    let dft = mixed_tree("st_v2");
+    let valuations = {
+        let parametric = ParametricAnalyzer::new(&dft, options.clone()).unwrap();
+        assert!(
+            parametric.module_stats().is_some(),
+            "a genuine decomposition"
+        );
+        vec![
+            parametric.base_valuation(),
+            parametric.params().scaled_valuation(0.5),
+        ]
+    };
+    let measures = vec![Measure::curve([0.5, 1.0]), Measure::Unreliability(2.0)];
+    let job = || job_request(dft.clone(), options.clone(), measures.clone());
+    let sweep = || {
+        sweep_request(
+            dft.clone(),
+            options.clone(),
+            measures.clone(),
+            SweepSpec::Valuations(valuations.clone()),
+        )
+    };
+    let service_options = || {
+        ServiceOptions {
+            workers: 1,
+            cache_capacity: 8,
+            ..ServiceOptions::default()
+        }
+        .store(temp.path())
+    };
+    let run = |service: &AnalysisService| {
+        let job = job_report(service.run_request(job()));
+        let sweep = sweep_report(service.run_request(sweep()));
+        let mut bits: Vec<_> = job.results.unwrap().iter().map(bits_of).collect();
+        for point in &sweep.points {
+            bits.extend(point.results.as_ref().unwrap().iter().map(bits_of));
+        }
+        (job.aggregation_runs, sweep.stats.aggregation_runs, bits)
+    };
+
+    let (job_runs, sweep_runs, reference) = run(&AnalysisService::new(service_options()));
+    assert_eq!((job_runs, sweep_runs), (1, 1), "one core each");
+    let entries = temp.entries();
+    assert_eq!(entries.len(), 2);
+    let version = |path: &PathBuf| {
+        let bytes = std::fs::read(path).unwrap();
+        u32::from_le_bytes(bytes[4..8].try_into().unwrap())
+    };
+    for entry in &entries {
+        assert_eq!(version(entry), 3);
+        let mut bytes = std::fs::read(entry).unwrap();
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(entry, bytes).unwrap();
+    }
+
+    let recovering = AnalysisService::new(service_options());
+    assert_eq!(run(&recovering), (1, 1, reference.clone()), "rebuilt");
+    let stats = recovering.store_stats().unwrap();
+    assert_eq!((stats.rejected, stats.hits, stats.writes), (2, 0, 2));
+    for entry in &entries {
+        assert_eq!(version(entry), 3, "republished under the current version");
+    }
+
+    let warm = AnalysisService::new(service_options());
+    assert_eq!(run(&warm), (0, 0, reference), "loaded, not rebuilt");
+    let stats = warm.store_stats().unwrap();
+    assert_eq!((stats.rejected, stats.hits), (0, 2));
+}
+
 /// A fingerprint mismatch (an entry renamed onto another key's path — e.g. a
 /// mis-synced fleet directory) is detected by the frame, not trusted from the
 /// file name.
