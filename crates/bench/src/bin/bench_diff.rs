@@ -6,6 +6,9 @@
 //! baseline row must be present in the fresh record.  State counts are
 //! deterministic — a change means the pipeline itself changed — so any
 //! growth of a row whose metric names states or transitions is an error.
+//! So is growth of `store_rejected`: `experiments` runs `persist` on a fresh
+//! store unless told otherwise, and a fresh store rejects nothing, so a
+//! rejection means the run read entries an earlier run left behind.
 //! Wall-clock metrics (`*_seconds`, `*speedup`) vary with the host and are
 //! reported but never gated, except the marginal per-point sweep cost.
 //!
@@ -24,10 +27,17 @@ use std::process::ExitCode;
 /// The record `experiments` writes and the baseline directory holds.
 const RECORD: &str = "BENCH_experiments.json";
 
-/// A row is *gated* (fresh must not exceed baseline) when its metric names a
-/// state-space size.
-fn is_gated(metric: &str) -> bool {
-    metric.contains("states") || metric.contains("transitions")
+/// What growth means for a *gated* row (fresh must not exceed baseline):
+/// one whose metric names a state-space size, or the store's rejected
+/// entries.
+fn growth_of(metric: &str) -> Option<&'static str> {
+    if metric.contains("states") || metric.contains("transitions") {
+        Some("state-space regression")
+    } else if metric == "store_rejected" {
+        Some("store entries rejected")
+    } else {
+        None
+    }
 }
 
 /// Wall-clock metrics are reported but never gated.
@@ -115,10 +125,10 @@ fn diff(baseline: &Record, fresh: &Record) -> Diff {
             continue;
         };
         let (metric, base, fresh) = (&base_row.metric, base_row.value, fresh_row.value);
-        if is_gated(metric) {
+        if let Some(growth) = growth_of(metric) {
             if fresh > base {
                 diff.regressions
-                    .push(format!("{key}: state-space regression {base} -> {fresh}"));
+                    .push(format!("{key}: {growth} {base} -> {fresh}"));
             } else if fresh < base {
                 diff.notes.push(format!(
                     "{key}: improved {base} -> {fresh} (update baseline?)"
@@ -183,7 +193,7 @@ fn main() -> ExitCode {
     }
     if diff.regressions.is_empty() {
         println!(
-            "experiments: OK ({} baseline rows, no state-space regressions)",
+            "experiments: OK ({} baseline rows, no state-space or store-rejection regressions)",
             baseline.rows.len()
         );
         ExitCode::SUCCESS
@@ -236,6 +246,23 @@ mod tests {
                 "cps/system/monolithic_states: state-space regression 4113 -> 9999",
             ]
         );
+    }
+
+    #[test]
+    fn rejected_store_entries_are_gated_like_state_counts() {
+        let record = |rejected: usize| Record {
+            smoke: Some(true),
+            rows: vec![Row {
+                key: "persist/service/store_rejected".to_owned(),
+                metric: "store_rejected".to_owned(),
+                value: rejected as f64,
+            }],
+        };
+        assert_eq!(
+            diff(&record(0), &record(4)).regressions,
+            ["persist/service/store_rejected: store entries rejected 0 -> 4"]
+        );
+        assert!(diff(&record(0), &record(0)).regressions.is_empty());
     }
 
     #[test]

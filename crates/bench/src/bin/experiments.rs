@@ -13,11 +13,14 @@
 //!
 //! * `--smoke` shrinks the workloads to the CI configuration the committed
 //!   baseline was taken with.
-//! * `--store DIR` is the store directory of the `persist` experiment
-//!   (default `dftmc-store`); never point it at a tracked directory.
+//! * `--store DIR` is the store directory of the `persist` experiment, kept
+//!   after the run so that the next run can share it; never point it at a
+//!   tracked directory.  Without it, `persist` runs on a fresh temporary
+//!   directory that is removed at exit, so its rows never depend on what
+//!   an earlier run left behind.
 //! * `--expect-warm` makes `persist` assert the warm-store contract: store
 //!   hits, zero aggregations and no rejected entries.  Run `persist` twice
-//!   against one directory and pass the flag the second time.
+//!   against one `--store` directory and pass the flag the second time.
 //!
 //! Exit status: 0 on success, 1 when an analysis fails or the record cannot
 //! be written, 2 on a usage error; a failed assertion panics.
@@ -66,7 +69,20 @@ type Experiment = fn(&Config) -> Result<Vec<Row>>;
 struct Config {
     smoke: bool,
     store: PathBuf,
+    /// Whether `store` is this run's own temporary directory, removed at
+    /// exit, rather than a shared `--store` directory.
+    fresh_store: bool,
     expect_warm: bool,
+}
+
+/// Removes a run's own store directory when the run ends, a failed
+/// assertion included.
+struct RemoveOnDrop(PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// One measured number: `case` names the input within its experiment,
@@ -93,6 +109,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let _fresh_store = config
+        .fresh_store
+        .then(|| RemoveOnDrop(config.store.clone()));
 
     println!(
         "{:<15} {:<30} {:<28} {:>14}",
@@ -152,7 +171,8 @@ fn parse_args(
 ) -> std::result::Result<(Config, Vec<&'static str>), String> {
     let mut config = Config {
         smoke: false,
-        store: PathBuf::from("dftmc-store"),
+        store: fresh_store_path(),
+        fresh_store: true,
         expect_warm: false,
     };
     let mut names = Vec::new();
@@ -165,6 +185,7 @@ fn parse_args(
                     .next()
                     .map(PathBuf::from)
                     .ok_or("--store needs a directory")?;
+                config.fresh_store = false;
             }
             name => match EXPERIMENTS.iter().find(|(known, _)| *known == name) {
                 Some((known, _)) => names.push(*known),
@@ -178,7 +199,19 @@ fn parse_args(
             },
         }
     }
+    if config.expect_warm && config.fresh_store {
+        return Err("--expect-warm needs the --store DIR of an earlier run".into());
+    }
     Ok((config, names))
+}
+
+/// A temporary directory no earlier run can have used: the process id and
+/// the clock.
+fn fresh_store_path() -> PathBuf {
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |since| since.as_nanos());
+    std::env::temp_dir().join(format!("dftmc-experiments-{}-{nanos}", std::process::id()))
 }
 
 /// A table cell: integers without decimals, tiny values in scientific form.
@@ -1027,6 +1060,7 @@ mod tests {
         let mut config = Config {
             smoke: true,
             store: store.clone(),
+            fresh_store: false,
             expect_warm: false,
         };
         for (name, run) in EXPERIMENTS {
@@ -1066,10 +1100,17 @@ mod tests {
         let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let (config, names) =
             parse_args(args(&["--smoke", "--store", "dir", "persist", "cas"]).into_iter()).unwrap();
-        assert!(config.smoke && !config.expect_warm);
+        assert!(config.smoke && !config.expect_warm && !config.fresh_store);
         assert_eq!(config.store, PathBuf::from("dir"));
         assert_eq!(names, ["persist", "cas"]);
         assert!(parse_args(args(&["kernel"]).into_iter()).is_err());
         assert!(parse_args(args(&["--store"]).into_iter()).is_err());
+        // Without --store every run gets a store of its own, which can
+        // never be warm.
+        let (fresh, _) = parse_args(args(&["--smoke"]).into_iter()).unwrap();
+        assert!(fresh.fresh_store && !fresh.store.exists());
+        assert!(parse_args(args(&["--expect-warm", "persist"]).into_iter()).is_err());
+        let (warm, _) = parse_args(args(&["--store", "dir", "--expect-warm"]).into_iter()).unwrap();
+        assert!(warm.expect_warm && !warm.fresh_store);
     }
 }

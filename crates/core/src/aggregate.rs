@@ -19,7 +19,7 @@
 use crate::Result;
 use ioimc::bisim::minimize;
 use ioimc::compose::compose;
-use ioimc::hide::hide;
+use ioimc::hide::into_hidden;
 use ioimc::stats::ModelStats;
 use ioimc::{Action, IoImcOf, Rate};
 use std::collections::BTreeSet;
@@ -67,6 +67,10 @@ pub struct AggregationOptions {
 /// aggregated model together with size statistics.  Every element is minimised
 /// before composition starts.
 ///
+/// Each element is cloned once into its minimisation; from there on each
+/// model is handed on, not copied: a product moves through hiding and
+/// minimisation, which edit it in place.
+///
 /// # Errors
 ///
 /// Propagates composition errors (incompatible signatures); a community produced by
@@ -83,7 +87,7 @@ pub fn aggregate<R: Rate>(
     let keep: BTreeSet<Action> = options.keep.iter().copied().collect();
 
     let mut stats = AggregationStats::default();
-    let mut community: Vec<IoImcOf<R>> = models.iter().map(minimize).collect();
+    let mut community: Vec<IoImcOf<R>> = models.iter().cloned().map(minimize).collect();
     for m in &community {
         stats.record_intermediate(ModelStats::of(m));
     }
@@ -95,6 +99,8 @@ pub fn aggregate<R: Rate>(
         let names = (left.name().to_owned(), right.name().to_owned());
 
         let composed = compose(&left, &right)?;
+        // Free the operands before the product is minimised.
+        drop((left, right));
         stats.record_intermediate(ModelStats::of(&composed));
         let before_aggregation = ModelStats::of(&composed);
 
@@ -110,8 +116,7 @@ pub fn aggregate<R: Rate>(
             .outputs()
             .filter(|a| !needed.contains(a))
             .collect();
-        let hidden = hide(&composed, &to_hide)?;
-        let reduced = minimize(&hidden);
+        let reduced = minimize(into_hidden(composed, &to_hide)?);
         stats.record_intermediate(ModelStats::of(&reduced));
         stats.steps.push(StepStats {
             composed: names,

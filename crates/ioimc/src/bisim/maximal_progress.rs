@@ -14,7 +14,7 @@ use crate::rate::Rate;
 /// outgoing output or internal transition).
 ///
 /// The returned model has the same states, signature and proposition labelling.
-/// It is built directly: the kept rows are copied in order.
+/// It is a clone of `model` whose cut rows are dropped in place.
 ///
 /// # Examples
 ///
@@ -34,13 +34,15 @@ use crate::rate::Rate;
 /// # }
 /// ```
 pub fn cut_maximal_progress<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
-    model.without_rates_of(&|s| model.is_urgent(s))
+    let urgent: Vec<bool> = model.states().map(|s| model.is_urgent(s)).collect();
+    model.clone().without_rates_of(&|s| urgent[s.index()])
 }
 
 /// [`cut_maximal_progress`] followed by
-/// [`restrict_to_reachable`](IoImcOf::restrict_to_reachable), as one search
-/// over the cut model and one build.
-pub(crate) fn cut_to_reachable<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
+/// [`restrict_to_reachable`](IoImcOf::restrict_to_reachable) on a model the
+/// caller owns, as one search over the cut model and one in-place
+/// compaction.
+pub(crate) fn cut_to_reachable<R: Rate>(model: IoImcOf<R>) -> IoImcOf<R> {
     let timed: Vec<bool> = model.states().map(|s| !model.is_urgent(s)).collect();
     model.retain_reachable(&|_| true, &|s| timed[s.index()])
 }

@@ -10,7 +10,10 @@
 //!    internal steps are immediate) and are removed.  This runs once, before
 //!    the loop of step 4, together with the restriction to reachable states:
 //!    τ-elimination keeps every surviving state's urgency and rates, and a
-//!    weak quotient creates no urgent rate.  After [`refine`] in weak mode
+//!    weak quotient creates no urgent rate.  [`minimize`] owns its model, so
+//!    this pass compacts the model's own rows in place, and returns the model
+//!    untouched when it has no urgent rate and every state is reachable, as
+//!    in a freshly composed product.  After [`refine`] in weak mode
 //!    all members of a block have equal signatures, and a non-urgent member
 //!    has no immediate move, so no member of its block has a visible one:
 //!    their internal moves stay inside the block and the quotient drops them.
@@ -68,6 +71,10 @@ use tau_elim::is_vanishing;
 /// so minimising its output again returns the same states and transitions
 /// bit for bit.
 ///
+/// The model is taken by value: the aggregation loop uses each product
+/// once, and the maximal-progress and reachability pre-pass edits it in
+/// place instead of copying it.  Pass a clone to keep the input.
+///
 /// # Examples
 ///
 /// ```
@@ -83,16 +90,17 @@ use tau_elim::is_vanishing;
 /// b.output(s[1], f, s[3]);
 /// b.output(s[2], f, s[3]);
 /// let m = b.build()?;
-/// let reduced = minimize(&m);
+/// let reduced = minimize(m.clone());
 /// assert!(reduced.num_states() < m.num_states());
 /// # Ok(())
 /// # }
 /// ```
-pub fn minimize<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
-    let mut current = if has_urgent_rates(model) {
+pub fn minimize<R: Rate>(model: IoImcOf<R>) -> IoImcOf<R> {
+    let name = format!("min({})", model.name());
+    let mut current = if has_urgent_rates(&model) {
         cut_to_reachable(model)
     } else {
-        model.restrict_to_reachable()
+        model.into_reachable()
     };
     loop {
         let before = current.num_states() + current.num_transitions();
@@ -129,9 +137,8 @@ pub fn minimize<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
             break;
         }
     }
-    let mut result = current;
-    result.set_name(format!("min({})", model.name()));
-    result
+    current.set_name(name);
+    current
 }
 
 /// Whether some urgent state of `model` has a Markovian transition, which
@@ -214,7 +221,7 @@ pub(crate) mod tests {
         let (ma, mb) = figure2();
         let composed = compose(&ma, &mb).unwrap();
         let hidden = hide(&composed, &[act("bisim_fig2_a")]).unwrap();
-        let reduced = minimize(&hidden);
+        let reduced = minimize(hidden.clone());
         assert!(reduced.validate().is_ok());
         assert!(
             reduced.num_states() < hidden.num_states(),
@@ -257,7 +264,7 @@ pub(crate) mod tests {
         b.output(s[3], f, s[5]);
         b.output(s[4], f, s[5]);
         let m = b.build().unwrap();
-        let red = minimize(&m);
+        let red = minimize(m);
         // s1/s2 merge, s3/s4 merge: initial, middle, firing, fired = 4 states.
         assert_eq!(red.num_states(), 4);
         // The two initial rates must be preserved as a single lumped rate 5.
@@ -278,7 +285,7 @@ pub(crate) mod tests {
         b.output(s[0], f, s[1]);
         b.markovian(s[0], 10.0, s[2]);
         let m = b.build().unwrap();
-        let red = minimize(&m);
+        let red = minimize(m);
         // The Markovian transition can never fire; state s2 becomes unreachable.
         assert_eq!(red.num_markovian(), 0);
         assert!(red.num_states() <= 2);
@@ -297,7 +304,7 @@ pub(crate) mod tests {
         b.internal(s[3], tau, s[4]);
         b.output(s[4], f, s[5]);
         let m = b.build().unwrap();
-        let red = minimize(&m);
+        let red = minimize(m);
         // initial --1.0--> firing --f!--> fired.
         assert_eq!(red.num_states(), 3);
         assert_eq!(red.num_markovian(), 1);
@@ -316,7 +323,7 @@ pub(crate) mod tests {
         let down = b.prop("down");
         b.set_prop(s[2], down);
         let m = b.build().unwrap();
-        let red = minimize(&m);
+        let red = minimize(m);
         assert_eq!(red.num_states(), 3);
         let down = red.prop("down").unwrap();
         assert_eq!(red.states_with_prop(down).len(), 1);
@@ -332,8 +339,8 @@ pub(crate) mod tests {
     }
 
     fn assert_idempotent<R: RateCodec>(model: &IoImcOf<R>) {
-        let once = minimize(model);
-        let twice = minimize(&once);
+        let once = minimize(model.clone());
+        let twice = minimize(once.clone());
         assert_eq!(bytes_of(&once), bytes_of(&twice), "model {}", model.name());
     }
 

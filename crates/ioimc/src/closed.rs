@@ -10,6 +10,11 @@
 //! This module provides the final massaging steps: removing dead input transitions,
 //! computing which states can fire a given output without letting time pass, and
 //! checking whether the model is free of immediate non-determinism.
+//!
+//! The engine closes the aggregate it owns with [`into_closed`], which edits
+//! the model in place (or only its signature, when it has no input
+//! transition); [`drop_input_transitions`] borrows and closes a clone.  Both
+//! goal sets are one backward search over the immediate transitions.
 
 use crate::action::Action;
 use crate::model::{IoImcOf, Label, StateId};
@@ -21,14 +26,56 @@ use crate::{Error, Result};
 /// In a closed model there is no environment left to provide inputs, so input
 /// transitions are dead code.  Outputs and internal transitions are untouched.
 /// The result is restricted to the states that stay reachable without the
-/// inputs; the filter and the restriction are one search and one build.
+/// inputs.  This borrowing form closes a clone through [`into_closed`].
 pub fn drop_input_transitions<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
-    let mut closed = model.retain_reachable(&|t| !t.label.is_input(), &|_| true);
+    into_closed(model.clone())
+}
+
+/// [`drop_input_transitions`] for a model the caller owns.
+///
+/// A model without input transitions keeps its rows: one search finds
+/// that every state is still reachable (as it is for a
+/// [`minimize`](crate::bisim::minimize) output), and only the signature
+/// changes.  Otherwise the input transitions and the states only they
+/// reach are dropped in place, in one search and one compaction.
+pub fn into_closed<R: Rate>(model: IoImcOf<R>) -> IoImcOf<R> {
+    let mut closed = if model.interactive.iter().any(|t| t.label.is_input()) {
+        model.retain_reachable(&|t| !t.label.is_input(), &|_| true)
+    } else {
+        model.into_reachable()
+    };
     let inputs: Vec<Action> = closed.signature.inputs().collect();
     for a in inputs {
         closed.signature.remove(a);
     }
     closed
+}
+
+/// For every state, the sources of its incoming immediate (output or
+/// internal) transitions: those of state `t` are `preds[ptr[t]..ptr[t + 1]]`.
+fn immediate_predecessors<R: Rate>(model: &IoImcOf<R>) -> (Vec<u32>, Vec<StateId>) {
+    let n = model.num_states();
+    let immediates = || {
+        model
+            .interactive()
+            .iter()
+            .filter(|t| t.label.is_immediate())
+    };
+    let mut ptr = vec![0u32; n + 1];
+    for t in immediates() {
+        ptr[t.to.index() + 1] += 1;
+    }
+    for i in 1..=n {
+        ptr[i] += ptr[i - 1];
+    }
+    let mut next = ptr.clone();
+    let mut preds = vec![StateId(0); ptr[n] as usize];
+    for t in immediates() {
+        let slot = &mut next[t.to.index()];
+        preds[*slot as usize] = t.from;
+        *slot += 1;
+    }
+    (ptr, preds)
 }
 
 /// Returns, for every state, whether an output of `action` can occur from it
@@ -38,24 +85,27 @@ pub fn drop_input_transitions<R: Rate>(model: &IoImcOf<R>) -> IoImcOf<R> {
 /// For reliability analysis the top event of a DFT has failed *at* the instant such
 /// a state is entered, so these states form the goal set of the time-bounded
 /// reachability problem.
+///
+/// A least fixpoint, found by one backward search over the immediate
+/// transitions from the states with a direct output of `action`: linear in
+/// the size of the model.
 pub fn can_fire_immediately<R: Rate>(model: &IoImcOf<R>, action: Action) -> Vec<bool> {
-    let n = model.num_states();
-    let mut can = vec![false; n];
-    // Seed: states with a direct output of `action`.
+    let (ptr, preds) = immediate_predecessors(model);
+    let mut can = vec![false; model.num_states()];
+    let mut stack = Vec::new();
     for t in model.interactive() {
-        if t.label == Label::Output(action) {
+        if t.label == Label::Output(action) && !can[t.from.index()] {
             can[t.from.index()] = true;
+            stack.push(t.from);
         }
     }
-    // Backward closure over immediate transitions: if an immediate transition leads
-    // to a state that can fire, so can its source.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for t in model.interactive() {
-            if t.label.is_immediate() && can[t.to.index()] && !can[t.from.index()] {
-                can[t.from.index()] = true;
-                changed = true;
+    // If an immediate transition leads to a state that can fire, so can its
+    // source.
+    while let Some(s) = stack.pop() {
+        for &p in &preds[ptr[s.index()] as usize..ptr[s.index() + 1] as usize] {
+            if !can[p.index()] {
+                can[p.index()] = true;
+                stack.push(p);
             }
         }
     }
@@ -69,43 +119,34 @@ pub fn can_fire_immediately<R: Rate>(model: &IoImcOf<R>, action: Action) -> Vec<
 /// when immediate non-determinism remains, a state certainly represents a failure
 /// only if the failure signal is emitted no matter how the non-determinism is
 /// resolved.
+///
+/// A greatest fixpoint: every urgent state starts as possibly forced, and a
+/// worklist strips each state with an immediate successor that is not
+/// forced, backwards over the immediate transitions: linear in the size of
+/// the model.
 pub fn must_fire_immediately<R: Rate>(model: &IoImcOf<R>, action: Action) -> Vec<bool> {
-    let n = model.num_states();
-    // Greatest fixpoint: start optimistic (every urgent state might be forced),
-    // then strip states that have an escape.
-    let mut must = vec![false; n];
-    for s in model.states() {
-        let direct = model
-            .interactive_from(s)
-            .iter()
-            .any(|t| t.label == Label::Output(action));
-        must[s.index()] = direct || model.is_urgent(s);
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for s in model.states() {
-            if !must[s.index()] {
-                continue;
-            }
-            let direct = model
+    let (ptr, preds) = immediate_predecessors(model);
+    let direct: Vec<bool> = model
+        .states()
+        .map(|s| {
+            model
                 .interactive_from(s)
                 .iter()
-                .any(|t| t.label == Label::Output(action));
-            if direct {
-                continue;
-            }
-            // Not a direct firing state: every immediate successor must be forced.
-            let immediates: Vec<StateId> = model
-                .interactive_from(s)
-                .iter()
-                .filter(|t| t.label.is_immediate())
-                .map(|t| t.to)
-                .collect();
-            let ok = !immediates.is_empty() && immediates.iter().all(|t| must[t.index()]);
-            if !ok {
-                must[s.index()] = false;
-                changed = true;
+                .any(|t| t.label == Label::Output(action))
+        })
+        .collect();
+    // An urgent state has an immediate successor, so it starts forced and
+    // loses that only through a successor that is not.
+    let mut must: Vec<bool> = model
+        .states()
+        .map(|s| direct[s.index()] || model.is_urgent(s))
+        .collect();
+    let mut stack: Vec<StateId> = model.states().filter(|s| !must[s.index()]).collect();
+    while let Some(s) = stack.pop() {
+        for &p in &preds[ptr[s.index()] as usize..ptr[s.index() + 1] as usize] {
+            if must[p.index()] && !direct[p.index()] {
+                must[p.index()] = false;
+                stack.push(p);
             }
         }
     }
@@ -200,6 +241,106 @@ mod tests {
         assert!(!must[s[0].index()]);
         assert!(must[s[1].index()]);
         assert!(!must[s[2].index()]);
+    }
+
+    /// The fixpoint loop [`can_fire_immediately`] replaced: rescans every
+    /// interactive transition until nothing changes.  The reference the
+    /// worklist must reproduce.
+    fn can_fire_reference<R: Rate>(model: &IoImcOf<R>, action: Action) -> Vec<bool> {
+        let mut can = vec![false; model.num_states()];
+        for t in model.interactive() {
+            if t.label == Label::Output(action) {
+                can[t.from.index()] = true;
+            }
+        }
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for t in model.interactive() {
+                if t.label.is_immediate() && can[t.to.index()] && !can[t.from.index()] {
+                    can[t.from.index()] = true;
+                    changed = true;
+                }
+            }
+        }
+        can
+    }
+
+    /// The fixpoint loop [`must_fire_immediately`] replaced: strips every
+    /// state with an escape, pass after pass, until nothing changes.
+    fn must_fire_reference<R: Rate>(model: &IoImcOf<R>, action: Action) -> Vec<bool> {
+        let direct = |s: StateId| {
+            model
+                .interactive_from(s)
+                .iter()
+                .any(|t| t.label == Label::Output(action))
+        };
+        let mut must: Vec<bool> = model
+            .states()
+            .map(|s| direct(s) || model.is_urgent(s))
+            .collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for s in model.states() {
+                if !must[s.index()] || direct(s) {
+                    continue;
+                }
+                let immediates: Vec<StateId> = model
+                    .interactive_from(s)
+                    .iter()
+                    .filter(|t| t.label.is_immediate())
+                    .map(|t| t.to)
+                    .collect();
+                let ok = !immediates.is_empty() && immediates.iter().all(|t| must[t.index()]);
+                if !ok {
+                    must[s.index()] = false;
+                    changed = true;
+                }
+            }
+        }
+        must
+    }
+
+    /// Asserts that both goal sets of `model` for every output action
+    /// equal their reference loops, and marks in `seen` which kinds of
+    /// states that are not direct firers the searches met: one that can
+    /// fire through others, an urgent one that must, and an urgent one that
+    /// need not.
+    fn assert_goal_sets_match<R: Rate>(model: &IoImcOf<R>, seen: &mut [bool; 3]) {
+        for action in model.signature().outputs() {
+            let can = can_fire_immediately(model, action);
+            assert_eq!(can, can_fire_reference(model, action), "{}", model.name());
+            let must = must_fire_immediately(model, action);
+            assert_eq!(must, must_fire_reference(model, action), "{}", model.name());
+            for s in model.states() {
+                let direct = model
+                    .interactive_from(s)
+                    .iter()
+                    .any(|t| t.label == Label::Output(action));
+                if !direct {
+                    let urgent = model.is_urgent(s);
+                    seen[0] |= can[s.index()];
+                    seen[1] |= urgent && must[s.index()];
+                    seen[2] |= urgent && !must[s.index()];
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn goal_sets_equal_the_fixpoint_loops() {
+        use crate::bisim::tests::{lift, random_model};
+        let seeds = if cfg!(miri) { 4 } else { 256 };
+        let mut seen = [false; 3];
+        for seed in 0..seeds {
+            let model = random_model(seed);
+            assert_goal_sets_match(&model, &mut seen);
+            assert_goal_sets_match(&lift(&model), &mut seen);
+        }
+        if !cfg!(miri) {
+            assert_eq!(seen, [true; 3], "can through others / must / need not");
+        }
     }
 
     #[test]

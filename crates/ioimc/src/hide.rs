@@ -5,6 +5,10 @@
 //! into internal actions, which makes them invisible to further composition and —
 //! crucially — lets the weak-bisimulation aggregation abstract them away.  This is
 //! Step 3 of the conversion/analysis algorithm in Section 5 of the paper.
+//!
+//! The aggregation loop uses each composed product once, so it hands the
+//! product to [`into_hidden`], which relabels it in place.  [`hide`] borrows
+//! its model and hides a clone of it.
 
 use crate::action::Action;
 use crate::model::{IoImcOf, Label};
@@ -41,6 +45,16 @@ use std::collections::BTreeSet;
 /// # }
 /// ```
 pub fn hide<R: Rate>(model: &IoImcOf<R>, actions: &[Action]) -> Result<IoImcOf<R>> {
+    into_hidden(model.clone(), actions)
+}
+
+/// [`hide`] for a model the caller owns: the labels are rewritten in place,
+/// and only the rows whose labels changed are sorted again.
+///
+/// # Errors
+///
+/// Returns [`Error::NotAnOutput`] if one of the actions is an input of the model.
+pub fn into_hidden<R: Rate>(model: IoImcOf<R>, actions: &[Action]) -> Result<IoImcOf<R>> {
     let to_hide: BTreeSet<Action> = actions.iter().copied().collect();
     for &a in &to_hide {
         if model.signature().is_input(a) {

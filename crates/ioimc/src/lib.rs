@@ -53,7 +53,7 @@
 //!
 //! let composed = compose(&ioimc_a, &ioimc_b)?;
 //! let hidden = hide(&composed, &[a])?;
-//! let minimal = minimize(&hidden);
+//! let minimal = minimize(hidden.clone());
 //! assert!(minimal.num_states() <= hidden.num_states());
 //! # Ok(())
 //! # }

@@ -185,12 +185,13 @@ impl<R: Rate> IoImcOf<R> {
     /// order), [τ-elimination](crate::bisim::eliminate_deterministic_tau)
     /// (redirected targets) and the [`quotient`](crate::bisim::quotient)
     /// (rows merged per block).  The passes that keep the order of an
-    /// existing model build their rows and indexes directly and give the
-    /// same model this rebuild would: reachability, the closing of inputs
-    /// and the maximal-progress cut drop rows or states and renumber the
-    /// rest in order (see
+    /// existing model take it by value, edit its rows and indexes in place
+    /// and give the same model this rebuild would: reachability, the
+    /// closing of inputs and the maximal-progress cut drop rows or states
+    /// and renumber the rest in order (see
     /// [`restrict_to_reachable`](Self::restrict_to_reachable)), and hiding
-    /// and renaming re-sort only the rows whose labels changed.
+    /// and renaming re-sort only the rows whose labels changed.  Their
+    /// borrowing forms clone the model first.
     #[allow(clippy::too_many_arguments)] // internal constructor mirroring the model's fields
     pub(crate) fn from_parts(
         name: String,
@@ -413,33 +414,30 @@ impl<R: Rate> IoImcOf<R> {
     /// renumbering states densely.  Transitions from unreachable states are
     /// dropped.
     ///
-    /// When every state is reachable the result is a clone of `self`.
-    /// Otherwise the kept rows are copied straight into the new model, with
-    /// no regrouping or re-sorting: the reachable states are renumbered in
-    /// their old order, and a renumbering that keeps the order of states
-    /// maps a row sorted by target (and by `(label, target)` for interactive
-    /// rows) to a row sorted the same way, with distinct entries still
-    /// distinct and parallel rates in their old order.  The per-state index
-    /// is counted while the rows are copied.
+    /// A clone of `self` handed to the crate's owning restriction, which
+    /// returns the model itself when every state is reachable and otherwise
+    /// compacts it in place.  No row is regrouped or re-sorted: the
+    /// reachable states are renumbered in their old order, and a renumbering
+    /// that keeps the order of states maps a row sorted by target (and by
+    /// `(label, target)` for interactive rows) to a row sorted the same way,
+    /// with distinct entries still distinct and parallel rates in their old
+    /// order.  The per-state index is rewritten while the rows move.
     ///
-    /// Closing inputs ([`drop_input_transitions`](crate::closed::drop_input_transitions)),
-    /// the [maximal-progress cut](crate::bisim::cut_maximal_progress),
-    /// [hiding](crate::hide::hide) and [renaming](crate::rename::rename)
-    /// keep a model's order in the same way and build directly too.  The
+    /// Closing inputs ([`into_closed`](crate::closed::into_closed)), the
+    /// [maximal-progress cut](crate::bisim::cut_maximal_progress),
+    /// [hiding](crate::hide::into_hidden) and [renaming](crate::rename::rename)
+    /// keep a model's order in the same way and edit it in place too.  The
     /// builder, the codec, [composition](crate::compose::compose),
     /// [τ-elimination](crate::bisim::eliminate_deterministic_tau) and the
     /// [quotient](crate::bisim::quotient) make rows out of order and sort
     /// them again.
     pub fn restrict_to_reachable(&self) -> IoImcOf<R> {
-        match self.reachable_states(&|_| true, &|_| true) {
-            None => self.clone(),
-            Some(reachable) => self.compact(&reachable, &|_| true, &|_| true),
-        }
+        self.clone().into_reachable()
     }
 
     /// [`restrict_to_reachable`](Self::restrict_to_reachable) for a model
-    /// the caller has just built: `self` itself, not a clone, when every
-    /// state is reachable.
+    /// the caller owns: `self` itself when every state is reachable, and
+    /// otherwise `self` compacted in place.
     pub(crate) fn into_reachable(self) -> IoImcOf<R> {
         match self.reachable_states(&|_| true, &|_| true) {
             None => self,
@@ -450,11 +448,11 @@ impl<R: Rate> IoImcOf<R> {
     /// The model without the interactive transitions `keep` rejects and
     /// without the Markovian rows of the states `timed` rejects, restricted
     /// to the states that stay reachable: one search over the kept
-    /// transitions and one direct build, which give the same model as
-    /// filtering through [`from_parts`](Self::from_parts) and then calling
-    /// [`restrict_to_reachable`](Self::restrict_to_reachable).
+    /// transitions and one in-place compaction, which give the same model
+    /// as filtering through [`from_parts`](Self::from_parts) and then
+    /// calling [`restrict_to_reachable`](Self::restrict_to_reachable).
     pub(crate) fn retain_reachable(
-        &self,
+        self,
         keep: &impl Fn(&InteractiveTransition) -> bool,
         timed: &impl Fn(StateId) -> bool,
     ) -> IoImcOf<R> {
@@ -465,9 +463,9 @@ impl<R: Rate> IoImcOf<R> {
     }
 
     /// The model on the same states without the Markovian rows of the
-    /// states `urgent` accepts: the one build behind the
+    /// states `urgent` accepts: the one compaction behind the
     /// [maximal-progress cut](crate::bisim::cut_maximal_progress).
-    pub(crate) fn without_rates_of(&self, urgent: &impl Fn(StateId) -> bool) -> IoImcOf<R> {
+    pub(crate) fn without_rates_of(self, urgent: &impl Fn(StateId) -> bool) -> IoImcOf<R> {
         let every_state = vec![true; self.num_states as usize];
         self.compact(&every_state, &|_| true, &|s| !urgent(s))
     }
@@ -503,10 +501,17 @@ impl<R: Rate> IoImcOf<R> {
         (num_reachable < n).then_some(reachable)
     }
 
-    /// The rows `keep` and `timed` admit of the `reachable` states, which
-    /// must be closed under those rows, renumbered in state order.
+    /// Keeps, in place, the rows `keep` and `timed` admit of the `reachable`
+    /// states, which must be closed under those rows, renumbered in state
+    /// order.
+    ///
+    /// State `s` becomes state `remap[s] <= s`, so every kept row moves to a
+    /// place at or before its old one: the write cursors never pass the
+    /// read cursors, a row is read before anything is written over it, and
+    /// an index entry is overwritten only after its old value was read.
+    /// Rates move by swaps, never clones.
     fn compact(
-        &self,
+        mut self,
         reachable: &[bool],
         keep: &impl Fn(&InteractiveTransition) -> bool,
         timed: &impl Fn(StateId) -> bool,
@@ -517,76 +522,73 @@ impl<R: Rate> IoImcOf<R> {
             *slot = num_states;
             num_states += 1;
         }
-        let mut interactive = Vec::with_capacity(self.interactive.len());
-        let mut markovian = Vec::with_capacity(self.markovian.len());
-        let mut interactive_index = Vec::with_capacity(num_states as usize + 1);
-        let mut markovian_index = Vec::with_capacity(num_states as usize + 1);
-        let mut props = Vec::with_capacity(num_states as usize);
-        interactive_index.push(0);
-        markovian_index.push(0);
-        for s in self.states().filter(|s| reachable[s.index()]) {
-            let from = StateId(remap[s.index()]);
-            let to = |t: StateId| StateId(remap[t.index()]);
-            interactive.extend(
-                self.interactive_from(s)
-                    .iter()
-                    .filter(|t| keep(t))
-                    .map(|t| InteractiveTransition {
-                        from,
-                        label: t.label,
-                        to: to(t.to),
-                    }),
-            );
-            if timed(s) {
-                markovian.extend(
-                    self.markovian_from(s)
-                        .iter()
-                        .map(|t| MarkovianTransitionOf {
+        let to = |t: StateId| StateId(remap[t.index()]);
+        let (mut interactive_len, mut markovian_len) = (0, 0);
+        let (mut interactive_lo, mut markovian_lo) = (0, 0);
+        for (s, &kept) in reachable.iter().enumerate() {
+            let interactive_hi = self.interactive_index[s + 1] as usize;
+            let markovian_hi = self.markovian_index[s + 1] as usize;
+            if kept {
+                let from = StateId(remap[s]);
+                for i in interactive_lo..interactive_hi {
+                    let t = self.interactive[i];
+                    if keep(&t) {
+                        self.interactive[interactive_len] = InteractiveTransition {
                             from,
-                            rate: t.rate.clone(),
+                            label: t.label,
                             to: to(t.to),
-                        }),
-                );
+                        };
+                        interactive_len += 1;
+                    }
+                }
+                if timed(StateId(s as u32)) {
+                    for i in markovian_lo..markovian_hi {
+                        self.markovian.swap(markovian_len, i);
+                        let t = &mut self.markovian[markovian_len];
+                        t.from = from;
+                        t.to = to(t.to);
+                        markovian_len += 1;
+                    }
+                }
+                let new = from.index();
+                self.interactive_index[new + 1] = interactive_len as u32;
+                self.markovian_index[new + 1] = markovian_len as u32;
+                self.props[new] = self.props[s];
             }
-            interactive_index.push(interactive.len() as u32);
-            markovian_index.push(markovian.len() as u32);
-            props.push(self.props[s.index()]);
+            interactive_lo = interactive_hi;
+            markovian_lo = markovian_hi;
         }
-        // A closed model lives on in a session cache: it should not keep
-        // the room reserved for the rows that were dropped.
-        interactive.shrink_to_fit();
-        markovian.shrink_to_fit();
-        IoImcOf {
-            name: self.name.clone(),
-            signature: self.signature.clone(),
-            num_states,
-            initial: StateId(remap[self.initial.index()]),
-            interactive,
-            markovian,
-            prop_names: self.prop_names.clone(),
-            props,
-            interactive_index,
-            markovian_index,
-        }
+        let n = num_states as usize;
+        self.interactive.truncate(interactive_len);
+        self.markovian.truncate(markovian_len);
+        self.interactive_index.truncate(n + 1);
+        self.markovian_index.truncate(n + 1);
+        self.props.truncate(n);
+        // A model that lives on, as a community member or in a session
+        // cache, should not keep the room of the rows that were dropped.
+        self.interactive.shrink_to_fit();
+        self.markovian.shrink_to_fit();
+        self.initial = to(self.initial);
+        self.num_states = num_states;
+        self
     }
 
     /// The model with every interactive label mapped through `relabel` and
-    /// the given signature: the one build behind [`hide`](crate::hide) and
-    /// [`rename`](crate::rename).
+    /// the given signature, edited in place: the one pass behind
+    /// [hiding](crate::hide::into_hidden) and [`rename`](crate::rename).
     ///
     /// `relabel` must be injective on the labels of the model, which both
     /// callers guarantee (hiding turns outputs into internals, and an action
     /// is never both; renaming rejects collisions), so no row gains a
     /// duplicate.  Only the rows with a changed label are sorted again; the
-    /// Markovian rows and both indexes are copied as they are.
+    /// Markovian rows and both indexes stay as they are.
     pub(crate) fn relabel(
-        &self,
+        mut self,
         signature: Signature,
         relabel: impl Fn(Label) -> Label,
     ) -> IoImcOf<R> {
-        let mut interactive = self.interactive.clone();
         for w in self.interactive_index.windows(2) {
-            let row = &mut interactive[w[0] as usize..w[1] as usize];
+            let row = &mut self.interactive[w[0] as usize..w[1] as usize];
             let mut changed = false;
             for t in row.iter_mut() {
                 let label = relabel(t.label);
@@ -601,18 +603,8 @@ impl<R: Rate> IoImcOf<R> {
                 );
             }
         }
-        IoImcOf {
-            name: self.name.clone(),
-            signature,
-            num_states: self.num_states,
-            initial: self.initial,
-            interactive,
-            markovian: self.markovian.clone(),
-            prop_names: self.prop_names.clone(),
-            props: self.props.clone(),
-            interactive_index: self.interactive_index.clone(),
-            markovian_index: self.markovian_index.clone(),
-        }
+        self.signature = signature;
+        self
     }
 
     /// Maps every Markovian rate through `f`, keeping states, interactive
@@ -1082,12 +1074,12 @@ mod tests {
         seen.urgent_rates |= cut.num_markovian() < model.num_markovian();
         same(&cut_maximal_progress(model), &cut, "cut_maximal_progress");
         same(
-            &cut_to_reachable(model),
+            &cut_to_reachable(model.clone()),
             &restricted_by_rebuild(&cut),
-            "cut + restrict",
+            "in-place cut + restrict",
         );
 
-        let closed = crate::closed::drop_input_transitions(model);
+        let closed = crate::closed::into_closed(model.clone());
         let without_inputs = rebuilt(
             model,
             closed.signature.clone(),
@@ -1096,7 +1088,18 @@ mod tests {
         );
         let closed_by_rebuild = restricted_by_rebuild(&without_inputs);
         seen.closing_strands |= closed_by_rebuild.num_states() < without_inputs.num_states();
-        same(&closed, &closed_by_rebuild, "drop_input_transitions");
+        same(&closed, &closed_by_rebuild, "into_closed");
+        same(
+            &crate::closed::drop_input_transitions(model),
+            &closed_by_rebuild,
+            "drop_input_transitions",
+        );
+        // Without input transitions, closing keeps every row.
+        same(
+            &crate::closed::into_closed(closed.clone()),
+            &closed_by_rebuild,
+            "into_closed on a closed model",
+        );
 
         // Hiding rejects inputs: a composition may listen to a hidden action.
         let hidden: Vec<Action> = hidden
@@ -1108,16 +1111,18 @@ mod tests {
             Label::Output(a) if hidden.contains(&a) => Label::Internal(a),
             _ => l,
         };
-        let direct = crate::hide::hide(model, &hidden).expect("hides outputs only");
+        let direct = crate::hide::into_hidden(model.clone(), &hidden).expect("hides outputs only");
         seen.hide_resorts |= relabel_unsorts_a_row(model, hide_label);
+        let hidden_by_rebuild = rebuilt(
+            model,
+            direct.signature.clone(),
+            |l| Some(hide_label(l)),
+            |_| true,
+        );
+        same(&direct, &hidden_by_rebuild, "into_hidden");
         same(
-            &direct,
-            &rebuilt(
-                model,
-                direct.signature.clone(),
-                |l| Some(hide_label(l)),
-                |_| true,
-            ),
+            &crate::hide::hide(model, &hidden).expect("hides outputs only"),
+            &hidden_by_rebuild,
             "hide",
         );
 

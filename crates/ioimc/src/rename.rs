@@ -83,7 +83,7 @@ pub fn rename<R: Rate>(
     }
     signature.validate()?;
 
-    Ok(model.relabel(signature, |label| match label {
+    Ok(model.clone().relabel(signature, |label| match label {
         Label::Input(a) => Label::Input(apply(a)),
         Label::Output(a) => Label::Output(apply(a)),
         Label::Internal(a) => Label::Internal(apply(a)),

@@ -2,9 +2,12 @@
 //!
 //! Every time-bounded answer the engine gives — a numeric query's bounds and
 //! every lane of a parametric sweep — comes from one call,
-//! [`RelaxKernel::reachability`].  The kernel lowers the Markovian choices
-//! into a flat CSR-style layout once per model so the inner relax runs over
-//! contiguous arrays.  On top of that it batches *lanes*: K independent rate
+//! [`RelaxKernel::reachability`].  A caller pushes a model's states into
+//! [`KernelRows`], a flat CSR-style layout built row by row, and fills the
+//! rows with rates to get the kernel, so the inner relax runs over
+//! contiguous arrays and no per-state vector is ever made.  A kept copy of
+//! the rows can be filled again for the next set of rates.  On top of that the
+//! kernel batches *lanes*: K independent rate
 //! assignments of one shared structure (a parametric rate sweep) iterate as
 //! K lanes of a structure-of-arrays value block.  Values are stored
 //! state-major (`value[s·K + k]`), edge rates lane-major per edge
@@ -63,31 +66,150 @@ pub fn stats() -> KernelStats {
     }
 }
 
-/// A CTMDP lowered into flat CSR arrays, ready for (optionally batched)
-/// value iteration.
+/// The rate-free structure of a [`RelaxKernel`], built one state at a time:
+/// each state is either a Markovian row (its edge targets) or an immediate
+/// choice (its successors).  Filling the rows with one rate per edge per
+/// lane gives the kernel, so one set of rows serves every lane set.
 ///
 /// `row_ptr[s]..row_ptr[s+1]` indexes the Markovian edges of state `s` into
-/// `cols`/`rates`; `choice_ptr[s]..choice_ptr[s+1]` indexes the immediate
-/// successors into `choice_cols`.  A state with `immediate[s]` resolves by the
-/// scheduler fixpoint; all other states relax their Markovian row (an empty
-/// row means the state is absorbing and keeps its value).  With `lanes > 1`
-/// the structure is shared and `rates` carries one rate per edge *per lane*,
-/// lane-major per edge.
-#[derive(Debug, Clone)]
-pub struct RelaxKernel {
-    num_states: usize,
-    lanes: usize,
+/// `cols` (and the kernel's rates); `choice_ptr[s]..choice_ptr[s+1]` indexes
+/// the immediate successors into `choice_cols`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelRows {
     row_ptr: Vec<usize>,
     cols: Vec<u32>,
+    choice_ptr: Vec<usize>,
+    choice_cols: Vec<u32>,
+    immediate: Vec<bool>,
+}
+
+impl KernelRows {
+    /// No rows yet, with room for `states` states and `edges` Markovian
+    /// edges.
+    pub fn with_capacity(states: usize, edges: usize) -> KernelRows {
+        let mut row_ptr = Vec::with_capacity(states + 1);
+        let mut choice_ptr = Vec::with_capacity(states + 1);
+        row_ptr.push(0);
+        choice_ptr.push(0);
+        KernelRows {
+            row_ptr,
+            cols: Vec::with_capacity(edges),
+            choice_ptr,
+            choice_cols: Vec::new(),
+            immediate: Vec::with_capacity(states),
+        }
+    }
+
+    /// Adds the next state: a Markovian one racing edges to `targets`, in
+    /// edge order (an empty row is absorbing).
+    pub fn markovian(&mut self, targets: impl IntoIterator<Item = u32>) {
+        self.cols.extend(targets);
+        self.end_state(false);
+    }
+
+    /// Adds the next state: an immediate one choosing among `successors`.
+    pub fn immediate(&mut self, successors: impl IntoIterator<Item = u32>) {
+        self.choice_cols.extend(successors);
+        self.end_state(true);
+    }
+
+    fn end_state(&mut self, immediate: bool) {
+        self.row_ptr.push(self.cols.len());
+        self.choice_ptr.push(self.choice_cols.len());
+        self.immediate.push(immediate);
+    }
+
+    /// Number of states added so far.
+    fn num_states(&self) -> usize {
+        self.immediate.len()
+    }
+
+    /// The kernel of these rows under `lanes` rate assignments:
+    /// `lane_rates[e * lanes + k]` is the rate of edge `e` (counted in state
+    /// order, row order within a state) under lane `k`.  Each state's exit
+    /// rate per lane is summed in row order.  A caller that fills the same
+    /// rows again keeps a clone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::DimensionMismatch`] if `lanes` is zero or
+    /// `lane_rates` does not hold exactly `edges × lanes` entries,
+    /// [`Error::InvalidValue`] for a rate that is not finite and strictly
+    /// positive, and [`Error::InvalidState`] for the first target, in state
+    /// order, that names no state.
+    pub fn into_kernel(self, lane_rates: Vec<f64>, lanes: usize) -> Result<RelaxKernel> {
+        self.check(&lane_rates, lanes)?;
+        let mut exit = vec![0.0f64; self.num_states() * lanes];
+        for (s, exit) in exit.chunks_exact_mut(lanes).enumerate() {
+            let row = &lane_rates[self.row_ptr[s] * lanes..self.row_ptr[s + 1] * lanes];
+            for edge in row.chunks_exact(lanes) {
+                for (sum, &rate) in exit.iter_mut().zip(edge) {
+                    *sum += rate;
+                }
+            }
+        }
+        Ok(RelaxKernel {
+            rows: self,
+            lanes,
+            rates: lane_rates,
+            exit,
+        })
+    }
+
+    /// Every check a kernel build makes, in the order the errors are
+    /// reported.
+    fn check(&self, lane_rates: &[f64], lanes: usize) -> Result<()> {
+        if lanes == 0 {
+            return Err(Error::DimensionMismatch {
+                expected: 1,
+                actual: 0,
+            });
+        }
+        let edges = self.cols.len();
+        if lane_rates.len() != edges * lanes {
+            return Err(Error::DimensionMismatch {
+                expected: edges * lanes,
+                actual: lane_rates.len(),
+            });
+        }
+        if let Some(&rate) = lane_rates
+            .iter()
+            .find(|&&rate| !(rate.is_finite() && rate > 0.0))
+        {
+            return Err(Error::InvalidValue { value: rate });
+        }
+        let n = self.num_states();
+        for s in 0..n {
+            let edges = &self.cols[self.row_ptr[s]..self.row_ptr[s + 1]];
+            let choices = &self.choice_cols[self.choice_ptr[s]..self.choice_ptr[s + 1]];
+            if let Some(&state) = edges.iter().chain(choices).find(|&&t| t as usize >= n) {
+                return Err(Error::InvalidState {
+                    state,
+                    num_states: n as u32,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A CTMDP lowered into flat CSR arrays, ready for (optionally batched)
+/// value iteration: [`KernelRows`] filled with rates.
+///
+/// A state with `immediate[s]` resolves by the scheduler fixpoint; all other
+/// states relax their Markovian row (an empty row means the state is
+/// absorbing and keeps its value).  With `lanes > 1` the structure is shared
+/// and `rates` carries one rate per edge *per lane*, lane-major per edge.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RelaxKernel {
+    rows: KernelRows,
+    lanes: usize,
     /// Edge rates, `rates[e * lanes + k]` for edge `e`, lane `k`.
     rates: Vec<f64>,
     /// Exit rates, `exit[s * lanes + k]`, summed in row order (the exact
     /// summation order of the reference relax, so precomputing changes no
     /// bits).
     exit: Vec<f64>,
-    choice_ptr: Vec<usize>,
-    choice_cols: Vec<u32>,
-    immediate: Vec<bool>,
 }
 
 impl RelaxKernel {
@@ -111,107 +233,31 @@ impl RelaxKernel {
     }
 
     /// Lowers a shared structure plus `lanes` independent rate assignments
-    /// into one batched kernel.
-    ///
-    /// `template` provides the structure (its own Markovian rates are
-    /// ignored); `lane_rates[e * lanes + k]` is the rate of the `e`-th
-    /// Markovian edge — counted in state order, row order within a state —
-    /// under lane `k`.  This is how a parametric sweep batches K valuations
-    /// of one closed model into a single traversal.
+    /// into one batched kernel: the template's rows pushed into
+    /// [`KernelRows`] (its own Markovian rates are ignored) and filled with
+    /// `lane_rates`, as [`KernelRows::into_kernel`] describes.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidState`] for an out-of-range target,
-    /// [`Error::DimensionMismatch`] if `lane_rates` does not hold exactly
-    /// `edges × lanes` entries (or `lanes` is zero), and
-    /// [`Error::InvalidValue`] for a rate that is not finite and strictly
-    /// positive.
+    /// As for [`KernelRows::into_kernel`].
     pub fn from_template(
         template: &[CtmdpState],
         lane_rates: &[f64],
         lanes: usize,
     ) -> Result<RelaxKernel> {
-        let n = template.len();
-        if lanes == 0 {
-            return Err(Error::DimensionMismatch {
-                expected: 1,
-                actual: 0,
-            });
-        }
-        let edges: usize = template
-            .iter()
-            .map(|st| match st {
-                CtmdpState::Markovian(row) => row.len(),
-                CtmdpState::Immediate(_) => 0,
-            })
-            .sum();
-        if lane_rates.len() != edges * lanes {
-            return Err(Error::DimensionMismatch {
-                expected: edges * lanes,
-                actual: lane_rates.len(),
-            });
-        }
-        for &rate in lane_rates {
-            if !(rate.is_finite() && rate > 0.0) {
-                return Err(Error::InvalidValue { value: rate });
-            }
-        }
-        let mut kernel = RelaxKernel {
-            num_states: n,
-            lanes,
-            row_ptr: Vec::with_capacity(n + 1),
-            cols: Vec::with_capacity(edges),
-            rates: Vec::with_capacity(edges * lanes),
-            exit: vec![0.0; n * lanes],
-            choice_ptr: Vec::with_capacity(n + 1),
-            choice_cols: Vec::new(),
-            immediate: Vec::with_capacity(n),
-        };
-        kernel.row_ptr.push(0);
-        kernel.choice_ptr.push(0);
-        let mut edge = 0usize;
-        for (s, st) in template.iter().enumerate() {
+        let mut rows = KernelRows::with_capacity(template.len(), lane_rates.len() / lanes.max(1));
+        for st in template {
             match st {
-                CtmdpState::Markovian(row) => {
-                    for &(target, _) in row {
-                        if target as usize >= n {
-                            return Err(Error::InvalidState {
-                                state: target,
-                                num_states: n as u32,
-                            });
-                        }
-                        kernel.cols.push(target);
-                        let lane_row = &lane_rates[edge * lanes..(edge + 1) * lanes];
-                        kernel.rates.extend_from_slice(lane_row);
-                        for (k, &rate) in lane_row.iter().enumerate() {
-                            kernel.exit[s * lanes + k] += rate;
-                        }
-                        edge += 1;
-                    }
-                    kernel.immediate.push(false);
-                }
-                CtmdpState::Immediate(succs) => {
-                    for &target in succs {
-                        if target as usize >= n {
-                            return Err(Error::InvalidState {
-                                state: target,
-                                num_states: n as u32,
-                            });
-                        }
-                        kernel.choice_cols.push(target);
-                    }
-                    kernel.immediate.push(true);
-                }
+                CtmdpState::Markovian(row) => rows.markovian(row.iter().map(|&(target, _)| target)),
+                CtmdpState::Immediate(succs) => rows.immediate(succs.iter().copied()),
             }
-            kernel.row_ptr.push(kernel.cols.len());
-            kernel.choice_ptr.push(kernel.choice_cols.len());
         }
-        Ok(kernel)
+        rows.into_kernel(lane_rates.to_vec(), lanes)
     }
 
     /// Number of states of the lowered model.
     pub fn num_states(&self) -> usize {
-        self.num_states
+        self.rows.num_states()
     }
 
     /// Number of value lanes iterated per traversal.
@@ -221,7 +267,7 @@ impl RelaxKernel {
 
     /// Number of Markovian edges of the shared structure.
     pub fn num_edges(&self) -> usize {
-        self.cols.len()
+        self.rows.cols.len()
     }
 
     /// Per-lane uniformisation rates: the maximal exit rate of each lane,
@@ -229,7 +275,7 @@ impl RelaxKernel {
     fn uniformisation_rates(&self) -> Vec<f64> {
         let mut lambdas = vec![0.0f64; self.lanes];
         for (k, lambda) in lambdas.iter_mut().enumerate() {
-            *lambda = (0..self.num_states)
+            *lambda = (0..self.num_states())
                 .map(|s| self.exit[s * self.lanes + k])
                 .fold(0.0, f64::max);
         }
@@ -260,7 +306,7 @@ impl RelaxKernel {
         epsilon: f64,
         maximise: bool,
     ) -> Result<Vec<f64>> {
-        let n = self.num_states;
+        let n = self.num_states();
         let l = self.lanes;
         if initial >= n {
             return Err(Error::InvalidState {
@@ -290,7 +336,9 @@ impl RelaxKernel {
         // with at least one successor, in state order.
         let choosers: Vec<u32> = (0..n)
             .filter(|&s| {
-                !goal[s] && self.immediate[s] && self.choice_ptr[s] < self.choice_ptr[s + 1]
+                !goal[s]
+                    && self.rows.immediate[s]
+                    && self.rows.choice_ptr[s] < self.rows.choice_ptr[s + 1]
             })
             .map(|s| s as u32)
             .collect();
@@ -306,7 +354,7 @@ impl RelaxKernel {
         self.settle_immediate(Dyn(l), &choosers, &mut terminal, maximise);
 
         let lambdas = self.uniformisation_rates();
-        if self.cols.is_empty() {
+        if self.rows.cols.is_empty() {
             // No Markovian edge anywhere: every lane's uniformisation rate is
             // zero (rates are strictly positive, so one edge lifts them all)
             // and the terminal value never moves.
@@ -337,7 +385,7 @@ impl RelaxKernel {
             }
         }
         let mut jump = vec![0.0f64; self.rates.len()];
-        for e in 0..self.cols.len() {
+        for e in 0..self.rows.cols.len() {
             for (k, &lambda) in lambdas.iter().enumerate() {
                 jump[e * l + k] = self.rates[e * l + k] / lambda;
             }
@@ -412,13 +460,13 @@ impl RelaxKernel {
             .chunks_exact_mut(l)
             .zip(value.chunks_exact(l))
             .zip(ctx.stay.chunks_exact(l))
-            .zip(self.row_ptr.windows(2));
+            .zip(self.rows.row_ptr.windows(2));
         for (s, (((dst, src), stay), row)) in states.enumerate() {
             if ctx.goal[s] {
                 dst.fill(1.0);
                 continue;
             }
-            if self.immediate[s] {
+            if self.rows.immediate[s] {
                 dst.fill(0.0);
                 continue;
             }
@@ -426,7 +474,7 @@ impl RelaxKernel {
                 dst[k] = stay[k] * src[k];
             }
             let (lo, hi) = (row[0], row[1]);
-            for (&target, jump) in self.cols[lo..hi]
+            for (&target, jump) in self.rows.cols[lo..hi]
                 .iter()
                 .zip(ctx.jump[lo * l..hi * l].chunks_exact(l))
             {
@@ -452,11 +500,12 @@ impl RelaxKernel {
         maximise: bool,
     ) {
         let l = width.get();
-        for _ in 0..self.num_states {
+        for _ in 0..self.num_states() {
             let mut changed = false;
             for &s in choosers {
                 let s = s as usize;
-                let succs = &self.choice_cols[self.choice_ptr[s]..self.choice_ptr[s + 1]];
+                let succs =
+                    &self.rows.choice_cols[self.rows.choice_ptr[s]..self.rows.choice_ptr[s + 1]];
                 for k in 0..l {
                     let candidate = succs.iter().map(|&t| value[t as usize * l + k]).fold(
                         if maximise {
@@ -739,13 +788,13 @@ mod tests {
         assert_eq!(k.num_states(), 3);
         assert_eq!(k.lanes(), 1);
         assert_eq!(k.num_edges(), 2);
-        assert_eq!(k.row_ptr, vec![0, 2, 2, 2]);
-        assert_eq!(k.cols, vec![1, 2]);
+        assert_eq!(k.rows.row_ptr, vec![0, 2, 2, 2]);
+        assert_eq!(k.rows.cols, vec![1, 2]);
         assert_eq!(k.rates, vec![0.5, 1.5]);
         assert_eq!(k.exit, vec![2.0, 0.0, 0.0]);
-        assert_eq!(k.choice_ptr, vec![0, 0, 2, 2]);
-        assert_eq!(k.choice_cols, vec![0, 2]);
-        assert_eq!(k.immediate, vec![false, true, false]);
+        assert_eq!(k.rows.choice_ptr, vec![0, 0, 2, 2]);
+        assert_eq!(k.rows.choice_cols, vec![0, 2]);
+        assert_eq!(k.rows.immediate, vec![false, true, false]);
         assert_eq!(k.uniformisation_rates(), vec![2.0]);
     }
 
@@ -753,19 +802,133 @@ mod tests {
     fn template_builder_validates_its_inputs() {
         let template = vec![
             CtmdpState::Markovian(vec![(1, 1.0)]),
-            CtmdpState::Markovian(vec![]),
+            CtmdpState::Immediate(vec![0, 1]),
         ];
         assert!(RelaxKernel::from_template(&template, &[1.0, 2.0], 2).is_ok());
         // Zero lanes, wrong rate count, non-positive and non-finite rates.
-        assert!(RelaxKernel::from_template(&template, &[], 0).is_err());
-        assert!(RelaxKernel::from_template(&template, &[1.0], 2).is_err());
-        assert!(RelaxKernel::from_template(&template, &[1.0, 0.0], 2).is_err());
-        assert!(RelaxKernel::from_template(&template, &[1.0, f64::NAN], 2).is_err());
-        // Out-of-range Markovian and immediate targets.
-        let bad = vec![CtmdpState::Markovian(vec![(7, 1.0)])];
-        assert!(RelaxKernel::from_template(&bad, &[1.0], 1).is_err());
-        let bad = vec![CtmdpState::Immediate(vec![7])];
-        assert!(RelaxKernel::from_template(&bad, &[], 1).is_err());
+        let build = |rates: &[f64], lanes| RelaxKernel::from_template(&template, rates, lanes);
+        assert!(matches!(
+            build(&[], 0),
+            Err(Error::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            build(&[1.0], 2),
+            Err(Error::DimensionMismatch { .. })
+        ));
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                build(&[1.0, rate], 2),
+                Err(Error::InvalidValue { .. })
+            ));
+        }
+        // Out-of-range Markovian and immediate targets, reported by name.
+        for bad in [2, 7] {
+            for template in [
+                vec![
+                    CtmdpState::Markovian(vec![(bad, 1.0)]),
+                    CtmdpState::Markovian(vec![]),
+                ],
+                vec![
+                    CtmdpState::Immediate(vec![0, bad]),
+                    CtmdpState::Markovian(vec![(0, 1.0)]),
+                ],
+            ] {
+                assert!(matches!(
+                    RelaxKernel::from_template(&template, &[1.0], 1),
+                    Err(Error::InvalidState { state, num_states: 2 }) if state == bad
+                ));
+            }
+        }
+    }
+
+    /// The CSR build `from_template` made before [`KernelRows`]: the
+    /// reference the row-by-row builder must reproduce array for array.
+    fn reference_from_template(
+        template: &[CtmdpState],
+        lane_rates: &[f64],
+        lanes: usize,
+    ) -> RelaxKernel {
+        let n = template.len();
+        let mut rows = KernelRows {
+            row_ptr: vec![0],
+            cols: Vec::new(),
+            choice_ptr: vec![0],
+            choice_cols: Vec::new(),
+            immediate: Vec::new(),
+        };
+        let mut rates = Vec::new();
+        let mut exit = vec![0.0; n * lanes];
+        let mut edge = 0usize;
+        for (s, st) in template.iter().enumerate() {
+            match st {
+                CtmdpState::Markovian(row) => {
+                    for &(target, _) in row {
+                        rows.cols.push(target);
+                        let lane_row = &lane_rates[edge * lanes..(edge + 1) * lanes];
+                        rates.extend_from_slice(lane_row);
+                        for (k, &rate) in lane_row.iter().enumerate() {
+                            exit[s * lanes + k] += rate;
+                        }
+                        edge += 1;
+                    }
+                    rows.immediate.push(false);
+                }
+                CtmdpState::Immediate(succs) => {
+                    rows.choice_cols.extend_from_slice(succs);
+                    rows.immediate.push(true);
+                }
+            }
+            rows.row_ptr.push(rows.cols.len());
+            rows.choice_ptr.push(rows.choice_cols.len());
+        }
+        RelaxKernel {
+            rows,
+            lanes,
+            rates,
+            exit,
+        }
+    }
+
+    #[test]
+    fn row_built_kernels_equal_the_reference_build() {
+        // One lane with the states' own rates (a numeric query) and three
+        // scaled lanes (a sweep), pushed row by row.
+        for seed in [3u64, 17, 42, 2026, 0xBEEF] {
+            let (states, initial, goal) = random_parts(seed, 24, 4);
+            for scales in [&[1.0][..], &[1.0, 1.35, 0.8]] {
+                let lanes = scales.len();
+                let mut lane_rates = Vec::new();
+                let mut rows = KernelRows::with_capacity(0, 0);
+                for st in &states {
+                    match st {
+                        CtmdpState::Markovian(row) => {
+                            for &(_, rate) in row {
+                                lane_rates.extend(scales.iter().map(|scale| rate * scale));
+                            }
+                            rows.markovian(row.iter().map(|&(target, _)| target));
+                        }
+                        CtmdpState::Immediate(succs) => rows.immediate(succs.iter().copied()),
+                    }
+                }
+                let reference = reference_from_template(&states, &lane_rates, lanes);
+                let kernel = rows.into_kernel(lane_rates, lanes).unwrap();
+                assert_eq!(kernel, reference, "seed {seed}, {lanes} lanes");
+                for maximise in [false, true] {
+                    let pass = |k: &RelaxKernel| {
+                        k.reachability(initial, &goal, &TIMES, 1e-10, maximise)
+                            .unwrap()
+                            .iter()
+                            .map(|p| p.to_bits())
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        pass(&kernel),
+                        pass(&reference),
+                        "seed {seed} max {maximise}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

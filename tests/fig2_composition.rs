@@ -61,7 +61,7 @@ fn composition_synchronises_on_the_shared_action() {
 #[test]
 fn aggregation_collapses_the_interleaving_diamond() {
     let hidden = composed_and_hidden();
-    let reduced = minimize(&hidden);
+    let reduced = minimize(hidden);
     assert!(reduced.validate().is_ok());
     // Figure 2(c): four states suffice (initial, one lumped middle state, firing,
     // fired).
@@ -92,7 +92,7 @@ fn aggregation_preserves_the_time_to_b() {
     // *interleaved through the composition*; rather than reasoning on paper we
     // check that the aggregated and the unaggregated model give the same value).
     let hidden = composed_and_hidden();
-    let reduced = minimize(&hidden);
+    let reduced = minimize(hidden.clone());
 
     let probability_of_b = |model: &IoImc, t: f64| -> f64 {
         let closed = drop_input_transitions(model);

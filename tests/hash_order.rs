@@ -80,7 +80,10 @@ fn pipeline<R: RateCodec>(
         .filter(|a| outputs.contains(a))
         .collect();
     let product = hide(&product, &hidden).expect("hidden actions are outputs");
-    [bytes_of(&minimize(model)), bytes_of(&minimize(&product))]
+    [
+        bytes_of(&minimize(model.clone())),
+        bytes_of(&minimize(product)),
+    ]
 }
 
 #[test]

@@ -78,7 +78,7 @@ fn assert_fixpoints<'a, R: RateCodec + 'a>(
 ) {
     for (i, model) in minimised.into_iter().enumerate() {
         assert!(
-            bytes_of(&minimize(model)) == bytes_of(model),
+            bytes_of(&minimize(model.clone())) == bytes_of(model),
             "{case}: model {i} changes when minimised again"
         );
     }
@@ -108,13 +108,13 @@ fn assert_weak_quotients_need_no_cut<'a, R: Rate + 'a>(
 /// model, numeric then parametric.
 fn tree_fingerprints(name: &str, dft: &Dft, out: &mut Vec<(String, u64)>) {
     let community = convert(dft).expect("tree converts");
-    let members: Vec<IoImc> = community.models.iter().map(minimize).collect();
+    let members: Vec<IoImc> = community.models.iter().cloned().map(minimize).collect();
     assert_fixpoints(name, &members);
     assert_weak_quotients_need_no_cut(name, community.models.iter().chain(&members));
     out.push((format!("{name}/community"), fingerprint(&members)));
 
     let (community, _) = convert_parametric(dft).expect("tree converts parametrically");
-    let members: Vec<IoImcOf<RateForm>> = community.models.iter().map(minimize).collect();
+    let members: Vec<IoImcOf<RateForm>> = community.models.iter().cloned().map(minimize).collect();
     assert_fixpoints(name, &members);
     assert_weak_quotients_need_no_cut(name, community.models.iter().chain(&members));
     out.push((
@@ -155,8 +155,8 @@ fn random_fingerprints(out: &mut Vec<(String, u64)>) {
         let lifted = model.map_rates(|&r| RateForm::scaled_var((r * 2.0) as u32 % 3, r));
         assert_weak_quotients_need_no_cut("random", [&model]);
         assert_weak_quotients_need_no_cut("random/parametric", [&lifted]);
-        numeric.push(minimize(&model));
-        parametric.push(minimize(&lifted));
+        numeric.push(minimize(model));
+        parametric.push(minimize(lifted));
     }
     assert_fixpoints("random", &numeric);
     assert_fixpoints("random/parametric", &parametric);
