@@ -62,6 +62,7 @@ pub use tau_elim::eliminate_deterministic_tau;
 use crate::model::IoImcOf;
 use crate::rate::Rate;
 use maximal_progress::cut_to_reachable;
+use partition::quotient_on_blocks;
 use tau_elim::is_vanishing;
 
 /// Aggregates `model` modulo (branching-style) weak bisimulation with maximal
@@ -121,9 +122,14 @@ pub fn minimize<R: Rate>(model: IoImcOf<R>) -> IoImcOf<R> {
             // The rest of the round would give `current` back unchanged.
             break;
         }
-        current = quotient(&current, &part, true);
-        // A maximal-progress cut would give this quotient back unchanged
-        // (step 1 of the module documentation).
+        // `current` is reachable and has no urgent rate, so its quotient
+        // is reachable too, and a maximal-progress cut would give it back
+        // unchanged (step 1 of the module documentation).
+        current = quotient_on_blocks(&current, &part, true);
+        debug_assert!(
+            current.is_all_reachable(),
+            "a weak quotient of a reachable model is reachable"
+        );
         debug_assert!(
             !has_urgent_rates(&current),
             "a weak quotient has no urgent rate"
@@ -359,17 +365,16 @@ pub(crate) mod tests {
 
     /// Asserts what lets [`minimize`] skip maximal progress and the
     /// restriction to reachable states after a quotient: the weak quotient
-    /// of any model has no urgent Markovian transition, and every state of
-    /// it is reachable.  Returns whether `model` itself had urgent rates.
+    /// of any model has no urgent Markovian transition, and the weak
+    /// quotient of a reachable model without urgent rates (the model cut
+    /// and restricted as `minimize` does first) has no unreachable block.
+    /// Returns whether `model` itself had urgent rates.
     fn assert_weak_quotient_needs_no_cut<R: Rate>(model: &IoImcOf<R>) -> bool {
-        let q = quotient(model, &refine(model, true), true);
+        let q = quotient_on_blocks(model, &refine(model, true), true);
         assert!(!has_urgent_rates(&q), "{}: urgent rate", model.name());
-        assert_eq!(
-            q.restrict_to_reachable().num_states(),
-            q.num_states(),
-            "{}: unreachable block",
-            model.name()
-        );
+        let cut = cut_to_reachable(model.clone());
+        let q = quotient_on_blocks(&cut, &refine(&cut, true), true);
+        assert!(q.is_all_reachable(), "{}: unreachable block", model.name());
         has_urgent_rates(model)
     }
 

@@ -29,17 +29,19 @@
 //! old block, #moves, move…, #rate maps, (#entries, entry…)…
 //! ```
 //!
-//! * a **move** packs (label, target block) into one word: the label's rank
-//!   in the high half, the block in the low half.  Labels are ranked in the
-//!   order the model's transition list first shows them; any one-to-one
-//!   ranking would do, since only the equality of signatures matters;
-//! * a **rate map** lists a state's cumulative Markovian rate into each target
-//!   block, one word per block: the interned [`Rate::key`] of the sum in the
-//!   high half, the block in the low half.  For numeric rates the key is the
-//!   sum's bit pattern; for [`RateForm`](crate::rate::RateForm) rates it is the
-//!   canonical coefficient vector, so two states are lumped only when their
-//!   cumulative rate *forms* coincide — an equality of linear forms that holds
-//!   under **every** valuation of the parameters, which is what makes
+//! * a **move** packs (label, target block) into one word: the label's
+//!   kind (input, output, internal) in the top two bits, its action id in
+//!   the next 30 and the block in the low half.  The packing is one-to-one
+//!   (action ids must stay below 2^30), and only the equality of
+//!   signatures matters, so no per-call ranking of the labels is needed;
+//! * a **rate map** lists a state's cumulative Markovian rate into each
+//!   target block, two words per block: the block, then the sum's key.  For
+//!   numeric rates the key is the sum's bit pattern itself
+//!   ([`Rate::key_word`]); for [`RateForm`](crate::rate::RateForm) rates it
+//!   is the canonical coefficient vector, interned to a number in the order
+//!   the sums are first seen, so two states are lumped only when their
+//!   cumulative rate *forms* coincide — an equality of linear forms that
+//!   holds under **every** valuation of the parameters, which is what makes
 //!   parametric aggregation sound for a whole rate sweep at once.
 //!
 //! Moves are sorted and deduplicated, and so are the rate maps (as word
@@ -47,9 +49,10 @@
 //! one in strong mode).  With the length prefixes, two states have equal
 //! signature slices exactly when they agree on old block, move set and
 //! rate-map set, and a map from signature slice to block id hands out the new
-//! ids.  That map, the interned rate keys and the proposition blocks hash
-//! with the crate's seeded fast hasher, and ids come from a counter in state
-//! order, never from the maps' iteration order, so the seed never shows.
+//! ids.  That map, the interned `RateForm` keys and the proposition blocks
+//! hash with the crate's seeded fast hasher, and ids come from a counter in
+//! state or first-seen order, never from the maps' iteration order, so the
+//! seed never shows.
 //! A block that is not signed keeps its members together under one new id,
 //! drawn from the same counter when its smallest member comes up, so blocks
 //! are numbered by their smallest member state.
@@ -123,19 +126,17 @@ fn block_rates<R: Rate>(
     }
 }
 
-/// The reused buffers of one [`refine`] call: the per-call tables (label
-/// ranks, urgency, interned rate keys) and the per-round arenas of rate maps
-/// and signatures laid out as the [module documentation](self) describes.
+/// The reused buffers of one [`refine`] call: the per-call tables (urgency,
+/// interned rate keys) and the per-round arenas of rate maps and signatures
+/// laid out as the [module documentation](self) describes.
 struct Signer<R: Rate> {
-    /// `label_rank[i]` is the rank of `model.interactive[i].label`, in the
-    /// order the labels are first seen (see the [module documentation](self)).
-    label_rank: Vec<u64>,
     /// Weak (inert internal steps abstracted) or strong bisimulation.
     weak: bool,
     /// Whether each state's Markovian rates count: every state's in strong
     /// mode, only the non-urgent states' in weak mode (maximal progress).
     timed: Vec<bool>,
-    /// Interned cumulative rate keys.
+    /// Interned cumulative rate keys, for rates without a
+    /// [`key_word`](Rate::key_word).
     rate_keys: FastMap<R::Key, u64>,
     /// Every state's rate map under the current partition, back to back;
     /// state `s` owns `rate_words[rate_start[s]..rate_start[s + 1]]`.
@@ -153,24 +154,23 @@ struct Signer<R: Rate> {
     sums: Vec<(u32, R)>,
 }
 
-fn pack(high: u64, low: u32) -> u64 {
-    (high << 32) | u64::from(low)
+/// The move word of a `label` move into `block`: the label's kind in the
+/// top two bits, its action id in the next 30, the block in the low 32.
+fn move_word(label: Label, block: u32) -> u64 {
+    let (kind, action) = match label {
+        Label::Input(a) => (0, a),
+        Label::Output(a) => (1, a),
+        Label::Internal(a) => (2, a),
+    };
+    let id = u64::from(action.id());
+    assert!(id < 1 << 30, "more than 2^30 actions");
+    (kind << 62) | (id << 32) | u64::from(block)
 }
 
 impl<R: Rate> Signer<R> {
     fn new(model: &IoImcOf<R>, weak: bool) -> Signer<R> {
-        let mut ranks: FastMap<Label, u64> = FastMap::default();
-        let label_rank = model
-            .interactive()
-            .iter()
-            .map(|t| {
-                let next = ranks.len() as u64;
-                *ranks.entry(t.label).or_insert(next)
-            })
-            .collect();
         let n = model.num_states();
         Signer {
-            label_rank,
             weak,
             timed: model
                 .states()
@@ -202,10 +202,12 @@ impl<R: Rate> Signer<R> {
             }
             block_rates(model, s, block_of, &mut self.order, &mut self.sums);
             for (block, sum) in &self.sums {
-                let next = self.rate_keys.len() as u64;
-                let key = *self.rate_keys.entry(sum.key()).or_insert(next);
-                assert!(key < 1 << 32, "more than 2^32 distinct cumulative rates");
-                self.rate_words.push(pack(key, *block));
+                let word = sum.key_word().unwrap_or_else(|| {
+                    let next = self.rate_keys.len() as u64;
+                    *self.rate_keys.entry(sum.key()).or_insert(next)
+                });
+                self.rate_words.push(u64::from(*block));
+                self.rate_words.push(word);
             }
         }
         self.rate_start.push(self.rate_words.len());
@@ -227,12 +229,7 @@ impl<R: Rate> Signer<R> {
         }
         self.stack.push(state);
         while let Some(u) = self.stack.pop() {
-            let lo = model.interactive_index[u.index()] as usize;
-            let hi = model.interactive_index[u.index() + 1] as usize;
-            for (t, &rank) in model.interactive[lo..hi]
-                .iter()
-                .zip(&self.label_rank[lo..hi])
-            {
+            for t in model.interactive_from(u) {
                 let target_block = block_of[t.to.index()];
                 if weak && t.label.is_internal() && target_block == own_block {
                     if self.reached[t.to.index()] != state.raw() {
@@ -240,7 +237,7 @@ impl<R: Rate> Signer<R> {
                         self.stack.push(t.to);
                     }
                 } else {
-                    self.moves.push(pack(rank, target_block));
+                    self.moves.push(move_word(t.label, target_block));
                 }
             }
             if self.timed[u.index()] {
@@ -427,6 +424,23 @@ fn proposition_partition<R: Rate>(model: &IoImcOf<R>) -> (Vec<u32>, u32) {
 /// its non-urgent members (which, by construction of the refinement, all carry the
 /// same cumulative rates).  The result is restricted to its reachable blocks.
 pub fn quotient<R: Rate>(model: &IoImcOf<R>, partition: &Partition, weak: bool) -> IoImcOf<R> {
+    quotient_on_blocks(model, partition, weak).into_reachable()
+}
+
+/// [`quotient`] with one state per block, reachable or not.
+///
+/// When every state of `model` is reachable and no urgent state has a
+/// Markovian transition, as in every model [`minimize`](super::minimize)
+/// quotients, the weak quotient under a weak refinement is all reachable:
+/// every transition of a path into a block has a counterpart in the
+/// quotient.  An internal move within a block is not needed, an
+/// interactive move is kept, and a Markovian move leaves a non-urgent
+/// state, whose rate map into blocks the block's representative shares.
+pub(crate) fn quotient_on_blocks<R: Rate>(
+    model: &IoImcOf<R>,
+    partition: &Partition,
+    weak: bool,
+) -> IoImcOf<R> {
     let nb = partition.num_blocks as usize;
     let block_of = &partition.block_of;
 
@@ -487,7 +501,6 @@ pub fn quotient<R: Rate>(model: &IoImcOf<R>, partition: &Partition, weak: bool) 
         model.prop_names.clone(),
         props,
     )
-    .into_reachable()
 }
 
 #[cfg(test)]

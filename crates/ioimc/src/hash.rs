@@ -1,18 +1,26 @@
 //! A seeded fast hasher for the dense integer keys of composition and
 //! refinement.
 //!
+//! [`refine`](crate::bisim::refine) hands out block ids by signature (runs
+//! of `u64` words) and by proposition mask, and interns the cumulative rate
+//! keys of rates that have no one-word key
+//! ([`RateForm`](crate::rate::RateForm)'s coefficient vectors; an `f64`
+//! sum goes into its signature as its bits).
 //! [`compose`](crate::compose::compose) indexes product states by their
-//! `(left, right)` pair, and [`refine`](crate::bisim::refine) hands out block
-//! ids by signature (runs of `u64` words), by interned rate key and by
-//! proposition mask.  These keys are small integers, for which std's SipHash
+//! `(left, right)` pair packed into one word, but only when the operands are
+//! too large for its dense pair table: that table costs a cell per pair of
+//! operand states, not per product state, so it is capped at 2^17 cells
+//! (512 KiB), and products of larger operands, which are often sparse, use
+//! the map and keep their memory in proportion to the states they reach.
+//! These keys are small integers, for which std's SipHash
 //! is a heavy cost on a cold build.  [`FastMap`] hashes each 64-bit word
 //! with one folded multiply instead: the 128-bit product of the running
 //! state, xor the word, with a fixed odd constant, folded to 64 bits by
 //! xoring its two halves.  Every output bit then depends on every input bit.
 //! A rotate-xor-multiply in the FxHash style does not do that: its low bits
-//! see only the words' low bits, and on packed signature words (a label rank
-//! or rate key in the high half, a block in the low half) that collided
-//! enough to make `refine` slower than with SipHash.
+//! see only the words' low bits, and on packed signature words (a label
+//! word or block in one half, a block or rate bits in the other) that
+//! collided enough to make `refine` slower than with SipHash.
 //!
 //! **Seeding.** Each map draws its seed from a fresh
 //! [`RandomState`](std::collections::hash_map::RandomState), so a key set
@@ -157,21 +165,21 @@ mod tests {
 
     #[test]
     fn dense_keys_spread_over_the_low_and_high_bits() {
-        // Small pairs and packed signature words: the keys of `compose` and
+        // Packed small pairs and signature words: the keys of `compose` and
         // `refine`.  A table of 2^k buckets indexes by the low bits and
         // filters by the top seven, so both must spread.
         let state = FastState {
             seed: 0x0123_4567_89ab_cdef,
         };
         let mut keys: Vec<u64> = Vec::new();
-        for l in 0..32u32 {
-            for r in 0..32u32 {
-                keys.push(state.hash_one((l, r)));
+        for l in 0..32u64 {
+            for r in 0..32u64 {
+                keys.push(state.hash_one(l << 32 | r));
             }
         }
-        for rank in 0..32u64 {
+        for label in 0..32u64 {
             for block in 0..32u32 {
-                keys.push(state.hash_one(&[rank << 32 | u64::from(block)][..]));
+                keys.push(state.hash_one(&[label << 32 | u64::from(block)][..]));
             }
         }
         let mut low = vec![0u32; 1 << 10];

@@ -181,10 +181,12 @@ impl<R: Rate> IoImcOf<R> {
     ///
     /// Only the passes whose rows really must be regrouped or re-sorted
     /// come through here: the builder and the codec (rows in any order),
-    /// [`compose`](crate::compose::compose) (product rows in exploration
-    /// order), [τ-elimination](crate::bisim::eliminate_deterministic_tau)
+    /// [τ-elimination](crate::bisim::eliminate_deterministic_tau)
     /// (redirected targets) and the [`quotient`](crate::bisim::quotient)
-    /// (rows merged per block).  The passes that keep the order of an
+    /// (rows merged per block).  [`compose`](crate::compose::compose) does
+    /// not: it explores each product state's row as one contiguous segment,
+    /// so it gathers the rows into their final arrays in state order and
+    /// sorts each one there the same way.  The passes that keep the order of an
     /// existing model take it by value, edit its rows and indexes in place
     /// and give the same model this rebuild would: reachability, the
     /// closing of inputs and the maximal-progress cut drop rows or states
@@ -468,6 +470,11 @@ impl<R: Rate> IoImcOf<R> {
     pub(crate) fn without_rates_of(self, urgent: &impl Fn(StateId) -> bool) -> IoImcOf<R> {
         let every_state = vec![true; self.num_states as usize];
         self.compact(&every_state, &|_| true, &|s| !urgent(s))
+    }
+
+    /// Whether every state is reachable from the initial state.
+    pub(crate) fn is_all_reachable(&self) -> bool {
+        self.reachable_states(&|_| true, &|_| true).is_none()
     }
 
     /// Marks the states reachable from the initial state over the

@@ -48,6 +48,14 @@ pub trait Rate: Clone + PartialEq + fmt::Debug + fmt::Display + Send + Sync + 's
 
     /// The canonical key of this rate.
     fn key(&self) -> Self::Key;
+
+    /// The key as one word, when every key of the rate type fits one: two
+    /// rates then have equal words exactly when their keys are equal, and
+    /// the partition refinement uses the word as it is instead of
+    /// interning the key.  `None` by default.
+    fn key_word(&self) -> Option<u64> {
+        None
+    }
 }
 
 impl Rate for f64 {
@@ -71,6 +79,10 @@ impl Rate for f64 {
 
     fn key(&self) -> u64 {
         self.to_bits()
+    }
+
+    fn key_word(&self) -> Option<u64> {
+        Some(self.to_bits())
     }
 }
 
