@@ -18,8 +18,6 @@
 //! baseline dir is `BENCH_baseline`.  A record that cannot be read or parsed
 //! fails the diff.
 
-#![forbid(unsafe_code)]
-
 use dft::json::{self, Json};
 use std::path::Path;
 use std::process::ExitCode;

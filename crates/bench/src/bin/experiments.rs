@@ -25,8 +25,6 @@
 //! Exit status: 0 on success, 1 when an analysis fails or the record cannot
 //! be written, 2 on a usage error; a failed assertion panics.
 
-#![forbid(unsafe_code)]
-
 use dft::json::Json;
 use dft::{Dft, DftBuilder, Dormancy};
 use dft_core::analysis::aggregated_model;

@@ -10,8 +10,6 @@
 //! fixture, and the process exits non-zero.  See `dftmc_bench::fuzz` for the
 //! corpus and mutation strategy.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -1,6 +1,6 @@
 //! Deterministic fuzzing of every untrusted-byte decoder in the workspace.
 //!
-//! The engine's hardening claim (see `xlint`'s `panic` rule and ROADMAP
+//! The engine's hardening claim (see the decode-file lints and ROADMAP
 //! item 4) is that bytes from outside the process — model-cache entries,
 //! Galileo files, committed `BENCH_*.json` baselines, raw HTTP requests on a
 //! `dftmc-serve` socket — can be arbitrarily corrupt and the decoders still

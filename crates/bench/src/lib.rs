@@ -7,8 +7,6 @@
 //! the fuzzer share: the tree families below and the decoder [`fuzz`]
 //! targets.
 
-#![forbid(unsafe_code)]
-
 use dft::{Dft, DftBuilder, Dormancy, ElementId};
 
 pub mod fuzz;

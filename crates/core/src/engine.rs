@@ -438,9 +438,8 @@ impl SessionRate for RateForm {
 ///
 /// See the [module documentation](self) for an example.
 #[derive(Debug)]
-// The rate-domain trait is an implementation detail: callers only ever name
-// the two aliases below.
-#[allow(private_bounds)]
+// The rate-domain trait is an implementation detail.
+#[expect(private_bounds, reason = "callers only name the two aliases below")]
 pub struct Session<R: SessionRate> {
     pub(crate) options: AnalysisOptions,
     pub(crate) repairable: bool,
@@ -491,9 +490,8 @@ const _: () = {
 
 /// The cached artifacts a session is served from.
 #[derive(Debug)]
-// One Backend lives per session, so the size gap between the variants is
-// irrelevant — boxing the compositional payload would only add indirection.
-#[allow(clippy::large_enum_variant)]
+// Boxing the compositional payload would only add indirection.
+#[expect(clippy::large_enum_variant, reason = "one Backend per session")]
 pub(crate) enum Backend<R: SessionRate> {
     /// The paper's compositional pipeline: the closed, minimised I/O-IMC with the
     /// top failure signal kept observable and a monitor process composed in.
@@ -588,8 +586,7 @@ fn add_model_stats(a: ModelStats, b: ModelStats) -> ModelStats {
     }
 }
 
-// See the note on `Session`.
-#[allow(private_bounds)]
+#[expect(private_bounds, reason = "see the note on `Session`")]
 impl<R: SessionRate> Session<R> {
     /// Builds the analysis session: validates and converts the DFT and runs
     /// compositional aggregation (per dynamic core for [`Method::Hybrid`]) or

@@ -37,10 +37,15 @@
 //!   is deterministic and bit-stable).  At most one sweep per request.
 //!
 //! This module parses untrusted text and is held to the workspace decode bar
-//! (xlint `panic`/`index`/`cast` rules): total, typed [`RequestError`]s, no
-//! panics.  Every client-controlled dimension is capped ([`MAX_MEASURES`],
+//! (the lints denied below): total, typed [`RequestError`]s, no panics.  Every client-controlled dimension is capped ([`MAX_MEASURES`],
 //! [`MAX_CURVE_POINTS`], [`MAX_SWEEP_VALUES`]) before any expensive work can
 //! be enqueued.
+
+// Decode file: malformed input is a typed error, never a panic (see README).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+#![deny(clippy::disallowed_macros, clippy::cast_possible_truncation)]
+#![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
 use crate::analysis::{AnalysisOptions, Method};
 use crate::parametric::{ParamKind, ParamTable, Valuation};
@@ -689,6 +694,10 @@ fn parse_sweep_object(spec: &Json) -> std::result::Result<SweepSpec, RequestErro
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "tests assert; the decode rules bind the non-test code"
+)]
 mod tests {
     use super::*;
 

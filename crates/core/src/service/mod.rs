@@ -127,6 +127,8 @@ use crate::store::{ModelStore, StoreStats};
 use crate::{Error, Result};
 use dft::Dft;
 use queue::{JobQueue, Task};
+#[cfg(debug_assertions)]
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -236,6 +238,34 @@ struct Cache {
     /// Monotonic use counter backing the LRU order (no wall clock involved, so
     /// the order is deterministic under a single worker).
     tick: u64,
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Whether this thread holds the cache lock (debug builds only).
+    static HOLDS_CACHE_LOCK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks this thread as holding the cache lock while it lives.
+#[cfg(debug_assertions)]
+struct CacheHeld;
+
+#[cfg(debug_assertions)]
+impl Drop for CacheHeld {
+    fn drop(&mut self) {
+        HOLDS_CACHE_LOCK.set(false);
+    }
+}
+
+/// The lock-order check of debug builds, run before the queue lock or the
+/// cache lock is taken (see [`ServiceCore::with_cache`]): panics when this
+/// thread holds the cache lock.
+#[cfg(debug_assertions)]
+fn assert_lock_order(lock: &str) {
+    assert!(
+        !HOLDS_CACHE_LOCK.get(),
+        "lock order: {lock} taken while holding the cache lock"
+    );
 }
 
 /// Cumulative cache counters of a service, across all requests.
@@ -772,12 +802,29 @@ impl ServiceCore {
         SweepReport { points, stats }
     }
 
+    /// Runs `f` under the cache lock; nothing else takes it.
+    ///
+    /// The service has one lock order: queue → cache.  [`JobQueue::claim`]
+    /// holds the queue lock while its `is_built` closure (this core's
+    /// [`is_built`](Self::is_built)) takes the cache lock; nothing takes the
+    /// queue lock under the cache lock, and the cache lock is never
+    /// re-entered.  Debug builds check it: this accessor and the queue lock
+    /// panic on a thread that already holds the cache lock.  Release builds
+    /// compile the check out.
+    fn with_cache<T>(&self, f: impl FnOnce(&mut Cache) -> T) -> T {
+        #[cfg(debug_assertions)]
+        let _held = {
+            assert_lock_order("the cache lock");
+            HOLDS_CACHE_LOCK.set(true);
+            CacheHeld
+        };
+        f(&mut self.cache.lock().expect("cache lock"))
+    }
+
     /// Cumulative cache counters since the service was created.
     fn cache_stats(&self) -> CacheStats {
-        let (entries, parametric_entries) = {
-            let cache = self.cache.lock().expect("cache lock");
-            (cache.entries.len(), cache.param_entries.len())
-        };
+        let (entries, parametric_entries) =
+            self.with_cache(|cache| (cache.entries.len(), cache.param_entries.len()));
         CacheStats {
             hits: self.sessions.hits.load(Ordering::Relaxed),
             misses: self.sessions.misses.load(Ordering::Relaxed),
@@ -794,11 +841,12 @@ impl ServiceCore {
     /// Used by the queue's claim step to decide leadership; deliberately does
     /// not touch the LRU order.
     fn is_built(&self, key: &CacheKey) -> bool {
-        let cache = self.cache.lock().expect("cache lock");
-        cache
-            .entries
-            .get(key)
-            .is_some_and(|entry| entry.slot.get().is_some())
+        self.with_cache(|cache| {
+            cache
+                .entries
+                .get(key)
+                .is_some_and(|entry| entry.slot.get().is_some())
+        })
     }
 
     /// Get-or-build with exactly-once semantics, for sessions and parametric
@@ -896,40 +944,41 @@ impl ServiceCore {
     /// lock.  The actual build happens outside the lock, so a slow
     /// aggregation never stalls jobs for other trees.
     fn reserve<T>(&self, space: Space<T>, key: CacheKey, evictions: &AtomicUsize) -> Slot<T> {
-        let mut cache = self.cache.lock().expect("cache lock");
-        cache.tick += 1;
-        let tick = cache.tick;
-        let entries = space(&mut cache);
-        if let Some(entry) = entries.get_mut(&key) {
-            entry.last_used = tick;
-            return Arc::clone(&entry.slot);
-        }
-        let slot: Slot<T> = Arc::new(OnceLock::new());
-        entries.insert(
-            key,
-            CacheEntry {
-                slot: Arc::clone(&slot),
-                last_used: tick,
-            },
-        );
-        let capacity = self.options.cache_capacity;
-        while capacity > 0 && entries.len() > capacity {
-            // In-flight (uninitialized) slots are exempt: evicting one would let
-            // a racing duplicate rebuild the same model.
-            let victim = entries
-                .iter()
-                .filter(|(k, e)| **k != key && e.slot.get().is_some())
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    entries.remove(&k);
-                    evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
+        self.with_cache(|cache| {
+            cache.tick += 1;
+            let tick = cache.tick;
+            let entries = space(cache);
+            if let Some(entry) = entries.get_mut(&key) {
+                entry.last_used = tick;
+                return Arc::clone(&entry.slot);
             }
-        }
-        slot
+            let slot: Slot<T> = Arc::new(OnceLock::new());
+            entries.insert(
+                key,
+                CacheEntry {
+                    slot: Arc::clone(&slot),
+                    last_used: tick,
+                },
+            );
+            let capacity = self.options.cache_capacity;
+            while capacity > 0 && entries.len() > capacity {
+                // In-flight (uninitialized) slots are exempt: evicting one would let
+                // a racing duplicate rebuild the same model.
+                let victim = entries
+                    .iter()
+                    .filter(|(k, e)| **k != key && e.slot.get().is_some())
+                    .min_by_key(|(_, e)| e.last_used)
+                    .map(|(k, _)| *k);
+                match victim {
+                    Some(k) => {
+                        entries.remove(&k);
+                        evictions.fetch_add(1, Ordering::Relaxed);
+                    }
+                    None => break,
+                }
+            }
+            slot
+        })
     }
 }
 
@@ -979,6 +1028,14 @@ mod tests {
             RequestOutcome::Sweep(report) => report,
             RequestOutcome::Job(_) => panic!("expected a sweep outcome"),
         }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock order: the queue lock taken while holding the cache lock")]
+    fn queue_lock_under_the_cache_lock_panics() {
+        let core = ServiceCore::default();
+        core.with_cache(|_| core.queue.stats());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use super::{CacheKey, RequestOutcome};
 use crate::request::{AnalysisRequest, SweepSpec};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc::Sender;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// One unit of queued work.
@@ -123,9 +123,17 @@ pub(super) struct JobQueue {
 }
 
 impl JobQueue {
+    /// Takes the queue lock, after debug builds have checked the service's
+    /// lock order (see `ServiceCore::with_cache`).
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        #[cfg(debug_assertions)]
+        super::assert_lock_order("the queue lock");
+        self.state.lock().expect("queue lock")
+    }
+
     /// Enqueues one task and wakes a worker.
     pub(super) fn push(&self, task: Task) {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = self.lock();
         debug_assert!(!state.shutdown, "no submissions after shutdown");
         state.ready.push_back(task);
         state.pending += 1;
@@ -141,7 +149,7 @@ impl JobQueue {
     /// plain [`Condvar::wait`] — no timeout, no polling: every state change
     /// that could unblock this worker notifies the condvar under the lock.
     pub(super) fn claim(&self, is_built: impl Fn(&CacheKey) -> bool) -> Option<Claim> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = self.lock();
         loop {
             while let Some(task) = state.ready.pop_front() {
                 let key = match &task {
@@ -192,7 +200,7 @@ impl JobQueue {
     /// parked followers to the *front* of the ready queue (they are warm cache
     /// hits) and wakes every worker.
     pub(super) fn complete(&self, leader_of: Option<CacheKey>) {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = self.lock();
         state.pending -= 1;
         state.completed += 1;
         if let Some(key) = leader_of {
@@ -210,14 +218,14 @@ impl JobQueue {
 
     /// Initiates shutdown: workers drain the remaining work and exit.
     pub(super) fn begin_shutdown(&self) {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = self.lock();
         state.shutdown = true;
         self.ready.notify_all();
     }
 
     /// Snapshot of the cumulative queue counters.
     pub(super) fn stats(&self) -> QueueStats {
-        let state = self.state.lock().expect("queue lock");
+        let state = self.lock();
         QueueStats {
             submitted: state.submitted,
             completed: state.completed,

@@ -66,6 +66,12 @@
 //!
 //! [`save_analyzer`]: ModelStore::save_analyzer
 
+// Decode file: malformed input is a typed error, never a panic (see README).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+#![deny(clippy::disallowed_macros, clippy::cast_possible_truncation)]
+#![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+
 use crate::aggregate::{AggregationStats, StepStats};
 use crate::analysis::{AnalysisOptions, Method};
 use crate::engine::{Analyzer, Backend, ClosedModel, Leaf, Session, SessionRate};
@@ -848,7 +854,6 @@ impl ModelStore {
                 return None;
             }
         };
-        // xlint: allow(cast) -- usize to u64 widening is lossless on every supported target
         let read = bytes.len() as u64;
         self.read_bytes.fetch_add(read, Ordering::Relaxed);
         match unseal(&bytes, kind, Some((fingerprint, eps_bits))).and_then(decode) {
@@ -885,7 +890,6 @@ impl ModelStore {
         match publish {
             Ok(()) => {
                 self.writes.fetch_add(1, Ordering::Relaxed);
-                // xlint: allow(cast) -- usize to u64 widening is lossless on every supported target
                 let written = bytes.len() as u64;
                 self.write_bytes.fetch_add(written, Ordering::Relaxed);
                 Ok(())
@@ -902,6 +906,10 @@ impl ModelStore {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "tests assert; the decode rules bind the non-test code"
+)]
 mod tests {
     use super::*;
     use dft::Dormancy;

@@ -26,6 +26,12 @@
 //! * Basic events take `lambda=<rate>` and optionally `dorm=<factor>` and
 //!   `repair=<rate>` (our Section 7.2 extension).
 
+// Decode file: malformed input is a typed error, never a panic (see README).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+#![deny(clippy::disallowed_macros, clippy::cast_possible_truncation)]
+#![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+
 use crate::element::{BasicEvent, Dormancy, Element, GateKind};
 use crate::read::{self, Body, Definition};
 use crate::tree::Dft;
@@ -286,6 +292,10 @@ pub fn to_galileo(dft: &Dft) -> String {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "tests assert; the decode rules bind the non-test code"
+)]
 mod tests {
     use super::*;
 

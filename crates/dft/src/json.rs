@@ -4,6 +4,12 @@
 //! module provides the small subset it needs: build a [`Json`] tree, render it
 //! deterministically (object keys keep insertion order), and parse it back.
 
+// Decode file: malformed input is a typed error, never a panic (see README).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+#![deny(clippy::disallowed_macros, clippy::cast_possible_truncation)]
+#![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -374,6 +380,10 @@ fn text_slice(bytes: &[u8], start: usize, end: usize) -> std::result::Result<&st
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "tests assert; the decode rules bind the non-test code"
+)]
 mod tests {
     use super::*;
 

@@ -34,9 +34,15 @@
 //! convention.
 //!
 //! This module parses untrusted bytes and is held to the workspace decode bar
-//! (xlint `panic`/`index`/`cast` rules): total, typed-error, panic-free.
+//! (the lints denied below): total, typed-error, panic-free.
 //! Round-tripping is exact: rates are rendered with Rust's shortest-round-trip
 //! formatting and parsed back bit-identically.
+
+// Decode file: malformed input is a typed error, never a panic (see README).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+#![deny(clippy::disallowed_macros, clippy::cast_possible_truncation)]
+#![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
 use crate::element::{BasicEvent, Dormancy, Element, GateKind};
 use crate::json::{self, Json};
@@ -251,6 +257,10 @@ pub fn decode(value: &Json) -> Result<Dft> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "tests assert; the decode rules bind the non-test code"
+)]
 mod tests {
     use super::*;
     use crate::galileo;

@@ -1,8 +1,14 @@
 //! The tree build both readers share: [`galileo::parse`](crate::galileo::parse)
 //! and [`json_format::decode`](crate::json_format::decode) turn their text
 //! into [`Definition`]s and end in one call to [`build`].  Like the readers,
-//! this module is held to the decode bar (xlint `panic`/`index`/`cast`
-//! rules): total, typed-error, panic-free.
+//! this module is held to the decode bar (the lints denied below): total,
+//! typed-error, panic-free.
+
+// Decode file: malformed input is a typed error, never a panic (see README).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+#![deny(clippy::disallowed_macros, clippy::cast_possible_truncation)]
+#![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
 use crate::builder::DftBuilder;
 use crate::element::{BasicEvent, ElementId, GateKind};
@@ -126,6 +132,10 @@ pub(crate) fn build(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "tests assert; the decode rules bind the non-test code"
+)]
 mod tests {
     use crate::{galileo, json_format, Error};
 

@@ -24,6 +24,12 @@
 //! original model was built with, so a decoded model answers every query
 //! bit-identically to the model that was encoded (within the same process).
 
+// Decode file: malformed input is a typed error, never a panic (see README).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+#![deny(clippy::disallowed_macros, clippy::cast_possible_truncation)]
+#![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+
 use crate::action::Action;
 use crate::model::{InteractiveTransition, IoImcOf, Label, MarkovianTransitionOf, StateId};
 use crate::rate::{Rate, RateForm};
@@ -102,7 +108,6 @@ impl Writer {
 
     /// Appends a `usize` as a `u64` (the wire format is 64-bit everywhere).
     pub fn len_prefix(&mut self, v: usize) {
-        // xlint: allow(cast) -- usize to u64 widening is lossless on every supported target
         self.u64(v as u64);
     }
 
@@ -468,6 +473,10 @@ pub fn decode_model<R: RateCodec>(r: &mut Reader<'_>) -> DecodeResult<IoImcOf<R>
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "tests assert; the decode rules bind the non-test code"
+)]
 mod tests {
     use super::*;
     use crate::builder::IoImcBuilderOf;

@@ -194,7 +194,7 @@ impl<R: Rate> IoImcOf<R> {
     /// [`restrict_to_reachable`](Self::restrict_to_reachable)), and hiding
     /// and renaming re-sort only the rows whose labels changed.  Their
     /// borrowing forms clone the model first.
-    #[allow(clippy::too_many_arguments)] // internal constructor mirroring the model's fields
+    #[expect(clippy::too_many_arguments, reason = "mirrors the model's fields")]
     pub(crate) fn from_parts(
         name: String,
         signature: Signature,

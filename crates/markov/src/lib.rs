@@ -37,7 +37,6 @@
 //! assert!((pi[1] - 1.0 / 11.0).abs() < 1e-6);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ctmc;

@@ -23,8 +23,6 @@
 //! run it via `cargo run --release -p dftmc-serve --bin serve_smoke` after a
 //! build of the package.
 
-#![forbid(unsafe_code)]
-
 use dft::json::Json;
 use dft_core::analysis::AnalysisOptions;
 use dft_core::engine::Analyzer;

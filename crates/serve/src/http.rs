@@ -1,8 +1,8 @@
 //! A total, panic-free HTTP/1.1 request parser and response writer.
 //!
 //! This module is a trust boundary: its input is raw bytes off a socket, so
-//! it is held to the same bar as the model codec ([xlint]'s decode rules —
-//! no panics, no direct indexing, no `as` integer casts).  Parsing is
+//! it is held to the same bar as the model codec (the decode lints denied
+//! below: no panics, no direct indexing, no truncating casts).  Parsing is
 //! *incremental*: [`parse_request`] returns `Ok(None)` while the buffer is
 //! still incomplete, a typed [`ParseError`] when the bytes can never become
 //! a valid request, and the parsed [`Request`] once head and body are fully
@@ -13,8 +13,12 @@
 //! API needs: `HTTP/1.0` / `HTTP/1.1`, one request per connection
 //! (`Connection: close` on every response), `Content-Length` bodies only
 //! (`Transfer-Encoding` is rejected with `501`).
-//!
-//! [xlint]: ../../xlint/index.html
+
+// Decode file: malformed input is a typed error, never a panic (see README).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+#![deny(clippy::disallowed_macros, clippy::cast_possible_truncation)]
+#![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
 use std::fmt;
 use std::time::Duration;
@@ -264,6 +268,10 @@ pub fn response(status: u16, body: &str) -> Vec<u8> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "tests assert; the decode rules bind the non-test code"
+)]
 mod tests {
     use super::*;
 

@@ -26,14 +26,12 @@
 //! # Trust boundary
 //!
 //! Everything that parses network bytes lives in [`http`], [`dft::json`] and
-//! [`router`], which are held to the workspace's decode bar (xlint rules
-//! `panic`/`index`/`cast`): total, typed-error, panic-free, and size-limited
+//! [`router`], which are held to the workspace's decode bar (no panics, no
+//! indexing, no truncating casts): total, typed-error and size-limited
 //! ([`http::HttpLimits`]).  Backpressure is explicit — a bounded connection
 //! queue (503 on overflow at accept time), a bounded in-flight job registry
 //! (429 once full), and per-connection read/write timeouts — so a slow or
 //! hostile client cannot wedge the analysis pool.
-
-#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod http;

@@ -10,8 +10,6 @@
 //! tree pays for aggregation, every other process loads the closed model
 //! from disk (`aggregation_runs == 0`).
 
-#![forbid(unsafe_code)]
-
 use dftmc_serve::server::{Server, ServerOptions};
 use std::io::Write;
 use std::time::Duration;

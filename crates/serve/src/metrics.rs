@@ -89,7 +89,7 @@ pub fn json_count(value: u64) -> Json {
 /// (submitted, not yet harvested); `store` is `None` for a storeless server
 /// and must render as JSON `null` so a scraper can tell "no store" from
 /// "store with zero traffic".
-#[allow(clippy::too_many_arguments)] // one parameter per /metrics section, wired from a single call site
+#[expect(clippy::too_many_arguments, reason = "one per /metrics section")]
 pub fn render(
     uptime: Duration,
     http: &HttpCounters,

@@ -59,6 +59,12 @@
 //! jobs are still in flight, the server stops accepting connections, every
 //! accepted job completes (and, with a store, persists) before exit.
 
+// Decode file: malformed input is a typed error, never a panic (see README).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+#![deny(clippy::disallowed_macros, clippy::cast_possible_truncation)]
+#![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+
 use crate::http::Request;
 use crate::metrics::{self, bump, json_count, HttpCounters};
 use crate::registry::{Lookup, Registry};
@@ -66,10 +72,6 @@ use dft::json::{self, Json};
 use dft_core::service::{AnalysisService, RequestOutcome};
 use dft_core::{AnalysisRequest, JobReport, MeasureResult, RequestError, SweepReport};
 use std::time::Instant;
-
-// The submission caps live with the shared request layer; re-exported here
-// because they are part of the HTTP API's documented contract.
-pub use dft_core::request::{MAX_CURVE_POINTS, MAX_MEASURES, MAX_SWEEP_VALUES};
 
 /// A routed response, ready for [`http::response`](crate::http::response).
 #[derive(Debug)]
@@ -367,6 +369,10 @@ fn render_outcome(id: u64, outcome: &RequestOutcome) -> Json {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "tests assert; the decode rules bind the non-test code"
+)]
 mod tests {
     use super::*;
     use dft_core::service::ServiceOptions;

@@ -2,8 +2,6 @@
 //!
 //! Facade crate re-exporting the workspace crates. See the README for a tour.
 
-#![forbid(unsafe_code)]
-
 pub use dft;
 pub use dft_core;
 pub use dftmc_serve;

@@ -9,9 +9,10 @@
 //! build their trees through this module so the generated shapes cannot
 //! silently diverge between the two suites.
 
-// Each integration test crate compiles its own copy of this module and uses a
-// different subset of it.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each integration test crate compiles its own copy of this module and uses a different subset of it"
+)]
 
 use dftmc::dft::{Dft, DftBuilder, Dormancy, ElementId};
 use dftmc::dft_core::rng::SplitMix64;

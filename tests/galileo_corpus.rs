@@ -1,6 +1,6 @@
 //! Galileo parser corpus tests: a negative corpus of malformed descriptions
-//! that must fail with *typed* errors (matching the `xlint` panic-freedom
-//! contract on `dft::galileo`), and a parse → print → parse round-trip
+//! that must fail with *typed* errors (matching the panic-freedom lints
+//! on `dft::galileo`), and a parse → print → parse round-trip
 //! property over randomly generated trees.
 
 use dftmc::dft::galileo::{parse, to_galileo};

@@ -1,7 +1,7 @@
 //! JSON interchange corpus tests: the dftlib-schema round trip over random
 //! trees (JSON ⇄ Galileo ⇄ [`Dft`]), a negative corpus of malformed documents
-//! that must fail with *typed* errors (matching the `xlint` panic-freedom
-//! contract on `dft::json_format`), and print → parse idempotence over every
+//! that must fail with *typed* errors (matching the panic-freedom lints
+//! on `dft::json_format`), and print → parse idempotence over every
 //! committed corpus tree in `tests/fixtures/corpus/`.
 
 use dftmc::dft::galileo::{self, to_galileo};
